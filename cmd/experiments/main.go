@@ -1,7 +1,7 @@
 // Command experiments regenerates every table and figure of the paper
 // end to end: it builds the TPC-D databases, runs the training and
 // test workloads on the instrumented kernel, and prints the paper-style
-// tables. See EXPERIMENTS.md for paper-vs-measured commentary.
+// tables.
 package main
 
 import (

@@ -87,5 +87,13 @@
 // manager, B-tree/hash access methods, Volcano executor, SQL front
 // end, TPC-D generator, kernel image, and the layout/fetch simulators
 // — is implementation detail reached only through the public
-// packages. See README.md, DESIGN.md and EXPERIMENTS.md.
+// packages. See README.md.
+//
+// The executor's tuple path is narrow and allocation-free: the planner
+// prunes every base scan and index-join inner side to the columns the
+// statement references (storage.DecodeTuple steps over the rest), and
+// a tuple returned by an operator's Next belongs to the caller, so
+// operators recycle only the row buffers of tuples their qualifiers
+// rejected (see internal/db/executor/node.go). A rejected row costs
+// no allocation, an emitted row one.
 package repro

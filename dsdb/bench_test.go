@@ -54,6 +54,26 @@ func benchmarkQuery(b *testing.B, parallelism int) {
 
 func BenchmarkQuerySerial(b *testing.B) { benchmarkQuery(b, 1) }
 
+// BenchmarkTPCDQuery runs each of the twelve TPC-D queries on its own,
+// single session, with allocations reported — the per-query picture
+// behind TestQueryAllocBudget and bench/'s tpcd_served workload:
+//
+//	go test ./dsdb -run '^$' -bench 'BenchmarkTPCDQuery' -benchtime 5x
+func BenchmarkTPCDQuery(b *testing.B) {
+	db := benchOpen(b, 1)
+	for _, qn := range dsdb.TPCDQueryNumbers() {
+		q, _ := dsdb.TPCDQuery(qn)
+		b.Run(fmt.Sprintf("Q%d", qn), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Exec(context.Background(), q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkQueryAnalyze executes the same query under EXPLAIN ANALYZE.
 // The delta against BenchmarkQuerySerial is the per-operator
 // instrumentation cost — paid only when analyzing, since the ordinary

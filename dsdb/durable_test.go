@@ -138,7 +138,7 @@ func applyWalRecord(t *testing.T, db *dsdb.DB, rec wal.Record) {
 	t.Helper()
 	switch r := rec.(type) {
 	case wal.Insert:
-		vals, err := storage.DecodeTuple(r.Tuple, nil)
+		vals, err := storage.DecodeTuple(r.Tuple, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,9 @@ import (
 // change:
 //
 //	go test ./dsdb -run TestExplainPlanGoldens -update
-var updatePlans = flag.Bool("update", false, "rewrite the TPC-D plan goldens under testdata/plans/")
+//
+// (TestQueryAllocBudget's golden takes the same flag.)
+var update = flag.Bool("update", false, "rewrite the goldens under testdata/ of the tests selected with -run")
 
 // planSF is the scale factor the plan goldens are pinned at. The
 // planner's choices depend only on schema and indexes (not table
@@ -75,7 +77,7 @@ func TestExplainPlanGoldens(t *testing.T) {
 			q, _ := dsdb.TPCDQuery(qn)
 			got := strings.Join(runExplain(t, db, "explain "+q), "\n") + "\n"
 			path := filepath.Join("testdata", "plans", fmt.Sprintf("q%d.golden", qn))
-			if *updatePlans {
+			if *update {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
 				}

@@ -263,6 +263,23 @@ func TestStageSumCoversTotal(t *testing.T) {
 	}
 }
 
+// awaitServed blocks until the server has closed the accounting
+// window of n queries. A client sees its Done frame before the serving
+// goroutine ends the detached span (stage histograms), drops the
+// in-flight gauge and records the latency, in that order — so a test
+// that reads server-side counters right after draining its rows has to
+// wait for the last of them.
+func awaitServed(t *testing.T, srv *server.Server, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Stats().Latency.Count < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("server recorded %d of %d queries", srv.Stats().Latency.Count, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestMetricsEndpoint scrapes NewMetricsMux's /metrics and asserts
 // the Prometheus text format: counter/gauge types for the scalar
 // series, real cumulative histograms for latency and stages, and a
@@ -284,6 +301,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
+	awaitServed(t, srv, 1)
 
 	ts := httptest.NewServer(server.NewMetricsMux(srv))
 	defer ts.Close()
@@ -416,6 +434,7 @@ func TestStatsUptimeAndStagePairs(t *testing.T) {
 	if err := rows.Err(); err != nil {
 		t.Fatal(err)
 	}
+	awaitServed(t, srv, 1)
 
 	st := srv.Stats()
 	if st.Uptime <= 0 {

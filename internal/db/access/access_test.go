@@ -38,7 +38,7 @@ func TestHeapInsertFetchScan(t *testing.T) {
 	}
 	// Fetch by TID.
 	for i, tid := range tids {
-		vals, err := h.Fetch(nil, tid, nil)
+		vals, err := h.Fetch(nil, tid, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

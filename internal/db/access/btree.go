@@ -362,6 +362,8 @@ func (t *BTree) insertInternal(b buffer.Buf, sepKey int64, newChild uint32) (spl
 }
 
 // BTreeScan iterates leaf entries in key order from a start position.
+// Seeks return it by value, so a caller that probes once per outer
+// tuple keeps it in a field and re-seeks without a heap allocation.
 type BTreeScan struct {
 	tree *BTree
 	page uint32
@@ -371,21 +373,21 @@ type BTreeScan struct {
 
 // SeekGE positions a scan at the first entry with key >= k
 // (bt_search).
-func (t *BTree) SeekGE(tr probe.Tracer, k int64) (*BTreeScan, error) {
+func (t *BTree) SeekGE(tr probe.Tracer, k int64) (BTreeScan, error) {
 	return t.descend(tr, k, false)
 }
 
 // SeekFirst positions a scan at the smallest key.
-func (t *BTree) SeekFirst(tr probe.Tracer) (*BTreeScan, error) {
+func (t *BTree) SeekFirst(tr probe.Tracer) (BTreeScan, error) {
 	return t.descend(tr, 0, true)
 }
 
-func (t *BTree) descend(tr probe.Tracer, k int64, leftmost bool) (*BTreeScan, error) {
+func (t *BTree) descend(tr probe.Tracer, k int64, leftmost bool) (BTreeScan, error) {
 	tr = probe.Or(tr)
 	tr.Emit(probe.BtSearchEnter)
 	root, _, err := t.meta(tr)
 	if err != nil {
-		return nil, err
+		return BTreeScan{}, err
 	}
 	tr.Emit(probe.BtSearchMeta)
 	page := root
@@ -393,7 +395,7 @@ func (t *BTree) descend(tr probe.Tracer, k int64, leftmost bool) (*BTreeScan, er
 		tr.Emit(probe.BtSearchLevel)
 		b, err := t.buf.Get(tr, t.file, int(page))
 		if err != nil {
-			return nil, err
+			return BTreeScan{}, err
 		}
 		if nodeKind(b.Page) == btLeaf {
 			slot := 0
@@ -402,7 +404,7 @@ func (t *BTree) descend(tr probe.Tracer, k int64, leftmost bool) (*BTreeScan, er
 			}
 			t.buf.Release(b, false)
 			tr.Emit(probe.BtSearchDone)
-			return &BTreeScan{tree: t, page: page, slot: slot}, nil
+			return BTreeScan{tree: t, page: page, slot: slot}, nil
 		}
 		var next uint32
 		if leftmost {

@@ -163,12 +163,20 @@ type HashScan struct {
 
 // Lookup starts an equality scan for key (hash_search).
 func (h *HashIndex) Lookup(tr probe.Tracer, key int64) *HashScan {
+	s := new(HashScan)
+	h.Seek(tr, key, s)
+	return s
+}
+
+// Seek is Lookup into a scan the caller owns: a join probing once per
+// outer tuple re-seeks one HashScan instead of allocating each time.
+func (h *HashIndex) Seek(tr probe.Tracer, key int64, s *HashScan) {
 	tr = probe.Or(tr)
 	tr.Emit(probe.HashSearchEnter)
 	tr.Emit(probe.HashFunc)
 	page := uint32(h.bucketPage(key))
 	tr.Emit(probe.HashSearchCont)
-	return &HashScan{idx: h, key: key, page: page}
+	*s = HashScan{idx: h, key: key, page: page}
 }
 
 // Next returns the next matching TID; ok=false when the chain is

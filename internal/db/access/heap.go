@@ -90,8 +90,9 @@ func (h *Heap) InsertTuple(data []byte) (storage.TID, error) {
 	return storage.TID{Page: uint32(b.PageNo), Slot: uint16(slot)}, nil
 }
 
-// Fetch reads the tuple at tid into dst (heap_fetch).
-func (h *Heap) Fetch(tr probe.Tracer, tid storage.TID, dst []value.Value) ([]value.Value, error) {
+// Fetch reads the wanted columns (ascending ordinals; nil means all)
+// of the tuple at tid into dst[:0] (heap_fetch).
+func (h *Heap) Fetch(tr probe.Tracer, tid storage.TID, cols []int, dst []value.Value) ([]value.Value, error) {
 	tr = probe.Or(tr)
 	tr.Emit(probe.HeapFetchEnter)
 	b, err := h.buf.Get(tr, h.file, int(tid.Page))
@@ -105,7 +106,7 @@ func (h *Heap) Fetch(tr probe.Tracer, tid storage.TID, dst []value.Value) ([]val
 		return nil, err
 	}
 	tr.Emit(probe.HeapDeform)
-	vals, err := storage.DecodeTuple(raw, dst)
+	vals, err := storage.DecodeTuple(raw, cols, dst[:0])
 	tr.Emit(probe.HeapFetchEmit)
 	return vals, err
 }
@@ -114,6 +115,7 @@ func (h *Heap) Fetch(tr probe.Tracer, tid storage.TID, dst []value.Value) ([]val
 // a time (heap_getnext).
 type HeapScan struct {
 	heap *Heap
+	cols []int // wanted column ordinals, ascending; nil means all
 	page int
 	end  int // first page past the scan range; -1 means whole file
 	slot int
@@ -122,9 +124,11 @@ type HeapScan struct {
 	eof  bool
 }
 
-// BeginScan starts a sequential scan over the whole file.
-func (h *Heap) BeginScan() *HeapScan {
-	return &HeapScan{heap: h, end: -1}
+// BeginScan starts a sequential scan over the whole file that
+// deforms only the wanted columns (ascending ordinals) of each tuple;
+// no cols means every column.
+func (h *Heap) BeginScan(cols ...int) *HeapScan {
+	return &HeapScan{heap: h, cols: cols, end: -1}
 }
 
 // BeginRangeScan starts a sequential scan over pages [lo, hi) — the
@@ -132,19 +136,19 @@ func (h *Heap) BeginScan() *HeapScan {
 // contiguous page range together cover the file exactly once, in the
 // same physical order a serial scan would. Bounds are clamped: a
 // negative lo starts at page 0, and hi <= lo yields an empty scan
-// (never the whole-file sentinel).
-func (h *Heap) BeginRangeScan(lo, hi int) *HeapScan {
+// (never the whole-file sentinel). cols is as for BeginScan.
+func (h *Heap) BeginRangeScan(lo, hi int, cols ...int) *HeapScan {
 	if lo < 0 {
 		lo = 0
 	}
 	if hi < lo {
 		hi = lo
 	}
-	return &HeapScan{heap: h, page: lo, end: hi}
+	return &HeapScan{heap: h, cols: cols, page: lo, end: hi}
 }
 
-// Next returns the next tuple (decoded into dst) and its TID; ok is
-// false at end of file.
+// Next returns the next tuple (its wanted columns decoded into
+// dst[:0]) and its TID; ok is false at end of file.
 func (s *HeapScan) Next(tr probe.Tracer, dst []value.Value) (vals []value.Value, tid storage.TID, ok bool, err error) {
 	tr = probe.Or(tr)
 	tr.Emit(probe.HeapGetNextEnter)
@@ -181,7 +185,7 @@ func (s *HeapScan) Next(tr probe.Tracer, dst []value.Value) (vals []value.Value,
 				return nil, storage.TID{}, false, terr
 			}
 			tr.Emit(probe.HeapDeform)
-			vals, err = storage.DecodeTuple(raw, dst)
+			vals, err = storage.DecodeTuple(raw, s.cols, dst[:0])
 			if err != nil {
 				s.Close()
 				return nil, storage.TID{}, false, err

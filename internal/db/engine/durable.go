@@ -286,7 +286,7 @@ func (db *DB) applyRecord(rec wal.Record) error {
 	case wal.CreateIndex:
 		return db.CreateIndex(r.Table, r.Column, catalog.IndexKind(r.Kind), r.Unique)
 	case wal.Insert:
-		vals, err := storage.DecodeTuple(r.Tuple, nil)
+		vals, err := storage.DecodeTuple(r.Tuple, nil, nil)
 		if err != nil {
 			return err
 		}

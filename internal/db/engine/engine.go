@@ -233,26 +233,27 @@ func (db *DB) CreateIndex(table, column string, kind catalog.IndexKind, unique b
 		}
 		db.hashes[ix.Name] = hx
 	}
-	// Backfill from the heap.
-	heap := db.heaps[table]
-	scan := heap.BeginScan()
+	// Backfill from the heap, deforming the key column only.
+	scan := db.heaps[table].BeginScan(ix.Col)
+	defer scan.Close()
+	var buf []value.Value
 	for {
-		vals, tid, ok, err := scan.Next(nil, nil)
+		key, tid, ok, err := scan.Next(nil, buf)
 		if err != nil {
 			return db.writeFailed(logged, err)
 		}
 		if !ok {
 			break
 		}
-		if err := db.indexInsertOne(ix, vals, tid); err != nil {
+		if err := db.indexInsertOne(ix, key[0], tid); err != nil {
 			return db.writeFailed(logged, err)
 		}
+		buf = key
 	}
 	return nil
 }
 
-func (db *DB) indexInsertOne(ix *catalog.Index, vals []value.Value, tid storage.TID) error {
-	key := vals[ix.Col]
+func (db *DB) indexInsertOne(ix *catalog.Index, key value.Value, tid storage.TID) error {
 	if key.T != value.Int && key.T != value.Date {
 		return fmt.Errorf("engine: index %s: only integer/date keys supported", ix.Name)
 	}
@@ -332,7 +333,7 @@ func (db *DB) InsertSpanned(table string, row []value.Value, sp *obs.Span) error
 	// result validating against a heap it no longer matches.
 	db.epochs[table]++
 	for _, ix := range t.Indexes {
-		if err := db.indexInsertOne(ix, row, tid); err != nil {
+		if err := db.indexInsertOne(ix, row[ix.Col], tid); err != nil {
 			return db.writeFailed(logged, err)
 		}
 	}

@@ -1,6 +1,8 @@
 package executor
 
 import (
+	"fmt"
+
 	"repro/internal/db/access"
 	"repro/internal/db/catalog"
 	"repro/internal/db/probe"
@@ -15,8 +17,10 @@ func joinSchema(l, r *catalog.Schema) *catalog.Schema {
 	return catalog.NewSchema(cols...)
 }
 
-func joinRow(l, r Tuple) Tuple {
-	out := make(Tuple, 0, len(l)+len(r))
+// joinRow concatenates l and r into a row buffer from rowBuf; the join
+// parks the row back in *spare if its qualifiers reject it.
+func joinRow(spare *Tuple, l, r Tuple) Tuple {
+	out := rowBuf(spare, len(l)+len(r))
 	out = append(out, l...)
 	return append(out, r...)
 }
@@ -32,6 +36,7 @@ type NestLoop struct {
 	out     *catalog.Schema
 	cur     Tuple
 	haveCur bool
+	spare   Tuple // joined row the quals rejected last
 }
 
 // Open implements Node.
@@ -78,13 +83,14 @@ func (n *NestLoop) Next() (Tuple, bool, error) {
 			}
 			continue
 		}
-		row := joinRow(n.cur, itup)
+		row := joinRow(&n.spare, n.cur, itup)
 		c.Tr.Emit(probe.NLJoin)
 		if len(n.Quals) > 0 {
 			c.Tr.Emit(probe.NLQualCall)
 			pass := ExecQual(c, n.Quals, row)
 			c.Tr.Emit(probe.NLQualCont)
 			if !pass {
+				n.spare = row
 				c.Tr.Emit(probe.NLNext)
 				continue
 			}
@@ -117,7 +123,8 @@ func (n *NestLoop) Schema() *catalog.Schema {
 // IndexLoopJoin joins by probing an inner index with the outer join
 // key for each outer tuple — PostgreSQL's nested loop with an inner
 // index scan, the plan shape the paper's Btree/Hash databases exist
-// for. The inner relation contributes full heap tuples.
+// for. Each inner heap tuple is deformed straight into the tail of
+// the joined row.
 type IndexLoopJoin struct {
 	C        *Ctx
 	Outer    Node
@@ -125,7 +132,11 @@ type IndexLoopJoin struct {
 	Heap     *access.Heap
 	BTree    *access.BTree
 	HashIdx  *access.HashIndex
-	InnerSch *catalog.Schema
+	// InnerSch describes the columns the inner relation contributes;
+	// InnerCols lists their ordinals in the stored tuple, ascending
+	// (nil: InnerSch is the whole table).
+	InnerSch  *catalog.Schema
+	InnerCols []int
 	// Table and KeyCol name the inner relation and its indexed join
 	// column for EXPLAIN output.
 	Table  string
@@ -135,17 +146,16 @@ type IndexLoopJoin struct {
 	out     *catalog.Schema
 	cur     Tuple
 	haveCur bool
-	bscan   *access.BTreeScan
-	hscan   *access.HashScan
+	bscan   access.BTreeScan
+	hscan   access.HashScan
 	key     int64
+	spare   Tuple // joined row the quals rejected last
 }
 
 // Open implements Node.
 func (j *IndexLoopJoin) Open() error {
 	j.cur = nil
 	j.haveCur = false
-	j.bscan = nil
-	j.hscan = nil
 	return j.Outer.Open()
 }
 
@@ -175,7 +185,7 @@ func (j *IndexLoopJoin) Next() (Tuple, bool, error) {
 					return nil, false, err
 				}
 			} else {
-				j.hscan = j.HashIdx.Lookup(c.Tr, j.key)
+				j.HashIdx.Seek(c.Tr, j.key, &j.hscan)
 			}
 			c.Tr.Emit(probe.NLStartCont)
 		}
@@ -186,7 +196,7 @@ func (j *IndexLoopJoin) Next() (Tuple, bool, error) {
 			err error
 		)
 		c.Tr.Emit(probe.NLInnerCall)
-		if j.bscan != nil {
+		if j.BTree != nil {
 			var k int64
 			k, tid, ok, err = j.bscan.Next(c.Tr)
 			if ok && k != j.key {
@@ -202,22 +212,28 @@ func (j *IndexLoopJoin) Next() (Tuple, bool, error) {
 		if !ok {
 			c.Tr.Emit(probe.NLRescan)
 			j.haveCur = false
-			j.bscan = nil
-			j.hscan = nil
 			continue
 		}
+		nOuter, nInner := len(j.cur), j.InnerSch.Len()
+		row := append(rowBuf(&j.spare, nOuter+nInner), j.cur...)
 		c.Tr.Emit(probe.NLFetch)
-		ivals, err := j.Heap.Fetch(c.Tr, tid, nil)
+		ivals, err := j.Heap.Fetch(c.Tr, tid, j.InnerCols, row[nOuter:])
 		c.Tr.Emit(probe.NLFetchCont)
 		if err != nil {
 			return nil, false, err
 		}
-		row := joinRow(j.cur, Tuple(ivals))
+		if len(ivals) != nInner {
+			return nil, false, fmt.Errorf("executor: %s tuple has %d columns, want %d", j.Table, len(ivals), nInner)
+		}
+		// nInner values fit the tail's capacity, so Fetch wrote them in
+		// place behind the outer columns.
+		row = row[:nOuter+nInner]
 		if len(j.Quals) > 0 {
 			c.Tr.Emit(probe.NLQualCall)
 			pass := ExecQual(c, j.Quals, row)
 			c.Tr.Emit(probe.NLQualCont)
 			if !pass {
+				j.spare = row
 				c.Tr.Emit(probe.NLNext)
 				continue
 			}
@@ -231,8 +247,6 @@ func (j *IndexLoopJoin) Next() (Tuple, bool, error) {
 
 // Close implements Node.
 func (j *IndexLoopJoin) Close() error {
-	j.bscan = nil
-	j.hscan = nil
 	return j.Outer.Close()
 }
 
@@ -261,6 +275,7 @@ type HashJoin struct {
 	cur    Tuple
 	bucket []Tuple
 	bpos   int
+	spare  Tuple // joined row the quals rejected last
 }
 
 // Open implements Node.
@@ -326,12 +341,13 @@ func (h *HashJoin) Next() (Tuple, bool, error) {
 					c.Tr.Emit(probe.HJCandMiss)
 					continue
 				}
-				row := joinRow(h.cur, cand)
+				row := joinRow(&h.spare, h.cur, cand)
 				if len(h.Quals) > 0 {
 					c.Tr.Emit(probe.HJQualCall)
 					pass := ExecQual(c, h.Quals, row)
 					c.Tr.Emit(probe.HJQualCont)
 					if !pass {
+						h.spare = row
 						c.Tr.Emit(probe.HJCandNext)
 						continue
 					}
@@ -404,6 +420,7 @@ type MergeJoin struct {
 	groupKey     value.Value
 	gpos         int
 	outerInGroup bool
+	spare        Tuple // joined row the quals rejected last
 }
 
 // Open implements Node.
@@ -449,12 +466,13 @@ func (m *MergeJoin) Next() (Tuple, bool, error) {
 			for m.gpos < len(m.group) {
 				itup := m.group[m.gpos]
 				m.gpos++
-				row := joinRow(m.outerTup, itup)
+				row := joinRow(&m.spare, m.outerTup, itup)
 				if len(m.Quals) > 0 {
 					c.Tr.Emit(probe.MJQualCall)
 					pass := ExecQual(c, m.Quals, row)
 					c.Tr.Emit(probe.MJQualCont)
 					if !pass {
+						m.spare = row
 						continue
 					}
 				}

@@ -8,6 +8,13 @@ import (
 // Node is one operator of the execution plan tree (Volcano iterator
 // model). Open prepares the node (and must reset it if called again),
 // Next produces the next tuple, Close releases resources.
+//
+// Tuple ownership: a tuple returned by Next belongs to the caller,
+// which may retain it (Sort, hash and merge join buffers, Rows) for
+// as long as it likes; the producer never reads or writes it again.
+// Operators recycle only what they did not emit — the row buffer of a
+// tuple their qualifiers rejected (rowBuf) — and never a tuple a
+// child handed them.
 type Node interface {
 	Open() error
 	Next() (Tuple, bool, error)
@@ -15,6 +22,19 @@ type Node interface {
 	// Schema describes the output columns (used by the planner to
 	// resolve variable references).
 	Schema() *catalog.Schema
+}
+
+// rowBuf hands out the buffer for an operator's next candidate row:
+// the one parked in *spare by the last rejected row, else a new one of
+// exactly width values — so an emitted row costs one allocation and a
+// rejected row none. Taking the buffer clears *spare; the operator
+// parks the row there again only if it rejects it.
+func rowBuf(spare *Tuple, width int) Tuple {
+	if buf := *spare; buf != nil {
+		*spare = nil
+		return buf[:0]
+	}
+	return make(Tuple, 0, width)
 }
 
 // child invokes a child node through the ExecProcNode dispatcher,

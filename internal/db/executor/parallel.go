@@ -39,7 +39,9 @@ const defaultPartCap = 8
 type ParallelScan struct {
 	C    *Ctx
 	Heap *access.Heap
+	// Out and Cols are as for SeqScan.
 	Out  *catalog.Schema
+	Cols []int
 	// Table names the scanned relation for EXPLAIN output.
 	Table  string
 	Quals  []Expr
@@ -122,9 +124,11 @@ func (s *ParallelScan) worker(i, lo, hi int, part chan<- []Tuple, wtr probe.Trac
 	// session's span rides along so worker IO waits are attributed,
 	// and under EXPLAIN ANALYZE so is buffer-pool traffic (atomics).
 	wc := &Ctx{Tr: wtr, Interrupt: s.C.Interrupt}
-	scan := s.Heap.BeginRangeScan(lo, hi)
+	scan := s.Heap.BeginRangeScan(lo, hi, s.Cols...)
 	defer scan.Close()
 	batch := make([]Tuple, 0, batchTuples)
+	var spare Tuple // row buffer of the last rejected tuple
+	width := s.Out.Len()
 	flush := func() bool {
 		if len(batch) == 0 {
 			return true
@@ -144,7 +148,7 @@ func (s *ParallelScan) worker(i, lo, hi int, part chan<- []Tuple, wtr probe.Trac
 				return
 			}
 		}
-		vals, _, ok, err := scan.Next(wc.Tr, nil)
+		vals, _, ok, err := scan.Next(wc.Tr, rowBuf(&spare, width))
 		if err != nil {
 			s.errs[i] = err
 			return
@@ -154,6 +158,7 @@ func (s *ParallelScan) worker(i, lo, hi int, part chan<- []Tuple, wtr probe.Trac
 			return
 		}
 		if len(s.Quals) > 0 && !ExecQual(wc, s.Quals, Tuple(vals)) {
+			spare = vals
 			continue
 		}
 		batch = append(batch, Tuple(vals))

@@ -13,17 +13,21 @@ import (
 type SeqScan struct {
 	C    *Ctx
 	Heap *access.Heap
+	// Out describes the emitted columns; Cols lists their ordinals in
+	// the stored tuple, ascending (nil: Out is the whole table).
 	Out  *catalog.Schema
+	Cols []int
 	// Table names the scanned relation for EXPLAIN output.
 	Table  string
 	Quals  []Expr
 	scan   *access.HeapScan
+	spare  Tuple // row buffer of the last rejected tuple
 	opened bool
 }
 
 // Open implements Node.
 func (s *SeqScan) Open() error {
-	s.scan = s.Heap.BeginScan()
+	s.scan = s.Heap.BeginScan(s.Cols...)
 	s.opened = true
 	return nil
 }
@@ -37,7 +41,7 @@ func (s *SeqScan) Next() (Tuple, bool, error) {
 	c.Tr.Emit(probe.SeqScanEnter)
 	for {
 		c.Tr.Emit(probe.SeqScanCall)
-		vals, _, ok, err := s.scan.Next(c.Tr, nil)
+		vals, _, ok, err := s.scan.Next(c.Tr, rowBuf(&s.spare, s.Out.Len()))
 		c.Tr.Emit(probe.SeqScanCont)
 		if err != nil {
 			return nil, false, err
@@ -51,6 +55,7 @@ func (s *SeqScan) Next() (Tuple, bool, error) {
 			pass := ExecQual(c, s.Quals, Tuple(vals))
 			c.Tr.Emit(probe.SeqScanQualCont)
 			if !pass {
+				s.spare = vals
 				c.Tr.Emit(probe.SeqScanNext)
 				continue
 			}
@@ -81,7 +86,9 @@ func (s *SeqScan) Schema() *catalog.Schema { return s.Out }
 type IndexScan struct {
 	C    *Ctx
 	Heap *access.Heap
+	// Out and Cols are as for SeqScan.
 	Out  *catalog.Schema
+	Cols []int
 	// Table and KeyCol name the scanned relation and the indexed
 	// column for EXPLAIN output.
 	Table  string
@@ -99,9 +106,11 @@ type IndexScan struct {
 
 	Quals []Expr
 
-	bscan  *access.BTreeScan
-	hscan  *access.HashScan
-	opened bool
+	bscan   access.BTreeScan
+	hscan   access.HashScan
+	started bool  // the index descent has happened
+	spare   Tuple // row buffer of the last rejected tuple
+	opened  bool
 }
 
 // Open implements Node. The index descent itself happens lazily on
@@ -112,8 +121,7 @@ func (s *IndexScan) Open() error {
 		return fmt.Errorf("executor: IndexScan has no index")
 	}
 	s.opened = true
-	s.bscan = nil
-	s.hscan = nil
+	s.started = false
 	return nil
 }
 
@@ -128,9 +136,10 @@ func (s *IndexScan) init() error {
 			s.bscan, err = s.BTree.SeekFirst(c.Tr)
 		}
 	} else {
-		s.hscan = s.HashIdx.Lookup(c.Tr, s.EqKey)
+		s.HashIdx.Seek(c.Tr, s.EqKey, &s.hscan)
 	}
 	c.Tr.Emit(probe.IdxScanInitCont)
+	s.started = err == nil
 	return err
 }
 
@@ -141,7 +150,7 @@ func (s *IndexScan) Next() (Tuple, bool, error) {
 	}
 	c := s.C
 	c.Tr.Emit(probe.IdxScanEnter)
-	if s.bscan == nil && s.hscan == nil {
+	if !s.started {
 		if err := s.init(); err != nil {
 			return nil, false, err
 		}
@@ -155,7 +164,7 @@ func (s *IndexScan) Next() (Tuple, bool, error) {
 			done bool
 		)
 		c.Tr.Emit(probe.IdxScanNextCall)
-		if s.bscan != nil {
+		if s.BTree != nil {
 			key, tid, ok, err = s.bscan.Next(c.Tr)
 			if ok && s.HasHi && key > s.Hi {
 				ok = false
@@ -175,7 +184,7 @@ func (s *IndexScan) Next() (Tuple, bool, error) {
 			return nil, false, nil
 		}
 		c.Tr.Emit(probe.IdxScanFetch)
-		vals, err := s.Heap.Fetch(c.Tr, tid, nil)
+		vals, err := s.Heap.Fetch(c.Tr, tid, s.Cols, rowBuf(&s.spare, s.Out.Len()))
 		c.Tr.Emit(probe.IdxScanCont)
 		if err != nil {
 			return nil, false, err
@@ -185,6 +194,7 @@ func (s *IndexScan) Next() (Tuple, bool, error) {
 			pass := ExecQual(c, s.Quals, Tuple(vals))
 			c.Tr.Emit(probe.IdxScanQualCont)
 			if !pass {
+				s.spare = vals
 				c.Tr.Emit(probe.IdxScanNext)
 				continue
 			}
@@ -198,8 +208,6 @@ func (s *IndexScan) Next() (Tuple, bool, error) {
 
 // Close implements Node.
 func (s *IndexScan) Close() error {
-	s.bscan = nil
-	s.hscan = nil
 	s.opened = false
 	return nil
 }

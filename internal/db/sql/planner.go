@@ -68,10 +68,11 @@ func (pl *Planner) Plan(st *SelectStmt) (executor.Node, error) {
 		est[t] = e
 	}
 
-	// Base scans.
+	// Base scans, each deforming only the columns the statement uses.
+	used := usedColumns(st)
 	scans := make(map[string]executor.Node)
 	for _, t := range st.From {
-		n, err := pl.scan(t, tblPreds[t])
+		n, err := pl.scan(t, tblPreds[t], used)
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +123,7 @@ func (pl *Planner) Plan(st *SelectStmt) (executor.Node, error) {
 			if jp.rt != t {
 				outerCol, innerCol = jp.rc, jp.lc
 			}
-			plan, err = pl.join(plan, t, outerCol, innerCol, tblPreds[t], scans[t], est)
+			plan, err = pl.join(plan, t, outerCol, innerCol, tblPreds[t], scans[t], est, used)
 		} else {
 			plan = &executor.NestLoop{C: pl.C, Outer: plan, Inner: serialized(pl.C, scans[t])}
 		}
@@ -317,13 +318,14 @@ func (pl *Planner) postAggProject(st *SelectStmt, aggSchema *catalog.Schema, gro
 // scan builds the access path for one table: hash index for an
 // equality predicate on an indexed column, B-tree range scan for
 // range/equality predicates on a B-tree column, else a sequential scan
-// with all predicates as qualifiers.
-func (pl *Planner) scan(table string, preds []node) (executor.Node, error) {
+// with all predicates as qualifiers. Whatever the path, the scan emits
+// only the table's used columns.
+func (pl *Planner) scan(table string, preds []node, used map[string]bool) (executor.Node, error) {
 	t, ok := pl.DB.Cat.Table(table)
 	if !ok {
 		return nil, fmt.Errorf("sql: unknown table %q", table)
 	}
-	sch := tableSchema(t)
+	sch, cols := prune(t.Schema, used)
 	heap := pl.DB.Heap(table)
 
 	// Try an indexable predicate.
@@ -346,12 +348,12 @@ func (pl *Planner) scan(table string, preds []node) (executor.Node, error) {
 			return nil, err
 		}
 		if ix.Kind == catalog.Hash && op == "=" {
-			return &executor.IndexScan{C: pl.C, Heap: heap, Out: sch,
+			return &executor.IndexScan{C: pl.C, Heap: heap, Out: sch, Cols: cols,
 				Table: table, KeyCol: col,
 				HashIdx: pl.DB.HashFor(ix), EqKey: lit, Quals: quals}, nil
 		}
 		if ix.Kind == catalog.BTree {
-			is := &executor.IndexScan{C: pl.C, Heap: heap, Out: sch,
+			is := &executor.IndexScan{C: pl.C, Heap: heap, Out: sch, Cols: cols,
 				Table: table, KeyCol: col,
 				BTree: pl.DB.BTreeFor(ix), Quals: quals}
 			switch op {
@@ -380,17 +382,17 @@ func (pl *Planner) scan(table string, preds []node) (executor.Node, error) {
 	// Partition-parallel scan when the context allows it and the heap
 	// is big enough to split (a one-page table gains nothing).
 	if pl.C.Parallelism > 1 && heap.NumPages() >= 2 {
-		return &executor.ParallelScan{C: pl.C, Heap: heap, Out: sch,
+		return &executor.ParallelScan{C: pl.C, Heap: heap, Out: sch, Cols: cols,
 			Table: table, Quals: quals, Degree: pl.C.Parallelism}, nil
 	}
-	return &executor.SeqScan{C: pl.C, Heap: heap, Out: sch, Table: table, Quals: quals}, nil
+	return &executor.SeqScan{C: pl.C, Heap: heap, Out: sch, Cols: cols, Table: table, Quals: quals}, nil
 }
 
 // join attaches table t to the current plan on outerCol = innerCol.
 func (pl *Planner) join(outer executor.Node, t, outerCol, innerCol string,
-	innerPreds []node, innerScan executor.Node, est map[string]float64) (executor.Node, error) {
+	innerPreds []node, innerScan executor.Node, est map[string]float64, used map[string]bool) (executor.Node, error) {
 	tbl, _ := pl.DB.Cat.Table(t)
-	innerSch := tableSchema(tbl)
+	innerSch, innerCols := prune(tbl.Schema, used)
 	outIdx := outer.Schema().ColIndex(outerCol)
 	if outIdx < 0 {
 		return nil, fmt.Errorf("sql: join column %q not available", outerCol)
@@ -403,7 +405,7 @@ func (pl *Planner) join(outer executor.Node, t, outerCol, innerCol string,
 			return nil, err
 		}
 		ilj := &executor.IndexLoopJoin{C: pl.C, Outer: outer, OuterKey: outIdx,
-			Heap: pl.DB.Heap(t), InnerSch: innerSch, Quals: quals,
+			Heap: pl.DB.Heap(t), InnerSch: innerSch, InnerCols: innerCols, Quals: quals,
 			Table: t, KeyCol: innerCol}
 		if ix.Kind == catalog.BTree {
 			ilj.BTree = pl.DB.BTreeFor(ix)
@@ -438,7 +440,7 @@ func (pl *Planner) join(outer executor.Node, t, outerCol, innerCol string,
 // and merge join builds, top-level scans) keep the parallel node.
 func serialized(c *executor.Ctx, n executor.Node) executor.Node {
 	if ps, ok := n.(*executor.ParallelScan); ok {
-		return &executor.SeqScan{C: c, Heap: ps.Heap, Out: ps.Out, Table: ps.Table, Quals: ps.Quals}
+		return &executor.SeqScan{C: c, Heap: ps.Heap, Out: ps.Out, Cols: ps.Cols, Table: ps.Table, Quals: ps.Quals}
 	}
 	return n
 }
@@ -456,36 +458,74 @@ func flattenAnd(n node, out *[]node) {
 	*out = append(*out, n)
 }
 
+// walkCols calls fn with the name of every column reference in n.
+func walkCols(n node, fn func(name string)) {
+	switch x := n.(type) {
+	case *colRef:
+		fn(x.name)
+	case *binExpr:
+		walkCols(x.l, fn)
+		walkCols(x.r, fn)
+	case *andExpr:
+		for _, a := range x.args {
+			walkCols(a, fn)
+		}
+	case *orExpr:
+		for _, a := range x.args {
+			walkCols(a, fn)
+		}
+	case *notExpr:
+		walkCols(x.arg, fn)
+	case *likeExpr:
+		walkCols(x.arg, fn)
+	case *inExpr:
+		walkCols(x.arg, fn)
+	}
+}
+
+// usedColumns collects the column names a statement references: select
+// items (aggregate arguments included), WHERE (join keys live there)
+// and GROUP BY. ORDER BY names resolve against the projected output,
+// whose inputs are select items already.
+func usedColumns(st *SelectStmt) map[string]bool {
+	used := make(map[string]bool)
+	add := func(name string) { used[name] = true }
+	for _, it := range st.Items {
+		walkCols(it.Expr, add)
+	}
+	walkCols(st.Where, add)
+	for _, g := range st.GroupBy {
+		add(g)
+	}
+	return used
+}
+
+// prune returns the sub-schema of sch restricted to the used columns
+// and their ordinals in sch, ascending — the shape scans hand to
+// storage.DecodeTuple. Everything above a scan resolves columns by
+// name against the pruned schema, so no other index needs rewriting;
+// a table none of whose columns are used (count(*)) scans zero-width
+// tuples.
+func prune(sch *catalog.Schema, used map[string]bool) (*catalog.Schema, []int) {
+	kept := make([]catalog.Column, 0, len(used))
+	cols := make([]int, 0, len(used))
+	for i, c := range sch.Columns {
+		if used[c.Name] {
+			kept = append(kept, c)
+			cols = append(cols, i)
+		}
+	}
+	return catalog.NewSchema(kept...), cols
+}
+
 // tablesOf returns the tables whose columns appear in n.
 func (pl *Planner) tablesOf(n node, from []string) []string {
 	seen := map[string]bool{}
-	var walk func(node)
-	walk = func(n node) {
-		switch x := n.(type) {
-		case *colRef:
-			if t := pl.tableOfCol(x.name, from); t != "" {
-				seen[t] = true
-			}
-		case *binExpr:
-			walk(x.l)
-			walk(x.r)
-		case *andExpr:
-			for _, a := range x.args {
-				walk(a)
-			}
-		case *orExpr:
-			for _, a := range x.args {
-				walk(a)
-			}
-		case *notExpr:
-			walk(x.arg)
-		case *likeExpr:
-			walk(x.arg)
-		case *inExpr:
-			walk(x.arg)
+	walkCols(n, func(name string) {
+		if t := pl.tableOfCol(name, from); t != "" {
+			seen[t] = true
 		}
-	}
-	walk(n)
+	})
 	out := make([]string, 0, len(seen))
 	for _, t := range from {
 		if seen[t] {
@@ -708,8 +748,6 @@ func coerceDates(l, r executor.Expr) (executor.Expr, executor.Expr) {
 	}
 	return l, r
 }
-
-func tableSchema(t *catalog.Table) *catalog.Schema { return t.Schema }
 
 func joinedSchema(l, r *catalog.Schema) *catalog.Schema {
 	cols := make([]catalog.Column, 0, l.Len()+r.Len())

@@ -84,7 +84,7 @@ func sampleRow() []value.Value {
 func TestTupleCodecRoundTrip(t *testing.T) {
 	row := sampleRow()
 	enc := EncodeTuple(row, nil)
-	dec, err := DecodeTuple(enc, nil)
+	dec, err := DecodeTuple(enc, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestTupleCodecProperty(t *testing.T) {
 			s = s[:60000]
 		}
 		row := []value.Value{value.NewInt(i), value.NewFloat(fv), value.NewStr(s)}
-		dec, err := DecodeTuple(EncodeTuple(row, nil), nil)
+		dec, err := DecodeTuple(EncodeTuple(row, nil), nil, nil)
 		if err != nil || len(dec) != 3 {
 			return false
 		}
@@ -132,7 +132,7 @@ func TestDecodeTupleErrors(t *testing.T) {
 		append([]byte{byte(value.Str)}, 255), // truncated length
 	}
 	for i, b := range bad {
-		if _, err := DecodeTuple(b, nil); err == nil {
+		if _, err := DecodeTuple(b, nil, nil); err == nil {
 			t.Errorf("case %d should fail", i)
 		}
 	}

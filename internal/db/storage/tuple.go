@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -43,51 +44,77 @@ func EncodeTuple(vals []value.Value, buf []byte) []byte {
 	return buf
 }
 
-// DecodeTuple deserializes a row into dst (which must have the arity
-// of the encoded tuple) and returns it.
-func DecodeTuple(data []byte, dst []value.Value) ([]value.Value, error) {
-	dst = dst[:0]
-	i := 0
-	for i < len(data) {
+var errTruncated = errors.New("storage: truncated tuple")
+
+// DecodeTuple appends the wanted columns of an encoded row to dst and
+// returns the extended slice. cols lists the wanted column ordinals in
+// ascending order; nil means every column. Unwanted columns are
+// stepped over without materialising them (no string is built for a
+// skipped Str), and decoding stops after the last wanted column — an
+// empty non-nil cols reads nothing. With a dst of sufficient capacity
+// and no wanted Str column the call does not allocate.
+func DecodeTuple(data []byte, cols []int, dst []value.Value) ([]value.Value, error) {
+	if cols != nil && len(cols) == 0 {
+		return dst, nil
+	}
+	i, next := 0, 0
+	for ord := 0; i < len(data); ord++ {
+		want := cols == nil || ord == cols[next]
 		t := value.Type(data[i])
 		i++
 		switch t {
 		case value.Int, value.Date:
 			if i+8 > len(data) {
-				return nil, fmt.Errorf("storage: truncated tuple")
+				return nil, errTruncated
 			}
-			v := int64(binary.LittleEndian.Uint64(data[i:]))
+			if want {
+				dst = append(dst, value.Value{T: t, I: int64(binary.LittleEndian.Uint64(data[i:]))})
+			}
 			i += 8
-			dst = append(dst, value.Value{T: t, I: v})
 		case value.Float:
 			if i+8 > len(data) {
-				return nil, fmt.Errorf("storage: truncated tuple")
+				return nil, errTruncated
 			}
-			f := math.Float64frombits(binary.LittleEndian.Uint64(data[i:]))
+			if want {
+				dst = append(dst, value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(data[i:]))))
+			}
 			i += 8
-			dst = append(dst, value.NewFloat(f))
 		case value.Str:
 			if i+2 > len(data) {
-				return nil, fmt.Errorf("storage: truncated tuple")
+				return nil, errTruncated
 			}
 			n := int(binary.LittleEndian.Uint16(data[i:]))
 			i += 2
 			if i+n > len(data) {
-				return nil, fmt.Errorf("storage: truncated tuple")
+				return nil, errTruncated
 			}
-			dst = append(dst, value.NewStr(string(data[i:i+n])))
+			if want {
+				dst = append(dst, value.NewStr(string(data[i:i+n])))
+			}
 			i += n
 		case value.Bool:
 			if i+1 > len(data) {
-				return nil, fmt.Errorf("storage: truncated tuple")
+				return nil, errTruncated
 			}
-			dst = append(dst, value.NewBool(data[i] != 0))
+			if want {
+				dst = append(dst, value.NewBool(data[i] != 0))
+			}
 			i++
 		case value.Null:
-			dst = append(dst, value.NewNull())
+			if want {
+				dst = append(dst, value.NewNull())
+			}
 		default:
 			return nil, fmt.Errorf("storage: bad type byte %d", t)
 		}
+		if want && cols != nil {
+			if next++; next == len(cols) {
+				return dst, nil
+			}
+		}
+	}
+	if cols != nil {
+		return nil, fmt.Errorf("storage: tuple ends before wanted column %d", cols[next])
 	}
 	return dst, nil
 }

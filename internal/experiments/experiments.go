@@ -9,8 +9,7 @@
 // reproduction's kernel image is proportionally smaller, so cache and
 // CFA sizes are scaled by 1/8 (1–8 KB caches) to preserve the
 // footprint-to-cache ratios; the trace cache scales from 256 to 64
-// entries for the same reason. DESIGN.md and EXPERIMENTS.md document
-// the substitution.
+// entries for the same reason.
 package experiments
 
 import (
