@@ -92,8 +92,12 @@
 // The executor's tuple path is narrow and allocation-free: the planner
 // prunes every base scan and index-join inner side to the columns the
 // statement references (storage.DecodeTuple steps over the rest), and
-// a tuple returned by an operator's Next belongs to the caller, so
-// operators recycle only the row buffers of tuples their qualifiers
-// rejected (see internal/db/executor/node.go). A rejected row costs
-// no allocation, an emitted row one.
+// a tuple returned by an operator's Next is a slot — the one output
+// row the operator allocated at Open, valid until the operator is
+// called again, never written by its consumer (see
+// internal/db/executor/node.go). Operators that keep tuples (sort,
+// hash-join build, the result-cache fill) copy them into chunked
+// slabs; passing a row up the plan allocates nothing. What dsdb hands
+// out — Rows.Scan, Rows.Values, Exec, QueryRow — is always a copy and
+// safe to retain.
 package repro

@@ -17,10 +17,16 @@ import (
 // small queries and far below any real per-row regression.
 const allocBudgetSlack = 1.05
 
+// allocBudgetStale is how far below its golden a query may come in: a
+// change that removes more than a tenth of a query's allocations has
+// to regenerate the budget, or the win it made is slack the next
+// regression can hide in.
+const allocBudgetStale = 0.90
+
 // TestQueryAllocBudget pins heap allocations per TPC-D query — the
-// executor's tuple path is meant to allocate once per emitted row and
-// never per rejected one, and unlike a latency that is a count CI can
-// gate on. Each query runs single-session at SF 0.01 (the scale of
+// executor's tuple path is meant to allocate per retained row (a slab
+// chunk per ~64) and per decoded string, never per row passed up the
+// plan, and unlike a latency that is a count CI can gate on. Each query runs single-session at SF 0.01 (the scale of
 // bench/'s tpcd_served workload), compiled, executed and materialized.
 // After an intentional change regenerate the budget with
 //
@@ -69,6 +75,10 @@ func TestQueryAllocBudget(t *testing.T) {
 		if allocs > want*allocBudgetSlack {
 			t.Errorf("%s: %.0f allocations, budget %.0f (+%.0f%% slack): the tuple path allocates more than it did",
 				name, allocs, want, 100*(allocBudgetSlack-1))
+		}
+		if allocs < want*allocBudgetStale {
+			t.Errorf("%s: %.0f allocations, budget %.0f: stale budget, rerun with -update to lock the win in",
+				name, allocs, want)
 		}
 	}
 	if *update {

@@ -197,6 +197,7 @@ type cacheFill struct {
 	key   string
 	fp    qcache.Footprint
 	rows  [][]Value
+	slab  executor.Slab // owns the copies in rows
 	size  int64
 	limit int64 // accumulation stops (and the fill is abandoned) past this
 	dead  bool
@@ -216,11 +217,11 @@ func (f *cacheFill) add(tup []Value) {
 	if f.dead {
 		return
 	}
-	row := append([]Value(nil), tup...)
+	row := f.slab.Copy(tup)
 	f.size += qcache.RowBytes(row)
 	if f.size > f.limit {
 		f.dead = true
-		f.rows = nil
+		f.rows, f.slab = nil, executor.Slab{}
 		return
 	}
 	f.rows = append(f.rows, row)
@@ -370,14 +371,15 @@ func (r *Rows) Next() bool {
 	return true
 }
 
-// Values returns a copy of the current row.
+// Values returns a copy of the current row, the caller's to keep (the
+// executor reuses the row itself on the next Next).
 func (r *Rows) Values() []Value {
 	return append([]Value(nil), r.cur...)
 }
 
-// Scan copies the current row into dest, one pointer per column.
-// Supported destinations: *int64, *int, *float64, *string, *bool,
-// *Value and *any.
+// Scan copies the current row into dest, one pointer per column; the
+// copies stay valid after the next Next. Supported destinations:
+// *int64, *int, *float64, *string, *bool, *Value and *any.
 func (r *Rows) Scan(dest ...any) error {
 	if r.cur == nil {
 		return fmt.Errorf("dsdb: Scan called without a successful Next")

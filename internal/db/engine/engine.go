@@ -412,9 +412,10 @@ func (db *DB) Flush() error {
 	return db.Buf.FlushAll()
 }
 
-// Run executes a plan to completion and returns the result rows. The
-// plan is always closed — including when Open or Next fail partway —
-// so executor nodes never leak scans or buffered state; node Close
+// Run executes a plan to completion and returns copies of the result
+// rows (the plan's own output tuple is a reused slot). The plan is
+// always closed — including when Open or Next fail partway — so
+// executor nodes never leak scans or buffered state; node Close
 // methods are idempotent, making the unconditional defer safe even
 // when Open failed after opening only some children.
 func Run(plan executor.Node) (out []executor.Tuple, err error) {
@@ -426,6 +427,7 @@ func Run(plan executor.Node) (out []executor.Tuple, err error) {
 	if err = plan.Open(); err != nil {
 		return nil, err
 	}
+	var slab executor.Slab
 	for {
 		tup, ok, nerr := plan.Next()
 		if nerr != nil {
@@ -434,7 +436,7 @@ func Run(plan executor.Node) (out []executor.Tuple, err error) {
 		if !ok {
 			return out, nil
 		}
-		out = append(out, tup)
+		out = append(out, slab.Copy(tup))
 	}
 }
 

@@ -98,12 +98,28 @@ func (st *aggState) result(f AggFunc, argType value.Type) value.Value {
 	}
 }
 
-func newAggStates(n int) []aggState {
-	sts := make([]aggState, n)
+// resetAggStates returns sts, sized for specs on first use, with every
+// accumulator back at its start state.
+func resetAggStates(sts []aggState, specs []AggSpec) []aggState {
+	if sts == nil {
+		sts = make([]aggState, len(specs))
+	}
 	for i := range sts {
-		sts[i].intOK = true
+		sts[i] = aggState{intOK: true}
 	}
 	return sts
+}
+
+// aggResults appends one result per spec to out.
+func aggResults(out Tuple, specs []AggSpec, states []aggState) Tuple {
+	for i, sp := range specs {
+		t := value.Int
+		if sp.Arg != nil {
+			t = sp.Arg.Type()
+		}
+		out = append(out, states[i].result(sp.Func, t))
+	}
+	return out
 }
 
 // Agg computes plain (ungrouped) aggregates over its whole input,
@@ -113,12 +129,15 @@ type Agg struct {
 	Child Node
 	Specs []AggSpec
 
-	out  *catalog.Schema
-	done bool
+	out    *catalog.Schema
+	states []aggState
+	row    Tuple // output slot
+	done   bool
 }
 
 // Open implements Node.
 func (a *Agg) Open() error {
+	newSlot(&a.row, len(a.Specs))
 	a.done = false
 	return a.Child.Open()
 }
@@ -131,7 +150,8 @@ func (a *Agg) Next() (Tuple, bool, error) {
 		c.Tr.Emit(probe.AggEOF)
 		return nil, false, nil
 	}
-	states := newAggStates(len(a.Specs))
+	a.states = resetAggStates(a.states, a.Specs)
+	states := a.states
 	for {
 		tup, ok, err := c.child(probe.AggChildCall, probe.AggChildCont, a.Child)
 		if err != nil {
@@ -162,14 +182,7 @@ func (a *Agg) Next() (Tuple, bool, error) {
 			states[i].advance(v)
 		}
 	}
-	out := make(Tuple, len(a.Specs))
-	for i, sp := range a.Specs {
-		t := value.Int
-		if sp.Arg != nil {
-			t = sp.Arg.Type()
-		}
-		out[i] = states[i].result(sp.Func, t)
-	}
+	out := aggResults(a.row[:0], a.Specs, states)
 	a.done = true
 	c.Tr.Emit(probe.AggEmit)
 	return out, true, nil
@@ -214,7 +227,17 @@ type GroupAgg struct {
 	GroupBy []int // columns of the child output
 	Specs   []AggSpec
 
-	out         *catalog.Schema
+	out  *catalog.Schema
+	keys []SortKey // GroupBy as comparison keys
+	// head stands in for the current group's first row: as wide as a
+	// child tuple, but only the group columns are filled in — the child
+	// reuses that row's storage while the rest of the group is read.
+	head   Tuple
+	states []aggState
+	row    Tuple // output slot
+	// pending is the child's current tuple, the first row of the next
+	// group; it stays valid because the child is not called again
+	// before that group starts.
 	pending     Tuple
 	havePending bool
 	eof         bool
@@ -222,6 +245,14 @@ type GroupAgg struct {
 
 // Open implements Node.
 func (g *GroupAgg) Open() error {
+	if g.keys == nil {
+		g.keys = make([]SortKey, len(g.GroupBy))
+		for i, col := range g.GroupBy {
+			g.keys[i] = SortKey{Col: col}
+		}
+		g.head = make(Tuple, g.Child.Schema().Len())
+	}
+	newSlot(&g.row, len(g.GroupBy)+len(g.Specs))
 	g.pending = nil
 	g.havePending = false
 	g.eof = false
@@ -232,11 +263,7 @@ func (g *GroupAgg) Open() error {
 func (g *GroupAgg) sameGroup(a, b Tuple) bool {
 	c := g.C
 	c.Tr.Emit(probe.GrpCmpCall)
-	keys := make([]SortKey, len(g.GroupBy))
-	for i, col := range g.GroupBy {
-		keys[i] = SortKey{Col: col}
-	}
-	r := tupleCompare(c, a, b, keys)
+	r := tupleCompare(c, a, b, g.keys)
 	c.Tr.Emit(probe.GrpCmpCont)
 	return r == 0
 }
@@ -267,9 +294,12 @@ func (g *GroupAgg) Next() (Tuple, bool, error) {
 	} else {
 		c.Tr.Emit(probe.GrpAccumPend)
 	}
-	head := g.pending
-	states := newAggStates(len(g.Specs))
-	g.accumulate(states, head)
+	g.states = resetAggStates(g.states, g.Specs)
+	states, head := g.states, g.head
+	g.accumulate(states, g.pending)
+	for _, col := range g.GroupBy {
+		head[col] = g.pending[col]
+	}
 	drained := false
 	for {
 		tup, ok, err := c.child(probe.GrpChildCall, probe.GrpChildCont, g.Child)
@@ -292,17 +322,11 @@ func (g *GroupAgg) Next() (Tuple, bool, error) {
 		g.havePending = true
 		break
 	}
-	out := make(Tuple, 0, len(g.GroupBy)+len(g.Specs))
+	out := g.row[:0]
 	for _, col := range g.GroupBy {
 		out = append(out, head[col])
 	}
-	for i, sp := range g.Specs {
-		t := value.Int
-		if sp.Arg != nil {
-			t = sp.Arg.Type()
-		}
-		out = append(out, states[i].result(sp.Func, t))
-	}
+	out = aggResults(out, g.Specs, states)
 	if drained {
 		c.Tr.Emit(probe.GrpDrain)
 	} else {

@@ -17,7 +17,10 @@ import (
 	"repro/internal/db/value"
 )
 
-// Tuple is one row flowing through the executor.
+// Tuple is one row flowing through the executor. One returned by
+// Node.Next is a slot: read-only for the consumer and valid only until
+// the producing node is called again (see Node); Slab.Copy makes one
+// that can be kept.
 type Tuple []value.Value
 
 // Ctx carries per-query execution state: the instrumentation tracer
@@ -373,11 +376,17 @@ func (n *NotExpr) String() string { return "NOT " + n.Arg.String() }
 
 // LikeExpr matches a string against a SQL LIKE pattern with %
 // wildcards (the forms TPC-D uses: 'prefix%', '%sub%', '%suffix',
-// and multi-% patterns).
+// and multi-% patterns). Build one with NewLike, which splits the
+// pattern once so that Eval never does.
 type LikeExpr struct {
-	Arg     Expr
-	Pattern string
-	Negate  bool
+	Arg    Expr
+	Negate bool
+	frags  []string // the pattern split at its % wildcards
+}
+
+// NewLike returns arg [NOT] LIKE pattern.
+func NewLike(arg Expr, pattern string, negate bool) *LikeExpr {
+	return &LikeExpr{Arg: arg, Negate: negate, frags: strings.Split(pattern, "%")}
 }
 
 // Eval implements Expr.
@@ -386,7 +395,7 @@ func (l *LikeExpr) Eval(c *Ctx, row Tuple) value.Value {
 	v := l.Arg.Eval(c, row)
 	c.Tr.Emit(probe.EvalExprOp1Only)
 	c.Tr.Emit(probe.LikeOp)
-	m := MatchLike(v.S, l.Pattern)
+	m := matchFrags(v.S, l.frags)
 	if l.Negate {
 		m = !m
 	}
@@ -403,15 +412,20 @@ func (l *LikeExpr) String() string {
 	if l.Negate {
 		op = "NOT LIKE"
 	}
-	return fmt.Sprintf("(%s %s '%s')", l.Arg, op, l.Pattern)
+	return fmt.Sprintf("(%s %s '%s')", l.Arg, op, strings.Join(l.frags, "%"))
 }
 
 // MatchLike implements SQL LIKE with % wildcards (no _ support, which
 // TPC-D does not use).
 func MatchLike(s, pattern string) bool {
-	parts := strings.Split(pattern, "%")
+	return matchFrags(s, strings.Split(pattern, "%"))
+}
+
+// matchFrags matches s against a LIKE pattern already split at its %
+// wildcards (parts is never empty: a pattern without % is one part).
+func matchFrags(s string, parts []string) bool {
 	if len(parts) == 1 {
-		return s == pattern
+		return s == parts[0]
 	}
 	// Anchored prefix.
 	if parts[0] != "" {
@@ -498,16 +512,14 @@ func ExecQual(c *Ctx, quals []Expr, row Tuple) bool {
 	return true
 }
 
-// Project evaluates a target list into a fresh tuple — PostgreSQL's
-// ExecProject.
-func Project(c *Ctx, exprs []Expr, row Tuple) Tuple {
+// Project evaluates a target list over row into out, which has one
+// element per expression — PostgreSQL's ExecProject.
+func Project(c *Ctx, exprs []Expr, row, out Tuple) {
 	c.Tr.Emit(probe.ProjectEnter)
-	out := make(Tuple, len(exprs))
 	for i, e := range exprs {
 		c.Tr.Emit(probe.ProjectCol)
 		out[i] = e.Eval(c, row)
 		c.Tr.Emit(probe.ProjectColCont)
 	}
 	c.Tr.Emit(probe.ProjectDone)
-	return out
 }

@@ -58,34 +58,39 @@ type Instrumented struct {
 // freshly compiled plans — never a cached prepared statement shared
 // with uninstrumented executions.
 func Instrument(c *Ctx, n Node) *Instrumented {
+	WrapChildren(n, func(child Node) Node { return Instrument(c, child) })
+	return &Instrumented{c: c, n: n}
+}
+
+// WrapChildren replaces every child of n with wrap(child), in place.
+func WrapChildren(n Node, wrap func(Node) Node) {
 	switch t := n.(type) {
 	case *Filter:
-		t.Child = Instrument(c, t.Child)
+		t.Child = wrap(t.Child)
 	case *ProjectNode:
-		t.Child = Instrument(c, t.Child)
+		t.Child = wrap(t.Child)
 	case *NestLoop:
-		t.Outer = Instrument(c, t.Outer)
-		t.Inner = Instrument(c, t.Inner)
+		t.Outer = wrap(t.Outer)
+		t.Inner = wrap(t.Inner)
 	case *IndexLoopJoin:
-		t.Outer = Instrument(c, t.Outer)
+		t.Outer = wrap(t.Outer)
 	case *HashJoin:
-		t.Outer = Instrument(c, t.Outer)
-		t.Inner = Instrument(c, t.Inner)
+		t.Outer = wrap(t.Outer)
+		t.Inner = wrap(t.Inner)
 	case *MergeJoin:
-		t.Outer = Instrument(c, t.Outer)
-		t.Inner = Instrument(c, t.Inner)
+		t.Outer = wrap(t.Outer)
+		t.Inner = wrap(t.Inner)
 	case *Agg:
-		t.Child = Instrument(c, t.Child)
+		t.Child = wrap(t.Child)
 	case *GroupAgg:
-		t.Child = Instrument(c, t.Child)
+		t.Child = wrap(t.Child)
 	case *Sort:
-		t.Child = Instrument(c, t.Child)
+		t.Child = wrap(t.Child)
 	case *Material:
-		t.Child = Instrument(c, t.Child)
+		t.Child = wrap(t.Child)
 	case *Limit:
-		t.Child = Instrument(c, t.Child)
+		t.Child = wrap(t.Child)
 	}
-	return &Instrumented{c: c, n: n}
 }
 
 // enter makes this operator current and returns the restore state.

@@ -17,14 +17,6 @@ func joinSchema(l, r *catalog.Schema) *catalog.Schema {
 	return catalog.NewSchema(cols...)
 }
 
-// joinRow concatenates l and r into a row buffer from rowBuf; the join
-// parks the row back in *spare if its qualifiers reject it.
-func joinRow(spare *Tuple, l, r Tuple) Tuple {
-	out := rowBuf(spare, len(l)+len(r))
-	out = append(out, l...)
-	return append(out, r...)
-}
-
 // NestLoop is the naive nested-loop join: for every outer tuple the
 // inner plan is rescanned (ExecNestLoop). Quals see the concatenated
 // row.
@@ -34,14 +26,14 @@ type NestLoop struct {
 	Inner   Node
 	Quals   []Expr
 	out     *catalog.Schema
-	cur     Tuple
+	row     Tuple // output slot; the current outer tuple sits in front
+	nOuter  int   // width of that outer tuple
 	haveCur bool
-	spare   Tuple // joined row the quals rejected last
 }
 
 // Open implements Node.
 func (n *NestLoop) Open() error {
-	n.cur = nil
+	newSlot(&n.row, n.Schema().Len())
 	n.haveCur = false
 	if err := n.Outer.Open(); err != nil {
 		return err
@@ -64,7 +56,7 @@ func (n *NestLoop) Next() (Tuple, bool, error) {
 				return nil, false, nil
 			}
 			c.Tr.Emit(probe.NLOuterOK)
-			n.cur = tup
+			n.row, n.nOuter = append(n.row[:0], tup...), len(tup)
 			n.haveCur = true
 		}
 		itup, ok, err := c.child(probe.NLInnerCall, probe.NLInnerCont, n.Inner)
@@ -83,14 +75,13 @@ func (n *NestLoop) Next() (Tuple, bool, error) {
 			}
 			continue
 		}
-		row := joinRow(&n.spare, n.cur, itup)
+		row := append(n.row[:n.nOuter], itup...)
 		c.Tr.Emit(probe.NLJoin)
 		if len(n.Quals) > 0 {
 			c.Tr.Emit(probe.NLQualCall)
 			pass := ExecQual(c, n.Quals, row)
 			c.Tr.Emit(probe.NLQualCont)
 			if !pass {
-				n.spare = row
 				c.Tr.Emit(probe.NLNext)
 				continue
 			}
@@ -144,17 +135,17 @@ type IndexLoopJoin struct {
 	Quals  []Expr // residual quals over the concatenated row
 
 	out     *catalog.Schema
-	cur     Tuple
+	row     Tuple // output slot; the current outer tuple sits in front
+	nOuter  int   // width of that outer tuple
 	haveCur bool
 	bscan   access.BTreeScan
 	hscan   access.HashScan
 	key     int64
-	spare   Tuple // joined row the quals rejected last
 }
 
 // Open implements Node.
 func (j *IndexLoopJoin) Open() error {
-	j.cur = nil
+	newSlot(&j.row, j.Schema().Len())
 	j.haveCur = false
 	return j.Outer.Open()
 }
@@ -173,10 +164,9 @@ func (j *IndexLoopJoin) Next() (Tuple, bool, error) {
 				c.Tr.Emit(probe.NLEOF)
 				return nil, false, nil
 			}
-			j.cur = tup
+			j.row, j.nOuter = append(j.row[:0], tup...), len(tup)
 			j.haveCur = true
-			kv := tup[j.OuterKey]
-			j.key = kv.I
+			j.key = tup[j.OuterKey].I
 			// Start the inner index probe.
 			c.Tr.Emit(probe.NLStartScan)
 			if j.BTree != nil {
@@ -214,10 +204,9 @@ func (j *IndexLoopJoin) Next() (Tuple, bool, error) {
 			j.haveCur = false
 			continue
 		}
-		nOuter, nInner := len(j.cur), j.InnerSch.Len()
-		row := append(rowBuf(&j.spare, nOuter+nInner), j.cur...)
+		nOuter, nInner := j.nOuter, j.InnerSch.Len()
 		c.Tr.Emit(probe.NLFetch)
-		ivals, err := j.Heap.Fetch(c.Tr, tid, j.InnerCols, row[nOuter:])
+		ivals, err := j.Heap.Fetch(c.Tr, tid, j.InnerCols, j.row[nOuter:nOuter])
 		c.Tr.Emit(probe.NLFetchCont)
 		if err != nil {
 			return nil, false, err
@@ -227,13 +216,12 @@ func (j *IndexLoopJoin) Next() (Tuple, bool, error) {
 		}
 		// nInner values fit the tail's capacity, so Fetch wrote them in
 		// place behind the outer columns.
-		row = row[:nOuter+nInner]
+		row := j.row[:nOuter+nInner]
 		if len(j.Quals) > 0 {
 			c.Tr.Emit(probe.NLQualCall)
 			pass := ExecQual(c, j.Quals, row)
 			c.Tr.Emit(probe.NLQualCont)
 			if !pass {
-				j.spare = row
 				c.Tr.Emit(probe.NLNext)
 				continue
 			}
@@ -271,18 +259,20 @@ type HashJoin struct {
 
 	out    *catalog.Schema
 	table  map[uint64][]Tuple
+	slab   Slab // owns the build side's tuples
 	built  bool
-	cur    Tuple
+	row    Tuple // output slot; the current outer tuple sits in front
+	nOuter int   // width of that outer tuple
 	bucket []Tuple
 	bpos   int
-	spare  Tuple // joined row the quals rejected last
 }
 
 // Open implements Node.
 func (h *HashJoin) Open() error {
+	newSlot(&h.row, h.Schema().Len())
 	h.table = nil
+	h.slab = Slab{}
 	h.built = false
-	h.cur = nil
 	h.bucket = nil
 	h.bpos = 0
 	if err := h.Outer.Open(); err != nil {
@@ -306,7 +296,7 @@ func (h *HashJoin) build() error {
 		c.Tr.Emit(probe.HJBuildInsert)
 		c.Tr.Emit(probe.HashFunc)
 		k := value.Hash(tup[h.InnerKey])
-		h.table[k] = append(h.table[k], tup)
+		h.table[k] = append(h.table[k], h.slab.Copy(tup))
 		c.Tr.Emit(probe.HJBuildInsCont)
 	}
 	c.Tr.Emit(probe.HJBuildDone)
@@ -334,20 +324,19 @@ func (h *HashJoin) Next() (Tuple, bool, error) {
 				cand := h.bucket[h.bpos]
 				h.bpos++
 				c.Tr.Emit(probe.HJCandCall)
-				c.Tr.Emit(cmpProbeFor(h.cur[h.OuterKey]))
-				eq := value.Equal(h.cur[h.OuterKey], cand[h.InnerKey])
+				c.Tr.Emit(cmpProbeFor(h.row[h.OuterKey]))
+				eq := value.Equal(h.row[h.OuterKey], cand[h.InnerKey])
 				c.Tr.Emit(probe.HJCandCont)
 				if !eq {
 					c.Tr.Emit(probe.HJCandMiss)
 					continue
 				}
-				row := joinRow(&h.spare, h.cur, cand)
+				row := append(h.row[:h.nOuter], cand...)
 				if len(h.Quals) > 0 {
 					c.Tr.Emit(probe.HJQualCall)
 					pass := ExecQual(c, h.Quals, row)
 					c.Tr.Emit(probe.HJQualCont)
 					if !pass {
-						h.spare = row
 						c.Tr.Emit(probe.HJCandNext)
 						continue
 					}
@@ -369,7 +358,7 @@ func (h *HashJoin) Next() (Tuple, bool, error) {
 			c.Tr.Emit(probe.HJEOF)
 			return nil, false, nil
 		}
-		h.cur = tup
+		h.row, h.nOuter = append(h.row[:0], tup...), len(tup)
 		c.Tr.Emit(probe.HJProbeCall)
 		c.Tr.Emit(probe.HashFunc)
 		k := value.Hash(tup[h.OuterKey])
@@ -383,6 +372,7 @@ func (h *HashJoin) Next() (Tuple, bool, error) {
 // the first close fails; the first error wins. Close is idempotent.
 func (h *HashJoin) Close() error {
 	h.table = nil
+	h.slab = Slab{}
 	h.built = false
 	err := h.Outer.Close()
 	if ierr := h.Inner.Close(); err == nil {
@@ -416,17 +406,20 @@ type MergeJoin struct {
 	innerTup     Tuple
 	innerOK      bool
 	started      bool
-	group        []Tuple // current inner duplicate group
+	group        []value.Value // current inner duplicate group: copies of its tuples, back to back
+	nInner       int           // width of one of them
 	groupKey     value.Value
-	gpos         int
+	gpos         int // offset in group of the next tuple to pair
 	outerInGroup bool
-	spare        Tuple // joined row the quals rejected last
+	row          Tuple // output slot
 }
 
 // Open implements Node.
 func (m *MergeJoin) Open() error {
+	newSlot(&m.row, m.Schema().Len())
+	m.nInner = m.Inner.Schema().Len()
 	m.started = false
-	m.group = nil
+	m.group = m.group[:0]
 	m.gpos = 0
 	m.outerInGroup = false
 	if err := m.Outer.Open(); err != nil {
@@ -464,15 +457,14 @@ func (m *MergeJoin) Next() (Tuple, bool, error) {
 		// Emit pending (outer, group) pairs.
 		if m.outerInGroup {
 			for m.gpos < len(m.group) {
-				itup := m.group[m.gpos]
-				m.gpos++
-				row := joinRow(&m.spare, m.outerTup, itup)
+				itup := m.group[m.gpos : m.gpos+m.nInner]
+				m.gpos += m.nInner
+				row := append(append(m.row[:0], m.outerTup...), itup...)
 				if len(m.Quals) > 0 {
 					c.Tr.Emit(probe.MJQualCall)
 					pass := ExecQual(c, m.Quals, row)
 					c.Tr.Emit(probe.MJQualCont)
 					if !pass {
-						m.spare = row
 						continue
 					}
 				}
@@ -502,7 +494,7 @@ func (m *MergeJoin) Next() (Tuple, bool, error) {
 				m.gpos = 0
 				continue
 			}
-			m.group = nil
+			m.group = m.group[:0]
 		}
 		if !m.innerOK {
 			c.Tr.Emit(probe.MJEOF)
@@ -534,7 +526,7 @@ func (m *MergeJoin) Next() (Tuple, bool, error) {
 				if !same {
 					break
 				}
-				m.group = append(m.group, m.innerTup)
+				m.group = append(m.group, m.innerTup...)
 				if err := m.advanceInner(); err != nil {
 					return nil, false, err
 				}

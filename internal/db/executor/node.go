@@ -3,18 +3,22 @@ package executor
 import (
 	"repro/internal/db/catalog"
 	"repro/internal/db/probe"
+	"repro/internal/db/value"
 )
 
 // Node is one operator of the execution plan tree (Volcano iterator
 // model). Open prepares the node (and must reset it if called again),
 // Next produces the next tuple, Close releases resources.
 //
-// Tuple ownership: a tuple returned by Next belongs to the caller,
-// which may retain it (Sort, hash and merge join buffers, Rows) for
-// as long as it likes; the producer never reads or writes it again.
-// Operators recycle only what they did not emit — the row buffer of a
-// tuple their qualifiers rejected (rowBuf) — and never a tuple a
-// child handed them.
+// Tuple slots: a tuple returned by Next is valid until the next Next,
+// Open or Close on the same node — the producer refills one output
+// row it allocated at Open (PostgreSQL's TupleTableSlot). A consumer
+// reads it, never writes into it, and may hand it on upwards (Filter,
+// Limit); whoever keeps it past that point copies it, into a Slab:
+// Sort, Material, the hash-join build and merge-join duplicate group,
+// GroupAgg's group head, ParallelScan's worker batches, engine.Run
+// and the result-cache fill. A join holds its current outer tuple
+// across calls on its *inner* child, which the rule allows.
 type Node interface {
 	Open() error
 	Next() (Tuple, bool, error)
@@ -24,17 +28,40 @@ type Node interface {
 	Schema() *catalog.Schema
 }
 
-// rowBuf hands out the buffer for an operator's next candidate row:
-// the one parked in *spare by the last rejected row, else a new one of
-// exactly width values — so an emitted row costs one allocation and a
-// rejected row none. Taking the buffer clears *spare; the operator
-// parks the row there again only if it rejects it.
-func rowBuf(spare *Tuple, width int) Tuple {
-	if buf := *spare; buf != nil {
-		*spare = nil
-		return buf[:0]
+// newSlot allocates an operator's output row — empty, with room for
+// width values — unless an earlier Open already did: a rescanned inner
+// plan is re-opened once per outer tuple.
+func newSlot(row *Tuple, width int) {
+	if *row == nil {
+		*row = make(Tuple, 0, width)
 	}
-	return make(Tuple, 0, width)
+}
+
+// slabRows caps how many rows' worth of values one Slab chunk holds.
+const slabRows = 64
+
+// Slab is the arena retaining consumers copy slot tuples into: values
+// are carved from chunks, so keeping n rows costs about n/slabRows
+// allocations instead of n. Chunks start small and double, which
+// keeps a one-row result from pinning a 64-row chunk. The zero Slab
+// is ready to use; a chunk lives as long as any row copied into it.
+type Slab struct {
+	free []value.Value
+	rows int // rows copied so far; sizes the next chunk
+}
+
+// Copy returns a copy of t that stays valid for as long as the caller
+// keeps it.
+func (s *Slab) Copy(t Tuple) Tuple {
+	n := len(t)
+	if n > len(s.free) {
+		s.free = make([]value.Value, n*min(max(s.rows, 4), slabRows))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	s.rows++
+	copy(out, t)
+	return out
 }
 
 // child invokes a child node through the ExecProcNode dispatcher,

@@ -7,6 +7,7 @@ import (
 	"repro/internal/db/access"
 	"repro/internal/db/catalog"
 	"repro/internal/db/probe"
+	"repro/internal/db/value"
 )
 
 // batchTuples is how many qualifying tuples a worker accumulates per
@@ -126,9 +127,12 @@ func (s *ParallelScan) worker(i, lo, hi int, part chan<- []Tuple, wtr probe.Trac
 	wc := &Ctx{Tr: wtr, Interrupt: s.C.Interrupt}
 	scan := s.Heap.BeginRangeScan(lo, hi, s.Cols...)
 	defer scan.Close()
-	batch := make([]Tuple, 0, batchTuples)
-	var spare Tuple // row buffer of the last rejected tuple
+	// A batch's tuples are deformed straight into its slab, one
+	// allocation for all of them; a rejected tuple's place is reused by
+	// the next candidate. The consumer owns a batch once it is sent.
 	width := s.Out.Len()
+	batch := make([]Tuple, 0, batchTuples)
+	slab := make([]value.Value, batchTuples*width)
 	flush := func() bool {
 		if len(batch) == 0 {
 			return true
@@ -136,6 +140,7 @@ func (s *ParallelScan) worker(i, lo, hi int, part chan<- []Tuple, wtr probe.Trac
 		select {
 		case part <- batch:
 			batch = make([]Tuple, 0, batchTuples)
+			slab = make([]value.Value, batchTuples*width)
 			return true
 		case <-s.stop:
 			return false
@@ -148,7 +153,8 @@ func (s *ParallelScan) worker(i, lo, hi int, part chan<- []Tuple, wtr probe.Trac
 				return
 			}
 		}
-		vals, _, ok, err := scan.Next(wc.Tr, rowBuf(&spare, width))
+		at := len(batch) * width
+		vals, _, ok, err := scan.Next(wc.Tr, slab[at:at:at+width])
 		if err != nil {
 			s.errs[i] = err
 			return
@@ -158,7 +164,6 @@ func (s *ParallelScan) worker(i, lo, hi int, part chan<- []Tuple, wtr probe.Trac
 			return
 		}
 		if len(s.Quals) > 0 && !ExecQual(wc, s.Quals, Tuple(vals)) {
-			spare = vals
 			continue
 		}
 		batch = append(batch, Tuple(vals))

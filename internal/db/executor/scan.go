@@ -21,13 +21,14 @@ type SeqScan struct {
 	Table  string
 	Quals  []Expr
 	scan   *access.HeapScan
-	spare  Tuple // row buffer of the last rejected tuple
+	row    Tuple // output slot, refilled by every candidate tuple
 	opened bool
 }
 
 // Open implements Node.
 func (s *SeqScan) Open() error {
 	s.scan = s.Heap.BeginScan(s.Cols...)
+	newSlot(&s.row, s.Out.Len())
 	s.opened = true
 	return nil
 }
@@ -41,7 +42,7 @@ func (s *SeqScan) Next() (Tuple, bool, error) {
 	c.Tr.Emit(probe.SeqScanEnter)
 	for {
 		c.Tr.Emit(probe.SeqScanCall)
-		vals, _, ok, err := s.scan.Next(c.Tr, rowBuf(&s.spare, s.Out.Len()))
+		vals, _, ok, err := s.scan.Next(c.Tr, s.row)
 		c.Tr.Emit(probe.SeqScanCont)
 		if err != nil {
 			return nil, false, err
@@ -55,7 +56,6 @@ func (s *SeqScan) Next() (Tuple, bool, error) {
 			pass := ExecQual(c, s.Quals, Tuple(vals))
 			c.Tr.Emit(probe.SeqScanQualCont)
 			if !pass {
-				s.spare = vals
 				c.Tr.Emit(probe.SeqScanNext)
 				continue
 			}
@@ -109,7 +109,7 @@ type IndexScan struct {
 	bscan   access.BTreeScan
 	hscan   access.HashScan
 	started bool  // the index descent has happened
-	spare   Tuple // row buffer of the last rejected tuple
+	row     Tuple // output slot, refilled by every fetched tuple
 	opened  bool
 }
 
@@ -120,6 +120,7 @@ func (s *IndexScan) Open() error {
 	if s.BTree == nil && s.HashIdx == nil {
 		return fmt.Errorf("executor: IndexScan has no index")
 	}
+	newSlot(&s.row, s.Out.Len())
 	s.opened = true
 	s.started = false
 	return nil
@@ -184,7 +185,7 @@ func (s *IndexScan) Next() (Tuple, bool, error) {
 			return nil, false, nil
 		}
 		c.Tr.Emit(probe.IdxScanFetch)
-		vals, err := s.Heap.Fetch(c.Tr, tid, s.Cols, rowBuf(&s.spare, s.Out.Len()))
+		vals, err := s.Heap.Fetch(c.Tr, tid, s.Cols, s.row)
 		c.Tr.Emit(probe.IdxScanCont)
 		if err != nil {
 			return nil, false, err
@@ -194,7 +195,6 @@ func (s *IndexScan) Next() (Tuple, bool, error) {
 			pass := ExecQual(c, s.Quals, Tuple(vals))
 			c.Tr.Emit(probe.IdxScanQualCont)
 			if !pass {
-				s.spare = vals
 				c.Tr.Emit(probe.IdxScanNext)
 				continue
 			}
@@ -302,10 +302,16 @@ type ProjectNode struct {
 	Exprs []Expr
 	Names []string
 	out   *catalog.Schema
+	row   Tuple // output slot
 }
 
 // Open implements Node.
-func (p *ProjectNode) Open() error { return p.Child.Open() }
+func (p *ProjectNode) Open() error {
+	if p.row == nil {
+		p.row = make(Tuple, len(p.Exprs))
+	}
+	return p.Child.Open()
+}
 
 // Next implements Node.
 func (p *ProjectNode) Next() (Tuple, bool, error) {
@@ -316,9 +322,9 @@ func (p *ProjectNode) Next() (Tuple, bool, error) {
 		return nil, false, err
 	}
 	c.Tr.Emit(probe.ResultProject)
-	out := Project(c, p.Exprs, tup)
+	Project(c, p.Exprs, tup, p.row)
 	c.Tr.Emit(probe.ResultDone)
-	return out, true, nil
+	return p.row, true, nil
 }
 
 // Close implements Node.

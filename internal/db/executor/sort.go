@@ -20,14 +20,15 @@ type Sort struct {
 	Child Node
 	Keys  []SortKey
 
-	rows   []Tuple
+	rows   []Tuple // copies, owned by slab
+	slab   Slab
 	pos    int
 	loaded bool
 }
 
 // Open implements Node.
 func (s *Sort) Open() error {
-	s.rows = nil
+	s.rows, s.slab = nil, Slab{}
 	s.pos = 0
 	s.loaded = false
 	return s.Child.Open()
@@ -44,7 +45,7 @@ func (s *Sort) load() error {
 			break
 		}
 		c.Tr.Emit(probe.SortLoadOK)
-		s.rows = append(s.rows, tup)
+		s.rows = append(s.rows, s.slab.Copy(tup))
 	}
 	c.Tr.Emit(probe.SortSortCall)
 	c.Tr.Emit(probe.QsortEnter)
@@ -81,7 +82,7 @@ func (s *Sort) Next() (Tuple, bool, error) {
 
 // Close implements Node.
 func (s *Sort) Close() error {
-	s.rows = nil
+	s.rows, s.slab = nil, Slab{}
 	s.loaded = false
 	return s.Child.Close()
 }
@@ -96,7 +97,8 @@ type Material struct {
 	C     *Ctx
 	Child Node
 
-	rows   []Tuple
+	rows   []Tuple // copies, owned by slab
+	slab   Slab
 	pos    int
 	loaded bool
 }
@@ -125,7 +127,7 @@ func (m *Material) Next() (Tuple, bool, error) {
 				break
 			}
 			c.Tr.Emit(probe.MatLoadOK)
-			m.rows = append(m.rows, tup)
+			m.rows = append(m.rows, m.slab.Copy(tup))
 		}
 		c.Tr.Emit(probe.MatLoadDone)
 		m.loaded = true
@@ -140,9 +142,10 @@ func (m *Material) Next() (Tuple, bool, error) {
 	return row, true, nil
 }
 
-// Close implements Node.
+// Close implements Node. The store is kept: a nested loop closes and
+// re-opens its inner plan once per outer tuple, and Open rewinds the
+// store instead of re-running the child. It lives as long as the plan.
 func (m *Material) Close() error {
-	// Keep the store for rescans; a full close drops it.
 	return m.Child.Close()
 }
 

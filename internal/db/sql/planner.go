@@ -700,7 +700,7 @@ func compileExpr(n node, sch *catalog.Schema) (executor.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &executor.LikeExpr{Arg: a, Pattern: x.pattern, Negate: x.negate}, nil
+		return executor.NewLike(a, x.pattern, x.negate), nil
 	case *inExpr:
 		a, err := compileExpr(x.arg, sch)
 		if err != nil {
