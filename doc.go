@@ -83,8 +83,9 @@
 // cmd/experiments (the paper's analyses).
 //
 // Everything under internal/ — the storage manager (in-memory or
-// disk-backed under a data directory), write-ahead log, buffer
-// manager, B-tree/hash access methods, Volcano executor, SQL front
+// disk-backed under a data directory), write-ahead log, the segment
+// log it shares with the workload capture (internal/seglog: one frame,
+// one scanner, one torn-tail rule, one appender), buffer manager, B-tree/hash access methods, Volcano executor, SQL front
 // end, TPC-D generator, kernel image, and the layout/fetch simulators
 // — is implementation detail reached only through the public
 // packages. See README.md.

@@ -9,13 +9,14 @@
 // stcpipe.ProfileReplayed can feed it through the paper's
 // instruction-fetch pipeline in place of a synthetic mix.
 //
-// The on-disk discipline deliberately mirrors internal/db/wal:
-// size-rotated numbered segment files of CRC-framed records, a
-// panic-free decoder fuzzable in isolation (FuzzDecodeCaptureRecord),
-// and a scanner that distinguishes a torn tail — the crash artifact an
-// append-only file can legally carry, tolerated on the newest segment
-// only — from mid-segment corruption, which fails loudly rather than
-// silently dropping captured traffic.
+// On disk a capture is an internal/seglog log — the same size-rotated,
+// CRC-framed segment files, scanner and appender as the write-ahead
+// log, under the failure model that package's comment states: a torn
+// tail is tolerated on the newest segment only, corruption fails
+// loudly rather than silently dropping captured traffic, and a
+// directory reopened after a crash has its torn tail cut off, so it
+// stays readable. This package adds the record codec (panic-free,
+// fuzzable in isolation: FuzzDecodeCaptureRecord) and the write policy.
 //
 // The write side is built to never touch the serving hot path: the
 // server's per-query cost is one nil check when capture is disabled
@@ -26,22 +27,19 @@
 // bumped — a slow disk can never block a query, and drops are always
 // visible in Stats, SHOW capture and /metrics, never silent.
 //
-// The package imports only the standard library, so every layer from
-// the server down to offline tooling can depend on it without cycles.
+// The package imports only the standard library and seglog, so every
+// layer from the server down to offline tooling can depend on it
+// without cycles.
 package wcap
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/seglog"
 )
 
 // ErrClass classifies a captured query's outcome.
@@ -121,9 +119,12 @@ const typeQuery uint8 = 1
 // does not decode: a CRC mismatch, an impossible length, or a
 // malformed payload. Unlike a torn tail, this is not a crash artifact
 // and readers must not silently skip it.
-var ErrCorrupt = errors.New("wcap: corrupt record")
+var ErrCorrupt = seglog.ErrCorrupt
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// format is the capture's segment log. A length above MaxRecordBytes
+// is corruption even when it runs past end-of-file: see the oversize
+// rule in seglog's package comment.
+var format = seglog.Format{Prefix: "cap-", Suffix: ".wcap", MaxRecord: MaxRecordBytes}
 
 // ---- record codec ----
 
@@ -131,33 +132,23 @@ func appendStr(dst []byte, s string) ([]byte, error) {
 	if len(s) > maxStr {
 		return nil, fmt.Errorf("wcap: string field too long (%d bytes)", len(s))
 	}
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], uint32(len(s)))
-	dst = append(dst, tmp[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
 	return append(dst, s...), nil
 }
 
-func appendU32(dst []byte, v uint32) []byte {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	return append(dst, tmp[:]...)
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	return append(dst, tmp[:]...)
-}
-
 // EncodeRecord serializes one record payload (type byte + body).
-func EncodeRecord(r Record) ([]byte, error) {
+func EncodeRecord(r Record) ([]byte, error) { return appendRecord(nil, r) }
+
+// appendRecord appends r's payload to dst.
+func appendRecord(dst []byte, r Record) ([]byte, error) {
 	if len(r.Stages) > MaxStages {
 		return nil, fmt.Errorf("wcap: too many stages (%d)", len(r.Stages))
 	}
-	p := []byte{typeQuery}
-	p = appendU64(p, uint64(r.Offset))
-	p = appendU32(p, r.Session)
-	p = appendU64(p, r.QueryID)
+	le := binary.LittleEndian
+	p, start := append(dst, typeQuery), len(dst)
+	p = le.AppendUint64(p, uint64(r.Offset))
+	p = le.AppendUint32(p, r.Session)
+	p = le.AppendUint64(p, r.QueryID)
 	var err error
 	if p, err = appendStr(p, r.Label); err != nil {
 		return nil, err
@@ -165,177 +156,92 @@ func EncodeRecord(r Record) ([]byte, error) {
 	if p, err = appendStr(p, r.SQL); err != nil {
 		return nil, err
 	}
-	p = appendU64(p, r.Rows)
-	p = appendU64(p, r.Bytes)
-	p = appendU64(p, uint64(r.Latency))
+	p = le.AppendUint64(p, r.Rows)
+	p = le.AppendUint64(p, r.Bytes)
+	p = le.AppendUint64(p, uint64(r.Latency))
 	p = append(p, uint8(len(r.Stages)))
 	for _, ns := range r.Stages {
-		p = appendU64(p, uint64(ns))
+		p = le.AppendUint64(p, uint64(ns))
 	}
 	var flags uint8
 	if r.CacheHit {
 		flags |= 1
 	}
 	p = append(p, flags, uint8(r.Err))
-	if len(p) > MaxRecordBytes {
-		return nil, fmt.Errorf("wcap: record too large (%d bytes)", len(p))
+	if len(p)-start > MaxRecordBytes {
+		return nil, fmt.Errorf("wcap: record too large (%d bytes)", len(p)-start)
 	}
 	return p, nil
 }
 
-// decoder walks a payload without ever indexing past its end, so
-// DecodeRecord is panic-free on arbitrary input.
-type decoder struct {
-	p   []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: truncated payload", ErrCorrupt)
+// str reads a u32-length-prefixed string of at most maxStr bytes.
+func str(d *seglog.Cursor) string {
+	n := int(d.U32())
+	if n > maxStr {
+		d.Failf("string field of %d bytes", n)
 	}
-}
-
-func (d *decoder) u8() uint8 {
-	if d.err != nil || d.off+1 > len(d.p) {
-		d.fail()
-		return 0
-	}
-	v := d.p[d.off]
-	d.off++
-	return v
-}
-
-func (d *decoder) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.p) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.p[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.p) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.p[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *decoder) str() string {
-	n := int(d.u32())
-	if d.err != nil || n > maxStr || d.off+n > len(d.p) {
-		d.fail()
-		return ""
-	}
-	s := string(d.p[d.off : d.off+n])
-	d.off += n
-	return s
+	return d.Str(n)
 }
 
 // DecodeRecord parses one record payload. It never panics, rejects
 // trailing garbage, and wraps every failure in ErrCorrupt.
 func DecodeRecord(p []byte) (Record, error) {
-	d := &decoder{p: p}
-	if t := d.u8(); d.err == nil && t != typeQuery {
-		return Record{}, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, t)
+	d := seglog.NewCursor(p)
+	if t := d.U8(); t != typeQuery {
+		d.Failf("unknown record type %d", t)
 	}
 	var r Record
-	r.Offset = time.Duration(d.u64())
-	r.Session = d.u32()
-	r.QueryID = d.u64()
-	r.Label = d.str()
-	r.SQL = d.str()
-	r.Rows = d.u64()
-	r.Bytes = d.u64()
-	r.Latency = time.Duration(d.u64())
-	n := int(d.u8())
-	if d.err == nil && n > MaxStages {
-		return Record{}, fmt.Errorf("%w: %d stages", ErrCorrupt, n)
+	r.Offset = time.Duration(d.U64())
+	r.Session = d.U32()
+	r.QueryID = d.U64()
+	r.Label = str(d)
+	r.SQL = str(d)
+	r.Rows = d.U64()
+	r.Bytes = d.U64()
+	r.Latency = time.Duration(d.U64())
+	n := int(d.U8())
+	if n > MaxStages {
+		d.Failf("%d stages", n)
 	}
-	for i := 0; i < n && d.err == nil; i++ {
-		r.Stages = append(r.Stages, int64(d.u64()))
+	for i := 0; i < n && d.Err() == nil; i++ {
+		r.Stages = append(r.Stages, int64(d.U64()))
 	}
-	flags := d.u8()
-	if d.err == nil && flags > 1 {
-		return Record{}, fmt.Errorf("%w: bad flags %#x", ErrCorrupt, flags)
+	flags := d.U8()
+	if flags > 1 {
+		d.Failf("bad flags %#x", flags)
 	}
 	r.CacheHit = flags&1 != 0
-	switch c := ErrClass(d.u8()); c {
+	switch r.Err = ErrClass(d.U8()); r.Err {
 	case OK, ErrQuery, ErrCancelled:
-		r.Err = c
 	default:
-		if d.err == nil {
-			return Record{}, fmt.Errorf("%w: bad error class %d", ErrCorrupt, uint8(c))
-		}
+		d.Failf("bad error class %d", uint8(r.Err))
 	}
-	if d.err != nil {
-		return Record{}, d.err
-	}
-	if d.off != len(p) {
-		return Record{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(p)-d.off)
+	if err := d.Finish(); err != nil {
+		return Record{}, err
 	}
 	return r, nil
 }
 
 // ---- segments ----
 
-const segPrefix = "cap-"
-const segSuffix = ".wcap"
-
-// SegmentName returns the file name of segment seq.
-func SegmentName(seq uint64) string {
-	return fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix)
-}
-
 // Segment names one on-disk capture segment.
-type Segment struct {
-	Seq  uint64
-	Path string
-}
+type Segment = seglog.Segment
 
 // Segments lists the capture segments under dir in ascending sequence
 // order. A missing directory yields an empty list.
-func Segments(dir string) ([]Segment, error) {
-	ents, err := os.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var segs []Segment
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
-			continue
-		}
-		var seq uint64
-		if _, err := fmt.Sscanf(name[len(segPrefix):len(name)-len(segSuffix)], "%d", &seq); err != nil {
-			continue
-		}
-		segs = append(segs, Segment{Seq: seq, Path: filepath.Join(dir, name)})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].Seq < segs[j].Seq })
-	return segs, nil
-}
+func Segments(dir string) ([]Segment, error) { return format.Segments(dir) }
 
-// frame header: payload length (u32) + CRC-32C of the payload (u32).
-const frameHdr = 8
-
-// allZero reports whether every byte of b is zero.
-func allZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
+// decoding adapts a record callback to seglog's payload callback. A
+// payload that passes its CRC but does not decode is ErrCorrupt whether
+// or not anyone is listening, so a nil fn still decodes.
+func decoding(fn func(rec Record) error) func(payload []byte, end int64) error {
+	return func(payload []byte, _ int64) error {
+		rec, err := DecodeRecord(payload)
+		if err != nil || fn == nil {
+			return err
 		}
+		return fn(rec)
 	}
-	return true
 }
 
 // ScanSegment walks one segment, calling fn for every valid record.
@@ -343,55 +249,9 @@ func allZero(b []byte) bool {
 // whether the bytes beyond it are a torn tail (the prefix of an
 // append a crash interrupted). A full-length record that fails its
 // CRC or does not decode returns ErrCorrupt; fn errors abort the
-// scan. The tear/corruption split follows internal/db/wal: a claimed
-// extent past EOF or a zero run to EOF reads as torn, anything else
-// impossible is corruption.
+// scan.
 func ScanSegment(path string, fn func(rec Record) error) (end int64, torn bool, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, false, err
-	}
-	off := 0
-	for off < len(data) {
-		rem := len(data) - off
-		if rem < frameHdr {
-			return int64(off), true, nil
-		}
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		crc := binary.LittleEndian.Uint32(data[off+4:])
-		if n == 0 {
-			// A zero run to EOF is preallocated-but-unwritten space
-			// (a tear); a zero length with live data after it is not.
-			if allZero(data[off:]) {
-				return int64(off), true, nil
-			}
-			return int64(off), false, fmt.Errorf("%w: zero record length at offset %d of %s", ErrCorrupt, off, path)
-		}
-		if n > MaxRecordBytes {
-			// The writer never frames a payload this large, so a
-			// fully-present header claiming one is corruption even
-			// when the claimed extent runs past EOF.
-			return int64(off), false, fmt.Errorf("%w: bad record length %d at offset %d of %s", ErrCorrupt, n, off, path)
-		}
-		if off+frameHdr+n > len(data) {
-			return int64(off), true, nil
-		}
-		payload := data[off+frameHdr : off+frameHdr+n]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return int64(off), false, fmt.Errorf("%w: CRC mismatch at offset %d of %s", ErrCorrupt, off, path)
-		}
-		rec, derr := DecodeRecord(payload)
-		if derr != nil {
-			return int64(off), false, fmt.Errorf("%s offset %d: %w", path, off, derr)
-		}
-		off += frameHdr + n
-		if fn != nil {
-			if err := fn(rec); err != nil {
-				return int64(off), false, err
-			}
-		}
-	}
-	return int64(off), false, nil
+	return format.ScanFile(path, decoding(fn))
 }
 
 // Replay scans every segment under dir in sequence order, calling fn
@@ -399,20 +259,8 @@ func ScanSegment(path string, fn func(rec Record) error) (end int64, torn bool, 
 // segment (the only place a crash — or a SIGKILLed server — can leave
 // one); anywhere else it reports ErrCorrupt.
 func Replay(dir string, fn func(rec Record) error) error {
-	segs, err := Segments(dir)
-	if err != nil {
-		return err
-	}
-	for i, s := range segs {
-		_, torn, err := ScanSegment(s.Path, fn)
-		if err != nil {
-			return err
-		}
-		if torn && i != len(segs)-1 {
-			return fmt.Errorf("%w: torn record inside non-final segment %s", ErrCorrupt, s.Path)
-		}
-	}
-	return nil
+	_, err := format.Replay(dir, 0, decoding(fn))
+	return err
 }
 
 // Load reads a whole capture into memory, in record order.
@@ -449,9 +297,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() (Options, error) {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 8 << 20
-	}
 	if o.Buffer <= 0 {
 		o.Buffer = 1024
 	}
@@ -472,7 +317,8 @@ type Stats struct {
 	Dropped uint64
 	// SampledOut counts records skipped by Options.Sample.
 	SampledOut uint64
-	// Bytes counts frame bytes written to segment files.
+	// Bytes counts the bytes of the frames written whole to segment
+	// files; a write that failed part-way and was rolled back adds none.
 	Bytes uint64
 	// IOErrors counts records the background writer failed to encode
 	// or write; LastErr describes the most recent failure.
@@ -487,7 +333,6 @@ type Stats struct {
 // buffered and fsyncs.
 type Writer struct {
 	dir   string
-	opts  Options
 	start time.Time
 	every uint64 // sampling modulus (1 = keep everything)
 
@@ -502,39 +347,47 @@ type Writer struct {
 	dropped    atomic.Uint64
 	sampledOut atomic.Uint64
 	seen       atomic.Uint64 // sampling counter
-	bytes      atomic.Uint64
 	ioErrs     atomic.Uint64
 	lastErr    atomic.Pointer[string]
 
-	// Background-goroutine-only file state.
-	seq uint64
-	f   *os.File
-	off int64
+	// a is the segment appender. Only the background goroutine calls
+	// it, its Counters excepted.
+	a *seglog.Appender
 }
 
 // Open creates (or reuses) dir and starts the background writer. An
-// existing capture is never appended into: writing always begins on a
-// fresh segment one past the highest present, so a reopened directory
-// accumulates runs without risking a mid-segment splice.
+// existing capture is never appended into: the newest segment is
+// scanned and cut back to its last whole record — a server killed
+// mid-append leaves a torn tail there, which must not end up inside the
+// capture — and writing begins on a fresh segment one past it, so a
+// reopened directory accumulates runs. A newest segment that is
+// corrupt rather than torn fails Open: truncating it would throw
+// captured traffic away.
 func Open(dir string, opts Options) (*Writer, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	segs, err := Segments(dir)
+	segs, err := format.Segments(dir)
 	if err != nil {
 		return nil, err
 	}
-	seq := uint64(0)
+	var tail seglog.Tail
+	if n := len(segs); n > 0 {
+		tail.Seq = segs[n-1].Seq
+		if tail.End, _, err = format.ScanFile(segs[n-1].Path, nil); err != nil {
+			return nil, err
+		}
+	}
+	a, err := format.OpenAppender(dir, tail, opts.SegmentBytes)
+	if err != nil {
+		return nil, err
+	}
 	if len(segs) > 0 {
-		seq = segs[len(segs)-1].Seq + 1
-	}
-	f, err := os.OpenFile(filepath.Join(dir, SegmentName(seq)), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
+		if err := a.Rotate(tail.Seq + 1); err != nil {
+			a.Close() // the rotation's error is the one to report
+			return nil, err
+		}
 	}
 	every := uint64(1)
 	if opts.Sample > 0 && opts.Sample < 1 {
@@ -545,14 +398,12 @@ func Open(dir string, opts Options) (*Writer, error) {
 	}
 	w := &Writer{
 		dir:   dir,
-		opts:  opts,
 		start: time.Now(),
 		every: every,
 		ch:    make(chan Record, opts.Buffer),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
-		seq:   seq,
-		f:     f,
+		a:     a,
 	}
 	go w.run()
 	return w, nil
@@ -592,7 +443,7 @@ func (w *Writer) Stats() Stats {
 		Records:    w.records.Load(),
 		Dropped:    w.dropped.Load(),
 		SampledOut: w.sampledOut.Load(),
-		Bytes:      w.bytes.Load(),
+		Bytes:      w.a.Counters().Bytes,
 		IOErrors:   w.ioErrs.Load(),
 	}
 	if p := w.lastErr.Load(); p != nil {
@@ -629,10 +480,7 @@ func (w *Writer) run() {
 				case rec := <-w.ch:
 					w.write(rec)
 				default:
-					if err := w.f.Sync(); err != nil {
-						w.fail(err)
-					}
-					if err := w.f.Close(); err != nil {
+					if err := w.a.Close(); err != nil {
 						w.fail(err)
 					}
 					return
@@ -642,60 +490,18 @@ func (w *Writer) run() {
 	}
 }
 
-// write frames and appends one record, rotating first when the append
-// would push the segment past the rotation threshold. IO failures are
-// counted and remembered, never fatal: capture is observability, and
-// a broken disk must not take the server down with it.
+// write encodes one record into the appender's frame buffer and
+// appends it. IO failures are counted and remembered, never fatal:
+// capture is observability, and a broken disk must not take the server
+// down with it.
 func (w *Writer) write(rec Record) {
-	payload, err := EncodeRecord(rec)
+	frame, err := appendRecord(w.a.Buf(), rec)
+	if err == nil {
+		err = w.a.Append(frame)
+	}
 	if err != nil {
 		w.fail(err)
-		return
 	}
-	frame := make([]byte, frameHdr+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
-	copy(frame[frameHdr:], payload)
-	if w.off > 0 && w.off+int64(len(frame)) > w.opts.SegmentBytes {
-		if err := w.rotate(); err != nil {
-			w.fail(err)
-			return
-		}
-	}
-	n, err := w.f.Write(frame)
-	w.off += int64(n)
-	w.bytes.Add(uint64(n))
-	if err != nil {
-		// A partial frame may be on disk; truncate back to the last
-		// record boundary so later appends cannot bury garbage
-		// mid-segment (readers would fail loudly on it otherwise).
-		if w.off > int64(n) || n > 0 {
-			boundary := w.off - int64(n)
-			if terr := w.f.Truncate(boundary); terr == nil {
-				if _, serr := w.f.Seek(boundary, 0); serr == nil {
-					w.off = boundary
-				}
-			}
-		}
-		w.fail(err)
-	}
-}
-
-// rotate syncs and closes the current segment and starts the next.
-func (w *Writer) rotate() error {
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	if err := w.f.Close(); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(filepath.Join(w.dir, SegmentName(w.seq+1)), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	w.f, w.off = f, 0
-	w.seq++
-	return nil
 }
 
 // fail records a background-writer failure.

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/seglog"
 )
 
 func sampleRecord(i int) Record {
@@ -252,7 +254,7 @@ func TestMidSegmentCorruptionIsLoud(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip a payload byte inside the first record: CRC must catch it.
-	data[frameHdr+4] ^= 0xFF
+	data[seglog.FrameHeader+4] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +263,7 @@ func TestMidSegmentCorruptionIsLoud(t *testing.T) {
 	}
 	// An absurd length prefix mid-file (with data after it) is
 	// corruption, not a tear.
-	data[frameHdr+4] ^= 0xFF // restore payload
+	data[seglog.FrameHeader+4] ^= 0xFF // restore payload
 	binary.LittleEndian.PutUint32(data, uint32(MaxRecordBytes+1))
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -350,5 +352,112 @@ func TestScanSegmentReportsEnd(t *testing.T) {
 	}
 	if end != fi.Size() {
 		t.Fatalf("end %d != file size %d", end, fi.Size())
+	}
+}
+
+// TestReopenAfterCrashStaysReadable is the SIGKILL-and-restart case: the
+// newest segment ends in half a record, the server comes back on the
+// same directory, and the capture must still load — the torn tail is
+// cut off before the next run's segment starts, not left to become a
+// torn record inside a non-final segment.
+func TestReopenAfterCrashStaysReadable(t *testing.T) {
+	dir := t.TempDir()
+	writeCapture(t, dir, 5, Options{})
+	segs, err := Segments(dir)
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments: %v err=%v", segs, err)
+	}
+	data, err := os.ReadFile(segs[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, err := EncodeRecord(sampleRecord(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segs[0].Path, data[:len(data)-len(last)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w := writeCapture(t, dir, 3, Options{})
+	recs, err := Load(dir)
+	if err != nil {
+		t.Fatalf("capture reopened after a torn tail: %v", err)
+	}
+	if len(recs) != 4+3 {
+		t.Fatalf("loaded %d records, want the 4 whole ones and the 3 new", len(recs))
+	}
+	for i, r := range recs {
+		want := sampleRecord(i)
+		if i >= 4 {
+			want = sampleRecord(i - 4)
+		}
+		if fmt.Sprint(r) != fmt.Sprint(want) {
+			t.Fatalf("record %d: got %+v want %+v", i, r, want)
+		}
+	}
+	// Stats.Bytes is exactly what this writer put on disk.
+	segs, err = Segments(dir)
+	if err != nil || len(segs) != 2 {
+		t.Fatalf("segments after reopen: %v err=%v", segs, err)
+	}
+	fi, err := os.Stat(segs[1].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Stats().Bytes; got != uint64(fi.Size()) {
+		t.Fatalf("Stats.Bytes = %d, the segment written holds %d", got, fi.Size())
+	}
+}
+
+// TestOpenRefusesCorruptNewestSegment: only a torn tail may be cut off.
+// A newest segment that is corrupt holds captured traffic that
+// truncation would throw away, so Open fails and leaves it alone.
+func TestOpenRefusesCorruptNewestSegment(t *testing.T) {
+	dir := t.TempDir()
+	writeCapture(t, dir, 5, Options{})
+	segs, _ := Segments(dir)
+	data, err := os.ReadFile(segs[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-3] ^= 0xFF // inside the last record, which is all there
+	if err := os.WriteFile(segs[0].Path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if w, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
+		if err == nil {
+			w.Close()
+		}
+		t.Fatalf("open over a corrupt newest segment: %v, want ErrCorrupt", err)
+	}
+	after, err := os.ReadFile(segs[0].Path)
+	if err != nil || string(after) != string(data) {
+		t.Fatalf("the corrupt segment was modified (err=%v)", err)
+	}
+	if segs, _ = Segments(dir); len(segs) != 1 {
+		t.Fatalf("failed open left %d segments, want the 1 it found", len(segs))
+	}
+}
+
+// TestWriteAllocations pins the capture goroutine's per-record cost:
+// the record is encoded into the appender's one frame buffer, so a
+// write allocates nothing.
+func TestWriteAllocations(t *testing.T) {
+	w, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Nothing is captured, so the background goroutine stays parked and
+	// the appender is this goroutine's until Close.
+	rec := sampleRecord(3)
+	allocs := testing.AllocsPerRun(200, func() { w.write(rec) })
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocations per captured record written, want 0", allocs)
+	}
+	if recs, err := Load(w.Dir()); err != nil || len(recs) != 201 {
+		t.Fatalf("loaded %d records err=%v, want 201", len(recs), err)
 	}
 }

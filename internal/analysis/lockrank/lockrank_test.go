@@ -75,6 +75,9 @@ func TestEveryMutexBearingTypeIsRanked(t *testing.T) {
 		// wcap is mutex-free by design (atomics + one channel); walking
 		// it keeps that true — any mutex added there must be ranked.
 		filepath.Join(root, "dsdb", "wcap"),
+		// So is the segment log under wcap and the WAL: its callers
+		// bring the exclusion (wal.writer, the capture goroutine).
+		filepath.Join(root, "internal", "seglog"),
 	}
 	// dsdb's own root package (not client/load: their mutexes guard
 	// per-session protocol state on the dialing side and are outside

@@ -7,35 +7,24 @@
 // order on top of the last checkpoint's page files, reconstructing the
 // exact committed prefix.
 //
-// Failure model: segments are append-only, so a crash can leave at
-// most one partial record — a prefix of the final append — at the tail
-// of the newest segment. The scanner distinguishes that torn tail
-// (recoverable: the committed prefix ends just before it) from a
-// full-length record whose CRC does not match (real corruption, which
-// aborts recovery rather than silently dropping committed data). One
-// case is undecidable by construction: a corrupted length field whose
-// claimed extent runs past end-of-file reads exactly like a genuine
-// torn append, so it is treated as one — an append-only log without
-// external commit markers cannot tell them apart, and Sync plus
-// checkpointing bound the exposure to the newest segment's tail.
+// This package is the log's record types, their codec, and the
+// Writer's policy: what serialises appends, when they are fsynced, and
+// how a checkpoint truncates the log. The segment files, the frame, the
+// scanner's torn-tail-versus-corruption rule and the appender belong to
+// internal/seglog, whose package comment states the failure model; the
+// capture log (dsdb/wcap) sits on the same code.
 //
-// The package is deliberately self-contained: records carry table
-// names, opaque storage-encoded tuples and raw page images, so it
-// imports nothing from the rest of the kernel and the decoder can be
-// fuzzed in isolation (FuzzDecodeRecord).
+// Records carry table names, opaque storage-encoded tuples and raw
+// page images, so the package imports nothing from the rest of the
+// kernel and the decoder can be fuzzed in isolation (FuzzDecodeRecord).
 package wal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
+
+	"repro/internal/seglog"
 )
 
 // Record type tags (the first payload byte).
@@ -114,9 +103,12 @@ func (PageWrite) recType() uint8 { return TypePageWrite }
 // does not decode: a CRC mismatch, an impossible length, or a malformed
 // payload followed by more log data. Unlike a torn tail, this is not a
 // crash artifact and recovery must not silently skip it.
-var ErrCorrupt = errors.New("wal: corrupt record")
+var ErrCorrupt = seglog.ErrCorrupt
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// format is the WAL's segment log. A length above MaxRecordBytes that
+// runs past end-of-file is read as a torn tail, not corruption: see
+// the oversize rule in seglog's package comment.
+var format = seglog.Format{Prefix: "wal-", Suffix: ".log", MaxRecord: MaxRecordBytes, OversizeTornAtEOF: true}
 
 // ---- record payload codec ----
 
@@ -124,28 +116,21 @@ func appendStr(dst []byte, s string) ([]byte, error) {
 	if len(s) > 0xFFFF {
 		return nil, fmt.Errorf("wal: string field too long (%d bytes)", len(s))
 	}
-	var tmp [2]byte
-	binary.LittleEndian.PutUint16(tmp[:], uint16(len(s)))
-	dst = append(dst, tmp[:]...)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
 	return append(dst, s...), nil
 }
 
 func appendBytes(dst []byte, b []byte) []byte {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], uint32(len(b)))
-	dst = append(dst, tmp[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b)))
 	return append(dst, b...)
 }
 
-func appendU32(dst []byte, v uint32) []byte {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	return append(dst, tmp[:]...)
-}
-
 // EncodeRecord serializes a record payload (type byte + body).
-func EncodeRecord(rec Record) ([]byte, error) {
-	var p []byte
+func EncodeRecord(rec Record) ([]byte, error) { return appendRecord(nil, rec) }
+
+// appendRecord appends rec's payload to dst.
+func appendRecord(dst []byte, rec Record) ([]byte, error) {
+	p, start := dst, len(dst)
 	var err error
 	switch r := rec.(type) {
 	case Insert:
@@ -162,9 +147,7 @@ func EncodeRecord(rec Record) ([]byte, error) {
 		if len(r.Cols) > 0xFFFF {
 			return nil, fmt.Errorf("wal: too many columns (%d)", len(r.Cols))
 		}
-		var tmp [2]byte
-		binary.LittleEndian.PutUint16(tmp[:], uint16(len(r.Cols)))
-		p = append(p, tmp[:]...)
+		p = binary.LittleEndian.AppendUint16(p, uint16(len(r.Cols)))
 		for _, c := range r.Cols {
 			if p, err = appendStr(p, c.Name); err != nil {
 				return nil, err
@@ -186,180 +169,82 @@ func EncodeRecord(rec Record) ([]byte, error) {
 		p = append(p, r.Kind, u)
 	case PageWrite:
 		p = append(p, TypePageWrite)
-		p = appendU32(p, r.File)
-		p = appendU32(p, r.Page)
+		p = binary.LittleEndian.AppendUint32(p, r.File)
+		p = binary.LittleEndian.AppendUint32(p, r.Page)
 		p = appendBytes(p, r.Data)
 	default:
 		return nil, fmt.Errorf("wal: unknown record type %T", rec)
 	}
-	if len(p) > MaxRecordBytes {
-		return nil, fmt.Errorf("wal: record too large (%d bytes)", len(p))
+	if len(p)-start > MaxRecordBytes {
+		return nil, fmt.Errorf("wal: record too large (%d bytes)", len(p)-start)
 	}
 	return p, nil
 }
 
-// decoder walks a payload without ever indexing past its end, so
-// DecodeRecord is panic-free on arbitrary input.
-type decoder struct {
-	p   []byte
-	off int
-	err error
-}
+// str reads a u16-length-prefixed string.
+func str(d *seglog.Cursor) string { return d.Str(int(d.U16())) }
 
-func (d *decoder) u8() uint8 {
-	if d.err != nil || d.off+1 > len(d.p) {
-		d.fail()
-		return 0
-	}
-	v := d.p[d.off]
-	d.off++
-	return v
-}
-
-func (d *decoder) u16() uint16 {
-	if d.err != nil || d.off+2 > len(d.p) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(d.p[d.off:])
-	d.off += 2
-	return v
-}
-
-func (d *decoder) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.p) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.p[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *decoder) str() string {
-	n := int(d.u16())
-	if d.err != nil || d.off+n > len(d.p) {
-		d.fail()
-		return ""
-	}
-	s := string(d.p[d.off : d.off+n])
-	d.off += n
-	return s
-}
-
-func (d *decoder) bytes() []byte {
-	n := int(d.u32())
-	if d.err != nil || n > MaxRecordBytes || d.off+n > len(d.p) {
-		d.fail()
-		return nil
-	}
-	b := make([]byte, n)
-	copy(b, d.p[d.off:d.off+n])
-	d.off += n
-	return b
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: truncated payload", ErrCorrupt)
-	}
-}
+// blob reads a u32-length-prefixed byte field into memory of its own.
+func blob(d *seglog.Cursor) []byte { return append([]byte{}, d.Bytes(int(d.U32()))...) }
 
 // DecodeRecord parses one record payload. It never panics, rejects
 // trailing garbage, and wraps every failure in ErrCorrupt.
 func DecodeRecord(p []byte) (Record, error) {
-	d := &decoder{p: p}
+	d := seglog.NewCursor(p)
 	var rec Record
-	switch t := d.u8(); t {
+	switch t := d.U8(); t {
 	case TypeInsert:
-		rec = Insert{Table: d.str(), Tuple: d.bytes()}
+		rec = Insert{Table: str(d), Tuple: blob(d)}
 	case TypeCreateTable:
-		r := CreateTable{Name: d.str()}
-		n := int(d.u16())
-		for i := 0; i < n && d.err == nil; i++ {
-			r.Cols = append(r.Cols, Column{Name: d.str(), Type: d.u8()})
+		r := CreateTable{Name: str(d)}
+		n := int(d.U16())
+		for i := 0; i < n && d.Err() == nil; i++ {
+			r.Cols = append(r.Cols, Column{Name: str(d), Type: d.U8()})
 		}
 		rec = r
 	case TypeCreateIndex:
-		r := CreateIndex{Table: d.str(), Column: d.str(), Kind: d.u8()}
-		switch u := d.u8(); u {
+		r := CreateIndex{Table: str(d), Column: str(d), Kind: d.U8()}
+		switch u := d.U8(); u {
 		case 0, 1:
 			r.Unique = u == 1
 		default:
-			if d.err == nil {
-				d.err = fmt.Errorf("%w: bad unique flag %d", ErrCorrupt, u)
-			}
+			d.Failf("bad unique flag %d", u)
 		}
 		rec = r
 	case TypePageWrite:
-		rec = PageWrite{File: d.u32(), Page: d.u32(), Data: d.bytes()}
+		rec = PageWrite{File: d.U32(), Page: d.U32(), Data: blob(d)}
 	default:
-		if d.err == nil {
-			d.err = fmt.Errorf("%w: unknown record type %d", ErrCorrupt, t)
-		}
+		d.Failf("unknown record type %d", t)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(p) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(p)-d.off)
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return rec, nil
 }
 
 // ---- segments ----
 
-const segPrefix = "wal-"
-const segSuffix = ".log"
-
 // SegmentName returns the file name of segment seq.
-func SegmentName(seq uint64) string {
-	return fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix)
-}
+func SegmentName(seq uint64) string { return format.SegmentName(seq) }
 
 // Segment names one on-disk log segment.
-type Segment struct {
-	Seq  uint64
-	Path string
-}
+type Segment = seglog.Segment
 
 // Segments lists the segment files under dir in ascending sequence
 // order. A missing directory yields an empty list.
-func Segments(dir string) ([]Segment, error) {
-	ents, err := os.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var segs []Segment
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
-			continue
-		}
-		var seq uint64
-		if _, err := fmt.Sscanf(name[len(segPrefix):len(name)-len(segSuffix)], "%d", &seq); err != nil {
-			continue
-		}
-		segs = append(segs, Segment{Seq: seq, Path: filepath.Join(dir, name)})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].Seq < segs[j].Seq })
-	return segs, nil
-}
+func Segments(dir string) ([]Segment, error) { return format.Segments(dir) }
 
-// frame header: payload length (u32) + CRC-32C of the payload (u32).
-const frameHdr = 8
-
-// allZero reports whether every byte of b is zero.
-func allZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
+// decoding adapts a record callback to seglog's payload callback. A
+// payload that passes its CRC but does not decode is ErrCorrupt whether
+// or not anyone is listening, so a nil fn still decodes.
+func decoding(fn func(rec Record, end int64) error) func(payload []byte, end int64) error {
+	return func(payload []byte, end int64) error {
+		rec, err := DecodeRecord(payload)
+		if err != nil || fn == nil {
+			return err
 		}
+		return fn(rec, end)
 	}
-	return true
 }
 
 // ScanSegment walks one segment, calling fn for every valid record
@@ -369,62 +254,14 @@ func allZero(b []byte) bool {
 // record that fails its CRC or does not decode returns ErrCorrupt; a
 // partial record at EOF sets torn instead. fn errors abort the scan.
 func ScanSegment(path string, fn func(rec Record, end int64) error) (end int64, torn bool, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, false, err
-	}
-	off := 0
-	for off < len(data) {
-		rem := len(data) - off
-		if rem < frameHdr {
-			return int64(off), true, nil
-		}
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		crc := binary.LittleEndian.Uint32(data[off+4:])
-		if n == 0 || n > MaxRecordBytes {
-			// A run of zeros to EOF is the classic power-loss artifact
-			// (a filesystem extended the file before the append's bytes
-			// reached it): torn tail, committed prefix ends here.
-			if n == 0 && allZero(data[off:]) {
-				return int64(off), true, nil
-			}
-			// An impossible length whose claimed extent still fits the
-			// file is corruption; one that runs past EOF is the torn
-			// prefix of a record whose length field never fully landed.
-			if n > 0 && off+frameHdr+n > len(data) {
-				return int64(off), true, nil
-			}
-			return int64(off), false, fmt.Errorf("%w: bad record length %d at offset %d of %s", ErrCorrupt, n, off, path)
-		}
-		if off+frameHdr+n > len(data) {
-			return int64(off), true, nil
-		}
-		payload := data[off+frameHdr : off+frameHdr+n]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return int64(off), false, fmt.Errorf("%w: CRC mismatch at offset %d of %s", ErrCorrupt, off, path)
-		}
-		rec, derr := DecodeRecord(payload)
-		if derr != nil {
-			return int64(off), false, fmt.Errorf("%s offset %d: %w", path, off, derr)
-		}
-		off += frameHdr + n
-		if fn != nil {
-			if err := fn(rec, int64(off)); err != nil {
-				return int64(off), false, err
-			}
-		}
-	}
-	return int64(off), false, nil
+	return format.ScanFile(path, decoding(fn))
 }
 
 // Tail describes where the committed log ends: the newest segment's
 // sequence number and the offset just past its last valid record. A
 // writer opened at this position truncates any torn tail and continues
 // the log seamlessly.
-type Tail struct {
-	Seq uint64
-	End int64
-}
+type Tail = seglog.Tail
 
 // Replay scans every segment with sequence >= fromSeq in order,
 // calling fn for each record, and returns the tail position. A torn
@@ -432,31 +269,7 @@ type Tail struct {
 // can leave one); anywhere else it reports ErrCorrupt. When no
 // segments exist the tail is (fromSeq, 0).
 func Replay(dir string, fromSeq uint64, fn func(rec Record) error) (Tail, error) {
-	segs, err := Segments(dir)
-	if err != nil {
-		return Tail{}, err
-	}
-	live := segs[:0]
-	for _, s := range segs {
-		if s.Seq >= fromSeq {
-			live = append(live, s)
-		}
-	}
-	if len(live) == 0 {
-		return Tail{Seq: fromSeq}, nil
-	}
-	tail := Tail{}
-	for i, s := range live {
-		end, torn, err := ScanSegment(s.Path, func(rec Record, _ int64) error { return fn(rec) })
-		if err != nil {
-			return Tail{}, err
-		}
-		if torn && i != len(live)-1 {
-			return Tail{}, fmt.Errorf("%w: torn record inside non-final segment %s", ErrCorrupt, s.Path)
-		}
-		tail = Tail{Seq: s.Seq, End: end}
-	}
-	return tail, nil
+	return format.Replay(dir, fromSeq, decoding(func(rec Record, _ int64) error { return fn(rec) }))
 }
 
 // ---- writer ----
@@ -474,35 +287,16 @@ type Options struct {
 	SyncEvery bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 8 << 20
-	}
-	return o
-}
-
-// Writer appends records to the log. Safe for concurrent use.
+// Writer appends records to the log. Safe for concurrent use: mu
+// serialises everything that touches the appender, encoding into its
+// frame buffer included. After a failed append that could not be
+// rolled back the appender refuses further appends (the segment may
+// end in a partial frame) until ResetTo starts a fresh segment.
 type Writer struct {
-	mu     sync.Mutex
-	dir    string
-	opts   Options
-	seq    uint64
-	f      *os.File
-	off    int64
-	closed bool
-
-	// broken is set when a failed append could not be rolled back:
-	// the segment may carry a partial frame that later appends would
-	// bury mid-segment, so the writer refuses all further work.
-	broken error
-
-	// appends/fsyncs count successful record appends and segment
-	// fsyncs across the writer's lifetime — the durability counters
-	// surfaced by SHOW wal and the Prometheus /metrics endpoint.
-	// Atomic so Counters never takes mu (stats endpoints must not
-	// queue behind an in-flight fsync).
-	appends atomic.Uint64
-	fsyncs  atomic.Uint64
+	mu        sync.Mutex
+	a         *seglog.Appender
+	syncEvery bool
+	closed    bool
 }
 
 // Counters is a point-in-time copy of the writer's lifetime counters.
@@ -514,31 +308,23 @@ type Counters struct {
 	Fsyncs uint64
 }
 
-// Counters returns the writer's lifetime append/fsync counters.
+// Counters returns the writer's lifetime append/fsync counters — the
+// durability counters surfaced by SHOW wal and /metrics. It never
+// takes mu: stats endpoints must not queue behind an in-flight fsync.
 func (w *Writer) Counters() Counters {
-	return Counters{Appends: w.appends.Load(), Fsyncs: w.fsyncs.Load()}
+	c := w.a.Counters()
+	return Counters{Appends: c.Appends, Fsyncs: c.Fsyncs}
 }
 
 // OpenWriter positions a writer at tail: segment tail.Seq is opened
 // (created if absent), truncated to tail.End — discarding any torn
 // bytes recovery skipped — and appended to from there.
 func OpenWriter(dir string, tail Tail, opts Options) (*Writer, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(filepath.Join(dir, SegmentName(tail.Seq)), os.O_CREATE|os.O_RDWR, 0o644)
+	a, err := format.OpenAppender(dir, tail, opts.SegmentBytes)
 	if err != nil {
 		return nil, err
 	}
-	if err := f.Truncate(tail.End); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(tail.End, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &Writer{dir: dir, opts: opts.withDefaults(), seq: tail.Seq, f: f, off: tail.End}, nil
+	return &Writer{a: a, syncEvery: opts.SyncEvery}, nil
 }
 
 // Seq returns the sequence number of the segment currently appended
@@ -546,55 +332,27 @@ func OpenWriter(dir string, tail Tail, opts Options) (*Writer, error) {
 func (w *Writer) Seq() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.seq
+	return w.a.Seq()
 }
 
 // Append frames and writes one record. The record is on stable media
 // only after Sync (or with Options.SyncEvery), but it survives a
 // process crash as soon as Append returns.
 func (w *Writer) Append(rec Record) error {
-	payload, err := EncodeRecord(rec)
-	if err != nil {
-		return err
-	}
-	frame := make([]byte, frameHdr+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
-	copy(frame[frameHdr:], payload)
-
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return fmt.Errorf("wal: writer is closed")
 	}
-	if w.broken != nil {
-		return w.broken
-	}
-	if w.off > 0 && w.off+int64(len(frame)) > w.opts.SegmentBytes {
-		if err := w.rotateLocked(w.seq + 1); err != nil {
-			return err
-		}
-	}
-	if _, err := w.f.Write(frame); err != nil {
-		// A partial frame may be on disk past w.off; roll the segment
-		// back to the last record boundary so a later successful append
-		// cannot bury garbage mid-segment. If even that fails, refuse
-		// all further appends — a recovery-time scan would misread the
-		// log otherwise.
-		if terr := w.f.Truncate(w.off); terr != nil {
-			w.broken = fmt.Errorf("wal: segment has a partial frame that could not be truncated: %v (after append error: %w)", terr, err)
-		} else if _, serr := w.f.Seek(w.off, 0); serr != nil {
-			w.broken = fmt.Errorf("wal: segment position lost after failed append: %v (append error: %w)", serr, err)
-		}
+	frame, err := appendRecord(w.a.Buf(), rec)
+	if err != nil {
 		return err
 	}
-	w.off += int64(len(frame))
-	w.appends.Add(1)
-	if w.opts.SyncEvery {
-		if err := w.f.Sync(); err != nil {
-			return err
-		}
-		w.fsyncs.Add(1)
+	if err := w.a.Append(frame); err != nil {
+		return err
+	}
+	if w.syncEvery {
+		return w.a.Sync()
 	}
 	return nil
 }
@@ -606,28 +364,7 @@ func (w *Writer) Sync() error {
 	if w.closed {
 		return nil
 	}
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	w.fsyncs.Add(1)
-	return nil
-}
-
-// rotateLocked syncs and closes the current segment and starts seq.
-func (w *Writer) rotateLocked(seq uint64) error {
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	w.fsyncs.Add(1)
-	if err := w.f.Close(); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(filepath.Join(w.dir, SegmentName(seq)), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	w.f, w.seq, w.off = f, seq, 0
-	return syncDir(w.dir)
+	return w.a.Sync()
 }
 
 // NextSeq returns the sequence a ResetTo after a checkpoint should
@@ -636,7 +373,7 @@ func (w *Writer) rotateLocked(seq uint64) error {
 func (w *Writer) NextSeq() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.seq + 1
+	return w.a.Seq() + 1
 }
 
 // ResetTo truncates the log after a checkpoint: every segment with
@@ -650,24 +387,10 @@ func (w *Writer) ResetTo(seq uint64) error {
 	if w.closed {
 		return fmt.Errorf("wal: writer is closed")
 	}
-	if err := w.rotateLocked(seq); err != nil {
+	if err := w.a.Rotate(seq); err != nil {
 		return err
 	}
-	segs, err := Segments(w.dir)
-	if err != nil {
-		return err
-	}
-	for _, s := range segs {
-		if s.Seq < seq {
-			if err := os.Remove(s.Path); err != nil {
-				return err
-			}
-		}
-	}
-	// The segment that may have carried a partial frame is gone; a
-	// broken writer is whole again on its fresh segment.
-	w.broken = nil
-	return syncDir(w.dir)
+	return w.a.RemoveBefore(seq)
 }
 
 // Close syncs and closes the current segment.
@@ -678,21 +401,5 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		return err
-	}
-	w.fsyncs.Add(1)
-	return w.f.Close()
-}
-
-// syncDir fsyncs a directory so renames and creates within it are
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return w.a.Close()
 }

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/seglog"
 )
 
 func sampleRecords() []Record {
@@ -209,7 +211,7 @@ func TestMidSegmentCRCCorruptionFailsReplay(t *testing.T) {
 	}
 	// Flip a byte inside the FIRST record's payload: full-length record
 	// present, CRC mismatch, more log behind it.
-	data[frameHdr+2] ^= 0xFF
+	data[seglog.FrameHeader+2] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +244,7 @@ func TestBadLengthDetection(t *testing.T) {
 	path := filepath.Join(dir, SegmentName(1))
 	// A frame header claiming an absurd length, with plenty of file
 	// behind it: corruption, not a torn tail.
-	frame := make([]byte, frameHdr+MaxRecordBytes+64)
+	frame := make([]byte, seglog.FrameHeader+MaxRecordBytes+64)
 	binary.LittleEndian.PutUint32(frame, uint32(MaxRecordBytes+32))
 	if err := os.WriteFile(path, frame, 0o644); err != nil {
 		t.Fatal(err)
@@ -251,7 +253,7 @@ func TestBadLengthDetection(t *testing.T) {
 		t.Fatalf("oversize length with data behind: got %v, want ErrCorrupt", err)
 	}
 	// The same header at EOF with the claimed extent unfulfilled: torn.
-	if err := os.WriteFile(path, frame[:frameHdr+10], 0o644); err != nil {
+	if err := os.WriteFile(path, frame[:seglog.FrameHeader+10], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	end, torn, err := ScanSegment(path, nil)
@@ -295,5 +297,30 @@ func TestZeroFilledTailIsTorn(t *testing.T) {
 	}
 	if tail.End != want {
 		t.Fatalf("zero tail: end %d, want %d", tail.End, want)
+	}
+}
+
+// TestAppendAllocations pins the append path: the record is encoded
+// into the appender's one frame buffer under the writer's mutex, so an
+// Append costs at most the caller's boxing of the record.
+func TestAppendAllocations(t *testing.T) {
+	w, err := OpenWriter(t.TempDir(), Tail{Seq: 1}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuple := bytes.Repeat([]byte{7}, 120)
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := w.Append(Insert{Table: "lineitem", Tuple: tuple}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 1 {
+		t.Fatalf("%v allocations per Append of an Insert, want at most 1", allocs)
+	}
+	if c := w.Counters(); c.Appends != 201 || c.Fsyncs != 1 {
+		t.Fatalf("counters %+v, want 201 appends and the closing fsync", c)
 	}
 }
