@@ -204,13 +204,30 @@ func (c *conn) send(k wire.Kind, payload []byte) error {
 	if err := wire.WriteFrame(c.w, k, payload); err != nil {
 		return c.writeFailed(err)
 	}
-	if err := c.w.Flush(); err != nil {
-		return c.writeFailed(err)
-	}
+	// Count the frame before it is flushed: once the client has read
+	// it — a Done frame completing its answer, say — Stats includes it.
 	n := uint64(len(payload)) + wire.FrameOverhead
 	c.srv.counters.bytesWritten.Add(n)
 	c.stats.bytesOut.Add(n)
+	if err := c.w.Flush(); err != nil {
+		return c.writeFailed(err)
+	}
 	return nil
+}
+
+// rowTally is one result stream's row count: n rows taken from the
+// executor so far, counted of them already in the server's counters.
+type rowTally struct{ n, counted uint64 }
+
+// countRows adds the stream's not yet counted rows to the server and
+// session counters. A stream calls it before it flushes the frame
+// that completes the query (Done, or the error marker), so a client
+// that holds its complete answer finds it in Stats, and once more on
+// the way out for the streams that end early.
+func (c *conn) countRows(t *rowTally) {
+	c.srv.counters.rowsStreamed.Add(t.n - t.counted)
+	c.stats.rows.Add(t.n - t.counted)
+	t.counted = t.n
 }
 
 // writeFailed classifies a frame-write failure. A timeout is the slow
@@ -570,11 +587,10 @@ func (c *conn) streamRows(rows *dsdb.Rows, label, sql string, start time.Time) e
 	defer sp.End()
 	cancel := c.cancelQuery
 	bytes0 := c.stats.bytesOut.Load()
-	var count uint64
+	var tally rowTally
 	defer func() {
-		c.srv.counters.rowsStreamed.Add(count)
-		c.stats.rows.Add(count)
-		sp.AddRows(int64(count))
+		c.countRows(&tally)
+		sp.AddRows(int64(tally.n))
 	}()
 	// sendNet is send with the wall time (encode + frame write + flush)
 	// attributed to the span's net stage. The disabled path is one nil
@@ -629,7 +645,7 @@ func (c *conn) streamRows(rows *dsdb.Rows, label, sql string, start time.Time) e
 		default:
 		}
 		batch = append(batch, rows.Values())
-		count++
+		tally.n++
 		if len(batch) == wire.BatchRows {
 			if err := flush(); err != nil {
 				cancel()
@@ -640,12 +656,14 @@ func (c *conn) streamRows(rows *dsdb.Rows, label, sql string, start time.Time) e
 	if err := rows.Err(); err != nil {
 		// Drop the unsent tail: the stream ends with the error marker.
 		sp.SetErr(err)
-		c.capture(label, sql, start, sp, count, c.stats.bytesOut.Load()-bytes0, false, captureClass(err))
+		c.capture(label, sql, start, sp, tally.n, c.stats.bytesOut.Load()-bytes0, false, captureClass(err))
+		c.countRows(&tally)
 		return c.reportQueryError(err)
 	}
 	if err := flush(); err != nil {
 		return err
 	}
+	c.countRows(&tally)
 	// Attribute the execution in the terminal frame: a cache-hit serve
 	// never touched the executor, and the client (dsload in
 	// particular) splits its latency percentiles on this flag. The
@@ -657,11 +675,11 @@ func (c *conn) streamRows(rows *dsdb.Rows, label, sql string, start time.Time) e
 		c.srv.counters.cacheHits.Add(1)
 	}
 	if err := sendNet(wire.KindDone, func() []byte {
-		return wire.EncodeDone(wire.Done{RowCount: count, Flags: flags, QueryID: sp.ID()})
+		return wire.EncodeDone(wire.Done{RowCount: tally.n, Flags: flags, QueryID: sp.ID()})
 	}); err != nil {
 		return err
 	}
-	c.capture(label, sql, start, sp, count, c.stats.bytesOut.Load()-bytes0, rows.CacheHit(), wcap.OK)
+	c.capture(label, sql, start, sp, tally.n, c.stats.bytesOut.Load()-bytes0, rows.CacheHit(), wcap.OK)
 	return nil
 }
 
@@ -685,22 +703,22 @@ func (c *conn) streamStatic(cols []string, rows [][]dsdb.Value, sp *obs.Span, la
 	if err := sendNet(wire.KindRowHeader, wire.EncodeRowHeader(wire.RowHeader{Columns: cols})); err != nil {
 		return err
 	}
-	var count uint64
+	var tally rowTally
 	defer func() {
-		c.srv.counters.rowsStreamed.Add(count)
-		c.stats.rows.Add(count)
-		sp.AddRows(int64(count))
+		c.countRows(&tally)
+		sp.AddRows(int64(tally.n))
 	}()
 	for off := 0; off < len(rows); off += wire.BatchRows {
 		end := min(off+wire.BatchRows, len(rows))
 		if err := sendNet(wire.KindRowBatch, wire.EncodeRowBatch(wire.RowBatch{Rows: rows[off:end]})); err != nil {
 			return err
 		}
-		count += uint64(end - off)
+		tally.n += uint64(end - off)
 	}
-	if err := sendNet(wire.KindDone, wire.EncodeDone(wire.Done{RowCount: count, QueryID: sp.ID()})); err != nil {
+	c.countRows(&tally)
+	if err := sendNet(wire.KindDone, wire.EncodeDone(wire.Done{RowCount: tally.n, QueryID: sp.ID()})); err != nil {
 		return err
 	}
-	c.capture(label, sql, start, sp, count, c.stats.bytesOut.Load()-bytes0, false, wcap.OK)
+	c.capture(label, sql, start, sp, tally.n, c.stats.bytesOut.Load()-bytes0, false, wcap.OK)
 	return nil
 }

@@ -398,3 +398,60 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatal("dial after shutdown succeeded")
 	}
 }
+
+// TestStatsIncludeTheAnswerTheClientHolds pins the accounting order:
+// a query's rows and frame bytes are in Server.Stats before the frame
+// that completes it is flushed, so a client that has read its Done
+// frame — and so holds its complete answer — never reads a snapshot
+// that leaves the query out. One session, 2,000 queries; after each,
+// the Queries, RowsStreamed and BytesWritten deltas are exact. (Counting
+// after the flush passed this most of the time and was the root of the
+// bench self-test's wire.bytes_per_row flake.)
+func TestStatsIncludeTheAnswerTheClientHolds(t *testing.T) {
+	_, srv, addr := testServer(t)
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	queries := []string{
+		"select count(*) from lineitem",
+		"select n_name from nation",
+		"select c_custkey, c_name from customer", // more than one row batch
+		"select s_suppkey from supplier where s_suppkey < 0",
+	}
+	// wireBytes is what the server writes for a result: header, row
+	// batches, Done.
+	wireBytes := func(res *dsdb.Result) uint64 {
+		n := len(wire.EncodeRowHeader(wire.RowHeader{Columns: res.Columns})) + wire.FrameOverhead
+		for off := 0; off < len(res.Rows); off += wire.BatchRows {
+			end := min(off+wire.BatchRows, len(res.Rows))
+			n += len(wire.EncodeRowBatch(wire.RowBatch{Rows: res.Rows[off:end]})) + wire.FrameOverhead
+		}
+		n += len(wire.EncodeDone(wire.Done{})) + wire.FrameOverhead
+		return uint64(n)
+	}
+	sawBatches := false
+	before := srv.Stats()
+	for i := 0; i < 2000; i++ {
+		res, err := c.Exec(context.Background(), queries[i%len(queries)])
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		sawBatches = sawBatches || len(res.Rows) > wire.BatchRows
+		after := srv.Stats()
+		if got := after.Queries - before.Queries; got != 1 {
+			t.Fatalf("query %d: Queries moved by %d", i, got)
+		}
+		if got, want := after.RowsStreamed-before.RowsStreamed, uint64(len(res.Rows)); got != want {
+			t.Fatalf("query %d: RowsStreamed moved by %d, the client holds %d rows", i, got, want)
+		}
+		if got, want := after.BytesWritten-before.BytesWritten, wireBytes(res); got != want {
+			t.Fatalf("query %d: BytesWritten moved by %d, the client read %d bytes", i, got, want)
+		}
+		before = after
+	}
+	if !sawBatches {
+		t.Fatal("no result spanned two row batches")
+	}
+}

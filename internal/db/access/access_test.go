@@ -36,9 +36,10 @@ func TestHeapInsertFetchScan(t *testing.T) {
 		}
 		tids = append(tids, tid)
 	}
-	// Fetch by TID.
+	// Fetch by TID, through one pin the caller owns.
+	var pin buffer.Pin
 	for i, tid := range tids {
-		vals, err := h.Fetch(nil, tid, nil, nil)
+		vals, err := h.Fetch(nil, &pin, tid, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,6 +47,10 @@ func TestHeapInsertFetchScan(t *testing.T) {
 			t.Fatalf("fetch %d got %v", i, vals)
 		}
 	}
+	if m.PinnedFrames() != 1 {
+		t.Fatalf("a fetch pin holds one page, pool has %d pinned", m.PinnedFrames())
+	}
+	pin.Release()
 	// Sequential scan sees all rows in physical order.
 	scan := h.BeginScan()
 	count := 0

@@ -142,8 +142,8 @@ func putIntEntry(p storage.Page, i int, k int64, c uint32) {
 	binary.LittleEndian.PutUint32(p[o+8:], c)
 }
 
-func (t *BTree) meta(tr probe.Tracer) (root uint32, height int, err error) {
-	b, err := t.buf.Get(tr, t.file, 0)
+func (t *BTree) meta() (root uint32, height int, err error) {
+	b, err := t.buf.Get(nil, t.file, 0)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -220,7 +220,7 @@ type splitResult struct {
 
 // Insert adds (key, tid) to the tree. Loads run untraced.
 func (t *BTree) Insert(key int64, tid storage.TID) error {
-	root, height, err := t.meta(nil)
+	root, height, err := t.meta()
 	if err != nil {
 		return err
 	}
@@ -361,87 +361,143 @@ func (t *BTree) insertInternal(b buffer.Buf, sepKey int64, newChild uint32) (spl
 	return res, nil
 }
 
-// BTreeScan iterates leaf entries in key order from a start position.
-// Seeks return it by value, so a caller that probes once per outer
-// tuple keeps it in a field and re-seeks without a heap allocation.
+// btCursorLevels is how many tree levels a cursor pins separately. A
+// tree of int64 keys on 8 KB pages is this tall only past 10^11
+// entries; deeper levels would share the last pin (and so re-pin on
+// every descent) rather than fail.
+const btCursorLevels = 4
+
+// BTreeScan is a cursor over the leaf entries in key order. It reads
+// every page through a pin of its own — one for the meta page, one per
+// tree level, the leaf level's doubling as the scan position's — so a
+// request for a page the cursor already holds (the next entry of the
+// same leaf, the same root on the next seek) is answered by the pin
+// and never reaches the pool; see buffer.Pin. The page requests
+// themselves, and the probe events they emit, are the same whether a
+// pin answers them or the pool.
+//
+// A cursor from Cursor retains its pins across Next and across
+// re-seeks — at most tree height + 1 pages — until Close, which its
+// owner must call. The scan that the value-returning BTree.SeekGE and
+// BTree.SeekFirst hand out is the same cursor with retention off:
+// every call on it releases what it pinned before returning, so it
+// holds nothing between calls and needs no Close.
 type BTreeScan struct {
-	tree *BTree
-	page uint32
-	slot int
-	done bool
+	tree   *BTree
+	page   uint32
+	slot   int
+	leaf   int // index in levels of the pin the leaf is read through
+	done   bool
+	retain bool
+	meta   buffer.Pin
+	levels [btCursorLevels]buffer.Pin
 }
 
-// SeekGE positions a scan at the first entry with key >= k
-// (bt_search).
+// Cursor returns an unpositioned cursor that retains its pins; seek it
+// with its SeekGE or SeekFirst, as often as needed, and Close it.
+func (t *BTree) Cursor() BTreeScan {
+	return BTreeScan{tree: t, done: true, retain: true}
+}
+
+// SeekGE returns a scan positioned at the first entry with key >= k
+// (bt_search). The scan holds no pins; it need not be closed.
 func (t *BTree) SeekGE(tr probe.Tracer, k int64) (BTreeScan, error) {
-	return t.descend(tr, k, false)
+	s := BTreeScan{tree: t}
+	err := s.SeekGE(tr, k)
+	return s, err
 }
 
-// SeekFirst positions a scan at the smallest key.
+// SeekFirst returns a scan positioned at the smallest key. The scan
+// holds no pins; it need not be closed.
 func (t *BTree) SeekFirst(tr probe.Tracer) (BTreeScan, error) {
-	return t.descend(tr, 0, true)
+	s := BTreeScan{tree: t}
+	err := s.SeekFirst(tr)
+	return s, err
 }
 
-func (t *BTree) descend(tr probe.Tracer, k int64, leftmost bool) (BTreeScan, error) {
-	tr = probe.Or(tr)
-	tr.Emit(probe.BtSearchEnter)
-	root, _, err := t.meta(tr)
-	if err != nil {
-		return BTreeScan{}, err
+// SeekGE repositions the cursor at the first entry with key >= k
+// (bt_search).
+func (s *BTreeScan) SeekGE(tr probe.Tracer, k int64) error {
+	return s.seek(probe.Or(tr), k, false)
+}
+
+// SeekFirst repositions the cursor at the smallest key.
+func (s *BTreeScan) SeekFirst(tr probe.Tracer) error {
+	return s.seek(probe.Or(tr), 0, true)
+}
+
+func (s *BTreeScan) seek(tr probe.Tracer, k int64, leftmost bool) error {
+	err := s.descend(tr, k, leftmost)
+	if !s.retain {
+		s.release()
 	}
+	return err
+}
+
+func (s *BTreeScan) descend(tr probe.Tracer, k int64, leftmost bool) error {
+	t := s.tree
+	s.done = true // unpositioned unless the descent reaches a leaf
+	tr.Emit(probe.BtSearchEnter)
+	meta, err := t.buf.Repin(tr, &s.meta, t.file, 0)
+	if err != nil {
+		return err
+	}
+	page := binary.LittleEndian.Uint32(meta[btMetaRoot:])
 	tr.Emit(probe.BtSearchMeta)
-	page := root
-	for {
+	for lvl := 0; ; lvl++ {
 		tr.Emit(probe.BtSearchLevel)
-		b, err := t.buf.Get(tr, t.file, int(page))
+		pin := min(lvl, btCursorLevels-1)
+		p, err := t.buf.Repin(tr, &s.levels[pin], t.file, int(page))
 		if err != nil {
-			return BTreeScan{}, err
+			return err
 		}
-		if nodeKind(b.Page) == btLeaf {
-			slot := 0
+		if nodeKind(p) == btLeaf {
+			s.page, s.slot, s.leaf, s.done = page, 0, pin, false
 			if !leftmost {
-				slot = leafLowerBound(b.Page, k, storage.TID{})
+				s.slot = leafLowerBound(p, k, storage.TID{})
 			}
-			t.buf.Release(b, false)
 			tr.Emit(probe.BtSearchDone)
-			return BTreeScan{tree: t, page: page, slot: slot}, nil
+			return nil
 		}
-		var next uint32
 		if leftmost {
-			next = intChild(b.Page, -1)
+			page = intChild(p, -1)
 		} else {
-			next = intChild(b.Page, intChildForSeek(b.Page, k))
+			page = intChild(p, intChildForSeek(p, k))
 		}
-		t.buf.Release(b, false)
 		tr.Emit(probe.BtSearchCont)
-		page = next
 	}
 }
 
 // Next returns the next (key, TID) in order; ok=false at the end
 // (bt_next).
 func (s *BTreeScan) Next(tr probe.Tracer) (key int64, tid storage.TID, ok bool, err error) {
-	tr = probe.Or(tr)
+	key, tid, ok, err = s.next(probe.Or(tr))
+	if !s.retain {
+		s.release()
+	}
+	return key, tid, ok, err
+}
+
+func (s *BTreeScan) next(tr probe.Tracer) (key int64, tid storage.TID, ok bool, err error) {
 	if s.done {
 		tr.Emit(probe.BtNextDone)
 		return 0, storage.TID{}, false, nil
 	}
+	t := s.tree
 	for {
 		tr.Emit(probe.BtNextEnter)
-		b, err := s.tree.buf.Get(tr, s.tree.file, int(s.page))
+		p, err := t.buf.Repin(tr, &s.levels[s.leaf], t.file, int(s.page))
 		if err != nil {
 			return 0, storage.TID{}, false, err
 		}
-		if s.slot < nodeN(b.Page) {
-			key = leafKey(b.Page, s.slot)
-			tid = leafTID(b.Page, s.slot)
+		if s.slot < nodeN(p) {
+			key = leafKey(p, s.slot)
+			tid = leafTID(p, s.slot)
 			s.slot++
-			s.tree.buf.Release(b, false)
 			tr.Emit(probe.BtNextEmit)
 			return key, tid, true, nil
 		}
-		right := nodeRight(b.Page)
-		s.tree.buf.Release(b, false)
+		right := nodeRight(p)
 		if right == btNoRight {
 			s.done = true
 			tr.Emit(probe.BtNextEOF)
@@ -450,5 +506,19 @@ func (s *BTreeScan) Next(tr probe.Tracer) (key int64, tid storage.TID, ok bool, 
 		tr.Emit(probe.BtNextStep)
 		s.page = right
 		s.slot = 0
+	}
+}
+
+// Close releases the cursor's pins and leaves it unpositioned; it may
+// be seeked again. Closing a cursor that holds nothing is a no-op.
+func (s *BTreeScan) Close() {
+	s.release()
+	s.done = true
+}
+
+func (s *BTreeScan) release() {
+	s.meta.Release()
+	for i := range s.levels {
+		s.levels[i].Release()
 	}
 }

@@ -152,62 +152,80 @@ func (h *HashIndex) Insert(key int64, tid storage.TID) error {
 	}
 }
 
-// HashScan iterates the TIDs matching one key.
+// HashScan iterates the TIDs matching one key. It reads the bucket
+// chain through a pin of its own (see buffer.Pin). A scan the caller
+// owns and seeks with Seek keeps the page it is on pinned — across
+// Next and across re-seeks, one page at most — until Close, which its
+// owner must call; the scan Lookup returns releases its page before
+// every return, so it holds nothing between calls and needs no Close.
 type HashScan struct {
-	idx  *HashIndex
-	key  int64
-	page uint32
-	slot int
-	done bool
+	idx    *HashIndex
+	key    int64
+	page   uint32
+	slot   int
+	done   bool
+	retain bool
+	pin    buffer.Pin
 }
 
-// Lookup starts an equality scan for key (hash_search).
+// Lookup starts an equality scan for key (hash_search). The scan
+// holds no pins; it need not be closed.
 func (h *HashIndex) Lookup(tr probe.Tracer, key int64) *HashScan {
 	s := new(HashScan)
-	h.Seek(tr, key, s)
+	h.seek(tr, key, s)
 	return s
 }
 
-// Seek is Lookup into a scan the caller owns: a join probing once per
-// outer tuple re-seeks one HashScan instead of allocating each time.
+// Seek is Lookup into a scan the caller owns and must Close: a join
+// probing once per outer tuple re-seeks one HashScan instead of
+// allocating each time, and keeps its bucket page while the key does.
 func (h *HashIndex) Seek(tr probe.Tracer, key int64, s *HashScan) {
+	s.retain = true
+	h.seek(tr, key, s)
+}
+
+func (h *HashIndex) seek(tr probe.Tracer, key int64, s *HashScan) {
 	tr = probe.Or(tr)
 	tr.Emit(probe.HashSearchEnter)
 	tr.Emit(probe.HashFunc)
 	page := uint32(h.bucketPage(key))
 	tr.Emit(probe.HashSearchCont)
-	*s = HashScan{idx: h, key: key, page: page}
+	s.idx, s.key, s.page, s.slot, s.done = h, key, page, 0, false
 }
 
 // Next returns the next matching TID; ok=false when the chain is
 // exhausted.
 func (s *HashScan) Next(tr probe.Tracer) (tid storage.TID, ok bool, err error) {
-	tr = probe.Or(tr)
+	tid, ok, err = s.next(probe.Or(tr))
+	if !s.retain {
+		s.pin.Release()
+	}
+	return tid, ok, err
+}
+
+func (s *HashScan) next(tr probe.Tracer) (tid storage.TID, ok bool, err error) {
 	if s.done {
 		tr.Emit(probe.HashNextDone)
 		return storage.TID{}, false, nil
 	}
 	for {
 		tr.Emit(probe.HashNextEnter)
-		b, err := s.idx.buf.Get(tr, s.idx.file, int(s.page))
+		p, err := s.idx.buf.Repin(tr, &s.pin, s.idx.file, int(s.page))
 		if err != nil {
 			return storage.TID{}, false, err
 		}
 		tr.Emit(probe.HashNextCont)
-		n := hashN(b.Page)
+		n := hashN(p)
 		for s.slot < n {
 			i := s.slot
 			s.slot++
-			if hashKey(b.Page, i) == s.key {
-				tid := hashTID(b.Page, i)
-				s.idx.buf.Release(b, false)
+			if hashKey(p, i) == s.key {
 				tr.Emit(probe.HashNextEmit)
-				return tid, true, nil
+				return hashTID(p, i), true, nil
 			}
 			tr.Emit(probe.HashNextCmp)
 		}
-		next := hashNext(b.Page)
-		s.idx.buf.Release(b, false)
+		next := hashNext(p)
 		if next == hNoNext {
 			s.done = true
 			tr.Emit(probe.HashNextEOF)
@@ -217,4 +235,11 @@ func (s *HashScan) Next(tr probe.Tracer) (tid storage.TID, ok bool, err error) {
 		s.page = next
 		s.slot = 0
 	}
+}
+
+// Close releases the scan's page and ends the scan; it may be seeked
+// again. Closing a scan that holds nothing is a no-op.
+func (s *HashScan) Close() {
+	s.pin.Release()
+	s.done = true
 }

@@ -8,6 +8,33 @@
 // Read paths take a probe.Tracer and emit the instrumentation events
 // the kernel image maps to basic-block paths; loads (inserts) run
 // untraced, as the paper traces query execution only.
+//
+// # Pins
+//
+// Read paths ask for a page every time they need one — once per index
+// entry, per descent level, per fetched tuple — but ask through a
+// buffer.Pin they keep, so a request for the page they are already on
+// is answered without going to the pool. What is requested, and the
+// events and hit counts that go with it, do not depend on who answers.
+// What a reader holds between calls is bounded:
+//
+//   - HeapScan: the page it is on (1).
+//   - BTreeScan from BTree.Cursor: the meta page and one page per tree
+//     level, the leaf level's pin following the scan along the leaf
+//     chain (tree height + 1), across Next and across re-seeks.
+//   - HashScan seeked with HashIndex.Seek: the chain page it is on (1).
+//   - Heap.Fetch: the fetched tuple's page, in the caller's Pin (1).
+//
+// An index scan or index join therefore holds at most tree height + 2
+// pages (its cursor and its heap pin) from Open to Close, and a plan
+// that many per index operator plus one per sequential scan; the pool
+// must be larger than that sum or Get fails with "all frames pinned".
+// Every one of these has a Close (a Pin a Release) that its owner must
+// call; the engine's read latch keeps writers out for as long as a
+// plan is open, so a retained index page cannot change under its
+// cursor. The scans that the value-returning BTree.SeekGE/SeekFirst
+// and HashIndex.Lookup hand out hold nothing between calls and need no
+// Close.
 package access
 
 import (
@@ -91,17 +118,20 @@ func (h *Heap) InsertTuple(data []byte) (storage.TID, error) {
 }
 
 // Fetch reads the wanted columns (ascending ordinals; nil means all)
-// of the tuple at tid into dst[:0] (heap_fetch).
-func (h *Heap) Fetch(tr probe.Tracer, tid storage.TID, cols []int, dst []value.Value) ([]value.Value, error) {
+// of the tuple at tid into dst[:0] (heap_fetch). The page is read
+// through pin, which the caller owns and must Release when it is done
+// fetching: consecutive fetches from one page — an index scan over
+// clustered keys — then request the page from the pin instead of the
+// pool (see buffer.Pin), and pin holds one page at most.
+func (h *Heap) Fetch(tr probe.Tracer, pin *buffer.Pin, tid storage.TID, cols []int, dst []value.Value) ([]value.Value, error) {
 	tr = probe.Or(tr)
 	tr.Emit(probe.HeapFetchEnter)
-	b, err := h.buf.Get(tr, h.file, int(tid.Page))
+	p, err := h.buf.Repin(tr, pin, h.file, int(tid.Page))
 	if err != nil {
 		return nil, err
 	}
-	defer h.buf.Release(b, false)
 	tr.Emit(probe.HeapFetchCont)
-	raw, err := b.Page.Tuple(int(tid.Slot))
+	raw, err := p.Tuple(int(tid.Slot))
 	if err != nil {
 		return nil, err
 	}

@@ -4,25 +4,48 @@
 // statistics — the module the paper identifies (with the access
 // methods) as a major source of instruction-cache misses.
 //
-// The pool is latched at two granularities. Frame-table operations
-// (lookup, pin, unpin, clock sweep, flush) run under one pool mutex,
-// and hit/miss counters are atomic, so any number of sessions can pin
-// and release pages concurrently without lost updates. Miss IO,
-// however, runs under a frame-local latch: a miss claims its victim
-// frame under the pool mutex (publishing the claim in the frame
-// table), then drops the mutex and performs the evict-flush and the
-// storage read with only the frame held — so two sessions missing on
-// different pages overlap their IO, while a session racing for a page
-// whose read is in flight waits on that frame alone and still reads
-// the page from storage exactly once. Page contents themselves are
-// not latched — concurrent readers of a pinned page are safe, while
-// writers are serialized above the pool (the engine holds its write
-// latch across inserts and index builds).
+// The pool is latched at three granularities, so that a page request
+// takes the cheapest one that can serve it:
+//
+//   - Lookup shards. The key → frame table is split over numShards
+//     maps, each under its own mutex with its own hit count. A hit
+//     locks one shard, pins the frame with an atomic add and unlocks;
+//     Release is an atomic decrement and takes no lock at all. pins,
+//     ref and dirty are per-frame atomics, and frames and shards are
+//     padded to their own cache lines, so two sessions hitting
+//     different pages write no common line. A frame goes from unpinned
+//     to pinned only under the shard of its key, which is what lets
+//     the eviction below trust a zero pin count it reads there.
+//   - The miss mutex (Manager.mu). The clock hand, the victim claim,
+//     the miss count and the in-flight flush registry stay under one
+//     pool-wide mutex, taken on the miss path only. It nests outside
+//     the shards (pool → shard, never two shards at once): the sweep
+//     unmaps its victim under the victim's shard after re-checking
+//     there that nobody pinned it, then publishes the claim under the
+//     new key's shard. A clean miss takes four locks (shard lookup,
+//     miss mutex, victim's shard, new key's shard), three when it
+//     takes a free frame; finishing the load takes none.
+//   - The frame latch. Miss IO — the evict-flush and the storage read —
+//     runs with only the claimed frame held: loading is set and ready
+//     is open while it lasts. Two sessions missing on different pages
+//     overlap their IO, while a session racing for a page whose read
+//     is in flight finds the claim in the table, pins it, waits on
+//     that frame's ready channel alone and still reads the page from
+//     storage exactly once.
+//
+// On top of that a caller can keep a page: a Pin is a caller-owned
+// handle that stays pinned between requests, and asking it for the
+// page it already holds touches no pool state (see Pin).
+//
+// Page contents themselves are not latched — concurrent readers of a
+// pinned page are safe, while writers are serialized above the pool
+// (the engine holds its write latch across inserts and index builds).
 package buffer
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/db/probe"
@@ -39,28 +62,69 @@ type ioWaitRecorder interface {
 	AddIOWait(d time.Duration)
 }
 
-type key struct{ file, page int }
+// key names a page: the file number in the high half, the page number
+// in the low half. One word, so the lookup tables hash it with the
+// runtime's 64-bit fast path.
+type key uint64
 
+func keyOf(file, page int) key { return key(uint64(uint32(file))<<32 | uint64(uint32(page))) }
+
+func (k key) file() int { return int(uint32(k >> 32)) }
+func (k key) page() int { return int(uint32(k)) }
+
+// frame is one page slot, padded to two cache lines so neighbouring
+// frames' pin counts do not share one.
 type frame struct {
-	key   key
-	page  storage.Page
-	pins  int
-	dirty bool
-	ref   bool
-	valid bool
+	// pins, ref and dirty are atomics: a hit pins under its shard only,
+	// Release and the clock's reference bit take no lock.
+	pins  atomic.Int32
+	ref   atomic.Bool
+	dirty atomic.Bool
 
 	// loading marks a claimed frame whose IO (evict-flush + storage
 	// read) is in flight under the frame-local latch: the key is
 	// published in the lookup table, pins is at least 1 (the loader's),
 	// but the contents are not yet valid. ready is the latch's release
-	// signal — closed by the loader when the IO finishes — and loadErr
-	// carries a failed read to the waiters (set before ready closes,
-	// read by waiters that still hold their pin, so it cannot be
-	// recycled under them).
-	loading bool
+	// signal — made at the claim, closed by the loader when the IO
+	// finishes — and loadErr carries a failed read to the waiters (set
+	// before ready closes, read by waiters that still hold their pin,
+	// so it cannot be recycled under them).
+	loading atomic.Bool
 	ready   chan struct{}
 	loadErr error
+
+	// key and valid change only in the hands of the frame's claimant —
+	// under the miss mutex with the frame unmapped and unpinned, or by
+	// the loader while it holds its pin. Everyone else reads them
+	// either under the miss mutex or while holding a pin of their own.
+	key   key
+	valid bool
+	page  storage.Page
+
+	_ [48]byte
 }
+
+// shard is one slice of the lookup table, padded to a cache line.
+type shard struct {
+	mu    sync.Mutex
+	table map[key]*frame
+	hits  uint64 // requests answered from this table
+
+	// gen counts inserts. A miss reads it under mu with its failed
+	// lookup and again under the miss mutex: unchanged means no claim
+	// for its key can have been published in between (inserts happen
+	// under the miss mutex only), so the lookup need not be repeated;
+	// changed, the miss starts over.
+	gen atomic.Uint64
+
+	_ [32]byte
+}
+
+// numShards is the number of lookup shards (a power of two).
+const (
+	shardBits = 6
+	numShards = 1 << shardBits
+)
 
 // flushWait is one in-flight evict-flush: done closes when the write
 // finished, err (set before done closes) reports its failure to any
@@ -76,34 +140,33 @@ type Buf struct {
 	Page storage.Page
 	// File and PageNo identify the page.
 	File, PageNo int
-	idx          int
+	f            *frame
 }
 
 // Manager is the buffer pool. All methods are safe for concurrent
 // use.
 type Manager struct {
-	store *storage.Store
-
-	mu     sync.Mutex // guards frames, lookup, flushing and the clock hand
+	store  *storage.Store
 	frames []frame
-	lookup map[key]int
+	shards []shard
+
+	// pinHits counts requests answered by a Pin that already held the
+	// page; each Pin folds its own count in when it lets go.
+	pinHits atomic.Uint64
+
+	mu     sync.Mutex // the miss mutex: guards hand, misses and flushing
 	hand   int
+	misses uint64
 
 	// flushing tracks pages whose evict-flush is in flight outside the
-	// pool mutex: the victim's lookup entry is gone (its frame was
+	// miss mutex: the victim's lookup entry is gone (its frame was
 	// reassigned) but its dirty bytes have not reached storage yet. A
 	// miss that wants to read such a page must wait for the flush —
 	// and fail if the flush failed — or it would install stale bytes.
 	flushing map[key]*flushWait
 
-	// stats holds the pool's hit/miss counters (atomic, so no
-	// increments are lost under concurrent load).
-	stats  *probe.CounterSet
-	hits   *probe.Counter
-	misses *probe.Counter
-
 	// testEvictFlushHook, when non-nil, runs just before an
-	// evict-flush's storage write, after the pool mutex dropped — test
+	// evict-flush's storage write, after the miss mutex dropped — test
 	// instrumentation for holding the flush window open (the
 	// stale-reread regression test depends on it).
 	testEvictFlushHook func()
@@ -114,112 +177,153 @@ func New(store *storage.Store, n int) *Manager {
 	m := &Manager{
 		store:    store,
 		frames:   make([]frame, n),
-		lookup:   make(map[key]int, n),
+		shards:   make([]shard, numShards),
 		flushing: make(map[key]*flushWait),
-		stats:    probe.NewCounterSet(),
 	}
-	m.hits = m.stats.Register("buffer.hits")
-	m.misses = m.stats.Register("buffer.misses")
 	for i := range m.frames {
 		m.frames[i].page = storage.NewPage()
 	}
+	for i := range m.shards {
+		m.shards[i].table = make(map[key]*frame, n/numShards+1)
+	}
 	return m
+}
+
+// shardOf returns the lookup shard of k (Fibonacci hashing, so the
+// pages of one file spread over all shards).
+func (m *Manager) shardOf(k key) *shard {
+	return &m.shards[uint64(k)*0x9E3779B97F4A7C15>>(64-shardBits)]
 }
 
 // Get pins the given page, reading it from storage on a miss. The
 // tracer receives the ReadBuffer instrumentation events (nil means
 // untraced). Two sessions racing for an unbuffered page still read it
 // from storage exactly once: the first claims the frame and performs
-// the read, the loser finds the in-flight claim in the frame table,
+// the read, the loser finds the in-flight claim in the lookup table,
 // waits on that frame's latch, and takes the hit path.
-//
-// Hit-path instrumentation is emitted after the pool latch drops: the
-// tracer is per-session state (sessions are single-threaded), so
-// moving the emits out of the critical section keeps hot hits — the
-// overwhelmingly common case for DSS scans — from serializing
-// concurrent sessions on trace recording. On a miss the clock sweep
-// (and its emits) runs under the pool mutex, but the evict-flush and
-// the storage read — the slow part — run under only the claimed
-// frame's latch, so misses on different pages overlap their IO.
 func (m *Manager) Get(tr probe.Tracer, file, page int) (Buf, error) {
-	tr = probe.Or(tr)
+	f, err := m.pin(probe.Or(tr), keyOf(file, page))
+	if err != nil {
+		return Buf{}, err
+	}
+	return Buf{Page: f.page, File: file, PageNo: page, f: f}, nil
+}
+
+// pin is Get without the handle: it returns k's frame with one more
+// pin on it.
+//
+// Instrumentation is emitted with no lock held: the tracer is
+// per-session state (sessions are single-threaded) and user code, and
+// user code under a pool lock can re-enter the pool and deadlock (the
+// PR 3 class — enforced statically by dsdblint's tracerlock). On a
+// miss the clock sweep's events are recorded under the miss mutex and
+// replayed once it drops.
+func (m *Manager) pin(tr probe.Tracer, k key) (*frame, error) {
+	sh := m.shardOf(k)
+	sh.mu.Lock()
+	f, ok := sh.table[k]
+	if !ok {
+		gen := sh.gen.Load()
+		sh.mu.Unlock()
+		return m.miss(tr, sh, gen, k)
+	}
+	f.pins.Add(1)
+	if f.loading.Load() {
+		sh.mu.Unlock()
+		return m.awaitLoad(tr, sh, f)
+	}
+	sh.hits++
+	sh.mu.Unlock()
+	f.touch()
+	tr.Emit(probe.BufGetEnter)
+	tr.Emit(probe.BufTableLookup)
+	tr.Emit(probe.BufGetHit)
+	return f, nil
+}
+
+// touch sets the clock's reference bit. Loading it first keeps a
+// frame that is hit over and over from taking a store each time.
+func (f *frame) touch() {
+	if !f.ref.Load() {
+		f.ref.Store(true)
+	}
+}
+
+// awaitLoad completes a request that found another session's read of
+// its page in flight. The caller pinned f under the shard (so it
+// cannot be recycled under us) and saw it loading; wait on the frame's
+// latch, then complete as a hit — the read happened once.
+func (m *Manager) awaitLoad(tr probe.Tracer, sh *shard, f *frame) (*frame, error) {
+	tr.Emit(probe.BufGetEnter)
+	tr.Emit(probe.BufTableLookup)
 	// A tracer carrying a query span (the executor's span tracer)
-	// additionally receives this call's IO wait. Declared structurally
+	// additionally receives the wait. Declared structurally
 	// (ioWaitRecorder) so the pool stays free of the observability
-	// package; only the slow paths below touch the clock — hot hits
+	// package; only this and the miss path touch the clock — hot hits
 	// pay nothing.
 	rec, observed := tr.(ioWaitRecorder)
-	k := key{file, page}
-	m.mu.Lock()
-	if i, ok := m.lookup[k]; ok {
-		f := &m.frames[i]
-		if f.loading {
-			// Another session's read of this page is in flight: pin the
-			// frame (so it cannot be recycled under us), wait on its
-			// latch, then complete as a hit — the read happened once.
-			f.pins++
-			ready := f.ready
-			m.mu.Unlock()
-			tr.Emit(probe.BufGetEnter)
-			tr.Emit(probe.BufTableLookup)
-			var waitStart time.Time
-			if observed {
-				waitStart = time.Now()
-			}
-			<-ready
-			if observed {
-				rec.AddIOWait(time.Since(waitStart))
-			}
-			m.mu.Lock()
-			if err := f.loadErr; err != nil {
-				f.pins--
-				m.mu.Unlock()
-				return Buf{}, err
-			}
-			m.hits.Inc()
-			f.ref = true
-			b := Buf{Page: f.page, File: file, PageNo: page, idx: i}
-			m.mu.Unlock()
-			tr.Emit(probe.BufGetHit)
-			return b, nil
-		}
-		m.hits.Inc()
-		f.pins++
-		f.ref = true
-		b := Buf{Page: f.page, File: file, PageNo: page, idx: i}
-		m.mu.Unlock()
-		tr.Emit(probe.BufGetEnter)
-		tr.Emit(probe.BufTableLookup)
-		tr.Emit(probe.BufGetHit)
-		return b, nil
+	var waitStart time.Time
+	if observed {
+		waitStart = time.Now()
 	}
-	// Miss-path instrumentation is recorded here and emitted only once
-	// the pool mutex drops: a tracer is user code, and user code under
-	// m.mu can re-enter the pool and deadlock (the PR 3 class — now
-	// enforced statically by dsdblint's tracerlock).
-	evs := append(make([]probe.ID, 0, 8), probe.BufGetEnter, probe.BufTableLookup)
-	m.misses.Inc()
-	evs = append(evs, probe.BufGetMiss)
-	// Claim a victim frame under the pool mutex: the clock sweep does
-	// no IO, it just picks the frame, publishes the claim under the new
-	// key and remembers what must be flushed.
-	i, err := m.evict(&evs)
+	<-f.ready
+	if observed {
+		rec.AddIOWait(time.Since(waitStart))
+	}
+	if err := f.loadErr; err != nil {
+		f.pins.Add(-1)
+		return nil, err
+	}
+	sh.mu.Lock()
+	sh.hits++
+	sh.mu.Unlock()
+	f.touch()
+	tr.Emit(probe.BufGetHit)
+	return f, nil
+}
+
+// miss claims a frame for k and fills it. sh is k's shard and gen its
+// insert count when the caller's lookup failed.
+//
+// The claim — clock sweep, unmapping the victim, publishing the frame
+// under the new key, registering the victim's flush — happens under
+// the miss mutex and does no IO. The evict-flush and the storage read
+// — the slow part — then run under only the claimed frame's latch, so
+// misses on different pages overlap their IO.
+func (m *Manager) miss(tr probe.Tracer, sh *shard, gen uint64, k key) (*frame, error) {
+	m.mu.Lock()
+	if sh.gen.Load() != gen {
+		// Something was published in this shard since the lookup — maybe
+		// a racing miss's claim for k. Look again.
+		m.mu.Unlock()
+		return m.pin(tr, k)
+	}
+	m.misses++
+	var evbuf [8]probe.ID
+	evs := append(evbuf[:0], probe.BufGetEnter, probe.BufTableLookup, probe.BufGetMiss)
+	f, err := m.evict(&evs)
 	if err != nil {
 		m.mu.Unlock()
 		emitAll(tr, evs)
-		return Buf{}, err
+		return nil, err
 	}
-	f := &m.frames[i]
-	oldKey, needFlush := f.key, f.valid && f.dirty
+	// The frame is unmapped and unpinned: nobody else can reach it
+	// until the claim is published below.
+	oldKey, needFlush := f.key, f.valid && f.dirty.Load()
 	f.key = k
 	f.valid = false
-	f.dirty = false
-	f.pins = 1
-	f.ref = true
-	f.loading = true
+	if needFlush {
+		f.dirty.Store(false)
+	}
+	f.pins.Store(1)
+	f.touch()
+	f.loading.Store(true)
 	f.ready = make(chan struct{})
 	f.loadErr = nil
-	m.lookup[k] = i
+	sh.mu.Lock()
+	sh.table[k] = f
+	sh.gen.Add(1)
+	sh.mu.Unlock()
 	var flushOut *flushWait
 	if needFlush {
 		// Publish the in-flight flush before dropping the mutex: a
@@ -235,7 +339,7 @@ func (m *Manager) Get(tr probe.Tracer, file, page int) (Buf, error) {
 	waitFlush := m.flushing[k]
 	m.mu.Unlock()
 	emitAll(tr, evs)
-	if observed {
+	if rec, observed := tr.(ioWaitRecorder); observed {
 		// Everything from here to any return is miss IO: the victim
 		// flush, waiting out a racing flush of this page, and the read.
 		ioStart := time.Now()
@@ -244,30 +348,25 @@ func (m *Manager) Get(tr probe.Tracer, file, page int) (Buf, error) {
 
 	// IO under the frame latch only: evict-flush of the dirty victim,
 	// then the read that fills the frame. Other frames' misses proceed
-	// concurrently; waiters for this page block on f.ready above.
-	err = nil
+	// concurrently; waiters for this page block on f.ready.
 	if needFlush {
 		if m.testEvictFlushHook != nil {
 			m.testEvictFlushHook()
 		}
-		err = m.store.WritePage(oldKey.file, oldKey.page, f.page)
+		err = m.store.WritePage(oldKey.file(), oldKey.page(), f.page)
 		m.mu.Lock()
 		delete(m.flushing, oldKey)
 		if err != nil {
-			// The victim's bytes never reached storage: restore the
-			// frame to its old identity, valid and still dirty, so the
-			// data survives and a later eviction retries the write.
-			// The claim for k fails below; any waiters pinned on it see
+			// The victim's bytes never reached storage: fail the claim
+			// for k, then restore the frame to its old identity, valid
+			// and still dirty, so the data survives and a later eviction
+			// retries the write. Any waiters pinned on the claim see
 			// loadErr and drain before the clock can touch the frame.
-			f.key = oldKey
-			f.valid = true
-			f.dirty = true
-			m.lookup[oldKey] = i
-			m.failLoadLocked(f, k, i, err)
+			m.failLoad(f, sh, err, &oldKey)
 			m.mu.Unlock()
 			flushOut.err = err
 			close(flushOut.done)
-			return Buf{}, err
+			return nil, err
 		}
 		m.mu.Unlock()
 		close(flushOut.done)
@@ -279,46 +378,62 @@ func (m *Manager) Get(tr probe.Tracer, file, page int) (Buf, error) {
 			// live on in the restored frame); reading now would install
 			// stale data. Fail this load.
 			m.mu.Lock()
-			f.valid = false
-			m.failLoadLocked(f, k, i, ferr)
+			m.failLoad(f, sh, ferr, nil)
 			m.mu.Unlock()
-			return Buf{}, ferr
+			return nil, ferr
 		}
 	}
 	tr.Emit(probe.BufGetRead)
-	if err := m.store.ReadPage(file, page, f.page); err != nil {
+	if err := m.store.ReadPage(k.file(), k.page(), f.page); err != nil {
 		m.mu.Lock()
-		f.valid = false
-		m.failLoadLocked(f, k, i, err)
+		m.failLoad(f, sh, err, nil)
 		m.mu.Unlock()
-		return Buf{}, err
+		return nil, err
 	}
-	m.mu.Lock()
+	// Release the frame latch. No lock: the loader's pin keeps the
+	// frame its own, and a session that finds the claim reads loading
+	// after pinning — false means the bytes above are in place.
 	f.valid = true
-	f.loading = false
+	f.loading.Store(false)
 	close(f.ready)
-	f.ready = nil
-	m.mu.Unlock()
 	tr.Emit(probe.SmgrRead)
 	tr.Emit(probe.BufGetFill)
-	return Buf{Page: f.page, File: file, PageNo: page, idx: i}, nil
+	return f, nil
 }
 
-// failLoadLocked fails an in-flight load: unpublish the claim for k
-// (the mapping can only still point at this frame — no session can
-// re-claim a key that is present in the lookup table), hand the
-// error to any waiters — they still hold pins, so the frame outlives
-// them — and release the loader's pin. The caller holds m.mu and has
-// already set the frame's restored identity, if any.
-func (m *Manager) failLoadLocked(f *frame, k key, i int, err error) {
-	if j, ok := m.lookup[k]; ok && j == i {
-		delete(m.lookup, k)
+// failLoad fails the in-flight load of f, which is published under
+// f.key in sh: unpublish the claim (the mapping can only still point
+// at this frame if no restored frame took the key over — no session
+// can re-claim a key that is present in the lookup table), hand the
+// error to the waiters — they still hold pins, so the frame outlives
+// them — and release the loader's pin. restore, when non-nil, is the
+// identity the frame goes back to, valid and dirty. The caller holds
+// the miss mutex.
+//
+// loading drops only after the claim is unpublished: a session that
+// found the claim saw loading set and reads loadErr, one that comes
+// later does not find it.
+func (m *Manager) failLoad(f *frame, sh *shard, err error, restore *key) {
+	sh.mu.Lock()
+	if sh.table[f.key] == f {
+		delete(sh.table, f.key)
 	}
+	sh.mu.Unlock()
 	f.loadErr = err
-	f.loading = false
-	f.pins--
+	f.valid = false
+	f.loading.Store(false)
+	if restore != nil {
+		f.key = *restore
+		f.valid = true
+		f.dirty.Store(true)
+		rsh := m.shardOf(f.key)
+		rsh.mu.Lock()
+		rsh.table[f.key] = f
+		rsh.gen.Add(1)
+		rsh.mu.Unlock()
+	}
+	f.pins.Add(-1)
 	close(f.ready)
-	f.ready = nil
 }
 
 // NewPage allocates a fresh page in the file and returns it pinned.
@@ -330,34 +445,32 @@ func (m *Manager) NewPage(file int) (Buf, error) {
 	return m.Get(nil, file, pageNo)
 }
 
-// Release unpins a buffer, marking it dirty if modified.
+// Release unpins a buffer, marking it dirty if modified. It takes no
+// lock.
 func (m *Manager) Release(b Buf, dirty bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f := &m.frames[b.idx]
-	if f.pins <= 0 || f.key != (key{b.File, b.PageNo}) {
+	f := b.f
+	if f == nil || f.pins.Load() <= 0 || f.key != keyOf(b.File, b.PageNo) {
 		panic(fmt.Sprintf("buffer: bad release of file %d page %d", b.File, b.PageNo))
 	}
-	f.pins--
 	if dirty {
-		f.dirty = true
+		f.dirty.Store(true)
 	}
+	f.pins.Add(-1)
 }
 
 // evict picks a victim frame with the clock algorithm
 // (StrategyGetBuffer) and unmaps it, without doing any IO: a dirty
-// victim's flush happens in Get under the frame latch, after the pool
+// victim's flush happens in miss under the frame latch, after the miss
 // mutex drops. The caller holds m.mu, so the sweep's probe events are
 // appended to evs for the caller to emit after unlocking. Loading
 // frames are pinned by their loader, so the pins check skips them.
-func (m *Manager) evict(evs *[]probe.ID) (int, error) {
+func (m *Manager) evict(evs *[]probe.ID) (*frame, error) {
 	*evs = append(*evs, probe.BufClockEnter)
 	n := len(m.frames)
 	for sweep := 0; sweep < 2*n; sweep++ {
-		i := m.hand
+		f := &m.frames[m.hand]
 		m.hand = (m.hand + 1) % n
-		f := &m.frames[i]
-		if f.pins > 0 {
+		if f.pins.Load() > 0 {
 			// Covers loading frames too (their loader holds a pin), and
 			// failed-load frames still pinned by draining waiters.
 			*evs = append(*evs, probe.BufClockSkip)
@@ -365,22 +478,40 @@ func (m *Manager) evict(evs *[]probe.ID) (int, error) {
 		}
 		if !f.valid {
 			*evs = append(*evs, probe.BufClockTake)
-			return i, nil
+			return f, nil
 		}
-		if f.ref {
-			f.ref = false
+		if f.ref.Load() {
+			f.ref.Store(false)
 			*evs = append(*evs, probe.BufClockSkip)
 			continue
 		}
-		delete(m.lookup, f.key)
+		if !m.unmap(f) {
+			*evs = append(*evs, probe.BufClockSkip)
+			continue
+		}
 		*evs = append(*evs, probe.BufClockTake)
-		return i, nil
+		return f, nil
 	}
-	return 0, fmt.Errorf("buffer: all %d frames pinned", n)
+	return nil, fmt.Errorf("buffer: all %d frames pinned (an open scan retains its page, an index scan or join up to tree height + 2, until closed)", n)
 }
 
-// emitAll replays probe events recorded while the pool mutex was
-// held; callers invoke it only after releasing m.mu.
+// unmap removes an unpinned frame from the lookup table, or reports
+// false if a hit pinned it after the sweep looked: pins leaves zero
+// only under the shard of the frame's key, so the check made there
+// holds until the entry is gone. The caller holds m.mu.
+func (m *Manager) unmap(f *frame) bool {
+	sh := m.shardOf(f.key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if f.pins.Load() != 0 {
+		return false
+	}
+	delete(sh.table, f.key)
+	return true
+}
+
+// emitAll replays probe events recorded while a pool lock was held;
+// callers invoke it only after releasing it.
 func emitAll(tr probe.Tracer, evs []probe.ID) {
 	for _, e := range evs {
 		tr.Emit(e)
@@ -397,12 +528,15 @@ func (m *Manager) FlushAll() error {
 	m.mu.Lock()
 	for i := range m.frames {
 		f := &m.frames[i]
-		if f.valid && f.dirty {
-			if err := m.store.WritePage(f.key.file, f.key.page, f.page); err != nil {
+		// Only a filled frame is ever dirty, and no frame changes hands
+		// while the miss mutex is held. The bit is cleared before the
+		// write so a Release(dirty) that lands during it is kept.
+		if f.dirty.Swap(false) {
+			if err := m.store.WritePage(f.key.file(), f.key.page(), f.page); err != nil {
+				f.dirty.Store(true)
 				m.mu.Unlock()
 				return err
 			}
-			f.dirty = false
 		}
 	}
 	// Snapshot under the same mutex hold as the frame sweep: every
@@ -423,30 +557,49 @@ func (m *Manager) FlushAll() error {
 	return nil
 }
 
-// Stats returns hit and miss counts. The counters are atomic, so no
-// increments are lost under concurrent load; reading both is not one
-// atomic snapshot, but each count is exact once the pool quiesces.
+// Stats returns hit and miss counts: every request is one or the
+// other. Hits are counted where they are answered — in the lookup
+// shard, or in the Pin that already held the page, which adds its
+// count when it lets go — so reading them is not one atomic snapshot,
+// but each count is exact once the pool quiesces and no Pin is held.
 func (m *Manager) Stats() (hits, misses uint64) {
-	return m.hits.Load(), m.misses.Load()
+	table, misses := m.tableCounts()
+	return table + m.pinHits.Load(), misses
 }
 
-// Counters exposes the pool's counter registry ("buffer.hits",
-// "buffer.misses") for snapshotting or resetting between benchmark
-// phases.
-func (m *Manager) Counters() *probe.CounterSet { return m.stats }
+// Lookups returns how many requests went to the lookup table (hits
+// there plus misses): Stats less the requests a Pin answered itself.
+func (m *Manager) Lookups() uint64 {
+	table, misses := m.tableCounts()
+	return table + misses
+}
+
+func (m *Manager) tableCounts() (hits, misses uint64) {
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.Lock()
+		hits += sh.hits
+		sh.mu.Unlock()
+	}
+	m.mu.Lock()
+	misses = m.misses
+	m.mu.Unlock()
+	return hits, misses
+}
 
 // NumPages returns the length of a storage file in pages (pass-through
 // to the storage manager so access methods need only the pool).
 func (m *Manager) NumPages(file int) int { return m.store.NumPages(file) }
 
 // PinnedFrames returns the number of currently pinned frames (for
-// leak checks in tests).
+// leak checks in tests). It holds the miss mutex, so no frame changes
+// hands while it counts.
 func (m *Manager) PinnedFrames() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
 	for i := range m.frames {
-		if m.frames[i].pins > 0 {
+		if m.frames[i].pins.Load() > 0 {
 			n++
 		}
 	}

@@ -1,0 +1,468 @@
+package buffer
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/db/probe"
+	"repro/internal/db/storage"
+)
+
+// TestPoolLayoutKeepsCacheLinesApart pins the padding: a frame's pin
+// count and a shard's mutex must not share a cache line with their
+// neighbour's.
+func TestPoolLayoutKeepsCacheLinesApart(t *testing.T) {
+	for _, typ := range []reflect.Type{reflect.TypeOf((*frame)(nil)).Elem(), reflect.TypeOf((*shard)(nil)).Elem()} {
+		if typ.Size()%64 != 0 {
+			t.Errorf("%s is %d bytes, not a whole number of 64-byte cache lines", typ.Name(), typ.Size())
+		}
+	}
+}
+
+// newTaggedStore returns a disk-backed store of one file whose pages
+// carry their own page number in their first eight bytes, and a switch
+// that makes one WritePage in failEvery fail while it is on.
+func newTaggedStore(t testing.TB, pages, failEvery int) (*storage.Store, *atomic.Bool) {
+	t.Helper()
+	st, err := storage.OpenDiskStore(t.TempDir(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := storage.NewPage()
+	for i := 0; i < pages; i++ {
+		pn, err := st.AllocPage(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint64(p, uint64(pn))
+		if err := st.WritePage(0, pn, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var failing atomic.Bool
+	var writes atomic.Uint64
+	st.SetSpill(func(file, page int, data []byte) error {
+		if failing.Load() && writes.Add(1)%uint64(failEvery) == 0 {
+			return errInjectedWrite
+		}
+		return nil
+	})
+	return st, &failing
+}
+
+var errInjectedWrite = errors.New("injected write failure")
+
+func checkTag(p storage.Page, page int) error {
+	if got := binary.LittleEndian.Uint64(p); got != uint64(page) {
+		return fmt.Errorf("page %d holds the bytes of page %d: its frame was recycled under a pin", page, got)
+	}
+	return nil
+}
+
+// TestPoolStress drives a pool an eighth the size of its file from
+// four goroutines mixing Get, Release (clean and dirty), retained pins
+// and FlushAll. While some storage writes fail it checks that nothing
+// a goroutine has pinned is ever recycled (every page carries its page
+// number) and that only the injected error surfaces; once the writes
+// work again and the pool is flushed it checks the accounting exactly:
+// every request is one hit or one miss, and every miss is one storage
+// read.
+func TestPoolStress(t *testing.T) {
+	const pages, frames, goroutines, iters = 256, 32, 4, 4000
+	st, failing := newTaggedStore(t, pages, 5)
+	m := New(st, frames)
+
+	// round runs the mix on every goroutine and returns how many
+	// requests succeeded and failed.
+	round := func(seed int64) (ok, failed uint64) {
+		var wg sync.WaitGroup
+		var nOK, nFailed atomic.Uint64
+		errs := make([]error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed + int64(g)))
+				var pin Pin
+				defer pin.Release()
+				held := -1 // page the pin holds
+				count := func(err error) bool {
+					if err == nil {
+						nOK.Add(1)
+						return true
+					}
+					nFailed.Add(1)
+					if !errors.Is(err, errInjectedWrite) {
+						errs[g] = err
+					}
+					return false
+				}
+				for i := 0; i < iters && errs[g] == nil; i++ {
+					switch op := rng.Intn(16); {
+					case op == 0:
+						if err := m.FlushAll(); err != nil && !errors.Is(err, errInjectedWrite) {
+							errs[g] = err
+						}
+					case op < 8:
+						// A scan's locality: stay on the held page, or move
+						// to one nearby.
+						page := held
+						if page < 0 || rng.Intn(4) == 0 {
+							page = rng.Intn(pages)
+						}
+						p, err := m.Repin(nil, &pin, 0, page)
+						if !count(err) {
+							held = -1
+							continue
+						}
+						held = page
+						errs[g] = checkTag(p, page)
+					default:
+						page := rng.Intn(pages)
+						b, err := m.Get(nil, 0, page)
+						if !count(err) {
+							continue
+						}
+						if err := checkTag(b.Page, page); err != nil {
+							errs[g] = err
+						}
+						m.Release(b, rng.Intn(3) == 0)
+					}
+					// Whatever the other goroutines evicted meanwhile, the
+					// retained page is still the retained page.
+					if held >= 0 && errs[g] == nil {
+						p, err := m.Repin(nil, &pin, 0, held)
+						count(err)
+						if err == nil {
+							errs[g] = checkTag(p, held)
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := m.PinnedFrames(); n != 0 {
+			t.Fatalf("%d frames still pinned after every goroutine released", n)
+		}
+		return nOK.Load(), nFailed.Load()
+	}
+
+	failing.Store(true)
+	ok, failed := round(1)
+	hits, misses := m.Stats()
+	if failed == 0 {
+		t.Fatal("no request failed: the injected write failures never reached an evict-flush")
+	}
+	// A request that fails may or may not have been counted as a miss
+	// (it fails before or after its claim), so failures give a range.
+	if hits+misses < ok || hits+misses > ok+failed {
+		t.Fatalf("hits %d + misses %d = %d with %d requests served and %d failed", hits, misses, hits+misses, ok, failed)
+	}
+
+	failing.Store(false)
+	if err := m.FlushAll(); err != nil {
+		t.Fatalf("FlushAll with working storage: %v", err)
+	}
+	h0, m0 := m.Stats()
+	r0 := st.Reads()
+	ok, failed = round(2)
+	h1, m1 := m.Stats()
+	if failed != 0 {
+		t.Fatalf("%d requests failed with working storage", failed)
+	}
+	if got := (h1 - h0) + (m1 - m0); got != ok {
+		t.Fatalf("hits %d + misses %d = %d, want the %d requests made", h1-h0, m1-m0, got, ok)
+	}
+	if reads := st.Reads() - r0; reads != m1-m0 {
+		t.Fatalf("%d storage reads for %d misses", reads, m1-m0)
+	}
+	if m1-m0 < pages/4 {
+		t.Fatalf("%d misses: implausibly few for a %d-frame pool over %d pages", m1-m0, frames, pages)
+	}
+	if err := m.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPoolFailedEvictFlushKeepsThePage walks the one miss path that
+// touches three frames' worth of state: an eviction whose flush fails
+// while another session is waiting on that flush to re-read the page.
+// The evictor's claim fails and its frame goes back to the dirty page
+// it held; the waiter's own claim — in another frame — fails too
+// rather than read stale bytes; nothing stays pinned, and the page is
+// still in the pool to be hit.
+func TestPoolFailedEvictFlushKeepsThePage(t *testing.T) {
+	st, failing := newTaggedStore(t, 3, 1)
+	m := New(st, 2)
+	inFlush := make(chan struct{})
+	releaseFlush := make(chan struct{})
+	m.testEvictFlushHook = func() {
+		close(inFlush)
+		<-releaseFlush
+	}
+	// Frame 0: page 0, dirtied with a byte only the pool has. Frame 1:
+	// page 1, clean. The next miss evicts page 0.
+	b, err := m.Get(nil, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Page[8] = 0xAB
+	m.Release(b, true)
+	if b, err = m.Get(nil, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	m.Release(b, false)
+	failing.Store(true)
+
+	get := func(page int) chan error {
+		done := make(chan error, 1)
+		go func() {
+			b, err := m.Get(nil, 0, page)
+			if err == nil {
+				m.Release(b, false)
+			}
+			done <- err
+		}()
+		return done
+	}
+	evictor := get(2)
+	<-inFlush // page 0 is unmapped, its flush parked and about to fail
+	rereader := get(0)
+	select {
+	case err := <-rereader:
+		t.Fatalf("re-read of page 0 finished while its flush was in flight (err=%v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(releaseFlush)
+	if err := <-evictor; !errors.Is(err, errInjectedWrite) {
+		t.Fatalf("evictor: %v, want the injected write failure", err)
+	}
+	if err := <-rereader; !errors.Is(err, errInjectedWrite) {
+		t.Fatalf("re-reader: %v, want the flush's failure, not stale bytes", err)
+	}
+	if n := m.PinnedFrames(); n != 0 {
+		t.Fatalf("%d frames pinned after both claims failed", n)
+	}
+
+	m.testEvictFlushHook = nil
+	failing.Store(false)
+	h0, m0 := m.Stats()
+	if b, err = m.Get(nil, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkTag(b.Page, 0); err != nil || b.Page[8] != 0xAB {
+		t.Fatalf("page 0 after the failed flush: tag %v, byte %#x, want the dirty bytes back", err, b.Page[8])
+	}
+	m.Release(b, false)
+	if h1, m1 := m.Stats(); h1-h0 != 1 || m1 != m0 {
+		t.Fatalf("re-reading the restored page: %d hits, %d misses, want a hit", h1-h0, m1-m0)
+	}
+	if err := m.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// reentrantGetTracer calls back into the pool for the very page being
+// requested on every emit: Get locks that page's shard, so an emit
+// issued while the shard is held deadlocks.
+type reentrantGetTracer struct {
+	m      *Manager
+	page   int
+	inside bool
+	events []probe.ID
+}
+
+func (t *reentrantGetTracer) Emit(id probe.ID) {
+	t.events = append(t.events, id)
+	if t.inside {
+		return
+	}
+	t.inside = true
+	defer func() { t.inside = false }()
+	if b, err := t.m.Get(t, 0, t.page); err == nil {
+		t.m.Release(b, false)
+	}
+}
+
+// TestPoolHitEmitsOutsideShard is TestHitPathEmitsOutsideLatch for the
+// lock the hit path does take: a tracer that re-enters Get for the
+// same page — the same shard — on every event completes, from a plain
+// Get and from a Pin.
+func TestPoolHitEmitsOutsideShard(t *testing.T) {
+	_, m := newEnv(t, 4, 2)
+	b, err := m.Get(nil, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Release(b, false)
+
+	tr := &reentrantGetTracer{m: m, page: 1}
+	done := make(chan error, 1)
+	go func() {
+		b, err := m.Get(tr, 0, 1)
+		if err == nil {
+			m.Release(b, false)
+			var pin Pin
+			for i := 0; i < 2 && err == nil; i++ {
+				_, err = m.Repin(tr, &pin, 0, 1)
+			}
+			pin.Release()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("hit-path Get deadlocked: tracer emission runs under the lookup shard")
+	}
+	// Three requests, each three events, each event re-entering for
+	// three more.
+	if want := 3 * 3 * 4; len(tr.events) != want {
+		t.Fatalf("%d events, want %d", len(tr.events), want)
+	}
+	if n := m.PinnedFrames(); n != 0 {
+		t.Fatalf("%d frames left pinned", n)
+	}
+}
+
+// TestPinAnswersRepeatRequestsItself pins the retained pin's contract:
+// a request for the page it holds emits the hit events and counts as a
+// hit but never reaches the lookup table; a request for another page
+// lets the held one go; Release is idempotent and folds the count in.
+func TestPinAnswersRepeatRequestsItself(t *testing.T) {
+	_, m := newEnv(t, 4, 3)
+	tr := &eventTracer{}
+	var pin Pin
+	pin.Release() // the zero Pin holds nothing
+
+	p, err := m.Repin(tr, &pin, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw, err := p.Tuple(0); err != nil || raw[0] != 0 {
+		t.Fatalf("page 0 contents wrong: %v %v", raw, err)
+	}
+	lookups := m.Lookups()
+	tr.events = nil
+	for i := 0; i < 5; i++ {
+		again, err := m.Repin(tr, &pin, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &again[0] != &p[0] {
+			t.Fatal("a repeat request returned another frame")
+		}
+	}
+	if got := m.Lookups(); got != lookups {
+		t.Fatalf("repeat requests made %d table lookups", got-lookups)
+	}
+	want := []probe.ID{probe.BufGetEnter, probe.BufTableLookup, probe.BufGetHit}
+	if len(tr.events) != 5*len(want) {
+		t.Fatalf("repeat requests emitted %v", tr.events)
+	}
+	for i, id := range tr.events {
+		if id != want[i%len(want)] {
+			t.Fatalf("repeat requests emitted %v", tr.events)
+		}
+	}
+	if n := m.PinnedFrames(); n != 1 {
+		t.Fatalf("%d frames pinned, want 1", n)
+	}
+
+	// Another page: the first is let go, its hits are counted.
+	if _, err := m.Repin(nil, &pin, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.PinnedFrames(); n != 1 {
+		t.Fatalf("%d frames pinned after moving on, want 1", n)
+	}
+	if hits, misses := m.Stats(); hits != 5 || misses != 2 {
+		t.Fatalf("stats = %d/%d, want 5 hits (all answered by the pin) and 2 misses", hits, misses)
+	}
+
+	// A failed request leaves the pin empty, not on the old page.
+	if _, err := m.Repin(nil, &pin, 0, 99); err == nil {
+		t.Fatal("page 99 does not exist")
+	}
+	if n := m.PinnedFrames(); n != 0 {
+		t.Fatalf("%d frames pinned after a failed request", n)
+	}
+	pin.Release()
+	pin.Release()
+	if got := m.Lookups(); got != 3 {
+		t.Fatalf("%d table lookups, want 3 (one per distinct page asked for)", got)
+	}
+}
+
+// benchPool returns a pool that holds all of a store's pages, every
+// page faulted in.
+func benchPool(b *testing.B, pages int) *Manager {
+	st := storage.NewStore(1)
+	p := storage.NewPage()
+	for i := 0; i < pages; i++ {
+		pn, err := st.AllocPage(0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := st.WritePage(0, pn, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	m := New(st, 2*pages)
+	for i := 0; i < pages; i++ {
+		buf, err := m.Get(nil, 0, i)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.Release(buf, false)
+	}
+	return m
+}
+
+// BenchmarkPoolGetParallel is the concurrent twin of bench/'s
+// buffer.get_hit_ns probe (Get + Release of a resident page, one
+// goroutine): the same pair from GOMAXPROCS goroutines, all on one
+// page — one shard, one frame's pin count — and each on pages of its
+// own.
+func BenchmarkPoolGetParallel(b *testing.B) {
+	const pages = 256
+	var nop probe.NopTracer
+	run := func(b *testing.B, pageOf func(worker, i int) int) {
+		m := benchPool(b, pages)
+		var workers atomic.Int64
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			w := int(workers.Add(1)) - 1
+			for i := 0; pb.Next(); i++ {
+				buf, err := m.Get(nop, 0, pageOf(w, i))
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				m.Release(buf, false)
+			}
+		})
+	}
+	b.Run("same-page", func(b *testing.B) {
+		run(b, func(int, int) int { return 7 })
+	})
+	b.Run("disjoint-pages", func(b *testing.B) {
+		// Worker w cycles through the pages congruent to w mod 8.
+		run(b, func(w, i int) int { return (w%8 + 8*i) % pages })
+	})
+}

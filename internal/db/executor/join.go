@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/db/access"
+	"repro/internal/db/buffer"
 	"repro/internal/db/catalog"
 	"repro/internal/db/probe"
 	"repro/internal/db/value"
@@ -138,13 +139,21 @@ type IndexLoopJoin struct {
 	row     Tuple // output slot; the current outer tuple sits in front
 	nOuter  int   // width of that outer tuple
 	haveCur bool
-	bscan   access.BTreeScan
-	hscan   access.HashScan
-	key     int64
+	// The inner cursor is re-seeked once per outer tuple and keeps its
+	// pages (and hpin the heap page) between probes; Close releases
+	// them.
+	bscan access.BTreeScan
+	hscan access.HashScan
+	hpin  buffer.Pin
+	key   int64
 }
 
 // Open implements Node.
 func (j *IndexLoopJoin) Open() error {
+	j.unpin()
+	if j.BTree != nil {
+		j.bscan = j.BTree.Cursor()
+	}
 	newSlot(&j.row, j.Schema().Len())
 	j.haveCur = false
 	return j.Outer.Open()
@@ -170,8 +179,7 @@ func (j *IndexLoopJoin) Next() (Tuple, bool, error) {
 			// Start the inner index probe.
 			c.Tr.Emit(probe.NLStartScan)
 			if j.BTree != nil {
-				j.bscan, err = j.BTree.SeekGE(c.Tr, j.key)
-				if err != nil {
+				if err = j.bscan.SeekGE(c.Tr, j.key); err != nil {
 					return nil, false, err
 				}
 			} else {
@@ -206,7 +214,7 @@ func (j *IndexLoopJoin) Next() (Tuple, bool, error) {
 		}
 		nOuter, nInner := j.nOuter, j.InnerSch.Len()
 		c.Tr.Emit(probe.NLFetch)
-		ivals, err := j.Heap.Fetch(c.Tr, tid, j.InnerCols, j.row[nOuter:nOuter])
+		ivals, err := j.Heap.Fetch(c.Tr, &j.hpin, tid, j.InnerCols, j.row[nOuter:nOuter])
 		c.Tr.Emit(probe.NLFetchCont)
 		if err != nil {
 			return nil, false, err
@@ -235,7 +243,15 @@ func (j *IndexLoopJoin) Next() (Tuple, bool, error) {
 
 // Close implements Node.
 func (j *IndexLoopJoin) Close() error {
+	j.unpin()
 	return j.Outer.Close()
+}
+
+// unpin releases every page the inner probe holds; it is idempotent.
+func (j *IndexLoopJoin) unpin() {
+	j.bscan.Close()
+	j.hscan.Close()
+	j.hpin.Release()
 }
 
 // Schema implements Node.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/db/access"
+	"repro/internal/db/buffer"
 	"repro/internal/db/catalog"
 	"repro/internal/db/probe"
 )
@@ -106,8 +107,11 @@ type IndexScan struct {
 
 	Quals []Expr
 
+	// The index cursor and the heap pin keep the pages they are on
+	// pinned from one tuple to the next; Close releases them.
 	bscan   access.BTreeScan
 	hscan   access.HashScan
+	hpin    buffer.Pin
 	started bool  // the index descent has happened
 	row     Tuple // output slot, refilled by every fetched tuple
 	opened  bool
@@ -119,6 +123,10 @@ type IndexScan struct {
 func (s *IndexScan) Open() error {
 	if s.BTree == nil && s.HashIdx == nil {
 		return fmt.Errorf("executor: IndexScan has no index")
+	}
+	s.unpin()
+	if s.BTree != nil {
+		s.bscan = s.BTree.Cursor()
 	}
 	newSlot(&s.row, s.Out.Len())
 	s.opened = true
@@ -132,9 +140,9 @@ func (s *IndexScan) init() error {
 	var err error
 	if s.BTree != nil {
 		if s.HasLo {
-			s.bscan, err = s.BTree.SeekGE(c.Tr, s.Lo)
+			err = s.bscan.SeekGE(c.Tr, s.Lo)
 		} else {
-			s.bscan, err = s.BTree.SeekFirst(c.Tr)
+			err = s.bscan.SeekFirst(c.Tr)
 		}
 	} else {
 		s.HashIdx.Seek(c.Tr, s.EqKey, &s.hscan)
@@ -185,7 +193,7 @@ func (s *IndexScan) Next() (Tuple, bool, error) {
 			return nil, false, nil
 		}
 		c.Tr.Emit(probe.IdxScanFetch)
-		vals, err := s.Heap.Fetch(c.Tr, tid, s.Cols, s.row)
+		vals, err := s.Heap.Fetch(c.Tr, &s.hpin, tid, s.Cols, s.row)
 		c.Tr.Emit(probe.IdxScanCont)
 		if err != nil {
 			return nil, false, err
@@ -208,8 +216,16 @@ func (s *IndexScan) Next() (Tuple, bool, error) {
 
 // Close implements Node.
 func (s *IndexScan) Close() error {
+	s.unpin()
 	s.opened = false
 	return nil
+}
+
+// unpin releases every page the scan holds; it is idempotent.
+func (s *IndexScan) unpin() {
+	s.bscan.Close()
+	s.hscan.Close()
+	s.hpin.Release()
 }
 
 // Schema implements Node.
