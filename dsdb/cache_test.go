@@ -469,3 +469,110 @@ func TestResultCacheTTLExpiry(t *testing.T) {
 		t.Fatal("refilled entry did not serve inside its new TTL")
 	}
 }
+
+// TestResultCacheRawTextAlias pins what the raw-text fast path may not
+// change. After its first hit a query text is answered by one alias
+// lookup, without being parsed — and every counter, every invalidation
+// and every row must be what the canonical lookup would have produced:
+// one hit or one miss per execution; an Insert on a referenced table
+// turns the next raw-text lookup into a miss and an invalidation whose
+// re-execution byte-compares with an uncached database; the alias's
+// bytes leave with the invalidated entry; and spellings beyond the
+// per-entry alias cap still share the one entry and still hit.
+func TestResultCacheRawTextAlias(t *testing.T) {
+	ctx := context.Background()
+	plain := openTPCD(t, 0.0005)
+	defer plain.Close()
+	db := openTPCD(t, 0.0005, dsdb.WithResultCache(cacheBudget))
+	defer db.Close()
+	for _, d := range []*dsdb.DB{plain, db} {
+		if err := d.CreateTable("audit", dsdb.Col("a_id", dsdb.Int)); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Insert("audit", dsdb.NewInt(7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const q = "select count(*), sum(a_id) from audit"
+	run := func(d *dsdb.DB, text string) (*dsdb.Result, bool) {
+		t.Helper()
+		rows, err := d.Query(ctx, text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rows.Close()
+		res := &dsdb.Result{Columns: rows.Columns()}
+		for rows.Next() {
+			res.Rows = append(res.Rows, rows.Values())
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return res, rows.CacheHit()
+	}
+	stats := func() (st struct{ hits, misses, inval uint64 }, used int64) {
+		s, _ := db.ResultCacheStats()
+		st.hits, st.misses, st.inval = s.Hits, s.Misses, s.Invalidations
+		return st, s.UsedBytes
+	}
+
+	if _, hit := run(db, q); hit {
+		t.Fatal("fill was a hit")
+	}
+	_, filled := stats()
+	const hits = 5 // the first by canonical key, the rest by raw text
+	for i := 0; i < hits; i++ {
+		if _, hit := run(db, q); !hit {
+			t.Fatalf("repeat %d missed", i)
+		}
+	}
+	st, aliased := stats()
+	if st.hits != hits || st.misses != 1 || st.inval != 0 {
+		t.Fatalf("after 1 fill and %d repeats: %+v, want %d hits and 1 miss", hits, st, hits)
+	}
+	if aliased <= filled {
+		t.Fatalf("UsedBytes %d after the alias, %d before: the alias is not charged", aliased, filled)
+	}
+
+	for _, d := range []*dsdb.DB{plain, db} {
+		if err := d.Insert("audit", dsdb.NewInt(35)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, _ := run(plain, q)
+	got, hit := run(db, q)
+	if hit {
+		t.Fatal("raw-text lookup served a result from before the Insert")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("re-execution after the Insert = %v, uncached database says %v", got, want)
+	}
+	st, refilled := stats()
+	if st.hits != hits || st.misses != 2 || st.inval != 1 {
+		t.Fatalf("after the Insert: %+v, want one more miss and one invalidation", st)
+	}
+	if refilled != filled {
+		t.Fatalf("UsedBytes %d after invalidation and refill, want the pre-alias %d", refilled, filled)
+	}
+
+	spellings := []string{
+		"SELECT count(*), sum(a_id) FROM audit",
+		"select  count(*),  sum(a_id)  from  audit",
+		"select count(*), sum(a_id)\nfrom audit",
+		"\tselect count(*), sum(a_id) from audit",
+		"select count(*), sum(a_id) from audit ",
+		"Select Count(*), Sum(a_id) From audit",
+		"select count(*),sum(a_id) from audit",
+	}
+	for pass := 0; pass < 2; pass++ {
+		for _, s := range spellings {
+			got, hit := run(db, s)
+			if !hit || !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Fatalf("pass %d, spelling %q: hit=%v rows=%v, want a hit with %v", pass, s, hit, got.Rows, want.Rows)
+			}
+		}
+	}
+	if s, _ := db.ResultCacheStats(); s.Entries != 1 || s.Hits != hits+uint64(2*len(spellings)) || s.Misses != 2 {
+		t.Fatalf("after %d spellings twice: %+v, want one entry, every spelling a hit", len(spellings), s)
+	}
+}

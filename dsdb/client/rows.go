@@ -21,6 +21,12 @@ type conn struct {
 	w         *bufio.Writer
 	sessionID uint32
 	wmu       sync.Mutex
+
+	// rbuf is the one buffer every frame is read into: a frame returned
+	// by read is valid until the next read. That is safe because each
+	// frame is decoded before the next is read and the decoders copy
+	// every string out of the payload.
+	rbuf []byte
 }
 
 // send writes and flushes one frame.
@@ -33,9 +39,10 @@ func (c *conn) send(k wire.Kind, payload []byte) error {
 	return c.w.Flush()
 }
 
-// read decodes the next server frame.
+// read decodes the next server frame into the connection's reused
+// buffer; the frame is valid until the next read.
 func (c *conn) read() (wire.Frame, error) {
-	return wire.ReadFrame(c.r)
+	return wire.ReadFrameInto(c.r, &c.rbuf)
 }
 
 // close tears the connection down, telling the server first when
@@ -65,12 +72,16 @@ type Rows struct {
 	queryID   uint64 // server-assigned query id from the Done frame
 	released  bool
 
-	// cancelMu serializes the context watcher against stream
+	// cancelMu serializes the context callback against stream
 	// completion: exactly one of "query finished" / "Cancel sent" wins.
+	// stopWatch unregisters the callback (nil for a context that can
+	// never be done); grace is the sever timer armed once a Cancel has
+	// gone out.
 	cancelMu   sync.Mutex
 	finished   bool
 	cancelSent bool
-	stop       chan struct{}
+	stopWatch  func() bool
+	grace      *time.Timer
 }
 
 // cancelGrace is how long a cancelled query waits for the server to
@@ -80,14 +91,18 @@ type Rows struct {
 const cancelGrace = 5 * time.Second
 
 // newRows consumes the response header for a just-submitted query.
-// The cancellation watcher starts before the header read, so a
+// The cancellation callback is registered before the header read, so a
 // context that expires while the server is still compiling (or
 // queued behind a writer latch) interrupts the query too. A
 // query-level error frame surfaces as the returned error with the
 // connection still healthy.
 func newRows(db *DB, c *conn, ctx context.Context) (*Rows, error) {
-	r := &Rows{db: db, c: c, ctx: ctx, stop: make(chan struct{})}
-	go r.watchCtx()
+	r := &Rows{db: db, c: c, ctx: ctx}
+	if ctx.Done() != nil {
+		// No goroutine exists for this unless the context is actually
+		// cancelled; a context that cannot be (Background) costs nothing.
+		r.stopWatch = context.AfterFunc(ctx, r.cancelled)
+	}
 	fr, err := c.read()
 	if err != nil {
 		r.release(false)
@@ -120,37 +135,33 @@ func newRows(db *DB, c *conn, ctx context.Context) (*Rows, error) {
 	}
 }
 
-// watchCtx sends one Cancel frame the moment the query's context is
-// done, unless the stream already finished — this is what lets a
-// client blocked mid-stream interrupt the server — then severs the
-// connection if the server does not end the stream within the grace
-// period, unblocking any reader.
-func (r *Rows) watchCtx() {
-	select {
-	case <-r.ctx.Done():
-		r.cancelMu.Lock()
-		finished := r.finished
-		if !finished && !r.cancelSent {
-			r.cancelSent = true
-			r.c.send(wire.KindCancel, nil)
-		}
-		r.cancelMu.Unlock()
-		if finished {
-			return
-		}
-		select {
-		case <-r.stop:
-		case <-time.After(cancelGrace):
-			r.cancelMu.Lock()
-			if !r.finished {
-				// No acknowledgement: the server is hung or unreachable.
-				// Closing the socket fails the pending read, which
-				// releases the Rows with the connection discarded.
-				r.c.nc.Close()
-			}
-			r.cancelMu.Unlock()
-		}
-	case <-r.stop:
+// cancelled runs (on its own goroutine, via context.AfterFunc) the
+// moment the query's context is done: it sends one Cancel frame, unless
+// the stream already finished — this is what lets a client blocked
+// mid-stream interrupt the server — and arms the grace timer that
+// severs the connection if the server does not end the stream in time,
+// unblocking any reader.
+func (r *Rows) cancelled() {
+	r.cancelMu.Lock()
+	defer r.cancelMu.Unlock()
+	if r.finished {
+		return
+	}
+	if !r.cancelSent {
+		r.cancelSent = true
+		r.c.send(wire.KindCancel, nil)
+	}
+	r.grace = time.AfterFunc(cancelGrace, r.sever)
+}
+
+// sever closes the socket of a stream whose Cancel went unacknowledged
+// for cancelGrace: the server is hung or unreachable. Closing fails the
+// pending read, which releases the Rows with the connection discarded.
+func (r *Rows) sever() {
+	r.cancelMu.Lock()
+	defer r.cancelMu.Unlock()
+	if !r.finished {
+		r.c.nc.Close()
 	}
 }
 
@@ -303,18 +314,24 @@ func (r *Rows) abort() {
 	}
 }
 
-// release ends the stream exactly once: stops the watcher, drops the
-// row state, and hands the connection back (to the pool, the owning
-// statement, or the void when unhealthy).
+// release ends the stream exactly once: unregisters the context
+// callback and the grace timer, drops the row state, and hands the
+// connection back (to the pool, the owning statement, or the void when
+// unhealthy).
 func (r *Rows) release(healthy bool) {
 	if r.released {
 		return
 	}
 	r.released = true
+	if r.stopWatch != nil {
+		r.stopWatch()
+	}
 	r.cancelMu.Lock()
 	r.finished = true
+	if r.grace != nil {
+		r.grace.Stop()
+	}
 	r.cancelMu.Unlock()
-	close(r.stop)
 	r.cur = nil
 	r.batch = nil
 	r.idx = 0

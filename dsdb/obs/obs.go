@@ -215,6 +215,18 @@ func (s *Span) Add(st Stage, d time.Duration) {
 	s.stages[st].Add(int64(d))
 }
 
+// Stage returns what has been accumulated into the given stage so far,
+// as added (the disjoint-exec clamp is End's and StageNanos'). It lets
+// an outer timer book "everything in this interval that an inner stage
+// has not already booked" with two clock reads, whatever the number of
+// inner Adds. 0 for a nil span.
+func (s *Span) Stage(st Stage) time.Duration {
+	if s == nil {
+		return 0
+	}
+	return time.Duration(s.stages[st].Load())
+}
+
 // AddRows accumulates produced/streamed rows.
 func (s *Span) AddRows(n int64) {
 	if s == nil || n == 0 {

@@ -212,7 +212,11 @@ func TestConcurrentAccess(t *testing.T) {
 				case 0:
 					c.Put(key, f, res(2, 4), -1)
 				case 1:
-					c.Get(key, cur)
+					if _, known := c.GetRaw(key+" ", cur); !known {
+						if _, ok := c.Get(key, cur); ok {
+							c.AddAlias(key, key+" ")
+						}
+					}
 				default:
 					if i%100 == 0 {
 						c.Invalidate(table)
@@ -231,6 +235,7 @@ func TestConcurrentAccess(t *testing.T) {
 	if st.Entries != c.Len() {
 		t.Fatalf("entry count mismatch: %+v vs %d", st, c.Len())
 	}
+	checkAliases(t, c)
 }
 
 // TestAdmissionPolicyCheapNeverEvictsExpensive pins the admission
@@ -309,5 +314,192 @@ func TestTTLExpiryCountsAsMiss(t *testing.T) {
 	now = now.Add(30 * time.Second)
 	if _, ok := c.Get("k", epochFn(epochs)); !ok {
 		t.Fatal("refilled entry expired early")
+	}
+}
+
+// checkAliases verifies the alias index against the entries: every
+// alias names a live entry that lists it, and nothing else is indexed.
+func checkAliases(t *testing.T, c *Cache) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	listed := 0
+	for _, e := range c.entries {
+		if len(e.aliases) > maxAliases {
+			t.Errorf("entry %q holds %d aliases, cap %d", e.key, len(e.aliases), maxAliases)
+		}
+		for _, raw := range e.aliases {
+			listed++
+			if c.aliases[raw] != e {
+				t.Errorf("alias %q of entry %q is not indexed to it", raw, e.key)
+			}
+		}
+	}
+	if listed != len(c.aliases) {
+		t.Errorf("%d aliases indexed, %d listed on live entries: a dropped entry left a name behind", len(c.aliases), listed)
+	}
+}
+
+// TestAliasIsAnotherNameForTheEntry: a raw text that is no alias counts
+// nothing; once added it hits, counted once, exactly like the key.
+func TestAliasIsAnotherNameForTheEntry(t *testing.T) {
+	epochs := map[string]uint64{"orders": 3}
+	c := New(1 << 20)
+	r := res(5, 4)
+	c.Put("select 1", fp(epochs, "orders"), r, -1)
+	if got, known := c.GetRaw("SELECT  1", epochFn(epochs)); known || got != nil {
+		t.Fatalf("unknown raw text: %v, known=%v", got, known)
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("an unknown raw text was counted: %+v", st)
+	}
+	base := c.Stats().UsedBytes
+	c.AddAlias("select 1", "SELECT  1")
+	c.AddAlias("select 1", "SELECT  1") // again: no second charge
+	c.AddAlias("select 2", "SELECT  2") // no such entry: no alias
+	if got, want := c.Stats().UsedBytes, base+aliasOverhead+int64(len("SELECT  1")); got != want {
+		t.Fatalf("UsedBytes with one alias = %d, want %d", got, want)
+	}
+	for i := 0; i < 3; i++ {
+		if got, known := c.GetRaw("SELECT  1", epochFn(epochs)); !known || got != r {
+			t.Fatalf("alias lookup %d: %v, known=%v", i, got, known)
+		}
+	}
+	if _, known := c.GetRaw("SELECT  2", epochFn(epochs)); known {
+		t.Fatal("alias of a missing entry is known")
+	}
+	if st := c.Stats(); st.Hits != 3 || st.Misses != 0 || st.Entries != 1 {
+		t.Fatalf("after three alias hits: %+v", st)
+	}
+	checkAliases(t, c)
+}
+
+// TestAliasValidatedLikeTheKey: the epoch and TTL checks run on an
+// alias lookup as on a key lookup, with the same counters moving.
+func TestAliasValidatedLikeTheKey(t *testing.T) {
+	epochs := map[string]uint64{"orders": 3}
+	base := time.Unix(1_000_000, 0)
+	now := base
+	c := NewWith(Config{MaxBytes: 1 << 20, TTL: time.Minute})
+	c.SetNowFunc(func() time.Time { return now })
+	empty := c.Stats().UsedBytes
+
+	c.Put("k", fp(epochs, "orders"), res(2, 0), -1)
+	c.AddAlias("k", "K")
+	epochs["orders"]++
+	if got, known := c.GetRaw("K", epochFn(epochs)); !known || got != nil {
+		t.Fatalf("stale alias: %v, known=%v; want a counted miss", got, known)
+	}
+	if st := c.Stats(); st.Invalidations != 1 || st.Misses != 1 || st.Hits != 0 || st.Entries != 0 || st.UsedBytes != empty {
+		t.Fatalf("after invalidation through an alias: %+v", st)
+	}
+	if _, known := c.GetRaw("K", epochFn(epochs)); known {
+		t.Fatal("alias survived its entry's invalidation")
+	}
+
+	c.Put("k", fp(epochs, "orders"), res(2, 0), -1)
+	c.AddAlias("k", "K")
+	now = base.Add(time.Minute)
+	if got, known := c.GetRaw("K", epochFn(epochs)); !known || got != nil {
+		t.Fatalf("expired alias: %v, known=%v; want a counted miss", got, known)
+	}
+	if st := c.Stats(); st.Expirations != 1 || st.Misses != 2 || st.Entries != 0 || st.UsedBytes != empty {
+		t.Fatalf("after expiry through an alias: %+v", st)
+	}
+	checkAliases(t, c)
+}
+
+// TestAliasesGoWithTheirEntry: however an entry leaves — replaced,
+// evicted, invalidated by table, cleared — its aliases and their bytes
+// leave with it.
+func TestAliasesGoWithTheirEntry(t *testing.T) {
+	epochs := map[string]uint64{"t": 1, "u": 1}
+	r := res(4, 8)
+	one := EntryBytes("a", fp(epochs, "t"), r)
+	c := New(2*one + 200) // two entries and a few aliases, not three entries
+	c.Put("a", fp(epochs, "t"), r, -1)
+	c.AddAlias("a", "A")
+	c.AddAlias("a", " a ")
+	withAliases := c.Stats().UsedBytes
+	if withAliases <= one {
+		t.Fatalf("aliases were not charged: %d <= %d", withAliases, one)
+	}
+
+	c.Put("a", fp(epochs, "t"), r, -1) // replace
+	if got := c.Stats().UsedBytes; got != one {
+		t.Fatalf("UsedBytes after replacing an aliased entry = %d, want %d", got, one)
+	}
+	if _, known := c.GetRaw("A", epochFn(epochs)); known {
+		t.Fatal("alias survived its entry's replacement")
+	}
+
+	c.AddAlias("a", "A")
+	c.Put("b", fp(epochs, "u"), r, -1)
+	c.Put("c", fp(epochs, "u"), r, -1) // evicts a, the least recently used
+	if st := c.Stats(); st.Evictions != 1 || st.UsedBytes != 2*one {
+		t.Fatalf("after evicting an aliased entry: %+v, want UsedBytes %d", st, 2*one)
+	}
+	if _, known := c.GetRaw("A", epochFn(epochs)); known {
+		t.Fatal("alias survived its entry's eviction")
+	}
+
+	c.AddAlias("b", "B")
+	if n := c.Invalidate("u"); n != 2 {
+		t.Fatalf("Invalidate dropped %d entries, want 2", n)
+	}
+	if st := c.Stats(); st.UsedBytes != 0 || st.Entries != 0 {
+		t.Fatalf("after Invalidate: %+v", st)
+	}
+	checkAliases(t, c)
+
+	c.Put("a", fp(epochs, "t"), r, -1)
+	c.AddAlias("a", "A")
+	c.Clear()
+	if _, known := c.GetRaw("A", epochFn(epochs)); known || c.Stats().UsedBytes != 0 {
+		t.Fatal("alias survived Clear")
+	}
+}
+
+// TestAliasCapAndBudget: an entry keeps at most maxAliases names, and a
+// name is charged under MaxBytes like anything else — it may push out
+// the least recently used entry, never the one it names.
+func TestAliasCapAndBudget(t *testing.T) {
+	epochs := map[string]uint64{"t": 1}
+	c := New(1 << 20)
+	c.Put("k", fp(epochs, "t"), res(1, 0), -1)
+	for i := 0; i < maxAliases+3; i++ {
+		c.AddAlias("k", fmt.Sprintf("variant %d", i))
+	}
+	known := 0
+	for i := 0; i < maxAliases+3; i++ {
+		if _, ok := c.GetRaw(fmt.Sprintf("variant %d", i), epochFn(epochs)); ok {
+			known++
+		}
+	}
+	if known != maxAliases {
+		t.Fatalf("%d variants known, cap %d", known, maxAliases)
+	}
+	checkAliases(t, c)
+
+	r := res(4, 8)
+	one := EntryBytes("a", fp(epochs, "t"), r)
+	c = New(2*one + 10) // two entries fit, an alias on top does not
+	c.Put("a", fp(epochs, "t"), r, -1)
+	c.Put("b", fp(epochs, "t"), r, -1)
+	c.AddAlias("b", "B") // makes room by evicting a
+	if st := c.Stats(); st.Evictions != 1 || st.Entries != 1 || st.UsedBytes > st.MaxBytes {
+		t.Fatalf("alias over budget: %+v", st)
+	}
+	if _, ok := c.GetRaw("B", epochFn(epochs)); !ok {
+		t.Fatal("alias not added after room was made")
+	}
+	c = New(one + 10) // the entry alone fills the budget
+	c.Put("a", fp(epochs, "t"), r, -1)
+	c.AddAlias("a", "a rather long alias text")
+	if st := c.Stats(); st.Entries != 1 || st.Evictions != 0 || st.UsedBytes != one {
+		t.Fatalf("an alias that cannot fit evicted or overcommitted: %+v", st)
+	}
+	if _, ok := c.GetRaw("a rather long alias text", epochFn(epochs)); ok {
+		t.Fatal("alias added over budget")
 	}
 }

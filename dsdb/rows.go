@@ -377,6 +377,14 @@ func (r *Rows) Values() []Value {
 	return append([]Value(nil), r.cur...)
 }
 
+// BorrowValues returns the current row without copying it: a read-only
+// view that is valid only until the next call to Next or Close — the
+// executor refills the same row, and on a cache hit it is the cache's
+// own, shared with every other reader. For consumers that are done with
+// a row before they ask for the next one (the server encodes it onto
+// the wire); anyone who keeps a row calls Values.
+func (r *Rows) BorrowValues() []Value { return r.cur }
+
 // Scan copies the current row into dest, one pointer per column; the
 // copies stay valid after the next Next. Supported destinations:
 // *int64, *int, *float64, *string, *bool, *Value and *any.
@@ -585,43 +593,61 @@ func (db *DB) QueryObserved(ctx context.Context, tr Tracer, label, query string)
 	return stmt.execQuery(ctx, false, sp)
 }
 
-// cachedQuery attempts the one-shot result-cache fast path: parse
-// only (no planning), look the canonical key up under the shared
-// engine latch, and serve a valid entry as a materialized Rows. Any
+// cachedQuery attempts the one-shot result-cache fast path, under the
+// shared engine latch: first by the query's raw text (an alias of an
+// entry this text hit before — one map lookup, no lexer), and only when
+// the text is not known by parse (no planning) and canonical key. Any
 // parse failure falls through to the full compile path, which owns
 // error reporting. A key can only be cached if the query once
 // compiled and ran — and tables are never dropped — so skipping
 // plan-time validation on a hit cannot hide a real error.
+// Exactly one probe is counted per call: a known raw text is validated
+// and counted by GetRaw (a stale entry is the miss, and the compile
+// path that follows does not probe again); an unknown one counts
+// nothing until Get.
 // The span is carried, not ended: a miss continues into the compile
 // path with its parse time already attributed.
 func (db *DB) cachedQuery(ctx context.Context, query string, sp *obs.Span) (*Rows, bool) {
 	if db.cache == nil {
 		return nil, false
 	}
-	// Stage boundaries share one clock reading each: Begin's reading
-	// starts the plan stage, the reading that ends it starts the cache
-	// stage — and every boundary is a monotonic-only read (time.Since)
-	// off the span's start. The cached-hit path is the latency-
-	// sensitive one, and clock reads are its dominant tracing cost.
-	key, _, err := sql.Analyze(query)
-	var d1 time.Duration
-	if sp != nil {
-		d1 = time.Since(sp.StartTime())
-		sp.Add(obs.StagePlan, d1) // parsing is plan-stage work
-	}
-	if err != nil {
-		return nil, false
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	release := db.eng.BeginRead()
-	res, ok := db.cache.Get(key, db.eng.TableEpoch)
+	res, known := db.cache.GetRaw(query, db.eng.TableEpoch)
 	release()
+	// Stage boundaries share one clock reading each: Begin's reading
+	// starts the first stage, the reading that ends it starts the next
+	// — and every boundary is a monotonic-only read (time.Since) off
+	// the span's start. The cached-hit path is the latency-sensitive
+	// one, and clock reads are its dominant tracing cost.
+	var d0 time.Duration
 	if sp != nil {
-		sp.Add(obs.StageCache, time.Since(sp.StartTime())-d1)
+		d0 = time.Since(sp.StartTime())
+		sp.Add(obs.StageCache, d0)
 	}
-	if !ok {
+	if !known {
+		key, _, err := sql.Analyze(query)
+		var d1 time.Duration
+		if sp != nil {
+			d1 = time.Since(sp.StartTime())
+			sp.Add(obs.StagePlan, d1-d0) // parsing is plan-stage work
+		}
+		if err != nil {
+			return nil, false
+		}
+		release := db.eng.BeginRead()
+		res, _ = db.cache.Get(key, db.eng.TableEpoch)
+		release()
+		if res != nil {
+			db.cache.AddAlias(key, query)
+		}
+		if sp != nil {
+			sp.Add(obs.StageCache, time.Since(sp.StartTime())-d1)
+		}
+	}
+	if res == nil {
 		return nil, false
 	}
 	sp.SetCacheHit()

@@ -13,9 +13,9 @@ import (
 
 // benchServer is testServer for benchmarks: a served TPC-D database
 // and one dialed client, everything torn down with the benchmark.
-func benchServer(b *testing.B, opts ...server.Option) *client.DB {
+func benchServer(b *testing.B, dbOpts []dsdb.Option, opts ...server.Option) *client.DB {
 	b.Helper()
-	db, err := dsdb.Open(dsdb.WithTPCD(0.0005), dsdb.WithSeed(42))
+	db, err := dsdb.Open(append([]dsdb.Option{dsdb.WithTPCD(0.0005), dsdb.WithSeed(42)}, dbOpts...)...)
 	if err != nil {
 		b.Fatalf("Open: %v", err)
 	}
@@ -34,9 +34,11 @@ func benchServer(b *testing.B, opts ...server.Option) *client.DB {
 	return c
 }
 
-func benchmarkServedQuery(b *testing.B, c *client.DB) {
+// smallQuery is the served/captured pair's one-row query.
+const smallQuery = "select count(*) from region"
+
+func benchmarkServedQuery(b *testing.B, c *client.DB, q string) {
 	b.Helper()
-	q := "select count(*) from region"
 	// Warm the pools so the measured loop is steady-state.
 	for i := 0; i < 3; i++ {
 		rows, err := c.Query(context.Background(), q)
@@ -66,7 +68,19 @@ func benchmarkServedQuery(b *testing.B, c *client.DB) {
 // BenchmarkQueryServed is the baseline: one client, one small query,
 // no capture.
 func BenchmarkQueryServed(b *testing.B) {
-	benchmarkServedQuery(b, benchServer(b))
+	benchmarkServedQuery(b, benchServer(b, nil), smallQuery)
+}
+
+// BenchmarkQueryServedHit is one result-cache hit over the wire: TPC-D
+// Q3's ten rows, served from the cache on every iteration (the warm-up
+// fills the entry and records the text's alias). Its twin is
+// BenchmarkQueryCached in package dsdb, the same hit without the
+// network; the gap between the two is what serving a hit costs.
+func BenchmarkQueryServedHit(b *testing.B) {
+	q, _ := dsdb.TPCDQuery(3)
+	c := benchServer(b, []dsdb.Option{dsdb.WithResultCache(64 << 20)})
+	b.ReportAllocs()
+	benchmarkServedQuery(b, c, q)
 }
 
 // BenchmarkQueryCaptured is the same served query with workload
@@ -79,8 +93,8 @@ func BenchmarkQueryCaptured(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := benchServer(b, server.WithCapture(w))
-	benchmarkServedQuery(b, c)
+	c := benchServer(b, nil, server.WithCapture(w))
+	benchmarkServedQuery(b, c, smallQuery)
 	b.StopTimer()
 	if err := w.Close(); err != nil {
 		b.Fatalf("closing capture: %v", err)

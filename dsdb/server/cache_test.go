@@ -97,6 +97,16 @@ func TestServedCacheHitAttribution(t *testing.T) {
 	if !hit || !reflect.DeepEqual(fourth, fifth) {
 		t.Fatalf("post-insert repeat: hit=%v identical=%v; want true/true", hit, reflect.DeepEqual(fourth, fifth))
 	}
+
+	// One probe counted per execution, whichever way the text was looked
+	// up (the third and fourth went by raw-text alias): three hits, the
+	// fill and the post-insert miss, one invalidation.
+	if st, _ := db.ResultCacheStats(); st.Hits != 3 || st.Misses != 2 || st.Invalidations != 1 {
+		t.Fatalf("cache counters after 5 served executions: %+v, want 3 hits, 2 misses, 1 invalidation", st)
+	}
+	if got := srv.Stats().CacheHits; got != 3 {
+		t.Fatalf("server counted %d cache hits, want 3", got)
+	}
 }
 
 // mkLineitemRow builds one lineitem row that passes Q6's filters

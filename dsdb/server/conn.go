@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -20,8 +19,13 @@ type conn struct {
 	srv   *Server
 	id    int
 	nc    net.Conn
-	w     *bufio.Writer
 	hooks SessionHooks
+
+	// out holds the frames built but not yet written: whole frames, laid
+	// out end to end, handed to the socket in one write by flush. Handler
+	// goroutine only; empty between requests, because every response
+	// ends in a frame that flushes.
+	out wire.Encoder
 
 	// frames is fed by readLoop; closed when the socket dies. Its
 	// buffer is what lets a Cancel frame arrive while the handler is
@@ -94,7 +98,7 @@ func (c *conn) capture(label, sql string, start time.Time, sp *obs.Span, rows, b
 	}
 	if sp != nil {
 		st := sp.StageNanos()
-		rec.Stages = st[:]
+		rec.NumStages = uint8(copy(rec.StageArr[:], st[:]))
 	}
 	w.Capture(rec)
 }
@@ -189,30 +193,70 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// send writes one frame and flushes it, bounded by the write timeout.
-// A client that stops reading makes Flush block once the kernel
-// buffers fill; the deadline caps that, and the timeout path cancels
-// the in-flight query so its open Rows — and with it the engine's
-// shared read latch — is released on the way out. This is the fix for
-// the stalled-reader-wedges-writers liveness bug.
+// send buffers one frame and flushes: for the frames that are a whole
+// response (HelloOK, PrepareOK, StatsResult) or that end one (Error).
 func (c *conn) send(k wire.Kind, payload []byte) error {
-	if d := c.srv.cfg.writeTimeout; d > 0 {
-		if err := c.nc.SetWriteDeadline(time.Now().Add(d)); err != nil {
-			return err
-		}
+	mark := c.out.Len()
+	if err := c.out.Frame(k, payload); err != nil {
+		return err
 	}
-	if err := wire.WriteFrame(c.w, k, payload); err != nil {
-		return c.writeFailed(err)
+	c.countFrame(mark)
+	return c.flush()
+}
+
+// endFrame closes the frame opened at mark in c.out and counts its
+// bytes. Counting here, not at the write, keeps two properties of the
+// per-frame writes this replaced: a frame is in Stats before the flush
+// that lets the client read it — a client holding a Done frame finds it
+// counted — and a frame that is built but dropped unsent (the open
+// batch of a stream that fails) never is.
+func (c *conn) endFrame(mark int) error {
+	if err := c.out.EndFrame(mark); err != nil {
+		return err
 	}
-	// Count the frame before it is flushed: once the client has read
-	// it — a Done frame completing its answer, say — Stats includes it.
-	n := uint64(len(payload)) + wire.FrameOverhead
+	c.countFrame(mark)
+	return nil
+}
+
+// countFrame counts the bytes of the closed frame that begins at mark
+// and ends the buffer.
+func (c *conn) countFrame(mark int) {
+	n := uint64(c.out.Len() - mark)
 	c.srv.counters.bytesWritten.Add(n)
 	c.stats.bytesOut.Add(n)
-	if err := c.w.Flush(); err != nil {
-		return c.writeFailed(err)
+}
+
+// maxRetainedOut is the largest output buffer a connection keeps for
+// its next response; a flush bigger than this (a batch of very wide
+// rows) gives its buffer back to the collector.
+const maxRetainedOut = 256 << 10
+
+// flush hands the socket every buffered frame in one write, bounded by
+// the write timeout. A client that stops reading makes the write block
+// once the kernel buffers fill; the deadline caps that, and the timeout
+// path cancels the in-flight query so its open Rows — and with it the
+// engine's shared read latch — is released on the way out. This is the
+// fix for the stalled-reader-wedges-writers liveness bug.
+func (c *conn) flush() error {
+	n := c.out.Len()
+	if n == 0 {
+		return nil
 	}
-	return nil
+	var err error
+	if d := c.srv.cfg.writeTimeout; d > 0 {
+		err = c.nc.SetWriteDeadline(time.Now().Add(d))
+	}
+	if err == nil {
+		if _, err = c.nc.Write(c.out.Bytes()); err != nil {
+			err = c.writeFailed(err)
+		}
+	}
+	if n > maxRetainedOut {
+		c.out = wire.Encoder{}
+	} else {
+		c.out.Reset()
+	}
+	return err
 }
 
 // rowTally is one result stream's row count: n rows taken from the
@@ -250,8 +294,9 @@ func (c *conn) farewell(code, msg string) {
 	if c.nc.SetWriteDeadline(time.Now().Add(refuseTimeout)) != nil {
 		return
 	}
-	if wire.WriteFrame(c.w, wire.KindError, wire.EncodeError(wire.ErrorFrame{Code: code, Message: msg})) == nil {
-		c.w.Flush()
+	var e wire.Encoder
+	if e.Frame(wire.KindError, wire.EncodeError(wire.ErrorFrame{Code: code, Message: msg})) == nil {
+		c.nc.Write(e.Bytes())
 	}
 }
 
@@ -566,8 +611,128 @@ func (c *conn) handleQueryStmt(q wire.QueryStmt) error {
 	return c.streamRows(rows, q.Label, c.stmtSQL[q.StmtID], start)
 }
 
+// resultWriter lays one result stream — RowHeader, RowBatch*, then Done
+// or Error — out in the connection's output buffer; streamRows and
+// streamStatic both write through it. The flush rule: the RowHeader and
+// a partial RowBatch wait in the buffer, a full RowBatch (BatchRows
+// rows) is written at once together with whatever waits before it, and
+// the terminal frame always flushes. So a result of n rows costs
+// n/BatchRows + 1 socket writes — one, for the short results that are
+// most of a decision-support mix — while a long one still reaches the
+// client a batch at a time, as soon as each batch exists.
+type resultWriter struct {
+	c  *conn
+	sp *obs.Span // nil when unobserved
+
+	batch int // mark of the open RowBatch in c.out, -1 when there is none
+	n     int // rows encoded into the open batch
+
+	tally  rowTally
+	bytes0 uint64 // c.stats.bytesOut when the stream began
+
+	// netStart and exec0 time the span's net stage: the stream's wall
+	// time less what the executor's pulls booked as exec meanwhile — the
+	// encoding, the socket writes and the loop around them — read off two
+	// clock readings per stream rather than two per frame. netStart is
+	// zero once the stage is closed (or was never open: no span).
+	netStart time.Time
+	exec0    time.Duration
+}
+
+// beginResult opens a result stream with its RowHeader (buffered).
+func (c *conn) beginResult(sp *obs.Span, cols []string) (resultWriter, error) {
+	w := resultWriter{c: c, sp: sp, batch: -1, bytes0: c.stats.bytesOut.Load()}
+	if sp != nil {
+		w.netStart, w.exec0 = time.Now(), sp.Stage(obs.StageExec)
+	}
+	mark := c.out.BeginFrame(wire.KindRowHeader)
+	c.out.RowHeader(wire.RowHeader{Columns: cols})
+	return w, c.endFrame(mark)
+}
+
+// row encodes one row into the open batch — straight from the caller's
+// view of it, which need not outlive the call — and writes the batch
+// out when it is full.
+func (w *resultWriter) row(vals []dsdb.Value) error {
+	if w.batch < 0 {
+		w.batch = w.c.out.BeginRowBatch()
+	}
+	w.c.out.Row(vals)
+	w.n++
+	w.tally.n++
+	if w.n < wire.BatchRows {
+		return nil
+	}
+	if err := w.endBatch(); err != nil {
+		return err
+	}
+	return w.c.flush()
+}
+
+// endBatch closes the open batch, if any, leaving it buffered.
+func (w *resultWriter) endBatch() error {
+	if w.batch < 0 {
+		return nil
+	}
+	mark, n := w.batch, w.n
+	w.batch, w.n = -1, 0
+	if err := w.c.out.EndRowBatch(mark, n); err != nil {
+		return err
+	}
+	return w.c.endFrame(mark)
+}
+
+// abandon ends the stream short of Done: the open batch is discarded
+// unsent — a stream that fails ends with its error marker, not with the
+// rows before it — and the net stage is closed. A no-op after done.
+func (w *resultWriter) abandon() {
+	if w.batch >= 0 {
+		w.c.out.Truncate(w.batch)
+		w.batch, w.n = -1, 0
+	}
+	w.endNet()
+}
+
+// done completes the stream: the tail batch and the Done frame go out
+// in one write, with the rows counted first (see countRows).
+func (w *resultWriter) done(flags uint8) error {
+	if err := w.endBatch(); err != nil {
+		return err
+	}
+	w.c.countRows(&w.tally)
+	mark := w.c.out.BeginFrame(wire.KindDone)
+	w.c.out.Done(wire.Done{RowCount: w.tally.n, Flags: flags, QueryID: w.sp.ID()})
+	if err := w.c.endFrame(mark); err != nil {
+		return err
+	}
+	err := w.c.flush()
+	w.endNet()
+	return err
+}
+
+// endNet books the stream's net stage, once.
+func (w *resultWriter) endNet() {
+	if w.netStart.IsZero() {
+		return
+	}
+	w.sp.Add(obs.StageNet, time.Since(w.netStart)-(w.sp.Stage(obs.StageExec)-w.exec0))
+	w.netStart = time.Time{}
+}
+
+// bytes is the frame bytes the stream has produced so far.
+func (w *resultWriter) bytes() uint64 { return w.c.stats.bytesOut.Load() - w.bytes0 }
+
+// finish is every stream's deferred last step, however it ended: an
+// unsent batch is dropped, the rows and the net time land on the span
+// and in the counters (no-ops where done already did it).
+func (w *resultWriter) finish() {
+	w.abandon()
+	w.c.countRows(&w.tally)
+	w.sp.AddRows(int64(w.tally.n))
+}
+
 // streamRows sends RowHeader + RowBatch* + (Done | Error) for one
-// result set, polling for a client Cancel between batches. A non-nil
+// result set, polling for a client Cancel between rows. A non-nil
 // return means the connection itself is unusable (write failure or
 // protocol violation); query-level failures are reported in-stream
 // and return nil. Terminal outcomes — the Done frame out, or the
@@ -586,38 +751,9 @@ func (c *conn) streamRows(rows *dsdb.Rows, label, sql string, start time.Time) e
 	defer rows.Close()
 	defer sp.End()
 	cancel := c.cancelQuery
-	bytes0 := c.stats.bytesOut.Load()
-	var tally rowTally
-	defer func() {
-		c.countRows(&tally)
-		sp.AddRows(int64(tally.n))
-	}()
-	// sendNet is send with the wall time (encode + frame write + flush)
-	// attributed to the span's net stage. The disabled path is one nil
-	// check — no clock reads.
-	sendNet := func(k wire.Kind, encode func() []byte) error {
-		if sp == nil {
-			return c.send(k, encode())
-		}
-		t0 := time.Now()
-		err := c.send(k, encode())
-		sp.Add(obs.StageNet, time.Since(t0))
-		return err
-	}
-	if err := sendNet(wire.KindRowHeader, func() []byte {
-		return wire.EncodeRowHeader(wire.RowHeader{Columns: rows.Columns()})
-	}); err != nil {
-		return err
-	}
-	batch := make([][]dsdb.Value, 0, wire.BatchRows)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		err := sendNet(wire.KindRowBatch, func() []byte {
-			return wire.EncodeRowBatch(wire.RowBatch{Rows: batch})
-		})
-		batch = batch[:0]
+	w, err := c.beginResult(sp, rows.Columns())
+	defer w.finish()
+	if err != nil {
 		return err
 	}
 	for rows.Next() {
@@ -644,26 +780,19 @@ func (c *conn) streamRows(rows *dsdb.Rows, label, sql string, start time.Time) e
 			}
 		default:
 		}
-		batch = append(batch, rows.Values())
-		tally.n++
-		if len(batch) == wire.BatchRows {
-			if err := flush(); err != nil {
-				cancel()
-				return err
-			}
+		if err := w.row(rows.BorrowValues()); err != nil {
+			cancel()
+			return err
 		}
 	}
 	if err := rows.Err(); err != nil {
 		// Drop the unsent tail: the stream ends with the error marker.
 		sp.SetErr(err)
-		c.capture(label, sql, start, sp, tally.n, c.stats.bytesOut.Load()-bytes0, false, captureClass(err))
-		c.countRows(&tally)
+		w.abandon()
+		c.capture(label, sql, start, sp, w.tally.n, w.bytes(), false, captureClass(err))
+		c.countRows(&w.tally)
 		return c.reportQueryError(err)
 	}
-	if err := flush(); err != nil {
-		return err
-	}
-	c.countRows(&tally)
 	// Attribute the execution in the terminal frame: a cache-hit serve
 	// never touched the executor, and the client (dsload in
 	// particular) splits its latency percentiles on this flag. The
@@ -674,12 +803,10 @@ func (c *conn) streamRows(rows *dsdb.Rows, label, sql string, start time.Time) e
 		flags |= wire.DoneFlagCacheHit
 		c.srv.counters.cacheHits.Add(1)
 	}
-	if err := sendNet(wire.KindDone, func() []byte {
-		return wire.EncodeDone(wire.Done{RowCount: tally.n, Flags: flags, QueryID: sp.ID()})
-	}); err != nil {
+	if err := w.done(flags); err != nil {
 		return err
 	}
-	c.capture(label, sql, start, sp, tally.n, c.stats.bytesOut.Load()-bytes0, rows.CacheHit(), wcap.OK)
+	c.capture(label, sql, start, sp, w.tally.n, w.bytes(), rows.CacheHit(), wcap.OK)
 	return nil
 }
 
@@ -690,35 +817,19 @@ func (c *conn) streamRows(rows *dsdb.Rows, label, sql string, start time.Time) e
 // the caller. Like any served query the completed stream is recorded
 // to the workload capture.
 func (c *conn) streamStatic(cols []string, rows [][]dsdb.Value, sp *obs.Span, label, sql string, start time.Time) error {
-	sendNet := func(k wire.Kind, payload []byte) error {
-		if sp == nil {
-			return c.send(k, payload)
-		}
-		t0 := time.Now()
-		err := c.send(k, payload)
-		sp.Add(obs.StageNet, time.Since(t0))
+	w, err := c.beginResult(sp, cols)
+	defer w.finish()
+	if err != nil {
 		return err
 	}
-	bytes0 := c.stats.bytesOut.Load()
-	if err := sendNet(wire.KindRowHeader, wire.EncodeRowHeader(wire.RowHeader{Columns: cols})); err != nil {
-		return err
-	}
-	var tally rowTally
-	defer func() {
-		c.countRows(&tally)
-		sp.AddRows(int64(tally.n))
-	}()
-	for off := 0; off < len(rows); off += wire.BatchRows {
-		end := min(off+wire.BatchRows, len(rows))
-		if err := sendNet(wire.KindRowBatch, wire.EncodeRowBatch(wire.RowBatch{Rows: rows[off:end]})); err != nil {
+	for _, row := range rows {
+		if err := w.row(row); err != nil {
 			return err
 		}
-		tally.n += uint64(end - off)
 	}
-	c.countRows(&tally)
-	if err := sendNet(wire.KindDone, wire.EncodeDone(wire.Done{RowCount: tally.n, QueryID: sp.ID()})); err != nil {
+	if err := w.done(0); err != nil {
 		return err
 	}
-	c.capture(label, sql, start, sp, tally.n, c.stats.bytesOut.Load()-bytes0, false, wcap.OK)
+	c.capture(label, sql, start, sp, w.tally.n, w.bytes(), false, wcap.OK)
 	return nil
 }

@@ -18,10 +18,16 @@
 // synchronous); concurrency comes from many connections, bounded by
 // WithMaxConns.
 //
+// A result is written in as few socket writes as its size allows: the
+// RowHeader and a partial RowBatch wait in the connection's output
+// buffer, a full RowBatch (wire.BatchRows rows) goes out as soon as it
+// exists, and the terminal frame flushes — one write for a result that
+// fits a batch, n/64 + 1 for n rows.
+//
 // The serving path is liveness-safe against hostile or broken
-// clients. Every frame write carries a deadline (WithWriteTimeout,
+// clients. Every socket write carries a deadline (WithWriteTimeout,
 // on by default): a client that stops reading its result stream is
-// disconnected when the kernel buffers fill and the flush times out,
+// disconnected when the kernel buffers fill and the write times out,
 // which cancels the in-flight query and releases the engine's shared
 // read latch — a stalled reader can no longer wedge writers. A
 // distinguishable wire error code (CodeSlowClient) names the kill.
@@ -101,8 +107,8 @@ func WithQueryTimeout(d time.Duration) Option {
 	return func(c *config) { c.queryTimeout = d }
 }
 
-// WithWriteTimeout bounds every frame write on every connection
-// (default DefaultWriteTimeout; 0 disables). A flush that exceeds it —
+// WithWriteTimeout bounds every socket write on every connection
+// (default DefaultWriteTimeout; 0 disables). A write that exceeds it —
 // a client that stopped reading while the kernel buffers filled —
 // cancels the in-flight query, releases its engine latch, and closes
 // the connection with a slow_client error. This is the serving path's
@@ -195,7 +201,7 @@ var ErrAlreadyServing = errors.New("server: already serving")
 
 // DefaultWriteTimeout is the write bound applied when New is not
 // given WithWriteTimeout. It is deliberately non-zero: an unbounded
-// frame write is the liveness bug this server exists to not have.
+// socket write is the liveness bug this server exists to not have.
 const DefaultWriteTimeout = 30 * time.Second
 
 // handshakeTimeout bounds how long an accepted connection may sit
@@ -283,7 +289,6 @@ func (s *Server) startConn(nc net.Conn) {
 		srv:    s,
 		id:     s.nextID,
 		nc:     nc,
-		w:      bufio.NewWriter(nc),
 		frames: make(chan wire.Frame, 4),
 		done:   make(chan struct{}),
 	}

@@ -98,6 +98,13 @@ type Record struct {
 	// (plan, cache, exec, io, wal, net), exec already clamped disjoint.
 	// Empty when observability is disabled.
 	Stages []int64
+	// StageArr[:NumStages] is Stages carried by value, for a capturing
+	// caller that must not allocate: a slice into the session's stack
+	// would escape through the capture channel, an array is copied with
+	// the record. The encoder writes it when Stages is nil; the bytes on
+	// disk are the same either way, and decoders always fill Stages.
+	StageArr  [MaxStages]int64
+	NumStages uint8
 	// CacheHit marks a query answered from the server's result cache.
 	CacheHit bool
 	// Err classifies the outcome.
@@ -141,8 +148,12 @@ func EncodeRecord(r Record) ([]byte, error) { return appendRecord(nil, r) }
 
 // appendRecord appends r's payload to dst.
 func appendRecord(dst []byte, r Record) ([]byte, error) {
-	if len(r.Stages) > MaxStages {
-		return nil, fmt.Errorf("wcap: too many stages (%d)", len(r.Stages))
+	if n := max(len(r.Stages), int(r.NumStages)); n > MaxStages {
+		return nil, fmt.Errorf("wcap: too many stages (%d)", n)
+	}
+	stages := r.Stages
+	if stages == nil {
+		stages = r.StageArr[:r.NumStages]
 	}
 	le := binary.LittleEndian
 	p, start := append(dst, typeQuery), len(dst)
@@ -159,8 +170,8 @@ func appendRecord(dst []byte, r Record) ([]byte, error) {
 	p = le.AppendUint64(p, r.Rows)
 	p = le.AppendUint64(p, r.Bytes)
 	p = le.AppendUint64(p, uint64(r.Latency))
-	p = append(p, uint8(len(r.Stages)))
-	for _, ns := range r.Stages {
+	p = append(p, uint8(len(stages)))
+	for _, ns := range stages {
 		p = le.AppendUint64(p, uint64(ns))
 	}
 	var flags uint8

@@ -1,6 +1,7 @@
 package wcap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -459,5 +460,47 @@ func TestWriteAllocations(t *testing.T) {
 	}
 	if recs, err := Load(w.Dir()); err != nil || len(recs) != 201 {
 		t.Fatalf("loaded %d records err=%v, want 201", len(recs), err)
+	}
+}
+
+// TestInlineStages: a record that carries its stages by value encodes
+// to the bytes of the same record carrying them as a slice, and the
+// capturing side — build the record, hand it to the writer — allocates
+// nothing, which a slice of the caller's stage array could not do.
+func TestInlineStages(t *testing.T) {
+	bySlice := sampleRecord(4)
+	byValue := bySlice
+	byValue.Stages = nil
+	byValue.NumStages = uint8(copy(byValue.StageArr[:], bySlice.Stages))
+	want, err := EncodeRecord(bySlice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := EncodeRecord(byValue)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("inline stages encode differently:\n got %x\nwant %x", got, want)
+	}
+	dec, err := DecodeRecord(got)
+	if err != nil || fmt.Sprint(dec.Stages) != fmt.Sprint(bySlice.Stages) || dec.NumStages != 0 {
+		t.Fatalf("decoded stages %v (inline %d), %v; want %v in Stages", dec.Stages, dec.NumStages, err, bySlice.Stages)
+	}
+
+	w, err := Open(t.TempDir(), Options{Buffer: 1 << 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	label, sql := bySlice.Label, bySlice.SQL
+	allocs := testing.AllocsPerRun(100, func() {
+		st := [6]int64{1, 2, 3, 4, 5, 6} // the span's StageNanos, on the session's stack
+		rec := Record{Label: label, SQL: sql, Rows: 1, Latency: time.Millisecond, CacheHit: true}
+		rec.NumStages = uint8(copy(rec.StageArr[:], st[:]))
+		w.Capture(rec)
+	})
+	if allocs != 0 {
+		t.Fatalf("capturing a record with inline stages: %.0f allocations, want 0", allocs)
 	}
 }

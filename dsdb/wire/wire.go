@@ -197,27 +197,56 @@ func WriteFrame(w io.Writer, k Kind, payload []byte) error {
 
 // ReadFrame reads one frame, enforcing the MaxFrame bound. A truncated
 // stream returns an error (io.EOF only when the stream ends cleanly
-// between frames).
+// between frames). The frame's payload is freshly allocated and the
+// caller's to keep.
 func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
+	fr, _, err := readFrame(r, nil)
+	return fr, err
+}
+
+// ReadFrameInto is ReadFrame into a buffer the caller reuses across
+// frames: *buf is grown when a frame needs more room and the returned
+// payload aliases it, so the frame is valid only until the next call
+// with the same buffer. The typed decoders copy every string out of
+// the payload, so a decoded value never aliases *buf. The length prefix
+// is checked against MaxFrame before the buffer is touched.
+func ReadFrameInto(r io.Reader, buf *[]byte) (fr Frame, err error) {
+	fr, *buf, err = readFrame(r, *buf)
+	return fr, err
+}
+
+// readFrame reads one frame into buf, or into a new buffer when buf is
+// too small, and returns the buffer it used.
+func readFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
+	// The length prefix is read into buf too when there is room (it is
+	// parsed before the body overwrites it): a local array would escape
+	// through the io.Reader and cost an allocation per frame.
+	hdr := buf[:0]
+	if cap(hdr) < 4 {
+		hdr = make([]byte, 4)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	hdr = hdr[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return Frame{}, buf, err
+	}
+	n := binary.BigEndian.Uint32(hdr)
 	if n == 0 {
-		return Frame{}, errors.New("wire: zero-length frame")
+		return Frame{}, buf, errors.New("wire: zero-length frame")
 	}
 	if n > MaxFrame {
-		return Frame{}, ErrFrameTooLarge
+		return Frame{}, buf, ErrFrameTooLarge
 	}
-	body := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	body := buf[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return Frame{}, fmt.Errorf("wire: truncated frame: %w", err)
+		return Frame{}, buf, fmt.Errorf("wire: truncated frame: %w", err)
 	}
-	return Frame{Kind: Kind(body[0]), Payload: body[1:]}, nil
+	return Frame{Kind: Kind(body[0]), Payload: body[1:]}, buf, nil
 }
 
 // Encoder builds a frame payload.
@@ -230,6 +259,60 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Reset clears the encoder for reuse, keeping its backing array.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+
+// Len returns the number of bytes encoded so far.
+func (e *Encoder) Len() int { return len(e.buf) }
+
+// Truncate drops everything encoded after the first n bytes.
+func (e *Encoder) Truncate(n int) { e.buf = e.buf[:n] }
+
+// BeginFrame opens a whole frame — length prefix, kind, payload — in
+// the encoder, for writers that lay several frames out in one buffer
+// and hand the socket all of them in one write. It returns the frame's
+// mark; the payload is whatever is encoded between this call and
+// EndFrame(mark), and is byte-identical to what WriteFrame would emit.
+func (e *Encoder) BeginFrame(k Kind) (mark int) {
+	mark = len(e.buf)
+	e.buf = append(e.buf, 0, 0, 0, 0, byte(k))
+	return mark
+}
+
+// EndFrame closes the frame opened at mark by patching its length
+// prefix in. A frame over MaxFrame is cut back out of the encoder and
+// reported as ErrFrameTooLarge, like WriteFrame.
+func (e *Encoder) EndFrame(mark int) error {
+	n := len(e.buf) - mark - 4 // kind byte + payload
+	if n > MaxFrame {
+		e.buf = e.buf[:mark]
+		return ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(e.buf[mark:], uint32(n))
+	return nil
+}
+
+// Frame appends one whole frame around an already encoded payload: the
+// bytes WriteFrame(k, payload) emits.
+func (e *Encoder) Frame(k Kind, payload []byte) error {
+	mark := e.BeginFrame(k)
+	e.buf = append(e.buf, payload...)
+	return e.EndFrame(mark)
+}
+
+// BeginRowBatch opens a RowBatch frame whose rows are encoded as they
+// arrive, each with Row; EndRowBatch closes it.
+func (e *Encoder) BeginRowBatch() (mark int) {
+	mark = e.BeginFrame(KindRowBatch)
+	e.U16(0) // the row count, known at EndRowBatch
+	return mark
+}
+
+// EndRowBatch patches the row count into the batch opened at mark and
+// closes its frame (see EndFrame). The bytes equal
+// WriteFrame(KindRowBatch, EncodeRowBatch(the same rows)).
+func (e *Encoder) EndRowBatch(mark, rows int) error {
+	binary.BigEndian.PutUint16(e.buf[mark+FrameOverhead:], uint16(rows))
+	return e.EndFrame(mark)
+}
 
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
@@ -291,6 +374,13 @@ type Decoder struct {
 	buf []byte
 	off int
 	err error
+
+	// shareStrings makes String cut its results out of text, one copy
+	// of the whole payload taken at the first non-empty string, instead
+	// of copying each (DecodeRowBatch: one allocation for a batch's
+	// strings, however many there are).
+	shareStrings bool
+	text         string
 }
 
 // NewDecoder decodes the given payload.
@@ -371,10 +461,13 @@ func (d *Decoder) String() string {
 	}
 	d.off += sz
 	b := d.take(int(n), "string body")
-	if b == nil {
-		return ""
+	if !d.shareStrings || len(b) == 0 {
+		return string(b)
 	}
-	return string(b)
+	if d.text == "" {
+		d.text = string(d.buf)
+	}
+	return d.text[d.off-len(b) : d.off]
 }
 
 // Strings reads a u16 count followed by each string.
@@ -593,10 +686,13 @@ type RowHeader struct {
 	Columns []string
 }
 
+// RowHeader appends a RowHeader payload.
+func (e *Encoder) RowHeader(h RowHeader) { e.Strings(h.Columns) }
+
 // EncodeRowHeader builds a RowHeader payload.
 func EncodeRowHeader(h RowHeader) []byte {
 	var e Encoder
-	e.Strings(h.Columns)
+	e.RowHeader(h)
 	return e.Bytes()
 }
 
@@ -622,19 +718,44 @@ func EncodeRowBatch(b RowBatch) []byte {
 	return e.Bytes()
 }
 
-// DecodeRowBatch parses a RowBatch payload.
+// maxFlatGuess bounds the up-front size of a decoded batch's backing
+// array: a full batch of 64-column rows.
+const maxFlatGuess = 64 * BatchRows
+
+// DecodeRowBatch parses a RowBatch payload into three allocations,
+// however many rows and strings it carries: the rows of one batch share
+// a single backing array (each row is a capacity-clipped sub-slice of
+// it), and their string values are cut out of one copy of the payload —
+// so nothing decoded aliases p, and a string that is kept keeps its
+// batch's payload (at most MaxFrame bytes, a few KB for typical rows)
+// alive with it.
 func DecodeRowBatch(p []byte) (RowBatch, error) {
-	d := NewDecoder(p)
+	d := Decoder{buf: p, shareStrings: true}
 	n := int(d.U16())
 	if err := d.Err(); err != nil {
 		return RowBatch{}, err
 	}
 	b := RowBatch{Rows: make([][]dsdb.Value, 0, min(n, BatchRows))}
+	var flat []dsdb.Value
 	for i := 0; i < n; i++ {
-		b.Rows = append(b.Rows, d.Row())
+		arity := int(d.U16())
+		if flat == nil {
+			// Size the backing array for n rows of the first row's arity,
+			// bounded by what the payload can hold (a value is at least
+			// its tag byte) and by maxFlatGuess, so a hostile count cannot
+			// balloon memory. If the guess is short, append moves on to a
+			// larger array and the rows already cut keep pointing into
+			// the old one.
+			flat = make([]dsdb.Value, 0, min(min(n, BatchRows)*arity, d.Len(), maxFlatGuess))
+		}
+		start := len(flat)
+		for j := 0; j < arity && d.err == nil; j++ {
+			flat = append(flat, d.Value())
+		}
 		if err := d.Err(); err != nil {
 			return RowBatch{}, err
 		}
+		b.Rows = append(b.Rows, flat[start:len(flat):len(flat)])
 	}
 	return b, d.End()
 }
@@ -656,12 +777,17 @@ type Done struct {
 	QueryID  uint64
 }
 
-// EncodeDone builds a Done payload.
-func EncodeDone(dn Done) []byte {
-	var e Encoder
+// Done appends a Done payload.
+func (e *Encoder) Done(dn Done) {
 	e.U64(dn.RowCount)
 	e.U8(dn.Flags)
 	e.U64(dn.QueryID)
+}
+
+// EncodeDone builds a Done payload.
+func EncodeDone(dn Done) []byte {
+	var e Encoder
+	e.Done(dn)
 	return e.Bytes()
 }
 

@@ -185,3 +185,146 @@ func TestStickyDecoder(t *testing.T) {
 		t.Fatalf("first error not preserved: %v", d.Err())
 	}
 }
+
+// sampleBatch is a full batch of (int, string, float, null) rows.
+func sampleBatch() RowBatch {
+	var b RowBatch
+	for i := 0; i < BatchRows; i++ {
+		b.Rows = append(b.Rows, []dsdb.Value{
+			dsdb.NewInt(int64(i)), dsdb.NewStr(strings.Repeat("x", i%7+1)), dsdb.NewFloat(float64(i) / 3), dsdb.NewNull(),
+		})
+	}
+	return b
+}
+
+// TestEncoderFramesMatchWriteFrame: frames laid out in an Encoder one
+// after the other — a RowBatch built row by row among them — are the
+// bytes WriteFrame emits for the same payloads, and an oversize frame
+// is cut back out, leaving the frames before it.
+func TestEncoderFramesMatchWriteFrame(t *testing.T) {
+	b := sampleBatch()
+	hdr := RowHeader{Columns: []string{"a", "b", "c", "d"}}
+	dn := Done{RowCount: BatchRows, Flags: DoneFlagCacheHit, QueryID: 9}
+	var want bytes.Buffer
+	WriteFrame(&want, KindRowHeader, EncodeRowHeader(hdr))
+	WriteFrame(&want, KindRowBatch, EncodeRowBatch(b))
+	WriteFrame(&want, KindDone, EncodeDone(dn))
+
+	var e Encoder
+	m := e.BeginFrame(KindRowHeader)
+	e.RowHeader(hdr)
+	if err := e.EndFrame(m); err != nil {
+		t.Fatal(err)
+	}
+	m = e.BeginRowBatch()
+	for _, r := range b.Rows {
+		e.Row(r)
+	}
+	if err := e.EndRowBatch(m, len(b.Rows)); err != nil {
+		t.Fatal(err)
+	}
+	m = e.BeginFrame(KindDone)
+	e.Done(dn)
+	if err := e.EndFrame(m); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(e.Bytes(), want.Bytes()) {
+		t.Fatalf("encoder frames differ from WriteFrame's:\n got %x\nwant %x", e.Bytes(), want.Bytes())
+	}
+
+	before := e.Len()
+	if err := e.Frame(KindRowBatch, make([]byte, MaxFrame)); err != ErrFrameTooLarge {
+		t.Fatalf("oversize frame: %v, want ErrFrameTooLarge", err)
+	}
+	if e.Len() != before || !bytes.Equal(e.Bytes(), want.Bytes()) {
+		t.Fatal("an oversize frame was not cut back out of the encoder")
+	}
+}
+
+// TestDecodeRowBatchAllocs: a batch decodes into one backing array and
+// one copy of its strings, not a slice per row and a copy per string —
+// three allocations, inside the "two and one per string" this replaced.
+func TestDecodeRowBatchAllocs(t *testing.T) {
+	b := sampleBatch()
+	p := EncodeRowBatch(b)
+	got, err := DecodeRowBatch(p)
+	if err != nil || !reflect.DeepEqual(got, b) {
+		t.Fatalf("round trip: %v", err)
+	}
+	// Rows are clipped: appending to one must not write into the next.
+	first := append(got.Rows[0], dsdb.NewInt(-1))
+	if first[len(first)-1].I != -1 || got.Rows[1][0].I != 1 {
+		t.Fatal("appending to a decoded row overwrote its neighbour")
+	}
+	strs := 0
+	for _, r := range b.Rows {
+		for _, v := range r {
+			if v.T == dsdb.Str {
+				strs++
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := DecodeRowBatch(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if strs < BatchRows || allocs > 3 {
+		t.Fatalf("DecodeRowBatch of %d rows with %d strings: %.0f allocations, want at most 3", BatchRows, strs, allocs)
+	}
+	// Rows of unequal arity outgrow the first row's guess; they must
+	// still all come back right.
+	ragged := RowBatch{Rows: [][]dsdb.Value{{dsdb.NewInt(1)}, {dsdb.NewInt(2), dsdb.NewStr("two"), dsdb.NewInt(22)}, {}, {dsdb.NewStr("three")}}}
+	if got, err := DecodeRowBatch(EncodeRowBatch(ragged)); err != nil || !reflect.DeepEqual(got, ragged) {
+		t.Fatalf("ragged batch: got %v, %v", got, err)
+	}
+}
+
+// TestReadFrameIntoNeverAliases: a reader that reuses one frame buffer
+// may overwrite it as soon as the frame is decoded — nothing a decoder
+// returned points into it.
+func TestReadFrameIntoNeverAliases(t *testing.T) {
+	b := sampleBatch()
+	hdr := RowHeader{Columns: []string{"n_name", "revenue"}}
+	ef := ErrorFrame{Code: CodeQuery, Message: "boom"}
+	st := Stats{Pairs: []StatPair{{Name: "queries", Value: 3}}}
+	pok := PrepareOK{StmtID: 3, Columns: []string{"a", "b"}}
+	var stream bytes.Buffer
+	WriteFrame(&stream, KindRowHeader, EncodeRowHeader(hdr))
+	WriteFrame(&stream, KindRowBatch, EncodeRowBatch(b))
+	WriteFrame(&stream, KindError, EncodeError(ef))
+	WriteFrame(&stream, KindStatsResult, EncodeStats(st))
+	WriteFrame(&stream, KindPrepareOK, EncodePrepareOK(pok))
+	want := []any{hdr, b, ef, st, pok}
+
+	var buf []byte
+	var got []any
+	for range want {
+		fr, err := ReadFrameInto(&stream, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := DecodePayload(fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, v)
+		for i := range buf[:cap(buf)] {
+			buf[:cap(buf)][i] = 0xFF
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded values changed when the frame buffer was overwritten:\n got %v\nwant %v", got, want)
+	}
+	if cap(buf) < len(EncodeRowBatch(b)) {
+		t.Fatalf("buffer of %d bytes was not the one the %d-byte batch was read into", cap(buf), len(EncodeRowBatch(b)))
+	}
+
+	// The bound is checked before the buffer is grown.
+	var hdrOnly [4]byte
+	binary.BigEndian.PutUint32(hdrOnly[:], MaxFrame+1)
+	small := make([]byte, 8)
+	if _, err := ReadFrameInto(bytes.NewReader(hdrOnly[:]), &small); err != ErrFrameTooLarge || cap(small) != 8 {
+		t.Fatalf("oversize frame: %v, buffer cap %d", err, cap(small))
+	}
+}
