@@ -14,6 +14,7 @@ import (
 	"repro/internal/profile"
 	"repro/internal/program"
 	"repro/internal/tpcd"
+	"repro/internal/trace"
 )
 
 // benchSetup builds the full experiment setup once and shares it
@@ -158,16 +159,67 @@ func BenchmarkAblationThresholds(b *testing.B) {
 
 // ---- microbenchmarks on the substrates ----
 
-// BenchmarkFetchSimulator measures raw fetch-simulation throughput.
-func BenchmarkFetchSimulator(b *testing.B) {
+// benchSimulate times fetch.Simulate over the test trace under the
+// original layout and reports ns per simulated instruction — the
+// go-test counterpart of the benchmark's fetch.simulate_ns_per_instr
+// (ideal), cache.dm_ns_per_instr (2 KB direct-mapped) and
+// cache.tracecache_ns_per_instr (2 KB + 64-entry trace cache).
+func benchSimulate(b *testing.B, cfg fetch.Config) {
 	s := setup(b)
 	l := program.OriginalLayout(s.Img.Prog)
-	ic := cache.NewDirectMapped(2048, cache.DefaultLineBytes)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fetch.Simulate(s.TestTrace, l, fetch.DefaultConfig(ic))
+		fetch.Simulate(s.TestTrace, l, cfg)
 	}
-	b.SetBytes(int64(s.TestTrace.Instrs * 4))
+	b.SetBytes(int64(s.TestTrace.Instrs * program.InstrBytes))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.TestTrace.Instrs), "ns/instr")
+}
+
+// BenchmarkFetchSimulator measures raw fetch-simulation throughput.
+func BenchmarkFetchSimulator(b *testing.B) {
+	benchSimulate(b, fetch.DefaultConfig(cache.NewDirectMapped(2048, cache.DefaultLineBytes)))
+}
+
+// BenchmarkFetchSimulatorIdeal is the fetch unit alone: no i-cache.
+func BenchmarkFetchSimulatorIdeal(b *testing.B) {
+	benchSimulate(b, fetch.DefaultConfig(nil))
+}
+
+// BenchmarkFetchSimulatorTraceCache adds the trace cache's hit test
+// and fill unit in front of the 2 KB cache.
+func BenchmarkFetchSimulatorTraceCache(b *testing.B) {
+	cfg := fetch.DefaultConfig(cache.NewDirectMapped(2048, cache.DefaultLineBytes))
+	cfg.TC = cache.NewTraceCache(experiments.TraceCacheEntries, 16, 3, program.InstrBytes)
+	benchSimulate(b, cfg)
+}
+
+// BenchmarkProfileFromTrace measures building the weighted CFG from
+// the test trace (the benchmark's profile.build_ms).
+func BenchmarkProfileFromTrace(b *testing.B) {
+	s := setup(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		profile.FromTrace(s.TestTrace)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.TestTrace.Len()), "ns/event")
+}
+
+// BenchmarkRecordPath measures recording alone: the test trace's
+// events replayed into a fresh, non-validating recorder, so what is
+// timed is Recorder.Block and the growth of Trace.Blocks, not the
+// executor that normally emits the events. B/op against 4 bytes per
+// event shows how often the recording is re-copied as it grows.
+func BenchmarkRecordPath(b *testing.B) {
+	s := setup(b)
+	events := s.TestTrace.Blocks
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trace.NewRecorder(trace.New(s.Img.Prog), false).Path(events)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(events)), "ns/event")
 }
 
 // BenchmarkSTCLayout measures layout construction.

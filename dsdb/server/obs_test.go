@@ -203,9 +203,17 @@ func TestSlowQueryE2E(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	logged := buf.String()
-	if !strings.Contains(logged, fmt.Sprintf("qid=%d", qid)) || !strings.Contains(logged, `label="slowtest"`) {
-		t.Fatalf("slow log missing the query's line:\n%s", logged)
+	// The log line is written after the record is in the ring: same
+	// deadline.
+	for {
+		logged := buf.String()
+		if strings.Contains(logged, fmt.Sprintf("qid=%d", qid)) && strings.Contains(logged, `label="slowtest"`) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("slow log missing the query's line:\n%s", logged)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

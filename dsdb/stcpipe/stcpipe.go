@@ -481,23 +481,58 @@ type FetchConfig struct {
 // cache statistics).
 type Result = fetch.Result
 
+// check rejects a configuration the cache models cannot be built from
+// — they index by shift and mask, so line size, set count and
+// trace-cache entries must be powers of two — naming the field at
+// fault, and returns the line size with its default applied.
+func (fc FetchConfig) check() (lineBytes int, err error) {
+	lineBytes = fc.LineBytes
+	if lineBytes == 0 {
+		lineBytes = cache.DefaultLineBytes
+	}
+	if !cache.IsPowerOfTwo(lineBytes) {
+		return 0, fmt.Errorf("stcpipe: FetchConfig.LineBytes %d is not a power of two", fc.LineBytes)
+	}
+	if fc.CacheBytes > 0 {
+		if err := cache.CheckGeometry(fc.CacheBytes, lineBytes, fc.ways()); err != nil {
+			return 0, fmt.Errorf("stcpipe: FetchConfig.CacheBytes %d with LineBytes %d, Ways %d: %w",
+				fc.CacheBytes, lineBytes, fc.ways(), err)
+		}
+	}
+	if fc.TraceCacheEntries > 0 {
+		if err := cache.CheckTraceCache(fc.TraceCacheEntries, program.InstrBytes); err != nil {
+			return 0, fmt.Errorf("stcpipe: FetchConfig.TraceCacheEntries: %w", err)
+		}
+	}
+	return lineBytes, nil
+}
+
+// ways is the associativity the i-cache is built with: a victim buffer
+// sits behind a direct-mapped cache whatever Ways says.
+func (fc FetchConfig) ways() int {
+	if fc.VictimEntries > 0 || fc.Ways < 1 {
+		return 1
+	}
+	return fc.Ways
+}
+
 // Simulate replays this profile's trace under a layout through the
-// fetch unit.
+// fetch unit. A FetchConfig no cache can be built from is an error.
 func (pr *Profile) Simulate(l *Layout, fc FetchConfig) (Result, error) {
 	if len(l.l.Addr) != pr.pipe.img.Prog.NumBlocks() {
 		return Result{}, fmt.Errorf("stcpipe: layout %q was built for a different kernel image", l.name)
 	}
-	lineBytes := fc.LineBytes
-	if lineBytes == 0 {
-		lineBytes = cache.DefaultLineBytes
+	lineBytes, err := fc.check()
+	if err != nil {
+		return Result{}, err
 	}
 	var ic cache.ICache
 	if fc.CacheBytes > 0 {
-		switch {
+		switch ways := fc.ways(); {
 		case fc.VictimEntries > 0:
 			ic = cache.NewVictim(fc.CacheBytes, lineBytes, fc.VictimEntries)
-		case fc.Ways > 1:
-			ic = cache.NewSetAssoc(fc.CacheBytes, lineBytes, fc.Ways)
+		case ways > 1:
+			ic = cache.NewSetAssoc(fc.CacheBytes, lineBytes, ways)
 		default:
 			ic = cache.NewDirectMapped(fc.CacheBytes, lineBytes)
 		}
@@ -505,7 +540,7 @@ func (pr *Profile) Simulate(l *Layout, fc FetchConfig) (Result, error) {
 	cfg := fetch.DefaultConfig(ic)
 	cfg.LineBytes = lineBytes
 	if fc.TraceCacheEntries > 0 {
-		cfg.TC = cache.NewTraceCache(fc.TraceCacheEntries, 16, 3, 4)
+		cfg.TC = cache.NewTraceCache(fc.TraceCacheEntries, 16, 3, program.InstrBytes)
 	}
 	return fetch.Simulate(pr.tr, l.l, cfg), nil
 }
@@ -546,6 +581,10 @@ func Compare(p CompareParams) ([]CompareResult, error) {
 	}
 	if p.Algorithms == nil {
 		p.Algorithms = Algorithms(p.Layout)
+	}
+	// Before the databases are built, not after.
+	if _, err := p.Fetch.check(); err != nil {
+		return nil, err
 	}
 	btreeDB, err := dsdb.Open(dsdb.WithTPCD(p.SF), dsdb.WithSeed(p.Seed))
 	if err != nil {

@@ -1,6 +1,7 @@
 package stcpipe_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/dsdb"
@@ -93,6 +94,82 @@ func TestTraceCacheSimulation(t *testing.T) {
 	}
 	if res.TCHits == 0 {
 		t.Fatal("trace cache recorded no hits on a repetitive DBMS trace")
+	}
+}
+
+// TestSimulateRejectsBadFetchConfig: a FetchConfig is flag input
+// (examples/layoutcompare -cache, examples/tracecache -entries), and
+// one the cache models cannot be built from used to panic with "cache:
+// bad geometry". It is an error naming the field, and every shape the
+// paper and the tree use still simulates.
+func TestSimulateRejectsBadFetchConfig(t *testing.T) {
+	db, err := dsdb.Open(dsdb.WithTPCD(0.0005))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	w, err := stcpipe.TPCD("w", 6)
+	if err != nil {
+		t.Fatalf("TPCD: %v", err)
+	}
+	pr, err := stcpipe.New().Profile(db, w)
+	if err != nil {
+		t.Fatalf("Profile: %v", err)
+	}
+	lay, err := pr.Layout(stcpipe.Original())
+	if err != nil {
+		t.Fatalf("Layout: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		fc    stcpipe.FetchConfig
+		field string // "" = must simulate
+	}{
+		{"not a multiple of the line", stcpipe.FetchConfig{CacheBytes: 1000}, "CacheBytes"},
+		{"not a multiple of line x ways", stcpipe.FetchConfig{CacheBytes: 2048, Ways: 3}, "CacheBytes"},
+		{"48 sets (-cache 3)", stcpipe.FetchConfig{CacheBytes: 3 * 1024}, "CacheBytes"},
+		{"48 sets behind a victim buffer", stcpipe.FetchConfig{CacheBytes: 3 * 1024, VictimEntries: 16}, "CacheBytes"},
+		{"3 sets of 2 ways", stcpipe.FetchConfig{CacheBytes: 3 * 2 * 64, Ways: 2}, "CacheBytes"},
+		{"negative line", stcpipe.FetchConfig{CacheBytes: 2048, LineBytes: -64}, "LineBytes"},
+		{"negative line, ideal cache", stcpipe.FetchConfig{LineBytes: -64}, "LineBytes"},
+		{"48-byte line", stcpipe.FetchConfig{CacheBytes: 48 * 32, LineBytes: 48}, "LineBytes"},
+		{"48-byte line, ideal cache", stcpipe.FetchConfig{LineBytes: 48}, "LineBytes"},
+		{"100 trace-cache entries", stcpipe.FetchConfig{CacheBytes: 2048, TraceCacheEntries: 100}, "TraceCacheEntries"},
+
+		{"zero value", stcpipe.FetchConfig{}, ""},
+		{"2KB direct", stcpipe.FetchConfig{CacheBytes: 2048}, ""},
+		{"2KB + trace cache", stcpipe.FetchConfig{CacheBytes: 2048, TraceCacheEntries: 64}, ""},
+		{"2-way", stcpipe.FetchConfig{CacheBytes: 4096, Ways: 2}, ""},
+		{"3 ways of 16 sets", stcpipe.FetchConfig{CacheBytes: 3 * 1024, Ways: 3}, ""},
+		{"victim", stcpipe.FetchConfig{CacheBytes: 2048, VictimEntries: 16}, ""},
+		{"victim ignores Ways", stcpipe.FetchConfig{CacheBytes: 2048, VictimEntries: 16, Ways: 3}, ""},
+		{"128-byte lines", stcpipe.FetchConfig{CacheBytes: 2048, LineBytes: 128}, ""},
+		{"negative Ways is direct-mapped", stcpipe.FetchConfig{CacheBytes: 2048, Ways: -2}, ""},
+	} {
+		res, err := pr.Simulate(lay, tc.fc)
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.field == "" && res.Instrs != pr.Instrs():
+			t.Errorf("%s: simulated %d instrs of %d", tc.name, res.Instrs, pr.Instrs())
+		case tc.field != "" && err == nil:
+			t.Errorf("%s: no error", tc.name)
+		case tc.field != "" && !strings.Contains(err.Error(), "FetchConfig."+tc.field):
+			t.Errorf("%s: error %q does not name FetchConfig.%s", tc.name, err, tc.field)
+		}
+	}
+}
+
+// TestCompareRejectsBadCacheSize is examples/layoutcompare -cache 3:
+// 3 KB of 64-byte lines is 48 sets. The error comes back before any
+// database is built.
+func TestCompareRejectsBadCacheSize(t *testing.T) {
+	_, err := stcpipe.Compare(stcpipe.CompareParams{
+		SF:     0.0005,
+		Layout: stcpipe.Params{CacheBytes: 3 * 1024, CFABytes: 512},
+		Fetch:  stcpipe.FetchConfig{CacheBytes: 3 * 1024},
+	})
+	if err == nil || !strings.Contains(err.Error(), "FetchConfig.CacheBytes 3072") {
+		t.Fatalf("Compare with a 3KB cache: err = %v, want one naming FetchConfig.CacheBytes", err)
 	}
 }
 

@@ -9,7 +9,10 @@
 // engine translates fetch requests into line accesses.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // DefaultLineBytes is the cache line size used throughout the paper's
 // setup: 16 instructions of 4 bytes.
@@ -28,35 +31,74 @@ type ICache interface {
 	Name() string
 }
 
+// IsPowerOfTwo reports whether n is a positive power of two. Every
+// cache in this package is indexed by shift and mask, so line sizes,
+// set counts and trace-cache entry counts must all be one.
+func IsPowerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
+
+// CheckGeometry reports whether a cache of sizeBytes made of
+// lineBytes-sized lines in ways-way sets can be built: the line size
+// and the number of sets must be powers of two (every geometry in the
+// paper is). The constructors panic on what it rejects; callers
+// holding user input ask it first.
+func CheckGeometry(sizeBytes, lineBytes, ways int) error {
+	switch {
+	case !IsPowerOfTwo(lineBytes):
+		return fmt.Errorf("cache: line size %d is not a power of two", lineBytes)
+	case ways <= 0:
+		return fmt.Errorf("cache: %d ways", ways)
+	case sizeBytes <= 0 || sizeBytes%(lineBytes*ways) != 0:
+		return fmt.Errorf("cache: size %d is not a positive multiple of %d-byte lines x %d ways", sizeBytes, lineBytes, ways)
+	case !IsPowerOfTwo(sizeBytes / (lineBytes * ways)):
+		return fmt.Errorf("cache: %d sets (size %d / %d-byte lines / %d ways) is not a power of two", sizeBytes/(lineBytes*ways), sizeBytes, lineBytes, ways)
+	}
+	return nil
+}
+
+// geometry is the shift-and-mask form of a checked cache shape: the
+// line number of addr is addr >> lineShift, its set line & setMask.
+type geometry struct {
+	lineShift uint
+	setMask   uint64
+}
+
+func mustGeometry(sizeBytes, lineBytes, ways int) geometry {
+	if err := CheckGeometry(sizeBytes, lineBytes, ways); err != nil {
+		panic(err.Error())
+	}
+	return geometry{
+		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
+		setMask:   uint64(sizeBytes/(lineBytes*ways)) - 1,
+	}
+}
+
+func (g geometry) sets() int      { return int(g.setMask) + 1 }
+func (g geometry) lineBytes() int { return 1 << g.lineShift }
+
 // DirectMapped is a direct-mapped instruction cache.
 type DirectMapped struct {
-	name      string
-	lineBytes uint64
-	sets      uint64
-	tags      []uint64
-	valid     []bool
+	name string
+	geometry
+	tags  []uint64
+	valid []bool
 }
 
 // NewDirectMapped returns a direct-mapped cache of the given total
-// size. sizeBytes must be a multiple of lineBytes.
+// size. It panics on a geometry CheckGeometry rejects.
 func NewDirectMapped(sizeBytes, lineBytes int) *DirectMapped {
-	if sizeBytes <= 0 || lineBytes <= 0 || sizeBytes%lineBytes != 0 {
-		panic(fmt.Sprintf("cache: bad geometry %d/%d", sizeBytes, lineBytes))
-	}
-	sets := uint64(sizeBytes / lineBytes)
+	g := mustGeometry(sizeBytes, lineBytes, 1)
 	return &DirectMapped{
-		name:      fmt.Sprintf("%dKB direct", sizeBytes/1024),
-		lineBytes: uint64(lineBytes),
-		sets:      sets,
-		tags:      make([]uint64, sets),
-		valid:     make([]bool, sets),
+		name:     fmt.Sprintf("%dKB direct", sizeBytes/1024),
+		geometry: g,
+		tags:     make([]uint64, g.sets()),
+		valid:    make([]bool, g.sets()),
 	}
 }
 
 // Access implements ICache.
 func (c *DirectMapped) Access(addr uint64) bool {
-	line := addr / c.lineBytes
-	set := line % c.sets
+	line := addr >> c.lineShift
+	set := line & c.setMask
 	if c.valid[set] && c.tags[set] == line {
 		return true
 	}
@@ -68,20 +110,9 @@ func (c *DirectMapped) Access(addr uint64) bool {
 // Probe reports whether the line containing addr is resident, without
 // updating any state.
 func (c *DirectMapped) Probe(addr uint64) bool {
-	line := addr / c.lineBytes
-	set := line % c.sets
+	line := addr >> c.lineShift
+	set := line & c.setMask
 	return c.valid[set] && c.tags[set] == line
-}
-
-// Evict invalidates the line containing addr if resident, returning
-// the evicted line number and true.
-func (c *DirectMapped) evictFor(line uint64) (uint64, bool) {
-	set := line % c.sets
-	if !c.valid[set] {
-		return 0, false
-	}
-	old := c.tags[set]
-	return old, true
 }
 
 // Reset implements ICache.
@@ -92,17 +123,16 @@ func (c *DirectMapped) Reset() {
 }
 
 // LineBytes implements ICache.
-func (c *DirectMapped) LineBytes() int { return int(c.lineBytes) }
+func (c *DirectMapped) LineBytes() int { return c.lineBytes() }
 
 // Name implements ICache.
 func (c *DirectMapped) Name() string { return c.name }
 
 // SetAssoc is a k-way set-associative cache with true LRU replacement.
 type SetAssoc struct {
-	name      string
-	lineBytes uint64
-	sets      uint64
-	ways      int
+	name string
+	geometry
+	ways int
 	// tags[set*ways+way]; age[set*ways+way] is an LRU stamp.
 	tags  []uint64
 	valid []bool
@@ -110,29 +140,25 @@ type SetAssoc struct {
 	clock uint64
 }
 
-// NewSetAssoc returns a k-way set-associative cache.
+// NewSetAssoc returns a k-way set-associative cache. It panics on a
+// geometry CheckGeometry rejects.
 func NewSetAssoc(sizeBytes, lineBytes, ways int) *SetAssoc {
-	if ways <= 0 || sizeBytes <= 0 || lineBytes <= 0 ||
-		sizeBytes%(lineBytes*ways) != 0 {
-		panic(fmt.Sprintf("cache: bad geometry %d/%d/%d", sizeBytes, lineBytes, ways))
-	}
-	sets := uint64(sizeBytes / lineBytes / ways)
-	n := int(sets) * ways
+	g := mustGeometry(sizeBytes, lineBytes, ways)
+	n := g.sets() * ways
 	return &SetAssoc{
-		name:      fmt.Sprintf("%dKB %d-way", sizeBytes/1024, ways),
-		lineBytes: uint64(lineBytes),
-		sets:      sets,
-		ways:      ways,
-		tags:      make([]uint64, n),
-		valid:     make([]bool, n),
-		age:       make([]uint64, n),
+		name:     fmt.Sprintf("%dKB %d-way", sizeBytes/1024, ways),
+		geometry: g,
+		ways:     ways,
+		tags:     make([]uint64, n),
+		valid:    make([]bool, n),
+		age:      make([]uint64, n),
 	}
 }
 
 // Access implements ICache.
 func (c *SetAssoc) Access(addr uint64) bool {
-	line := addr / c.lineBytes
-	set := line % c.sets
+	line := addr >> c.lineShift
+	set := line & c.setMask
 	base := int(set) * c.ways
 	c.clock++
 	victim, oldest := base, c.age[base]
@@ -164,7 +190,7 @@ func (c *SetAssoc) Reset() {
 }
 
 // LineBytes implements ICache.
-func (c *SetAssoc) LineBytes() int { return int(c.lineBytes) }
+func (c *SetAssoc) LineBytes() int { return c.lineBytes() }
 
 // Name implements ICache.
 func (c *SetAssoc) Name() string { return c.name }
@@ -184,8 +210,12 @@ type Victim struct {
 }
 
 // NewVictim returns a direct-mapped cache of sizeBytes with an
-// entries-line fully-associative victim buffer.
+// entries-line fully-associative victim buffer. It panics on a
+// geometry CheckGeometry rejects, or without a victim line.
 func NewVictim(sizeBytes, lineBytes, entries int) *Victim {
+	if entries <= 0 {
+		panic(fmt.Sprintf("cache: %d victim entries", entries))
+	}
 	return &Victim{
 		name:    fmt.Sprintf("%dKB direct+%d-line victim", sizeBytes/1024, entries),
 		main:    NewDirectMapped(sizeBytes, lineBytes),
@@ -198,8 +228,8 @@ func NewVictim(sizeBytes, lineBytes, entries int) *Victim {
 
 // Access implements ICache.
 func (c *Victim) Access(addr uint64) bool {
-	line := addr / c.main.lineBytes
-	set := line % c.main.sets
+	line := addr >> c.main.lineShift
+	set := line & c.main.setMask
 	c.clock++
 	if c.main.valid[set] && c.main.tags[set] == line {
 		return true
@@ -221,8 +251,8 @@ func (c *Victim) Access(addr uint64) bool {
 		}
 	}
 	// Full miss: fill main, displaced line goes to the victim buffer.
-	if old, ok := c.main.evictFor(line); ok {
-		c.insertVictim(old)
+	if c.main.valid[set] {
+		c.insertVictim(c.main.tags[set])
 	}
 	c.main.tags[set] = line
 	c.main.valid[set] = true

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -172,36 +173,24 @@ func TestIdealAlwaysHits(t *testing.T) {
 
 func TestTraceCacheFillLookup(t *testing.T) {
 	tc := NewTraceCache(256, 16, 3, 4)
-	seq := []uint64{100, 104, 108, 200, 204}
-	tc.Fill(100, seq)
-	peekFrom := func(s []uint64) func(int) (uint64, bool) {
-		return func(i int) (uint64, bool) {
-			if i < len(s) {
-				return s[i], true
-			}
-			return 0, false
-		}
+	runs := []Run{{Addr: 100, N: 3}, {Addr: 200, N: 2}}
+	tc.Fill(100, runs)
+	got := tc.Lookup(100)
+	if len(got) != 2 || got[0] != runs[0] || got[1] != runs[1] {
+		t.Fatalf("lookup = %v, want %v", got, runs)
 	}
-	n, hit := tc.Lookup(100, peekFrom(seq))
-	if !hit || n != 5 {
-		t.Fatalf("lookup = (%d,%v), want (5,true)", n, hit)
+	// The stored trace is a copy: the fill unit reuses its buffer.
+	runs[0].Addr = 999
+	if tc.Lookup(100)[0].Addr != 100 {
+		t.Fatal("fill must copy the runs")
 	}
-	// Divergent path after the 3rd instruction: miss.
-	div := []uint64{100, 104, 108, 300, 304}
-	if _, hit := tc.Lookup(100, peekFrom(div)); hit {
-		t.Fatal("divergent path must miss")
-	}
-	// Too-short upcoming stream: miss.
-	if _, hit := tc.Lookup(100, peekFrom(seq[:3])); hit {
-		t.Fatal("short stream must miss")
-	}
-	// Wrong fetch address: miss.
-	if _, hit := tc.Lookup(104, peekFrom(seq)); hit {
+	// Wrong fetch address: no trace.
+	if tc.Lookup(104) != nil {
 		t.Fatal("wrong tag must miss")
 	}
-	hits, misses, fills := tc.Stats()
-	if hits != 1 || misses != 3 || fills != 1 {
-		t.Fatalf("stats = %d/%d/%d, want 1/3/1", hits, misses, fills)
+	// Same entry, other tag: no trace either.
+	if tc.Lookup(100+256*4) != nil {
+		t.Fatal("aliasing address must miss")
 	}
 }
 
@@ -209,15 +198,12 @@ func TestTraceCacheConflict(t *testing.T) {
 	tc := NewTraceCache(256, 16, 3, 4)
 	// Addresses 4*i and 4*(i+256) index the same entry.
 	a, b := uint64(0), uint64(256*4)
-	tc.Fill(a, []uint64{a})
-	tc.Fill(b, []uint64{b})
-	peek := func(want uint64) func(int) (uint64, bool) {
-		return func(i int) (uint64, bool) { return want, i == 0 }
-	}
-	if _, hit := tc.Lookup(a, peek(a)); hit {
+	tc.Fill(a, []Run{{Addr: a, N: 1}})
+	tc.Fill(b, []Run{{Addr: b, N: 1}})
+	if tc.Lookup(a) != nil {
 		t.Fatal("conflicting fill should have evicted entry a")
 	}
-	if _, hit := tc.Lookup(b, peek(b)); !hit {
+	if got := tc.Lookup(b); len(got) != 1 || got[0].Addr != b {
 		t.Fatal("entry b should be resident")
 	}
 }
@@ -225,19 +211,261 @@ func TestTraceCacheConflict(t *testing.T) {
 func TestTraceCacheResetAndEmptyFill(t *testing.T) {
 	tc := NewTraceCache(16, 16, 3, 4)
 	tc.Fill(0, nil) // ignored
-	if _, _, fills := tc.Stats(); fills != 0 {
+	if tc.Lookup(0) != nil {
 		t.Fatal("empty fill must be ignored")
 	}
-	tc.Fill(0, []uint64{0})
+	tc.Fill(0, []Run{{Addr: 0, N: 1}})
 	tc.Reset()
-	if _, hit := tc.Lookup(0, func(int) (uint64, bool) { return 0, true }); hit {
+	if tc.Lookup(0) != nil {
 		t.Fatal("lookup after reset must miss")
 	}
-	if tc.Name() != "16KB trace cache" {
-		// 256*16*4 = 16KB only for the 256-entry config; here 16 entries = 1KB.
-		tcBig := NewTraceCache(256, 16, 3, 4)
-		if tcBig.Name() != "16KB trace cache" {
-			t.Fatalf("name = %q", tcBig.Name())
+	if got := NewTraceCache(256, 16, 3, 4).Name(); got != "16KB trace cache" {
+		t.Fatalf("name = %q", got)
+	}
+	if got := tc.Name(); got != "1KB trace cache" {
+		t.Fatalf("name = %q", got)
+	}
+}
+
+// TestTraceCacheIndexEqualsDivMod pins the shift-and-mask entry index
+// to the divide-and-modulo it replaced.
+func TestTraceCacheIndexEqualsDivMod(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, entries := range []int{1, 2, 64, 256} {
+		for _, instrBytes := range []int{1, 4, 8} {
+			tc := NewTraceCache(entries, 16, 3, instrBytes)
+			for i := 0; i < 2000; i++ {
+				addr := rng.Uint64() >> uint(rng.Intn(64))
+				want := &tc.lines[int((addr/uint64(instrBytes))%uint64(entries))]
+				if got := tc.line(addr); got != want {
+					t.Fatalf("entries=%d instrBytes=%d addr=%#x: wrong entry", entries, instrBytes, addr)
+				}
+			}
 		}
+	}
+}
+
+// ---- the divide-and-modulo caches, kept as the reference ----
+//
+// These are the models as they were before indexing went to shift and
+// mask: line = addr / lineBytes, set = line % sets, for any geometry.
+// The property test below requires the shipped caches to answer every
+// access of a random address sequence the same way.
+
+type refDirectMapped struct {
+	lineBytes, sets uint64
+	tags            []uint64
+	valid           []bool
+}
+
+func newRefDirectMapped(sizeBytes, lineBytes int) *refDirectMapped {
+	sets := uint64(sizeBytes / lineBytes)
+	return &refDirectMapped{
+		lineBytes: uint64(lineBytes), sets: sets,
+		tags: make([]uint64, sets), valid: make([]bool, sets),
+	}
+}
+
+func (c *refDirectMapped) Access(addr uint64) bool {
+	line := addr / c.lineBytes
+	set := line % c.sets
+	if c.valid[set] && c.tags[set] == line {
+		return true
+	}
+	c.valid[set] = true
+	c.tags[set] = line
+	return false
+}
+
+type refSetAssoc struct {
+	lineBytes, sets uint64
+	ways            int
+	tags            []uint64
+	valid           []bool
+	age             []uint64
+	clock           uint64
+}
+
+func newRefSetAssoc(sizeBytes, lineBytes, ways int) *refSetAssoc {
+	sets := uint64(sizeBytes / lineBytes / ways)
+	n := int(sets) * ways
+	return &refSetAssoc{
+		lineBytes: uint64(lineBytes), sets: sets, ways: ways,
+		tags: make([]uint64, n), valid: make([]bool, n), age: make([]uint64, n),
+	}
+}
+
+func (c *refSetAssoc) Access(addr uint64) bool {
+	line := addr / c.lineBytes
+	set := line % c.sets
+	base := int(set) * c.ways
+	c.clock++
+	victim, oldest := base, c.age[base]
+	for w := 0; w < c.ways; w++ {
+		i := base + w
+		if c.valid[i] && c.tags[i] == line {
+			c.age[i] = c.clock
+			return true
+		}
+		if !c.valid[i] {
+			victim, oldest = i, 0
+		} else if c.age[i] < oldest {
+			victim, oldest = i, c.age[i]
+		}
+	}
+	c.valid[victim] = true
+	c.tags[victim] = line
+	c.age[victim] = c.clock
+	return false
+}
+
+type refVictim struct {
+	main    *refDirectMapped
+	entries int
+	vtags   []uint64
+	vvalid  []bool
+	vage    []uint64
+	clock   uint64
+}
+
+func newRefVictim(sizeBytes, lineBytes, entries int) *refVictim {
+	return &refVictim{
+		main: newRefDirectMapped(sizeBytes, lineBytes), entries: entries,
+		vtags: make([]uint64, entries), vvalid: make([]bool, entries), vage: make([]uint64, entries),
+	}
+}
+
+func (c *refVictim) Access(addr uint64) bool {
+	line := addr / c.main.lineBytes
+	set := line % c.main.sets
+	c.clock++
+	if c.main.valid[set] && c.main.tags[set] == line {
+		return true
+	}
+	for i := 0; i < c.entries; i++ {
+		if c.vvalid[i] && c.vtags[i] == line {
+			if c.main.valid[set] {
+				c.vtags[i] = c.main.tags[set]
+				c.vage[i] = c.clock
+			} else {
+				c.vvalid[i] = false
+			}
+			c.main.tags[set] = line
+			c.main.valid[set] = true
+			return true
+		}
+	}
+	if c.main.valid[set] {
+		victim, oldest := 0, c.vage[0]
+		for i := 0; i < c.entries; i++ {
+			if !c.vvalid[i] {
+				victim = i
+				break
+			}
+			if c.vage[i] < oldest {
+				victim, oldest = i, c.vage[i]
+			}
+		}
+		c.vvalid[victim] = true
+		c.vtags[victim] = c.main.tags[set]
+		c.vage[victim] = c.clock
+	}
+	c.main.tags[set] = line
+	c.main.valid[set] = true
+	return false
+}
+
+// TestShiftMaskEqualsDivMod: over random address sequences with
+// conflicts, re-references and line-straddling offsets, every cache
+// answers each access exactly as its divide-and-modulo reference.
+func TestShiftMaskEqualsDivMod(t *testing.T) {
+	type accessor interface{ Access(uint64) bool }
+	type pair struct {
+		name     string
+		got, ref accessor
+	}
+	rng := rand.New(rand.NewSource(20))
+	for _, lineBytes := range []int{16, 32, 64, 128} {
+		for _, sets := range []int{1, 4, 32} {
+			size := lineBytes * sets
+			pairs := []pair{
+				{"direct", NewDirectMapped(size, lineBytes), newRefDirectMapped(size, lineBytes)},
+				{"2-way", NewSetAssoc(2*size, lineBytes, 2), newRefSetAssoc(2*size, lineBytes, 2)},
+				{"3-way", NewSetAssoc(3*size, lineBytes, 3), newRefSetAssoc(3*size, lineBytes, 3)},
+				{"victim", NewVictim(size, lineBytes, 4), newRefVictim(size, lineBytes, 4)},
+			}
+			// Addresses over 8x the cache so sets conflict, drawn with
+			// locality so hits, victim swaps and LRU updates all occur.
+			span := uint64(8 * size)
+			addr := uint64(0)
+			for i := 0; i < 20000; i++ {
+				switch rng.Intn(4) {
+				case 0:
+					addr = rng.Uint64() % span
+				case 1:
+					addr = (addr + uint64(size)) % span // same set, next tag
+				default:
+					addr = (addr + uint64(rng.Intn(2*lineBytes))) % span
+				}
+				for _, p := range pairs {
+					if g, r := p.got.Access(addr), p.ref.Access(addr); g != r {
+						t.Fatalf("%s line=%d sets=%d access %d addr=%#x: hit=%v, reference %v",
+							p.name, lineBytes, sets, i, addr, g, r)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestCheckGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		size, line, ways int
+		ok               bool
+	}{
+		{2048, 64, 1, true},
+		{64, 64, 1, true},
+		{3 * 1024, 64, 3, true}, // 16 sets of 3 ways
+		{65536, 128, 2, true},
+		{1000, 64, 1, false},     // not a multiple of the line
+		{3 * 1024, 64, 1, false}, // 48 sets
+		{2048, 48, 1, false},     // line not a power of two
+		{2048, 64, 3, false},     // not a multiple of line x ways
+		{2048, 0, 1, false},
+		{2048, -64, 1, false},
+		{0, 64, 1, false},
+		{-2048, 64, 1, false},
+		{2048, 64, 0, false},
+		{2048, 64, -2, false},
+	} {
+		err := CheckGeometry(tc.size, tc.line, tc.ways)
+		if (err == nil) != tc.ok {
+			t.Errorf("CheckGeometry(%d, %d, %d) = %v, want ok=%v", tc.size, tc.line, tc.ways, err, tc.ok)
+		}
+	}
+}
+
+// TestBadGeometryPanics: what CheckGeometry and CheckTraceCache reject,
+// the constructors refuse to build.
+func TestBadGeometryPanics(t *testing.T) {
+	for name, build := range map[string]func(){
+		"direct 48 sets":     func() { NewDirectMapped(3*1024, 64) },
+		"direct 48B line":    func() { NewDirectMapped(48*16, 48) },
+		"2-way 3 sets":       func() { NewSetAssoc(3*2*64, 64, 2) },
+		"0-way":              func() { NewSetAssoc(2048, 64, 0) },
+		"victim 48 sets":     func() { NewVictim(3*1024, 64, 4) },
+		"victim no entries":  func() { NewVictim(1024, 64, 0) },
+		"trace cache 100":    func() { NewTraceCache(100, 16, 3, 4) },
+		"trace cache 0":      func() { NewTraceCache(0, 16, 3, 4) },
+		"trace cache 3B ins": func() { NewTraceCache(64, 16, 3, 3) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: want panic", name)
+				}
+			}()
+			build()
+		}()
 	}
 }

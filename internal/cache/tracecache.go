@@ -1,33 +1,55 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
+
+// Run is N consecutive instructions starting at byte address Addr: the
+// part of one basic block that a trace contains.
+type Run struct {
+	Addr uint64
+	N    int32
+}
 
 // TraceCache models the basic trace cache of Rotenberg, Bennett and
 // Smith used in Section 7.3: a direct-mapped buffer of dynamic
 // instruction sequences, each up to MaxInstrs instructions and
 // MaxBranches branches long, indexed by fetch address.
 //
-// The simulator stores each trace as the exact sequence of instruction
-// addresses it contains. With the paper's perfect branch prediction, a
-// lookup hits when the stored sequence matches the actual upcoming
-// dynamic instruction stream, i.e. the stored branch outcomes agree
-// with the (perfectly predicted) future path.
+// A trace is stored as the runs of consecutive instruction addresses
+// it contains, one per basic block it enters. With the paper's perfect
+// branch prediction a fetch hits when the stored sequence is what the
+// dynamic stream executes next, i.e. the stored branch outcomes agree
+// with the (perfectly predicted) future path; the fetch unit, which
+// owns the stream, makes that comparison against what Lookup returns.
 type TraceCache struct {
-	entries    int
 	maxInstrs  int
 	maxBranch  int
 	lines      []tcLine
 	sizeBytes  int
-	hitCount   uint64
-	missCount  uint64
-	fillCount  uint64
-	instrBytes uint64
+	instrShift uint
+	indexMask  uint64
 }
 
 type tcLine struct {
 	valid bool
 	tag   uint64 // fetch address
-	addrs []uint64
+	runs  []Run
+}
+
+// CheckTraceCache reports whether a trace cache of that many entries
+// over instrBytes-sized instructions can be built: it is indexed by
+// shift and mask, so both must be powers of two. NewTraceCache panics
+// on what it rejects.
+func CheckTraceCache(entries, instrBytes int) error {
+	switch {
+	case !IsPowerOfTwo(entries):
+		return fmt.Errorf("cache: %d trace-cache entries is not a power of two", entries)
+	case !IsPowerOfTwo(instrBytes):
+		return fmt.Errorf("cache: instruction size %d is not a power of two", instrBytes)
+	}
+	return nil
 }
 
 // NewTraceCache returns a direct-mapped trace cache with the given
@@ -35,22 +57,24 @@ type tcLine struct {
 // maxBranches branches. The paper's configuration is 256 entries of 16
 // instructions (16 KB).
 func NewTraceCache(entries, maxInstrs, maxBranches, instrBytes int) *TraceCache {
-	tc := &TraceCache{
-		entries:    entries,
+	if err := CheckTraceCache(entries, instrBytes); err != nil {
+		panic(err.Error())
+	}
+	return &TraceCache{
 		maxInstrs:  maxInstrs,
 		maxBranch:  maxBranches,
 		lines:      make([]tcLine, entries),
 		sizeBytes:  entries * maxInstrs * instrBytes,
-		instrBytes: uint64(instrBytes),
+		instrShift: uint(bits.TrailingZeros(uint(instrBytes))),
+		indexMask:  uint64(entries) - 1,
 	}
-	return tc
 }
 
 // Name describes the configuration.
 func (tc *TraceCache) Name() string { return fmt.Sprintf("%dKB trace cache", tc.sizeBytes/1024) }
 
 // Entries returns the number of trace lines.
-func (tc *TraceCache) Entries() int { return tc.entries }
+func (tc *TraceCache) Entries() int { return len(tc.lines) }
 
 // MaxInstrs returns the per-line instruction capacity.
 func (tc *TraceCache) MaxInstrs() int { return tc.maxInstrs }
@@ -58,57 +82,38 @@ func (tc *TraceCache) MaxInstrs() int { return tc.maxInstrs }
 // MaxBranches returns the per-line branch limit.
 func (tc *TraceCache) MaxBranches() int { return tc.maxBranch }
 
-func (tc *TraceCache) index(addr uint64) int {
-	return int((addr / tc.instrBytes) % uint64(tc.entries))
+func (tc *TraceCache) line(addr uint64) *tcLine {
+	return &tc.lines[(addr>>tc.instrShift)&tc.indexMask]
 }
 
-// Lookup checks for a trace starting at fetch address addr whose
-// stored instruction addresses match the upcoming stream. upcoming
-// must supply at least the next len instructions' addresses via the
-// peek callback: peek(i) returns the address of the i-th upcoming
-// instruction (i=0 is the instruction at addr) and whether it exists.
-// On a hit it returns the number of instructions delivered.
-func (tc *TraceCache) Lookup(addr uint64, peek func(int) (uint64, bool)) (int, bool) {
-	l := &tc.lines[tc.index(addr)]
+// Lookup returns the trace stored for fetch address addr, or nil when
+// the entry it maps to is empty or holds another address's trace. The
+// runs stay valid until the next Fill or Reset.
+func (tc *TraceCache) Lookup(addr uint64) []Run {
+	l := tc.line(addr)
 	if !l.valid || l.tag != addr {
-		tc.missCount++
-		return 0, false
+		return nil
 	}
-	for i, want := range l.addrs {
-		got, ok := peek(i)
-		if !ok || got != want {
-			// Stored branch outcomes diverge from the actual path.
-			tc.missCount++
-			return 0, false
-		}
-	}
-	tc.hitCount++
-	return len(l.addrs), true
+	return l.runs
 }
 
-// Fill inserts a trace starting at addr with the given instruction
-// addresses (already truncated to the line limits by the fill unit).
-func (tc *TraceCache) Fill(addr uint64, addrs []uint64) {
-	if len(addrs) == 0 {
+// Fill inserts a trace starting at addr with the given runs (already
+// truncated to the line limits by the fill unit), replacing whatever
+// the entry held. The runs are copied.
+func (tc *TraceCache) Fill(addr uint64, runs []Run) {
+	if len(runs) == 0 {
 		return
 	}
-	l := &tc.lines[tc.index(addr)]
+	l := tc.line(addr)
 	l.valid = true
 	l.tag = addr
-	l.addrs = append(l.addrs[:0], addrs...)
-	tc.fillCount++
+	l.runs = append(l.runs[:0], runs...)
 }
 
-// Stats returns hit, miss and fill counts.
-func (tc *TraceCache) Stats() (hits, misses, fills uint64) {
-	return tc.hitCount, tc.missCount, tc.fillCount
-}
-
-// Reset invalidates all lines and clears statistics.
+// Reset invalidates all lines.
 func (tc *TraceCache) Reset() {
 	for i := range tc.lines {
 		tc.lines[i].valid = false
-		tc.lines[i].addrs = tc.lines[i].addrs[:0]
+		tc.lines[i].runs = tc.lines[i].runs[:0]
 	}
-	tc.hitCount, tc.missCount, tc.fillCount = 0, 0, 0
 }

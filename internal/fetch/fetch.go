@@ -13,12 +13,17 @@
 package fetch
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
+
 	"repro/internal/cache"
 	"repro/internal/program"
 	"repro/internal/trace"
 )
 
-// Config parameterizes one simulation.
+// Config parameterizes one simulation. Width, MaxBranches and MaxLines
+// mean their SEQ.3 value (in parentheses) when not positive.
 type Config struct {
 	// Width is the maximum instructions delivered per fetch (16).
 	Width int
@@ -100,30 +105,35 @@ func (r Result) MissesPer100Instr() float64 {
 	return 100 * float64(r.LineMisses) / float64(r.Instrs)
 }
 
-// stream walks a dynamic trace as a sequence of instruction addresses
-// under a given layout.
+// blockInfo is what the simulator needs of one basic block under one
+// layout, packed so that a block event costs one load.
+type blockInfo struct {
+	addr   uint64 // start address (layout)
+	size   int32  // instruction count, >= 1
+	branch bool   // ends in a branch (any kind but fall-through)
+}
+
+// stream is a cursor over a dynamic trace under a given layout. A
+// block's instructions are contiguous, so everything that consumes the
+// stream — the SEQ.3 fetch, the trace-cache hit test and its fill unit
+// — moves over it a run of instructions at a time, never one by one.
 type stream struct {
 	blocks []program.BlockID
-	addr   []uint64 // per-block start address (layout)
-	size   []int32  // per-block instruction count
-	kind   []program.BlockKind
-	idx    int   // current block index within blocks
-	off    int32 // instruction offset within current block
+	info   []blockInfo // indexed by BlockID
+	idx    int         // current block index within blocks
+	off    int32       // instruction offset within the current block
 }
 
 func newStream(t *trace.Trace, l *program.Layout) *stream {
 	p := t.Program()
-	n := p.NumBlocks()
-	s := &stream{
-		blocks: t.Blocks,
-		addr:   l.Addr,
-		size:   make([]int32, n),
-		kind:   make([]program.BlockKind, n),
-	}
-	for i := 0; i < n; i++ {
+	s := &stream{blocks: t.Blocks, info: make([]blockInfo, p.NumBlocks())}
+	for i := range s.info {
 		b := p.Block(program.BlockID(i))
-		s.size[i] = int32(b.Size)
-		s.kind[i] = b.Kind
+		s.info[i] = blockInfo{
+			addr:   l.Addr[i],
+			size:   int32(b.Size),
+			branch: b.Kind != program.KindFallThrough,
+		}
 	}
 	return s
 }
@@ -133,62 +143,44 @@ func (s *stream) done() bool { return s.idx >= len(s.blocks) }
 
 // cur returns the address of the current instruction.
 func (s *stream) cur() uint64 {
-	b := s.blocks[s.idx]
-	return s.addr[b] + uint64(s.off)*program.InstrBytes
-}
-
-// peek returns the address of the k-th upcoming instruction (k=0 is
-// the current one) and whether it exists.
-func (s *stream) peek(k int) (uint64, bool) {
-	idx, off := s.idx, s.off
-	for idx < len(s.blocks) {
-		b := s.blocks[idx]
-		remain := int(s.size[b] - off)
-		if k < remain {
-			return s.addr[b] + uint64(off+int32(k))*program.InstrBytes, true
-		}
-		k -= remain
-		idx++
-		off = 0
-	}
-	return 0, false
-}
-
-// advance moves the stream forward n instructions.
-func (s *stream) advance(n int) {
-	for n > 0 && s.idx < len(s.blocks) {
-		b := s.blocks[s.idx]
-		remain := int(s.size[b] - s.off)
-		if n < remain {
-			s.off += int32(n)
-			return
-		}
-		n -= remain
-		s.idx++
-		s.off = 0
-	}
+	return s.info[s.blocks[s.idx]].addr + uint64(s.off)*program.InstrBytes
 }
 
 // Simulate runs the fetch engine over the whole trace under the given
-// layout and configuration.
+// layout and configuration. Width, MaxBranches and MaxLines take the
+// SEQ.3 defaults when not positive, as LineBytes does; the line size
+// must be a power of two.
 func Simulate(t *trace.Trace, l *program.Layout, cfg Config) Result {
 	var r Result
-	s := newStream(t, l)
+	def := DefaultConfig(nil)
+	if cfg.Width <= 0 {
+		cfg.Width = def.Width
+	}
+	if cfg.MaxBranches <= 0 {
+		cfg.MaxBranches = def.MaxBranches
+	}
+	if cfg.MaxLines <= 0 {
+		cfg.MaxLines = def.MaxLines
+	}
 	lineBytes := cfg.lineBytes()
+	if lineBytes&(lineBytes-1) != 0 {
+		panic(fmt.Sprintf("fetch: line size %d is not a power of two", lineBytes))
+	}
+	lineShift := uint(bits.TrailingZeros64(lineBytes))
+	s := newStream(t, l)
 	if cfg.ICache != nil {
 		cfg.ICache.Reset()
 	}
 	if cfg.TC != nil {
 		cfg.TC.Reset()
 	}
-	var tcFill []uint64
+	var tcFill []cache.Run
 	for !s.done() {
 		fetchAddr := s.cur()
 		// Trace cache first: a hit delivers the stored trace in one
 		// cycle, bypassing the i-cache.
 		if cfg.TC != nil {
-			if n, hit := cfg.TC.Lookup(fetchAddr, s.peek); hit {
-				s.advance(n)
+			if n, hit := s.takeTrace(cfg.TC.Lookup(fetchAddr)); hit {
 				r.Instrs += uint64(n)
 				r.TCInstrs += uint64(n)
 				r.TCHits++
@@ -199,10 +191,10 @@ func Simulate(t *trace.Trace, l *program.Layout, cfg Config) Result {
 			r.TCMisses++
 			// Fill the trace cache from the actual dynamic stream:
 			// up to MaxInstrs instructions / MaxBranches branches.
-			tcFill = buildTCFill(s, cfg.TC, tcFill[:0])
+			tcFill = s.traceFill(cfg.TC, tcFill[:0])
 		}
 		// SEQ.3 i-cache fetch.
-		n, lastAddr := s.seq3(cfg, lineBytes)
+		n, lastAddr := s.seq3(&cfg, fetchAddr, lineShift)
 		r.Instrs += uint64(n)
 		r.Fetches++
 		r.Cycles++
@@ -212,7 +204,7 @@ func Simulate(t *trace.Trace, l *program.Layout, cfg Config) Result {
 			if !cfg.ICache.Access(fetchAddr) {
 				misses++
 			}
-			if lastAddr/lineBytes != fetchAddr/lineBytes {
+			if lastAddr>>lineShift != fetchAddr>>lineShift {
 				r.LineAccesses++
 				if !cfg.ICache.Access(lastAddr) {
 					misses++
@@ -229,71 +221,117 @@ func Simulate(t *trace.Trace, l *program.Layout, cfg Config) Result {
 }
 
 // seq3 performs one SEQ.3 fetch from the current stream position,
-// advancing the stream. It returns the number of instructions
-// delivered and the address of the last one.
-func (s *stream) seq3(cfg Config, lineBytes uint64) (int, uint64) {
-	fetchAddr := s.cur()
-	limit := (fetchAddr/lineBytes + uint64(cfg.MaxLines)) * lineBytes
-	n := 0
+// whose address is fetchAddr, advancing the stream. It returns the
+// number of instructions delivered and the address of the last one.
+// Each step takes what is left of the current block, of the fetch
+// width, or of the lines the fetch may span, whichever is least.
+func (s *stream) seq3(cfg *Config, fetchAddr uint64, lineShift uint) (int, uint64) {
+	// limit is the first address past the lines the fetch may span.
+	limit := (fetchAddr>>lineShift + uint64(cfg.MaxLines)) << lineShift
+	width := int32(min(cfg.Width, math.MaxInt32))
+	blocks, info := s.blocks, s.info
+	idx, off := s.idx, s.off
+	n := int32(0)
 	branches := 0
 	lastAddr := fetchAddr
-	for !s.done() && n < cfg.Width {
-		b := s.blocks[s.idx]
-		a := s.addr[b] + uint64(s.off)*program.InstrBytes
+	for idx < len(blocks) && n < width {
+		bi := &info[blocks[idx]]
+		a := bi.addr + uint64(off)*program.InstrBytes
 		if a >= limit {
-			break // would leave the two consecutive lines
+			break // would leave the consecutive lines
 		}
-		n++
-		lastAddr = a
-		if int32(s.off) == s.size[b]-1 {
-			// Block terminator: classify the transition.
-			isBranch := s.kind[b] != program.KindFallThrough
-			s.idx++
-			s.off = 0
-			if isBranch {
-				branches++
-			}
-			if s.done() {
-				break
-			}
-			next := s.blocks[s.idx]
-			taken := s.addr[next] != a+program.InstrBytes
-			if taken {
-				break // fetch stops at the first taken control transfer
-			}
-			if branches >= cfg.MaxBranches {
-				break
-			}
-		} else {
-			s.off++
+		rest := bi.size - off
+		step := min(rest, width-n)
+		// Instructions of this block that start below limit.
+		if room := (limit - a + program.InstrBytes - 1) / program.InstrBytes; uint64(step) > room {
+			step = int32(room)
+		}
+		n += step
+		lastAddr = a + uint64(step-1)*program.InstrBytes
+		if step < rest {
+			off += step // out of width or of lines
+			break
+		}
+		// Block terminator delivered: classify the transition.
+		idx++
+		off = 0
+		if bi.branch {
+			branches++
+		}
+		if idx == len(blocks) {
+			break
+		}
+		if info[blocks[idx]].addr != lastAddr+program.InstrBytes {
+			break // fetch stops at the first taken control transfer
+		}
+		if branches >= cfg.MaxBranches {
+			break
 		}
 	}
-	return n, lastAddr
+	s.idx, s.off = idx, off
+	return int(n), lastAddr
 }
 
-// buildTCFill collects the instruction addresses of the trace-cache
-// line starting at the current stream position: up to MaxInstrs
-// instructions and MaxBranches branch instructions, following the
-// actual dynamic path (taken branches included — that is the point of
-// a trace cache).
-func buildTCFill(s *stream, tc *cache.TraceCache, buf []uint64) []uint64 {
+// takeTrace is the trace-cache hit test: if the stored runs are
+// exactly what the stream executes next it consumes them and returns
+// their instruction count; otherwise (stored branch outcomes diverge
+// from the actual path, the trace ends first, or there is no stored
+// trace) the stream is left where it was.
+func (s *stream) takeTrace(runs []cache.Run) (int, bool) {
+	if len(runs) == 0 {
+		return 0, false
+	}
 	idx, off := s.idx, s.off
-	branches := 0
-	for len(buf) < tc.MaxInstrs() && idx < len(s.blocks) {
-		b := s.blocks[idx]
-		buf = append(buf, s.addr[b]+uint64(off)*program.InstrBytes)
-		if int32(off) == s.size[b]-1 {
-			if s.kind[b] != program.KindFallThrough {
-				branches++
-				if branches >= tc.MaxBranches() {
-					break
-				}
+	n := int32(0)
+	for _, r := range runs {
+		a, need := r.Addr, r.N
+		for need > 0 {
+			if idx == len(s.blocks) {
+				return 0, false
 			}
-			idx++
-			off = 0
-		} else {
-			off++
+			bi := &s.info[s.blocks[idx]]
+			if bi.addr+uint64(off)*program.InstrBytes != a {
+				return 0, false
+			}
+			step := min(need, bi.size-off)
+			need -= step
+			a += uint64(step) * program.InstrBytes
+			if off += step; off == bi.size {
+				idx++
+				off = 0
+			}
 		}
+		n += r.N
+	}
+	s.idx, s.off = idx, off
+	return int(n), true
+}
+
+// traceFill collects the trace-cache line starting at the current
+// stream position: up to MaxInstrs instructions and MaxBranches branch
+// instructions, following the actual dynamic path (taken branches
+// included — that is the point of a trace cache), one run per block
+// entered.
+func (s *stream) traceFill(tc *cache.TraceCache, buf []cache.Run) []cache.Run {
+	idx, off := s.idx, s.off
+	room := int32(tc.MaxInstrs())
+	branches := 0
+	for room > 0 && idx < len(s.blocks) {
+		bi := &s.info[s.blocks[idx]]
+		rest := bi.size - off
+		step := min(rest, room)
+		buf = append(buf, cache.Run{Addr: bi.addr + uint64(off)*program.InstrBytes, N: step})
+		room -= step
+		if step < rest {
+			break
+		}
+		if bi.branch {
+			if branches++; branches >= tc.MaxBranches() {
+				break
+			}
+		}
+		idx++
+		off = 0
 	}
 	return buf
 }
@@ -313,14 +351,13 @@ type SequentialityStats struct {
 // Sequentiality computes SequentialityStats for a trace under a layout.
 func Sequentiality(t *trace.Trace, l *program.Layout) SequentialityStats {
 	var st SequentialityStats
-	p := t.Program()
+	info := newStream(t, l).info
 	for i, b := range t.Blocks {
-		blk := p.Block(b)
-		st.Instrs += uint64(blk.Size)
+		bi := &info[b]
+		st.Instrs += uint64(bi.size)
 		if i+1 < len(t.Blocks) {
 			st.Transitions++
-			endAddr := l.Addr[b] + blk.SizeBytes()
-			if l.Addr[t.Blocks[i+1]] != endAddr {
+			if info[t.Blocks[i+1]].addr != bi.addr+uint64(bi.size)*program.InstrBytes {
 				st.Taken++
 			}
 		}

@@ -2,7 +2,11 @@ package fetch
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/program"
@@ -331,7 +335,7 @@ func TestIdealIPCEqualsIPCWithoutCache(t *testing.T) {
 func TestStreamPeekAcrossBlocks(t *testing.T) {
 	p, tr := loopTrace(t, 2)
 	l := program.OriginalLayout(p)
-	s := newStream(tr, l)
+	s := newRefStream(tr, l)
 	// head starts at 0 (4 instrs), body at 16 (6 instrs).
 	if a, ok := s.peek(0); !ok || a != 0 {
 		t.Fatalf("peek(0) = %d,%v", a, ok)
@@ -360,4 +364,523 @@ func TestStreamPeekAcrossBlocks(t *testing.T) {
 	if !s.done() {
 		t.Fatal("stream should be exhausted")
 	}
+}
+
+// TestTakeTrace: the trace-cache hit test consumes a stored trace only
+// when it is exactly what the stream executes next.
+func TestTakeTrace(t *testing.T) {
+	p, tr := loopTrace(t, 2)
+	l := program.OriginalLayout(p)
+	// head at 0 (4 instrs), body at 16 (6), exit at 40 (2); the trace
+	// is head body head body head body exit.
+	loop := []cache.Run{{Addr: 0, N: 4}, {Addr: 16, N: 6}, {Addr: 0, N: 4}}
+	for _, tc := range []struct {
+		name string
+		runs []cache.Run
+		n    int
+	}{
+		{"exact path", loop, 14},
+		{"runs split and merged differently", []cache.Run{{Addr: 0, N: 2}, {Addr: 8, N: 8}, {Addr: 0, N: 1}}, 11},
+		{"no stored trace", nil, 0},
+		{"diverges in the third block", []cache.Run{{Addr: 0, N: 4}, {Addr: 16, N: 6}, {Addr: 40, N: 2}}, 0},
+		{"diverges inside a run", []cache.Run{{Addr: 0, N: 4}, {Addr: 16, N: 7}}, 0},
+		{"other start", []cache.Run{{Addr: 4, N: 3}}, 0},
+	} {
+		s := newStream(tr, l)
+		n, hit := s.takeTrace(tc.runs)
+		if n != tc.n || hit != (tc.n > 0) {
+			t.Errorf("%s: takeTrace = (%d,%v), want %d", tc.name, n, hit, tc.n)
+		}
+		rs := newRefStream(tr, l)
+		rs.advance(tc.n)
+		if s.idx != rs.idx || s.off != rs.off {
+			t.Errorf("%s: cursor at (%d,%d), want (%d,%d)", tc.name, s.idx, s.off, rs.idx, rs.off)
+		}
+	}
+	// A stored trace longer than what is left of the stream misses.
+	s := newStream(tr, l)
+	s.idx = len(tr.Blocks) - 2 // body exit
+	if _, hit := s.takeTrace([]cache.Run{{Addr: 16, N: 6}, {Addr: 40, N: 2}, {Addr: 48, N: 1}}); hit {
+		t.Fatal("trace running past the end of the stream must miss")
+	}
+	if n, hit := s.takeTrace([]cache.Run{{Addr: 16, N: 6}, {Addr: 40, N: 2}}); !hit || n != 8 || !s.done() {
+		t.Fatalf("takeTrace to the end = (%d,%v), done=%v", n, hit, s.done())
+	}
+}
+
+// TestZeroConfigTakesDefaults: a zero Config used to make seq3 deliver
+// no instructions and Simulate spin forever. Non-positive Width,
+// MaxBranches and MaxLines now mean the SEQ.3 defaults.
+func TestZeroConfigTakesDefaults(t *testing.T) {
+	p, tr := loopTrace(t, 50)
+	l := program.OriginalLayout(p)
+	want := Simulate(tr, l, DefaultConfig(nil))
+	for _, cfg := range []Config{{}, {Width: -1, MaxBranches: -3, MaxLines: -2}} {
+		done := make(chan Result, 1)
+		go func() { done <- Simulate(tr, l, cfg) }()
+		select {
+		case got := <-done:
+			if got != want {
+				t.Errorf("Simulate(%+v) = %+v, want DefaultConfig(nil)'s %+v", cfg, got, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Simulate(%+v) did not finish", cfg)
+		}
+	}
+	// MissPenalty is not defaulted: zero is a legal penalty.
+	ic := cache.NewDirectMapped(1024, 64)
+	if got := Simulate(tr, l, Config{ICache: ic}); got.Cycles != got.Fetches || got.LineMisses == 0 {
+		t.Errorf("zero MissPenalty: cycles %d, fetches %d, misses %d", got.Cycles, got.Fetches, got.LineMisses)
+	}
+}
+
+func TestNonPowerOfTwoLinePanics(t *testing.T) {
+	p, tr := straightProgram(t)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("want panic")
+		}
+	}()
+	cfg := DefaultConfig(nil)
+	cfg.LineBytes = 48
+	Simulate(tr, program.OriginalLayout(p), cfg)
+}
+
+// ---- the per-instruction simulator, kept as the reference ----
+//
+// This is the fetch engine as it was before it moved to block
+// granularity: seq3, the trace-cache lookup and the trace-cache fill
+// each loop once per instruction, the lookup through a peek callback
+// that re-walks the stream, the trace cache stores one address per
+// instruction and indexes by divide and modulo. Slow and obviously
+// right; TestSimulateEqualsReference and FuzzSimulate require the
+// shipped simulator to produce the same Result, field by field.
+
+type refStream struct {
+	blocks []program.BlockID
+	addr   []uint64 // per-block start address (layout)
+	size   []int32  // per-block instruction count
+	kind   []program.BlockKind
+	idx    int   // current block index within blocks
+	off    int32 // instruction offset within current block
+}
+
+func newRefStream(t *trace.Trace, l *program.Layout) *refStream {
+	p := t.Program()
+	n := p.NumBlocks()
+	s := &refStream{
+		blocks: t.Blocks,
+		addr:   l.Addr,
+		size:   make([]int32, n),
+		kind:   make([]program.BlockKind, n),
+	}
+	for i := 0; i < n; i++ {
+		b := p.Block(program.BlockID(i))
+		s.size[i] = int32(b.Size)
+		s.kind[i] = b.Kind
+	}
+	return s
+}
+
+func (s *refStream) done() bool { return s.idx >= len(s.blocks) }
+
+func (s *refStream) cur() uint64 {
+	b := s.blocks[s.idx]
+	return s.addr[b] + uint64(s.off)*program.InstrBytes
+}
+
+// peek returns the address of the k-th upcoming instruction (k=0 is
+// the current one) and whether it exists.
+func (s *refStream) peek(k int) (uint64, bool) {
+	idx, off := s.idx, s.off
+	for idx < len(s.blocks) {
+		b := s.blocks[idx]
+		remain := int(s.size[b] - off)
+		if k < remain {
+			return s.addr[b] + uint64(off+int32(k))*program.InstrBytes, true
+		}
+		k -= remain
+		idx++
+		off = 0
+	}
+	return 0, false
+}
+
+// advance moves the stream forward n instructions.
+func (s *refStream) advance(n int) {
+	for n > 0 && s.idx < len(s.blocks) {
+		b := s.blocks[s.idx]
+		remain := int(s.size[b] - s.off)
+		if n < remain {
+			s.off += int32(n)
+			return
+		}
+		n -= remain
+		s.idx++
+		s.off = 0
+	}
+}
+
+func (s *refStream) seq3(cfg Config, lineBytes uint64) (int, uint64) {
+	fetchAddr := s.cur()
+	limit := (fetchAddr/lineBytes + uint64(cfg.MaxLines)) * lineBytes
+	n := 0
+	branches := 0
+	lastAddr := fetchAddr
+	for !s.done() && n < cfg.Width {
+		b := s.blocks[s.idx]
+		a := s.addr[b] + uint64(s.off)*program.InstrBytes
+		if a >= limit {
+			break // would leave the two consecutive lines
+		}
+		n++
+		lastAddr = a
+		if int32(s.off) == s.size[b]-1 {
+			// Block terminator: classify the transition.
+			isBranch := s.kind[b] != program.KindFallThrough
+			s.idx++
+			s.off = 0
+			if isBranch {
+				branches++
+			}
+			if s.done() {
+				break
+			}
+			next := s.blocks[s.idx]
+			taken := s.addr[next] != a+program.InstrBytes
+			if taken {
+				break // fetch stops at the first taken control transfer
+			}
+			if branches >= cfg.MaxBranches {
+				break
+			}
+		} else {
+			s.off++
+		}
+	}
+	return n, lastAddr
+}
+
+// refTraceCache stores each trace as the exact sequence of instruction
+// addresses it contains.
+type refTraceCache struct {
+	entries, maxInstrs, maxBranch int
+	instrBytes                    uint64
+	lines                         []refTCLine
+}
+
+type refTCLine struct {
+	valid bool
+	tag   uint64
+	addrs []uint64
+}
+
+func newRefTraceCache(tc *cache.TraceCache) *refTraceCache {
+	return &refTraceCache{
+		entries: tc.Entries(), maxInstrs: tc.MaxInstrs(), maxBranch: tc.MaxBranches(),
+		instrBytes: program.InstrBytes,
+		lines:      make([]refTCLine, tc.Entries()),
+	}
+}
+
+func (tc *refTraceCache) index(addr uint64) int {
+	return int((addr / tc.instrBytes) % uint64(tc.entries))
+}
+
+func (tc *refTraceCache) lookup(addr uint64, peek func(int) (uint64, bool)) (int, bool) {
+	l := &tc.lines[tc.index(addr)]
+	if !l.valid || l.tag != addr {
+		return 0, false
+	}
+	for i, want := range l.addrs {
+		got, ok := peek(i)
+		if !ok || got != want {
+			// Stored branch outcomes diverge from the actual path.
+			return 0, false
+		}
+	}
+	return len(l.addrs), true
+}
+
+func (tc *refTraceCache) fill(addr uint64, addrs []uint64) {
+	if len(addrs) == 0 {
+		return
+	}
+	l := &tc.lines[tc.index(addr)]
+	l.valid = true
+	l.tag = addr
+	l.addrs = append(l.addrs[:0], addrs...)
+}
+
+func refBuildTCFill(s *refStream, tc *refTraceCache, buf []uint64) []uint64 {
+	idx, off := s.idx, s.off
+	branches := 0
+	for len(buf) < tc.maxInstrs && idx < len(s.blocks) {
+		b := s.blocks[idx]
+		buf = append(buf, s.addr[b]+uint64(off)*program.InstrBytes)
+		if int32(off) == s.size[b]-1 {
+			if s.kind[b] != program.KindFallThrough {
+				branches++
+				if branches >= tc.maxBranch {
+					break
+				}
+			}
+			idx++
+			off = 0
+		} else {
+			off++
+		}
+	}
+	return buf
+}
+
+// refSimulate is Simulate as it was, over the reference stream and
+// trace cache. cfg must have positive Width, MaxBranches and MaxLines
+// (it spins forever otherwise — the bug TestZeroConfigTakesDefaults
+// pins the fix of). The i-cache is cfg's own: the cache package checks
+// its models against their divide-and-modulo references itself.
+func refSimulate(t *trace.Trace, l *program.Layout, cfg Config) Result {
+	var r Result
+	s := newRefStream(t, l)
+	lineBytes := cfg.lineBytes()
+	if cfg.ICache != nil {
+		cfg.ICache.Reset()
+	}
+	var tc *refTraceCache
+	if cfg.TC != nil {
+		tc = newRefTraceCache(cfg.TC)
+	}
+	var tcFill []uint64
+	for !s.done() {
+		fetchAddr := s.cur()
+		if tc != nil {
+			if n, hit := tc.lookup(fetchAddr, s.peek); hit {
+				s.advance(n)
+				r.Instrs += uint64(n)
+				r.TCInstrs += uint64(n)
+				r.TCHits++
+				r.Fetches++
+				r.Cycles++
+				continue
+			}
+			r.TCMisses++
+			tcFill = refBuildTCFill(s, tc, tcFill[:0])
+		}
+		n, lastAddr := s.seq3(cfg, lineBytes)
+		r.Instrs += uint64(n)
+		r.Fetches++
+		r.Cycles++
+		if cfg.ICache != nil {
+			misses := uint64(0)
+			r.LineAccesses++
+			if !cfg.ICache.Access(fetchAddr) {
+				misses++
+			}
+			if lastAddr/lineBytes != fetchAddr/lineBytes {
+				r.LineAccesses++
+				if !cfg.ICache.Access(lastAddr) {
+					misses++
+				}
+			}
+			r.LineMisses += misses
+			r.Cycles += misses * cfg.MissPenalty
+		}
+		if tc != nil {
+			tc.fill(fetchAddr, tcFill)
+		}
+	}
+	return r
+}
+
+// randomCase draws a program, a layout and a trace from rng. Blocks
+// are 1 instruction, a few, or more than any fetch width; kinds are
+// mixed so fall-through blocks (no branch counted) and branches both
+// terminate fetches. The layout is the original order, a permutation,
+// or a permutation with gaps (so adjacent-in-trace blocks are
+// sometimes adjacent in memory and sometimes not, and blocks straddle
+// lines at every offset — byte offsets too: nothing in the reference
+// needs instruction-aligned addresses, so nothing in Simulate may).
+// The trace mixes sequential runs, repeated hot paths (trace-cache
+// hits), hot paths that diverge after a common prefix (trace-cache tag
+// hits that must miss) and random jumps; it ends wherever it ends,
+// usually in the middle of a fetch.
+func randomCase(rng *rand.Rand) (*trace.Trace, *program.Layout) {
+	nb := 2 + rng.Intn(30)
+	b := program.NewBuilder()
+	f := b.Proc("f", "m")
+	label := func(i int) string { return "b" + strconv.Itoa(i) }
+	for i := 0; i < nb; i++ {
+		var size int
+		switch rng.Intn(4) {
+		case 0:
+			size = 1
+		case 1:
+			size = 17 + rng.Intn(40) // wider than any fetch
+		default:
+			size = 2 + rng.Intn(9)
+		}
+		target := label(rng.Intn(nb))
+		switch k := rng.Intn(5); {
+		case i == nb-1:
+			f.Ret(label(i), size)
+		case k == 0:
+			f.Cond(label(i), size, target)
+		case k == 1:
+			f.Jump(label(i), size, target)
+		case k == 2:
+			f.Ret(label(i), size)
+		default:
+			f.Fall(label(i), size)
+		}
+	}
+	p := b.MustBuild()
+
+	order := make([]program.BlockID, nb)
+	for i := range order {
+		order[i] = program.BlockID(i)
+	}
+	var l *program.Layout
+	switch rng.Intn(3) {
+	case 0:
+		l = program.OriginalLayout(p)
+	case 1:
+		rng.Shuffle(nb, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		l = program.NewLayoutFromOrder("perm", p, order)
+	default:
+		rng.Shuffle(nb, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		addr := make([]uint64, nb)
+		var a uint64
+		unaligned := rng.Intn(2) == 0 // gaps that are not whole instructions
+		for _, blk := range order {
+			if rng.Intn(3) == 0 {
+				a += uint64(rng.Intn(40)) * program.InstrBytes
+				if unaligned {
+					a += uint64(rng.Intn(program.InstrBytes))
+				}
+			}
+			addr[blk] = a
+			a += p.Block(blk).SizeBytes()
+		}
+		l = program.NewLayoutFromAddrs("gaps", p, addr)
+	}
+
+	// Hot paths; path 1 shares path 0's first blocks and then diverges.
+	paths := make([][]program.BlockID, 2+rng.Intn(3))
+	for i := range paths {
+		for n := 1 + rng.Intn(6); n > 0; n-- {
+			paths[i] = append(paths[i], program.BlockID(rng.Intn(nb)))
+		}
+	}
+	paths[1] = append(append([]program.BlockID(nil), paths[0][:(len(paths[0])+1)/2]...), paths[1]...)
+	tr := trace.New(p)
+	cur := program.BlockID(rng.Intn(nb))
+	for n := rng.Intn(600); n > 0; n-- {
+		switch k := rng.Intn(8); {
+		case k < 3:
+			tr.Blocks = append(tr.Blocks, paths[rng.Intn(len(paths))]...)
+			cur = tr.Blocks[len(tr.Blocks)-1]
+		case k < 6:
+			cur = (cur + 1) % program.BlockID(nb) // next in declaration order
+			tr.Blocks = append(tr.Blocks, cur)
+		default:
+			cur = program.BlockID(rng.Intn(nb))
+			tr.Blocks = append(tr.Blocks, cur)
+		}
+	}
+	return tr, l
+}
+
+// configCase is one fetch-unit configuration of the comparison.
+type configCase struct {
+	width, maxBranches, maxLines int
+	lineBytes                    int // 16, 32, 64 or 128
+	icache                       int // 0 ideal, 1 direct-mapped, 2 two-way, 3 victim
+	tc                           bool
+	tcEntries, tcInstrs, tcBr    int
+	penalty                      uint64
+}
+
+func (c configCase) build() Config {
+	cfg := Config{Width: c.width, MaxBranches: c.maxBranches, MaxLines: c.maxLines, MissPenalty: c.penalty}
+	// Small caches, so that a few dozen blocks conflict.
+	size := 8 * c.lineBytes
+	switch c.icache {
+	case 0:
+		cfg.LineBytes = c.lineBytes
+	case 1:
+		cfg.ICache = cache.NewDirectMapped(size, c.lineBytes)
+	case 2:
+		cfg.ICache = cache.NewSetAssoc(size, c.lineBytes, 2)
+	case 3:
+		cfg.ICache = cache.NewVictim(size, c.lineBytes, 2)
+	}
+	if c.tc {
+		cfg.TC = cache.NewTraceCache(c.tcEntries, c.tcInstrs, c.tcBr, program.InstrBytes)
+	}
+	return cfg
+}
+
+// checkEqualsReference simulates one case both ways.
+func checkEqualsReference(t *testing.T, tr *trace.Trace, l *program.Layout, c configCase) {
+	t.Helper()
+	got := Simulate(tr, l, c.build())
+	want := refSimulate(tr, l, c.build())
+	if got == want {
+		return
+	}
+	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
+	for i := 0; i < gv.NumField(); i++ {
+		if g, w := gv.Field(i).Uint(), wv.Field(i).Uint(); g != w {
+			t.Errorf("%s = %d, reference %d", gv.Type().Field(i).Name, g, w)
+		}
+	}
+	t.Fatalf("config %+v, %d blocks, %d events, layout %s: Simulate differs from the per-instruction reference",
+		c, tr.Program().NumBlocks(), tr.Len(), l.Name)
+}
+
+// TestSimulateEqualsReference is the seeded property test: random
+// programs, layouts and traces under every cache kind, with and
+// without a trace cache, over the line sizes and fetch limits.
+func TestSimulateEqualsReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	cases := 60
+	if testing.Short() {
+		cases = 10
+	}
+	for n := 0; n < cases; n++ {
+		tr, l := randomCase(rng)
+		for _, lineBytes := range []int{16, 32, 64, 128} {
+			for icache := 0; icache < 4; icache++ {
+				for _, tc := range []bool{false, true} {
+					checkEqualsReference(t, tr, l, configCase{
+						width: 1 + rng.Intn(16), maxBranches: 1 + rng.Intn(3), maxLines: 1 + rng.Intn(2),
+						lineBytes: lineBytes, icache: icache, tc: tc,
+						tcEntries: 1 << rng.Intn(7), tcInstrs: 1 + rng.Intn(24), tcBr: 1 + rng.Intn(4),
+						penalty: uint64(rng.Intn(8)),
+					})
+				}
+			}
+		}
+		// The paper's unit exactly.
+		checkEqualsReference(t, tr, l, configCase{width: 16, maxBranches: 3, maxLines: 2, lineBytes: 64,
+			icache: 1, tc: true, tcEntries: 64, tcInstrs: 16, tcBr: 3, penalty: 5})
+	}
+}
+
+// FuzzSimulate lets the fuzzer pick the seed the case is drawn from
+// and the fetch-unit configuration.
+func FuzzSimulate(f *testing.F) {
+	f.Add(int64(1), uint8(16), uint8(3), uint8(2), uint8(2), uint8(1), true, uint8(6), uint8(16), uint8(3))
+	f.Add(int64(42), uint8(1), uint8(1), uint8(1), uint8(0), uint8(0), true, uint8(0), uint8(1), uint8(1))
+	f.Add(int64(7), uint8(5), uint8(2), uint8(2), uint8(3), uint8(3), false, uint8(3), uint8(24), uint8(4))
+	f.Add(int64(-9), uint8(12), uint8(3), uint8(1), uint8(1), uint8(2), true, uint8(2), uint8(7), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, width, maxBranches, maxLines, line, icache uint8, tc bool, tcEntries, tcInstrs, tcBr uint8) {
+		tr, l := randomCase(rand.New(rand.NewSource(seed)))
+		checkEqualsReference(t, tr, l, configCase{
+			width: 1 + int(width%16), maxBranches: 1 + int(maxBranches%3), maxLines: 1 + int(maxLines%2),
+			lineBytes: 16 << (line % 4), icache: int(icache % 4), tc: tc,
+			tcEntries: 1 << (tcEntries % 8), tcInstrs: 1 + int(tcInstrs%32), tcBr: 1 + int(tcBr%4),
+			penalty: uint64(seed & 7),
+		})
+	})
 }

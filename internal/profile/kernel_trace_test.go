@@ -1,0 +1,132 @@
+package profile_test
+
+import (
+	"maps"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/db/executor"
+	"repro/internal/db/sql"
+	"repro/internal/kernel"
+	"repro/internal/profile"
+	"repro/internal/program"
+	"repro/internal/tpcd"
+	"repro/internal/trace"
+)
+
+// kernelTrace records TPC-D queries over the instrumented kernel: the
+// trace AddTrace meets in the pipeline, with return blocks that have
+// several continuations and blocks that never run.
+func kernelTrace(t *testing.T, queries ...int) *trace.Trace {
+	t.Helper()
+	cfg := tpcd.DefaultConfig()
+	cfg.SF = 0.0005
+	db, err := tpcd.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := kernel.New(kernel.Config{ColdProcs: 10, Seed: 1})
+	ses := img.NewSession(true)
+	c := executor.NewCtx(ses)
+	for _, qn := range queries {
+		q, _ := tpcd.Query(qn)
+		if _, _, err := sql.Exec(db, c, q); err != nil {
+			t.Fatalf("Q%d: %v", qn, err)
+		}
+	}
+	if err := ses.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return ses.Trace()
+}
+
+// refProfile is AddTrace as it was: a map increment per event, block
+// sizes through Program.Block.
+type refProfile struct {
+	blockCount           []uint64
+	edgeCount            map[profile.Edge]uint64
+	dynBlocks, dynInstrs uint64
+}
+
+func newRefProfile(p *program.Program) *refProfile {
+	return &refProfile{blockCount: make([]uint64, p.NumBlocks()), edgeCount: make(map[profile.Edge]uint64)}
+}
+
+func (r *refProfile) addTrace(t *trace.Trace) {
+	last := program.NoBlock
+	prog := t.Program()
+	for _, b := range t.Blocks {
+		r.blockCount[b]++
+		r.dynInstrs += uint64(prog.Block(b).Size)
+		if last != program.NoBlock {
+			r.edgeCount[profile.Edge{From: last, To: b}]++
+		}
+		last = b
+	}
+	r.dynBlocks += uint64(len(t.Blocks))
+}
+
+// succs is Succs over the reference edge counts: decreasing count,
+// ties by BlockID.
+func (r *refProfile) succs(b program.BlockID) []profile.EdgeWeight {
+	var out []profile.EdgeWeight
+	for e, c := range r.edgeCount {
+		if e.From == b {
+			out = append(out, profile.EdgeWeight{To: e.To, Count: c})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Count != out[j].Count {
+			return out[i].Count > out[j].Count
+		}
+		return out[i].To < out[j].To
+	})
+	return out
+}
+
+func requireEqualsReference(t *testing.T, what string, got *profile.Profile, want *refProfile) {
+	t.Helper()
+	if got.DynBlocks != want.dynBlocks || got.DynInstrs != want.dynInstrs {
+		t.Fatalf("%s: %d blocks / %d instrs, reference %d / %d", what,
+			got.DynBlocks, got.DynInstrs, want.dynBlocks, want.dynInstrs)
+	}
+	if !slices.Equal(got.BlockCount, want.blockCount) {
+		t.Fatalf("%s: BlockCount differs from the reference", what)
+	}
+	if !maps.Equal(got.EdgeCount, want.edgeCount) {
+		t.Fatalf("%s: EdgeCount has %d edges, reference %d (or counts differ)", what,
+			len(got.EdgeCount), len(want.edgeCount))
+	}
+	fanout := 0
+	for b := range got.BlockCount {
+		g, w := got.Succs(program.BlockID(b)), want.succs(program.BlockID(b))
+		if !slices.Equal(g, w) {
+			t.Fatalf("%s: Succs(%s) = %v, reference %v", what, got.Prog.Block(program.BlockID(b)).Name, g, w)
+		}
+		fanout = max(fanout, len(g))
+	}
+	if fanout < 4 {
+		t.Fatalf("%s: widest block has %d successors; the trace does not exercise long successor chains", what, fanout)
+	}
+}
+
+// TestFromTraceEqualsMapPerEvent: counting transitions in successor
+// chains and filling EdgeCount once at the end gives what a map
+// increment per event gave — counts, totals and Succs order — for one
+// trace and for traces accumulated into one profile.
+func TestFromTraceEqualsMapPerEvent(t *testing.T) {
+	t1 := kernelTrace(t, tpcd.AllQueryNumbers()...)
+	want := newRefProfile(t1.Program())
+	want.addTrace(t1)
+	got := profile.FromTrace(t1)
+	requireEqualsReference(t, "FromTrace", got, want)
+
+	// A second trace over the same image lands on the first's counts;
+	// the successor chains are per call, EdgeCount is not.
+	t2 := trace.New(t1.Program())
+	t2.Blocks = t1.Blocks[len(t1.Blocks)/3:]
+	got.AddTrace(t2)
+	want.addTrace(t2)
+	requireEqualsReference(t, "AddTrace", got, want)
+}

@@ -58,17 +58,56 @@ func FromTrace(t *trace.Trace) *Profile {
 }
 
 // AddTrace accumulates a trace into the profile.
+//
+// A block has a handful of dynamic successors, so the trace's
+// transitions are counted in per-source successor chains — a few
+// compares per event, where a map increment hashes — and the public
+// EdgeCount map is filled once at the end, one update per distinct
+// edge. The chains live in one slice: head[b] starts block b's chain,
+// succ[i].next links it, in order of first occurrence; 0 ends a chain,
+// so slot 0 is a dummy. (The widest block of the kernel has eight
+// successors; moving the hot one to the front measured slower.)
 func (p *Profile) AddTrace(t *trace.Trace) {
+	type successor struct {
+		to    program.BlockID
+		next  int32
+		count uint64
+	}
+	n := p.Prog.NumBlocks()
+	sizes := make([]int32, n)
+	for i := range sizes {
+		sizes[i] = int32(p.Prog.Block(program.BlockID(i)).Size)
+	}
+	head := make([]int32, n)
+	succ := make([]successor, 1, 1024)
+	var instrs uint64
 	last := program.NoBlock
-	prog := p.Prog
 	for _, b := range t.Blocks {
 		p.BlockCount[b]++
-		p.DynInstrs += uint64(prog.Block(b).Size)
+		instrs += uint64(sizes[b])
 		if last != program.NoBlock {
-			p.EdgeCount[Edge{last, b}]++
+			prev, i := int32(0), head[last]
+			for i != 0 && succ[i].to != b {
+				prev, i = i, succ[i].next
+			}
+			if i == 0 {
+				succ = append(succ, successor{to: b})
+				if i = int32(len(succ) - 1); prev == 0 {
+					head[last] = i
+				} else {
+					succ[prev].next = i
+				}
+			}
+			succ[i].count++
 		}
 		last = b
 	}
+	for from, i := range head {
+		for ; i != 0; i = succ[i].next {
+			p.EdgeCount[Edge{program.BlockID(from), succ[i].to}] += succ[i].count
+		}
+	}
+	p.DynInstrs += instrs
 	p.DynBlocks += uint64(len(t.Blocks))
 	p.succs = nil // invalidate adjacency cache
 }

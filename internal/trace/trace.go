@@ -124,6 +124,9 @@ func (r *Recorder) Block(b program.BlockID) {
 		}
 	}
 	blk := r.prog.Block(b)
+	if len(r.t.Blocks) == cap(r.t.Blocks) {
+		r.t.Blocks = grow(r.t.Blocks)
+	}
 	r.t.Blocks = append(r.t.Blocks, b)
 	r.t.Instrs += uint64(blk.Size)
 	switch blk.Kind {
@@ -139,6 +142,20 @@ func (r *Recorder) Block(b program.BlockID) {
 		}
 	}
 	r.last = b
+}
+
+// minGrow is the smallest capacity, in events, a recording grows to.
+const minGrow = 64 << 10
+
+// grow moves a full event slice into one of twice the capacity. A
+// trace is tens of millions of events long, and append's growth policy
+// for large slices (1.25x) copies what is already recorded about five
+// times over on the way there and leaves as much garbage; doubling
+// copies it at most once in total.
+func grow(blocks []program.BlockID) []program.BlockID {
+	grown := make([]program.BlockID, len(blocks), max(minGrow, 2*cap(blocks)))
+	copy(grown, blocks)
+	return grown
 }
 
 // Path records the execution of a pre-declared sequence of blocks (a

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -200,4 +201,75 @@ func TestDynamicEdgesAreStaticEdges(t *testing.T) {
 				p.Block(from).Name, p.Block(to).Name)
 		}
 	}
+}
+
+// TestRecordingAcrossGrowthSteps: the recorder grows Trace.Blocks
+// itself (doubling from minGrow) rather than through append. A
+// recording that crosses several growth steps must be exactly the
+// events, marks and instruction count a naive append gives, must have
+// been moved into at most four slices on the way (64K, 128K, 256K,
+// 512K events — so less than its final size was ever copied), and
+// Append of such traces must be unchanged.
+func TestRecordingAcrossGrowthSteps(t *testing.T) {
+	p := testProgram(t)
+	const iters = 60_000 // 5 events each: > 256K events
+	record := func(markEvery int) (*Trace, *Trace, int) {
+		got, want := New(p), New(p)
+		r := NewRecorder(got, true)
+		grows, lastCap := 0, 0
+		emit := func(name string) {
+			b := p.MustBlock(name)
+			r.Block(b)
+			want.Blocks = append(want.Blocks, b)
+			want.Instrs += uint64(p.Block(b).Size)
+			if c := cap(got.Blocks); c != lastCap {
+				if c < minGrow || (lastCap != 0 && c != 2*lastCap) {
+					t.Fatalf("capacity went %d -> %d events", lastCap, c)
+				}
+				grows, lastCap = grows+1, c
+			}
+		}
+		emit("main.entry")
+		for i := 0; i < iters; i++ {
+			if i%markEvery == 0 {
+				label := "q" + string(rune('a'+i/markEvery%26))
+				r.Mark(label)
+				want.Marks = append(want.Marks, Mark{Pos: len(want.Blocks), Label: label})
+			}
+			for _, name := range []string{"main.loop", "main.callh", "helper.entry", "helper.ret", "main.back"} {
+				emit(name)
+			}
+		}
+		emit("main.loop")
+		emit("main.exit")
+		if err := r.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return got, want, grows
+	}
+	equal := func(what string, got, want *Trace) {
+		t.Helper()
+		if got.Instrs != want.Instrs || !slices.Equal(got.Blocks, want.Blocks) || !slices.Equal(got.Marks, want.Marks) {
+			t.Fatalf("%s: %d events / %d instrs / %d marks, want %d / %d / %d (or contents differ)", what,
+				got.Len(), got.Instrs, len(got.Marks), want.Len(), want.Instrs, len(want.Marks))
+		}
+	}
+
+	got, want, grows := record(7_000)
+	if got.Len() <= 256<<10 {
+		t.Fatalf("recorded %d events, want more than 256K", got.Len())
+	}
+	if grows != 4 {
+		t.Fatalf("recording of %d events took %d slices, want 4 (64K, 128K, 256K, 512K)", got.Len(), grows)
+	}
+	equal("recording", got, want)
+
+	got2, want2, _ := record(11_000)
+	got.Append(got2)
+	for _, m := range want2.Marks {
+		want.Marks = append(want.Marks, Mark{Pos: len(want.Blocks) + m.Pos, Label: m.Label})
+	}
+	want.Blocks = append(want.Blocks, want2.Blocks...)
+	want.Instrs += want2.Instrs
+	equal("Append", got, want)
 }
