@@ -13,7 +13,7 @@ import (
 // Regenerate the golden files after an intentional formatting change:
 //
 //	go test ./dsdb/stcpipe -run TestReportGolden -update
-var updateGolden = flag.Bool("update", false, "rewrite the Report golden files under testdata/")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // goldenReport builds one shared Report for all golden checks — the
 // expensive part (databases + traces) runs once. The tiny SF and
@@ -43,28 +43,32 @@ func TestReportGolden(t *testing.T) {
 		{"sequentiality", r.Sequentiality},
 		{"table3", r.Table3},
 		{"table4", r.Table4},
+		{"ablation", r.Ablation},
 	}
 	for _, s := range sections {
-		t.Run(s.name, func(t *testing.T) {
-			got := s.render()
-			path := filepath.Join("testdata", s.name+".golden")
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update to create): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("%s drifted from %s\n--- got ---\n%s\n--- want ---\n%s",
-					s.name, path, got, want)
-			}
-		})
+		t.Run(s.name, func(t *testing.T) { checkGolden(t, s.name, s.render()) })
+	}
+}
+
+// checkGolden compares got with testdata/<name>.golden byte for byte,
+// or rewrites the file under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s drifted from %s\n--- got ---\n%s\n--- want ---\n%s", name, path, got, want)
 	}
 }
