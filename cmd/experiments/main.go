@@ -9,43 +9,52 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/dsdb/stcpipe"
 )
 
+var sections = []struct {
+	name   string
+	render func(*stcpipe.Report) string
+}{
+	{"table1", (*stcpipe.Report).Table1},
+	{"figure2", (*stcpipe.Report).Figure2},
+	{"reuse", (*stcpipe.Report).Reuse},
+	{"table2", (*stcpipe.Report).Table2},
+	{"seq", (*stcpipe.Report).Sequentiality},
+	{"table3", (*stcpipe.Report).Table3},
+	{"table4", (*stcpipe.Report).Table4},
+	{"ablation", (*stcpipe.Report).Ablation},
+}
+
 func main() {
 	log.SetFlags(0)
+	var names []string
+	for _, s := range sections {
+		names = append(names, s.name)
+	}
 	sf := flag.Float64("sf", 0.002, "TPC-D scale factor")
 	seed := flag.Int64("seed", 42, "generator seed")
 	validate := flag.Bool("validate", false, "validate traces against the static CFG while recording")
-	only := flag.String("only", "", "run a single experiment: table1|figure2|reuse|table2|table3|table4|seq|ablation")
-	parallel := flag.Int("parallel", 1, "partition-parallel scan workers while tracing (1 = the paper's serial plans)")
+	only := flag.String("only", "", "run a single experiment: "+strings.Join(names, "|"))
 	flag.Parse()
+	// Before the databases and traces are built, not after.
+	if *only != "" && !slices.Contains(names, *only) {
+		fmt.Fprintf(os.Stderr, "experiments: no section %q (have %s)\n", *only, strings.Join(names, ", "))
+		os.Exit(2)
+	}
 
-	fmt.Fprintf(os.Stderr, "building databases and traces (SF=%g, parallelism=%d)...\n", *sf, *parallel)
-	r, err := stcpipe.NewReport(stcpipe.ReportParams{
-		SF: *sf, Seed: *seed, Validate: *validate, Parallelism: *parallel})
+	fmt.Fprintf(os.Stderr, "building databases and traces (SF=%g)...\n", *sf)
+	r, err := stcpipe.NewReport(stcpipe.ReportParams{SF: *sf, Seed: *seed, Validate: *validate})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Fprintln(os.Stderr, r.TraceSummary())
-
-	sections := []struct {
-		name   string
-		render func() string
-	}{
-		{"table1", r.Table1},
-		{"figure2", r.Figure2},
-		{"reuse", r.Reuse},
-		{"table2", r.Table2},
-		{"seq", r.Sequentiality},
-		{"table3", r.Table3},
-		{"table4", r.Table4},
-		{"ablation", r.Ablation},
-	}
 	for _, s := range sections {
 		if *only == "" || *only == s.name {
-			fmt.Println(s.render())
+			fmt.Println(s.render(r))
 		}
 	}
 }

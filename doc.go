@@ -38,16 +38,20 @@
 //     (pluggable algorithms: STC, Pettis & Hansen, Torrellas,
 //     original) and Simulate (SEQ.3 fetch unit with i-cache and
 //     trace-cache models), plus Report for regenerating every table
-//     and figure of the paper. ProfileConcurrent traces N concurrent
-//     sessions against one database, interleaving their per-session
-//     traces at query boundaries — instruction fetch under
-//     multi-session DSS traffic as a first-class scenario — and
-//     ProfileServed records the same interleaved profile from real
-//     served traffic: an in-process server, N wire clients, one
-//     kernel trace per connection. ProfileCached profiles a
+//     and figure of the paper from those same three calls. Profile
+//     is the one recorder, and what it records is its Source: a
+//     Workload is the paper's serial run; Concurrent(w, n) traces n
+//     concurrent sessions against one database, interleaving their
+//     per-session traces at query boundaries — instruction fetch
+//     under multi-session DSS traffic as a first-class scenario;
+//     Served(w, n) records the same interleaved profile from real
+//     served traffic: an in-process server, n wire clients, one
+//     kernel trace per connection; Cached(w, rounds) profiles a
 //     repeat-heavy workload against a result-cached database, where
 //     every repeat round traces as zero instructions — the
-//     instruction-stream collapse of cached DSS serving.
+//     instruction-stream collapse of cached DSS serving; and
+//     Replayed(records) re-runs a dsdb/wcap capture of real traffic,
+//     session by session.
 //   - repro/dsdb/wire, repro/dsdb/server, repro/dsdb/client — the
 //     serving subsystem: a length-prefixed binary protocol
 //     (handshake, prepare, query, streaming row batches, error

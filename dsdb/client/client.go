@@ -248,7 +248,7 @@ func (db *DB) Query(ctx context.Context, query string) (*Rows, error) {
 
 // QueryLabeled is Query with an execution label the server hands to
 // its per-session instrumentation hooks (dsload tags each query with
-// its TPC-D name; stcpipe.ProfileServed uses labels as trace marks).
+// its TPC-D name; an stcpipe.Served profile uses labels as trace marks).
 func (db *DB) QueryLabeled(ctx context.Context, label, query string) (*Rows, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -137,7 +137,7 @@ func WithSlowQueryThreshold(d time.Duration) Option {
 
 // WithCapture records every served query to w, the workload-capture
 // log (dsdb/wcap): SQL, session, outcome, latency and per-stage
-// breakdown, replayable later by dsreplay or stcpipe.ProfileReplayed.
+// breakdown, replayable later by dsreplay or an stcpipe.Replayed profile.
 // The per-query cost is one nil check when absent and one non-blocking
 // channel send when present — capture never takes a lock or does IO on
 // the serving path, and a slow capture disk sheds records (counted in

@@ -1,45 +1,46 @@
-package repro_test
+package stcpipe
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
+	"repro/dsdb"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/db/executor"
-	"repro/internal/db/sql"
-	"repro/internal/experiments"
 	"repro/internal/fetch"
 	"repro/internal/kernel"
 	"repro/internal/layout"
 	"repro/internal/profile"
 	"repro/internal/program"
-	"repro/internal/tpcd"
 	"repro/internal/trace"
 )
 
-// benchSetup builds the full experiment setup once and shares it
-// across the table/figure benchmarks.
-var benchSetup *experiments.Setup
+// benchReport records the paper's two traces once, through the
+// pipeline, and shares them across the table and layer benchmarks.
+var benchReport = sync.OnceValues(func() (*Report, error) {
+	return NewReport(ReportParams{SF: 0.001, Seed: 42})
+})
 
-func setup(b *testing.B) *experiments.Setup {
+func setup(b *testing.B) *Report {
 	b.Helper()
-	if benchSetup == nil {
-		s, err := experiments.NewSetup(experiments.Params{SF: 0.001, Seed: 42})
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSetup = s
+	r, err := benchReport()
+	if err != nil {
+		b.Fatal(err)
 	}
-	return benchSetup
+	return r
 }
+
+// benchCell is the representative Table 3/4 cell: 2KB cache, 1KB CFA.
+var benchCell = Params{CacheBytes: 2048, CFABytes: 1024}
 
 // BenchmarkTable1 regenerates the paper's Table 1 (static vs executed
 // footprint) and reports the executed percentages as metrics.
 func BenchmarkTable1(b *testing.B) {
-	s := setup(b)
-	var fs profile.FootprintStats
+	r := setup(b)
+	var fs FootprintStats
 	for i := 0; i < b.N; i++ {
-		fs = s.Table1()
+		fs = r.train.Footprint()
 	}
 	b.ReportMetric(fs.PctProcs(), "%procs")
 	b.ReportMetric(fs.PctBlocks(), "%blocks")
@@ -49,11 +50,11 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkFigure2 regenerates the cumulative-reference curve and
 // reports the block counts covering 90% and 99% of references.
 func BenchmarkFigure2(b *testing.B) {
-	s := setup(b)
+	prof := setup(b).train.profileData()
 	var n90, n99 int
 	for i := 0; i < b.N; i++ {
-		n90 = s.Profile.BlocksForCoverage(0.90)
-		n99 = s.Profile.BlocksForCoverage(0.99)
+		n90 = prof.BlocksForCoverage(0.90)
+		n99 = prof.BlocksForCoverage(0.99)
 	}
 	b.ReportMetric(float64(n90), "blocks@90%")
 	b.ReportMetric(float64(n99), "blocks@99%")
@@ -62,99 +63,77 @@ func BenchmarkFigure2(b *testing.B) {
 // BenchmarkTable2 regenerates the block-type/predictability breakdown
 // and reports the overall predictability.
 func BenchmarkTable2(b *testing.B) {
-	s := setup(b)
+	prof := setup(b).train.profileData()
 	var st profile.TypeStats
 	for i := 0; i < b.N; i++ {
-		st = s.Table2()
+		st = prof.TypeBreakdown()
 	}
 	b.ReportMetric(st.OverallPct, "%predictable")
 }
 
 // BenchmarkReuse regenerates the Section 4.1 temporal-locality numbers.
 func BenchmarkReuse(b *testing.B) {
-	s := setup(b)
+	train := setup(b).train
 	var st profile.ReuseStats
 	for i := 0; i < b.N; i++ {
-		st = s.Reuse()
+		st = profile.Reuse(train.tr, train.profileData().PopularSet(0.75), []uint64{100, 250})
 	}
 	b.ReportMetric(100*st.Prob[0], "%reuse<100")
 	b.ReportMetric(100*st.Prob[1], "%reuse<250")
 }
 
 // BenchmarkTable3 regenerates one representative Table 3 cell per
-// layout (2KB cache, 1KB CFA) and reports the miss rates.
+// layout and reports the miss rates.
 func BenchmarkTable3(b *testing.B) {
-	s := setup(b)
-	cc := experiments.CacheConfig{CacheBytes: 2048, CFABytes: 1024}
+	r := setup(b)
 	miss := map[string]float64{}
 	for i := 0; i < b.N; i++ {
-		layouts := s.Layouts(cc)
-		for _, name := range experiments.LayoutNames {
-			ic := cache.NewDirectMapped(cc.CacheBytes, cache.DefaultLineBytes)
-			res := fetch.Simulate(s.TestTrace, layouts[name], fetch.DefaultConfig(ic))
-			miss[name] = res.MissesPer100Instr()
+		for _, l := range r.layouts(benchCell) {
+			miss[l.Name()] = must(r.test.Simulate(l, FetchConfig{CacheBytes: benchCell.CacheBytes})).MissesPer100Instr()
 		}
 	}
-	b.ReportMetric(miss["orig"], "orig-miss/100")
-	b.ReportMetric(miss["P&H"], "P&H-miss/100")
-	b.ReportMetric(miss["Torr"], "Torr-miss/100")
-	b.ReportMetric(miss["auto"], "auto-miss/100")
-	b.ReportMetric(miss["ops"], "ops-miss/100")
+	for _, name := range []string{"orig", "P&H", "Torr", "auto", "ops"} {
+		b.ReportMetric(miss[name], name+"-miss/100")
+	}
 }
 
-// BenchmarkTable4 regenerates one representative Table 4 cell per
-// layout plus the trace-cache combination and reports the IPCs.
+// BenchmarkTable4 regenerates one representative Table 4 row — every
+// layout plus the trace-cache combinations — and reports the IPCs.
 func BenchmarkTable4(b *testing.B) {
-	s := setup(b)
-	cc := experiments.CacheConfig{CacheBytes: 2048, CFABytes: 1024}
-	ipc := map[string]float64{}
-	var tc, tcops float64
+	r := setup(b)
+	var row paperRow
 	for i := 0; i < b.N; i++ {
-		layouts := s.Layouts(cc)
-		for _, name := range experiments.LayoutNames {
-			ic := cache.NewDirectMapped(cc.CacheBytes, cache.DefaultLineBytes)
-			ipc[name] = fetch.Simulate(s.TestTrace, layouts[name], fetch.DefaultConfig(ic)).IPC()
-		}
-		cfg := fetch.DefaultConfig(cache.NewDirectMapped(cc.CacheBytes, cache.DefaultLineBytes))
-		cfg.TC = cache.NewTraceCache(experiments.TraceCacheEntries, 16, 3, 4)
-		tc = fetch.Simulate(s.TestTrace, layouts["orig"], cfg).IPC()
-		cfg2 := fetch.DefaultConfig(cache.NewDirectMapped(cc.CacheBytes, cache.DefaultLineBytes))
-		cfg2.TC = cache.NewTraceCache(experiments.TraceCacheEntries, 16, 3, 4)
-		tcops = fetch.Simulate(s.TestTrace, layouts["ops"], cfg2).IPC()
+		row = r.simulateRow(benchCell, benchCell.CacheBytes)
 	}
-	b.ReportMetric(ipc["orig"], "orig-IPC")
-	b.ReportMetric(ipc["ops"], "ops-IPC")
-	b.ReportMetric(tc, "TC-IPC")
-	b.ReportMetric(tcops, "TC+ops-IPC")
+	b.ReportMetric(row.direct[0].IPC(), "orig-IPC")
+	b.ReportMetric(row.direct[4].IPC(), "ops-IPC")
+	b.ReportMetric(row.tc.IPC(), "TC-IPC")
+	b.ReportMetric(row.tcOps.IPC(), "TC+ops-IPC")
 }
 
 // BenchmarkSequentiality reports the headline instructions-between-
 // taken-branches metric for orig and ops layouts.
 func BenchmarkSequentiality(b *testing.B) {
-	s := setup(b)
-	var m map[string]float64
+	r := setup(b)
+	seq := map[string]float64{}
 	for i := 0; i < b.N; i++ {
-		m = s.Sequentiality()
+		for _, l := range r.layouts(headline) {
+			seq[l.Name()] = r.test.Sequentiality(l)
+		}
 	}
-	b.ReportMetric(m["orig"], "orig-instr/taken")
-	b.ReportMetric(m["ops"], "ops-instr/taken")
+	b.ReportMetric(seq["orig"], "orig-instr/taken")
+	b.ReportMetric(seq["ops"], "ops-instr/taken")
 }
 
 // BenchmarkAblationThresholds sweeps the STC thresholds (the paper's
 // future-work item on automated threshold selection).
 func BenchmarkAblationThresholds(b *testing.B) {
-	s := setup(b)
-	cc := experiments.CacheConfig{CacheBytes: 4096, CFABytes: 1024}
-	var best float64
+	r := setup(b)
+	var table string
 	for i := 0; i < b.N; i++ {
-		best = 0
-		for _, pt := range s.AblationThresholds(cc) {
-			if pt.IPC > best {
-				best = pt.IPC
-			}
-		}
+		table = r.Ablation()
 	}
-	b.ReportMetric(best, "best-IPC")
+	b.ReportMetric(slices.Max(column(b, table, 2, 2)), "best-IPC")
 }
 
 // ---- microbenchmarks on the substrates ----
@@ -165,15 +144,15 @@ func BenchmarkAblationThresholds(b *testing.B) {
 // (ideal), cache.dm_ns_per_instr (2 KB direct-mapped) and
 // cache.tracecache_ns_per_instr (2 KB + 64-entry trace cache).
 func benchSimulate(b *testing.B, cfg fetch.Config) {
-	s := setup(b)
-	l := program.OriginalLayout(s.Img.Prog)
+	test := setup(b).test
+	l := program.OriginalLayout(test.pipe.img.Prog)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fetch.Simulate(s.TestTrace, l, cfg)
+		fetch.Simulate(test.tr, l, cfg)
 	}
-	b.SetBytes(int64(s.TestTrace.Instrs * program.InstrBytes))
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.TestTrace.Instrs), "ns/instr")
+	b.SetBytes(int64(test.Instrs() * program.InstrBytes))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(test.Instrs()), "ns/instr")
 }
 
 // BenchmarkFetchSimulator measures raw fetch-simulation throughput.
@@ -190,20 +169,20 @@ func BenchmarkFetchSimulatorIdeal(b *testing.B) {
 // and fill unit in front of the 2 KB cache.
 func BenchmarkFetchSimulatorTraceCache(b *testing.B) {
 	cfg := fetch.DefaultConfig(cache.NewDirectMapped(2048, cache.DefaultLineBytes))
-	cfg.TC = cache.NewTraceCache(experiments.TraceCacheEntries, 16, 3, program.InstrBytes)
+	cfg.TC = cache.NewTraceCache(traceCacheEntries, 16, 3, program.InstrBytes)
 	benchSimulate(b, cfg)
 }
 
 // BenchmarkProfileFromTrace measures building the weighted CFG from
 // the test trace (the benchmark's profile.build_ms).
 func BenchmarkProfileFromTrace(b *testing.B) {
-	s := setup(b)
+	test := setup(b).test
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		profile.FromTrace(s.TestTrace)
+		profile.FromTrace(test.tr)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.TestTrace.Len()), "ns/event")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(test.Events()), "ns/event")
 }
 
 // BenchmarkRecordPath measures recording alone: the test trace's
@@ -212,69 +191,52 @@ func BenchmarkProfileFromTrace(b *testing.B) {
 // executor that normally emits the events. B/op against 4 bytes per
 // event shows how often the recording is re-copied as it grows.
 func BenchmarkRecordPath(b *testing.B) {
-	s := setup(b)
-	events := s.TestTrace.Blocks
+	test := setup(b).test
+	events := test.tr.Blocks
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		trace.NewRecorder(trace.New(s.Img.Prog), false).Path(events)
+		trace.NewRecorder(trace.New(test.pipe.img.Prog), false).Path(events)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(events)), "ns/event")
 }
 
 // BenchmarkSTCLayout measures layout construction.
 func BenchmarkSTCLayout(b *testing.B) {
-	s := setup(b)
+	prof := setup(b).train.profileData()
 	params := core.Params{ExecThreshold: 32, BranchThreshold: 0.4,
 		CacheBytes: 2048, CFABytes: 512}
-	seeds := core.OpsSeeds(s.Profile, kernel.OpsSeedNames)
+	seeds := core.OpsSeeds(prof, kernel.OpsSeedNames)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.Build("bench", s.Profile, seeds, params)
+		core.Build("bench", prof, seeds, params)
 	}
 }
 
 // BenchmarkPettisHansen measures the baseline layout construction.
 func BenchmarkPettisHansen(b *testing.B) {
-	s := setup(b)
+	prof := setup(b).train.profileData()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		layout.PettisHansen(s.Profile)
-	}
-}
-
-// BenchmarkQ6 measures end-to-end query execution (untraced).
-func BenchmarkQ6(b *testing.B) {
-	cfg := tpcd.DefaultConfig()
-	cfg.SF = 0.001
-	db, err := tpcd.Build(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q, _ := tpcd.Query(6)
-	c := executor.NewCtx(nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sql.Exec(db, c, q); err != nil {
-			b.Fatal(err)
-		}
+		layout.PettisHansen(prof)
 	}
 }
 
 // BenchmarkQ3Traced measures query execution with trace recording.
 func BenchmarkQ3Traced(b *testing.B) {
-	cfg := tpcd.DefaultConfig()
-	cfg.SF = 0.001
-	db, err := tpcd.Build(cfg)
+	db, err := dsdb.Open(dsdb.WithTPCD(0.001))
 	if err != nil {
 		b.Fatal(err)
 	}
-	img := kernel.New(kernel.DefaultConfig())
-	q, _ := tpcd.Query(3)
+	defer db.Close()
+	q3, err := TPCD("q", 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pipe := New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ses := img.NewSession(false)
-		if _, _, err := sql.Exec(db, executor.NewCtx(ses), q); err != nil {
+		if _, err := pipe.Profile(db, q3); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -25,7 +25,7 @@ func TestProfileCachedCollapsesRepeats(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rounds = 3
-	pr, err := pipe.ProfileCached(db, w, rounds)
+	pr, err := pipe.Profile(db, Cached(w, rounds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,18 +81,18 @@ func TestProfileCachedRejectsMisuse(t *testing.T) {
 	}
 	defer db.Close()
 	pipe := New()
-	if _, err := pipe.ProfileCached(db, Training(), 2); err == nil {
-		t.Fatal("ProfileCached accepted a cache-less database")
+	if _, err := pipe.Profile(db, Cached(Training(), 2)); err == nil {
+		t.Fatal("Cached accepted a cache-less database")
 	}
 	cdb, err := dsdb.Open(dsdb.WithTPCD(0.0005), dsdb.WithResultCache(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cdb.Close()
-	if _, err := pipe.ProfileCached(cdb, Training(), 1); err == nil {
-		t.Fatal("ProfileCached accepted rounds < 2")
+	if _, err := pipe.Profile(cdb, Cached(Training(), 1)); err == nil {
+		t.Fatal("Cached accepted rounds < 2")
 	}
-	if _, err := pipe.ProfileCached(cdb, Workload{Name: "empty"}, 2); err == nil {
-		t.Fatal("ProfileCached accepted an empty workload")
+	if _, err := pipe.Profile(cdb, Cached(Workload{Name: "empty"}, 2)); err == nil {
+		t.Fatal("Cached accepted an empty workload")
 	}
 }

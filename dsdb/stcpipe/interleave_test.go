@@ -1,6 +1,7 @@
 package stcpipe
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -24,7 +25,7 @@ func TestInterleaveLongSessions(t *testing.T) {
 		// execution would emit; the recorder stores them all the same.
 		ses := p.img.NewSession(false)
 		for q := 0; q < queries-i%2; q++ { // the second session is one query short
-			ses.Mark(sessionLabel(Workload{Name: "w"}, i, q))
+			ses.Mark(fmt.Sprintf("s%d-w-%d", i+1, q+1))
 			for end := ses.Trace().Len() + 135_000 + rng.Intn(20_000); ses.Trace().Len() < end; {
 				ses.Emit(probe.ID(rng.Intn(int(probe.NumProbes))))
 			}
@@ -54,7 +55,7 @@ func TestInterleaveLongSessions(t *testing.T) {
 		}
 	}
 
-	got := interleaveSessions(p.img.Prog, sess, queries)
+	got := interleave(p.img.Prog, sess)
 	if got.Instrs != want.Instrs || !slices.Equal(got.Blocks, want.Blocks) || !slices.Equal(got.Marks, want.Marks) {
 		t.Fatalf("interleaved %d events / %d instrs / %d marks, want %d / %d / %d (or contents differ)",
 			got.Len(), got.Instrs, len(got.Marks), want.Len(), want.Instrs, len(want.Marks))

@@ -29,7 +29,7 @@ func captureFor(w stcpipe.Workload, sessions int) []wcap.Record {
 }
 
 // TestProfileReplayedMatchesServed is the loop-closing check: a
-// capture describing the exact traffic ProfileServed drives (same
+// capture describing the exact traffic a Served source drives (same
 // sessions, same per-session query order) must profile to the same
 // instruction trace — the captured workload is a faithful stand-in
 // for the served one.
@@ -44,13 +44,13 @@ func TestProfileReplayedMatchesServed(t *testing.T) {
 	}
 	const sessions = 3
 	pipe := stcpipe.New(stcpipe.Validate())
-	served, err := pipe.ProfileServed(db, sessions, w)
+	served, err := pipe.Profile(db, stcpipe.Served(w, sessions))
 	if err != nil {
-		t.Fatalf("ProfileServed: %v", err)
+		t.Fatalf("Served: %v", err)
 	}
-	replayed, err := pipe.ProfileReplayed(db, captureFor(w, sessions))
+	replayed, err := pipe.Profile(db, stcpipe.Replayed(captureFor(w, sessions)))
 	if err != nil {
-		t.Fatalf("ProfileReplayed: %v", err)
+		t.Fatalf("Replayed: %v", err)
 	}
 	if served.Events() != replayed.Events() || served.Instrs() != replayed.Instrs() {
 		t.Fatalf("replayed profile differs from served: served %d events/%d instrs, replayed %d events/%d instrs",
@@ -97,9 +97,9 @@ func TestProfileReplayedFiltersAndRagged(t *testing.T) {
 		wcap.Record{Session: 3, Label: "mon", SQL: "show stats", Err: wcap.OK},
 	)
 	pipe := stcpipe.New(stcpipe.Validate())
-	pr, err := pipe.ProfileReplayed(db, recs)
+	pr, err := pipe.Profile(db, stcpipe.Replayed(recs))
 	if err != nil {
-		t.Fatalf("ProfileReplayed: %v", err)
+		t.Fatalf("Replayed: %v", err)
 	}
 	if pr.Events() == 0 || pr.Instrs() == 0 {
 		t.Fatalf("empty replayed trace: %d events, %d instrs", pr.Events(), pr.Instrs())
@@ -110,13 +110,13 @@ func TestProfileReplayedFiltersAndRagged(t *testing.T) {
 	}
 
 	// A capture with nothing replayable errors loudly.
-	if _, err := pipe.ProfileReplayed(db, []wcap.Record{
+	if _, err := pipe.Profile(db, stcpipe.Replayed([]wcap.Record{
 		{Session: 1, SQL: "show stats"},
 		{Session: 1, SQL: "select 1", Err: wcap.ErrQuery},
-	}); err == nil {
+	})); err == nil {
 		t.Fatal("all-skipped capture must error")
 	}
-	if _, err := pipe.ProfileReplayed(db, nil); err == nil {
+	if _, err := pipe.Profile(db, stcpipe.Replayed(nil)); err == nil {
 		t.Fatal("empty capture must error")
 	}
 }

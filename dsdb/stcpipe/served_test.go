@@ -8,7 +8,7 @@ import (
 )
 
 // TestProfileServedDeterministic is the acceptance check for the
-// served scenario: two ProfileServed runs with the same database
+// served scenario: two Served profiles with the same database
 // options, seed and query mix must produce identical trace summaries
 // — same event and instruction counts, same footprint, and the same
 // fetch-simulation results under a layout trained on the first run.
@@ -24,16 +24,16 @@ func TestProfileServedDeterministic(t *testing.T) {
 	}
 	const sessions = 3
 
-	pr1, err := pipe.ProfileServed(db, sessions, w)
+	pr1, err := pipe.Profile(db, stcpipe.Served(w, sessions))
 	if err != nil {
-		t.Fatalf("ProfileServed #1: %v", err)
+		t.Fatalf("Served #1: %v", err)
 	}
 	if pr1.Events() == 0 || pr1.Instrs() == 0 {
 		t.Fatalf("empty served trace: %d events, %d instrs", pr1.Events(), pr1.Instrs())
 	}
-	pr2, err := pipe.ProfileServed(db, sessions, w)
+	pr2, err := pipe.Profile(db, stcpipe.Served(w, sessions))
 	if err != nil {
-		t.Fatalf("ProfileServed #2: %v", err)
+		t.Fatalf("Served #2: %v", err)
 	}
 	if pr1.Events() != pr2.Events() || pr1.Instrs() != pr2.Instrs() {
 		t.Fatalf("served profile not deterministic: run1 %d events/%d instrs, run2 %d events/%d instrs",
@@ -80,9 +80,9 @@ func TestProfileServedScalesWithSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	const sessions = 3
-	pr, err := pipe.ProfileServed(db, sessions, w)
+	pr, err := pipe.Profile(db, stcpipe.Served(w, sessions))
 	if err != nil {
-		t.Fatalf("ProfileServed: %v", err)
+		t.Fatalf("Served: %v", err)
 	}
 	serial, err := pipe.Profile(db, w)
 	if err != nil {
@@ -95,7 +95,7 @@ func TestProfileServedScalesWithSessions(t *testing.T) {
 			pr.Instrs(), lo, hi, sessions, serial.Instrs())
 	}
 
-	// Immutable, like ProfileConcurrent's merge.
+	// Immutable, like Concurrent's merge.
 	if err := pr.Run(db, w); err == nil {
 		t.Fatal("Run on a served profile must error")
 	}
@@ -108,10 +108,10 @@ func TestProfileServedValidatesArgs(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	pipe := stcpipe.New()
-	if _, err := pipe.ProfileServed(db, 0, stcpipe.Training()); err == nil {
+	if _, err := pipe.Profile(db, stcpipe.Served(stcpipe.Training(), 0)); err == nil {
 		t.Fatal("0 sessions must error")
 	}
-	if _, err := pipe.ProfileServed(db, 2, stcpipe.Workload{Name: "empty"}); err == nil {
+	if _, err := pipe.Profile(db, stcpipe.Served(stcpipe.Workload{Name: "empty"}, 2)); err == nil {
 		t.Fatal("empty workload must error")
 	}
 }

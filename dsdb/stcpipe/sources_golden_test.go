@@ -71,9 +71,51 @@ func TestProfileSourcesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	got.WriteString(digest("local-test+hash", test))
-	got.WriteString(digest("concurrent-3", must(pipe.ProfileConcurrent(open(), 3, stcpipe.Training()))))
-	got.WriteString(digest("served-3", must(pipe.ProfileServed(open(), 3, stcpipe.Training()))))
-	got.WriteString(digest("cached-2", must(pipe.ProfileCached(open(dsdb.WithResultCache(64<<20)), mix, 2))))
-	got.WriteString(digest("replayed", must(pipe.ProfileReplayed(open(), capture))))
+	got.WriteString(digest("concurrent-3", must(pipe.Profile(open(), stcpipe.Concurrent(stcpipe.Training(), 3)))))
+	got.WriteString(digest("served-3", must(pipe.Profile(open(), stcpipe.Served(stcpipe.Training(), 3)))))
+	got.WriteString(digest("cached-2", must(pipe.Profile(open(dsdb.WithResultCache(64<<20)), stcpipe.Cached(mix, 2)))))
+	got.WriteString(digest("replayed", must(pipe.Profile(open(), stcpipe.Replayed(capture)))))
 	checkGolden(t, "profile_sources", got.String())
+}
+
+// TestOneSessionSourcesRecordTheWorkload: every source goes through
+// one recording loop, so a single session of the workload — as a
+// goroutine, as a wire client, or replayed from a capture of it —
+// records exactly the blocks the Workload itself does. Only the mark
+// labels tell the profiles apart.
+func TestOneSessionSourcesRecordTheWorkload(t *testing.T) {
+	db, err := dsdb.Open(dsdb.WithTPCD(0.0005), dsdb.WithSeed(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	w, err := stcpipe.TPCD("w", 3, 6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe := stcpipe.New(stcpipe.Validate())
+	want, err := pipe.Profile(db, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		src  stcpipe.Source
+	}{
+		{"Concurrent", stcpipe.Concurrent(w, 1)},
+		{"Served", stcpipe.Served(w, 1)},
+		{"Replayed", stcpipe.Replayed(captureFor(w, 1))},
+	} {
+		got, err := pipe.Profile(db, tc.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got.Events() != want.Events() || got.Instrs() != want.Instrs() || got.BlockHash() != want.BlockHash() {
+			t.Errorf("%s recorded %d events / %d instrs / blocks %016x, the workload %d / %d / %016x",
+				tc.name, got.Events(), got.Instrs(), got.BlockHash(), want.Events(), want.Instrs(), want.BlockHash())
+		}
+		if err := got.Run(db, w); err == nil {
+			t.Errorf("%s: Run extended a profile not recorded from a Workload", tc.name)
+		}
+	}
 }

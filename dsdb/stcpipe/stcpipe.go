@@ -16,9 +16,7 @@
 package stcpipe
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"repro/dsdb"
 	"repro/internal/cache"
@@ -114,114 +112,34 @@ func TPCD(name string, nums ...int) (Workload, error) { return tpcdWorkload(name
 // the trace replayed by Simulate (test role).
 type Profile struct {
 	pipe *Pipeline
-	// ses is the single-session recorder; nil for profiles produced by
-	// ProfileConcurrent, whose merged trace is immutable.
+	// ses is the recorder Run extends. Only a Workload's profile has
+	// one; every other source's trace is immutable.
 	ses  *kernel.Session
 	tr   *trace.Trace
 	prof *profile.Profile // lazily derived from the trace
 }
 
-// Profile runs a workload on db with tracing attached and returns the
-// recorded profile. The database's previous tracer is restored when
-// the run finishes.
-func (p *Pipeline) Profile(db *dsdb.DB, w Workload) (*Profile, error) {
-	ses := p.img.NewSession(p.validate)
-	pr := &Profile{pipe: p, ses: ses, tr: ses.Trace()}
-	if err := pr.Run(db, w); err != nil {
+// Profile records src on db — every traced query runs under a tracer
+// bound to that call, so the database's own tracer is never touched —
+// and returns the recorded profile. A Workload is the paper's serial
+// run; see Concurrent, Served, Cached and Replayed for the rest.
+func (p *Pipeline) Profile(db *dsdb.DB, src Source) (*Profile, error) {
+	pl, err := src.plan(db)
+	if err != nil {
 		return nil, err
 	}
-	return pr, nil
-}
-
-// ProfileConcurrent traces a multi-session workload: sessions
-// goroutines each run the whole workload serially against the shared
-// db, every session recording into its own tracer (sessions are
-// single-threaded; the database is not). The per-session traces are
-// then interleaved at query boundaries, round-robin — session 1's
-// first query, session 2's first query, ..., session 1's second query
-// — modeling a DSS server context-switching between concurrent
-// clients on one instruction stream. The merge is deterministic even
-// though execution is not; the per-session traces themselves reflect
-// true concurrent execution (buffer hits and misses depend on what
-// the other sessions pulled into the pool).
-//
-// The returned profile is immutable (Run rejects it) but otherwise a
-// first-class citizen of the pipeline: it can train layouts, be
-// simulated, and be compared against its serial counterpart.
-func (p *Pipeline) ProfileConcurrent(db *dsdb.DB, sessions int, w Workload) (*Profile, error) {
-	if sessions < 1 {
-		return nil, fmt.Errorf("stcpipe: need at least 1 session, got %d", sessions)
-	}
-	if len(w.Queries) == 0 {
-		return nil, fmt.Errorf("stcpipe: workload %q has no queries", w.Name)
-	}
-	sess := make([]*kernel.Session, sessions)
-	errs := make([]error, sessions)
-	var wg sync.WaitGroup
+	sess := make([]*kernel.Session, len(pl.sessions))
 	for i := range sess {
 		sess[i] = p.img.NewSession(p.validate)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ses := sess[i]
-			for qi, q := range w.Queries {
-				label := sessionLabel(w, i, qi)
-				ses.Mark(label)
-				if err := drainTraced(db, ses, q); err != nil {
-					errs[i] = fmt.Errorf("stcpipe: %s: %w", label, err)
-					return
-				}
-				if err := ses.Err(); err != nil {
-					errs[i] = fmt.Errorf("stcpipe: %s: trace: %w", label, err)
-					return
-				}
-			}
-		}(i)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := record(db, pl, sess); err != nil {
+		return nil, err
 	}
-	return &Profile{pipe: p, tr: interleaveSessions(p.img.Prog, sess, len(w.Queries))}, nil
-}
-
-// sessionLabel names query qi of session i (0-based) in a
-// multi-session trace: the workload's per-query label prefixed with
-// the session — "s2-train-Q4". ProfileConcurrent and ProfileServed
-// share it, so their interleaved traces mark identically.
-func sessionLabel(w Workload, i, qi int) string {
-	label := fmt.Sprintf("%s-%d", w.Name, qi+1)
-	if qi < len(w.Labels) {
-		label = w.Labels[qi]
+	pr := &Profile{pipe: p, tr: interleave(p.img.Prog, sess)}
+	if _, ok := src.(Workload); ok {
+		pr.ses = sess[0]
 	}
-	return fmt.Sprintf("s%d-%s", i+1, label)
-}
-
-// interleaveSessions merges per-session traces round-robin at query
-// (mark) boundaries into one trace over the shared program image.
-func interleaveSessions(prog *program.Program, sess []*kernel.Session, queries int) *trace.Trace {
-	out := trace.New(prog)
-	for q := 0; q < queries; q++ {
-		for _, s := range sess {
-			t := s.Trace()
-			if q >= len(t.Marks) {
-				continue
-			}
-			lo := t.Marks[q].Pos
-			hi := len(t.Blocks)
-			if q+1 < len(t.Marks) {
-				hi = t.Marks[q+1].Pos
-			}
-			out.Marks = append(out.Marks, trace.Mark{Pos: len(out.Blocks), Label: t.Marks[q].Label})
-			out.Blocks = append(out.Blocks, t.Blocks[lo:hi]...)
-			for _, b := range t.Blocks[lo:hi] {
-				out.Instrs += uint64(prog.Block(b).Size)
-			}
-		}
-	}
-	return out
+	return pr, nil
 }
 
 // Run traces another workload into the same profile — the paper's
@@ -229,43 +147,16 @@ func interleaveSessions(prog *program.Program, sess []*kernel.Session, queries i
 // hash-indexed database within one trace.
 func (pr *Profile) Run(db *dsdb.DB, w Workload) error {
 	if pr.ses == nil {
-		return fmt.Errorf("stcpipe: profile was recorded from concurrent sessions and is immutable")
+		return fmt.Errorf("stcpipe: only a profile recorded from a Workload can be extended; this one is immutable")
 	}
-	if len(w.Queries) == 0 {
-		return fmt.Errorf("stcpipe: workload %q has no queries", w.Name)
+	pl, err := w.plan(db)
+	if err != nil {
+		return err
 	}
 	// Invalidate the cached derived profile up front: even a run that
 	// fails partway has grown the trace.
 	pr.prof = nil
-	for i, q := range w.Queries {
-		label := fmt.Sprintf("%s-%d", w.Name, i+1)
-		if i < len(w.Labels) {
-			label = w.Labels[i]
-		}
-		pr.ses.Mark(label)
-		if err := drainTraced(db, pr.ses, q); err != nil {
-			return fmt.Errorf("stcpipe: %s: %w", label, err)
-		}
-		if err := pr.ses.Err(); err != nil {
-			return fmt.Errorf("stcpipe: %s: trace: %w", label, err)
-		}
-	}
-	return nil
-}
-
-// drainTraced streams a query to completion under the given tracer,
-// discarding rows — tracing only needs the execution, not the
-// (possibly large) result set. The tracer is bound per call, so
-// concurrent sessions never touch the DB-wide tracer.
-func drainTraced(db *dsdb.DB, tr dsdb.Tracer, q string) error {
-	rows, err := db.QueryTraced(context.Background(), tr, q)
-	if err != nil {
-		return err
-	}
-	defer rows.Close()
-	for rows.Next() {
-	}
-	return rows.Err()
+	return record(db, pl, []*kernel.Session{pr.ses})
 }
 
 // profileData derives (and caches) the weighted CFG profile.
@@ -297,22 +188,12 @@ type BlockStat struct {
 
 // HottestBlocks lists the n most-executed basic blocks.
 func (pr *Profile) HottestBlocks(n int) []BlockStat {
-	return hottestBlocks(pr.profileData(), pr.pipe.img.Prog, n)
-}
-
-// hottestBlocks shapes a profile's most-executed blocks; shared with
-// Report.HottestBlocks.
-func hottestBlocks(p *profile.Profile, prog *program.Program, n int) []BlockStat {
+	p := pr.profileData()
 	blocks := p.ExecutedBlocks()
-	if n < 0 {
-		n = 0
-	}
-	if n > len(blocks) {
-		n = len(blocks)
-	}
+	n = max(0, min(n, len(blocks)))
 	out := make([]BlockStat, 0, n)
 	for _, b := range blocks[:n] {
-		blk := prog.Block(b)
+		blk := pr.pipe.img.Prog.Block(b)
 		out = append(out, BlockStat{Name: blk.Name, Executions: p.Weight(b), Instrs: blk.Size})
 	}
 	return out
@@ -586,24 +467,8 @@ func Compare(p CompareParams) ([]CompareResult, error) {
 	if _, err := p.Fetch.check(); err != nil {
 		return nil, err
 	}
-	btreeDB, err := dsdb.Open(dsdb.WithTPCD(p.SF), dsdb.WithSeed(p.Seed))
+	train, test, err := paperTraces(p.SF, p.Seed)
 	if err != nil {
-		return nil, err
-	}
-	hashDB, err := dsdb.Open(dsdb.WithTPCD(p.SF), dsdb.WithSeed(p.Seed), dsdb.WithIndexKind(dsdb.Hash))
-	if err != nil {
-		return nil, err
-	}
-	pipe := New()
-	train, err := pipe.Profile(btreeDB, Training())
-	if err != nil {
-		return nil, err
-	}
-	test, err := pipe.Profile(btreeDB, Test())
-	if err != nil {
-		return nil, err
-	}
-	if err := test.Run(hashDB, Test()); err != nil {
 		return nil, err
 	}
 	out := make([]CompareResult, 0, len(p.Algorithms))

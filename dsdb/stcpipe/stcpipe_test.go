@@ -247,9 +247,9 @@ func TestProfileConcurrentSessions(t *testing.T) {
 	w := stcpipe.Training()
 	const sessions = 3
 
-	pr, err := pipe.ProfileConcurrent(db, sessions, w)
+	pr, err := pipe.Profile(db, stcpipe.Concurrent(w, sessions))
 	if err != nil {
-		t.Fatalf("ProfileConcurrent: %v", err)
+		t.Fatalf("Concurrent: %v", err)
 	}
 	if pr.Events() == 0 || pr.Instrs() == 0 {
 		t.Fatalf("empty concurrent trace: %d events, %d instrs", pr.Events(), pr.Instrs())
@@ -294,10 +294,10 @@ func TestProfileConcurrentValidatesArgs(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	pipe := stcpipe.New()
-	if _, err := pipe.ProfileConcurrent(db, 0, stcpipe.Training()); err == nil {
+	if _, err := pipe.Profile(db, stcpipe.Concurrent(stcpipe.Training(), 0)); err == nil {
 		t.Fatal("0 sessions must error")
 	}
-	if _, err := pipe.ProfileConcurrent(db, 2, stcpipe.Workload{Name: "empty"}); err == nil {
+	if _, err := pipe.Profile(db, stcpipe.Concurrent(stcpipe.Workload{Name: "empty"}, 2)); err == nil {
 		t.Fatal("empty workload must error")
 	}
 }

@@ -6,7 +6,7 @@
 // nanoseconds, cache-hit attribution, error class), so a capture is a
 // complete, replayable description of real traffic: cmd/dsreplay can
 // re-run it against any server or in-process database, and
-// stcpipe.ProfileReplayed can feed it through the paper's
+// an stcpipe.Replayed source can feed it through the paper's
 // instruction-fetch pipeline in place of a synthetic mix.
 //
 // On disk a capture is an internal/seglog log — the same size-rotated,
