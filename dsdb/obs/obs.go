@@ -378,11 +378,17 @@ type Tracer struct {
 	// mu guards the two record rings below — and nothing else: End
 	// holds it only to copy one Record in, and never calls user code
 	// (the slow-query logger runs after the unlock).
-	mu      sync.Mutex
-	ring    []Record
-	pos, n  int
-	slow    []Record
-	spos, m int
+	//
+	// ring grows on demand up to ringSize records and wraps from then
+	// on (pos is the oldest record, the next one overwritten): a large
+	// RingSize costs memory — live heap the collector scans every cycle
+	// — only once that many queries have finished.
+	mu       sync.Mutex
+	ring     []Record
+	ringSize int
+	pos      int
+	slow     []Record
+	spos, m  int
 }
 
 // New builds a tracer; zero config fields take defaults.
@@ -394,10 +400,10 @@ func New(cfg Config) *Tracer {
 		cfg.SlowRingSize = 64
 	}
 	t := &Tracer{
-		now:   time.Now,
-		since: time.Since,
-		ring:  make([]Record, cfg.RingSize),
-		slow:  make([]Record, cfg.SlowRingSize),
+		now:      time.Now,
+		since:    time.Since,
+		ringSize: cfg.RingSize,
+		slow:     make([]Record, cfg.SlowRingSize),
 	}
 	t.slowNS.Store(int64(cfg.SlowThreshold))
 	t.pool.New = func() any { return new(Span) }
@@ -451,10 +457,14 @@ func (t *Tracer) finish(s *Span) {
 	thr := time.Duration(t.slowNS.Load())
 	isSlow := thr > 0 && rec.Total >= thr
 	t.mu.Lock()
-	t.ring[t.pos] = rec
-	t.pos = (t.pos + 1) % len(t.ring)
-	if t.n < len(t.ring) {
-		t.n++
+	if len(t.ring) < t.ringSize {
+		if len(t.ring) == cap(t.ring) {
+			t.ring = append(make([]Record, 0, min(2*cap(t.ring)+16, t.ringSize)), t.ring...)
+		}
+		t.ring = append(t.ring, rec)
+	} else {
+		t.ring[t.pos] = rec
+		t.pos = (t.pos + 1) % t.ringSize
 	}
 	if isSlow {
 		t.slow[t.spos] = rec
@@ -513,7 +523,7 @@ func (t *Tracer) Recent() []Record {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return snapshot(t.ring, t.pos, t.n)
+	return snapshot(t.ring, t.pos, len(t.ring))
 }
 
 // Slow returns the ring of slow queries, newest first. Nil on a nil

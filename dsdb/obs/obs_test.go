@@ -99,18 +99,27 @@ func TestNilTracerAndSpanAreSafe(t *testing.T) {
 	}
 }
 
+// TestRingEvictionNewestFirst: the recent ring holds the last RingSize
+// queries newest first — while it is still growing towards RingSize,
+// when it is exactly full, and after it has wrapped — and never takes
+// more room than RingSize records.
 func TestRingEvictionNewestFirst(t *testing.T) {
-	tr, _ := newFakeTracer(Config{RingSize: 3})
-	for i := 0; i < 5; i++ {
-		tr.Begin("", "q").End()
-	}
-	recs := tr.Recent()
-	if len(recs) != 3 {
-		t.Fatalf("got %d records, want ring size 3", len(recs))
-	}
-	for i, want := range []uint64{5, 4, 3} {
-		if recs[i].ID != want {
-			t.Fatalf("recs[%d].ID = %d, want %d (newest first)", i, recs[i].ID, want)
+	for _, size := range []int{3, 40} { // 40: grows in steps (16, 40), not in one
+		tr, _ := newFakeTracer(Config{RingSize: size})
+		for ended := 1; ended <= 2*size+size/2; ended++ {
+			tr.Begin("", "q").End()
+			recs := tr.Recent()
+			if want := min(ended, size); len(recs) != want {
+				t.Fatalf("ring of %d after %d queries: %d records, want %d", size, ended, len(recs), want)
+			}
+			for i := range recs {
+				if want := uint64(ended - i); recs[i].ID != want {
+					t.Fatalf("ring of %d after %d queries: recs[%d].ID = %d, want %d (newest first)", size, ended, i, recs[i].ID, want)
+				}
+			}
+			if cap(tr.ring) > size {
+				t.Fatalf("ring of %d has room for %d records", size, cap(tr.ring))
+			}
 		}
 	}
 }

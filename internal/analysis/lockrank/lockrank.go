@@ -252,11 +252,18 @@ var Table = []Lock{
 	},
 }
 
-// frame latch: the buffer pool's per-frame IO latch is channel-based
-// (frame.ready), not a mutex, so it cannot be tracked by type — its
-// place in the hierarchy (after buffer.pool, before storage.store) is
-// enforced dynamically by the pool's loading/flushing protocol and
-// documented here for the avoidance of doubt.
+// frame latch: the buffer pool's per-frame IO latch is a token channel
+// of capacity one made with each frame (frame.ready), not a mutex, so
+// it cannot be tracked by type. The loader takes the token under
+// buffer.pool at the claim — it never waits there: an unpinned frame
+// always has its token — and holds it across the evict-flush and the
+// storage read, where it takes storage.store; a waiter takes it with no
+// lock held and puts it straight back. Its place in the hierarchy
+// (after buffer.pool, before storage.store) is enforced dynamically by
+// the pool's loading/flushing protocol and documented here for the
+// avoidance of doubt. The miss path's three IO probe events are emitted
+// under it by design: it guards one frame, a tracer that re-enters the
+// pool asks for other pages, and only ranked locks carry NoTracer.
 
 // ByName returns the lock named n, or nil.
 func ByName(n string) *Lock {

@@ -26,12 +26,13 @@
 //     miss mutex, victim's shard, new key's shard), three when it
 //     takes a free frame; finishing the load takes none.
 //   - The frame latch. Miss IO — the evict-flush and the storage read —
-//     runs with only the claimed frame held: loading is set and ready
-//     is open while it lasts. Two sessions missing on different pages
-//     overlap their IO, while a session racing for a page whose read
-//     is in flight finds the claim in the table, pins it, waits on
-//     that frame's ready channel alone and still reads the page from
-//     storage exactly once.
+//     runs with only the claimed frame held: loading is set and the
+//     loader holds the frame's latch token while it lasts. Two sessions
+//     missing on different pages overlap their IO, while a session
+//     racing for a page whose read is in flight finds the claim in the
+//     table, pins it, waits for that frame's token alone and still
+//     reads the page from storage exactly once. The latch is made with
+//     the frame, so a miss allocates nothing.
 //
 // On top of that a caller can keep a page: a Pin is a caller-owned
 // handle that stays pinned between requests, and asking it for the
@@ -84,11 +85,15 @@ type frame struct {
 	// loading marks a claimed frame whose IO (evict-flush + storage
 	// read) is in flight under the frame-local latch: the key is
 	// published in the lookup table, pins is at least 1 (the loader's),
-	// but the contents are not yet valid. ready is the latch's release
-	// signal — made at the claim, closed by the loader when the IO
-	// finishes — and loadErr carries a failed read to the waiters (set
-	// before ready closes, read by waiters that still hold their pin,
-	// so it cannot be recycled under them).
+	// but the contents are not yet valid. ready is the latch: a channel
+	// of capacity one made with the frame, holding one token whenever no
+	// load is in flight. The loader takes the token at the claim and
+	// puts it back when the IO finishes; a waiter takes it and puts it
+	// straight back. The claim never blocks on it: a frame is claimed
+	// unpinned, and every waiter returns the token before it unpins.
+	// loadErr carries a failed read to the waiters (set before the token
+	// comes back, read by waiters that still hold their pin, so the
+	// frame cannot be recycled under them).
 	loading atomic.Bool
 	ready   chan struct{}
 	loadErr error
@@ -181,7 +186,10 @@ func New(store *storage.Store, n int) *Manager {
 		flushing: make(map[key]*flushWait),
 	}
 	for i := range m.frames {
-		m.frames[i].page = storage.NewPage()
+		f := &m.frames[i]
+		f.page = storage.NewPage()
+		f.ready = make(chan struct{}, 1)
+		f.ready <- struct{}{}
 	}
 	for i := range m.shards {
 		m.shards[i].table = make(map[key]*frame, n/numShards+1)
@@ -267,6 +275,7 @@ func (m *Manager) awaitLoad(tr probe.Tracer, sh *shard, f *frame) (*frame, error
 		waitStart = time.Now()
 	}
 	<-f.ready
+	f.ready <- struct{}{}
 	if observed {
 		rec.AddIOWait(time.Since(waitStart))
 	}
@@ -301,7 +310,7 @@ func (m *Manager) miss(tr probe.Tracer, sh *shard, gen uint64, k key) (*frame, e
 	m.misses++
 	var evbuf [8]probe.ID
 	evs := append(evbuf[:0], probe.BufGetEnter, probe.BufTableLookup, probe.BufGetMiss)
-	f, err := m.evict(&evs)
+	f, evs, err := m.evict(evs)
 	if err != nil {
 		m.mu.Unlock()
 		emitAll(tr, evs)
@@ -317,8 +326,8 @@ func (m *Manager) miss(tr probe.Tracer, sh *shard, gen uint64, k key) (*frame, e
 	}
 	f.pins.Store(1)
 	f.touch()
+	<-f.ready // the latch token; an unpinned frame always has it (see frame.ready)
 	f.loading.Store(true)
-	f.ready = make(chan struct{})
 	f.loadErr = nil
 	sh.mu.Lock()
 	sh.table[k] = f
@@ -395,7 +404,7 @@ func (m *Manager) miss(tr probe.Tracer, sh *shard, gen uint64, k key) (*frame, e
 	// after pinning — false means the bytes above are in place.
 	f.valid = true
 	f.loading.Store(false)
-	close(f.ready)
+	f.ready <- struct{}{}
 	tr.Emit(probe.SmgrRead)
 	tr.Emit(probe.BufGetFill)
 	return f, nil
@@ -406,9 +415,9 @@ func (m *Manager) miss(tr probe.Tracer, sh *shard, gen uint64, k key) (*frame, e
 // at this frame if no restored frame took the key over — no session
 // can re-claim a key that is present in the lookup table), hand the
 // error to the waiters — they still hold pins, so the frame outlives
-// them — and release the loader's pin. restore, when non-nil, is the
-// identity the frame goes back to, valid and dirty. The caller holds
-// the miss mutex.
+// them — and release the loader's pin and the latch token. restore,
+// when non-nil, is the identity the frame goes back to, valid and
+// dirty. The caller holds the miss mutex.
 //
 // loading drops only after the claim is unpublished: a session that
 // found the claim saw loading set and reads loadErr, one that comes
@@ -433,7 +442,7 @@ func (m *Manager) failLoad(f *frame, sh *shard, err error, restore *key) {
 		rsh.mu.Unlock()
 	}
 	f.pins.Add(-1)
-	close(f.ready)
+	f.ready <- struct{}{}
 }
 
 // NewPage allocates a fresh page in the file and returns it pinned.
@@ -462,10 +471,12 @@ func (m *Manager) Release(b Buf, dirty bool) {
 // (StrategyGetBuffer) and unmaps it, without doing any IO: a dirty
 // victim's flush happens in miss under the frame latch, after the miss
 // mutex drops. The caller holds m.mu, so the sweep's probe events are
-// appended to evs for the caller to emit after unlocking. Loading
+// appended to evs and handed back for the caller to emit after
+// unlocking (handed back, not written through a pointer, which would
+// move the caller's event buffer to the heap on every miss). Loading
 // frames are pinned by their loader, so the pins check skips them.
-func (m *Manager) evict(evs *[]probe.ID) (*frame, error) {
-	*evs = append(*evs, probe.BufClockEnter)
+func (m *Manager) evict(evs []probe.ID) (*frame, []probe.ID, error) {
+	evs = append(evs, probe.BufClockEnter)
 	n := len(m.frames)
 	for sweep := 0; sweep < 2*n; sweep++ {
 		f := &m.frames[m.hand]
@@ -473,26 +484,24 @@ func (m *Manager) evict(evs *[]probe.ID) (*frame, error) {
 		if f.pins.Load() > 0 {
 			// Covers loading frames too (their loader holds a pin), and
 			// failed-load frames still pinned by draining waiters.
-			*evs = append(*evs, probe.BufClockSkip)
+			evs = append(evs, probe.BufClockSkip)
 			continue
 		}
 		if !f.valid {
-			*evs = append(*evs, probe.BufClockTake)
-			return f, nil
+			return f, append(evs, probe.BufClockTake), nil
 		}
 		if f.ref.Load() {
 			f.ref.Store(false)
-			*evs = append(*evs, probe.BufClockSkip)
+			evs = append(evs, probe.BufClockSkip)
 			continue
 		}
 		if !m.unmap(f) {
-			*evs = append(*evs, probe.BufClockSkip)
+			evs = append(evs, probe.BufClockSkip)
 			continue
 		}
-		*evs = append(*evs, probe.BufClockTake)
-		return f, nil
+		return f, append(evs, probe.BufClockTake), nil
 	}
-	return nil, fmt.Errorf("buffer: all %d frames pinned (an open scan retains its page, an index scan or join up to tree height + 2, until closed)", n)
+	return nil, evs, fmt.Errorf("buffer: all %d frames pinned (an open scan retains its page, an index scan or join up to tree height + 2, until closed)", n)
 }
 
 // unmap removes an unpinned frame from the lookup table, or reports

@@ -3,6 +3,7 @@ package buffer
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -408,53 +409,97 @@ func TestConcurrentMissesOverlapIO(t *testing.T) {
 	}
 }
 
-// TestWaiterGetsLoadersRead pins the read-page-once guarantee across
-// the frame latch: a session that races a loading frame must wait for
-// the in-flight read, come back as a hit, and see the loaded
-// contents.
-func TestWaiterGetsLoadersRead(t *testing.T) {
-	st, m := newEnv(t, 4, 4)
-	arrived := make(chan struct{}, 1)
-	release := make(chan struct{})
-	loaderDone := make(chan error, 1)
-	go func() {
-		b, err := m.Get(&rendezvousTracer{arrived: arrived, release: release}, 0, 1)
-		if err == nil {
-			m.Release(b, false)
-		}
-		loaderDone <- err
-	}()
-	<-arrived // the loader holds the frame latch, read not yet issued
+// lookupTracer signals once its session has looked its page up — on
+// every path that is after the session pinned the frame it found.
+type lookupTracer struct{ looked chan<- struct{} }
 
-	waiterDone := make(chan error, 1)
-	go func() {
-		b, err := m.Get(nil, 0, 1)
-		if err == nil {
-			if raw, terr := b.Page.Tuple(0); terr != nil || raw[0] != 1 {
-				err = fmt.Errorf("waiter saw wrong contents: %v %v", raw, terr)
+func (t lookupTracer) Emit(id probe.ID) {
+	if id == probe.BufTableLookup {
+		t.looked <- struct{}{}
+	}
+}
+
+// TestWaiterGetsLoadersRead pins the read-page-once guarantee across
+// the frame latch: sessions that race a loading frame must wait for
+// the in-flight read and share its outcome. When the read lands they
+// come back as hits and see the loaded contents; when it fails they
+// all get the loader's error and nothing stays pinned.
+func TestWaiterGetsLoadersRead(t *testing.T) {
+	const waiters = 8
+	for _, tc := range []struct {
+		name  string
+		page  int
+		fails bool
+	}{
+		{"read lands", 1, false},
+		{"read fails", 99, true}, // beyond the file: the store refuses the read
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, m := newEnv(t, 4, 4)
+			get := func(tr probe.Tracer) error {
+				b, err := m.Get(tr, 0, tc.page)
+				if err != nil {
+					return err
+				}
+				defer m.Release(b, false)
+				if raw, terr := b.Page.Tuple(0); terr != nil || raw[0] != byte(tc.page) {
+					return fmt.Errorf("saw wrong contents: %v %v", raw, terr)
+				}
+				return nil
 			}
-			m.Release(b, false)
-		}
-		waiterDone <- err
-	}()
-	// The waiter must block on the frame latch, not error or read.
-	select {
-	case err := <-waiterDone:
-		t.Fatalf("waiter completed before the load finished (err=%v)", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(release)
-	if err := <-loaderDone; err != nil {
-		t.Fatal(err)
-	}
-	if err := <-waiterDone; err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := m.Stats(); hits != 1 || misses != 1 {
-		t.Fatalf("hits/misses = %d/%d, want 1/1", hits, misses)
-	}
-	if got := st.Reads(); got != 1 {
-		t.Fatalf("storage reads = %d, want 1 (read-page-once violated)", got)
+			arrived := make(chan struct{}, 1)
+			release := make(chan struct{})
+			done := make(chan error, waiters+1)
+			go func() { done <- get(&rendezvousTracer{arrived: arrived, release: release}) }()
+			<-arrived // the loader holds the frame latch, read not yet issued
+
+			looked := make(chan struct{}, waiters)
+			for i := 0; i < waiters; i++ {
+				go func() { done <- get(lookupTracer{looked}) }()
+			}
+			for i := 0; i < waiters; i++ {
+				<-looked
+			}
+			// Every waiter found the claim and holds a pin on it; none may
+			// get past the latch — to a result or an error — before the
+			// read is over.
+			k := keyOf(0, tc.page)
+			sh := m.shardOf(k)
+			sh.mu.Lock()
+			f := sh.table[k]
+			sh.mu.Unlock()
+			if f == nil || f.pins.Load() != waiters+1 {
+				t.Fatalf("claimed frame %p not pinned by the loader and all %d waiters", f, waiters)
+			}
+			select {
+			case err := <-done:
+				t.Fatalf("a session completed before the load finished (err=%v)", err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			close(release)
+			for i := 0; i < waiters+1; i++ {
+				err := <-done
+				if tc.fails && (err == nil || !strings.Contains(err.Error(), "read beyond")) {
+					t.Fatalf("session got %v, want the loader's read error", err)
+				}
+				if !tc.fails && err != nil {
+					t.Fatal(err)
+				}
+			}
+			wantHits, wantReads := uint64(waiters), uint64(1)
+			if tc.fails {
+				wantHits, wantReads = 0, 0
+			}
+			if hits, misses := m.Stats(); hits != wantHits || misses != 1 {
+				t.Fatalf("hits/misses = %d/%d, want %d/1", hits, misses, wantHits)
+			}
+			if got := st.Reads(); got != wantReads {
+				t.Fatalf("storage reads = %d, want %d (read-page-once violated)", got, wantReads)
+			}
+			if n := m.PinnedFrames(); n != 0 {
+				t.Fatalf("leaked %d pins", n)
+			}
+		})
 	}
 }
 

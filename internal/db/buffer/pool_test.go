@@ -196,6 +196,43 @@ func TestPoolStress(t *testing.T) {
 	}
 }
 
+// TestMissDoesNotAllocate cycles through four times more pages than
+// the pool has frames, over a checkpointed disk store, so that every
+// request is a miss that evicts a clean page and copies the new one out
+// of the mapped generation: none of that may allocate. (One miss in
+// `frames` sweeps the whole clock and outgrows its event buffer; spread
+// over the run that is well under one allocation per miss.)
+func TestMissDoesNotAllocate(t *testing.T) {
+	const frames, pages = 16, 64
+	st, _ := newTaggedStore(t, pages, 1)
+	if err := st.WriteGeneration(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PromoteGeneration(1); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	m := New(st, frames)
+	page := 0
+	perMiss := testing.AllocsPerRun(4*pages, func() {
+		b, err := m.Get(nil, 0, page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := checkTag(b.Page, page); err != nil {
+			t.Fatal(err)
+		}
+		m.Release(b, false)
+		page = (page + 1) % pages
+	})
+	if hits, misses := m.Stats(); hits != 0 || misses != 4*pages+1 {
+		t.Fatalf("hits/misses = %d/%d, want 0/%d: the cycle was meant to miss every time", hits, misses, 4*pages+1)
+	}
+	if perMiss != 0 {
+		t.Fatalf("%v allocations per buffer miss, want 0", perMiss)
+	}
+}
+
 // TestPoolFailedEvictFlushKeepsThePage walks the one miss path that
 // touches three frames' worth of state: an eviction whose flush fails
 // while another session is waiting on that flush to re-read the page.

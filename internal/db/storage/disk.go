@@ -14,33 +14,61 @@ import (
 //	<dir>/gen-000001/f000003.pg   ...
 //
 // The files of the current generation are the base: they hold every
-// page exactly as it was at the last checkpoint, are opened read-only,
-// and are never modified in place. Pages written or allocated since
-// the checkpoint live in an in-memory overlay keyed by (file, page);
-// reads consult the overlay first and fall back to a positional read
-// of the base file. A checkpoint writes the merged state as a brand-new
-// generation (hard-linking files with no changes), fsyncs it, and —
-// after the caller has durably published a manifest naming it —
-// promotes it to base and deletes the old generation. A crash at any
-// point therefore leaves either the old complete generation or the new
-// complete generation, never a half-written mix.
+// page exactly as it was at the last checkpoint, are never modified in
+// place, and are mapped read-only into the process when the generation
+// becomes current (OpenDiskStore, PromoteGeneration). Pages written or
+// allocated since the checkpoint live in an in-memory overlay keyed by
+// (file, page); reads consult the overlay first and fall back to a
+// copy out of the mapping. A checkpoint writes the merged state as a
+// brand-new generation (hard-linking files with no changes), fsyncs
+// it, and — after the caller has durably published a manifest naming
+// it — promotes it to base and deletes the old generation. A crash at
+// any point therefore leaves either the old complete generation or the
+// new complete generation, never a half-written mix.
+//
+// What reading through a mapping means: a base read makes no system
+// call, and a page the OS does not have cached is a page fault, which
+// stalls the thread, not a pread(2) the scheduler can hand off. The
+// mapping cannot shrink under the process — the engine flocks the data
+// directory, and a generation's files are never truncated, only
+// unlinked, which a mapping survives — but a file truncated from
+// outside regardless is a SIGBUS on the next read of a lost page, not
+// an error. Builds without mmap read each file into memory instead
+// (map_other.go); everything below sees a []byte either way.
 //
 // The overlay is also where the write-ahead log hooks in: a spill
 // callback (SetSpill) observes every page write between checkpoints,
 // so the engine can journal evicted dirty pages as full page images.
 
-// pageKey addresses one page of one file.
-type pageKey struct{ file, page int }
+// pageKey addresses one page of one file: the file number in the high
+// half, the page number in the low half (buffer.key's packing). One
+// word, so the overlay probe every read makes hashes through the
+// runtime's 64-bit fast path.
+type pageKey uint64
+
+func pageKeyOf(file, page int) pageKey {
+	return pageKey(uint64(uint32(file))<<32 | uint64(uint32(page)))
+}
+
+func (k pageKey) file() int { return int(uint32(k >> 32)) }
+
+// baseFile is one page file of the current generation.
+type baseFile struct {
+	name string // its path, which WriteGeneration hard-links from
+	data []byte // the whole file, mapped read-only; nil = no pages (absent, empty, or closed)
+}
+
+// pages returns the number of pages the base file holds.
+func (b *baseFile) pages() int { return len(b.data) / PageBytes }
 
 // diskStore is the disk half of Store.
 type diskStore struct {
-	dir       string
-	gen       uint64
-	base      []*os.File // per file ID; nil = no base file (empty at checkpoint)
-	basePages []int      // page count of each base file
-	pages     []int      // current logical page count (base + growth)
-	overlay   map[pageKey]Page
-	spill     func(file, page int, data []byte) error
+	dir     string
+	gen     uint64
+	base    []baseFile // per file ID
+	pages   []int      // current logical page count (base + growth)
+	overlay map[pageKey]Page
+	spill   func(file, page int, data []byte) error
 }
 
 // genDirName returns the directory of generation gen.
@@ -54,12 +82,54 @@ func pageFileName(genDir string, file int) string {
 	return filepath.Join(genDir, fmt.Sprintf("f%06d.pg", file))
 }
 
+// openBase maps the page file name. A file whose size is not a whole
+// number of pages is corruption (generations are fsynced before their
+// manifest is published); an empty one is a base file with no pages
+// and is not mapped. The descriptor is closed either way: the mapping
+// outlives it.
+func openBase(name string) (baseFile, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return baseFile{}, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return baseFile{}, err
+	}
+	if st.Size()%PageBytes != 0 {
+		return baseFile{}, fmt.Errorf("storage: page file %s has partial page (%d bytes)", name, st.Size())
+	}
+	b := baseFile{name: name}
+	if st.Size() > 0 {
+		if b.data, err = mapFile(f, int(st.Size())); err != nil {
+			return baseFile{}, fmt.Errorf("storage: map %s: %w", name, err)
+		}
+	}
+	return b, nil
+}
+
+// unmapBase releases every mapping in files and empties the entries,
+// so a later read of one is an error and never a fault. It returns the
+// first failure.
+func unmapBase(files []baseFile) error {
+	var first error
+	for i := range files {
+		if files[i].data != nil {
+			if err := unmapFile(files[i].data); err != nil && first == nil {
+				first = err
+			}
+		}
+		files[i] = baseFile{}
+	}
+	return first
+}
+
 // OpenDiskStore opens a disk-backed store rooted at dir over
 // checkpoint generation gen with nfiles page files. Generation 0 means
 // no checkpoint has happened yet: every file starts empty. Base files
-// absent from the generation directory are empty files; a base file
-// whose size is not a whole number of pages is corruption (generations
-// are fsynced before their manifest is published).
+// absent from the generation directory are empty files. A failure
+// releases whatever was mapped before it.
 func OpenDiskStore(dir string, gen uint64, nfiles int) (*Store, error) {
 	d := &diskStore{
 		dir:     dir,
@@ -67,45 +137,32 @@ func OpenDiskStore(dir string, gen uint64, nfiles int) (*Store, error) {
 		overlay: make(map[pageKey]Page),
 	}
 	s := &Store{disk: d}
-	if err := d.ensure(nfiles); err != nil {
-		return nil, err
-	}
+	d.ensure(nfiles)
 	if gen == 0 {
 		return s, nil
 	}
 	genDir := genDirName(dir, gen)
 	for id := 0; id < nfiles; id++ {
-		f, err := os.Open(pageFileName(genDir, id))
+		b, err := openBase(pageFileName(genDir, id))
 		if os.IsNotExist(err) {
 			continue
 		}
 		if err != nil {
+			unmapBase(d.base)
 			return nil, err
 		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		if st.Size()%PageBytes != 0 {
-			f.Close()
-			return nil, fmt.Errorf("storage: page file %s has partial page (%d bytes)", f.Name(), st.Size())
-		}
-		d.base[id] = f
-		d.basePages[id] = int(st.Size() / PageBytes)
-		d.pages[id] = d.basePages[id]
+		d.base[id] = b
+		d.pages[id] = b.pages()
 	}
 	return s, nil
 }
 
 // ensure grows the per-file bookkeeping to n files.
-func (d *diskStore) ensure(n int) error {
+func (d *diskStore) ensure(n int) {
 	for len(d.pages) < n {
-		d.base = append(d.base, nil)
-		d.basePages = append(d.basePages, 0)
+		d.base = append(d.base, baseFile{})
 		d.pages = append(d.pages, 0)
 	}
-	return nil
 }
 
 // SetSpill installs the page-write observer called (under the store
@@ -133,15 +190,28 @@ func (d *diskStore) readPage(file, page int, dst Page) error {
 	if file < 0 || file >= len(d.pages) || page < 0 || page >= d.pages[file] {
 		return fmt.Errorf("storage: read beyond file %d page %d", file, page)
 	}
-	if p, ok := d.overlay[pageKey{file, page}]; ok {
+	if p, ok := d.overlay[pageKeyOf(file, page)]; ok {
 		copy(dst, p)
 		return nil
 	}
-	if page >= d.basePages[file] || d.base[file] == nil {
+	b := &d.base[file]
+	if page >= b.pages() {
 		return fmt.Errorf("storage: file %d page %d missing from base and overlay", file, page)
 	}
-	_, err := d.base[file].ReadAt(dst[:PageBytes], int64(page)*PageBytes)
-	return err
+	copy(dst[:PageBytes], b.data[page*PageBytes:])
+	return nil
+}
+
+// overlayPage returns the overlay's image of a page, adding an empty
+// one when the page has not been written since the checkpoint.
+func (d *diskStore) overlayPage(file, page int) Page {
+	k := pageKeyOf(file, page)
+	p, ok := d.overlay[k]
+	if !ok {
+		p = make(Page, PageBytes)
+		d.overlay[k] = p
+	}
+	return p
 }
 
 // writePage installs src into the overlay; spill (when set and enabled
@@ -150,12 +220,7 @@ func (d *diskStore) writePage(file, page int, src Page) error {
 	if file < 0 || file >= len(d.pages) || page < 0 || page >= d.pages[file] {
 		return fmt.Errorf("storage: write beyond file %d page %d", file, page)
 	}
-	k := pageKey{file, page}
-	p, ok := d.overlay[k]
-	if !ok {
-		p = make(Page, PageBytes)
-		d.overlay[k] = p
-	}
+	p := d.overlayPage(file, page)
 	copy(p, src)
 	if d.spill != nil {
 		return d.spill(file, page, p)
@@ -176,13 +241,7 @@ func (s *Store) InstallRecovered(file, page int, data []byte) error {
 	if file < 0 || file >= len(d.pages) || page < 0 || page >= d.pages[file] {
 		return fmt.Errorf("storage: recovered page beyond file %d page %d", file, page)
 	}
-	k := pageKey{file, page}
-	p, ok := d.overlay[k]
-	if !ok {
-		p = make(Page, PageBytes)
-		d.overlay[k] = p
-	}
-	copy(p, data)
+	copy(d.overlayPage(file, page), data)
 	return nil
 }
 
@@ -208,7 +267,7 @@ func (s *Store) WriteGeneration(gen uint64) error {
 	}
 	changed := make(map[int]bool)
 	for k := range d.overlay {
-		changed[k.file] = true
+		changed[k.file()] = true
 	}
 	buf := make(Page, PageBytes)
 	for id := range d.pages {
@@ -217,8 +276,8 @@ func (s *Store) WriteGeneration(gen uint64) error {
 			continue
 		}
 		dst := pageFileName(genDir, id)
-		if !changed[id] && n == d.basePages[id] && d.base[id] != nil {
-			if err := os.Link(d.base[id].Name(), dst); err == nil {
+		if !changed[id] && n == d.base[id].pages() {
+			if err := os.Link(d.base[id].name, dst); err == nil {
 				continue
 			}
 			// Cross-device or filesystem without hard links: fall
@@ -252,39 +311,38 @@ func (s *Store) WriteGeneration(gen uint64) error {
 // PromoteGeneration switches the store's base to generation gen
 // (previously written by WriteGeneration and named by a durable
 // manifest), drops the overlay, and deletes every other generation
-// directory. The new generation's files are all opened before any old
-// handle is released: a failure mid-way leaves the store exactly as it
-// was, still serving reads from the old base.
+// directory. The new generation's files are all mapped before any old
+// mapping is released: a failure mid-way releases the new ones and
+// leaves the store exactly as it was, still serving reads from the old
+// base.
 func (s *Store) PromoteGeneration(gen uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	d := s.disk
 	genDir := genDirName(d.dir, gen)
-	newBase := make([]*os.File, len(d.pages))
+	newBase := make([]baseFile, len(d.pages))
 	for id := range d.pages {
 		if d.pages[id] == 0 {
 			continue
 		}
-		f, err := os.Open(pageFileName(genDir, id))
+		b, err := openBase(pageFileName(genDir, id))
 		if err != nil {
-			for _, nf := range newBase {
-				if nf != nil {
-					nf.Close()
-				}
-			}
+			unmapBase(newBase)
 			return err
 		}
-		newBase[id] = f
-	}
-	for id := range d.pages {
-		if d.base[id] != nil {
-			d.base[id].Close()
+		newBase[id] = b
+		if b.pages() != d.pages[id] {
+			unmapBase(newBase)
+			return fmt.Errorf("storage: page file %s has %d pages, want %d", b.name, b.pages(), d.pages[id])
 		}
-		d.base[id] = newBase[id]
-		d.basePages[id] = d.pages[id]
 	}
+	old := d.base
+	d.base = newBase
 	d.overlay = make(map[pageKey]Page)
 	d.gen = gen
+	if err := unmapBase(old); err != nil {
+		return err
+	}
 	return RemoveStaleGenerations(d.dir, gen)
 }
 
@@ -310,23 +368,15 @@ func RemoveStaleGenerations(dir string, keep uint64) error {
 	return nil
 }
 
-// Close releases the disk store's file handles (no-op in memory mode).
+// Close releases the disk store's mappings (no-op in memory mode);
+// reading a base page afterwards is an error.
 func (s *Store) Close() error {
 	if s.disk == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var first error
-	for id, f := range s.disk.base {
-		if f != nil {
-			if err := f.Close(); err != nil && first == nil {
-				first = err
-			}
-			s.disk.base[id] = nil
-		}
-	}
-	return first
+	return unmapBase(s.disk.base)
 }
 
 // SyncDir fsyncs a directory, making the creates and renames inside

@@ -82,7 +82,7 @@ func (s *Store) AllocPage(file int) (int, error) {
 			return 0, fmt.Errorf("storage: no file %d", file)
 		}
 		page := d.pages[file]
-		d.overlay[pageKey{file, page}] = NewPage()
+		d.overlay[pageKeyOf(file, page)] = NewPage()
 		d.pages[file]++
 		return page, nil
 	}
