@@ -13,9 +13,9 @@
 // The write timeout (default 30s) is the slow-client liveness bound:
 // a client that stops reading its result stream is disconnected when
 // a frame write exceeds it, cancelling the query so stalled readers
-// cannot wedge writers. On shutdown the daemon logs its serving
-// counters (uptime, conns, slow kills, queries, in-flight, rows,
-// bytes); a live server answers the same counters over the wire
+// cannot wedge writers. On shutdown the daemon logs its counters, one
+// key=value line per section (server, buffer pool, result cache, WAL,
+// capture), keyed like the wire stat pairs a live server answers with
 // ("show stats", or dsload -server-stats).
 //
 // Observability: every query gets a per-stage span (plan, cache,
@@ -161,25 +161,20 @@ func main() {
 		if err := srv.Shutdown(ctx); err != nil {
 			log.Fatalf("dsdbd: forced shutdown: %v", err)
 		}
-		st := srv.Stats()
-		fmt.Fprintf(os.Stderr, "dsdbd: served %d conns (%d refused, %d slow-killed, %d idle-killed), %d queries (%d failed, %d cancelled, %d cache hits, %d in flight), %d rows / %d bytes streamed, up %s\n",
-			st.TotalConns, st.RefusedConns, st.SlowClientKills, st.IdleKills,
-			st.Queries, st.QueryErrors, st.CancelledQueries, st.CacheHits, st.InFlightQueries,
-			st.RowsStreamed, st.BytesWritten, st.Uptime.Round(time.Second))
 		// Capture closes after the drain: every query that completed is
-		// in the log, and the final counters say whether it is complete
-		// (dropped == 0) before anyone replays it.
+		// in the log, and the summary below says whether it is complete
+		// (capture_dropped=0) before anyone replays it.
 		if capture != nil {
 			if err := capture.Close(); err != nil {
 				log.Printf("dsdbd: capture close: %v", err)
 			}
-			cst := capture.Stats()
-			fmt.Fprintf(os.Stderr, "dsdbd: captured %d queries (%d dropped, %d sampled out), %d bytes in %s\n",
-				cst.Records, cst.Dropped, cst.SampledOut, cst.Bytes, *captureDir)
 		}
-		if st, ok := db.ResultCacheStats(); ok {
-			fmt.Fprintf(os.Stderr, "dsdbd: result cache: %d hits / %d misses (%.1f%%), %d entries, %d/%d bytes, %d evictions, %d invalidations, %d expirations, %d admission rejects\n",
-				st.Hits, st.Misses, 100*st.HitRatio(), st.Entries, st.UsedBytes, st.MaxBytes, st.Evictions, st.Invalidations, st.Expirations, st.AdmissionRejects)
+		// The shutdown summary: one key=value line per enabled section,
+		// keyed like the wire stat pairs.
+		for _, sec := range srv.Sections(srv.Stats()) {
+			if !sec.Disabled {
+				fmt.Fprintln(os.Stderr, "dsdbd:", sec)
+			}
 		}
 		// Checkpoint-on-drain: collapse the log into page files so the
 		// next start recovers instantly (Close checkpoints durable DBs).

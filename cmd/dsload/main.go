@@ -140,12 +140,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dsload: wrote JSON report to %s\n", *reportJSON)
 	}
 	if *captureOut != "" {
-		cap := load.CaptureSection(st)
+		cap := load.Section(st, "capture")
 		if cap == nil {
 			log.Fatalf("dsload: -capture-out: server at %s runs without workload capture (start dsdbd with -capture-dir)", *addr)
 		}
-		fmt.Fprintf(os.Stderr, "dsload: server captured %d queries (%d dropped, %d sampled out), %d bytes\n",
-			cap.Records, cap.Dropped, cap.SampledOut, cap.Bytes)
 		blob, err := json.MarshalIndent(cap, "", "  ")
 		if err != nil {
 			log.Fatalf("dsload: -capture-out: %v", err)
@@ -153,6 +151,7 @@ func main() {
 		if err := os.WriteFile(*captureOut, append(blob, '\n'), 0o644); err != nil {
 			log.Fatalf("dsload: -capture-out: %v", err)
 		}
+		fmt.Fprintf(os.Stderr, "dsload: wrote server capture counters to %s\n", *captureOut)
 	}
 	if *explainWorst {
 		if err := explainWorstQuery(ctx, *addr, sum); err != nil {

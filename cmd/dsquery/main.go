@@ -122,7 +122,6 @@ func main() {
 			db.WorkerProbeEvents())
 	}
 	if st, ok := db.ResultCacheStats(); ok {
-		fmt.Fprintf(os.Stderr, "(result cache: %d hits / %d misses, %d entries, %d/%d bytes)\n",
-			st.Hits, st.Misses, st.Entries, st.UsedBytes, st.MaxBytes)
+		fmt.Fprintf(os.Stderr, "(result cache: %s)\n", st.Section(true))
 	}
 }

@@ -78,8 +78,7 @@ func main() {
 			fmt.Printf("  %-16s %10d blocks %12d instrs\n", m.Label, m.Blocks, m.Instrs)
 		}
 		if st, ok := db.ResultCacheStats(); ok {
-			fmt.Printf("result cache: %d hits / %d misses (%.1f%%), %d entries, %d/%d bytes\n",
-				st.Hits, st.Misses, 100*st.HitRatio(), st.Entries, st.UsedBytes, st.MaxBytes)
+			fmt.Println("result cache:", st.Section(true))
 		}
 		return
 	case multi:

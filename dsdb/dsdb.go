@@ -91,7 +91,6 @@ type Tracer = probe.Tracer
 type config struct {
 	frames       int
 	indexes      IndexKind
-	tracer       Tracer
 	seed         int64
 	tpcdSF       float64
 	loadTPCD     bool
@@ -116,12 +115,6 @@ func WithBufferFrames(n int) Option {
 // paper builds one database of each kind.
 func WithIndexKind(k IndexKind) Option {
 	return func(c *config) { c.indexes = k }
-}
-
-// WithTracer attaches an instrumentation tracer at open time;
-// equivalent to calling SetTracer afterwards.
-func WithTracer(t Tracer) Option {
-	return func(c *config) { c.tracer = t }
 }
 
 // WithTPCD preloads the 8-table TPC-D benchmark database at the given
@@ -274,7 +267,6 @@ func Open(opts ...Option) (*DB, error) {
 	}
 	db := &DB{
 		eng:          eng,
-		tracer:       cfg.tracer,
 		parallelism:  cfg.parallelism,
 		workerCounts: probe.NewCountingTracer(),
 		recovered:    recovered,
@@ -486,6 +478,17 @@ func (db *DB) PoolStats() PoolStats {
 	}
 }
 
+// Section declares the pool's counters: SHOW pool, the pool_* stat
+// pairs and the dsdb_buffer_pool_* series.
+func (p PoolStats) Section() obs.Section {
+	s := obs.Section{Name: "pool", Prom: "buffer_pool_"}
+	s.Gauge("frames", int64(p.Frames))
+	s.Gauge("pinned", int64(p.Pinned))
+	s.Counter("hits", p.Hits)
+	s.Counter("misses", p.Misses)
+	return s
+}
+
 // WALStats is a snapshot of the write-ahead log state.
 type WALStats struct {
 	// Durable reports whether the database persists to a data dir at
@@ -504,6 +507,21 @@ func (db *DB) WALStats() WALStats {
 	ctr := db.eng.WALCounters()
 	return WALStats{Durable: db.eng.Durable(), Seq: db.eng.WALSeq(),
 		Appends: ctr.Appends, Fsyncs: ctr.Fsyncs}
+}
+
+// Section declares the WAL's counters: SHOW wal, the wal_* stat pairs
+// and the dsdb_wal_* series. durable is 1 or 0.
+func (w WALStats) Section() obs.Section {
+	s := obs.Section{Name: "wal", Prom: "wal_"}
+	durable := int64(0)
+	if w.Durable {
+		durable = 1
+	}
+	s.Gauge("durable", durable)
+	s.Gauge("seq", int64(w.Seq))
+	s.Counter("appends", w.Appends)
+	s.Counter("fsyncs", w.Fsyncs)
+	return s
 }
 
 // CreateTable registers a table with the given columns.

@@ -1,6 +1,8 @@
 package load
 
 import (
+	"strings"
+
 	"repro/dsdb/obs"
 	"repro/dsdb/wire"
 )
@@ -67,40 +69,36 @@ type JSONReport struct {
 
 	PerQuery []JSONQueryStat `json:"per_query"`
 
-	ServerStats  map[string]int64  `json:"server_stats,omitempty"`
-	ServerStages []StageMean       `json:"server_stages,omitempty"`
-	Capture      *JSONCaptureStats `json:"capture,omitempty"`
+	ServerStats  map[string]int64 `json:"server_stats,omitempty"`
+	ServerStages []StageMean      `json:"server_stages,omitempty"`
+	// Capture is the server's capture section (Section(st, "capture")),
+	// present only when it runs a workload capture.
+	Capture map[string]int64 `json:"capture,omitempty"`
 }
 
-// JSONCaptureStats is the server's workload-capture counter block,
-// present in a report only when the target server was started with a
-// capture (dsdbd -capture-dir). CI asserts dropped == 0 here: the run
-// was recorded in full.
-type JSONCaptureStats struct {
-	Records    int64 `json:"records"`
-	Dropped    int64 `json:"dropped"`
-	SampledOut int64 `json:"sampled_out"`
-	Bytes      int64 `json:"bytes"`
-	IOErrors   int64 `json:"io_errors"`
-}
-
-// CaptureSection extracts the capture counter block from a server
-// stats snapshot, or nil when the server runs without capture (the
-// capture_* pairs ride the snapshot only when enabled).
-func CaptureSection(st *wire.Stats) *JSONCaptureStats {
+// Section picks one named section (obs.Section) out of a server stats
+// snapshot: its name_key pairs, keyed by key — Section(st, "capture")
+// is {"records": …, "dropped": …, …}; name "" picks every pair. Nil
+// when st is nil or has no such pair: a subsystem that is off sends
+// none.
+func Section(st *wire.Stats, name string) map[string]int64 {
 	if st == nil {
 		return nil
 	}
-	records, ok := st.Get("capture_records")
-	if !ok {
-		return nil
+	prefix := ""
+	if name != "" {
+		prefix = name + "_"
 	}
-	c := &JSONCaptureStats{Records: records}
-	c.Dropped, _ = st.Get("capture_dropped")
-	c.SampledOut, _ = st.Get("capture_sampled_out")
-	c.Bytes, _ = st.Get("capture_bytes")
-	c.IOErrors, _ = st.Get("capture_io_errors")
-	return c
+	var sec map[string]int64
+	for _, p := range st.Pairs {
+		if key, ok := strings.CutPrefix(p.Name, prefix); ok {
+			if sec == nil {
+				sec = make(map[string]int64)
+			}
+			sec[key] = p.Value
+		}
+	}
+	return sec
 }
 
 // JSONReplayQueryStat is one label's slice of a JSONReplayReport:
@@ -135,9 +133,11 @@ type JSONReplayReport struct {
 
 	PerQuery []JSONReplayQueryStat `json:"per_query"`
 
-	ServerStats  map[string]int64  `json:"server_stats,omitempty"`
-	ServerStages []StageMean       `json:"server_stages,omitempty"`
-	Capture      *JSONCaptureStats `json:"capture,omitempty"`
+	ServerStats  map[string]int64 `json:"server_stats,omitempty"`
+	ServerStages []StageMean      `json:"server_stages,omitempty"`
+	// Capture is the server's capture section (Section(st, "capture")),
+	// present only when it runs a workload capture.
+	Capture map[string]int64 `json:"capture,omitempty"`
 }
 
 // BuildReplayJSONReport renders a ReplaySummary (and, optionally, the
@@ -169,31 +169,26 @@ func BuildReplayJSONReport(s *ReplaySummary, st *wire.Stats) JSONReplayReport {
 		})
 	}
 	if st != nil {
-		r.ServerStats, r.ServerStages = serverSections(st)
-		r.Capture = CaptureSection(st)
+		r.ServerStats, r.ServerStages, r.Capture = serverSections(st)
 	}
 	return r
 }
 
-// serverSections renders a wire stats snapshot as the report's raw
-// counter map and per-stage means; shared by both report builders.
-func serverSections(st *wire.Stats) (map[string]int64, []StageMean) {
-	stats := make(map[string]int64, len(st.Pairs))
-	for _, p := range st.Pairs {
-		stats[p.Name] = p.Value
-	}
-	var stages []StageMean
+// serverSections picks a report's server sections out of a wire stats
+// snapshot: every pair, the per-stage means of the stage_<name>_count /
+// stage_<name>_total_ns pairs, and the capture section. Shared by both
+// report builders.
+func serverSections(st *wire.Stats) (all map[string]int64, stages []StageMean, capture map[string]int64) {
+	stage := Section(st, "stage")
 	for i := obs.Stage(0); i < obs.NumStages; i++ {
 		name := i.String()
-		count, _ := st.Get("stage_" + name + "_count")
-		total, _ := st.Get("stage_" + name + "_total_ns")
-		sm := StageMean{Stage: name, Count: count, TotalNs: total}
-		if count > 0 {
-			sm.MeanNs = total / count
+		sm := StageMean{Stage: name, Count: stage[name+"_count"], TotalNs: stage[name+"_total_ns"]}
+		if sm.Count > 0 {
+			sm.MeanNs = sm.TotalNs / sm.Count
 		}
 		stages = append(stages, sm)
 	}
-	return stats, stages
+	return Section(st, ""), stages, Section(st, "capture")
 }
 
 // BuildJSONReport renders a Summary (and, optionally, the server's
@@ -232,8 +227,7 @@ func BuildJSONReport(s *Summary, st *wire.Stats) JSONReport {
 		})
 	}
 	if st != nil {
-		r.ServerStats, r.ServerStages = serverSections(st)
-		r.Capture = CaptureSection(st)
+		r.ServerStats, r.ServerStages, r.Capture = serverSections(st)
 	}
 	return r
 }

@@ -2,6 +2,7 @@ package load
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
@@ -73,13 +74,16 @@ func TestBuildJSONReport(t *testing.T) {
 	}
 }
 
+// TestCaptureSection: the capture block of a report, and what dsload
+// -capture-out writes, is the capture section picked out of the stats
+// pairs by its prefix — absent when the server runs without capture.
 func TestCaptureSection(t *testing.T) {
-	if got := CaptureSection(nil); got != nil {
+	if got := Section(nil, "capture"); got != nil {
 		t.Fatalf("nil stats: got %+v", got)
 	}
 	// No capture_* pairs (server without -capture-dir): no block.
 	st := &wire.Stats{Pairs: []wire.StatPair{{Name: "queries_total", Value: 9}}}
-	if got := CaptureSection(st); got != nil {
+	if got := Section(st, "capture"); got != nil {
 		t.Fatalf("capture-less stats: got %+v", got)
 	}
 	st.Pairs = append(st.Pairs,
@@ -89,14 +93,17 @@ func TestCaptureSection(t *testing.T) {
 		wire.StatPair{Name: "capture_bytes", Value: 4096},
 		wire.StatPair{Name: "capture_io_errors", Value: 0},
 	)
-	got := CaptureSection(st)
-	want := &JSONCaptureStats{Records: 42, Dropped: 1, SampledOut: 5, Bytes: 4096}
-	if got == nil || *got != *want {
-		t.Fatalf("capture section = %+v, want %+v", got, want)
+	got := Section(st, "capture")
+	want := map[string]int64{"records": 42, "dropped": 1, "sampled_out": 5, "bytes": 4096, "io_errors": 0}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("capture section = %v, want %v", got, want)
+	}
+	if all := Section(st, ""); len(all) != len(st.Pairs) || all["queries_total"] != 9 {
+		t.Fatalf("section \"\" = %v, want every pair", all)
 	}
 	// And it rides the full report under the "capture" key.
 	r := BuildJSONReport(&Summary{Mix: "train", Queries: 1, Elapsed: time.Second}, st)
-	if r.Capture == nil || r.Capture.Records != 42 {
+	if r.Capture["records"] != 42 {
 		t.Fatalf("report capture block = %+v", r.Capture)
 	}
 	blob, err := json.Marshal(r)

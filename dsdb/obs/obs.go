@@ -372,7 +372,6 @@ type Tracer struct {
 	now   func() time.Time
 	since func(time.Time) time.Duration
 
-	total  Histogram
 	stages [NumStages]Histogram
 
 	// mu guards the two record rings below — and nothing else: End
@@ -448,7 +447,6 @@ func (t *Tracer) finish(s *Span) {
 		rec.Stages[i] = time.Duration(s.stages[i].Load())
 	}
 	clampExec(&rec.Stages)
-	t.total.Observe(rec.Total)
 	for i, d := range rec.Stages {
 		if d > 0 {
 			t.stages[i].Observe(d)
@@ -572,14 +570,6 @@ func (t *Tracer) StageSnapshot(st Stage) HistSnapshot {
 		return HistSnapshot{}
 	}
 	return t.stages[st].Snapshot()
-}
-
-// TotalSnapshot returns the aggregate histogram of span totals.
-func (t *Tracer) TotalSnapshot() HistSnapshot {
-	if t == nil {
-		return HistSnapshot{}
-	}
-	return t.total.Snapshot()
 }
 
 // SetNow replaces the tracer's clock (nil restores time.Now) — the

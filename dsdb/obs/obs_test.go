@@ -222,8 +222,10 @@ func TestConcurrentSpans(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := tr.TotalSnapshot().Count; got != 8*200 {
-		t.Fatalf("observed %d spans, want %d", got, 8*200)
+	for _, st := range []Stage{StageExec, StageIO} {
+		if got := tr.StageSnapshot(st).Count; got != 8*200 {
+			t.Fatalf("%s histogram observed %d spans, want %d", st, got, 8*200)
+		}
 	}
 	if got := len(tr.Recent()); got != 64 {
 		t.Fatalf("ring holds %d, want 64", got)

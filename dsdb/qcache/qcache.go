@@ -47,6 +47,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/dsdb/obs"
 	"repro/internal/db/value"
 )
 
@@ -93,12 +94,22 @@ type Stats struct {
 	UsedBytes, MaxBytes int64
 }
 
-// HitRatio returns Hits / (Hits + Misses), or 0 before any Get.
-func (s Stats) HitRatio() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
+// Section declares the cache's counters: SHOW cache, the cache_* stat
+// pairs and the dsdb_result_cache_* series. enabled is false for a
+// database opened without a result cache, whose zero Stats then render
+// as zeros under SHOW and nowhere else.
+func (s Stats) Section(enabled bool) obs.Section {
+	sec := obs.Section{Name: "cache", Prom: "result_cache_", Optional: true, Disabled: !enabled}
+	sec.Counter("hits", s.Hits)
+	sec.Counter("misses", s.Misses)
+	sec.Gauge("entries", int64(s.Entries))
+	sec.Gauge("used_bytes", s.UsedBytes)
+	sec.Gauge("max_bytes", s.MaxBytes)
+	sec.Counter("evictions", s.Evictions)
+	sec.Counter("invalidations", s.Invalidations)
+	sec.Counter("expirations", s.Expirations)
+	sec.Counter("admission_rejects", s.AdmissionRejects)
+	return sec
 }
 
 // entry is one cached result set plus its LRU hook and accounting.

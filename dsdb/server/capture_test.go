@@ -88,16 +88,16 @@ func TestCaptureReplayByteIdentical(t *testing.T) {
 	// already saw, so poll briefly for the last records.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		st := srv.Stats()
-		if !st.CaptureEnabled {
+		st := srv.Stats().Capture
+		if st == nil {
 			t.Fatal("stats say capture is disabled on a capturing server")
 		}
-		if st.CaptureRecords == K*uint64(len(qns)) && st.CaptureDropped == 0 {
+		if st.Records == K*uint64(len(qns)) && st.Dropped == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("capture counters: records=%d dropped=%d, want %d/0",
-				st.CaptureRecords, st.CaptureDropped, K*len(qns))
+				st.Records, st.Dropped, K*len(qns))
 		}
 		time.Sleep(time.Millisecond)
 	}

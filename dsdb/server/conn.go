@@ -361,7 +361,7 @@ func (c *conn) serve() {
 				delete(c.stmtSQL, cl.StmtID)
 			}
 		case wire.KindStats:
-			err = c.send(wire.KindStatsResult, wire.EncodeStats(wire.Stats{Pairs: c.srv.Stats().Pairs()}))
+			err = c.send(wire.KindStatsResult, wire.EncodeStats(wire.Stats{Pairs: c.srv.statPairs()}))
 		case wire.KindCancel:
 			// Stray cancel: the query it aimed at already finished.
 		case wire.KindQuit:

@@ -44,70 +44,34 @@ func NewMetricsMux(s *Server) *http.ServeMux {
 	return mux
 }
 
-// metricsGauges names the stats pairs whose value can go down (or is
-// a point-in-time reading); everything else exported from Pairs is a
-// monotonic counter.
-var metricsGauges = map[string]bool{
-	"uptime_seconds":    true,
-	"conns_active":      true,
-	"queries_in_flight": true,
-}
-
-// serveMetrics renders the Stats snapshot in the Prometheus text
-// exposition format. Scalar pairs become dsdb_<name> counters/gauges;
-// the latency and per-stage histograms are emitted as real Prometheus
+// serveMetrics renders the server in the Prometheus text exposition
+// format: each entry of every enabled section (Server.Sections) as one
+// counter or gauge series named by obs.Section.Metric, the Go runtime's
+// health, and the latency and per-stage histograms as real Prometheus
 // histograms (cumulative le buckets, _sum in seconds, _count) rather
 // than the flat lat_/stage_ pairs the wire Stats frame carries.
 func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var b strings.Builder
-	for _, p := range st.Pairs() {
-		if strings.HasPrefix(p.Name, "lat_") || strings.HasPrefix(p.Name, "stage_") {
-			continue // re-exported below as proper histograms
+	for _, sec := range s.Sections(st) {
+		if sec.Disabled {
+			continue
 		}
-		typ := "counter"
-		if metricsGauges[p.Name] {
-			typ = "gauge"
+		for _, e := range sec.Entries {
+			writeScalar(&b, sec.Metric(e), e.Kind, e.Value)
 		}
-		fmt.Fprintf(&b, "# TYPE dsdb_%s %s\n", p.Name, typ)
-		fmt.Fprintf(&b, "dsdb_%s %d\n", p.Name, p.Value)
-	}
-	// Kernel counters beyond the serving stats: buffer-pool traffic,
-	// result-cache outcomes and WAL durability work, so one scrape
-	// covers the full storage hierarchy (satellite of the EXPLAIN PR).
-	p := s.db.PoolStats()
-	writeCounter(&b, "dsdb_buffer_pool_hits_total", int64(p.Hits))
-	writeCounter(&b, "dsdb_buffer_pool_misses_total", int64(p.Misses))
-	if cst, enabled := s.db.ResultCacheStats(); enabled {
-		writeCounter(&b, "dsdb_result_cache_hits_total", int64(cst.Hits))
-		writeCounter(&b, "dsdb_result_cache_misses_total", int64(cst.Misses))
-		writeCounter(&b, "dsdb_result_cache_evictions_total", int64(cst.Evictions))
-		writeCounter(&b, "dsdb_result_cache_invalidations_total", int64(cst.Invalidations))
-		writeCounter(&b, "dsdb_result_cache_expirations_total", int64(cst.Expirations))
-	}
-	wst := s.db.WALStats()
-	writeCounter(&b, "dsdb_wal_appends_total", int64(wst.Appends))
-	writeCounter(&b, "dsdb_wal_fsyncs_total", int64(wst.Fsyncs))
-	// Workload-capture counters, present only while a capture is
-	// attached (same presence-means-enabled convention as the result
-	// cache above). The dropped counter is the one to alert on: a
-	// nonzero rate means the capture disk is shedding records.
-	if st.CaptureEnabled {
-		writeCounter(&b, "dsdb_capture_records_total", int64(st.CaptureRecords))
-		writeCounter(&b, "dsdb_capture_dropped_total", int64(st.CaptureDropped))
-		writeCounter(&b, "dsdb_capture_sampled_out_total", int64(st.CaptureSampledOut))
-		writeCounter(&b, "dsdb_capture_bytes_total", int64(st.CaptureBytes))
 	}
 	// Go runtime health: enough to spot a goroutine leak, heap growth
 	// or GC pressure from the same scrape that carries the serving
 	// stats, without pulling in a metrics dependency.
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
-	writeGauge(&b, "dsdb_go_goroutines", int64(runtime.NumGoroutine()))
-	writeGauge(&b, "dsdb_go_heap_alloc_bytes", int64(mem.HeapAlloc))
+	writeScalar(&b, "dsdb_go_goroutines", obs.Gauge, int64(runtime.NumGoroutine()))
+	writeScalar(&b, "dsdb_go_heap_alloc_bytes", obs.Gauge, int64(mem.HeapAlloc))
 	fmt.Fprintf(&b, "# TYPE dsdb_go_gc_pause_seconds_total counter\n")
 	fmt.Fprintf(&b, "dsdb_go_gc_pause_seconds_total %g\n", float64(mem.PauseTotalNs)/1e9)
+	fmt.Fprintf(&b, "# TYPE dsdb_query_latency_seconds histogram\n")
 	writeHistSeries(&b, "dsdb_query_latency_seconds", "", st.Latency)
 	fmt.Fprintf(&b, "# TYPE dsdb_query_stage_seconds histogram\n")
 	for i, h := range st.Stages {
@@ -116,40 +80,25 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte(b.String()))
 }
 
-// writeCounter emits one monotonic counter series.
-func writeCounter(b *strings.Builder, name string, v int64) {
-	fmt.Fprintf(b, "# TYPE %s counter\n", name)
-	fmt.Fprintf(b, "%s %d\n", name, v)
-}
-
-// writeGauge emits one point-in-time gauge series.
-func writeGauge(b *strings.Builder, name string, v int64) {
-	fmt.Fprintf(b, "# TYPE %s gauge\n", name)
+// writeScalar emits one counter or gauge series.
+func writeScalar(b *strings.Builder, name string, kind obs.Kind, v int64) {
+	fmt.Fprintf(b, "# TYPE %s %s\n", name, kind)
 	fmt.Fprintf(b, "%s %d\n", name, v)
 }
 
 // writeHistSeries emits one histogram's _bucket/_sum/_count series.
 // Prometheus buckets are cumulative; the snapshot's are not, so the
-// running total is built here. labels ("" or `k="v"`) are merged with
-// the le label.
-func writeHistSeries(b *strings.Builder, name, labels string, h obs.HistSnapshot) {
-	if labels == "" {
-		fmt.Fprintf(b, "# TYPE %s histogram\n", name)
-	}
-	wrap := func(extra string) string {
-		if labels == "" {
-			return "{" + extra + "}"
-		}
-		return "{" + labels + "," + extra + "}"
-	}
-	plain := ""
-	if labels != "" {
-		plain = "{" + labels + "}"
+// running total is built here. label ("" or `k="v"`) is merged with the
+// le label.
+func writeHistSeries(b *strings.Builder, name, label string, h obs.HistSnapshot) {
+	le, plain := "", ""
+	if label != "" {
+		le, plain = label+",", "{"+label+"}"
 	}
 	var cum uint64
 	for i, n := range h.Counts {
 		cum += n
-		fmt.Fprintf(b, "%s_bucket%s %d\n", name, wrap(fmt.Sprintf("le=%q", obs.BucketSeconds(i))), cum)
+		fmt.Fprintf(b, "%s_bucket{%sle=%q} %d\n", name, le, obs.BucketSeconds(i), cum)
 	}
 	fmt.Fprintf(b, "%s_sum%s %g\n", name, plain, h.Sum.Seconds())
 	fmt.Fprintf(b, "%s_count%s %d\n", name, plain, h.Count)

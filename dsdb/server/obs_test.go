@@ -288,94 +288,108 @@ func awaitServed(t *testing.T, srv *server.Server, n uint64) {
 	}
 }
 
-// TestMetricsEndpoint scrapes NewMetricsMux's /metrics and asserts
-// the Prometheus text format: counter/gauge types for the scalar
-// series, real cumulative histograms for latency and stages, and a
-// mounted pprof index.
+// TestMetricsEndpoint scrapes NewMetricsMux's /metrics on a bare and
+// a full server (data dir, result cache, capture) and asserts the
+// Prometheus text format: counter/gauge types for the scalar series,
+// real cumulative histograms for latency and stages, one series per
+// name (no # TYPE twice, no X beside an X_total), optional subsystems
+// present exactly when they are on, and a mounted pprof index.
 func TestMetricsEndpoint(t *testing.T) {
-	db, srv, addr := testServer(t)
-	_ = db
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := c.Query(context.Background(), "select count(*) from region")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rows.Next() {
-	}
-	if err := rows.Err(); err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-	awaitServed(t, srv, 1)
+	for _, tc := range []struct {
+		name string
+		full bool
+	}{{"bare", false}, {"full", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, addr := countersServer(t, tc.full)
+			c, err := client.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Exec(context.Background(), "select count(*) from region"); err != nil {
+				t.Fatal(err)
+			}
+			c.Close()
+			awaitServed(t, srv, 1)
 
-	ts := httptest.NewServer(server.NewMetricsMux(srv))
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Fatalf("/metrics content type %q", ct)
-	}
-	text := string(body)
-	for _, want := range []string{
-		"# TYPE dsdb_queries_total counter",
-		"# TYPE dsdb_conns_active gauge",
-		"# TYPE dsdb_queries_in_flight gauge",
-		"# TYPE dsdb_uptime_seconds gauge",
-		"# TYPE dsdb_rows_streamed counter",
-		"# TYPE dsdb_buffer_pool_hits_total counter",
-		"# TYPE dsdb_buffer_pool_misses_total counter",
-		"# TYPE dsdb_wal_appends_total counter",
-		"# TYPE dsdb_wal_fsyncs_total counter",
-		"# TYPE dsdb_query_latency_seconds histogram",
-		"# TYPE dsdb_query_stage_seconds histogram",
-		"# TYPE dsdb_go_goroutines gauge",
-		"# TYPE dsdb_go_heap_alloc_bytes gauge",
-		"# TYPE dsdb_go_gc_pause_seconds_total counter",
-		`dsdb_query_latency_seconds_bucket{le="+Inf"} `,
-		`dsdb_query_stage_seconds_bucket{stage="exec",le="+Inf"} `,
-		"dsdb_query_latency_seconds_count 1",
-		"dsdb_query_stage_seconds_sum{stage=\"exec\"} ",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("/metrics is missing %q", want)
-		}
-	}
-	if m := regexp.MustCompile(`(?m)^dsdb_queries_total (\d+)$`).FindStringSubmatch(text); m == nil || m[1] == "0" {
-		t.Errorf("dsdb_queries_total missing or zero:\n%s", text)
-	}
-	// The flat wire-frame pairs must NOT leak: histograms replace them.
-	if strings.Contains(text, "dsdb_lat_") || strings.Contains(text, "dsdb_stage_") {
-		t.Errorf("/metrics leaks flat lat_/stage_ pairs:\n%s", text)
-	}
-	// testServer runs without a result cache: its series must not
-	// appear as misleading zeros.
-	if strings.Contains(text, "dsdb_result_cache_") {
-		t.Errorf("/metrics exports result-cache series on a cacheless server:\n%s", text)
-	}
-	// Same convention for workload capture: a server running without
-	// -capture-dir must not export dead capture counters.
-	if strings.Contains(text, "dsdb_capture_") {
-		t.Errorf("/metrics exports capture series on a capture-less server:\n%s", text)
-	}
+			resp, text := scrapeMetrics(t, srv)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("/metrics status %d", resp.StatusCode)
+			}
+			if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+				t.Fatalf("/metrics content type %q", ct)
+			}
+			for _, want := range []string{
+				"# TYPE dsdb_queries_total counter",
+				"# TYPE dsdb_conns_active gauge",
+				"# TYPE dsdb_queries_in_flight gauge",
+				"# TYPE dsdb_uptime_seconds gauge",
+				"# TYPE dsdb_rows_streamed counter",
+				"# TYPE dsdb_buffer_pool_hits_total counter",
+				"# TYPE dsdb_buffer_pool_misses_total counter",
+				"# TYPE dsdb_wal_appends_total counter",
+				"# TYPE dsdb_wal_fsyncs_total counter",
+				"# TYPE dsdb_query_latency_seconds histogram",
+				"# TYPE dsdb_query_stage_seconds histogram",
+				"# TYPE dsdb_go_goroutines gauge",
+				"# TYPE dsdb_go_heap_alloc_bytes gauge",
+				"# TYPE dsdb_go_gc_pause_seconds_total counter",
+				`dsdb_query_latency_seconds_bucket{le="+Inf"} `,
+				`dsdb_query_stage_seconds_bucket{stage="exec",le="+Inf"} `,
+				"dsdb_query_latency_seconds_count 1",
+				"dsdb_query_stage_seconds_sum{stage=\"exec\"} ",
+			} {
+				if !strings.Contains(text, want) {
+					t.Errorf("/metrics is missing %q", want)
+				}
+			}
+			if m := regexp.MustCompile(`(?m)^dsdb_queries_total (\d+)$`).FindStringSubmatch(text); m == nil || m[1] == "0" {
+				t.Errorf("dsdb_queries_total missing or zero:\n%s", text)
+			}
+			// One series per name: a counter rendered twice, once plain
+			// and once with the _total suffix, is two series for one count.
+			types := map[string]bool{}
+			for _, m := range regexp.MustCompile(`(?m)^# TYPE (\S+) `).FindAllStringSubmatch(text, -1) {
+				if types[m[1]] {
+					t.Errorf("/metrics declares %s twice", m[1])
+				}
+				types[m[1]] = true
+			}
+			for name := range types {
+				if types[name+"_total"] {
+					t.Errorf("/metrics exports both %s and %s_total", name, name)
+				}
+			}
+			// The flat wire-frame pairs must NOT leak: histograms replace them.
+			if strings.Contains(text, "dsdb_lat_") || strings.Contains(text, "dsdb_stage_") {
+				t.Errorf("/metrics leaks flat lat_/stage_ pairs:\n%s", text)
+			}
+			// The result cache and the capture are exported exactly when
+			// they are on: absent, not misleading zeros, on the bare server.
+			for _, prefix := range []string{"dsdb_result_cache_", "dsdb_capture_"} {
+				if got := strings.Contains(text, prefix); got != tc.full {
+					t.Errorf("/metrics has %s* series: %v, want %v:\n%s", prefix, got, tc.full, text)
+				}
+			}
+			if tc.full {
+				for _, name := range []string{"records", "dropped", "sampled_out", "bytes", "io_errors"} {
+					if !types["dsdb_capture_"+name+"_total"] {
+						t.Errorf("/metrics is missing dsdb_capture_%s_total", name)
+					}
+				}
+			}
 
-	resp, err = http.Get(ts.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/pprof/ status %d", resp.StatusCode)
+			ts := httptest.NewServer(server.NewMetricsMux(srv))
+			defer ts.Close()
+			resp, err = http.Get(ts.URL + "/debug/pprof/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("/debug/pprof/ status %d", resp.StatusCode)
+			}
+		})
 	}
 }
 

@@ -38,15 +38,16 @@
 // Everything the server does is counted: Server.Stats returns a
 // snapshot (connections accepted/refused/slow-killed/idle-killed,
 // queries, rows, bytes, a log-spaced latency histogram plus per-stage
-// histograms from the DB's observability tracer), the same counters
-// answer the wire Stats frame (client.DB.ServerStats), and SHOW
-// virtual tables — "show stats", "show conns", "show tables", "show
-// pool", "show cache", "show wal", "show queries", "show slow" —
-// stream them over the normal query protocol, so any wire client can
-// inspect a live server. NewMetricsMux exposes the same numbers as a
-// Prometheus text endpoint alongside net/http/pprof, and
-// WithSlowQueryThreshold routes slow executions into the tracer's
-// slow ring and structured slow-query log.
+// histograms from the DB's observability tracer). Its counters and
+// those of the buffer pool, result cache, WAL and capture are declared
+// once each, as obs.Sections (Server.Sections), and every rendering is
+// a loop over that list: the wire Stats frame (client.DB.ServerStats),
+// the SHOW virtual tables — "show stats", "show pool", "show cache",
+// "show wal", "show capture", beside "show conns", "show tables",
+// "show queries", "show slow" — streamed over the normal query
+// protocol, and NewMetricsMux's Prometheus text endpoint, served
+// alongside net/http/pprof. WithSlowQueryThreshold routes slow
+// executions into the tracer's slow ring and structured slow-query log.
 package server
 
 import (
@@ -141,7 +142,7 @@ func WithSlowQueryThreshold(d time.Duration) Option {
 // The per-query cost is one nil check when absent and one non-blocking
 // channel send when present — capture never takes a lock or does IO on
 // the serving path, and a slow capture disk sheds records (counted in
-// Stats as CaptureDropped) instead of blocking queries. The caller
+// Stats as Capture.Dropped) instead of blocking queries. The caller
 // owns w's lifecycle: close it after the server has shut down.
 func WithCapture(w *wcap.Writer) Option {
 	return func(c *config) { c.capture = w }

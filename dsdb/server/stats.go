@@ -11,6 +11,7 @@ import (
 
 	"repro/dsdb"
 	"repro/dsdb/obs"
+	"repro/dsdb/wcap"
 	"repro/dsdb/wire"
 )
 
@@ -79,19 +80,9 @@ type Stats struct {
 	RowsStreamed uint64
 	BytesWritten uint64
 
-	// CaptureEnabled reports whether a workload capture (WithCapture)
-	// is attached; the counters below are zero without one.
-	// CaptureRecords counts queries accepted into the capture log,
-	// CaptureDropped the ones shed because the capture buffer was full
-	// (disk slower than the workload — never silent),
-	// CaptureSampledOut the ones skipped by the sampling rate, and
-	// CaptureBytes the frame bytes written to capture segments.
-	CaptureEnabled    bool
-	CaptureRecords    uint64
-	CaptureDropped    uint64
-	CaptureSampledOut uint64
-	CaptureBytes      uint64
-	CaptureIOErrors   uint64
+	// Capture is the workload capture's counter snapshot (WithCapture),
+	// nil when none is attached.
+	Capture *wcap.Stats
 
 	// Uptime is how long the server has existed (since New).
 	Uptime time.Duration
@@ -124,18 +115,10 @@ func (s *Server) Stats() Stats {
 		BytesWritten:     s.counters.bytesWritten.Load(),
 		Uptime:           time.Since(s.started),
 		Latency:          s.counters.latency.Snapshot(),
+		Capture:          s.captureStats(),
 	}
 	for i := range st.Stages {
 		st.Stages[i] = s.db.Obs().StageSnapshot(obs.Stage(i))
-	}
-	if w := s.cfg.capture; w != nil {
-		cs := w.Stats()
-		st.CaptureEnabled = true
-		st.CaptureRecords = cs.Records
-		st.CaptureDropped = cs.Dropped
-		st.CaptureSampledOut = cs.SampledOut
-		st.CaptureBytes = cs.Bytes
-		st.CaptureIOErrors = cs.IOErrors
 	}
 	s.mu.Lock()
 	st.ActiveConns = len(s.conns)
@@ -143,41 +126,74 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// Pairs renders the snapshot as the ordered name/value list carried
-// by the wire Stats frame and the SHOW STATS virtual table. Names are
-// stable snake_case identifiers. Latency buckets are exported one
-// pair each as "lat_" + obs.BucketLabel(i) — the bucket bounds ride
-// in the names, so a wire client can reconstruct the histogram
-// without compiled-in knowledge of the grid — and each per-stage
-// histogram is summarized as stage_<name>_count / stage_<name>_total_ns.
-func (st Stats) Pairs() []wire.StatPair {
-	pairs := []wire.StatPair{
-		{Name: "uptime_seconds", Value: int64(st.Uptime.Seconds())},
-		{Name: "conns_active", Value: int64(st.ActiveConns)},
-		{Name: "conns_total", Value: int64(st.TotalConns)},
-		{Name: "conns_refused", Value: int64(st.RefusedConns)},
-		{Name: "conns_slow_killed", Value: int64(st.SlowClientKills)},
-		{Name: "conns_idle_killed", Value: int64(st.IdleKills)},
-		{Name: "queries_total", Value: int64(st.Queries)},
-		{Name: "queries_in_flight", Value: int64(st.InFlightQueries)},
-		{Name: "queries_failed", Value: int64(st.QueryErrors)},
-		{Name: "queries_cancelled", Value: int64(st.CancelledQueries)},
-		{Name: "queries_cache_hits", Value: int64(st.CacheHits)},
-		{Name: "rows_streamed", Value: int64(st.RowsStreamed)},
-		{Name: "bytes_written", Value: int64(st.BytesWritten)},
+// captureStats snapshots the attached workload capture; nil without one.
+func (s *Server) captureStats() *wcap.Stats {
+	if s.cfg.capture == nil {
+		return nil
 	}
-	// Capture pairs appear only when a capture is attached — the same
-	// discipline as the result-cache metrics: absent, not zero, when
-	// the subsystem is off, so dashboards can detect "capturing" by
-	// the presence of the series.
-	if st.CaptureEnabled {
-		pairs = append(pairs,
-			wire.StatPair{Name: "capture_records", Value: int64(st.CaptureRecords)},
-			wire.StatPair{Name: "capture_dropped", Value: int64(st.CaptureDropped)},
-			wire.StatPair{Name: "capture_sampled_out", Value: int64(st.CaptureSampledOut)},
-			wire.StatPair{Name: "capture_bytes", Value: int64(st.CaptureBytes)},
-			wire.StatPair{Name: "capture_io_errors", Value: int64(st.CaptureIOErrors)},
-		)
+	st := s.cfg.capture.Stats()
+	return &st
+}
+
+// Section declares the server's own counters. It is the one section
+// with no name: its pairs are the bare entry names, its series
+// dsdb_<name> with no _total suffix.
+func (st Stats) Section() obs.Section {
+	var s obs.Section
+	s.Gauge("uptime_seconds", int64(st.Uptime.Seconds()))
+	s.Gauge("conns_active", int64(st.ActiveConns))
+	s.Counter("conns_total", st.TotalConns)
+	s.Counter("conns_refused", st.RefusedConns)
+	s.Counter("conns_slow_killed", st.SlowClientKills)
+	s.Counter("conns_idle_killed", st.IdleKills)
+	s.Counter("queries_total", st.Queries)
+	s.Gauge("queries_in_flight", int64(st.InFlightQueries))
+	s.Counter("queries_failed", st.QueryErrors)
+	s.Counter("queries_cancelled", st.CancelledQueries)
+	s.Counter("queries_cache_hits", st.CacheHits)
+	s.Counter("rows_streamed", st.RowsStreamed)
+	s.Counter("bytes_written", st.BytesWritten)
+	return s
+}
+
+// Sections snapshots every counter section the server exports, in the
+// order each rendering lists them: the server's own counters from st,
+// then the buffer pool, the result cache, the WAL and st.Capture. The
+// wire Stats frame, SHOW, /metrics and dsdbd's shutdown summary are
+// loops over this list.
+func (s *Server) Sections(st Stats) []obs.Section {
+	return append([]obs.Section{st.Section()}, s.subsystems(st.Capture)...)
+}
+
+// subsystems snapshots the sections of the layers the server serves
+// from. SHOW <name> picks one of them without a server snapshot.
+func (s *Server) subsystems(capture *wcap.Stats) []obs.Section {
+	cache, enabled := s.db.ResultCacheStats()
+	return []obs.Section{
+		s.db.PoolStats().Section(),
+		cache.Section(enabled),
+		s.db.WALStats().Section(),
+		capture.Section(),
+	}
+}
+
+// statPairs renders the wire Stats frame and SHOW STATS: the entries of
+// every enabled section (a subsystem that is off is absent, not zero,
+// so its presence says it is on), then the histograms. Latency buckets
+// are one pair each, "lat_" + obs.BucketLabel(i) — the bounds ride in
+// the names, so a wire client can rebuild the histogram without
+// compiled-in knowledge of the grid — and each per-stage histogram is
+// summarized as stage_<name>_count / stage_<name>_total_ns.
+func (s *Server) statPairs() []wire.StatPair {
+	st := s.Stats()
+	var pairs []wire.StatPair
+	for _, sec := range s.Sections(st) {
+		if sec.Disabled {
+			continue
+		}
+		for _, e := range sec.Entries {
+			pairs = append(pairs, wire.StatPair{Name: sec.Key(e), Value: e.Value})
+		}
 	}
 	for i, n := range st.Latency.Counts {
 		pairs = append(pairs, wire.StatPair{Name: "lat_" + obs.BucketLabel(i), Value: int64(n)})
@@ -201,19 +217,18 @@ type connStats struct {
 	inFlight atomic.Int32
 }
 
-// showColumns and the builders below implement the SHOW virtual
-// tables: introspection queryable over the normal protocol, streamed
-// with the same RowHeader/RowBatch/Done frames as any result set.
+// showRows and the builders below implement the SHOW virtual tables:
+// introspection queryable over the normal protocol, streamed with the
+// same RowHeader/RowBatch/Done frames as any result set.
 //
-// SHOW STATS   — the server counter snapshot (stat, value)
+// SHOW STATS   — the wire stat pairs (stat, value)
 // SHOW CONNS   — per-connection counters (conn, remote, ...)
 // SHOW TABLES  — catalog: name, rows, write epoch, index count
-// SHOW POOL    — buffer pool: frames, pinned, hits, misses
-// SHOW CACHE   — result cache counters (all zero when disabled)
-// SHOW WAL     — durability: durable flag, current WAL segment
 // SHOW QUERIES — recent query spans, newest first (qid, stages, ...)
 // SHOW SLOW    — recent slow-query spans, newest first (same shape)
-// SHOW CAPTURE — workload-capture counters (all zero when disabled)
+// SHOW POOL, SHOW CACHE, SHOW WAL, SHOW CAPTURE — one subsystem
+//                section (stat, value); cache and capture lead with
+//                enabled and read all zero when off
 
 // parseShow recognizes a SHOW statement; ok is false for anything
 // else (which then takes the normal query path).
@@ -247,7 +262,7 @@ func (s *Server) showRows(target string) (cols []string, rows [][]dsdb.Value, er
 	switch target {
 	case "stats":
 		cols = []string{"stat", "value"}
-		for _, p := range s.Stats().Pairs() {
+		for _, p := range s.statPairs() {
 			rows = append(rows, kv(p.Name, p.Value))
 		}
 	case "conns":
@@ -279,70 +294,38 @@ func (s *Server) showRows(target string) (cols []string, rows [][]dsdb.Value, er
 				dsdb.NewInt(int64(t.Indexes)),
 			})
 		}
-	case "pool":
-		cols = []string{"stat", "value"}
-		p := s.db.PoolStats()
-		rows = [][]dsdb.Value{
-			kv("frames", int64(p.Frames)),
-			kv("pinned", int64(p.Pinned)),
-			kv("hits", int64(p.Hits)),
-			kv("misses", int64(p.Misses)),
-		}
-	case "cache":
-		cols = []string{"stat", "value"}
-		st, enabled := s.db.ResultCacheStats()
-		e := int64(0)
-		if enabled {
-			e = 1
-		}
-		rows = [][]dsdb.Value{
-			kv("enabled", e),
-			kv("hits", int64(st.Hits)),
-			kv("misses", int64(st.Misses)),
-			kv("entries", int64(st.Entries)),
-			kv("used_bytes", st.UsedBytes),
-			kv("max_bytes", st.MaxBytes),
-			kv("evictions", int64(st.Evictions)),
-			kv("invalidations", int64(st.Invalidations)),
-			kv("expirations", int64(st.Expirations)),
-			kv("admission_rejects", int64(st.AdmissionRejects)),
-		}
-	case "capture":
-		cols = []string{"stat", "value"}
-		st := s.Stats()
-		e := int64(0)
-		if st.CaptureEnabled {
-			e = 1
-		}
-		rows = [][]dsdb.Value{
-			kv("enabled", e),
-			kv("records", int64(st.CaptureRecords)),
-			kv("dropped", int64(st.CaptureDropped)),
-			kv("sampled_out", int64(st.CaptureSampledOut)),
-			kv("bytes", int64(st.CaptureBytes)),
-			kv("io_errors", int64(st.CaptureIOErrors)),
-		}
 	case "queries":
 		cols, rows = spanRows(s.db.Obs().Recent())
 	case "slow":
 		cols, rows = spanRows(s.db.Obs().Slow())
-	case "wal":
-		cols = []string{"stat", "value"}
-		w := s.db.WALStats()
-		d := int64(0)
-		if w.Durable {
-			d = 1
-		}
-		rows = [][]dsdb.Value{
-			kv("durable", d),
-			kv("seq", int64(w.Seq)),
-			kv("appends", int64(w.Appends)),
-			kv("fsyncs", int64(w.Fsyncs)),
-		}
 	default:
-		return nil, nil, fmt.Errorf("unknown SHOW target %q (have stats, conns, tables, pool, cache, wal, queries, slow, capture)", target)
+		have := []string{"stats", "conns", "tables", "queries", "slow"}
+		for _, sec := range s.subsystems(s.captureStats()) {
+			if sec.Name == target {
+				return []string{"stat", "value"}, sectionRows(sec), nil
+			}
+			have = append(have, sec.Name)
+		}
+		return nil, nil, fmt.Errorf("unknown SHOW target %q (have %s)", target, strings.Join(have, ", "))
 	}
 	return cols, rows, nil
+}
+
+// sectionRows renders SHOW <section>: for an optional section an
+// enabled row (1 or 0) first, then every entry, zeros when disabled.
+func sectionRows(sec obs.Section) [][]dsdb.Value {
+	var rows [][]dsdb.Value
+	if sec.Optional {
+		enabled := int64(1)
+		if sec.Disabled {
+			enabled = 0
+		}
+		rows = append(rows, kv("enabled", enabled))
+	}
+	for _, e := range sec.Entries {
+		rows = append(rows, kv(e.Name, e.Value))
+	}
+	return rows
 }
 
 // spanRows renders completed query spans (SHOW QUERIES / SHOW SLOW)

@@ -27,7 +27,7 @@
 // bumped — a slow disk can never block a query, and drops are always
 // visible in Stats, SHOW capture and /metrics, never silent.
 //
-// The package imports only the standard library and seglog, so every
+// The package imports only the standard library, seglog and obs, so every
 // layer from the server down to offline tooling can depend on it
 // without cycles.
 package wcap
@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/dsdb/obs"
 	"repro/internal/seglog"
 )
 
@@ -335,6 +336,22 @@ type Stats struct {
 	// or write; LastErr describes the most recent failure.
 	IOErrors uint64
 	LastErr  string
+}
+
+// Section declares the capture's counters: SHOW capture, the capture_*
+// stat pairs and the dsdb_capture_*_total series. A nil s is a server
+// without a capture: zeros under SHOW, absent everywhere else.
+func (s *Stats) Section() obs.Section {
+	sec := obs.Section{Name: "capture", Prom: "capture_", Optional: true, Disabled: s == nil}
+	if s == nil {
+		s = &Stats{}
+	}
+	sec.Counter("records", s.Records)
+	sec.Counter("dropped", s.Dropped)
+	sec.Counter("sampled_out", s.SampledOut)
+	sec.Counter("bytes", s.Bytes)
+	sec.Counter("io_errors", s.IOErrors)
+	return sec
 }
 
 // Writer captures records to a segment directory. The hot-path
