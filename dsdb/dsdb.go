@@ -223,8 +223,7 @@ func WithObservability(cfg obs.Config) Option {
 type DB struct {
 	eng *engine.DB
 
-	mu          sync.Mutex // guards tracer and parallelism
-	tracer      Tracer
+	mu          sync.Mutex // guards parallelism
 	parallelism int
 
 	// workerCounts accumulates probe events from parallel-scan
@@ -364,26 +363,6 @@ func checkTPCDStamp(cfg config) error {
 			cfg.dataDir, st.SF, st.Seed, st.Indexes, cfg.tpcdSF, cfg.seed, cfg.indexes.String())
 	}
 	return nil
-}
-
-// SetTracer attaches (or, with nil, detaches) the instrumentation
-// tracer. The tracer is bound into statements when they are compiled,
-// so it affects subsequent Query/Prepare calls, not open statements.
-// A tracer set here is shared by every new statement and is itself
-// single-threaded; concurrent sessions that each need their own trace
-// should bind per-session tracers with PrepareTraced/QueryTraced
-// instead.
-func (db *DB) SetTracer(t Tracer) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.tracer = t
-}
-
-// Tracer returns the currently attached tracer (nil when untraced).
-func (db *DB) Tracer() Tracer {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.tracer
 }
 
 // SetParallelism changes the scan parallelism bound into subsequent

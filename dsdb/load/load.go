@@ -1,15 +1,24 @@
-// Package load is the load generator behind cmd/dsload: N client
-// sessions connect to a dsdb server and drive a TPC-D query mix, with
-// warmup rounds excluded from measurement and a latency/throughput
-// summary at the end. Two arrival models are supported:
+// Package load drives query traffic and summarizes its latency and
+// throughput: Run is the load generator behind cmd/dsload (N client
+// sessions driving a TPC-D mix at a dsdb server), Replay the replayer
+// behind cmd/dsreplay (a captured workload, over the wire or
+// in-process). Both run on one driver: N workers, each with its own
+// connection, take their queries from
 //
-//   - Closed loop (the default): every client waits for its current
-//     query to finish before issuing the next.
-//   - Open loop (Params.ArrivalRate > 0): queries arrive on a fixed-
-//     rate Poisson schedule independent of completions, dispatched
-//     over the client connections; a query's latency is measured from
-//     its scheduled arrival, so time spent queueing for a free
-//     connection is included in the reported percentiles.
+//   - lanes, worker i running its own list in order: a client's passes
+//     over the mix (dsload's closed loop, the default), or the recorded
+//     sessions Replay folded onto that worker; or
+//   - one shared queue, an arrival schedule whose next query goes to
+//     whichever worker is free: dsload's open loop (Params.ArrivalRate
+//     > 0; Poisson arrivals, or ScenarioBurst's bursts).
+//
+// A closed run times each query from when it starts, so a worker's next
+// query waits for its last. A paced run (the open loop, and
+// ReplayParams.Paced) holds each query until it is due and times it
+// from then, so time spent queueing for a free connection is included
+// in the reported percentiles. Warmup rounds are one unmeasured run of
+// the same workers before the measured one, and the first failure
+// cancels the run.
 //
 // When the server carries a result cache, each sample also records
 // whether it was served from cache, and the summary reports the hit
@@ -27,7 +36,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/dsdb"
@@ -189,14 +197,6 @@ func (s *Summary) Throughput() float64 {
 	return float64(s.Queries) / s.Elapsed.Seconds()
 }
 
-// sample is one measured query execution.
-type sample struct {
-	num  int
-	rows int64
-	d    time.Duration
-	hit  bool // served from the server's result cache
-}
-
 // Run executes the load: dial Clients sessions, run Warmup+Rounds
 // loops over the mix on each — closed-loop, or open-loop when
 // ArrivalRate is set — and aggregate the measured samples. The
@@ -217,24 +217,11 @@ func Run(ctx context.Context, p Params) (*Summary, error) {
 	if err := validateScenario(&p); err != nil {
 		return nil, err
 	}
-
-	// Dial every session up front (retrying the first while the server
-	// warms up), so measurement never includes connection setup.
-	dbs := make([]*client.DB, p.Clients)
-	defer func() {
-		for _, db := range dbs {
-			if db != nil {
-				db.Close()
-			}
-		}
-	}()
-	for i := range dbs {
-		db, err := dialReady(ctx, p.Addr, p.WaitReady)
-		if err != nil {
-			return nil, fmt.Errorf("load: client %d: %w", i+1, err)
-		}
-		dbs[i] = db
+	run, closeAll, err := dialRunners(ctx, p.Addr, p.WaitReady, p.Clients)
+	if err != nil {
+		return nil, err
 	}
+	defer closeAll()
 
 	// Slow readers stall alongside the whole measured run: their open
 	// streams hold the engine's shared read latch until the server's
@@ -242,19 +229,12 @@ func Run(ctx context.Context, p Params) (*Summary, error) {
 	// scenario wants the normal mix to feel.
 	var slows []*slowReader
 	if p.Scenario == ScenarioSlowReader {
-		var err error
 		if slows, err = startSlowReaders(p); err != nil {
 			return nil, err
 		}
 	}
 
-	var s *Summary
-	var err error
-	if p.ArrivalRate > 0 {
-		s, err = runOpen(ctx, p, dbs)
-	} else {
-		s, err = runClosed(ctx, p, dbs)
-	}
+	s, err := runMix(ctx, p, run)
 	if err != nil {
 		for _, sr := range slows {
 			sr.nc.Close()
@@ -268,106 +248,107 @@ func Run(ctx context.Context, p Params) (*Summary, error) {
 	return s, nil
 }
 
-// runClosed drives the classic closed loop: each client issues its
-// next query when the previous one finishes.
-func runClosed(ctx context.Context, p Params, dbs []*client.DB) (*Summary, error) {
-	results := make([]clientResult, p.Clients)
-	// The first client failure cancels the whole run: the remaining
-	// clients abort their in-flight queries instead of grinding
-	// through rounds whose results will be discarded anyway.
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-	// Warmup is excluded from measurement entirely: every client
-	// finishes its warmup rounds, then all block on the start barrier
-	// together — the throughput clock covers only the measured phase.
-	var warmupDone sync.WaitGroup
-	warmupDone.Add(p.Clients)
-	startMeasured := make(chan struct{})
-	done := make(chan int, p.Clients)
-	for i := range dbs {
-		go func(i int) {
-			defer func() { done <- i }()
-			res := &results[i]
-			order := clientOrder(p.Mix.Numbers, p.Seed, i)
-			run := func(qn int, measured bool) bool {
-				t0 := time.Now()
-				rows, hit, err := runOne(runCtx, dbs[i], qn)
-				if err != nil {
-					res.err = fmt.Errorf("load: client %d Q%d: %w", i+1, qn, err)
-					cancelRun()
-					return false
-				}
-				if measured {
-					res.samples = append(res.samples, sample{num: qn, rows: rows, d: time.Since(t0), hit: hit})
-				}
-				return true
+// runMix runs the warmup rounds, unmeasured, then the measured phase:
+// closed-loop, each client's own lane of the mix; open-loop, one
+// shared arrival schedule.
+func runMix(ctx context.Context, p Params, run []runner) (*Summary, error) {
+	open := p.ArrivalRate > 0
+	warm := make([][]job, p.Clients)
+	closed := make([][]job, p.Clients)
+	for i := range run {
+		order := clientOrder(p.Mix.Numbers, p.Seed, i)
+		for range p.Warmup {
+			warm[i] = queryJobs(warm[i], order)
+		}
+		// The measured sequence is Rounds passes over the order — or,
+		// under ScenarioZipf, the same number of skewed draws.
+		switch {
+		case open: // the shared arrival schedule replaces the lanes
+		case p.Scenario == ScenarioZipf:
+			closed[i] = queryJobs(nil, zipfSeq(p.Mix.Numbers, p.Seed, i, p.Rounds*len(p.Mix.Numbers), p.ZipfS))
+		default:
+			for range p.Rounds {
+				closed[i] = queryJobs(closed[i], order)
 			}
-			for round := 0; round < p.Warmup; round++ {
-				for _, qn := range order {
-					if !run(qn, false) {
-						warmupDone.Done()
-						return
-					}
-				}
-			}
-			warmupDone.Done()
-			<-startMeasured
-			if runCtx.Err() != nil {
-				return // another client failed during warmup
-			}
-			// The measured sequence is Rounds passes over the order —
-			// or, under ScenarioZipf, the same number of skewed draws.
-			seq := make([]int, 0, p.Rounds*len(order))
-			if p.Scenario == ScenarioZipf {
-				seq = zipfSeq(p.Mix.Numbers, p.Seed, i, p.Rounds*len(p.Mix.Numbers), p.ZipfS)
-			} else {
-				for round := 0; round < p.Rounds; round++ {
-					seq = append(seq, order...)
-				}
-			}
-			for _, qn := range seq {
-				if !run(qn, true) {
-					return
-				}
-			}
-		}(i)
+		}
 	}
-	warmupDone.Wait()
-	start := time.Now()
-	close(startMeasured)
-	for range dbs {
-		<-done
+	if _, _, err := drive(ctx, "warmup client", run, false, lanes(warm)); err != nil {
+		return nil, err
 	}
-	elapsed := time.Since(start)
-
-	all, err := collectResults(results)
+	next := lanes(closed)
+	if open {
+		next = queue(arrivals(p))
+	}
+	all, elapsed, err := drive(ctx, "client", run, open, next)
 	if err != nil {
 		return nil, err
 	}
-	return summarize(p, all, elapsed), nil
-}
-
-// clientResult is one client's share of a run.
-type clientResult struct {
-	samples []sample
-	err     error
-}
-
-// collectResults folds the per-client outcomes: all samples, and the
-// first error — preferring a root cause over the context.Canceled
-// errors that fail-fast cancellation induced in the other clients.
-func collectResults(results []clientResult) ([]sample, error) {
-	var all []sample
-	var firstErr error
-	for i := range results {
-		if err := results[i].err; err != nil {
-			if firstErr == nil || (errors.Is(firstErr, context.Canceled) && !errors.Is(err, context.Canceled)) {
-				firstErr = err
-			}
-		}
-		all = append(all, results[i].samples...)
+	tot, per := aggregate(all, byQueryNumber)
+	s := &Summary{
+		Mix:         p.Mix.Name,
+		Clients:     p.Clients,
+		Rounds:      p.Rounds,
+		Warmup:      p.Warmup,
+		Queries:     tot.count,
+		Rows:        tot.rows,
+		Elapsed:     elapsed,
+		Lat:         tot.lat,
+		ArrivalRate: p.ArrivalRate,
+		CacheHits:   tot.hits,
+		LatHit:      tot.hit,
+		LatMiss:     tot.miss,
 	}
-	return all, firstErr
+	for _, q := range per {
+		s.PerQuery = append(s.PerQuery, QueryStat{Label: q.label, Count: q.count, Rows: q.rows, Lat: q.lat})
+	}
+	return s, nil
+}
+
+// queryJobs appends one job per TPC-D query number, labelled "Q<n>".
+func queryJobs(js []job, nums []int) []job {
+	for _, n := range nums {
+		q, _ := dsdb.TPCDQuery(n)
+		js = append(js, job{label: fmt.Sprintf("Q%d", n), sql: q})
+	}
+	return js
+}
+
+// arrivals is the open loop's schedule: Clients×Rounds×mix queries (the
+// same count a closed-loop run measures), exponential inter-arrival
+// gaps at the aggregate rate, query numbers cycling through the mix
+// (or drawn Zipfian under ScenarioZipf). Seeded deterministically so
+// two runs against the same server issue the identical schedule.
+func arrivals(p Params) []job {
+	total := p.Clients * p.Rounds * len(p.Mix.Numbers)
+	nums := make([]int, total)
+	for k := range nums {
+		nums[k] = p.Mix.Numbers[k%len(p.Mix.Numbers)]
+	}
+	if p.Scenario == ScenarioZipf {
+		nums = zipfSeq(p.Mix.Numbers, p.Seed, 0, total, p.ZipfS)
+	}
+	// ScenarioBurst compresses the schedule: arrivals are generated at
+	// BurstFactor× the rate and then mapped so each on-window of
+	// BurstPeriod/BurstFactor is followed by silence for the rest of
+	// the period — the average rate is still ArrivalRate, but it lands
+	// in bursts. The mapping is monotonic, so arrivals stay ordered.
+	rate := p.ArrivalRate
+	remap := func(t time.Duration) time.Duration { return t }
+	if p.Scenario == ScenarioBurst {
+		rate *= p.BurstFactor
+		onDur := time.Duration(float64(p.BurstPeriod) / p.BurstFactor)
+		remap = func(t time.Duration) time.Duration {
+			return (t/onDur)*p.BurstPeriod + t%onDur
+		}
+	}
+	rng := rand.New(rand.NewSource(p.Seed + 9973))
+	js := queryJobs(nil, nums)
+	var off time.Duration
+	for k := range js {
+		js[k].due = remap(off)
+		off += time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
+	}
+	return js
 }
 
 // dialReady dials, retrying transport-level failures (connection
@@ -410,197 +391,6 @@ func clientOrder(nums []int, seed int64, i int) []int {
 		rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 	}
 	return order
-}
-
-// runOne streams one labeled TPC-D query to completion, counting rows
-// and reporting the server's cache-hit attribution.
-func runOne(ctx context.Context, db *client.DB, qn int) (int64, bool, error) {
-	q, _ := dsdb.TPCDQuery(qn)
-	rows, err := db.QueryLabeled(ctx, fmt.Sprintf("Q%d", qn), q)
-	if err != nil {
-		return 0, false, err
-	}
-	defer rows.Close()
-	var n int64
-	for rows.Next() {
-		n++
-	}
-	if err := rows.Err(); err != nil {
-		return 0, false, err
-	}
-	return n, rows.CacheHit(), nil
-}
-
-// runOpen drives the measured phase as an open loop: a deterministic
-// Poisson arrival schedule at p.ArrivalRate aggregate queries/s, with
-// Clients connections consuming arrivals in order. A query whose turn
-// comes while every connection is busy starts late, and its latency —
-// measured from the scheduled arrival — includes that queueing delay,
-// exactly what a closed loop hides. Warmup rounds run closed-loop
-// first (unmeasured), so cache and buffer warmup match the closed
-// mode.
-func runOpen(ctx context.Context, p Params, dbs []*client.DB) (*Summary, error) {
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-
-	results := make([]clientResult, p.Clients)
-
-	// Closed-loop warmup, in parallel across clients.
-	var wg sync.WaitGroup
-	for i := range dbs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			order := clientOrder(p.Mix.Numbers, p.Seed, i)
-			for round := 0; round < p.Warmup; round++ {
-				for _, qn := range order {
-					if _, _, err := runOne(runCtx, dbs[i], qn); err != nil {
-						results[i].err = fmt.Errorf("load: client %d warmup Q%d: %w", i+1, qn, err)
-						cancelRun()
-						return
-					}
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	if _, err := collectResults(results); err != nil {
-		// Same root-cause preference as the measured phases: a real
-		// warmup failure must not be masked by the context.Canceled it
-		// induced in the other clients.
-		return nil, err
-	}
-
-	// The arrival schedule: total = Clients×Rounds×mix queries (the
-	// same count a closed-loop run measures), exponential
-	// inter-arrival gaps at the aggregate rate, query numbers cycling
-	// through the mix. Seeded deterministically so two runs against
-	// the same server issue the identical schedule.
-	type job struct {
-		qn  int
-		off time.Duration // arrival offset from the measured-phase start
-	}
-	total := p.Clients * p.Rounds * len(p.Mix.Numbers)
-	rng := rand.New(rand.NewSource(p.Seed + 9973))
-	var zipfSel []int
-	if p.Scenario == ScenarioZipf {
-		zipfSel = zipfSeq(p.Mix.Numbers, p.Seed, 0, total, p.ZipfS)
-	}
-	// ScenarioBurst compresses the schedule: arrivals are generated at
-	// BurstFactor× the rate and then mapped so each on-window of
-	// BurstPeriod/BurstFactor is followed by silence for the rest of
-	// the period — the average rate is still ArrivalRate, but it lands
-	// in bursts. The mapping is monotonic, so arrivals stay ordered.
-	rate := p.ArrivalRate
-	remap := func(t time.Duration) time.Duration { return t }
-	if p.Scenario == ScenarioBurst {
-		rate *= p.BurstFactor
-		onDur := time.Duration(float64(p.BurstPeriod) / p.BurstFactor)
-		remap = func(t time.Duration) time.Duration {
-			return (t/onDur)*p.BurstPeriod + t%onDur
-		}
-	}
-	jobs := make(chan job, total)
-	var off time.Duration
-	for k := 0; k < total; k++ {
-		qn := p.Mix.Numbers[k%len(p.Mix.Numbers)]
-		if zipfSel != nil {
-			qn = zipfSel[k]
-		}
-		jobs <- job{qn: qn, off: remap(off)}
-		off += time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
-	}
-	close(jobs)
-
-	start := time.Now()
-	for i := range dbs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res := &results[i]
-			for j := range jobs {
-				due := start.Add(j.off)
-				select {
-				case <-runCtx.Done():
-					// Cancellation mid-schedule must surface, exactly as
-					// it does when it lands inside runOne: a truncated
-					// run reporting a clean summary would be
-					// indistinguishable from a complete one.
-					if res.err == nil {
-						res.err = runCtx.Err()
-					}
-					return
-				case <-time.After(time.Until(due)):
-				}
-				rows, hit, err := runOne(runCtx, dbs[i], j.qn)
-				if err != nil {
-					res.err = fmt.Errorf("load: client %d Q%d: %w", i+1, j.qn, err)
-					cancelRun()
-					return
-				}
-				// Latency from the scheduled arrival: service time plus
-				// any wait for this connection to free up.
-				res.samples = append(res.samples, sample{num: j.qn, rows: rows, d: time.Since(due), hit: hit})
-			}
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	all, err := collectResults(results)
-	if err != nil {
-		return nil, err
-	}
-	return summarize(p, all, elapsed), nil
-}
-
-// summarize aggregates samples into the report shape.
-func summarize(p Params, all []sample, elapsed time.Duration) *Summary {
-	s := &Summary{
-		Mix:         p.Mix.Name,
-		Clients:     p.Clients,
-		Rounds:      p.Rounds,
-		Warmup:      p.Warmup,
-		Queries:     len(all),
-		Elapsed:     elapsed,
-		ArrivalRate: p.ArrivalRate,
-	}
-	var lats, hitLats, missLats []time.Duration
-	byQuery := make(map[int][]sample)
-	for _, sm := range all {
-		s.Rows += sm.rows
-		lats = append(lats, sm.d)
-		if sm.hit {
-			s.CacheHits++
-			hitLats = append(hitLats, sm.d)
-		} else {
-			missLats = append(missLats, sm.d)
-		}
-		byQuery[sm.num] = append(byQuery[sm.num], sm)
-	}
-	s.Lat = percentiles(lats)
-	s.LatHit = percentiles(hitLats)
-	s.LatMiss = percentiles(missLats)
-	nums := make([]int, 0, len(byQuery))
-	for n := range byQuery {
-		nums = append(nums, n)
-	}
-	sort.Ints(nums)
-	for _, n := range nums {
-		var qlats []time.Duration
-		var rows int64
-		for _, sm := range byQuery[n] {
-			qlats = append(qlats, sm.d)
-			rows += sm.rows
-		}
-		s.PerQuery = append(s.PerQuery, QueryStat{
-			Label: fmt.Sprintf("Q%d", n),
-			Count: len(byQuery[n]),
-			Rows:  rows,
-			Lat:   percentiles(qlats),
-		})
-	}
-	return s
 }
 
 // percentiles computes the summary points over a sample set. The

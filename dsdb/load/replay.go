@@ -1,16 +1,17 @@
 package load
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/dsdb"
-	"repro/dsdb/client"
 	"repro/dsdb/wcap"
+	"repro/internal/db/sql"
 )
 
 // ReplayParams configures one replay of a captured workload (a
@@ -97,27 +98,6 @@ func (s *ReplaySummary) Throughput() float64 {
 	return float64(s.Queries) / s.Elapsed.Seconds()
 }
 
-// replayJob is one record scheduled onto a worker.
-type replayJob struct {
-	rec wcap.Record
-}
-
-// replaySample is one replayed query execution.
-type replaySample struct {
-	label    string
-	rows     int64
-	d        time.Duration
-	recorded time.Duration
-	hit      bool
-}
-
-// isShowSQL reports whether sql is a server-side SHOW statement —
-// introspection that only a live server can answer.
-func isShowSQL(sql string) bool {
-	f := strings.Fields(strings.ToLower(sql))
-	return len(f) > 0 && f[0] == "show"
-}
-
 // Replay re-runs a captured workload. Records replay grouped by their
 // recorded session — one worker per session (or fewer, with sessions
 // folded together in recorded-offset order) — either closed-loop or
@@ -137,11 +117,11 @@ func Replay(ctx context.Context, p ReplayParams) (*ReplaySummary, error) {
 	inProcess := p.Runner != nil || p.DB != nil
 
 	// Partition the capture: replayable records, grouped per recorded
-	// session, each group in recorded start order.
+	// session.
 	bySession := make(map[uint32][]wcap.Record)
 	var skipped int
 	for _, r := range p.Records {
-		if r.Err != wcap.OK || (inProcess && isShowSQL(r.SQL)) {
+		if _, show := sql.SplitShow(r.SQL); r.Err != wcap.OK || (inProcess && show) {
 			skipped++
 			continue
 		}
@@ -150,195 +130,68 @@ func Replay(ctx context.Context, p ReplayParams) (*ReplaySummary, error) {
 	if len(bySession) == 0 {
 		return nil, fmt.Errorf("load: no replayable records in capture (%d records, %d skipped)", len(p.Records), skipped)
 	}
-	sessions := make([]uint32, 0, len(bySession))
-	for id := range bySession {
-		sort.SliceStable(bySession[id], func(a, b int) bool {
-			return bySession[id][a].Offset < bySession[id][b].Offset
-		})
-		sessions = append(sessions, id)
-	}
-	sort.Slice(sessions, func(a, b int) bool { return sessions[a] < sessions[b] })
+	sessions := slices.Sorted(maps.Keys(bySession))
 
 	clients := p.Clients
 	if clients <= 0 || clients > len(sessions) {
 		clients = len(sessions)
 	}
-	// Sessions fold onto workers round-robin by rank; a worker with
-	// several sessions merges them by recorded offset, preserving each
-	// session's internal order.
-	lanes := make([][]wcap.Record, clients)
+	// Sessions fold onto workers round-robin by rank, and each worker's
+	// lane runs in recorded offset order — each session's own order
+	// whatever the folding.
+	recs := make([][]wcap.Record, clients)
 	for rank, id := range sessions {
-		lanes[rank%clients] = append(lanes[rank%clients], bySession[id]...)
+		recs[rank%clients] = append(recs[rank%clients], bySession[id]...)
 	}
-	for i := range lanes {
-		sort.SliceStable(lanes[i], func(a, b int) bool { return lanes[i][a].Offset < lanes[i][b].Offset })
+	jobs := make([][]job, clients)
+	for i, lane := range recs {
+		slices.SortStableFunc(lane, func(a, b wcap.Record) int { return cmp.Compare(a.Offset, b.Offset) })
+		for _, r := range lane {
+			jobs[i] = append(jobs[i], job{label: r.Label, sql: r.SQL,
+				due: time.Duration(float64(r.Offset) / p.Timescale), recorded: r.Latency})
+		}
 	}
 
 	// One runner per worker: a dedicated wire connection in live mode,
 	// the shared DB (safe: one DB, N sessions) or the caller's Runner
 	// otherwise.
-	runners := make([]func(ctx context.Context, label, sql string) (int64, bool, error), clients)
-	if p.Runner != nil {
-		for i := range runners {
-			runners[i] = p.Runner
-		}
-	} else if p.DB != nil {
-		run := func(ctx context.Context, label, sql string) (int64, bool, error) {
-			rows, err := p.DB.QueryObserved(ctx, nil, label, sql)
-			if err != nil {
-				return 0, false, err
-			}
-			defer rows.Close()
-			var n int64
-			for rows.Next() {
-				n++
-			}
-			return n, rows.CacheHit(), rows.Err()
-		}
-		for i := range runners {
-			runners[i] = run
-		}
-	} else {
-		dbs := make([]*client.DB, clients)
-		defer func() {
-			for _, db := range dbs {
-				if db != nil {
-					db.Close()
-				}
-			}
-		}()
-		for i := range dbs {
-			db, err := dialReady(ctx, p.Addr, p.WaitReady)
-			if err != nil {
-				return nil, fmt.Errorf("load: replay client %d: %w", i+1, err)
-			}
-			dbs[i] = db
-			runners[i] = func(ctx context.Context, label, sql string) (int64, bool, error) {
-				rows, err := db.QueryLabeled(ctx, label, sql)
-				if err != nil {
-					return 0, false, err
-				}
-				defer rows.Close()
-				var n int64
-				for rows.Next() {
-					n++
-				}
-				return n, rows.CacheHit(), rows.Err()
-			}
-		}
-	}
-
-	// Drive the lanes. Same fail-fast discipline as the load
-	// generator: the first failure cancels every other worker.
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-	results := make([]struct {
-		samples []replaySample
-		err     error
-	}, clients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := range lanes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res := &results[i]
-			for _, rec := range lanes[i] {
-				measureFrom := time.Now()
-				if p.Paced {
-					due := start.Add(time.Duration(float64(rec.Offset) / p.Timescale))
-					select {
-					case <-runCtx.Done():
-						if res.err == nil {
-							res.err = runCtx.Err()
-						}
-						return
-					case <-time.After(time.Until(due)):
-					}
-					// Latency from the scheduled arrival: service time
-					// plus any lag behind the recorded schedule.
-					measureFrom = due
-				} else if runCtx.Err() != nil {
-					if res.err == nil {
-						res.err = runCtx.Err()
-					}
-					return
-				}
-				rows, hit, err := runners[i](runCtx, rec.Label, rec.SQL)
-				if err != nil {
-					res.err = fmt.Errorf("load: replay worker %d %s: %w", i+1, rec.Label, err)
-					cancelRun()
-					return
-				}
-				res.samples = append(res.samples, replaySample{
-					label:    rec.Label,
-					rows:     rows,
-					d:        time.Since(measureFrom),
-					recorded: rec.Latency,
-					hit:      hit,
-				})
-			}
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	var all []replaySample
-	for i := range results {
-		if err := results[i].err; err != nil {
+	var run []runner
+	switch {
+	case p.Runner != nil:
+		run = slices.Repeat([]runner{p.Runner}, clients)
+	case p.DB != nil:
+		run = slices.Repeat([]runner{dbRunner(p.DB)}, clients)
+	default:
+		var closeAll func()
+		var err error
+		if run, closeAll, err = dialRunners(ctx, p.Addr, p.WaitReady, clients); err != nil {
 			return nil, err
 		}
-		all = append(all, results[i].samples...)
+		defer closeAll()
 	}
-	return summarizeReplay(p, all, len(sessions), clients, skipped, elapsed), nil
-}
 
-// summarizeReplay aggregates replay samples into the summary shape.
-func summarizeReplay(p ReplayParams, all []replaySample, sessions, clients, skipped int, elapsed time.Duration) *ReplaySummary {
+	all, elapsed, err := drive(ctx, "replay worker", run, p.Paced, lanes(jobs))
+	if err != nil {
+		return nil, err
+	}
+	tot, per := aggregate(all, strings.Compare)
 	s := &ReplaySummary{
-		Queries:   len(all),
-		Skipped:   skipped,
-		Sessions:  sessions,
-		Clients:   clients,
-		Paced:     p.Paced,
-		Timescale: p.Timescale,
-		Elapsed:   elapsed,
+		Queries:     tot.count,
+		Rows:        tot.rows,
+		Skipped:     skipped,
+		Sessions:    len(sessions),
+		Clients:     clients,
+		Paced:       p.Paced,
+		Timescale:   p.Timescale,
+		Elapsed:     elapsed,
+		Lat:         tot.lat,
+		RecordedLat: tot.recorded,
+		CacheHits:   tot.hits,
 	}
-	var lats, reclats []time.Duration
-	byLabel := make(map[string][]replaySample)
-	for _, sm := range all {
-		s.Rows += sm.rows
-		lats = append(lats, sm.d)
-		reclats = append(reclats, sm.recorded)
-		if sm.hit {
-			s.CacheHits++
-		}
-		byLabel[sm.label] = append(byLabel[sm.label], sm)
+	for _, q := range per {
+		s.PerQuery = append(s.PerQuery, ReplayStat{Label: q.label, Count: q.count, Rows: q.rows, Lat: q.lat, RecordedLat: q.recorded})
 	}
-	s.Lat = percentiles(lats)
-	s.RecordedLat = percentiles(reclats)
-	labels := make([]string, 0, len(byLabel))
-	for l := range byLabel {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	for _, l := range labels {
-		var qlats, qrec []time.Duration
-		var rows int64
-		for _, sm := range byLabel[l] {
-			qlats = append(qlats, sm.d)
-			qrec = append(qrec, sm.recorded)
-			rows += sm.rows
-		}
-		s.PerQuery = append(s.PerQuery, ReplayStat{
-			Label:       l,
-			Count:       len(byLabel[l]),
-			Rows:        rows,
-			Lat:         percentiles(qlats),
-			RecordedLat: percentiles(qrec),
-		})
-	}
-	return s
+	return s, nil
 }
 
 // Report renders the replay summary with the recorded-vs-replayed

@@ -172,29 +172,48 @@ func TestReplayPacedHonoursSchedule(t *testing.T) {
 	}
 }
 
+// TestReplayFailsFast: the first failure cancels the other lane, and
+// the replay reports it — not the cancellation it induced in a lane
+// that happened to be waiting, whichever lane that is.
 func TestReplayFailsFast(t *testing.T) {
-	recs := replayRecs(2, 50)
-	boom := errors.New("boom")
-	var n int
-	var mu sync.Mutex
-	runner := func(ctx context.Context, _, sql string) (int64, bool, error) {
-		mu.Lock()
-		n++
-		mu.Unlock()
-		if sql == "select a5" {
-			return 0, false, boom
-		}
-		return 0, false, nil
+	cases := []struct {
+		name  string
+		fail  string // the query that returns boom
+		block string // a query that waits for the run to be cancelled
+	}{
+		{name: "lane 1 fails", fail: "select a5"},
+		{name: "lane 2 fails while lane 1 waits", fail: "select b0", block: "select a0"},
 	}
-	_, err := Replay(context.Background(), ReplayParams{Records: recs, Runner: runner})
-	if err == nil || !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	mu.Lock()
-	ran := n
-	mu.Unlock()
-	if ran >= 100 {
-		t.Fatalf("failure did not cancel the other lane: %d queries ran", ran)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			recs := replayRecs(2, 50)
+			boom := errors.New("boom")
+			var n int
+			var mu sync.Mutex
+			runner := func(ctx context.Context, _, sql string) (int64, bool, error) {
+				mu.Lock()
+				n++
+				mu.Unlock()
+				switch sql {
+				case tc.fail:
+					return 0, false, boom
+				case tc.block:
+					<-ctx.Done()
+					return 0, false, ctx.Err()
+				}
+				return 0, false, nil
+			}
+			_, err := Replay(context.Background(), ReplayParams{Records: recs, Runner: runner})
+			if err == nil || !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want boom", err)
+			}
+			mu.Lock()
+			ran := n
+			mu.Unlock()
+			if ran >= 100 {
+				t.Fatalf("failure did not cancel the other lane: %d queries ran", ran)
+			}
+		})
 	}
 }
 

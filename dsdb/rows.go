@@ -45,19 +45,16 @@ type Stmt struct {
 	tables   []string
 }
 
-// Prepare parses and plans a query for repeated execution, binding
-// the DB-wide tracer and parallelism at compile time.
+// Prepare parses and plans a query for repeated execution, untraced,
+// binding the DB's parallelism at compile time.
 func (db *DB) Prepare(query string) (*Stmt, error) {
-	db.mu.Lock()
-	tr, par := db.tracer, db.parallelism
-	db.mu.Unlock()
-	return db.prepare(tr, par, query)
+	return db.PrepareTraced(nil, query)
 }
 
-// PrepareTraced is Prepare with an explicit per-statement tracer,
-// overriding the DB-wide one. It is how concurrent sessions record
-// independent instruction traces against one database: give each
-// session its own tracer and its own statements.
+// PrepareTraced is Prepare with an explicit per-statement tracer. It
+// is how concurrent sessions record independent instruction traces
+// against one database: give each session its own tracer and its own
+// statements.
 func (db *DB) PrepareTraced(tr Tracer, query string) (*Stmt, error) {
 	db.mu.Lock()
 	par := db.parallelism
@@ -550,17 +547,13 @@ func (r *Rows) Close() error {
 // before planning: parse, canonicalize, validate epochs, serve — the
 // hot path repeated DSS traffic takes on every hit.
 func (db *DB) Query(ctx context.Context, query string) (*Rows, error) {
-	db.mu.Lock()
-	tr := db.tracer
-	db.mu.Unlock()
-	return db.QueryObserved(ctx, tr, "", query)
+	return db.QueryObserved(ctx, nil, "", query)
 }
 
 // QueryTraced is Query with an explicit per-call tracer (see
 // PrepareTraced): the way a concurrent session records its own
-// instruction trace without touching the DB-wide tracer. Cache hits
-// take the same pre-plan fast path as Query — a hit emits no trace
-// either way.
+// instruction trace. Cache hits take the same pre-plan fast path as
+// Query — a hit emits no trace either way.
 func (db *DB) QueryTraced(ctx context.Context, tr Tracer, query string) (*Rows, error) {
 	return db.QueryObserved(ctx, tr, "", query)
 }

@@ -12,6 +12,7 @@ import (
 	"repro/dsdb/obs"
 	"repro/dsdb/wcap"
 	"repro/dsdb/wire"
+	"repro/internal/db/sql"
 )
 
 // conn is one served connection: one session over the shared DB.
@@ -493,11 +494,11 @@ func (c *conn) cancelQuery() {
 	}
 }
 
-// handleQuery executes one-shot SQL. Sessions always run with their
-// own tracer (possibly nil, i.e. untraced) — never the DB-wide one,
-// which is single-threaded and would race across connections.
+// handleQuery executes one-shot SQL. Sessions run with their own
+// tracer (possibly nil, i.e. untraced): a tracer is single-threaded,
+// so one shared by connections would race.
 func (c *conn) handleQuery(q wire.Query) error {
-	if target, ok := parseShow(q.SQL); ok {
+	if target, ok := sql.SplitShow(q.SQL); ok {
 		return c.handleShow(target, q.Label)
 	}
 	ctx, done := c.queryCtx()

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-	"unicode"
-	"unicode/utf8"
 
 	"repro/dsdb"
 	"repro/dsdb/obs"
@@ -229,26 +227,6 @@ type connStats struct {
 // SHOW POOL, SHOW CACHE, SHOW WAL, SHOW CAPTURE — one subsystem
 //                section (stat, value); cache and capture lead with
 //                enabled and read all zero when off
-
-// parseShow recognizes a SHOW statement; ok is false for anything
-// else (which then takes the normal query path).
-func parseShow(sql string) (target string, ok bool) {
-	// Every served query passes through here, and almost none is a SHOW:
-	// decide on the first token — "show", any case, then white space —
-	// before paying to lower-case and split the whole text.
-	head := strings.TrimLeftFunc(sql, unicode.IsSpace)
-	if len(head) < 5 || !strings.EqualFold(head[:4], "show") {
-		return "", false
-	}
-	if r, _ := utf8.DecodeRuneInString(head[4:]); !unicode.IsSpace(r) {
-		return "", false
-	}
-	fields := strings.Fields(strings.ToLower(strings.TrimRight(strings.TrimSpace(sql), "; \t\r\n")))
-	if len(fields) != 2 || fields[0] != "show" {
-		return "", false
-	}
-	return fields[1], true
-}
 
 // kv builds one (stat, value) row.
 func kv(name string, v int64) []dsdb.Value {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -14,6 +13,7 @@ import (
 	"repro/dsdb/client"
 	"repro/dsdb/server"
 	"repro/dsdb/wcap"
+	"repro/internal/db/sql"
 	"repro/internal/kernel"
 	"repro/internal/program"
 	"repro/internal/trace"
@@ -192,7 +192,7 @@ func Replayed(recs []wcap.Record) Source { return replayed(recs) }
 func (recs replayed) plan(*dsdb.DB) (plan, error) {
 	var keep []wcap.Record
 	for _, r := range recs {
-		if r.Err == wcap.OK && !isShow(r.SQL) {
+		if _, show := sql.SplitShow(r.SQL); r.Err == wcap.OK && !show {
 			keep = append(keep, r)
 		}
 	}
@@ -215,12 +215,6 @@ func (recs replayed) plan(*dsdb.DB) (plan, error) {
 		*steps = append(*steps, step{fmt.Sprintf("s%d-%s", r.Session, label), r.SQL})
 	}
 	return pl, nil
-}
-
-// isShow reports whether sql is a server-side SHOW statement.
-func isShow(sql string) bool {
-	f := strings.Fields(strings.ToLower(sql))
-	return len(f) > 0 && f[0] == "show"
 }
 
 // record runs a plan, session i recording into sess[i]: the warm-up
@@ -246,9 +240,9 @@ func record(db *dsdb.DB, pl plan, sess []*kernel.Session) error {
 		}
 	}
 
-	// The tracer is bound per call, so concurrent sessions never touch
-	// the DB-wide tracer. Over the wire the client only sends the
-	// step; the server's session hook marks and traces it.
+	// The tracer is bound per call, so concurrent sessions each record
+	// into their own. Over the wire the client only sends the step; the
+	// server's session hook marks and traces it.
 	run := func(i int, st step) error {
 		sess[i].Mark(st.label)
 		return drain(db.QueryTraced(ctx, sess[i], st.sql))

@@ -1,6 +1,10 @@
 package sql
 
-import "strings"
+import (
+	"strings"
+	"unicode"
+	"unicode/utf8"
+)
 
 // ExplainMode classifies a query's EXPLAIN prefix.
 type ExplainMode int
@@ -32,6 +36,27 @@ func SplitExplain(src string) (ExplainMode, string) {
 		return ExplainAnalyze, r2
 	}
 	return ExplainPlan, rest
+}
+
+// SplitShow recognizes a SHOW statement — "show" and one target, any
+// case, trailing semicolons allowed — and returns the target
+// lower-cased; ok is false for anything else. Every served query
+// passes through here, and almost none is a SHOW: it decides on the
+// first token — "show", any case, then white space — before paying to
+// lower-case and split the whole text.
+func SplitShow(src string) (target string, ok bool) {
+	head := strings.TrimLeftFunc(src, unicode.IsSpace)
+	if len(head) < 5 || !strings.EqualFold(head[:4], "show") {
+		return "", false
+	}
+	if r, _ := utf8.DecodeRuneInString(head[4:]); !unicode.IsSpace(r) {
+		return "", false
+	}
+	fields := strings.Fields(strings.ToLower(strings.TrimRight(strings.TrimSpace(src), "; \t\r\n")))
+	if len(fields) != 2 || fields[0] != "show" {
+		return "", false
+	}
+	return fields[1], true
 }
 
 // cutKeyword strips one leading SQL keyword (case-insensitive,

@@ -1,6 +1,11 @@
 package sql
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/tpcd"
+)
 
 func TestSplitExplain(t *testing.T) {
 	cases := []struct {
@@ -31,6 +36,66 @@ func TestSplitExplain(t *testing.T) {
 		if mode != c.mode || rest != c.rest {
 			t.Errorf("SplitExplain(%q) = (%v, %q), want (%v, %q)",
 				c.src, mode, rest, c.mode, c.rest)
+		}
+	}
+}
+
+// splitShowWhole is SplitShow without its first-token fast path:
+// lower-case and split the whole text, then decide. Kept as the
+// reference the fast path must agree with.
+func splitShowWhole(src string) (target string, ok bool) {
+	fields := strings.Fields(strings.ToLower(strings.TrimRight(strings.TrimSpace(src), "; \t\r\n")))
+	if len(fields) != 2 || fields[0] != "show" {
+		return "", false
+	}
+	return fields[1], true
+}
+
+// TestSplitShow: deciding on the first token changes no answer — not
+// for SHOW in any dress, not for text that merely starts like it, and
+// not for the queries the check exists to get out of the way of.
+func TestSplitShow(t *testing.T) {
+	cases := []struct {
+		sql    string
+		target string
+		ok     bool
+	}{
+		{"SHOW stats", "stats", true},
+		{"show stats", "stats", true},
+		{"  show\tConns ;", "conns", true},
+		{"\n\tShOw TABLES;;\r\n", "tables", true},
+		{"show  slow", "slow", true},
+		{"show\u00a0pool", "pool", true}, // any Unicode space separates
+		{"show", "", false},
+		{"show;", "", false},
+		{"show ;", "", false},
+		{"show a b", "", false},
+		{"showcase", "", false},
+		{"showcase x", "", false},
+		{"show\x00stats", "", false},
+		{"sh", "", false},
+		{"", "", false},
+		{"   ", "", false},
+		{"ſhow stats", "", false}, // long s folds to s, but is not s
+		{"select l_orderkey from show", "", false},
+		{"select * from lineitem where l_comment = ' show stats'", "", false},
+		{"explain show stats", "", false},
+	}
+	for _, qn := range tpcd.AllQueryNumbers() {
+		q, _ := tpcd.Query(qn)
+		cases = append(cases, struct {
+			sql    string
+			target string
+			ok     bool
+		}{q, "", false})
+	}
+	for _, tc := range cases {
+		target, ok := SplitShow(tc.sql)
+		if target != tc.target || ok != tc.ok {
+			t.Errorf("SplitShow(%q) = (%q, %v), want (%q, %v)", tc.sql, target, ok, tc.target, tc.ok)
+		}
+		if wt, wok := splitShowWhole(tc.sql); target != wt || ok != wok {
+			t.Errorf("SplitShow(%q) = (%q, %v), the whole-text parse says (%q, %v)", tc.sql, target, ok, wt, wok)
 		}
 	}
 }
