@@ -245,7 +245,10 @@ func (r *Report) simulateRow(p Params, cacheBytes int) paperRow {
 }
 
 // simulateRows is the sweep behind Tables 3 and 4, one goroutine per
-// row: the Ideal row first, then one row per paperConfigs entry.
+// row: the Ideal row first, then one row per paperConfigs entry. Each
+// Simulate also splits its trace across the cores, but whole rows in
+// parallel are cheaper still: no chunk boundary to resolve, and traces
+// too short to split keep both cores busy.
 func (r *Report) simulateRows() []paperRow {
 	rows := make([]paperRow, 1+len(paperConfigs))
 	var wg sync.WaitGroup

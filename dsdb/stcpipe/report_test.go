@@ -1,6 +1,7 @@
 package stcpipe
 
 import (
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -157,5 +158,51 @@ func TestAblationRuns(t *testing.T) {
 	}
 	if slices.Min(ipc) <= 0 {
 		t.Fatalf("non-positive IPC in ablation: %v", ipc)
+	}
+}
+
+// TestSimulateSameAtAnyGOMAXPROCS: the fetch simulator and the
+// sequentiality count split a trace into one chunk per core. A paper
+// trace long enough to split gives identical Results under
+// GOMAXPROCS 1 (one chunk: the serial walk) and 8, for every layout
+// and every kind of cache.
+func TestSimulateSameAtAnyGOMAXPROCS(t *testing.T) {
+	r := tiny(t)
+	// Two chunks of the fetch package's minimum length (64 K events).
+	if n := r.test.Events(); n < 2<<16 {
+		t.Fatalf("test trace has %d events, too few to split", n)
+	}
+	caches := []FetchConfig{
+		{},
+		{CacheBytes: 2048},
+		{CacheBytes: 4096, Ways: 2},
+		{CacheBytes: 2048, VictimEntries: 16},
+		{CacheBytes: 2048, TraceCacheEntries: traceCacheEntries},
+	}
+	lays := r.layouts(headline)
+	type result struct {
+		res []Result
+		seq []float64
+	}
+	at := func(procs int) (out result) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		for _, l := range lays {
+			for _, fc := range caches {
+				out.res = append(out.res, must(r.test.Simulate(l, fc)))
+			}
+			out.seq = append(out.seq, r.test.Sequentiality(l))
+		}
+		return out
+	}
+	serial, split := at(1), at(8)
+	for i, l := range lays {
+		for j, fc := range caches {
+			if k := i*len(caches) + j; serial.res[k] != split.res[k] {
+				t.Errorf("%s %+v: GOMAXPROCS 8 gives %+v, 1 gives %+v", l.Name(), fc, split.res[k], serial.res[k])
+			}
+		}
+		if serial.seq[i] != split.seq[i] {
+			t.Errorf("%s: sequentiality %v at GOMAXPROCS 8, %v at 1", l.Name(), split.seq[i], serial.seq[i])
+		}
 	}
 }

@@ -342,7 +342,8 @@ func Algorithms(p Params) []Algorithm {
 }
 
 // FetchConfig parameterizes the SEQ.3 fetch-unit simulation. The zero
-// value is an ideal (always-hit) i-cache with 64-byte lines.
+// value is an ideal (always-hit) i-cache with 64-byte lines; no field
+// may be negative.
 type FetchConfig struct {
 	// CacheBytes sizes the i-cache; 0 simulates a perfect cache.
 	CacheBytes int
@@ -363,10 +364,19 @@ type FetchConfig struct {
 type Result = fetch.Result
 
 // check rejects a configuration the cache models cannot be built from
-// — they index by shift and mask, so line size, set count and
-// trace-cache entries must be powers of two — naming the field at
-// fault, and returns the line size with its default applied.
+// — a negative size or count, or a shape they cannot index by shift
+// and mask: line size, set count and trace-cache entries must be
+// powers of two — naming the field at fault, and returns the line size
+// with its default applied.
 func (fc FetchConfig) check() (lineBytes int, err error) {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"CacheBytes", fc.CacheBytes}, {"Ways", fc.Ways}, {"VictimEntries", fc.VictimEntries}, {"TraceCacheEntries", fc.TraceCacheEntries}} {
+		if f.v < 0 {
+			return 0, fmt.Errorf("stcpipe: FetchConfig.%s %d is negative", f.name, f.v)
+		}
+	}
 	lineBytes = fc.LineBytes
 	if lineBytes == 0 {
 		lineBytes = cache.DefaultLineBytes
@@ -391,7 +401,7 @@ func (fc FetchConfig) check() (lineBytes int, err error) {
 // ways is the associativity the i-cache is built with: a victim buffer
 // sits behind a direct-mapped cache whatever Ways says.
 func (fc FetchConfig) ways() int {
-	if fc.VictimEntries > 0 || fc.Ways < 1 {
+	if fc.VictimEntries > 0 || fc.Ways == 0 {
 		return 1
 	}
 	return fc.Ways

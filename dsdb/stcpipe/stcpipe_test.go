@@ -134,6 +134,14 @@ func TestSimulateRejectsBadFetchConfig(t *testing.T) {
 		{"48-byte line", stcpipe.FetchConfig{CacheBytes: 48 * 32, LineBytes: 48}, "LineBytes"},
 		{"48-byte line, ideal cache", stcpipe.FetchConfig{LineBytes: 48}, "LineBytes"},
 		{"100 trace-cache entries", stcpipe.FetchConfig{CacheBytes: 2048, TraceCacheEntries: 100}, "TraceCacheEntries"},
+		// Negative sizes used to pass and mean "no such structure": a
+		// perfect cache, no trace cache, no victim buffer, direct-mapped.
+		{"negative cache", stcpipe.FetchConfig{CacheBytes: -2048}, "CacheBytes"},
+		{"negative cache + trace cache", stcpipe.FetchConfig{CacheBytes: -2048, TraceCacheEntries: 64}, "CacheBytes"},
+		{"negative trace cache", stcpipe.FetchConfig{CacheBytes: 2048, TraceCacheEntries: -64}, "TraceCacheEntries"},
+		{"negative victim buffer", stcpipe.FetchConfig{CacheBytes: 2048, VictimEntries: -16}, "VictimEntries"},
+		{"negative Ways", stcpipe.FetchConfig{CacheBytes: 2048, Ways: -2}, "Ways"},
+		{"negative Ways, ideal cache", stcpipe.FetchConfig{Ways: -1}, "Ways"},
 
 		{"zero value", stcpipe.FetchConfig{}, ""},
 		{"2KB direct", stcpipe.FetchConfig{CacheBytes: 2048}, ""},
@@ -143,7 +151,6 @@ func TestSimulateRejectsBadFetchConfig(t *testing.T) {
 		{"victim", stcpipe.FetchConfig{CacheBytes: 2048, VictimEntries: 16}, ""},
 		{"victim ignores Ways", stcpipe.FetchConfig{CacheBytes: 2048, VictimEntries: 16, Ways: 3}, ""},
 		{"128-byte lines", stcpipe.FetchConfig{CacheBytes: 2048, LineBytes: 128}, ""},
-		{"negative Ways is direct-mapped", stcpipe.FetchConfig{CacheBytes: 2048, Ways: -2}, ""},
 	} {
 		res, err := pr.Simulate(lay, tc.fc)
 		switch {

@@ -236,8 +236,8 @@ func TestTraceCacheIndexEqualsDivMod(t *testing.T) {
 			tc := NewTraceCache(entries, 16, 3, instrBytes)
 			for i := 0; i < 2000; i++ {
 				addr := rng.Uint64() >> uint(rng.Intn(64))
-				want := &tc.lines[int((addr/uint64(instrBytes))%uint64(entries))]
-				if got := tc.line(addr); got != want {
+				want := int((addr / uint64(instrBytes)) % uint64(entries))
+				if got := tc.index(addr); got != want {
 					t.Fatalf("entries=%d instrBytes=%d addr=%#x: wrong entry", entries, instrBytes, addr)
 				}
 			}
@@ -467,5 +467,124 @@ func TestBadGeometryPanics(t *testing.T) {
 			}()
 			build()
 		}()
+	}
+}
+
+// accessAll touches every address in order.
+func accessAll(c ICache, addrs ...uint64) {
+	for _, a := range addrs {
+		c.Access(a)
+	}
+}
+
+// TestEqualIgnoresClocks: caches that reach the same lines in the same
+// recency order are Equal, however many accesses (clock ticks) it took.
+func TestEqualIgnoresClocks(t *testing.T) {
+	for _, build := range []func() ICache{
+		func() ICache { return NewDirectMapped(1024, 64) },
+		func() ICache { return NewSetAssoc(2048, 64, 2) },
+		func() ICache { return NewSetAssoc(3*1024, 64, 3) },
+		func() ICache { return NewVictim(64, 64, 2) },
+		func() ICache { return NewIdeal(64) },
+	} {
+		a, b := build(), build()
+		if !a.Equal(b) || !a.Clone().Equal(a) {
+			t.Fatalf("%s: empty caches differ", a.Name())
+		}
+		// b replays a's history after a detour through other lines that
+		// the last accesses push out again, so its clock runs ahead.
+		accessAll(a, 0, 64, 128, 192)
+		accessAll(b, 4096, 8192, 0, 64, 128, 192, 4096, 0, 64, 128, 192)
+		accessAll(a, 1024, 0, 2048)
+		accessAll(b, 1024, 0, 2048)
+		if !a.Equal(b) || !b.Equal(a) {
+			t.Errorf("%s: same state reached with different clocks is not Equal", a.Name())
+		}
+		// Clone is empty and keeps the geometry.
+		if c := a.Clone(); c.Name() != a.Name() || c.LineBytes() != a.LineBytes() || !c.Equal(build()) {
+			t.Errorf("%s: Clone is not an empty cache of the same geometry", a.Name())
+		}
+		if _, ideal := a.(*Ideal); !ideal && a.Equal(build()) {
+			t.Errorf("%s: a filled cache equals an empty one", a.Name())
+		}
+	}
+	// A reset cache is empty again, stale tags and all.
+	c := NewDirectMapped(1024, 64)
+	accessAll(c, 64, 1024+64)
+	c.Reset()
+	if !c.Equal(NewDirectMapped(1024, 64)) {
+		t.Error("reset direct-mapped cache differs from an empty one")
+	}
+}
+
+// TestEqualSeesLRUOrder: the same resident lines in another recency
+// order are a different state — the next miss evicts another line.
+func TestEqualSeesLRUOrder(t *testing.T) {
+	a, b := NewSetAssoc(2048, 64, 2), NewSetAssoc(2048, 64, 2) // set 0: lines 0, 1024, 2048, ...
+	accessAll(a, 0, 1024)
+	accessAll(b, 1024, 0)
+	if a.Equal(b) {
+		t.Error("2-way: same lines in another LRU order are Equal")
+	}
+	accessAll(b, 1024) // b: 0 then 1024, like a, in other ways
+	if !a.Equal(b) {
+		t.Error("2-way: same lines in the same LRU order, other ways, are not Equal")
+	}
+
+	v, w := NewVictim(64, 64, 2), NewVictim(64, 64, 2) // one main line, two victim lines
+	accessAll(v, 0, 64, 128)                           // main 128, victims 0 (older) and 64
+	accessAll(w, 64, 0, 128)                           // main 128, victims 64 (older) and 0
+	if v.Equal(w) {
+		t.Error("victim: same victim lines in another LRU order are Equal")
+	}
+	if v.Access(192); !w.Access(0) || v.Access(0) {
+		t.Fatal("the order matters: the next full miss evicts a different victim line")
+	}
+	if NewSetAssoc(2048, 64, 2).Equal(NewDirectMapped(2048, 64)) || NewDirectMapped(2048, 64).Equal(NewDirectMapped(1024, 64)) {
+		t.Error("caches of another kind or geometry are Equal")
+	}
+}
+
+// TestTraceCacheEqualClone: Equal compares stored traces whatever the
+// order of fills that produced them, and Clone is empty.
+func TestTraceCacheEqualClone(t *testing.T) {
+	a, b := NewTraceCache(16, 4, 3, 4), NewTraceCache(16, 4, 3, 4)
+	long := []Run{{Addr: 0, N: 2}, {Addr: 40, N: 1}, {Addr: 80, N: 1}}
+	short := []Run{{Addr: 0, N: 3}}
+	a.Fill(0, short)
+	b.Fill(0, long)  // a longer trace first ...
+	b.Fill(0, short) // ... then the same short one
+	if !a.Equal(b) {
+		t.Error("same traces after different fills are not Equal")
+	}
+	b.Fill(4, short)
+	if a.Equal(b) || !a.Clone().Equal(NewTraceCache(16, 4, 3, 4)) {
+		t.Error("Equal or Clone wrong")
+	}
+	b.Reset()
+	if !b.Equal(a.Clone()) {
+		t.Error("reset trace cache differs from an empty one")
+	}
+}
+
+// TestTraceCacheFillLookupDoNotAllocate: traces are stored in one flat
+// slice made at construction, so the fetch loop's Fill and Lookup
+// allocate nothing.
+func TestTraceCacheFillLookupDoNotAllocate(t *testing.T) {
+	tc := NewTraceCache(64, 16, 3, 4)
+	runs := make([]Run, 16)
+	for i := range runs {
+		runs[i] = Run{Addr: uint64(i) * 64, N: 1}
+	}
+	var addr uint64
+	allocs := testing.AllocsPerRun(1000, func() {
+		addr += 4
+		tc.Fill(addr, runs[:1+addr%16])
+		if tc.Lookup(addr) == nil {
+			t.Fatal("lookup after fill missed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Fill+Lookup allocate %v times per call", allocs)
 	}
 }

@@ -10,12 +10,49 @@
 // and a code layout (package program): the same trace replayed under
 // different layouts yields the paper's per-layout miss rates (Table 3)
 // and fetch bandwidths (Table 4).
+//
+// # Parallel walks, exactly
+//
+// Simulate and Sequentiality split the trace into one chunk per core
+// (GOMAXPROCS), each at least minChunk block events; a shorter trace,
+// or GOMAXPROCS 1, is one chunk and the plain serial loop. Sequentiality
+// is a sum: each chunk counts its blocks and the taken transition out
+// of its last one.
+//
+// Simulate is speculation, verified. The fetch unit is a deterministic
+// state machine over the stream position (block event and offset) and
+// the cache state, so two runs that start a fetch at the same position
+// in the same state take the same path from there and gather the same
+// counters. Phase 1 walks every chunk concurrently: the first from the
+// configured caches, reset, every later one from empty caches of the
+// same geometry. Phase 2 joins the chunks in order. The true run —
+// the first chunk's, carried on — walks into the next chunk beside a
+// fresh cold re-run of that chunk's phase-1 walk, the one behind always
+// advancing, until both start a fetch at one position in states from
+// which the phase-1 walk's path is provably the true one. The true run
+// then takes the phase-1 end state and its counters are the true prefix
+// plus the phase-1 total less the re-run's prefix. Provably the same
+// path means equal i-caches (cache.ICache.Equal), or a cold cache that
+// agrees with the true one wherever it holds anything (cache.Partial),
+// the true contents filling in the rest and the first accesses they
+// turn into hits counted back; a trace-cache line that differs and is
+// looked up again may change the path, so the join then stops at the
+// last phase-1 snapshot before that lookup and goes on from there. If
+// the states do not converge within a sixteenth of the chunk, the true
+// run walks the rest of the chunk itself: the result is still exact,
+// and only that chunk loses its speed-up. The direct-mapped cache is
+// a cache.Partial and joins within a few fetches; the set-associative
+// and victim caches join only when Equal, which one LRU set the chunk
+// rarely visits can put off past the budget.
 package fetch
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
+	"sort"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/program"
@@ -149,9 +186,47 @@ func (s *stream) cur() uint64 {
 // Simulate runs the fetch engine over the whole trace under the given
 // layout and configuration. Width, MaxBranches and MaxLines take the
 // SEQ.3 defaults when not positive, as LineBytes does; the line size
-// must be a power of two.
+// must be a power of two. The trace is split into one chunk per core
+// (see the package comment); the result is the serial walk's, exactly.
 func Simulate(t *trace.Trace, l *program.Layout, cfg Config) Result {
-	var r Result
+	return simulate(t, l, cfg, chunkCount(t.Len()))
+}
+
+// minChunk is the fewest block events a chunk of a parallel walk
+// covers: a shorter chunk would not repay its goroutine and the fetches
+// its boundary takes to resolve.
+const minChunk = 1 << 16
+
+// chunkCount is the number of chunks a walk over that many block events
+// is split into: one per core the scheduler may use, each at least
+// minChunk long.
+func chunkCount(events int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), events/minChunk))
+}
+
+// chunkStart is the first block event of chunk k of n over events.
+func chunkStart(k, n, events int) int { return k * events / n }
+
+// parallel calls f(0) through f(n-1) concurrently, f(0) on the calling
+// goroutine, and returns when all have.
+func parallel(n int, f func(k int)) {
+	var wg sync.WaitGroup
+	for k := 1; k < n; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(k)
+		}()
+	}
+	f(0)
+	wg.Wait()
+}
+
+// simulate is Simulate over a given number of chunks (capped at one
+// per block event). Phase 1 walks every chunk concurrently, the first
+// from cfg's reset caches, every later one from empty clones. Phase 2
+// joins the chunks in order onto the first one's true run.
+func simulate(t *trace.Trace, l *program.Layout, cfg Config, chunks int) Result {
 	def := DefaultConfig(nil)
 	if cfg.Width <= 0 {
 		cfg.Width = def.Width
@@ -166,21 +241,101 @@ func Simulate(t *trace.Trace, l *program.Layout, cfg Config) Result {
 	if lineBytes&(lineBytes-1) != 0 {
 		panic(fmt.Sprintf("fetch: line size %d is not a power of two", lineBytes))
 	}
-	lineShift := uint(bits.TrailingZeros64(lineBytes))
+	u := unit{cfg: &cfg, lineShift: uint(bits.TrailingZeros64(lineBytes))}
 	s := newStream(t, l)
+	events := len(s.blocks)
+	chunks = max(1, min(chunks, events))
+	start := func(k int) pos { return pos{chunkStart(k, chunks, events), 0} }
 	if cfg.ICache != nil {
 		cfg.ICache.Reset()
 	}
 	if cfg.TC != nil {
 		cfg.TC.Reset()
 	}
-	var tcFill []cache.Run
-	for !s.done() {
+	ws := make([]walker, chunks)
+	snaps := make([][]walker, chunks)
+	ws[0] = walker{stream: *s, ic: cfg.ICache, tc: cfg.TC}
+	// Each chunk's caches are made on the goroutine that walks them: the
+	// allocator serves each P from its own spans, so two walkers' small
+	// cache arrays do not share a cache line that both keep writing.
+	parallel(chunks, func(k int) {
+		if k > 0 {
+			ws[k] = u.cold(s, start(k))
+		}
+		snaps[k] = u.speculate(&ws[k], start(k+1), k > 0 && cfg.TC != nil)
+	})
+	for k := 1; k < chunks; k++ {
+		u.join(&ws[0], &ws[k], snaps[k], s, start(k), start(k+1))
+	}
+	return ws[0].r
+}
+
+// unit is the fetch unit a simulation runs: its configuration, with
+// the defaults applied, and the line size as a shift.
+type unit struct {
+	cfg       *Config
+	lineShift uint
+}
+
+// pos is a position in the stream: a block event and an instruction
+// offset within it. Fetches start at positions in increasing order.
+type pos struct {
+	idx int
+	off int32
+}
+
+func (p pos) less(q pos) bool { return p.idx < q.idx || p.idx == q.idx && p.off < q.off }
+
+// walker is one run of the fetch unit: its own cursor over the shared
+// stream, the caches it fills and the counters it has gathered.
+type walker struct {
+	stream
+	ic   cache.ICache
+	tc   *cache.TraceCache
+	r    Result
+	fill []cache.Run // trace-cache fill buffer
+}
+
+func (w *walker) at() pos { return pos{w.idx, w.off} }
+
+// copy returns w with caches of its own in the same state.
+func (w *walker) copy() walker {
+	c := walker{stream: w.stream, r: w.r}
+	if w.ic != nil {
+		c.ic = w.ic.Copy()
+	}
+	if w.tc != nil {
+		c.tc = w.tc.Copy()
+	}
+	return c
+}
+
+// cold returns a walker at p with empty caches of the unit's geometry.
+func (u unit) cold(s *stream, p pos) walker {
+	w := walker{stream: *s}
+	w.idx, w.off = p.idx, p.off
+	if u.cfg.ICache != nil {
+		w.ic = u.cfg.ICache.Clone()
+	}
+	if u.cfg.TC != nil {
+		w.tc = u.cfg.TC.Clone()
+	}
+	return w
+}
+
+// run fetches until the next fetch would start at or after stop, which
+// must not lie past the end of the stream.
+func (u unit) run(w *walker, stop pos) {
+	cfg, lineShift := u.cfg, u.lineShift
+	s := &w.stream
+	ic, tc := w.ic, w.tc
+	r, tcFill := w.r, w.fill
+	for (pos{s.idx, s.off}).less(stop) {
 		fetchAddr := s.cur()
 		// Trace cache first: a hit delivers the stored trace in one
 		// cycle, bypassing the i-cache.
-		if cfg.TC != nil {
-			if n, hit := s.takeTrace(cfg.TC.Lookup(fetchAddr)); hit {
+		if tc != nil {
+			if n, hit := s.takeTrace(tc.Lookup(fetchAddr)); hit {
 				r.Instrs += uint64(n)
 				r.TCInstrs += uint64(n)
 				r.TCHits++
@@ -191,33 +346,179 @@ func Simulate(t *trace.Trace, l *program.Layout, cfg Config) Result {
 			r.TCMisses++
 			// Fill the trace cache from the actual dynamic stream:
 			// up to MaxInstrs instructions / MaxBranches branches.
-			tcFill = s.traceFill(cfg.TC, tcFill[:0])
+			tcFill = s.traceFill(tc, tcFill[:0])
 		}
 		// SEQ.3 i-cache fetch.
-		n, lastAddr := s.seq3(&cfg, fetchAddr, lineShift)
+		n, lastAddr := s.seq3(cfg, fetchAddr, lineShift)
 		r.Instrs += uint64(n)
 		r.Fetches++
 		r.Cycles++
-		if cfg.ICache != nil {
+		if ic != nil {
 			misses := uint64(0)
 			r.LineAccesses++
-			if !cfg.ICache.Access(fetchAddr) {
+			if !ic.Access(fetchAddr) {
 				misses++
 			}
 			if lastAddr>>lineShift != fetchAddr>>lineShift {
 				r.LineAccesses++
-				if !cfg.ICache.Access(lastAddr) {
+				if !ic.Access(lastAddr) {
 					misses++
 				}
 			}
 			r.LineMisses += misses
 			r.Cycles += misses * cfg.MissPenalty
 		}
-		if cfg.TC != nil {
-			cfg.TC.Fill(fetchAddr, tcFill)
+		if tc != nil {
+			tc.Fill(fetchAddr, tcFill)
 		}
 	}
-	return r
+	w.r, w.fill = r, tcFill
+}
+
+// snapshots is how many copies of its state a phase-1 walk keeps, at
+// evenly spaced block events, when a trace cache is simulated: a join
+// whose true state may still steer the walk's path further ahead jumps
+// to the last one before that point (see converge).
+const snapshots = 32
+
+// speculate walks w to stop, which must not lie past the end of the
+// stream, and returns the copies of its state it kept on the way, in
+// stream order, if keep is set.
+func (u unit) speculate(w *walker, stop pos, keep bool) []walker {
+	snaps := make([]walker, 0, snapshots)
+	for j, from, last := 1, w.idx, w.at(); keep && j <= snapshots; j++ {
+		u.run(w, pos{from + j*(stop.idx-from)/(snapshots+1), 0})
+		if last.less(w.at()) && w.at().less(stop) {
+			snaps, last = append(snaps, w.copy()), w.at()
+		}
+	}
+	u.run(w, stop)
+	return snaps
+}
+
+// firstCheck is how many fetches a join's cold run makes before the
+// join first tries to converge; the interval doubles after every try
+// that fails, up to maxCheck, so a join that could converge at fetch F
+// tries O(log F + F/maxCheck) times and succeeds by fetch
+// F + min(F, maxCheck) + 16.
+const (
+	firstCheck = 16
+	maxCheck   = 4096
+)
+
+// stride is how many block events the true run of a join takes at a
+// time while the cold run keeps pace with it.
+const stride = 64
+
+// join carries the true run w, which ended at the first fetch start at
+// or after chunk boundary start, through the chunk [start, stop) that
+// spec walked from empty caches in phase 1, keeping snaps. A fresh cold
+// run c retraces spec's steps beside w, the one behind always
+// advancing, until the two start a fetch at the same position in
+// states from which spec's path is provably w's: to the end of the
+// chunk, or to a snapshot, from which c goes on (see converge). If c
+// walks a sixteenth of the chunk without converging, w walks the rest
+// of the chunk itself.
+func (u unit) join(w, spec *walker, snaps []walker, s *stream, start, stop pos) {
+	c := u.cold(s, start)
+	budget, from := (stop.idx-start.idx)/16, start.idx
+	check, gap := uint64(0), uint64(firstCheck)
+	for w.at().less(stop) {
+		switch wp, cp := w.at(), c.at(); {
+		case cp.idx-from >= budget:
+			u.run(w, stop)
+		case wp.less(cp):
+			u.run(w, cp)
+		case cp.less(wp):
+			u.run(&c, wp)
+		case c.r.Fetches >= check && u.converge(w, &c, spec, &snaps):
+			from, check, gap = c.idx, c.r.Fetches+firstCheck, 2*firstCheck
+		default:
+			if c.r.Fetches >= check {
+				check, gap = c.r.Fetches+gap, min(2*gap, maxCheck)
+			}
+			u.run(w, pos{min(wp.idx+stride, stop.idx), 0})
+		}
+	}
+}
+
+// converge moves the true run w onto spec's, at a position where w and
+// the cold re-run c of spec both start a fetch, if spec's path from
+// here is provably w's: w takes spec's end state and the counters spec
+// gathered from here on (spec's total less c's), and converge reports
+// true.
+//
+// For the i-cache that holds when the caches are Equal, and for a
+// cache.Partial also when c's Covers w's: c differs from w only in the
+// entries c has not touched yet, and spec touches each of them for the
+// first time after this point. A first access that w's state turns
+// into a hit changes a counter, not the path, and is counted here
+// (FirstHits); the entries spec never touched keep w's content.
+//
+// A trace-cache line in which c and w differ may steer the path at its
+// next lookup (Hazard). While one of them is looked up ahead, w moves
+// only to the last snapshot before that lookup, and c goes on from
+// that snapshot. The lines not touched on the way keep w's traces.
+func (u unit) converge(w, c, spec *walker, snaps *[]walker) bool {
+	if p, ok := c.ic.(cache.Partial); ok && !p.Covers(w.ic) || !ok && w.ic != nil && !c.ic.Equal(w.ic) {
+		return false
+	}
+	to, next := spec, len(*snaps)
+	if w.tc != nil {
+		rest := *snaps
+		// state(j) is spec's state at snapshot j, or at its end.
+		state := func(j int) *walker {
+			if j == len(rest) {
+				return spec
+			}
+			return &rest[j]
+		}
+		for i := range w.tc.Entries() {
+			if !spec.tc.Hazard(c.tc, w.tc, i) {
+				continue
+			}
+			next = min(next, sort.Search(len(rest)+1, func(j int) bool { return state(j).tc.Touched(c.tc, i) })-1)
+		}
+		if next < len(rest) {
+			if next < 0 || !c.at().less(rest[next].at()) {
+				return false
+			}
+			cp := rest[next].copy()
+			to = &cp
+		}
+	}
+	hits := uint64(0)
+	if p, ok := to.ic.(cache.Partial); ok {
+		hits = uint64(p.FirstHits(c.ic, w.ic))
+		p.Underlay(w.ic)
+	}
+	if w.tc != nil {
+		to.tc.Underlay(c.tc, w.tc)
+	}
+	r := w.r.plus(to.r).minus(c.r)
+	r.LineMisses -= hits
+	r.Cycles -= hits * u.cfg.MissPenalty
+	*w = walker{stream: to.stream, ic: to.ic, tc: to.tc, r: r, fill: w.fill}
+	if to != spec {
+		*c = (*snaps)[next]
+		*snaps = (*snaps)[next+1:]
+	}
+	return true
+}
+
+// plus returns r + o, counter by counter.
+func (r Result) plus(o Result) Result {
+	return Result{r.Instrs + o.Instrs, r.Fetches + o.Fetches, r.Cycles + o.Cycles,
+		r.LineAccesses + o.LineAccesses, r.LineMisses + o.LineMisses,
+		r.TCHits + o.TCHits, r.TCMisses + o.TCMisses, r.TCInstrs + o.TCInstrs}
+}
+
+// minus returns r - o, counter by counter; o is a prefix of r's run,
+// so no counter goes negative.
+func (r Result) minus(o Result) Result {
+	return Result{r.Instrs - o.Instrs, r.Fetches - o.Fetches, r.Cycles - o.Cycles,
+		r.LineAccesses - o.LineAccesses, r.LineMisses - o.LineMisses,
+		r.TCHits - o.TCHits, r.TCMisses - o.TCMisses, r.TCInstrs - o.TCInstrs}
 }
 
 // seq3 performs one SEQ.3 fetch from the current stream position,
@@ -348,19 +649,38 @@ type SequentialityStats struct {
 	InstrPerTaken float64
 }
 
-// Sequentiality computes SequentialityStats for a trace under a layout.
+// Sequentiality computes SequentialityStats for a trace under a layout,
+// summing one chunk per core.
 func Sequentiality(t *trace.Trace, l *program.Layout) SequentialityStats {
-	var st SequentialityStats
+	return sequentiality(t, l, chunkCount(t.Len()))
+}
+
+// sequentiality is Sequentiality over a given number of chunks. Each
+// chunk counts its blocks' instructions and the taken transitions out
+// of them, the one into the next chunk's first block included.
+func sequentiality(t *trace.Trace, l *program.Layout, chunks int) SequentialityStats {
 	info := newStream(t, l).info
-	for i, b := range t.Blocks {
-		bi := &info[b]
-		st.Instrs += uint64(bi.size)
-		if i+1 < len(t.Blocks) {
-			st.Transitions++
-			if info[t.Blocks[i+1]].addr != bi.addr+uint64(bi.size)*program.InstrBytes {
-				st.Taken++
+	blocks := t.Blocks
+	chunks = max(1, min(chunks, len(blocks)))
+	parts := make([]SequentialityStats, chunks)
+	parallel(chunks, func(k int) {
+		var instrs, taken uint64
+		for i, end := chunkStart(k, chunks, len(blocks)), chunkStart(k+1, chunks, len(blocks)); i < end; i++ {
+			bi := &info[blocks[i]]
+			instrs += uint64(bi.size)
+			if i+1 < len(blocks) && info[blocks[i+1]].addr != bi.addr+uint64(bi.size)*program.InstrBytes {
+				taken++
 			}
 		}
+		parts[k] = SequentialityStats{Instrs: instrs, Taken: taken}
+	})
+	var st SequentialityStats
+	for _, p := range parts {
+		st.Instrs += p.Instrs
+		st.Taken += p.Taken
+	}
+	if len(blocks) > 1 {
+		st.Transitions = uint64(len(blocks) - 1)
 	}
 	if st.Taken > 0 {
 		st.InstrPerTaken = float64(st.Instrs) / float64(st.Taken)

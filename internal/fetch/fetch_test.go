@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -820,23 +821,30 @@ func (c configCase) build() Config {
 	return cfg
 }
 
-// checkEqualsReference simulates one case both ways.
-func checkEqualsReference(t *testing.T, tr *trace.Trace, l *program.Layout, c configCase) {
+// checkEqualsReference simulates one case both ways, the shipped
+// simulator split into each of chunkCounts chunks.
+func checkEqualsReference(t *testing.T, tr *trace.Trace, l *program.Layout, c configCase, chunkCounts ...int) {
 	t.Helper()
-	got := Simulate(tr, l, c.build())
 	want := refSimulate(tr, l, c.build())
-	if got == want {
-		return
-	}
-	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
-	for i := 0; i < gv.NumField(); i++ {
-		if g, w := gv.Field(i).Uint(), wv.Field(i).Uint(); g != w {
-			t.Errorf("%s = %d, reference %d", gv.Type().Field(i).Name, g, w)
+	for _, chunks := range chunkCounts {
+		got := simulate(tr, l, c.build(), chunks)
+		if got == want {
+			continue
 		}
+		gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
+		for i := 0; i < gv.NumField(); i++ {
+			if g, w := gv.Field(i).Uint(), wv.Field(i).Uint(); g != w {
+				t.Errorf("%s = %d, reference %d", gv.Type().Field(i).Name, g, w)
+			}
+		}
+		t.Fatalf("config %+v, %d blocks, %d events, layout %s, %d chunks: Simulate differs from the per-instruction reference",
+			c, tr.Program().NumBlocks(), tr.Len(), l.Name, chunks)
 	}
-	t.Fatalf("config %+v, %d blocks, %d events, layout %s: Simulate differs from the per-instruction reference",
-		c, tr.Program().NumBlocks(), tr.Len(), l.Name)
 }
+
+// chunkCounts are the splits every reference case is simulated at: the
+// serial walk, a few joins, and more chunks than the trace has events.
+func chunkCounts(tr *trace.Trace) []int { return []int{1, 2, 3, 7, tr.Len() + 5} }
 
 // TestSimulateEqualsReference is the seeded property test: random
 // programs, layouts and traces under every cache kind, with and
@@ -857,30 +865,62 @@ func TestSimulateEqualsReference(t *testing.T) {
 						lineBytes: lineBytes, icache: icache, tc: tc,
 						tcEntries: 1 << rng.Intn(7), tcInstrs: 1 + rng.Intn(24), tcBr: 1 + rng.Intn(4),
 						penalty: uint64(rng.Intn(8)),
-					})
+					}, chunkCounts(tr)...)
 				}
 			}
 		}
 		// The paper's unit exactly.
 		checkEqualsReference(t, tr, l, configCase{width: 16, maxBranches: 3, maxLines: 2, lineBytes: 64,
-			icache: 1, tc: true, tcEntries: 64, tcInstrs: 16, tcBr: 3, penalty: 5})
+			icache: 1, tc: true, tcEntries: 64, tcInstrs: 16, tcBr: 3, penalty: 5}, chunkCounts(tr)...)
 	}
 }
 
-// FuzzSimulate lets the fuzzer pick the seed the case is drawn from
-// and the fetch-unit configuration.
+// FuzzSimulate lets the fuzzer pick the seed the case is drawn from,
+// the fetch-unit configuration and the number of chunks.
 func FuzzSimulate(f *testing.F) {
-	f.Add(int64(1), uint8(16), uint8(3), uint8(2), uint8(2), uint8(1), true, uint8(6), uint8(16), uint8(3))
-	f.Add(int64(42), uint8(1), uint8(1), uint8(1), uint8(0), uint8(0), true, uint8(0), uint8(1), uint8(1))
-	f.Add(int64(7), uint8(5), uint8(2), uint8(2), uint8(3), uint8(3), false, uint8(3), uint8(24), uint8(4))
-	f.Add(int64(-9), uint8(12), uint8(3), uint8(1), uint8(1), uint8(2), true, uint8(2), uint8(7), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, width, maxBranches, maxLines, line, icache uint8, tc bool, tcEntries, tcInstrs, tcBr uint8) {
+	f.Add(int64(1), uint8(16), uint8(3), uint8(2), uint8(2), uint8(1), true, uint8(6), uint8(16), uint8(3), uint8(1))
+	f.Add(int64(42), uint8(1), uint8(1), uint8(1), uint8(0), uint8(0), true, uint8(0), uint8(1), uint8(1), uint8(2))
+	f.Add(int64(7), uint8(5), uint8(2), uint8(2), uint8(3), uint8(3), false, uint8(3), uint8(24), uint8(4), uint8(7))
+	f.Add(int64(-9), uint8(12), uint8(3), uint8(1), uint8(1), uint8(2), true, uint8(2), uint8(7), uint8(2), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, width, maxBranches, maxLines, line, icache uint8, tc bool, tcEntries, tcInstrs, tcBr, chunks uint8) {
 		tr, l := randomCase(rand.New(rand.NewSource(seed)))
 		checkEqualsReference(t, tr, l, configCase{
 			width: 1 + int(width%16), maxBranches: 1 + int(maxBranches%3), maxLines: 1 + int(maxLines%2),
 			lineBytes: 16 << (line % 4), icache: int(icache % 4), tc: tc,
 			tcEntries: 1 << (tcEntries % 8), tcInstrs: 1 + int(tcInstrs%32), tcBr: 1 + int(tcBr%4),
 			penalty: uint64(seed & 7),
-		})
+		}, int(chunks))
 	})
+}
+
+// TestSequentialityChunks: the per-chunk sums, each chunk counting the
+// transition into the next, add up to the serial walk's statistics.
+func TestSequentialityChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for n := 0; n < 40; n++ {
+		tr, l := randomCase(rng)
+		want := sequentiality(tr, l, 1)
+		for _, chunks := range chunkCounts(tr) {
+			if got := sequentiality(tr, l, chunks); got != want {
+				t.Fatalf("case %d, %d events, %d chunks: %+v, serial %+v", n, tr.Len(), chunks, got, want)
+			}
+		}
+	}
+}
+
+// TestChunkCount: the split comes from GOMAXPROCS and the trace length
+// alone, and a short trace is walked serially.
+func TestChunkCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for _, c := range []struct{ events, want int }{
+		{0, 1}, {minChunk - 1, 1}, {2*minChunk - 1, 1}, {2 * minChunk, 2}, {100 * minChunk, 8},
+	} {
+		if got := chunkCount(c.events); got != c.want {
+			t.Errorf("chunkCount(%d) at GOMAXPROCS 8 = %d, want %d", c.events, got, c.want)
+		}
+	}
+	runtime.GOMAXPROCS(1)
+	if got := chunkCount(100 * minChunk); got != 1 {
+		t.Errorf("chunkCount at GOMAXPROCS 1 = %d, want 1", got)
+	}
 }
