@@ -186,17 +186,21 @@ func BenchmarkProfileFromTrace(b *testing.B) {
 }
 
 // BenchmarkRecordPath measures recording alone: the test trace's
-// events replayed into a fresh, non-validating recorder, so what is
-// timed is Recorder.Block and the growth of Trace.Blocks, not the
-// executor that normally emits the events. B/op against 4 bytes per
-// event shows how often the recording is re-copied as it grows.
+// events replayed one at a time into a fresh, non-validating recorder,
+// so what is timed is Recorder.Block and the growth of Trace.Blocks,
+// not the executor that normally emits the events. B/op against 4
+// bytes per event shows how often the recording is re-copied as it
+// grows.
 func BenchmarkRecordPath(b *testing.B) {
 	test := setup(b).test
 	events := test.tr.Blocks
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		trace.NewRecorder(trace.New(test.pipe.img.Prog), false).Path(events)
+		r := trace.NewRecorder(trace.New(test.pipe.img.Prog), false)
+		for _, e := range events {
+			r.Block(e)
+		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(events)), "ns/event")
 }

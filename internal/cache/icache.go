@@ -23,6 +23,12 @@ const DefaultLineBytes = 64
 type ICache interface {
 	// Access touches the line containing byte address addr and returns
 	// true on a hit. State is updated (fills, LRU, victim movement).
+	//
+	// An access to the line accessed immediately before must hit and
+	// leave the cache Equal to what it was. The fetch simulator relies
+	// on it: it drops such accesses from the runs it replays and only
+	// counts them. A model that adds state to a hit (a prefetcher
+	// filling on hits, say) must keep this for the repeated line.
 	Access(addr uint64) bool
 	// Reset invalidates all cache state.
 	Reset()

@@ -517,6 +517,40 @@ func TestEqualIgnoresClocks(t *testing.T) {
 	}
 }
 
+// TestRepeatLineIsIdle pins the ICache invariant the fetch simulator's
+// run replay rests on: an access to the line accessed immediately
+// before, at any offset in it, hits and leaves the state Equal to what
+// it was, whatever the history — fills, conflicts, LRU updates, victim
+// swaps.
+func TestRepeatLineIsIdle(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cache ICache
+	}{
+		{"direct", NewDirectMapped(1024, 64)},
+		{"direct 16B lines", NewDirectMapped(256, 16)},
+		{"2-way", NewSetAssoc(2048, 64, 2)},
+		{"3-way", NewSetAssoc(3*512, 32, 3)},
+		{"victim", NewVictim(1024, 64, 4)},
+		{"victim 1 set", NewVictim(64, 64, 2)},
+	} {
+		c, line := tc.cache, uint64(tc.cache.LineBytes())
+		rng := rand.New(rand.NewSource(29))
+		span := 16 * uint64(1024) // conflicts in every set
+		for i := 0; i < 5000; i++ {
+			a := rng.Uint64() % span
+			if rng.Intn(2) == 0 {
+				a %= 4 * line // re-references: hits, LRU and victim-buffer updates
+			}
+			c.Access(a)
+			before := c.Copy()
+			if again := a&^(line-1) + rng.Uint64()%line; !c.Access(again) || !c.Equal(before) {
+				t.Fatalf("%s, access %d: repeating line of %#x at %#x did not hit or changed the state", tc.name, i, a, again)
+			}
+		}
+	}
+}
+
 // TestEqualSeesLRUOrder: the same resident lines in another recency
 // order are a different state — the next miss evicts another line.
 func TestEqualSeesLRUOrder(t *testing.T) {

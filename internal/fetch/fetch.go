@@ -44,6 +44,25 @@
 // a cache.Partial and joins within a few fetches; the set-associative
 // and victim caches join only when Equal, which one LRU set the chunk
 // rarely visits can put off past the budget.
+//
+// # Runs
+//
+// A fetch never crosses a taken transfer, so without a trace cache a
+// walk goes one sequential run at a time: the block events from one
+// taken transfer's target up to the next taken transfer. Under a layout
+// in which no two blocks start at one address (every valid layout),
+// each later block of a run is the one laid out where the previous one
+// ends, so a run is fixed by its key, its first block and its length in
+// blocks, and its SEQ.3 fetches are the same on every occurrence. The
+// first time a walker meets a key it fetches the run with seq3 and
+// keeps its counters and its line accesses, less every access to the
+// line the access just before it touched: that one hits and changes no
+// state (see cache.ICache), and LineAccesses still counts it. Every
+// later occurrence adds the counters and replays only the kept
+// accesses. A walk that starts or stops inside a run — a chunk start, a
+// join's stride or lockstep stop, an offset within a block — fetches
+// that run one fetch at a time. The trace cache steers the path by what
+// it holds, so a walk with one keeps the per-fetch loop throughout.
 package fetch
 
 import (
@@ -51,6 +70,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -150,6 +170,9 @@ type blockInfo struct {
 	branch bool   // ends in a branch (any kind but fall-through)
 }
 
+// end is the first address past the block.
+func (b *blockInfo) end() uint64 { return b.addr + uint64(b.size)*program.InstrBytes }
+
 // stream is a cursor over a dynamic trace under a given layout. A
 // block's instructions are contiguous, so everything that consumes the
 // stream — the SEQ.3 fetch, the trace-cache hit test and its fill unit
@@ -241,8 +264,9 @@ func simulate(t *trace.Trace, l *program.Layout, cfg Config, chunks int) Result 
 	if lineBytes&(lineBytes-1) != 0 {
 		panic(fmt.Sprintf("fetch: line size %d is not a power of two", lineBytes))
 	}
-	u := unit{cfg: &cfg, lineShift: uint(bits.TrailingZeros64(lineBytes))}
 	s := newStream(t, l)
+	u := unit{cfg: &cfg, lineShift: uint(bits.TrailingZeros64(lineBytes)),
+		runs: cfg.TC == nil && startsDistinct(s.info)}
 	events := len(s.blocks)
 	chunks = max(1, min(chunks, events))
 	start := func(k int) pos { return pos{chunkStart(k, chunks, events), 0} }
@@ -271,10 +295,29 @@ func simulate(t *trace.Trace, l *program.Layout, cfg Config, chunks int) Result 
 }
 
 // unit is the fetch unit a simulation runs: its configuration, with
-// the defaults applied, and the line size as a shift.
+// the defaults applied, the line size as a shift, and whether its walks
+// go a run at a time (see the package comment).
 type unit struct {
 	cfg       *Config
 	lineShift uint
+	runs      bool
+}
+
+// startsDistinct reports whether no two blocks start at one address, as
+// under every valid layout: then the block a fall-through leads to is
+// the one laid out at the previous block's end.
+func startsDistinct(info []blockInfo) bool {
+	addrs := make([]uint64, len(info))
+	for i := range info {
+		addrs[i] = info[i].addr
+	}
+	slices.Sort(addrs)
+	for i := 1; i < len(addrs); i++ {
+		if addrs[i] == addrs[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // pos is a position in the stream: a block event and an instruction
@@ -294,6 +337,7 @@ type walker struct {
 	tc   *cache.TraceCache
 	r    Result
 	fill []cache.Run // trace-cache fill buffer
+	memo *runMemo    // the runs this walker has fetched, made on first use
 }
 
 func (w *walker) at() pos { return pos{w.idx, w.off} }
@@ -324,8 +368,172 @@ func (u unit) cold(s *stream, p pos) walker {
 }
 
 // run fetches until the next fetch would start at or after stop, which
-// must not lie past the end of the stream.
+// must not lie past the end of the stream: a run at a time if the unit
+// walks runs, else one fetch at a time.
 func (u unit) run(w *walker, stop pos) {
+	if !u.runs {
+		u.fetches(w, stop)
+		return
+	}
+	if w.memo == nil {
+		w.memo = newRunMemo(len(w.info))
+	}
+	s, m, ic := &w.stream, w.memo, w.ic
+	dm, _ := ic.(*cache.DirectMapped)
+	// The replayed runs are summed apart: a run fetched one fetch at a
+	// time adds to w.r itself.
+	var instrs, fetches, accesses, misses uint64
+	for (pos{s.idx, s.off}).less(stop) {
+		end := pos{s.runEnd(s.idx), 0}
+		if stop.less(end) {
+			u.fetches(w, stop) // the walk ends inside this run
+			break
+		}
+		if s.off != 0 {
+			u.fetches(w, end)
+			continue
+		}
+		first, n := s.blocks[s.idx], end.idx-s.idx
+		k := int32(0)
+		if n <= runTable {
+			k = m.table[int(first)*runTable+n-1]
+		}
+		if k == 0 {
+			k = m.add(u, s, end.idx, ic)
+		}
+		f := &m.runs[k-1]
+		instrs += f.instrs
+		fetches += f.fetches
+		accesses += f.accesses
+		switch lines := m.lines[f.from:f.to]; {
+		case dm != nil:
+			for _, a := range lines {
+				if !dm.Access(a) {
+					misses++
+				}
+			}
+		case ic != nil:
+			for _, a := range lines {
+				if !ic.Access(a) {
+					misses++
+				}
+			}
+		}
+		s.idx = end.idx
+	}
+	r := &w.r
+	r.Instrs += instrs
+	r.Fetches += fetches
+	r.Cycles += fetches + misses*u.cfg.MissPenalty
+	r.LineAccesses += accesses
+	r.LineMisses += misses
+}
+
+// runEnd is the block event after the run that event i lies in: the
+// target of the next taken transfer, or the end of the stream.
+func (s *stream) runEnd(i int) int {
+	blocks, info := s.blocks, s.info
+	at := info[blocks[i]].end()
+	for i++; i < len(blocks); i++ {
+		bi := &info[blocks[i]]
+		if bi.addr != at {
+			break
+		}
+		at = bi.end()
+	}
+	return i
+}
+
+// runTable is the longest run, in blocks, that a runMemo's flat table
+// holds; longer ones go through its overflow map.
+const runTable = 16
+
+// runMemo is what one walker keeps of the runs it has fetched. A run is
+// found by its key: through a flat table for up to runTable blocks,
+// through a map beyond. Everything is appended to a few slices, so a
+// walk makes a handful of allocations however many runs it meets.
+type runMemo struct {
+	table []int32          // [first*runTable + n-1]: 1 + index into runs, or 0
+	long  map[runKey]int32 // the same for runs longer than runTable
+	runs  []runFetches
+	lines []uint64 // the runs' kept line accesses, back to back
+}
+
+// runKey is a run's first block and its length in block events.
+type runKey struct {
+	first program.BlockID
+	n     int
+}
+
+// runFetches is one run's SEQ.3 fetches: its counters, and the
+// addresses of the line accesses to replay, lines[from:to].
+type runFetches struct {
+	instrs, fetches, accesses uint64
+	from, to                  int
+}
+
+func newRunMemo(blocks int) *runMemo {
+	return &runMemo{table: make([]int32, blocks*runTable),
+		runs: make([]runFetches, 0, 32), lines: make([]uint64, 0, 128)}
+}
+
+// add finds the run from the stream's current block event, at offset
+// 0, to event end when the table does not hold it: in the overflow map,
+// or, the first time the walker meets it, by fetching it. It returns 1
+// + the run's index in runs. The stream does not move.
+func (m *runMemo) add(u unit, s *stream, end int, ic cache.ICache) int32 {
+	key := runKey{s.blocks[s.idx], end - s.idx}
+	if k, ok := m.long[key]; ok {
+		return k
+	}
+	m.runs = append(m.runs, m.fetch(u, *s, end, ic))
+	k := int32(len(m.runs))
+	if key.n <= runTable {
+		m.table[int(key.first)*runTable+key.n-1] = k
+	} else {
+		if m.long == nil {
+			m.long = make(map[runKey]int32)
+		}
+		m.long[key] = k
+	}
+	return k
+}
+
+// fetch walks s, a copy of the walker's cursor, through the run that
+// ends at block event end with seq3, and keeps the line accesses the
+// per-fetch loop would make, less each one to the cache line of the
+// access just before it. The i-cache is not touched.
+func (m *runMemo) fetch(u unit, s stream, end int, ic cache.ICache) runFetches {
+	f := runFetches{from: len(m.lines), to: len(m.lines)}
+	var lineBytes uint64
+	if ic != nil {
+		lineBytes = uint64(max(1, ic.LineBytes()))
+	}
+	keep := func(a uint64) {
+		f.accesses++
+		if f.to == f.from || m.lines[f.to-1]/lineBytes != a/lineBytes {
+			m.lines = append(m.lines, a)
+			f.to++
+		}
+	}
+	for s.idx < end {
+		fetchAddr := s.cur()
+		n, lastAddr := s.seq3(u.cfg, fetchAddr, u.lineShift)
+		f.instrs += uint64(n)
+		f.fetches++
+		if ic != nil {
+			keep(fetchAddr)
+			if lastAddr>>u.lineShift != fetchAddr>>u.lineShift {
+				keep(lastAddr)
+			}
+		}
+	}
+	return f
+}
+
+// fetches is run one fetch at a time, the trace cache first if there is
+// one.
+func (u unit) fetches(w *walker, stop pos) {
 	cfg, lineShift := u.cfg, u.lineShift
 	s := &w.stream
 	ic, tc := w.ic, w.tc
@@ -421,6 +629,8 @@ const stride = 64
 // of the chunk itself.
 func (u unit) join(w, spec *walker, snaps []walker, s *stream, start, stop pos) {
 	c := u.cold(s, start)
+	c.memo = spec.memo // spec's walk is over: the runs it met are c's
+
 	budget, from := (stop.idx-start.idx)/16, start.idx
 	check, gap := uint64(0), uint64(firstCheck)
 	for w.at().less(stop) {
@@ -498,7 +708,7 @@ func (u unit) converge(w, c, spec *walker, snaps *[]walker) bool {
 	r := w.r.plus(to.r).minus(c.r)
 	r.LineMisses -= hits
 	r.Cycles -= hits * u.cfg.MissPenalty
-	*w = walker{stream: to.stream, ic: to.ic, tc: to.tc, r: r, fill: w.fill}
+	*w = walker{stream: to.stream, ic: to.ic, tc: to.tc, r: r, fill: w.fill, memo: w.memo}
 	if to != spec {
 		*c = (*snaps)[next]
 		*snaps = (*snaps)[next+1:]
@@ -668,7 +878,7 @@ func sequentiality(t *trace.Trace, l *program.Layout, chunks int) SequentialityS
 		for i, end := chunkStart(k, chunks, len(blocks)), chunkStart(k+1, chunks, len(blocks)); i < end; i++ {
 			bi := &info[blocks[i]]
 			instrs += uint64(bi.size)
-			if i+1 < len(blocks) && info[blocks[i+1]].addr != bi.addr+uint64(bi.size)*program.InstrBytes {
+			if i+1 < len(blocks) && info[blocks[i+1]].addr != bi.end() {
 				taken++
 			}
 		}

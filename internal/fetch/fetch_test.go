@@ -2,6 +2,7 @@ package fetch
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -703,8 +704,10 @@ func refSimulate(t *trace.Trace, l *program.Layout, cfg Config) Result {
 // needs instruction-aligned addresses, so nothing in Simulate may).
 // The trace mixes sequential runs, repeated hot paths (trace-cache
 // hits), hot paths that diverge after a common prefix (trace-cache tag
-// hits that must miss) and random jumps; it ends wherever it ends,
-// usually in the middle of a fetch.
+// hits that must miss), random jumps, and stretches along the layout
+// from one head block, so that it heads runs of several lengths, up to
+// twice as long as the run memo's flat table; it ends wherever it
+// ends, usually in the middle of a fetch.
 func randomCase(rng *rand.Rand) (*trace.Trace, *program.Layout) {
 	nb := 2 + rng.Intn(30)
 	b := program.NewBuilder()
@@ -775,17 +778,21 @@ func randomCase(rng *rand.Rand) (*trace.Trace, *program.Layout) {
 	paths[1] = append(append([]program.BlockID(nil), paths[0][:(len(paths[0])+1)/2]...), paths[1]...)
 	tr := trace.New(p)
 	cur := program.BlockID(rng.Intn(nb))
+	head := rng.Intn(max(1, nb-runTable)) // position in l.Order
 	for n := rng.Intn(600); n > 0; n-- {
-		switch k := rng.Intn(8); {
+		switch k := rng.Intn(9); {
 		case k < 3:
 			tr.Blocks = append(tr.Blocks, paths[rng.Intn(len(paths))]...)
 			cur = tr.Blocks[len(tr.Blocks)-1]
 		case k < 6:
 			cur = (cur + 1) % program.BlockID(nb) // next in declaration order
 			tr.Blocks = append(tr.Blocks, cur)
-		default:
+		case k < 8:
 			cur = program.BlockID(rng.Intn(nb))
 			tr.Blocks = append(tr.Blocks, cur)
+		default: // along the layout from the head
+			tr.Blocks = append(tr.Blocks, l.Order[head:min(nb, head+1+rng.Intn(2*runTable))]...)
+			cur = tr.Blocks[len(tr.Blocks)-1]
 		}
 	}
 	return tr, l
@@ -855,8 +862,10 @@ func TestSimulateEqualsReference(t *testing.T) {
 	if testing.Short() {
 		cases = 10
 	}
+	var cover runCoverage
 	for n := 0; n < cases; n++ {
 		tr, l := randomCase(rng)
+		cover.add(tr, l)
 		for _, lineBytes := range []int{16, 32, 64, 128} {
 			for icache := 0; icache < 4; icache++ {
 				for _, tc := range []bool{false, true} {
@@ -872,6 +881,95 @@ func TestSimulateEqualsReference(t *testing.T) {
 		// The paper's unit exactly.
 		checkEqualsReference(t, tr, l, configCase{width: 16, maxBranches: 3, maxLines: 2, lineBytes: 64,
 			icache: 1, tc: true, tcEntries: 64, tcInstrs: 16, tcBr: 3, penalty: 5}, chunkCounts(tr)...)
+	}
+	if cover.longest <= runTable || !cover.sharedHead || !cover.splitLong {
+		t.Errorf("the cases miss part of the run path: longest run %d blocks (table %d), one head of several lengths %v, chunk boundary inside a longer run %v",
+			cover.longest, runTable, cover.sharedHead, cover.splitLong)
+	}
+}
+
+// TestSimulateTwoBlocksAtOneAddress: a layout that puts two blocks at
+// one address (Layout.Validate rejects it) does not fix a run by its
+// first block and length, so Simulate walks it one fetch at a time and
+// still equals the reference.
+func TestSimulateTwoBlocksAtOneAddress(t *testing.T) {
+	b := program.NewBuilder()
+	f := b.Proc("f", "m")
+	f.Fall("x", 2)
+	f.Ret("a", 3)
+	f.Ret("b", 5)
+	p := b.MustBuild()
+	x, a, y := p.MustBlock("f.x"), p.MustBlock("f.a"), p.MustBlock("f.b")
+	addr := make([]uint64, p.NumBlocks())
+	addr[a], addr[y] = 2*program.InstrBytes, 2*program.InstrBytes
+	l := program.NewLayoutFromAddrs("overlap", p, addr)
+	tr := trace.New(p)
+	for i := 0; i < 20; i++ {
+		tr.Blocks = append(tr.Blocks, x, a, x, y)
+	}
+	for icache := 0; icache < 4; icache++ {
+		checkEqualsReference(t, tr, l, configCase{width: 16, maxBranches: 3, maxLines: 2, lineBytes: 16, icache: icache, penalty: 5}, 1, 2)
+	}
+}
+
+// TestRunStopsLikeFetches: a walk a run at a time stops where the walk
+// one fetch at a time does — at the first fetch start at or after the
+// stop, which may lie inside a run or a block — with the same counters
+// and cache state, stop after stop.
+func TestRunStopsLikeFetches(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for n := 0; n < 40; n++ {
+		tr, l := randomCase(rng)
+		c := configCase{width: 1 + rng.Intn(16), maxBranches: 1 + rng.Intn(3), maxLines: 1 + rng.Intn(2),
+			lineBytes: 16 << rng.Intn(4), icache: rng.Intn(4), penalty: 5}
+		cfg := c.build()
+		s := newStream(tr, l)
+		u := unit{cfg: &cfg, lineShift: uint(bits.TrailingZeros(uint(c.lineBytes))), runs: true}
+		byRun, byFetch := u.cold(s, pos{}), u.cold(s, pos{})
+		for !byRun.done() {
+			stop := pos{min(tr.Len(), byRun.idx+1+rng.Intn(3*runTable)), 0}
+			if stop.idx < tr.Len() && rng.Intn(2) == 0 {
+				stop.off = rng.Int31n(s.info[tr.Blocks[stop.idx]].size)
+			}
+			u.run(&byRun, stop)
+			u.fetches(&byFetch, stop)
+			if byRun.at() != byFetch.at() || byRun.r != byFetch.r || c.icache > 0 && !byRun.ic.Equal(byFetch.ic) {
+				t.Fatalf("case %d, config %+v, stop %v: a run at a time at %v with %+v, a fetch at a time at %v with %+v",
+					n, c, stop, byRun.at(), byRun.r, byFetch.at(), byFetch.r)
+			}
+		}
+	}
+}
+
+// runCoverage is what of the run path (see the package comment) a set
+// of cases exercises: the longest run, whether one first block heads
+// runs of several lengths, and whether a boundary of a 2-, 3- or
+// 7-chunk split falls inside a run longer than the memo's flat table.
+type runCoverage struct {
+	longest               int
+	sharedHead, splitLong bool
+}
+
+func (c *runCoverage) add(tr *trace.Trace, l *program.Layout) {
+	s := newStream(tr, l)
+	events := len(s.blocks)
+	length := map[program.BlockID]int{}
+	for i := 0; i < events; {
+		j := s.runEnd(i)
+		n := j - i
+		c.longest = max(c.longest, n)
+		if m, ok := length[s.blocks[i]]; ok && m != n {
+			c.sharedHead = true
+		}
+		length[s.blocks[i]] = n
+		for _, chunks := range []int{2, 3, 7} {
+			for k := 1; k < chunks; k++ {
+				if b := chunkStart(k, chunks, events); n > runTable && i < b && b < j {
+					c.splitLong = true
+				}
+			}
+		}
+		i = j
 	}
 }
 

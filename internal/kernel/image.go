@@ -23,8 +23,10 @@ import (
 // Image is the built program model plus the probe-path table.
 type Image struct {
 	Prog *program.Program
-	// paths[probe.ID] is the block path emitted for that probe.
-	paths [][]program.BlockID
+	// paths[probe.ID] is the block path emitted for that probe, and
+	// pathInstrs[probe.ID] its instruction count.
+	paths      [][]program.BlockID
+	pathInstrs []uint64
 }
 
 // OpsSeedNames lists the Executor operation entry points used by the

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/db/access"
@@ -28,6 +29,24 @@ func TestEveryProbeHasAPath(t *testing.T) {
 		if len(img.Path(id)) == 0 && id != probe.BufTableLookup && id != probe.HeapDeform && id != probe.HashFunc {
 			t.Errorf("probe %d has no path", id)
 		}
+	}
+}
+
+// TestFastSessionRecordsTheSameTrace: a non-validating session appends
+// each probe's path in one copy with its precomputed instruction count;
+// the trace must be the one a validating session records block by
+// block.
+func TestFastSessionRecordsTheSameTrace(t *testing.T) {
+	img := New(Config{ColdProcs: 5, Seed: 1})
+	fast, checked := img.NewSession(false), img.NewSession(true)
+	for id := probe.ID(0); id < probe.NumProbes; id++ {
+		fast.Emit(id)
+		checked.Emit(id)
+	}
+	got, want := fast.Trace(), checked.Trace()
+	if got.Instrs != want.Instrs || !slices.Equal(got.Blocks, want.Blocks) {
+		t.Fatalf("non-validating session: %d events / %d instrs, validating: %d / %d (or contents differ)",
+			got.Len(), got.Instrs, want.Len(), want.Instrs)
 	}
 }
 

@@ -12,11 +12,13 @@ import (
 // TestAllQueryShapesValidate and the trace recorder).
 func (img *Image) buildPaths() {
 	img.paths = make([][]program.BlockID, probe.NumProbes)
+	img.pathInstrs = make([]uint64, probe.NumProbes)
 	p := img.Prog
 	at := func(id probe.ID, names ...string) {
 		path := make([]program.BlockID, len(names))
 		for i, n := range names {
 			path[i] = p.MustBlock(n)
+			img.pathInstrs[id] += uint64(p.Block(path[i]).Size)
 		}
 		img.paths[id] = path
 	}

@@ -23,9 +23,10 @@ func (img *Image) NewSession(validate bool) *Session {
 	return &Session{img: img, rec: trace.NewRecorder(t, validate)}
 }
 
-// Emit implements probe.Tracer.
+// Emit implements probe.Tracer. Without validation it appends the
+// probe's path to the trace in one copy.
 func (s *Session) Emit(id probe.ID) {
-	s.rec.Path(s.img.paths[id])
+	s.rec.Path(s.img.paths[id], s.img.pathInstrs[id])
 }
 
 // Mark labels the current trace position (query boundaries).

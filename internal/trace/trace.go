@@ -62,13 +62,16 @@ func (t *Trace) Append(other *Trace) {
 // static control transfer and that calls and returns pair up.
 //
 // The instrumented kernel calls Block for every executed basic block,
-// in execution order. Call blocks push their continuation; return
-// blocks pop it and require the next event to be that continuation.
+// in execution order, or Path for a pre-declared sequence of them. A
+// validating recorder keeps the call stack: call blocks push their
+// continuation; return blocks pop it and require the next event to be
+// that continuation. A non-validating one only appends.
 type Recorder struct {
 	prog     *program.Program
 	t        *Trace
 	validate bool
 
+	// The validation state, kept only when validating.
 	last    program.BlockID // last emitted block, or program.NoBlock
 	stack   []program.BlockID
 	pending bool // a return was emitted; next block must be stack top
@@ -92,9 +95,6 @@ func (r *Recorder) Trace() *Trace { return r.t }
 // Err returns the first validation error encountered, or nil.
 func (r *Recorder) Err() error { return r.err }
 
-// Depth returns the current call-stack depth.
-func (r *Recorder) Depth() int { return len(r.stack) }
-
 // Mark records a labelled position (e.g. the start of a query).
 func (r *Recorder) Mark(label string) {
 	r.t.Marks = append(r.t.Marks, Mark{Pos: len(r.t.Blocks), Label: label})
@@ -102,6 +102,32 @@ func (r *Recorder) Mark(label string) {
 
 // Block records the execution of basic block b.
 func (r *Recorder) Block(b program.BlockID) {
+	blk := r.prog.Block(b)
+	if r.validate {
+		r.check(b, blk)
+	}
+	r.t.Blocks = appendEvents(r.t.Blocks, b)
+	r.t.Instrs += uint64(blk.Size)
+}
+
+// Path records the execution of a pre-declared sequence of blocks, of
+// instrs instructions in all (a hot instrumentation site). A validating
+// recorder checks it block by block; otherwise the trace grows at most
+// once and takes the whole path in one copy.
+func (r *Recorder) Path(p []program.BlockID, instrs uint64) {
+	if r.validate {
+		for _, b := range p {
+			r.Block(b)
+		}
+		return
+	}
+	r.t.Blocks = appendEvents(r.t.Blocks, p...)
+	r.t.Instrs += instrs
+}
+
+// check validates the transition into b, whose static block is blk,
+// and keeps the call stack.
+func (r *Recorder) check(b program.BlockID, blk *program.Block) {
 	switch {
 	case r.pending:
 		// The previous event was a return: this block must be the
@@ -109,26 +135,18 @@ func (r *Recorder) Block(b program.BlockID) {
 		r.pending = false
 		want := r.stack[len(r.stack)-1]
 		r.stack = r.stack[:len(r.stack)-1]
-		if r.validate && r.err == nil && b != want {
+		if r.err == nil && b != want {
 			r.err = fmt.Errorf("trace: return went to %s, expected continuation %s",
 				r.prog.Block(b).Name, r.prog.Block(want).Name)
 		}
 	case r.unknown:
 		r.unknown = false
 	default:
-		if r.validate && r.err == nil && r.last != program.NoBlock {
-			if !r.prog.ValidEdge(r.last, b) {
-				r.err = fmt.Errorf("trace: illegal transition %s -> %s",
-					r.prog.Block(r.last).Name, r.prog.Block(b).Name)
-			}
+		if r.err == nil && r.last != program.NoBlock && !r.prog.ValidEdge(r.last, b) {
+			r.err = fmt.Errorf("trace: illegal transition %s -> %s",
+				r.prog.Block(r.last).Name, r.prog.Block(b).Name)
 		}
 	}
-	blk := r.prog.Block(b)
-	if len(r.t.Blocks) == cap(r.t.Blocks) {
-		r.t.Blocks = grow(r.t.Blocks)
-	}
-	r.t.Blocks = append(r.t.Blocks, b)
-	r.t.Instrs += uint64(blk.Size)
 	switch blk.Kind {
 	case program.KindCall:
 		r.stack = append(r.stack, blk.Succs[0])
@@ -147,21 +165,17 @@ func (r *Recorder) Block(b program.BlockID) {
 // minGrow is the smallest capacity, in events, a recording grows to.
 const minGrow = 64 << 10
 
-// grow moves a full event slice into one of twice the capacity. A
-// trace is tens of millions of events long, and append's growth policy
-// for large slices (1.25x) copies what is already recorded about five
-// times over on the way there and leaves as much garbage; doubling
-// copies it at most once in total.
-func grow(blocks []program.BlockID) []program.BlockID {
-	grown := make([]program.BlockID, len(blocks), max(minGrow, 2*cap(blocks)))
-	copy(grown, blocks)
-	return grown
-}
-
-// Path records the execution of a pre-declared sequence of blocks (a
-// convenience for hot instrumentation sites).
-func (r *Recorder) Path(p []program.BlockID) {
-	for _, b := range p {
-		r.Block(b)
+// appendEvents appends events to a recording, moving a recording that
+// has no room for them into one of twice the capacity. A trace is tens
+// of millions of events long, and append's growth policy for large
+// slices (1.25x) copies what is already recorded about five times over
+// on the way there and leaves as much garbage; doubling copies it at
+// most once in total.
+func appendEvents(blocks []program.BlockID, events ...program.BlockID) []program.BlockID {
+	if len(blocks)+len(events) > cap(blocks) {
+		grown := make([]program.BlockID, len(blocks), max(minGrow, 2*cap(blocks), len(blocks)+len(events)))
+		copy(grown, blocks)
+		blocks = grown
 	}
+	return append(blocks, events...)
 }

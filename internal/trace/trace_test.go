@@ -115,15 +115,6 @@ func TestReturnAboveTraceStartIsTolerated(t *testing.T) {
 	}
 }
 
-func TestRecorderStackBalancedInFastMode(t *testing.T) {
-	p := testProgram(t)
-	r := NewRecorder(New(p), false)
-	emitRun(t, p, r, 100)
-	if r.Depth() != 0 {
-		t.Fatalf("call stack depth = %d after balanced run, want 0", r.Depth())
-	}
-}
-
 func TestMarksAndAppend(t *testing.T) {
 	p := testProgram(t)
 	t1 := New(p)
@@ -172,14 +163,41 @@ func TestReplayVisitsAllInOrder(t *testing.T) {
 	}
 }
 
+// TestPathEmitsEachBlock: a path is recorded as its blocks, one event
+// each, by a validating recorder block by block and by a non-validating
+// one in one copy, across growth steps too.
 func TestPathEmitsEachBlock(t *testing.T) {
 	p := testProgram(t)
-	tr := New(p)
-	r := NewRecorder(tr, true)
 	id := p.MustBlock
-	r.Path([]program.BlockID{id("main.entry"), id("main.loop")})
-	if tr.Len() != 2 || r.Err() != nil {
-		t.Fatalf("path emit failed: len=%d err=%v", tr.Len(), r.Err())
+	entry := []program.BlockID{id("main.entry")}
+	iter := []program.BlockID{id("main.loop"), id("main.callh"), id("helper.entry"), id("helper.ret"), id("main.back")}
+	exit := []program.BlockID{id("main.loop"), id("main.exit")}
+	instrs := func(path []program.BlockID) (n uint64) {
+		for _, b := range path {
+			n += uint64(p.Block(b).Size)
+		}
+		return n
+	}
+	record := func(validate bool) *Trace {
+		tr := New(p)
+		r := NewRecorder(tr, validate)
+		r.Path(entry, instrs(entry))
+		for i := 0; i < minGrow; i++ {
+			r.Path(iter, instrs(iter))
+		}
+		r.Path(exit, instrs(exit))
+		if r.Err() != nil {
+			t.Fatalf("validate=%v: %v", validate, r.Err())
+		}
+		return tr
+	}
+	want := New(p)
+	emitRun(t, p, NewRecorder(want, true), minGrow)
+	for _, validate := range []bool{true, false} {
+		if got := record(validate); got.Instrs != want.Instrs || !slices.Equal(got.Blocks, want.Blocks) {
+			t.Errorf("validate=%v: %d events / %d instrs, want %d / %d (or contents differ)",
+				validate, got.Len(), got.Instrs, want.Len(), want.Instrs)
+		}
 	}
 }
 
