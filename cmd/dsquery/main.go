@@ -29,7 +29,6 @@ func main() {
 	text := flag.String("sql", "", "ad-hoc SQL text (overrides -q)")
 	hash := flag.Bool("hash", false, "use the hash-indexed database instead of Btree")
 	seed := flag.Int64("seed", 42, "generator seed")
-	parallel := flag.Int("parallel", 1, "partition-parallel scan workers (1 = serial)")
 	cacheBytes := flag.Int64("result-cache-bytes", 0, "query result cache budget in bytes (0 = disabled)")
 	repeat := flag.Int("repeat", 1, "run the query this many times (rows printed once; repeats show cache hits)")
 	dataDir := flag.String("data-dir", "", "durable data directory: first run builds and checkpoints it, later runs warm-start without reloading TPC-D")
@@ -57,7 +56,7 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "loading TPC-D (SF=%g, %s indices)...\n", *sf, kind)
 	opts := []dsdb.Option{dsdb.WithTPCD(*sf), dsdb.WithIndexKind(kind),
-		dsdb.WithSeed(*seed), dsdb.WithParallelism(*parallel)}
+		dsdb.WithSeed(*seed)}
 	if *cacheBytes > 0 {
 		opts = append(opts, dsdb.WithResultCache(*cacheBytes))
 	}
@@ -116,10 +115,6 @@ func main() {
 			suffix = ", cache hit"
 		}
 		fmt.Fprintf(os.Stderr, "(run %d: %d rows in %s%s)\n", run, n, elapsed.Round(time.Microsecond), suffix)
-	}
-	if *parallel > 1 {
-		fmt.Fprintf(os.Stderr, "(parallel workers: %d probe events outside the session trace)\n",
-			db.WorkerProbeEvents())
 	}
 	if st, ok := db.ResultCacheStats(); ok {
 		fmt.Fprintf(os.Stderr, "(result cache: %s)\n", st.Section(true))

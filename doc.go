@@ -7,14 +7,13 @@
 //
 //   - repro/dsdb — a database/sql-style API over the instrumented
 //     database kernel: Open with functional options (buffer pool,
-//     index kind, TPC-D preload, tracer attachment, scan
-//     parallelism, result cache), streaming Query with context
-//     cancellation, QueryRow/Exec/Prepare, and DDL passthroughs. A
-//     DB is safe for concurrent sessions — queries run under a
-//     shared engine latch (writes exclusive), every execution owns
-//     its context, and WithParallelism(n) fans sequential scans out
-//     over page-range partitions merged back in page order, so
-//     parallel plans return exactly their serial results.
+//     index kind, TPC-D preload, tracer attachment, result cache),
+//     streaming Query with context cancellation, QueryRow/Exec/
+//     Prepare, and DDL passthroughs. A DB is safe for concurrent
+//     sessions — queries run under a shared engine latch (writes
+//     exclusive), and every execution owns its context and runs on
+//     one goroutine, as the paper's single-backend instruction
+//     stream does.
 //     WithResultCache(bytes) answers repeated queries from memory —
 //     no executor, no buffer traffic, no instrumentation events —
 //     consistently: entries are validated against per-table write

@@ -11,35 +11,32 @@ import (
 )
 
 // benchQuery is an aggregation over an unindexed lineitem predicate,
-// so it plans a (parallelizable) sequential scan with per-tuple
-// qualifier and arithmetic work — the shape partition parallelism is
-// for.
+// so it plans a sequential scan with per-tuple qualifier and
+// arithmetic work.
 const benchQuery = `select sum(l_extendedprice * l_discount), count(*)
 	from lineitem where l_quantity < 24 and l_discount > 0.02`
 
 // benchOpen loads one shared database across all benchmarks (loading
-// dominates otherwise) and retunes its parallelism per caller.
+// dominates otherwise).
 var benchDB = sync.OnceValues(func() (*dsdb.DB, error) {
 	return dsdb.Open(dsdb.WithTPCD(0.01))
 })
 
-func benchOpen(b *testing.B, parallelism int) *dsdb.DB {
+func benchOpen(b *testing.B) *dsdb.DB {
 	b.Helper()
 	db, err := benchDB()
 	if err != nil {
 		b.Fatal(err)
 	}
-	db.SetParallelism(parallelism)
 	return db
 }
 
-// benchmarkQuery runs the scan-heavy query end to end (compile,
-// execute, materialize) at one parallelism degree. Compare with
-// benchstat:
+// BenchmarkQuerySerial runs the scan-heavy query end to end (compile,
+// execute, materialize). Compare with benchstat:
 //
 //	go test ./dsdb -bench 'BenchmarkQuery' -count 10 | benchstat -
-func benchmarkQuery(b *testing.B, parallelism int) {
-	db := benchOpen(b, parallelism)
+func BenchmarkQuerySerial(b *testing.B) {
+	db := benchOpen(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := db.Exec(context.Background(), benchQuery)
@@ -52,15 +49,13 @@ func benchmarkQuery(b *testing.B, parallelism int) {
 	}
 }
 
-func BenchmarkQuerySerial(b *testing.B) { benchmarkQuery(b, 1) }
-
 // BenchmarkTPCDQuery runs each of the twelve TPC-D queries on its own,
 // single session, with allocations reported — the per-query picture
 // behind TestQueryAllocBudget and bench/'s tpcd_served workload:
 //
 //	go test ./dsdb -run '^$' -bench 'BenchmarkTPCDQuery' -benchtime 5x
 func BenchmarkTPCDQuery(b *testing.B) {
-	db := benchOpen(b, 1)
+	db := benchOpen(b)
 	for _, qn := range dsdb.TPCDQueryNumbers() {
 		q, _ := dsdb.TPCDQuery(qn)
 		b.Run(fmt.Sprintf("Q%d", qn), func(b *testing.B) {
@@ -80,7 +75,7 @@ func BenchmarkTPCDQuery(b *testing.B) {
 // path plans no Instrumented wrappers and keeps its tracer chain
 // unchanged (see executor.SetAnalyze).
 func BenchmarkQueryAnalyze(b *testing.B) {
-	db := benchOpen(b, 1)
+	db := benchOpen(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rows, err := db.Query(context.Background(), "explain analyze "+benchQuery)
@@ -172,17 +167,11 @@ func BenchmarkQueryCachedNoObs(b *testing.B) {
 	}
 }
 
-func BenchmarkQueryParallel2(b *testing.B) { benchmarkQuery(b, 2) }
-
-func BenchmarkQueryParallel4(b *testing.B) { benchmarkQuery(b, 4) }
-
-func BenchmarkQueryParallel8(b *testing.B) { benchmarkQuery(b, 8) }
-
 // BenchmarkConcurrentSessions measures whole-DB throughput with one
 // session per CPU issuing the mixed TPC-D workload (b.RunParallel
 // reports ns per completed query).
 func BenchmarkConcurrentSessions(b *testing.B) {
-	db := benchOpen(b, 1)
+	db := benchOpen(b)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0

@@ -138,100 +138,6 @@ func materialize(rows *dsdb.Rows, err error) (*dsdb.Result, error) {
 	return res, nil
 }
 
-// TestParallelScanMatchesSerial is the acceptance check: every TPC-D
-// query under WithParallelism(4) returns exactly the serial result —
-// same rows, same order — because partitions merge in page order.
-func TestParallelScanMatchesSerial(t *testing.T) {
-	serial := openTPCD(t, concurrencySF)
-	defer serial.Close()
-	par := openTPCD(t, concurrencySF, dsdb.WithParallelism(4))
-	defer par.Close()
-	for _, n := range dsdb.TPCDQueryNumbers() {
-		q, _ := dsdb.TPCDQuery(n)
-		want, err := serial.Exec(context.Background(), q)
-		if err != nil {
-			t.Fatalf("serial Q%d: %v", n, err)
-		}
-		got, err := par.Exec(context.Background(), q)
-		if err != nil {
-			t.Fatalf("parallel Q%d: %v", n, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Q%d: parallel result differs from serial (%d vs %d rows)",
-				n, len(got.Rows), len(want.Rows))
-		}
-	}
-	// A cartesian join rescans its inner per outer tuple; the planner
-	// must serialize the rescanned side, and results must still match.
-	cross := "select count(*) from orders, region"
-	want, err := serial.Exec(context.Background(), cross)
-	if err != nil {
-		t.Fatalf("serial cross join: %v", err)
-	}
-	got, err := par.Exec(context.Background(), cross)
-	if err != nil {
-		t.Fatalf("parallel cross join: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("cross join: parallel result differs from serial")
-	}
-}
-
-// TestConcurrentParallelQueries runs parallel-scan plans from many
-// sessions at once: partition workers multiply the goroutines hitting
-// the buffer pool.
-func TestConcurrentParallelQueries(t *testing.T) {
-	base := serialBaseline(t)
-	db := openTPCD(t, concurrencySF, dsdb.WithParallelism(4))
-	defer db.Close()
-	const sessions = 6
-	var wg sync.WaitGroup
-	errs := make([]error, sessions)
-	for s := 0; s < sessions; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			n := concurrencyQueries[s%len(concurrencyQueries)]
-			q, _ := dsdb.TPCDQuery(n)
-			res, err := db.Exec(context.Background(), q)
-			if err != nil {
-				errs[s] = fmt.Errorf("session %d Q%d: %w", s, n, err)
-				return
-			}
-			if !reflect.DeepEqual(res, base[n]) {
-				errs[s] = fmt.Errorf("session %d Q%d: result differs from serial baseline", s, n)
-			}
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestParallelScanEarlyClose exercises worker teardown: a LIMIT plan
-// abandons the parallel scan after a prefix; Close must stop the
-// workers without leaking or deadlocking (the -race build would also
-// flag unsynchronized teardown).
-func TestParallelScanEarlyClose(t *testing.T) {
-	db := openTPCD(t, concurrencySF, dsdb.WithParallelism(8))
-	defer db.Close()
-	for i := 0; i < 5; i++ {
-		rows, err := db.Query(context.Background(), "select l_orderkey from lineitem")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rows.Next() {
-			t.Fatal("expected at least one row")
-		}
-		if err := rows.Close(); err != nil {
-			t.Fatalf("early Close: %v", err)
-		}
-	}
-}
-
 // TestConcurrentInsertsAndQueries interleaves writers (exclusive
 // engine latch) with readers: no update may be lost and every read
 // must see a consistent heap.
@@ -421,52 +327,5 @@ func TestFlushDuringInserts(t *testing.T) {
 	}
 	if got := db.NumRows("flog"); got != writers*perWriter {
 		t.Fatalf("NumRows = %d, want %d", got, writers*perWriter)
-	}
-}
-
-// TestWorkerProbeEventsAccounting: parallel-scan workers run outside
-// the session trace but their kernel events must land (exactly, no
-// lost updates) in the DB's shared counting tracer; serial plans must
-// leave it untouched.
-func TestWorkerProbeEventsAccounting(t *testing.T) {
-	serial := openTPCD(t, concurrencySF)
-	defer serial.Close()
-	q := "select count(*) from lineitem where l_quantity < 24"
-	if _, err := serial.Exec(context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-	if got := serial.WorkerProbeEvents(); got != 0 {
-		t.Fatalf("serial plan emitted %d worker probe events, want 0", got)
-	}
-
-	par := openTPCD(t, concurrencySF, dsdb.WithParallelism(4))
-	defer par.Close()
-	if got := par.WorkerProbeEvents(); got != 0 {
-		t.Fatalf("preload emitted %d worker probe events, want 0", got)
-	}
-	if _, err := par.Exec(context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-	once := par.WorkerProbeEvents()
-	if once == 0 {
-		t.Fatal("parallel scan emitted no worker probe events")
-	}
-	// Concurrent parallel queries accumulate without losing counts:
-	// the per-execution event total is deterministic, so K more
-	// executions add exactly K×once.
-	const k = 4
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := par.Exec(context.Background(), q); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if got, want := par.WorkerProbeEvents(), (k+1)*once; got != want {
-		t.Fatalf("worker probe events = %d after %d more runs, want %d", got, k, want)
 	}
 }

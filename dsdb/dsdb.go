@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/dsdb/obs"
@@ -94,7 +93,6 @@ type config struct {
 	seed         int64
 	tpcdSF       float64
 	loadTPCD     bool
-	parallelism  int
 	cacheBytes   int64
 	cacheTTL     time.Duration
 	cacheMinCost time.Duration
@@ -133,17 +131,6 @@ func WithTPCD(sf float64) Option {
 // so benchmarks and experiments compare like with like.
 func WithSeed(seed int64) Option {
 	return func(c *config) { c.seed = seed }
-}
-
-// WithParallelism lets the planner fan sequential scans out over n
-// partition workers (default 1: serial). Partitions are merged in
-// page order, so a parallel query returns exactly the rows — in
-// exactly the order — its serial plan would; only the timing changes.
-// Parallel scan workers run untraced (the instrumentation session
-// models one instruction stream); use serial queries, or separate
-// sessions via QueryTraced, when recording traces.
-func WithParallelism(n int) Option {
-	return func(c *config) { c.parallelism = n }
 }
 
 // WithResultCache attaches a query result cache bounded to the given
@@ -223,13 +210,6 @@ func WithObservability(cfg obs.Config) Option {
 type DB struct {
 	eng *engine.DB
 
-	mu          sync.Mutex // guards parallelism
-	parallelism int
-
-	// workerCounts accumulates probe events from parallel-scan
-	// workers, whose kernel work runs outside the session trace.
-	workerCounts *probe.CountingTracer
-
 	// cache is the query result cache (nil when Open ran without
 	// WithResultCache). It is immutable after Open.
 	cache *qcache.Cache
@@ -264,12 +244,7 @@ func Open(opts ...Option) (*DB, error) {
 	} else {
 		eng = engine.Open(cfg.frames)
 	}
-	db := &DB{
-		eng:          eng,
-		parallelism:  cfg.parallelism,
-		workerCounts: probe.NewCountingTracer(),
-		recovered:    recovered,
-	}
+	db := &DB{eng: eng, recovered: recovered}
 	if !cfg.obsCfg.Disabled {
 		db.obs = obs.New(cfg.obsCfg)
 	}
@@ -365,20 +340,12 @@ func checkTPCDStamp(cfg config) error {
 	return nil
 }
 
-// SetParallelism changes the scan parallelism bound into subsequent
-// Query/Prepare calls (see WithParallelism).
-func (db *DB) SetParallelism(n int) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.parallelism = n
-}
-
-// WorkerProbeEvents returns the cumulative number of kernel
-// instrumentation events emitted by parallel-scan workers since Open.
-// Worker-side work runs outside the (single-threaded) session trace;
-// this counter is how it stays visible — 0 means every scan ran
-// serially.
-func (db *DB) WorkerProbeEvents() uint64 { return db.workerCounts.Total() }
+// SetParallelism does nothing: every scan is serial.
+//
+// Deprecated: kept only for bench's executor.parallel2_speedup
+// metric, which has always timed a serial plan; ROADMAP 6(e) deletes
+// this shim together with that metric.
+func (db *DB) SetParallelism(int) {}
 
 // ResultCache returns the query result cache, or nil when Open ran
 // without WithResultCache. Useful for stats reporting and for

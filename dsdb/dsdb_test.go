@@ -233,6 +233,20 @@ func TestQueryRow(t *testing.T) {
 	}
 }
 
+// TestCrossJoinRescansSeqScan checks a cartesian join, whose NestLoop
+// re-opens its sequential-scan inner once per outer tuple: every
+// re-open must yield the whole inner table again.
+func TestCrossJoinRescansSeqScan(t *testing.T) {
+	db := openTPCD(t, 0.001)
+	var n int64
+	if err := db.QueryRow(context.Background(), "select count(*) from orders, region").Scan(&n); err != nil {
+		t.Fatalf("cross join: %v", err)
+	}
+	if want := db.NumRows("orders") * db.NumRows("region"); n != int64(want) {
+		t.Fatalf("count(*) from orders, region = %d, want %d", n, want)
+	}
+}
+
 // TestDDLPassthrough exercises CreateTable/CreateIndex/Insert and a
 // query over a hand-built table.
 func TestDDLPassthrough(t *testing.T) {

@@ -30,18 +30,11 @@ func (db *DB) explainQuery(ctx context.Context, tr Tracer, sp *obs.Span, mode sq
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	db.mu.Lock()
-	par := db.parallelism
-	db.mu.Unlock()
 	// Shared engine latch for compile and (for ANALYZE) the whole
 	// execution, exactly like an ordinary query.
 	release := db.eng.BeginRead()
 	planStart := time.Now()
 	c := executor.NewCtx(tr)
-	c.Parallelism = par
-	if par > 1 {
-		c.WorkerTracer = db.workerCounts
-	}
 	cq, err := sql.CompileQuery(db.eng, c, query)
 	sp.Add(obs.StagePlan, time.Since(planStart))
 	if err != nil {

@@ -119,8 +119,6 @@ func rootActual(t *testing.T, lines []string) int64 {
 // TestExplainAnalyzeCardinalities runs every TPC-D query twice — once
 // plainly, once under EXPLAIN ANALYZE — and requires the root
 // operator's actual-rows counter to equal the real result cardinality.
-// Under -race this also exercises the analyze tracer against the
-// parallel-scan workers' probe traffic.
 func TestExplainAnalyzeCardinalities(t *testing.T) {
 	db := openPlanDB(t)
 	for _, qn := range dsdb.TPCDQueryNumbers() {
@@ -278,34 +276,4 @@ func TestExplainBypassesResultCache(t *testing.T) {
 	if st.Entries != 1 || st.Hits != 1 {
 		t.Fatalf("ordinary caching broken around EXPLAIN: %+v", st)
 	}
-}
-
-// TestExplainParallelPlan: with parallelism configured, the plan
-// renders the parallel scan's degree and ANALYZE attributes the
-// workers' buffer traffic to it.
-func TestExplainParallelPlan(t *testing.T) {
-	db, err := dsdb.Open(dsdb.WithTPCD(0.005), dsdb.WithSeed(42), dsdb.WithParallelism(4))
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer db.Close()
-	const q = "select sum(l_extendedprice * l_discount), count(*) from lineitem where l_quantity < 24 and l_discount > 0.02"
-	lines := runExplain(t, db, "explain "+q)
-	joined := strings.Join(lines, "\n")
-	if !strings.Contains(joined, "Parallel Seq Scan on lineitem (degree 4)") {
-		t.Fatalf("parallel plan not rendered:\n%s", joined)
-	}
-	lines = runExplain(t, db, "explain analyze "+q)
-	for _, l := range lines {
-		if !strings.Contains(l, "Parallel Seq Scan") {
-			continue
-		}
-		_, after, _ := strings.Cut(l, "buf_hits=")
-		num, _, _ := strings.Cut(after, " ")
-		if n, _ := strconv.ParseInt(num, 10, 64); n == 0 {
-			t.Fatalf("worker buffer traffic not attributed to the scan: %q", l)
-		}
-		return
-	}
-	t.Fatalf("ANALYZE plan lost the parallel scan:\n%s", strings.Join(lines, "\n"))
 }

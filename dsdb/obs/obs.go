@@ -11,11 +11,10 @@
 //
 // The package imports only the standard library, so every layer from
 // the engine kernel up to the wire server can depend on it without
-// cycles. Spans are pooled and all stage counters are atomic: a
-// parallel scan worker adds IO wait concurrently with the session
-// goroutine timing executor pulls. Every Span method is nil-safe —
-// the disabled path (nil *Tracer, hence nil *Span) costs one nil
-// check per call site.
+// cycles. Spans are pooled and all stage counters are atomic, so a
+// stage may be added to from any goroutine. Every Span method is
+// nil-safe — the disabled path (nil *Tracer, hence nil *Span) costs
+// one nil check per call site.
 package obs
 
 import (
@@ -205,9 +204,7 @@ func (s *Span) StartTime() time.Time {
 	return s.start
 }
 
-// Add accumulates d into the given stage. Safe for concurrent use
-// (parallel scan workers add IO wait while the session adds exec
-// time).
+// Add accumulates d into the given stage. Safe for concurrent use.
 func (s *Span) Add(st Stage, d time.Duration) {
 	if s == nil || d <= 0 {
 		return

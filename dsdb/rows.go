@@ -45,8 +45,7 @@ type Stmt struct {
 	tables   []string
 }
 
-// Prepare parses and plans a query for repeated execution, untraced,
-// binding the DB's parallelism at compile time.
+// Prepare parses and plans a query for repeated execution, untraced.
 func (db *DB) Prepare(query string) (*Stmt, error) {
 	return db.PrepareTraced(nil, query)
 }
@@ -54,17 +53,10 @@ func (db *DB) Prepare(query string) (*Stmt, error) {
 // PrepareTraced is Prepare with an explicit per-statement tracer. It
 // is how concurrent sessions record independent instruction traces
 // against one database: give each session its own tracer and its own
-// statements.
+// statements. It compiles under the shared engine latch: planning
+// reads the catalog and access-method maps, which DDL mutates
+// exclusively.
 func (db *DB) PrepareTraced(tr Tracer, query string) (*Stmt, error) {
-	db.mu.Lock()
-	par := db.parallelism
-	db.mu.Unlock()
-	return db.prepare(tr, par, query)
-}
-
-// prepare compiles under the shared engine latch: planning reads the
-// catalog and access-method maps, which DDL mutates exclusively.
-func (db *DB) prepare(tr Tracer, parallelism int, query string) (*Stmt, error) {
 	if mode, _ := sql.SplitExplain(query); mode != sql.ExplainNone {
 		// A prepared EXPLAIN would freeze one compilation's plan text
 		// and, for ANALYZE, share instrumented state across executions;
@@ -74,10 +66,6 @@ func (db *DB) prepare(tr Tracer, parallelism int, query string) (*Stmt, error) {
 	release := db.eng.BeginRead()
 	defer release()
 	c := executor.NewCtx(tr)
-	c.Parallelism = parallelism
-	if parallelism > 1 {
-		c.WorkerTracer = db.workerCounts
-	}
 	cq, err := sql.CompileQuery(db.eng, c, query)
 	if err != nil {
 		return nil, err

@@ -230,14 +230,6 @@ var Table = []Lock{
 			"happens outside the critical section).",
 	},
 	{
-		Name:   "dsdb.db",
-		Pkg:    "repro/dsdb",
-		Type:   "DB",
-		Field:  "mu",
-		Before: nil,
-		Doc:    "dsdb.DB session-default mutex (tracer, parallelism); a leaf.",
-	},
-	{
 		Name:     "obs.tracer",
 		Pkg:      "repro/dsdb/obs",
 		Type:     "Tracer",

@@ -66,7 +66,10 @@ func TestMayAcquire(t *testing.T) {
 // packages the table covers) and checks that each struct field of type
 // sync.Mutex or sync.RWMutex belongs to a (type, field) pair declared
 // in the table. A new lock added anywhere in the kernel fails this
-// test until it is ranked — which is the point.
+// test until it is ranked — which is the point. The other direction
+// holds too: every table entry declared in a walked package must name
+// a mutex field (or, for a method-surface latch, a type) that exists,
+// so a rank left behind by a deleted lock fails as well.
 func TestEveryMutexBearingTypeIsRanked(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", "..", ".."))
 	if err != nil {
@@ -125,6 +128,9 @@ func TestEveryMutexBearingTypeIsRanked(t *testing.T) {
 
 	fset := token.NewFileSet()
 	checked := 0
+	// found holds every declared type ("pkg.Type") and mutex field
+	// ("pkg.Type.field") of the walked packages.
+	found := map[string]bool{}
 	for _, p := range files {
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
@@ -136,6 +142,7 @@ func TestEveryMutexBearingTypeIsRanked(t *testing.T) {
 			if !ok {
 				return true
 			}
+			found[pkgPath+"."+ts.Name.Name] = true
 			st, ok := ts.Type.(*ast.StructType)
 			if !ok {
 				return true
@@ -146,6 +153,7 @@ func TestEveryMutexBearingTypeIsRanked(t *testing.T) {
 				}
 				for _, name := range fld.Names {
 					checked++
+					found[pkgPath+"."+ts.Name.Name+"."+name.Name] = true
 					if !ranked(pkgPath, ts.Name.Name, name.Name) {
 						t.Errorf("%s: %s.%s (%s) is a mutex with no lockrank entry — add it to the table",
 							fset.Position(fld.Pos()), ts.Name.Name, name.Name, pkgPath)
@@ -161,7 +169,35 @@ func TestEveryMutexBearingTypeIsRanked(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("found no mutex fields at all; the scan is broken")
 	}
+	for i := range Table {
+		l := &Table[i]
+		dir := filepath.Join(root, strings.TrimPrefix(l.Pkg, "repro/"))
+		if !walkedDir(dir, roots, filepath.Join(root, "dsdb")) {
+			continue
+		}
+		want := l.Pkg + "." + l.Type
+		if l.Field != "" {
+			want += "." + l.Field
+		}
+		if !found[want] {
+			t.Errorf("lockrank entry %s names %s, which does not exist (or is not a mutex) — delete or fix the entry", l.Name, want)
+		}
+	}
 	t.Logf("checked %d mutex fields across %d files", checked, len(files))
+}
+
+// walkedDir reports whether the scan covers package directory dir: it
+// lies under one of roots, or is the single non-recursive package one.
+func walkedDir(dir string, roots []string, one string) bool {
+	if dir == one {
+		return true
+	}
+	for _, r := range roots {
+		if dir == r || strings.HasPrefix(dir, r+string(os.PathSeparator)) {
+			return true
+		}
+	}
+	return false
 }
 
 func isSyncMutex(e ast.Expr) bool {

@@ -406,103 +406,3 @@ func TestCreateHashIndexValidation(t *testing.T) {
 		t.Fatal("create on non-empty file must fail")
 	}
 }
-
-// TestHeapRangeScanPartitions covers the parallel-scan partition
-// primitive: contiguous page-range scans must tile the heap exactly —
-// together they see every tuple once, in physical order, and each
-// range stays within its pages.
-func TestHeapRangeScanPartitions(t *testing.T) {
-	m := newPool(t, 1, 64)
-	h := NewHeap(m, 0)
-	const n = 2000
-	for i := 0; i < n; i++ {
-		if _, err := h.Insert(row(int64(i), int64(i%13)), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pages := h.NumPages()
-	if pages < 4 {
-		t.Fatalf("need a multi-page heap, got %d pages", pages)
-	}
-	for _, workers := range []int{1, 2, 3, pages, pages + 5} {
-		var got []int64
-		lo := 0
-		base, rem := pages/workers, pages%workers
-		for w := 0; w < workers; w++ {
-			hi := lo + base
-			if w < rem {
-				hi++
-			}
-			scan := h.BeginRangeScan(lo, hi)
-			for {
-				vals, tid, ok, err := scan.Next(nil, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-				if int(tid.Page) < lo || int(tid.Page) >= hi {
-					t.Fatalf("workers=%d: range [%d,%d) leaked page %d", workers, lo, hi, tid.Page)
-				}
-				got = append(got, vals[0].I)
-			}
-			scan.Close()
-			lo = hi
-		}
-		if len(got) != n {
-			t.Fatalf("workers=%d: saw %d tuples, want %d", workers, len(got), n)
-		}
-		for i, v := range got {
-			if v != int64(i) {
-				t.Fatalf("workers=%d: tuple %d = %d, partitions out of order", workers, i, v)
-			}
-		}
-	}
-	if m.PinnedFrames() != 0 {
-		t.Fatal("range scans leaked pins")
-	}
-}
-
-// TestHeapRangeScanBounds checks degenerate ranges: empty, clamped
-// and beyond-EOF ranges scan nothing or stop at the file end.
-func TestHeapRangeScanBounds(t *testing.T) {
-	m := newPool(t, 1, 16)
-	h := NewHeap(m, 0)
-	for i := 0; i < 300; i++ {
-		if _, err := h.Insert(row(int64(i)), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pages := h.NumPages()
-	count := func(s *HeapScan) int {
-		defer s.Close()
-		n := 0
-		for {
-			_, _, ok, err := s.Next(nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				return n
-			}
-			n++
-		}
-	}
-	if got := count(h.BeginRangeScan(2, 2)); got != 0 {
-		t.Fatalf("empty range scanned %d tuples", got)
-	}
-	if got := count(h.BeginRangeScan(2, -1)); got != 0 {
-		t.Fatalf("negative hi must clamp to an empty range, scanned %d tuples", got)
-	}
-	if got := count(h.BeginRangeScan(pages, pages+10)); got != 0 {
-		t.Fatalf("past-EOF range scanned %d tuples", got)
-	}
-	whole := count(h.BeginRangeScan(0, pages+100))
-	if whole != 300 {
-		t.Fatalf("over-long range scanned %d tuples, want 300", whole)
-	}
-	if got := count(h.BeginRangeScan(-3, pages)); got != 300 {
-		t.Fatalf("negative lo scanned %d tuples, want 300", got)
-	}
-}

@@ -147,7 +147,6 @@ type HeapScan struct {
 	heap *Heap
 	cols []int // wanted column ordinals, ascending; nil means all
 	page int
-	end  int // first page past the scan range; -1 means whole file
 	slot int
 	buf  buffer.Buf
 	held bool
@@ -158,23 +157,7 @@ type HeapScan struct {
 // deforms only the wanted columns (ascending ordinals) of each tuple;
 // no cols means every column.
 func (h *Heap) BeginScan(cols ...int) *HeapScan {
-	return &HeapScan{heap: h, cols: cols, end: -1}
-}
-
-// BeginRangeScan starts a sequential scan over pages [lo, hi) — the
-// partition primitive for parallel scans: n workers each scanning one
-// contiguous page range together cover the file exactly once, in the
-// same physical order a serial scan would. Bounds are clamped: a
-// negative lo starts at page 0, and hi <= lo yields an empty scan
-// (never the whole-file sentinel). cols is as for BeginScan.
-func (h *Heap) BeginRangeScan(lo, hi int, cols ...int) *HeapScan {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return &HeapScan{heap: h, cols: cols, page: lo, end: hi}
+	return &HeapScan{heap: h, cols: cols}
 }
 
 // Next returns the next tuple (its wanted columns decoded into
@@ -188,11 +171,7 @@ func (s *HeapScan) Next(tr probe.Tracer, dst []value.Value) (vals []value.Value,
 	}
 	for {
 		if !s.held {
-			limit := s.heap.buf.NumPages(s.heap.file)
-			if s.end >= 0 && s.end < limit {
-				limit = s.end
-			}
-			if s.page >= limit {
+			if s.page >= s.heap.buf.NumPages(s.heap.file) {
 				s.eof = true
 				tr.Emit(probe.HeapGetNextEOF)
 				return nil, storage.TID{}, false, nil

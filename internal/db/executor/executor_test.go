@@ -1,9 +1,7 @@
 package executor
 
 import (
-	"errors"
 	"sort"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -483,106 +481,22 @@ func TestNullComparisonsAreFalse(t *testing.T) {
 	}
 }
 
-// TestParallelScanMatchesSeqScan: the Gather node must emit exactly
-// the serial scan's tuple sequence for every degree, with and without
-// qualifiers, including degrees exceeding the page count.
-func TestParallelScanMatchesSeqScan(t *testing.T) {
-	db := newTestDB(t, 500)
-	qual := &BinOp{Op: OpLT, L: intvar(1), R: intconst(4)} // b < 4
-	for _, quals := range [][]Expr{nil, {qual}} {
-		want := drain(t, &SeqScan{C: NewCtx(nil), Heap: db.heap, Out: db.sch, Quals: quals})
-		for _, degree := range []int{1, 2, 3, 8, 64} {
-			ps := &ParallelScan{C: NewCtx(nil), Heap: db.heap, Out: db.sch,
-				Quals: quals, Degree: degree, PartCap: 4}
-			got := drain(t, ps)
-			if len(got) != len(want) {
-				t.Fatalf("degree %d quals=%v: %d rows, want %d", degree, quals != nil, len(got), len(want))
-			}
-			for i := range got {
-				if got[i][0].I != want[i][0].I || got[i][1].I != want[i][1].I {
-					t.Fatalf("degree %d: row %d = %v, want %v", degree, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestParallelScanReopen re-runs one node instance, as a prepared
+// TestSeqScanReopen re-runs one node instance, as a prepared
 // statement would: Open must reset cleanly each time.
-func TestParallelScanReopen(t *testing.T) {
+func TestSeqScanReopen(t *testing.T) {
 	db := newTestDB(t, 200)
-	ps := &ParallelScan{C: NewCtx(nil), Heap: db.heap, Out: db.sch, Degree: 4}
-	first := drain(t, ps)
-	second := drain(t, ps)
+	scan := &SeqScan{C: NewCtx(nil), Heap: db.heap, Out: db.sch}
+	first := drain(t, scan)
+	second := drain(t, scan)
 	if len(first) != 200 || len(second) != 200 {
 		t.Fatalf("reopen: got %d then %d rows, want 200 both times", len(first), len(second))
 	}
 }
 
-// TestParallelScanEarlyCloseStopsWorkers abandons the scan after one
-// tuple with a tiny channel capacity, so workers are certainly
-// blocked mid-send; Close must unblock and join them all (a hang here
-// fails the test by timeout, a teardown race fails under -race).
-func TestParallelScanEarlyCloseStopsWorkers(t *testing.T) {
-	db := newTestDB(t, 2000)
-	for i := 0; i < 10; i++ {
-		ps := &ParallelScan{C: NewCtx(nil), Heap: db.heap, Out: db.sch, Degree: 8, PartCap: 1}
-		if err := ps.Open(); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok, err := ps.Next(); err != nil || !ok {
-			t.Fatalf("first Next: ok=%v err=%v", ok, err)
-		}
-		if err := ps.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if db.heap.NumPages() == 0 {
-		t.Fatal("sanity: heap empty")
-	}
-}
-
-// TestParallelScanInterrupt cancels via the shared Interrupt hook;
-// the scan must surface the error and join its workers.
-func TestParallelScanInterrupt(t *testing.T) {
-	db := newTestDB(t, 500)
-	stop := errors.New("cancelled")
-	c := NewCtx(nil)
-	var fired atomic.Bool
-	c.Interrupt = func() error {
-		if fired.Load() {
-			return stop
-		}
-		return nil
-	}
-	ps := &ParallelScan{C: c, Heap: db.heap, Out: db.sch, Degree: 4, PartCap: 1}
-	if err := ps.Open(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := ps.Next(); err != nil || !ok {
-		t.Fatalf("first Next: ok=%v err=%v", ok, err)
-	}
-	fired.Store(true)
-	var err error
-	for {
-		var ok bool
-		if _, ok, err = ps.Next(); err != nil || !ok {
-			break
-		}
-	}
-	if !errors.Is(err, stop) {
-		t.Fatalf("Next after interrupt: err=%v, want %v", err, stop)
-	}
-	if cerr := ps.Close(); cerr != nil {
-		t.Fatal(cerr)
-	}
-}
-
-// TestParallelScanEmptyHeap must terminate immediately.
-func TestParallelScanEmptyHeap(t *testing.T) {
+// TestSeqScanEmptyHeap must terminate immediately.
+func TestSeqScanEmptyHeap(t *testing.T) {
 	db := newTestDB(t, 0)
-	ps := &ParallelScan{C: NewCtx(nil), Heap: db.heap, Out: db.sch, Degree: 4}
-	if rows := drain(t, ps); len(rows) != 0 {
+	if rows := drain(t, &SeqScan{C: NewCtx(nil), Heap: db.heap, Out: db.sch}); len(rows) != 0 {
 		t.Fatalf("empty heap yielded %d rows", len(rows))
 	}
 }

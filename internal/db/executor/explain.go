@@ -109,8 +109,6 @@ func nodeLabel(n Node) string {
 	switch t := n.(type) {
 	case *SeqScan:
 		return "Seq Scan on " + t.Table
-	case *ParallelScan:
-		return fmt.Sprintf("Parallel Seq Scan on %s (degree %d)", t.Table, t.Degree)
 	case *IndexScan:
 		if t.HashIdx != nil {
 			return "Index Scan using hash on " + t.Table
@@ -166,8 +164,6 @@ func nodeLabel(n Node) string {
 func nodeDetails(n Node) []string {
 	switch t := n.(type) {
 	case *SeqScan:
-		return qualDetail("Filter", t.Quals)
-	case *ParallelScan:
 		return qualDetail("Filter", t.Quals)
 	case *IndexScan:
 		var cond string

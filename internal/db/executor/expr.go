@@ -33,18 +33,9 @@ type Ctx struct {
 	// the Volcano dispatcher; a non-nil return aborts execution with
 	// that error. It is how context cancellation reaches the executor
 	// even inside pipeline-breaking operators (Sort, HashJoin build).
-	// It must be safe to call from multiple goroutines: parallel scan
-	// workers poll it too.
+	// Only the session goroutine calls it, so it need not be safe for
+	// concurrent use.
 	Interrupt func() error
-	// Parallelism is the degree the planner may use for
-	// partition-parallel scans; 0 or 1 plans serial scans only.
-	Parallelism int
-	// WorkerTracer, when non-nil, receives the probe events of
-	// parallel-scan workers, which run outside the (single-threaded)
-	// session tracer Tr. It is shared by all workers of all scans on
-	// this context and must be safe for concurrent use — a
-	// probe.CountingTracer is; a trace-recording session is not.
-	WorkerTracer probe.Tracer
 	// Span is the current execution's observability span (nil when
 	// unobserved). Set per-execution via SetSpan, which also wraps Tr
 	// so the buffer pool can attribute IO waits to it (span.go).
@@ -56,8 +47,7 @@ type Ctx struct {
 	// curOp points at the stats block of the operator currently
 	// executing under EXPLAIN ANALYZE instrumentation (instrument.go);
 	// nil on every uninstrumented execution. Only the session
-	// goroutine reads or writes it — parallel-scan workers capture the
-	// then-current pointer at Open time instead.
+	// goroutine reads or writes it.
 	curOp *OpStats
 	// analyzing is set by SetAnalyze for EXPLAIN ANALYZE executions:
 	// the tracer chain then carries an analyzeTracer that attributes

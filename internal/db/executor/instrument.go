@@ -1,16 +1,15 @@
 package executor
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/db/catalog"
 )
 
 // OpStats accumulates one operator's runtime counters under EXPLAIN
-// ANALYZE. Rows/Loops/Wall are touched only by the session goroutine
-// (the Volcano tree is single-threaded); the buffer-pool counters are
-// atomic because parallel-scan workers feed them too (see opTracer).
+// ANALYZE. Every field is touched only by the session goroutine: the
+// Volcano tree, and the buffer pool calls it makes, are
+// single-threaded.
 type OpStats struct {
 	// Rows is the number of tuples the operator returned.
 	Rows int64
@@ -21,21 +20,21 @@ type OpStats struct {
 	// children (self time is derived at render: Wall − Σ child Wall).
 	Wall time.Duration
 
-	bufHits   atomic.Int64
-	bufMisses atomic.Int64
-	ioWait    atomic.Int64
+	bufHits   int64
+	bufMisses int64
+	ioWait    time.Duration
 }
 
 // BufHits returns buffer-pool page hits attributed to the operator.
-func (s *OpStats) BufHits() int64 { return s.bufHits.Load() }
+func (s *OpStats) BufHits() int64 { return s.bufHits }
 
 // BufMisses returns buffer-pool page misses (disk reads) attributed
 // to the operator.
-func (s *OpStats) BufMisses() int64 { return s.bufMisses.Load() }
+func (s *OpStats) BufMisses() int64 { return s.bufMisses }
 
 // IOWait returns cumulative buffer-pool IO wait attributed to the
 // operator.
-func (s *OpStats) IOWait() time.Duration { return time.Duration(s.ioWait.Load()) }
+func (s *OpStats) IOWait() time.Duration { return s.ioWait }
 
 // Instrumented wraps one plan operator with ANALYZE counters. It is
 // itself a Node, interposed between the operator and its parent by

@@ -16,9 +16,9 @@ import (
 // reads it, never writes into it, and may hand it on upwards (Filter,
 // Limit); whoever keeps it past that point copies it, into a Slab:
 // Sort, Material, the hash-join build and merge-join duplicate group,
-// GroupAgg's group head, ParallelScan's worker batches, engine.Run
-// and the result-cache fill. A join holds its current outer tuple
-// across calls on its *inner* child, which the rule allows.
+// GroupAgg's group head, engine.Run and the result-cache fill. A join
+// holds its current outer tuple across calls on its *inner* child,
+// which the rule allows.
 type Node interface {
 	Open() error
 	Next() (Tuple, bool, error)

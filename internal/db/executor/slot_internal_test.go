@@ -65,9 +65,6 @@ func SlotPlans(t *testing.T) map[string]func() Node {
 			return &IndexScan{C: c, Heap: db.heap, Out: numSch, Cols: numCols, HashIdx: db.hash, EqKey: 3,
 				Quals: []Expr{&BinOp{Op: OpLT, L: intvar(0), R: intconst(200)}}}
 		},
-		"ParallelScan": func() Node {
-			return &ParallelScan{C: c, Heap: db.heap, Out: db.sch, Degree: 4, Quals: bEquals(1, 6)}
-		},
 		"Filter": func() Node { return &Filter{C: c, Child: seq(), Quals: bEquals(1, 6)} },
 		"Project": func() Node {
 			return &ProjectNode{C: c, Child: seq(), Exprs: []Expr{

@@ -21,8 +21,7 @@ type spanTracer struct {
 // Emit implements probe.Tracer.
 func (t spanTracer) Emit(id probe.ID) { t.inner.Emit(id) }
 
-// AddIOWait attributes buffer-pool IO wait to the span. Safe from
-// parallel scan workers: span stage counters are atomic.
+// AddIOWait attributes buffer-pool IO wait to the span.
 func (t spanTracer) AddIOWait(d time.Duration) { t.sp.Add(obs.StageIO, d) }
 
 // ioWaiter is the buffer pool's IO-wait attribution hook, re-declared
@@ -35,9 +34,7 @@ type ioWaiter interface {
 // forwards every probe event unchanged, and additionally attributes
 // buffer-pool page hits/misses and IO waits to the operator currently
 // executing (Ctx.curOp, maintained by the Instrumented wrappers). It
-// reads curOp at emission time, so one tracer serves the whole tree;
-// only the single-threaded session goroutine runs under it — workers
-// get a fixed-operator opTracer instead.
+// reads curOp at emission time, so one tracer serves the whole tree.
 type analyzeTracer struct {
 	inner probe.Tracer
 	c     *Ctx
@@ -49,11 +46,11 @@ func (t analyzeTracer) Emit(id probe.ID) {
 	switch id {
 	case probe.BufGetHit:
 		if op := t.c.curOp; op != nil {
-			op.bufHits.Add(1)
+			op.bufHits++
 		}
 	case probe.BufGetMiss:
 		if op := t.c.curOp; op != nil {
-			op.bufMisses.Add(1)
+			op.bufMisses++
 		}
 	}
 }
@@ -62,36 +59,8 @@ func (t analyzeTracer) Emit(id probe.ID) {
 // it down the chain (so the span's IO stage still sees it).
 func (t analyzeTracer) AddIOWait(d time.Duration) {
 	if op := t.c.curOp; op != nil {
-		op.ioWait.Add(int64(d))
+		op.ioWait += d
 	}
-	if w, ok := t.inner.(ioWaiter); ok {
-		w.AddIOWait(d)
-	}
-}
-
-// opTracer is analyzeTracer's parallel-worker twin: the operator is
-// fixed at construction (the ParallelScan's own stats block, captured
-// on the session goroutine at Open), so workers never touch Ctx.curOp.
-// The counters are atomic — any number of workers share one block.
-type opTracer struct {
-	inner probe.Tracer
-	op    *OpStats
-}
-
-// Emit implements probe.Tracer.
-func (t opTracer) Emit(id probe.ID) {
-	t.inner.Emit(id)
-	switch id {
-	case probe.BufGetHit:
-		t.op.bufHits.Add(1)
-	case probe.BufGetMiss:
-		t.op.bufMisses.Add(1)
-	}
-}
-
-// AddIOWait attributes IO wait to the fixed operator and forwards it.
-func (t opTracer) AddIOWait(d time.Duration) {
-	t.op.ioWait.Add(int64(d))
 	if w, ok := t.inner.(ioWaiter); ok {
 		w.AddIOWait(d)
 	}
@@ -135,21 +104,4 @@ func (c *Ctx) SetAnalyze(on bool) {
 	}
 	c.analyzing = on
 	c.retrace()
-}
-
-// workerTracer builds a parallel-scan worker's tracer: the
-// concurrency-safe worker tracer, wrapped to carry the session's span
-// (if any) so worker-side IO waits are attributed, and — under
-// EXPLAIN ANALYZE — to count buffer traffic into the operator stats
-// block passed by the scan's Open. Must be called on the session
-// goroutine (it reads Span and curOp), never from inside a worker.
-func workerTracer(c *Ctx) probe.Tracer {
-	tr := probe.Or(c.WorkerTracer)
-	if c.Span != nil {
-		tr = spanTracer{inner: tr, sp: c.Span}
-	}
-	if c.analyzing && c.curOp != nil {
-		tr = opTracer{inner: tr, op: c.curOp}
-	}
-	return tr
 }

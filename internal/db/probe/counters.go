@@ -103,9 +103,8 @@ func (s *CounterSet) Reset() {
 // CountingTracer counts probe emissions per probe ID with atomic
 // increments instead of recording a trace. Unlike a kernel trace
 // Session (which is single-threaded by design), a CountingTracer may
-// be shared by any number of goroutines — parallel-scan workers all
-// emit into one, keeping their off-trace kernel work accounted for —
-// and totals are exact under concurrency.
+// be shared by any number of goroutines, and totals are exact under
+// concurrency.
 type CountingTracer struct {
 	counts [NumProbes]atomic.Uint64
 }

@@ -125,7 +125,7 @@ func (pl *Planner) Plan(st *SelectStmt) (executor.Node, error) {
 			}
 			plan, err = pl.join(plan, t, outerCol, innerCol, tblPreds[t], scans[t], est, used)
 		} else {
-			plan = &executor.NestLoop{C: pl.C, Outer: plan, Inner: serialized(pl.C, scans[t])}
+			plan = &executor.NestLoop{C: pl.C, Outer: plan, Inner: scans[t]}
 		}
 		if err != nil {
 			return nil, err
@@ -379,12 +379,6 @@ func (pl *Planner) scan(table string, preds []node, used map[string]bool) (execu
 	if err != nil {
 		return nil, err
 	}
-	// Partition-parallel scan when the context allows it and the heap
-	// is big enough to split (a one-page table gains nothing).
-	if pl.C.Parallelism > 1 && heap.NumPages() >= 2 {
-		return &executor.ParallelScan{C: pl.C, Heap: heap, Out: sch, Cols: cols,
-			Table: table, Quals: quals, Degree: pl.C.Parallelism}, nil
-	}
 	return &executor.SeqScan{C: pl.C, Heap: heap, Out: sch, Cols: cols, Table: table, Quals: quals}, nil
 }
 
@@ -432,18 +426,6 @@ func (pl *Planner) join(outer executor.Node, t, outerCol, innerCol string,
 }
 
 // ---- helpers ----
-
-// serialized replaces a ParallelScan with its serial equivalent for
-// operators that re-open their inner child on every outer tuple (the
-// cartesian NestLoop): respawning partition workers per rescan costs
-// far more than the partitioning saves. Single-open consumers (hash
-// and merge join builds, top-level scans) keep the parallel node.
-func serialized(c *executor.Ctx, n executor.Node) executor.Node {
-	if ps, ok := n.(*executor.ParallelScan); ok {
-		return &executor.SeqScan{C: c, Heap: ps.Heap, Out: ps.Out, Cols: ps.Cols, Table: ps.Table, Quals: ps.Quals}
-	}
-	return n
-}
 
 func flattenAnd(n node, out *[]node) {
 	if n == nil {

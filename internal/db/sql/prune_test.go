@@ -30,8 +30,6 @@ func scannedColumns(t *testing.T, n executor.Node) (names map[string]string, ord
 		switch x := n.(type) {
 		case *executor.SeqScan:
 			record(x.Table, x.Out, x.Cols)
-		case *executor.ParallelScan:
-			record(x.Table, x.Out, x.Cols)
 		case *executor.IndexScan:
 			record(x.Table, x.Out, x.Cols)
 		case *executor.IndexLoopJoin:
