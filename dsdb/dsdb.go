@@ -83,7 +83,8 @@ const (
 
 // Tracer receives the kernel's instrumentation probe events. The
 // stcpipe package supplies tracers that record basic-block traces; a
-// nil tracer runs queries uninstrumented at zero cost.
+// nil tracer runs queries uninstrumented, each probe site costing one
+// nil check.
 type Tracer = probe.Tracer
 
 // config collects the Open options.

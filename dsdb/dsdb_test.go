@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"repro/dsdb"
 	"repro/internal/db/executor"
@@ -189,6 +190,31 @@ func TestCancellationInsidePipelineBreaker(t *testing.T) {
 	}
 	if !errors.Is(rows.Err(), context.Canceled) {
 		t.Fatalf("Err = %v, want context.Canceled", rows.Err())
+	}
+}
+
+// TestDeadlineInterruptsAggregate: a context that expires while an
+// aggregate drains a cartesian product (seconds of work at SF 0.001)
+// stops it from inside the executor, through the dispatcher's poll of
+// ctx.Done(), not after the input is exhausted.
+func TestDeadlineInterruptsAggregate(t *testing.T) {
+	db := openTPCD(t, 0.001)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	rows, err := db.Query(ctx, "select count(*) from lineitem, orders")
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	defer rows.Close()
+	if rows.Next() {
+		t.Fatal("Next returned a row past the deadline")
+	}
+	if !errors.Is(rows.Err(), context.DeadlineExceeded) {
+		t.Fatalf("Err = %v, want context.DeadlineExceeded", rows.Err())
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("query stopped %v after a 20ms deadline", d)
 	}
 }
 

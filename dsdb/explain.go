@@ -54,7 +54,7 @@ func (db *DB) explainQuery(ctx context.Context, tr Tracer, sp *obs.Span, mode sq
 	// compiled fresh above, so Instrument's in-place rewiring cannot
 	// leak wrappers into any shared prepared statement.
 	root := executor.Instrument(c, cq.Plan)
-	c.Interrupt = ctx.Err
+	c.Interrupt = interruptOf(ctx)
 	c.SetSpan(sp)
 	c.SetAnalyze(true)
 	execStart := time.Now()

@@ -157,7 +157,7 @@ func (s *Stmt) execQuery(ctx context.Context, consultCache bool, sp *obs.Span) (
 		fixed := qcache.EntryBytes(s.cacheKey, fp, &qcache.Result{Columns: s.cols})
 		fill = &cacheFill{cache: c, key: s.cacheKey, fp: fp, limit: c.MaxBytes() - fixed}
 	}
-	s.c.Interrupt = ctx.Err
+	s.c.Interrupt = interruptOf(ctx)
 	s.c.SetSpan(sp)
 	openStart := time.Now()
 	if err := s.plan.Open(); err != nil {
@@ -173,6 +173,26 @@ func (s *Stmt) execQuery(ctx context.Context, consultCache bool, sp *obs.Span) (
 	}
 	sp.Add(obs.StageExec, opened)
 	return &Rows{stmt: s, ctx: ctx, cols: s.cols, fill: fill, span: sp}, nil
+}
+
+// interruptOf returns the executor's cancellation poll for ctx (see
+// executor.Ctx.Interrupt), or nil when ctx can never be cancelled. The
+// dispatcher polls between every two operators, so the poll is a
+// non-blocking receive on ctx.Done(), which takes no lock; ctx.Err is
+// only asked once the context is done.
+func interruptOf(ctx context.Context) func() error {
+	done := ctx.Done()
+	if done == nil {
+		return nil
+	}
+	return func() error {
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
+			return nil
+		}
+	}
 }
 
 // cacheFill accumulates a copy of a streaming execution's rows for

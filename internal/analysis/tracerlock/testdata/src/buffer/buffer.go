@@ -12,6 +12,7 @@ type Manager struct {
 	mu     sync.Mutex
 	frames int
 	tr     probe.Tracer
+	rec    probe.Tracer // tr resolved once: nil when untraced
 }
 
 func (m *Manager) badDirect() {
@@ -60,6 +61,33 @@ func (m *Manager) badMissPath(hit bool) int {
 	m.frames++
 	m.mu.Unlock()
 	return 0
+}
+
+// badResolved: resolving the tracer once and nil-checking it at the
+// emission site is still emission, through the helper or inline.
+func (m *Manager) badResolved() {
+	rec := probe.Resolve(m.tr)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	probe.Emit(rec, 5) // want "probe event emitted while buffer.pool is held"
+	if rec != nil {
+		rec.Emit(6) // want "probe event emitted while buffer.pool is held"
+	}
+}
+
+// emit is the executor's per-execution helper shape: a method that
+// nil-checks the resolved recorder.
+func (m *Manager) emit(id probe.ID) {
+	if m.rec != nil {
+		m.rec.Emit(id)
+	}
+}
+
+func (m *Manager) badResolvedHelper() {
+	m.mu.Lock()
+	m.emit(7) // want "call to emit emits probe events while buffer.pool is held"
+	m.mu.Unlock()
+	m.emit(8)
 }
 
 // legalBuffered is the PR 3 shape the analyzer must accept: read

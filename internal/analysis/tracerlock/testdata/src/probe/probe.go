@@ -23,3 +23,19 @@ func Note(t Tracer, id ID) {
 		t.Emit(id)
 	}
 }
+
+// Resolve stands in for the real resolver: nil when t records nothing.
+func Resolve(t Tracer) Tracer {
+	if _, ok := t.(Nop); ok {
+		return nil
+	}
+	return t
+}
+
+// Emit is the nil-checked emission of a resolved tracer — a package
+// function named Emit, which tracerlock treats as emission itself.
+func Emit(rec Tracer, id ID) {
+	if rec != nil {
+		rec.Emit(id)
+	}
+}

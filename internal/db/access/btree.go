@@ -418,12 +418,12 @@ func (t *BTree) SeekFirst(tr probe.Tracer) (BTreeScan, error) {
 // SeekGE repositions the cursor at the first entry with key >= k
 // (bt_search).
 func (s *BTreeScan) SeekGE(tr probe.Tracer, k int64) error {
-	return s.seek(probe.Or(tr), k, false)
+	return s.seek(tr, k, false)
 }
 
 // SeekFirst repositions the cursor at the smallest key.
 func (s *BTreeScan) SeekFirst(tr probe.Tracer) error {
-	return s.seek(probe.Or(tr), 0, true)
+	return s.seek(tr, 0, true)
 }
 
 func (s *BTreeScan) seek(tr probe.Tracer, k int64, leftmost bool) error {
@@ -436,16 +436,17 @@ func (s *BTreeScan) seek(tr probe.Tracer, k int64, leftmost bool) error {
 
 func (s *BTreeScan) descend(tr probe.Tracer, k int64, leftmost bool) error {
 	t := s.tree
+	rec := probe.Resolve(tr)
 	s.done = true // unpositioned unless the descent reaches a leaf
-	tr.Emit(probe.BtSearchEnter)
+	probe.Emit(rec, probe.BtSearchEnter)
 	meta, err := t.buf.Repin(tr, &s.meta, t.file, 0)
 	if err != nil {
 		return err
 	}
 	page := binary.LittleEndian.Uint32(meta[btMetaRoot:])
-	tr.Emit(probe.BtSearchMeta)
+	probe.Emit(rec, probe.BtSearchMeta)
 	for lvl := 0; ; lvl++ {
-		tr.Emit(probe.BtSearchLevel)
+		probe.Emit(rec, probe.BtSearchLevel)
 		pin := min(lvl, btCursorLevels-1)
 		p, err := t.buf.Repin(tr, &s.levels[pin], t.file, int(page))
 		if err != nil {
@@ -456,7 +457,7 @@ func (s *BTreeScan) descend(tr probe.Tracer, k int64, leftmost bool) error {
 			if !leftmost {
 				s.slot = leafLowerBound(p, k, storage.TID{})
 			}
-			tr.Emit(probe.BtSearchDone)
+			probe.Emit(rec, probe.BtSearchDone)
 			return nil
 		}
 		if leftmost {
@@ -464,14 +465,14 @@ func (s *BTreeScan) descend(tr probe.Tracer, k int64, leftmost bool) error {
 		} else {
 			page = intChild(p, intChildForSeek(p, k))
 		}
-		tr.Emit(probe.BtSearchCont)
+		probe.Emit(rec, probe.BtSearchCont)
 	}
 }
 
 // Next returns the next (key, TID) in order; ok=false at the end
 // (bt_next).
 func (s *BTreeScan) Next(tr probe.Tracer) (key int64, tid storage.TID, ok bool, err error) {
-	key, tid, ok, err = s.next(probe.Or(tr))
+	key, tid, ok, err = s.next(tr)
 	if !s.retain {
 		s.release()
 	}
@@ -479,13 +480,14 @@ func (s *BTreeScan) Next(tr probe.Tracer) (key int64, tid storage.TID, ok bool, 
 }
 
 func (s *BTreeScan) next(tr probe.Tracer) (key int64, tid storage.TID, ok bool, err error) {
+	rec := probe.Resolve(tr)
 	if s.done {
-		tr.Emit(probe.BtNextDone)
+		probe.Emit(rec, probe.BtNextDone)
 		return 0, storage.TID{}, false, nil
 	}
 	t := s.tree
 	for {
-		tr.Emit(probe.BtNextEnter)
+		probe.Emit(rec, probe.BtNextEnter)
 		p, err := t.buf.Repin(tr, &s.levels[s.leaf], t.file, int(s.page))
 		if err != nil {
 			return 0, storage.TID{}, false, err
@@ -494,16 +496,16 @@ func (s *BTreeScan) next(tr probe.Tracer) (key int64, tid storage.TID, ok bool, 
 			key = leafKey(p, s.slot)
 			tid = leafTID(p, s.slot)
 			s.slot++
-			tr.Emit(probe.BtNextEmit)
+			probe.Emit(rec, probe.BtNextEmit)
 			return key, tid, true, nil
 		}
 		right := nodeRight(p)
 		if right == btNoRight {
 			s.done = true
-			tr.Emit(probe.BtNextEOF)
+			probe.Emit(rec, probe.BtNextEOF)
 			return 0, storage.TID{}, false, nil
 		}
-		tr.Emit(probe.BtNextStep)
+		probe.Emit(rec, probe.BtNextStep)
 		s.page = right
 		s.slot = 0
 	}

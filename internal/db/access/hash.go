@@ -185,18 +185,18 @@ func (h *HashIndex) Seek(tr probe.Tracer, key int64, s *HashScan) {
 }
 
 func (h *HashIndex) seek(tr probe.Tracer, key int64, s *HashScan) {
-	tr = probe.Or(tr)
-	tr.Emit(probe.HashSearchEnter)
-	tr.Emit(probe.HashFunc)
+	rec := probe.Resolve(tr)
+	probe.Emit(rec, probe.HashSearchEnter)
+	probe.Emit(rec, probe.HashFunc)
 	page := uint32(h.bucketPage(key))
-	tr.Emit(probe.HashSearchCont)
+	probe.Emit(rec, probe.HashSearchCont)
 	s.idx, s.key, s.page, s.slot, s.done = h, key, page, 0, false
 }
 
 // Next returns the next matching TID; ok=false when the chain is
 // exhausted.
 func (s *HashScan) Next(tr probe.Tracer) (tid storage.TID, ok bool, err error) {
-	tid, ok, err = s.next(probe.Or(tr))
+	tid, ok, err = s.next(tr)
 	if !s.retain {
 		s.pin.Release()
 	}
@@ -204,34 +204,35 @@ func (s *HashScan) Next(tr probe.Tracer) (tid storage.TID, ok bool, err error) {
 }
 
 func (s *HashScan) next(tr probe.Tracer) (tid storage.TID, ok bool, err error) {
+	rec := probe.Resolve(tr)
 	if s.done {
-		tr.Emit(probe.HashNextDone)
+		probe.Emit(rec, probe.HashNextDone)
 		return storage.TID{}, false, nil
 	}
 	for {
-		tr.Emit(probe.HashNextEnter)
+		probe.Emit(rec, probe.HashNextEnter)
 		p, err := s.idx.buf.Repin(tr, &s.pin, s.idx.file, int(s.page))
 		if err != nil {
 			return storage.TID{}, false, err
 		}
-		tr.Emit(probe.HashNextCont)
+		probe.Emit(rec, probe.HashNextCont)
 		n := hashN(p)
 		for s.slot < n {
 			i := s.slot
 			s.slot++
 			if hashKey(p, i) == s.key {
-				tr.Emit(probe.HashNextEmit)
+				probe.Emit(rec, probe.HashNextEmit)
 				return hashTID(p, i), true, nil
 			}
-			tr.Emit(probe.HashNextCmp)
+			probe.Emit(rec, probe.HashNextCmp)
 		}
 		next := hashNext(p)
 		if next == hNoNext {
 			s.done = true
-			tr.Emit(probe.HashNextEOF)
+			probe.Emit(rec, probe.HashNextEOF)
 			return storage.TID{}, false, nil
 		}
-		tr.Emit(probe.HashNextChain)
+		probe.Emit(rec, probe.HashNextChain)
 		s.page = next
 		s.slot = 0
 	}

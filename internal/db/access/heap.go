@@ -6,7 +6,9 @@
 // buffer manager.
 //
 // Read paths take a probe.Tracer and emit the instrumentation events
-// the kernel image maps to basic-block paths; loads (inserts) run
+// the kernel image maps to basic-block paths, resolving the tracer once
+// per call (probe.Resolve) and handing it on unresolved to the buffer
+// pool, which attributes IO waits through it; loads (inserts) run
 // untraced, as the paper traces query execution only.
 //
 // # Pins
@@ -124,20 +126,20 @@ func (h *Heap) InsertTuple(data []byte) (storage.TID, error) {
 // clustered keys — then request the page from the pin instead of the
 // pool (see buffer.Pin), and pin holds one page at most.
 func (h *Heap) Fetch(tr probe.Tracer, pin *buffer.Pin, tid storage.TID, cols []int, dst []value.Value) ([]value.Value, error) {
-	tr = probe.Or(tr)
-	tr.Emit(probe.HeapFetchEnter)
+	rec := probe.Resolve(tr)
+	probe.Emit(rec, probe.HeapFetchEnter)
 	p, err := h.buf.Repin(tr, pin, h.file, int(tid.Page))
 	if err != nil {
 		return nil, err
 	}
-	tr.Emit(probe.HeapFetchCont)
+	probe.Emit(rec, probe.HeapFetchCont)
 	raw, err := p.Tuple(int(tid.Slot))
 	if err != nil {
 		return nil, err
 	}
-	tr.Emit(probe.HeapDeform)
+	probe.Emit(rec, probe.HeapDeform)
 	vals, err := storage.DecodeTuple(raw, cols, dst[:0])
-	tr.Emit(probe.HeapFetchEmit)
+	probe.Emit(rec, probe.HeapFetchEmit)
 	return vals, err
 }
 
@@ -163,37 +165,37 @@ func (h *Heap) BeginScan(cols ...int) *HeapScan {
 // Next returns the next tuple (its wanted columns decoded into
 // dst[:0]) and its TID; ok is false at end of file.
 func (s *HeapScan) Next(tr probe.Tracer, dst []value.Value) (vals []value.Value, tid storage.TID, ok bool, err error) {
-	tr = probe.Or(tr)
-	tr.Emit(probe.HeapGetNextEnter)
+	rec := probe.Resolve(tr)
+	probe.Emit(rec, probe.HeapGetNextEnter)
 	if s.eof {
-		tr.Emit(probe.HeapGetNextEOF)
+		probe.Emit(rec, probe.HeapGetNextEOF)
 		return nil, storage.TID{}, false, nil
 	}
 	for {
 		if !s.held {
 			if s.page >= s.heap.buf.NumPages(s.heap.file) {
 				s.eof = true
-				tr.Emit(probe.HeapGetNextEOF)
+				probe.Emit(rec, probe.HeapGetNextEOF)
 				return nil, storage.TID{}, false, nil
 			}
-			tr.Emit(probe.HeapGetNextPage)
+			probe.Emit(rec, probe.HeapGetNextPage)
 			s.buf, err = s.heap.buf.Get(tr, s.heap.file, s.page)
 			if err != nil {
 				s.eof = true
 				return nil, storage.TID{}, false, err
 			}
-			tr.Emit(probe.HeapGetNextPageCont)
+			probe.Emit(rec, probe.HeapGetNextPageCont)
 			s.held = true
 			s.slot = 0
 		}
 		if s.slot < s.buf.Page.NumSlots() {
-			tr.Emit(probe.HeapGetNextTuple)
+			probe.Emit(rec, probe.HeapGetNextTuple)
 			raw, terr := s.buf.Page.Tuple(s.slot)
 			if terr != nil {
 				s.Close()
 				return nil, storage.TID{}, false, terr
 			}
-			tr.Emit(probe.HeapDeform)
+			probe.Emit(rec, probe.HeapDeform)
 			vals, err = storage.DecodeTuple(raw, s.cols, dst[:0])
 			if err != nil {
 				s.Close()
@@ -201,10 +203,10 @@ func (s *HeapScan) Next(tr probe.Tracer, dst []value.Value) (vals []value.Value,
 			}
 			tid = storage.TID{Page: uint32(s.page), Slot: uint16(s.slot)}
 			s.slot++
-			tr.Emit(probe.HeapGetNextEmit)
+			probe.Emit(rec, probe.HeapGetNextEmit)
 			return vals, tid, true, nil
 		}
-		tr.Emit(probe.HeapGetNextNewPage)
+		probe.Emit(rec, probe.HeapGetNextNewPage)
 		s.heap.buf.Release(s.buf, false)
 		s.held = false
 		s.page++

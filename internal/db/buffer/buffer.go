@@ -53,16 +53,6 @@ import (
 	"repro/internal/db/storage"
 )
 
-// ioWaitRecorder is implemented by probe tracers that carry a query
-// observability span (the executor's span tracer): Get attributes the
-// time a session spends blocked on pool IO — evict-flushes, storage
-// reads, and waits on another session's in-flight read — through it.
-// Declared locally so the pool does not depend on the observability
-// package.
-type ioWaitRecorder interface {
-	AddIOWait(d time.Duration)
-}
-
 // key names a page: the file number in the high half, the page number
 // in the low half. One word, so the lookup tables hash it with the
 // runtime's 64-bit fast path.
@@ -205,12 +195,15 @@ func (m *Manager) shardOf(k key) *shard {
 
 // Get pins the given page, reading it from storage on a miss. The
 // tracer receives the ReadBuffer instrumentation events (nil means
-// untraced). Two sessions racing for an unbuffered page still read it
-// from storage exactly once: the first claims the frame and performs
-// the read, the loser finds the in-flight claim in the lookup table,
-// waits on that frame's latch, and takes the hit path.
+// untraced); if it is a probe.IOWaiter it also receives the time the
+// session spends blocked on pool IO — evict-flushes, storage reads, and
+// waits on another session's in-flight read. Two sessions racing for
+// an unbuffered page still read it from storage exactly once: the
+// first claims the frame and performs the read, the loser finds the
+// in-flight claim in the lookup table, waits on that frame's latch,
+// and takes the hit path.
 func (m *Manager) Get(tr probe.Tracer, file, page int) (Buf, error) {
-	f, err := m.pin(probe.Or(tr), keyOf(file, page))
+	f, err := m.pin(tr, probe.Resolve(tr), keyOf(file, page))
 	if err != nil {
 		return Buf{}, err
 	}
@@ -218,7 +211,8 @@ func (m *Manager) Get(tr probe.Tracer, file, page int) (Buf, error) {
 }
 
 // pin is Get without the handle: it returns k's frame with one more
-// pin on it.
+// pin on it. rec records the events (probe.Resolve(tr)); tr is the
+// caller's tracer, through which the miss path attributes IO waits.
 //
 // Instrumentation is emitted with no lock held: the tracer is
 // per-session state (sessions are single-threaded) and user code, and
@@ -226,26 +220,26 @@ func (m *Manager) Get(tr probe.Tracer, file, page int) (Buf, error) {
 // PR 3 class — enforced statically by dsdblint's tracerlock). On a
 // miss the clock sweep's events are recorded under the miss mutex and
 // replayed once it drops.
-func (m *Manager) pin(tr probe.Tracer, k key) (*frame, error) {
+func (m *Manager) pin(tr, rec probe.Tracer, k key) (*frame, error) {
 	sh := m.shardOf(k)
 	sh.mu.Lock()
 	f, ok := sh.table[k]
 	if !ok {
 		gen := sh.gen.Load()
 		sh.mu.Unlock()
-		return m.miss(tr, sh, gen, k)
+		return m.miss(tr, rec, sh, gen, k)
 	}
 	f.pins.Add(1)
 	if f.loading.Load() {
 		sh.mu.Unlock()
-		return m.awaitLoad(tr, sh, f)
+		return m.awaitLoad(tr, rec, sh, f)
 	}
 	sh.hits++
 	sh.mu.Unlock()
 	f.touch()
-	tr.Emit(probe.BufGetEnter)
-	tr.Emit(probe.BufTableLookup)
-	tr.Emit(probe.BufGetHit)
+	probe.Emit(rec, probe.BufGetEnter)
+	probe.Emit(rec, probe.BufTableLookup)
+	probe.Emit(rec, probe.BufGetHit)
 	return f, nil
 }
 
@@ -261,15 +255,12 @@ func (f *frame) touch() {
 // its page in flight. The caller pinned f under the shard (so it
 // cannot be recycled under us) and saw it loading; wait on the frame's
 // latch, then complete as a hit — the read happened once.
-func (m *Manager) awaitLoad(tr probe.Tracer, sh *shard, f *frame) (*frame, error) {
-	tr.Emit(probe.BufGetEnter)
-	tr.Emit(probe.BufTableLookup)
-	// A tracer carrying a query span (the executor's span tracer)
-	// additionally receives the wait. Declared structurally
-	// (ioWaitRecorder) so the pool stays free of the observability
-	// package; only this and the miss path touch the clock — hot hits
-	// pay nothing.
-	rec, observed := tr.(ioWaitRecorder)
+func (m *Manager) awaitLoad(tr, rec probe.Tracer, sh *shard, f *frame) (*frame, error) {
+	probe.Emit(rec, probe.BufGetEnter)
+	probe.Emit(rec, probe.BufTableLookup)
+	// An IOWaiter tracer additionally receives the wait (see Get); only
+	// this and the miss path touch the clock — hot hits pay nothing.
+	w, observed := tr.(probe.IOWaiter)
 	var waitStart time.Time
 	if observed {
 		waitStart = time.Now()
@@ -277,7 +268,7 @@ func (m *Manager) awaitLoad(tr probe.Tracer, sh *shard, f *frame) (*frame, error
 	<-f.ready
 	f.ready <- struct{}{}
 	if observed {
-		rec.AddIOWait(time.Since(waitStart))
+		w.AddIOWait(time.Since(waitStart))
 	}
 	if err := f.loadErr; err != nil {
 		f.pins.Add(-1)
@@ -287,7 +278,7 @@ func (m *Manager) awaitLoad(tr probe.Tracer, sh *shard, f *frame) (*frame, error
 	sh.hits++
 	sh.mu.Unlock()
 	f.touch()
-	tr.Emit(probe.BufGetHit)
+	probe.Emit(rec, probe.BufGetHit)
 	return f, nil
 }
 
@@ -299,13 +290,13 @@ func (m *Manager) awaitLoad(tr probe.Tracer, sh *shard, f *frame) (*frame, error
 // the miss mutex and does no IO. The evict-flush and the storage read
 // — the slow part — then run under only the claimed frame's latch, so
 // misses on different pages overlap their IO.
-func (m *Manager) miss(tr probe.Tracer, sh *shard, gen uint64, k key) (*frame, error) {
+func (m *Manager) miss(tr, rec probe.Tracer, sh *shard, gen uint64, k key) (*frame, error) {
 	m.mu.Lock()
 	if sh.gen.Load() != gen {
 		// Something was published in this shard since the lookup — maybe
 		// a racing miss's claim for k. Look again.
 		m.mu.Unlock()
-		return m.pin(tr, k)
+		return m.pin(tr, rec, k)
 	}
 	m.misses++
 	var evbuf [8]probe.ID
@@ -313,7 +304,7 @@ func (m *Manager) miss(tr probe.Tracer, sh *shard, gen uint64, k key) (*frame, e
 	f, evs, err := m.evict(evs)
 	if err != nil {
 		m.mu.Unlock()
-		emitAll(tr, evs)
+		emitAll(rec, evs)
 		return nil, err
 	}
 	// The frame is unmapped and unpinned: nobody else can reach it
@@ -347,12 +338,12 @@ func (m *Manager) miss(tr probe.Tracer, sh *shard, gen uint64, k key) (*frame, e
 	// absent from the lookup table.
 	waitFlush := m.flushing[k]
 	m.mu.Unlock()
-	emitAll(tr, evs)
-	if rec, observed := tr.(ioWaitRecorder); observed {
+	emitAll(rec, evs)
+	if w, observed := tr.(probe.IOWaiter); observed {
 		// Everything from here to any return is miss IO: the victim
 		// flush, waiting out a racing flush of this page, and the read.
 		ioStart := time.Now()
-		defer func() { rec.AddIOWait(time.Since(ioStart)) }()
+		defer func() { w.AddIOWait(time.Since(ioStart)) }()
 	}
 
 	// IO under the frame latch only: evict-flush of the dirty victim,
@@ -392,7 +383,7 @@ func (m *Manager) miss(tr probe.Tracer, sh *shard, gen uint64, k key) (*frame, e
 			return nil, ferr
 		}
 	}
-	tr.Emit(probe.BufGetRead)
+	probe.Emit(rec, probe.BufGetRead)
 	if err := m.store.ReadPage(k.file(), k.page(), f.page); err != nil {
 		m.mu.Lock()
 		m.failLoad(f, sh, err, nil)
@@ -405,8 +396,8 @@ func (m *Manager) miss(tr probe.Tracer, sh *shard, gen uint64, k key) (*frame, e
 	f.valid = true
 	f.loading.Store(false)
 	f.ready <- struct{}{}
-	tr.Emit(probe.SmgrRead)
-	tr.Emit(probe.BufGetFill)
+	probe.Emit(rec, probe.SmgrRead)
+	probe.Emit(rec, probe.BufGetFill)
 	return f, nil
 }
 
@@ -521,9 +512,12 @@ func (m *Manager) unmap(f *frame) bool {
 
 // emitAll replays probe events recorded while a pool lock was held;
 // callers invoke it only after releasing it.
-func emitAll(tr probe.Tracer, evs []probe.ID) {
+func emitAll(rec probe.Tracer, evs []probe.ID) {
+	if rec == nil {
+		return
+	}
 	for _, e := range evs {
-		tr.Emit(e)
+		rec.Emit(e)
 	}
 }
 

@@ -33,20 +33,20 @@ type Pin struct {
 // until p is repinned elsewhere or released. If p holds another page
 // that one is released first, also when the request then fails.
 func (m *Manager) Repin(tr probe.Tracer, p *Pin, file, page int) (storage.Page, error) {
-	tr = probe.Or(tr)
+	rec := probe.Resolve(tr)
 	k := keyOf(file, page)
 	if f := p.f; f != nil {
 		// f.key is stable while pinned.
 		if f.key == k && p.m == m {
 			p.hits++
-			tr.Emit(probe.BufGetEnter)
-			tr.Emit(probe.BufTableLookup)
-			tr.Emit(probe.BufGetHit)
+			probe.Emit(rec, probe.BufGetEnter)
+			probe.Emit(rec, probe.BufTableLookup)
+			probe.Emit(rec, probe.BufGetHit)
 			return f.page, nil
 		}
 		p.Release()
 	}
-	f, err := m.pin(tr, k)
+	f, err := m.pin(tr, rec, k)
 	if err != nil {
 		return nil, err
 	}

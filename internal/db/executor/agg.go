@@ -145,9 +145,9 @@ func (a *Agg) Open() error {
 // Next implements Node.
 func (a *Agg) Next() (Tuple, bool, error) {
 	c := a.C
-	c.Tr.Emit(probe.AggEnter)
+	c.emit(probe.AggEnter)
 	if a.done {
-		c.Tr.Emit(probe.AggEOF)
+		c.emit(probe.AggEOF)
 		return nil, false, nil
 	}
 	a.states = resetAggStates(a.states, a.Specs)
@@ -165,26 +165,26 @@ func (a *Agg) Next() (Tuple, bool, error) {
 			if sp.Arg == nil {
 				// COUNT(*): no expression evaluation.
 				if last {
-					c.Tr.Emit(probe.AggCountStarLast)
+					c.emit(probe.AggCountStarLast)
 				} else {
-					c.Tr.Emit(probe.AggCountStar)
+					c.emit(probe.AggCountStar)
 				}
 				states[i].count++
 				continue
 			}
-			c.Tr.Emit(probe.AggAdvance)
+			c.emit(probe.AggAdvance)
 			v := sp.Arg.Eval(c, tup)
 			if last {
-				c.Tr.Emit(probe.AggAdvanceLast)
+				c.emit(probe.AggAdvanceLast)
 			} else {
-				c.Tr.Emit(probe.AggAdvanceCont)
+				c.emit(probe.AggAdvanceCont)
 			}
 			states[i].advance(v)
 		}
 	}
 	out := aggResults(a.row[:0], a.Specs, states)
 	a.done = true
-	c.Tr.Emit(probe.AggEmit)
+	c.emit(probe.AggEmit)
 	return out, true, nil
 }
 
@@ -262,18 +262,18 @@ func (g *GroupAgg) Open() error {
 // sameGroup compares group columns of two rows with comparator probes.
 func (g *GroupAgg) sameGroup(a, b Tuple) bool {
 	c := g.C
-	c.Tr.Emit(probe.GrpCmpCall)
+	c.emit(probe.GrpCmpCall)
 	r := tupleCompare(c, a, b, g.keys)
-	c.Tr.Emit(probe.GrpCmpCont)
+	c.emit(probe.GrpCmpCont)
 	return r == 0
 }
 
 // Next implements Node.
 func (g *GroupAgg) Next() (Tuple, bool, error) {
 	c := g.C
-	c.Tr.Emit(probe.GrpEnter)
+	c.emit(probe.GrpEnter)
 	if g.eof {
-		c.Tr.Emit(probe.GrpEOF)
+		c.emit(probe.GrpEOF)
 		return nil, false, nil
 	}
 	// Fetch the first row of the next group unless one is pending from
@@ -285,14 +285,14 @@ func (g *GroupAgg) Next() (Tuple, bool, error) {
 		}
 		if !ok {
 			g.eof = true
-			c.Tr.Emit(probe.GrpFirstEOF)
+			c.emit(probe.GrpFirstEOF)
 			return nil, false, nil
 		}
 		g.pending = tup
 		g.havePending = true
-		c.Tr.Emit(probe.GrpAccum)
+		c.emit(probe.GrpAccum)
 	} else {
-		c.Tr.Emit(probe.GrpAccumPend)
+		c.emit(probe.GrpAccumPend)
 	}
 	g.states = resetAggStates(g.states, g.Specs)
 	states, head := g.states, g.head
@@ -313,7 +313,7 @@ func (g *GroupAgg) Next() (Tuple, bool, error) {
 			break
 		}
 		if g.sameGroup(head, tup) {
-			c.Tr.Emit(probe.GrpSame)
+			c.emit(probe.GrpSame)
 			g.accumulate(states, tup)
 			continue
 		}
@@ -328,9 +328,9 @@ func (g *GroupAgg) Next() (Tuple, bool, error) {
 	}
 	out = aggResults(out, g.Specs, states)
 	if drained {
-		c.Tr.Emit(probe.GrpDrain)
+		c.emit(probe.GrpDrain)
 	} else {
-		c.Tr.Emit(probe.GrpEmit)
+		c.emit(probe.GrpEmit)
 	}
 	return out, true, nil
 }
@@ -341,19 +341,19 @@ func (g *GroupAgg) accumulate(states []aggState, tup Tuple) {
 		last := i == len(g.Specs)-1
 		if sp.Arg == nil {
 			if last {
-				c.Tr.Emit(probe.GrpCountStarLast)
+				c.emit(probe.GrpCountStarLast)
 			} else {
-				c.Tr.Emit(probe.GrpCountStar)
+				c.emit(probe.GrpCountStar)
 			}
 			states[i].count++
 			continue
 		}
-		c.Tr.Emit(probe.GrpAdvance)
+		c.emit(probe.GrpAdvance)
 		v := sp.Arg.Eval(c, tup)
 		if last {
-			c.Tr.Emit(probe.GrpAdvanceLast)
+			c.emit(probe.GrpAdvanceLast)
 		} else {
-			c.Tr.Emit(probe.GrpAdvanceCont)
+			c.emit(probe.GrpAdvanceCont)
 		}
 		states[i].advance(v)
 	}

@@ -24,10 +24,14 @@ import (
 type Tuple []value.Value
 
 // Ctx carries per-query execution state: the instrumentation tracer
-// and scratch space. A nil-tracer context is valid and untraced.
-// Each query gets its own Ctx, so concurrent sessions never share
-// tracer or interrupt state.
+// and scratch space. A nil-tracer context — the zero Ctx, or NewCtx(nil)
+// — is valid and untraced: its operators emit nothing. Each query gets
+// its own Ctx, so concurrent sessions never share tracer or interrupt
+// state.
 type Ctx struct {
+	// Tr is what the operators hand to the access methods: the
+	// recorder below, wrapped to carry the span when observed (span.go).
+	// Nil when the execution is neither traced nor observed.
 	Tr probe.Tracer
 	// Interrupt, when non-nil, is polled on every inter-node call of
 	// the Volcano dispatcher; a non-nil return aborts execution with
@@ -40,9 +44,10 @@ type Ctx struct {
 	// unobserved). Set per-execution via SetSpan, which also wraps Tr
 	// so the buffer pool can attribute IO waits to it (span.go).
 	Span *obs.Span
-	// base is the unwrapped session tracer the tracer chain is rebuilt
-	// from whenever the span or analyze mode changes (see retrace).
-	base probe.Tracer
+	// base is the session tracer as given to NewCtx; rec records the
+	// execution's events (nil when nothing does). retrace derives rec
+	// and Tr from base whenever the span or analyze mode changes.
+	base, rec probe.Tracer
 
 	// curOp points at the stats block of the operator currently
 	// executing under EXPLAIN ANALYZE instrumentation (instrument.go);
@@ -59,10 +64,9 @@ type Ctx struct {
 // NewCtx returns an execution context with the given tracer (nil means
 // untraced).
 func NewCtx(tr probe.Tracer) *Ctx {
-	if tr == nil {
-		tr = probe.NopTracer{}
-	}
-	return &Ctx{Tr: tr}
+	c := &Ctx{base: tr}
+	c.retrace()
+	return c
 }
 
 // Expr is a typed expression evaluated against a tuple.
@@ -85,7 +89,7 @@ type Var struct {
 
 // Eval implements Expr.
 func (v *Var) Eval(c *Ctx, row Tuple) value.Value {
-	c.Tr.Emit(probe.EvalExprVar)
+	c.emit(probe.EvalExprVar)
 	return row[v.Idx]
 }
 
@@ -102,7 +106,7 @@ type Const struct {
 
 // Eval implements Expr.
 func (k *Const) Eval(c *Ctx, row Tuple) value.Value {
-	c.Tr.Emit(probe.EvalExprConst)
+	c.emit(probe.EvalExprConst)
 	return k.V
 }
 
@@ -169,14 +173,14 @@ func opFuncProbe(o Op, t value.Type) probe.ID {
 
 // Eval implements Expr.
 func (b *BinOp) Eval(c *Ctx, row Tuple) value.Value {
-	c.Tr.Emit(probe.EvalExprOpCall)
+	c.emit(probe.EvalExprOpCall)
 	l := b.L.Eval(c, row)
-	c.Tr.Emit(probe.EvalExprOp2)
+	c.emit(probe.EvalExprOp2)
 	r := b.R.Eval(c, row)
-	c.Tr.Emit(probe.EvalExprOpCont)
-	c.Tr.Emit(opFuncProbe(b.Op, b.L.Type()))
+	c.emit(probe.EvalExprOpCont)
+	c.emit(opFuncProbe(b.Op, b.L.Type()))
 	v := applyBinOp(b.Op, l, r)
-	c.Tr.Emit(probe.EvalExprRet)
+	c.emit(probe.EvalExprRet)
 	return v
 }
 
@@ -301,7 +305,7 @@ func evalBoolChain(c *Ctx, row Tuple, args []Expr, isAnd bool) value.Value {
 	}
 	// Descend into the nested operator invocations.
 	for i := 0; i < levels; i++ {
-		c.Tr.Emit(probe.EvalExprOpCall)
+		c.emit(probe.EvalExprOpCall)
 	}
 	v := args[0].Eval(c, row)
 	res := v.Bool()
@@ -310,23 +314,23 @@ func evalBoolChain(c *Ctx, row Tuple, args []Expr, isAnd bool) value.Value {
 		if res != isAnd {
 			break // short-circuit: AND saw false / OR saw true
 		}
-		c.Tr.Emit(probe.EvalExprOp2)
+		c.emit(probe.EvalExprOp2)
 		v = args[i].Eval(c, row)
 		if isAnd {
 			res = res && v.Bool()
 		} else {
 			res = res || v.Bool()
 		}
-		c.Tr.Emit(probe.EvalExprOpCont)
-		c.Tr.Emit(probe.BoolOp)
-		c.Tr.Emit(probe.EvalExprRet)
+		c.emit(probe.EvalExprOpCont)
+		c.emit(probe.BoolOp)
+		c.emit(probe.EvalExprRet)
 		closed++
 	}
 	// Close any remaining (short-circuited or unary) levels.
 	for ; closed < levels; closed++ {
-		c.Tr.Emit(probe.EvalExprOp1Only)
-		c.Tr.Emit(probe.BoolOp)
-		c.Tr.Emit(probe.EvalExprRet)
+		c.emit(probe.EvalExprOp1Only)
+		c.emit(probe.BoolOp)
+		c.emit(probe.EvalExprRet)
 	}
 	return value.NewBool(res)
 }
@@ -350,11 +354,11 @@ type NotExpr struct {
 
 // Eval implements Expr.
 func (n *NotExpr) Eval(c *Ctx, row Tuple) value.Value {
-	c.Tr.Emit(probe.EvalExprOpCall)
+	c.emit(probe.EvalExprOpCall)
 	v := n.Arg.Eval(c, row)
-	c.Tr.Emit(probe.EvalExprOp1Only)
-	c.Tr.Emit(probe.BoolOp)
-	c.Tr.Emit(probe.EvalExprRet)
+	c.emit(probe.EvalExprOp1Only)
+	c.emit(probe.BoolOp)
+	c.emit(probe.EvalExprRet)
 	return value.NewBool(!v.Bool())
 }
 
@@ -381,15 +385,15 @@ func NewLike(arg Expr, pattern string, negate bool) *LikeExpr {
 
 // Eval implements Expr.
 func (l *LikeExpr) Eval(c *Ctx, row Tuple) value.Value {
-	c.Tr.Emit(probe.EvalExprOpCall)
+	c.emit(probe.EvalExprOpCall)
 	v := l.Arg.Eval(c, row)
-	c.Tr.Emit(probe.EvalExprOp1Only)
-	c.Tr.Emit(probe.LikeOp)
+	c.emit(probe.EvalExprOp1Only)
+	c.emit(probe.LikeOp)
 	m := matchFrags(v.S, l.frags)
 	if l.Negate {
 		m = !m
 	}
-	c.Tr.Emit(probe.EvalExprRet)
+	c.emit(probe.EvalExprRet)
 	return value.NewBool(m)
 }
 
@@ -454,10 +458,10 @@ type InExpr struct {
 
 // Eval implements Expr.
 func (e *InExpr) Eval(c *Ctx, row Tuple) value.Value {
-	c.Tr.Emit(probe.EvalExprOpCall)
+	c.emit(probe.EvalExprOpCall)
 	v := e.Arg.Eval(c, row)
-	c.Tr.Emit(probe.EvalExprOp1Only)
-	c.Tr.Emit(probe.BoolOp) // the list-membership function
+	c.emit(probe.EvalExprOp1Only)
+	c.emit(probe.BoolOp) // the list-membership function
 	res := false
 	for _, x := range e.List {
 		if value.Equal(v, x) {
@@ -465,7 +469,7 @@ func (e *InExpr) Eval(c *Ctx, row Tuple) value.Value {
 			break
 		}
 	}
-	c.Tr.Emit(probe.EvalExprRet)
+	c.emit(probe.EvalExprRet)
 	return value.NewBool(res)
 }
 
@@ -488,28 +492,28 @@ func (e *InExpr) String() string {
 // ExecQual evaluates a conjunctive qualifier list, short-circuiting on
 // the first false clause — PostgreSQL's ExecQual.
 func ExecQual(c *Ctx, quals []Expr, row Tuple) bool {
-	c.Tr.Emit(probe.ExecQualEnter)
+	c.emit(probe.ExecQualEnter)
 	for _, q := range quals {
-		c.Tr.Emit(probe.ExecQualExpr)
+		c.emit(probe.ExecQualExpr)
 		v := q.Eval(c, row)
 		if !v.Bool() {
-			c.Tr.Emit(probe.ExecQualFail)
+			c.emit(probe.ExecQualFail)
 			return false
 		}
-		c.Tr.Emit(probe.ExecQualCont)
+		c.emit(probe.ExecQualCont)
 	}
-	c.Tr.Emit(probe.ExecQualPass)
+	c.emit(probe.ExecQualPass)
 	return true
 }
 
 // Project evaluates a target list over row into out, which has one
 // element per expression — PostgreSQL's ExecProject.
 func Project(c *Ctx, exprs []Expr, row, out Tuple) {
-	c.Tr.Emit(probe.ProjectEnter)
+	c.emit(probe.ProjectEnter)
 	for i, e := range exprs {
-		c.Tr.Emit(probe.ProjectCol)
+		c.emit(probe.ProjectCol)
 		out[i] = e.Eval(c, row)
-		c.Tr.Emit(probe.ProjectColCont)
+		c.emit(probe.ProjectColCont)
 	}
-	c.Tr.Emit(probe.ProjectDone)
+	c.emit(probe.ProjectDone)
 }

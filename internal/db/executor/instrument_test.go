@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/dsdb/obs"
 	"repro/internal/db/probe"
 	"repro/internal/db/value"
 )
@@ -87,9 +88,9 @@ func TestAnalyzeTracerAttribution(t *testing.T) {
 	c.SetAnalyze(true)
 	var op OpStats
 	c.curOp = &op
-	c.Tr.Emit(probe.BufGetHit)
-	c.Tr.Emit(probe.BufGetHit)
-	c.Tr.Emit(probe.BufGetMiss)
+	c.emit(probe.BufGetHit)
+	c.emit(probe.BufGetHit)
+	c.emit(probe.BufGetMiss)
 	if op.BufHits() != 2 || op.BufMisses() != 1 {
 		t.Fatalf("attributed %d/%d, want 2/1", op.BufHits(), op.BufMisses())
 	}
@@ -106,7 +107,7 @@ func TestAnalyzeTracerAttribution(t *testing.T) {
 	}
 	// curOp nil (between operators) must not panic or misattribute.
 	c.curOp = nil
-	c.Tr.Emit(probe.BufGetHit)
+	c.emit(probe.BufGetHit)
 	if op.BufHits() != 2 {
 		t.Fatal("event without a current operator was misattributed")
 	}
@@ -114,6 +115,48 @@ func TestAnalyzeTracerAttribution(t *testing.T) {
 	c.SetAnalyze(false)
 	if _, ok := c.Tr.(analyzeTracer); ok {
 		t.Fatal("SetAnalyze(false) left the analyze tracer installed")
+	}
+}
+
+// TestRetraceChoosesRecorder: the recorder is fixed per execution — nil
+// unless a session tracer is attached — and a span reaches the access
+// methods through Tr either way, so IO waits are attributed to it.
+func TestRetraceChoosesRecorder(t *testing.T) {
+	sp := obs.New(obs.Config{}).Begin("", "q")
+	for _, base := range []probe.Tracer{nil, probe.NopTracer{}} {
+		c := NewCtx(base)
+		if c.rec != nil || c.Tr != nil {
+			t.Fatalf("NewCtx(%T): rec %T, Tr %T, want both nil", base, c.rec, c.Tr)
+		}
+		c.SetSpan(sp)
+		if c.rec != nil || probe.Resolve(c.Tr) != nil {
+			t.Fatalf("untraced observed: rec %T, Tr %T resolves to a recorder", c.rec, c.Tr)
+		}
+		if _, ok := c.Tr.(interface{ AddIOWait(time.Duration) }); !ok {
+			t.Fatalf("untraced observed: Tr %T carries no AddIOWait", c.Tr)
+		}
+		c.SetSpan(nil)
+		if c.rec != nil || c.Tr != nil {
+			t.Fatalf("span detached: rec %T, Tr %T, want both nil", c.rec, c.Tr)
+		}
+	}
+	ct := probe.NewCountingTracer()
+	c := NewCtx(ct)
+	c.SetSpan(sp)
+	if c.rec != probe.Tracer(ct) {
+		t.Fatalf("traced observed: rec %T, want the session tracer", c.rec)
+	}
+	probe.Emit(probe.Resolve(c.Tr), probe.BufGetHit)
+	if ct.Count(probe.BufGetHit) != 1 {
+		t.Fatal("traced observed: events handed down through Tr were not recorded")
+	}
+	w, ok := c.Tr.(interface{ AddIOWait(time.Duration) })
+	if !ok {
+		t.Fatalf("traced observed: Tr %T carries no AddIOWait", c.Tr)
+	}
+	w.AddIOWait(time.Millisecond)
+	if got := sp.Stage(obs.StageIO); got != time.Millisecond {
+		t.Fatalf("span IO stage = %v, want 1ms", got)
 	}
 }
 

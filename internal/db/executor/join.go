@@ -45,7 +45,7 @@ func (n *NestLoop) Open() error {
 // Next implements Node.
 func (n *NestLoop) Next() (Tuple, bool, error) {
 	c := n.C
-	c.Tr.Emit(probe.NLEnter)
+	c.emit(probe.NLEnter)
 	for {
 		if !n.haveCur {
 			tup, ok, err := c.child(probe.NLOuterCall, probe.NLOuterCont, n.Outer)
@@ -53,10 +53,10 @@ func (n *NestLoop) Next() (Tuple, bool, error) {
 				return nil, false, err
 			}
 			if !ok {
-				c.Tr.Emit(probe.NLEOF)
+				c.emit(probe.NLEOF)
 				return nil, false, nil
 			}
-			c.Tr.Emit(probe.NLOuterOK)
+			c.emit(probe.NLOuterOK)
 			n.row, n.nOuter = append(n.row[:0], tup...), len(tup)
 			n.haveCur = true
 		}
@@ -66,7 +66,7 @@ func (n *NestLoop) Next() (Tuple, bool, error) {
 		}
 		if !ok {
 			// Inner exhausted: rescan it for the next outer tuple.
-			c.Tr.Emit(probe.NLRescan)
+			c.emit(probe.NLRescan)
 			n.haveCur = false
 			if err := n.Inner.Close(); err != nil {
 				return nil, false, err
@@ -77,19 +77,19 @@ func (n *NestLoop) Next() (Tuple, bool, error) {
 			continue
 		}
 		row := append(n.row[:n.nOuter], itup...)
-		c.Tr.Emit(probe.NLJoin)
+		c.emit(probe.NLJoin)
 		if len(n.Quals) > 0 {
-			c.Tr.Emit(probe.NLQualCall)
+			c.emit(probe.NLQualCall)
 			pass := ExecQual(c, n.Quals, row)
-			c.Tr.Emit(probe.NLQualCont)
+			c.emit(probe.NLQualCont)
 			if !pass {
-				c.Tr.Emit(probe.NLNext)
+				c.emit(probe.NLNext)
 				continue
 			}
-			c.Tr.Emit(probe.NLEmit)
+			c.emit(probe.NLEmit)
 			return row, true, nil
 		}
-		c.Tr.Emit(probe.NLEmitDirect)
+		c.emit(probe.NLEmitDirect)
 		return row, true, nil
 	}
 }
@@ -162,7 +162,7 @@ func (j *IndexLoopJoin) Open() error {
 // Next implements Node.
 func (j *IndexLoopJoin) Next() (Tuple, bool, error) {
 	c := j.C
-	c.Tr.Emit(probe.NLEnter)
+	c.emit(probe.NLEnter)
 	for {
 		if !j.haveCur {
 			tup, ok, err := c.child(probe.NLOuterCall, probe.NLOuterCont, j.Outer)
@@ -170,14 +170,14 @@ func (j *IndexLoopJoin) Next() (Tuple, bool, error) {
 				return nil, false, err
 			}
 			if !ok {
-				c.Tr.Emit(probe.NLEOF)
+				c.emit(probe.NLEOF)
 				return nil, false, nil
 			}
 			j.row, j.nOuter = append(j.row[:0], tup...), len(tup)
 			j.haveCur = true
 			j.key = tup[j.OuterKey].I
 			// Start the inner index probe.
-			c.Tr.Emit(probe.NLStartScan)
+			c.emit(probe.NLStartScan)
 			if j.BTree != nil {
 				if err = j.bscan.SeekGE(c.Tr, j.key); err != nil {
 					return nil, false, err
@@ -185,7 +185,7 @@ func (j *IndexLoopJoin) Next() (Tuple, bool, error) {
 			} else {
 				j.HashIdx.Seek(c.Tr, j.key, &j.hscan)
 			}
-			c.Tr.Emit(probe.NLStartCont)
+			c.emit(probe.NLStartCont)
 		}
 		// Pull the next inner match.
 		var (
@@ -193,7 +193,7 @@ func (j *IndexLoopJoin) Next() (Tuple, bool, error) {
 			ok  bool
 			err error
 		)
-		c.Tr.Emit(probe.NLInnerCall)
+		c.emit(probe.NLInnerCall)
 		if j.BTree != nil {
 			var k int64
 			k, tid, ok, err = j.bscan.Next(c.Tr)
@@ -203,19 +203,19 @@ func (j *IndexLoopJoin) Next() (Tuple, bool, error) {
 		} else {
 			tid, ok, err = j.hscan.Next(c.Tr)
 		}
-		c.Tr.Emit(probe.NLInnerCont)
+		c.emit(probe.NLInnerCont)
 		if err != nil {
 			return nil, false, err
 		}
 		if !ok {
-			c.Tr.Emit(probe.NLRescan)
+			c.emit(probe.NLRescan)
 			j.haveCur = false
 			continue
 		}
 		nOuter, nInner := j.nOuter, j.InnerSch.Len()
-		c.Tr.Emit(probe.NLFetch)
+		c.emit(probe.NLFetch)
 		ivals, err := j.Heap.Fetch(c.Tr, &j.hpin, tid, j.InnerCols, j.row[nOuter:nOuter])
-		c.Tr.Emit(probe.NLFetchCont)
+		c.emit(probe.NLFetchCont)
 		if err != nil {
 			return nil, false, err
 		}
@@ -226,17 +226,17 @@ func (j *IndexLoopJoin) Next() (Tuple, bool, error) {
 		// place behind the outer columns.
 		row := j.row[:nOuter+nInner]
 		if len(j.Quals) > 0 {
-			c.Tr.Emit(probe.NLQualCall)
+			c.emit(probe.NLQualCall)
 			pass := ExecQual(c, j.Quals, row)
-			c.Tr.Emit(probe.NLQualCont)
+			c.emit(probe.NLQualCont)
 			if !pass {
-				c.Tr.Emit(probe.NLNext)
+				c.emit(probe.NLNext)
 				continue
 			}
-			c.Tr.Emit(probe.NLEmit)
+			c.emit(probe.NLEmit)
 			return row, true, nil
 		}
-		c.Tr.Emit(probe.NLEmitDirect)
+		c.emit(probe.NLEmitDirect)
 		return row, true, nil
 	}
 }
@@ -299,7 +299,7 @@ func (h *HashJoin) Open() error {
 
 func (h *HashJoin) build() error {
 	c := h.C
-	c.Tr.Emit(probe.HJBuildStart)
+	c.emit(probe.HJBuildStart)
 	h.table = make(map[uint64][]Tuple)
 	for {
 		tup, ok, err := c.child(probe.HJBuildCall, probe.HJBuildCont, h.Inner)
@@ -309,13 +309,13 @@ func (h *HashJoin) build() error {
 		if !ok {
 			break
 		}
-		c.Tr.Emit(probe.HJBuildInsert)
-		c.Tr.Emit(probe.HashFunc)
+		c.emit(probe.HJBuildInsert)
+		c.emit(probe.HashFunc)
 		k := value.Hash(tup[h.InnerKey])
 		h.table[k] = append(h.table[k], h.slab.Copy(tup))
-		c.Tr.Emit(probe.HJBuildInsCont)
+		c.emit(probe.HJBuildInsCont)
 	}
-	c.Tr.Emit(probe.HJBuildDone)
+	c.emit(probe.HJBuildDone)
 	h.built = true
 	return nil
 }
@@ -323,7 +323,7 @@ func (h *HashJoin) build() error {
 // Next implements Node.
 func (h *HashJoin) Next() (Tuple, bool, error) {
 	c := h.C
-	c.Tr.Emit(probe.HJEnter)
+	c.emit(probe.HJEnter)
 	fresh := false
 	if !h.built {
 		if err := h.build(); err != nil {
@@ -331,7 +331,7 @@ func (h *HashJoin) Next() (Tuple, bool, error) {
 		}
 		fresh = true // build-done block falls through to the outer fetch
 	} else {
-		c.Tr.Emit(probe.HJResume)
+		c.emit(probe.HJResume)
 	}
 	for {
 		if !fresh {
@@ -339,30 +339,30 @@ func (h *HashJoin) Next() (Tuple, bool, error) {
 			for h.bpos < len(h.bucket) {
 				cand := h.bucket[h.bpos]
 				h.bpos++
-				c.Tr.Emit(probe.HJCandCall)
-				c.Tr.Emit(cmpProbeFor(h.row[h.OuterKey]))
+				c.emit(probe.HJCandCall)
+				c.emit(cmpProbeFor(h.row[h.OuterKey]))
 				eq := value.Equal(h.row[h.OuterKey], cand[h.InnerKey])
-				c.Tr.Emit(probe.HJCandCont)
+				c.emit(probe.HJCandCont)
 				if !eq {
-					c.Tr.Emit(probe.HJCandMiss)
+					c.emit(probe.HJCandMiss)
 					continue
 				}
 				row := append(h.row[:h.nOuter], cand...)
 				if len(h.Quals) > 0 {
-					c.Tr.Emit(probe.HJQualCall)
+					c.emit(probe.HJQualCall)
 					pass := ExecQual(c, h.Quals, row)
-					c.Tr.Emit(probe.HJQualCont)
+					c.emit(probe.HJQualCont)
 					if !pass {
-						c.Tr.Emit(probe.HJCandNext)
+						c.emit(probe.HJCandNext)
 						continue
 					}
-					c.Tr.Emit(probe.HJMatch)
+					c.emit(probe.HJMatch)
 					return row, true, nil
 				}
-				c.Tr.Emit(probe.HJMatchDirect)
+				c.emit(probe.HJMatchDirect)
 				return row, true, nil
 			}
-			c.Tr.Emit(probe.HJBucketDone)
+			c.emit(probe.HJBucketDone)
 		}
 		fresh = false
 		// Next outer tuple.
@@ -371,16 +371,16 @@ func (h *HashJoin) Next() (Tuple, bool, error) {
 			return nil, false, err
 		}
 		if !ok {
-			c.Tr.Emit(probe.HJEOF)
+			c.emit(probe.HJEOF)
 			return nil, false, nil
 		}
 		h.row, h.nOuter = append(h.row[:0], tup...), len(tup)
-		c.Tr.Emit(probe.HJProbeCall)
-		c.Tr.Emit(probe.HashFunc)
+		c.emit(probe.HJProbeCall)
+		c.emit(probe.HashFunc)
 		k := value.Hash(tup[h.OuterKey])
 		h.bucket = h.table[k]
 		h.bpos = 0
-		c.Tr.Emit(probe.HJProbeCont)
+		c.emit(probe.HJProbeCont)
 	}
 }
 
@@ -459,7 +459,7 @@ func (m *MergeJoin) advanceInner() error {
 // Next implements Node.
 func (m *MergeJoin) Next() (Tuple, bool, error) {
 	c := m.C
-	c.Tr.Emit(probe.MJEnter)
+	c.emit(probe.MJEnter)
 	if !m.started {
 		m.started = true
 		if err := m.advanceOuter(); err != nil {
@@ -477,14 +477,14 @@ func (m *MergeJoin) Next() (Tuple, bool, error) {
 				m.gpos += m.nInner
 				row := append(append(m.row[:0], m.outerTup...), itup...)
 				if len(m.Quals) > 0 {
-					c.Tr.Emit(probe.MJQualCall)
+					c.emit(probe.MJQualCall)
 					pass := ExecQual(c, m.Quals, row)
-					c.Tr.Emit(probe.MJQualCont)
+					c.emit(probe.MJQualCont)
 					if !pass {
 						continue
 					}
 				}
-				c.Tr.Emit(probe.MJEmit)
+				c.emit(probe.MJEmit)
 				return row, true, nil
 			}
 			// Group exhausted for this outer tuple: advance outer and
@@ -496,15 +496,15 @@ func (m *MergeJoin) Next() (Tuple, bool, error) {
 			}
 		}
 		if !m.outerOK {
-			c.Tr.Emit(probe.MJEOF)
+			c.emit(probe.MJEOF)
 			return nil, false, nil
 		}
 		// Does the current outer match the buffered group?
 		if len(m.group) > 0 {
-			c.Tr.Emit(probe.MJCmpCall)
-			c.Tr.Emit(cmpProbeFor(m.outerTup[m.OuterKey]))
+			c.emit(probe.MJCmpCall)
+			c.emit(cmpProbeFor(m.outerTup[m.OuterKey]))
 			cmp := compareVals(m.outerTup[m.OuterKey], m.groupKey)
-			c.Tr.Emit(probe.MJCmpCont)
+			c.emit(probe.MJCmpCont)
 			if cmp == 0 {
 				m.outerInGroup = true
 				m.gpos = 0
@@ -513,14 +513,14 @@ func (m *MergeJoin) Next() (Tuple, bool, error) {
 			m.group = m.group[:0]
 		}
 		if !m.innerOK {
-			c.Tr.Emit(probe.MJEOF)
+			c.emit(probe.MJEOF)
 			return nil, false, nil
 		}
 		// Align keys.
-		c.Tr.Emit(probe.MJCmpCall)
-		c.Tr.Emit(cmpProbeFor(m.outerTup[m.OuterKey]))
+		c.emit(probe.MJCmpCall)
+		c.emit(cmpProbeFor(m.outerTup[m.OuterKey]))
 		cmp := compareVals(m.outerTup[m.OuterKey], m.innerTup[m.InnerKey])
-		c.Tr.Emit(probe.MJCmpCont)
+		c.emit(probe.MJCmpCont)
 		switch {
 		case cmp < 0:
 			if err := m.advanceOuter(); err != nil {
@@ -535,10 +535,10 @@ func (m *MergeJoin) Next() (Tuple, bool, error) {
 			m.groupKey = m.innerTup[m.InnerKey]
 			m.group = m.group[:0]
 			for m.innerOK {
-				c.Tr.Emit(probe.MJCmpCall)
-				c.Tr.Emit(cmpProbeFor(m.innerTup[m.InnerKey]))
+				c.emit(probe.MJCmpCall)
+				c.emit(cmpProbeFor(m.innerTup[m.InnerKey]))
 				same := compareVals(m.innerTup[m.InnerKey], m.groupKey) == 0
-				c.Tr.Emit(probe.MJCmpCont)
+				c.emit(probe.MJCmpCont)
 				if !same {
 					break
 				}

@@ -74,11 +74,11 @@ func (c *Ctx) child(call, cont probe.ID, n Node) (Tuple, bool, error) {
 			return nil, false, err
 		}
 	}
-	c.Tr.Emit(call)
-	c.Tr.Emit(probe.ExecProcEnter)
+	c.emit(call)
+	c.emit(probe.ExecProcEnter)
 	t, ok, err := n.Next()
-	c.Tr.Emit(probe.ExecProcExit)
-	c.Tr.Emit(cont)
+	c.emit(probe.ExecProcExit)
+	c.emit(cont)
 	return t, ok, err
 }
 
@@ -86,13 +86,13 @@ func (c *Ctx) child(call, cont probe.ID, n Node) (Tuple, bool, error) {
 // directions, emitting the per-column comparator probes (PostgreSQL's
 // per-type btXXXcmp functions called from tuplesort/group/mergejoin).
 func tupleCompare(c *Ctx, a, b Tuple, cols []SortKey) int {
-	c.Tr.Emit(probe.TupCmpEnter)
+	c.emit(probe.TupCmpEnter)
 	res := 0
 	for _, k := range cols {
-		c.Tr.Emit(probe.TupCmpCol)
-		c.Tr.Emit(cmpProbeFor(a[k.Col]))
+		c.emit(probe.TupCmpCol)
+		c.emit(cmpProbeFor(a[k.Col]))
 		r := compareVals(a[k.Col], b[k.Col])
-		c.Tr.Emit(probe.TupCmpColCont)
+		c.emit(probe.TupCmpColCont)
 		if r != 0 {
 			if k.Desc {
 				r = -r
@@ -101,6 +101,6 @@ func tupleCompare(c *Ctx, a, b Tuple, cols []SortKey) int {
 			break
 		}
 	}
-	c.Tr.Emit(probe.TupCmpDone)
+	c.emit(probe.TupCmpDone)
 	return res
 }

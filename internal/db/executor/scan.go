@@ -40,30 +40,30 @@ func (s *SeqScan) Next() (Tuple, bool, error) {
 		return nil, false, fmt.Errorf("executor: SeqScan not opened")
 	}
 	c := s.C
-	c.Tr.Emit(probe.SeqScanEnter)
+	c.emit(probe.SeqScanEnter)
 	for {
-		c.Tr.Emit(probe.SeqScanCall)
+		c.emit(probe.SeqScanCall)
 		vals, _, ok, err := s.scan.Next(c.Tr, s.row)
-		c.Tr.Emit(probe.SeqScanCont)
+		c.emit(probe.SeqScanCont)
 		if err != nil {
 			return nil, false, err
 		}
 		if !ok {
-			c.Tr.Emit(probe.SeqScanEOF)
+			c.emit(probe.SeqScanEOF)
 			return nil, false, nil
 		}
 		if len(s.Quals) > 0 {
-			c.Tr.Emit(probe.SeqScanQualCall)
+			c.emit(probe.SeqScanQualCall)
 			pass := ExecQual(c, s.Quals, Tuple(vals))
-			c.Tr.Emit(probe.SeqScanQualCont)
+			c.emit(probe.SeqScanQualCont)
 			if !pass {
-				c.Tr.Emit(probe.SeqScanNext)
+				c.emit(probe.SeqScanNext)
 				continue
 			}
-			c.Tr.Emit(probe.SeqScanEmit)
+			c.emit(probe.SeqScanEmit)
 			return Tuple(vals), true, nil
 		}
-		c.Tr.Emit(probe.SeqScanEmitDirect)
+		c.emit(probe.SeqScanEmitDirect)
 		return Tuple(vals), true, nil
 	}
 }
@@ -136,7 +136,7 @@ func (s *IndexScan) Open() error {
 
 func (s *IndexScan) init() error {
 	c := s.C
-	c.Tr.Emit(probe.IdxScanInit)
+	c.emit(probe.IdxScanInit)
 	var err error
 	if s.BTree != nil {
 		if s.HasLo {
@@ -147,7 +147,7 @@ func (s *IndexScan) init() error {
 	} else {
 		s.HashIdx.Seek(c.Tr, s.EqKey, &s.hscan)
 	}
-	c.Tr.Emit(probe.IdxScanInitCont)
+	c.emit(probe.IdxScanInitCont)
 	s.started = err == nil
 	return err
 }
@@ -158,7 +158,7 @@ func (s *IndexScan) Next() (Tuple, bool, error) {
 		return nil, false, fmt.Errorf("executor: IndexScan not opened")
 	}
 	c := s.C
-	c.Tr.Emit(probe.IdxScanEnter)
+	c.emit(probe.IdxScanEnter)
 	if !s.started {
 		if err := s.init(); err != nil {
 			return nil, false, err
@@ -172,7 +172,7 @@ func (s *IndexScan) Next() (Tuple, bool, error) {
 			err  error
 			done bool
 		)
-		c.Tr.Emit(probe.IdxScanNextCall)
+		c.emit(probe.IdxScanNextCall)
 		if s.BTree != nil {
 			key, tid, ok, err = s.bscan.Next(c.Tr)
 			if ok && s.HasHi && key > s.Hi {
@@ -181,7 +181,7 @@ func (s *IndexScan) Next() (Tuple, bool, error) {
 		} else {
 			tid, ok, err = s.hscan.Next(c.Tr)
 		}
-		c.Tr.Emit(probe.IdxScanNextCont)
+		c.emit(probe.IdxScanNextCont)
 		if err != nil {
 			return nil, false, err
 		}
@@ -189,27 +189,27 @@ func (s *IndexScan) Next() (Tuple, bool, error) {
 			done = true
 		}
 		if done {
-			c.Tr.Emit(probe.IdxScanEOF)
+			c.emit(probe.IdxScanEOF)
 			return nil, false, nil
 		}
-		c.Tr.Emit(probe.IdxScanFetch)
+		c.emit(probe.IdxScanFetch)
 		vals, err := s.Heap.Fetch(c.Tr, &s.hpin, tid, s.Cols, s.row)
-		c.Tr.Emit(probe.IdxScanCont)
+		c.emit(probe.IdxScanCont)
 		if err != nil {
 			return nil, false, err
 		}
 		if len(s.Quals) > 0 {
-			c.Tr.Emit(probe.IdxScanQualCall)
+			c.emit(probe.IdxScanQualCall)
 			pass := ExecQual(c, s.Quals, Tuple(vals))
-			c.Tr.Emit(probe.IdxScanQualCont)
+			c.emit(probe.IdxScanQualCont)
 			if !pass {
-				c.Tr.Emit(probe.IdxScanNext)
+				c.emit(probe.IdxScanNext)
 				continue
 			}
-			c.Tr.Emit(probe.IdxScanEmit)
+			c.emit(probe.IdxScanEmit)
 			return Tuple(vals), true, nil
 		}
-		c.Tr.Emit(probe.IdxScanEmitDirect)
+		c.emit(probe.IdxScanEmitDirect)
 		return Tuple(vals), true, nil
 	}
 }
@@ -246,20 +246,20 @@ func (s *ValuesScan) Open() error { s.pos = 0; return nil }
 // Next implements Node.
 func (s *ValuesScan) Next() (Tuple, bool, error) {
 	c := s.C
-	c.Tr.Emit(probe.SeqScanEnter)
-	c.Tr.Emit(probe.SeqScanCall)
+	c.emit(probe.SeqScanEnter)
+	c.emit(probe.SeqScanCall)
 	// The in-memory rows stand in for an exhausted/valued relation; the
 	// access-method callee path keeps the trace protocol intact.
-	c.Tr.Emit(probe.HeapGetNextEnter)
-	c.Tr.Emit(probe.HeapGetNextEOF)
-	c.Tr.Emit(probe.SeqScanCont)
+	c.emit(probe.HeapGetNextEnter)
+	c.emit(probe.HeapGetNextEOF)
+	c.emit(probe.SeqScanCont)
 	if s.pos >= len(s.Rows) {
-		c.Tr.Emit(probe.SeqScanEOF)
+		c.emit(probe.SeqScanEOF)
 		return nil, false, nil
 	}
 	row := s.Rows[s.pos]
 	s.pos++
-	c.Tr.Emit(probe.SeqScanEmitDirect)
+	c.emit(probe.SeqScanEmitDirect)
 	return row, true, nil
 }
 
@@ -283,24 +283,24 @@ func (f *Filter) Open() error { return f.Child.Open() }
 // Next implements Node.
 func (f *Filter) Next() (Tuple, bool, error) {
 	c := f.C
-	c.Tr.Emit(probe.SeqScanEnter) // filter shares the scan skeleton
+	c.emit(probe.SeqScanEnter) // filter shares the scan skeleton
 	for {
 		tup, ok, err := c.child(probe.SeqScanCall, probe.SeqScanCont, f.Child)
 		if err != nil {
 			return nil, false, err
 		}
 		if !ok {
-			c.Tr.Emit(probe.SeqScanEOF)
+			c.emit(probe.SeqScanEOF)
 			return nil, false, nil
 		}
-		c.Tr.Emit(probe.SeqScanQualCall)
+		c.emit(probe.SeqScanQualCall)
 		pass := ExecQual(c, f.Quals, tup)
-		c.Tr.Emit(probe.SeqScanQualCont)
+		c.emit(probe.SeqScanQualCont)
 		if pass {
-			c.Tr.Emit(probe.SeqScanEmit)
+			c.emit(probe.SeqScanEmit)
 			return tup, true, nil
 		}
-		c.Tr.Emit(probe.SeqScanNext)
+		c.emit(probe.SeqScanNext)
 		continue
 	}
 }
@@ -334,12 +334,12 @@ func (p *ProjectNode) Next() (Tuple, bool, error) {
 	c := p.C
 	tup, ok, err := c.child(probe.ResultCall, probe.ResultCont, p.Child)
 	if err != nil || !ok {
-		c.Tr.Emit(probe.ResultEOF)
+		c.emit(probe.ResultEOF)
 		return nil, false, err
 	}
-	c.Tr.Emit(probe.ResultProject)
+	c.emit(probe.ResultProject)
 	Project(c, p.Exprs, tup, p.row)
-	c.Tr.Emit(probe.ResultDone)
+	c.emit(probe.ResultDone)
 	return p.row, true, nil
 }
 

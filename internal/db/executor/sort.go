@@ -44,19 +44,19 @@ func (s *Sort) load() error {
 		if !ok {
 			break
 		}
-		c.Tr.Emit(probe.SortLoadOK)
+		c.emit(probe.SortLoadOK)
 		s.rows = append(s.rows, s.slab.Copy(tup))
 	}
-	c.Tr.Emit(probe.SortSortCall)
-	c.Tr.Emit(probe.QsortEnter)
+	c.emit(probe.SortSortCall)
+	c.emit(probe.QsortEnter)
 	sort.SliceStable(s.rows, func(i, j int) bool {
-		c.Tr.Emit(probe.QsortCmpCall)
+		c.emit(probe.QsortCmpCall)
 		r := tupleCompare(c, s.rows[i], s.rows[j], s.Keys)
-		c.Tr.Emit(probe.QsortCmpCont)
+		c.emit(probe.QsortCmpCont)
 		return r < 0
 	})
-	c.Tr.Emit(probe.QsortRet)
-	c.Tr.Emit(probe.SortSortCont)
+	c.emit(probe.QsortRet)
+	c.emit(probe.SortSortCont)
 	s.loaded = true
 	return nil
 }
@@ -64,19 +64,19 @@ func (s *Sort) load() error {
 // Next implements Node.
 func (s *Sort) Next() (Tuple, bool, error) {
 	c := s.C
-	c.Tr.Emit(probe.SortEnter)
+	c.emit(probe.SortEnter)
 	if !s.loaded {
 		if err := s.load(); err != nil {
 			return nil, false, err
 		}
 	}
 	if s.pos >= len(s.rows) {
-		c.Tr.Emit(probe.SortEOF)
+		c.emit(probe.SortEOF)
 		return nil, false, nil
 	}
 	row := s.rows[s.pos]
 	s.pos++
-	c.Tr.Emit(probe.SortEmit)
+	c.emit(probe.SortEmit)
 	return row, true, nil
 }
 
@@ -116,7 +116,7 @@ func (m *Material) Open() error {
 // Next implements Node.
 func (m *Material) Next() (Tuple, bool, error) {
 	c := m.C
-	c.Tr.Emit(probe.MatEnter)
+	c.emit(probe.MatEnter)
 	if !m.loaded {
 		for {
 			tup, ok, err := c.child(probe.MatChildCall, probe.MatChildCont, m.Child)
@@ -126,19 +126,19 @@ func (m *Material) Next() (Tuple, bool, error) {
 			if !ok {
 				break
 			}
-			c.Tr.Emit(probe.MatLoadOK)
+			c.emit(probe.MatLoadOK)
 			m.rows = append(m.rows, m.slab.Copy(tup))
 		}
-		c.Tr.Emit(probe.MatLoadDone)
+		c.emit(probe.MatLoadDone)
 		m.loaded = true
 	}
 	if m.pos >= len(m.rows) {
-		c.Tr.Emit(probe.MatEOF)
+		c.emit(probe.MatEOF)
 		return nil, false, nil
 	}
 	row := m.rows[m.pos]
 	m.pos++
-	c.Tr.Emit(probe.MatEmit)
+	c.emit(probe.MatEmit)
 	return row, true, nil
 }
 
@@ -169,9 +169,9 @@ func (l *Limit) Open() error {
 // Next implements Node.
 func (l *Limit) Next() (Tuple, bool, error) {
 	c := l.C
-	c.Tr.Emit(probe.LimEnter)
+	c.emit(probe.LimEnter)
 	if l.seen >= l.N {
-		c.Tr.Emit(probe.LimEOF)
+		c.emit(probe.LimEOF)
 		return nil, false, nil
 	}
 	tup, ok, err := c.child(probe.LimChildCall, probe.LimChildCont, l.Child)
@@ -179,11 +179,11 @@ func (l *Limit) Next() (Tuple, bool, error) {
 		return nil, false, err
 	}
 	if !ok {
-		c.Tr.Emit(probe.LimDrained)
+		c.emit(probe.LimDrained)
 		return nil, false, nil
 	}
 	l.seen++
-	c.Tr.Emit(probe.LimEmit)
+	c.emit(probe.LimEmit)
 	return tup, true, nil
 }
 

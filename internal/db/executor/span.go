@@ -7,42 +7,41 @@ import (
 	"repro/internal/db/probe"
 )
 
-// spanTracer forwards probe events to the session tracer unchanged
-// while carrying the query's observability span. Deep kernel layers
-// that already receive the probe tracer — the buffer pool above all —
-// attribute their IO waits to the span by type-asserting the
-// AddIOWait method, so no access-method signature changes for
-// observability.
-type spanTracer struct {
-	inner probe.Tracer
-	sp    *obs.Span
+// spanIO attributes buffer-pool IO waits to the execution's span. An
+// observed but untraced execution hands it down the kernel in a
+// probe.Carrier, which the access methods resolve to no recorder, so no
+// access-method signature changes for observability.
+type spanIO struct{ sp *obs.Span }
+
+// AddIOWait implements probe.IOWaiter.
+func (s spanIO) AddIOWait(d time.Duration) { s.sp.Add(obs.StageIO, d) }
+
+// tracedSpan is what a traced, observed execution hands down: the
+// access methods record through it, so it forwards every event to the
+// session tracer, and it attributes IO waits to the span.
+type tracedSpan struct {
+	rec probe.Tracer
+	spanIO
 }
 
 // Emit implements probe.Tracer.
-func (t spanTracer) Emit(id probe.ID) { t.inner.Emit(id) }
+func (t tracedSpan) Emit(id probe.ID) { t.rec.Emit(id) }
 
-// AddIOWait attributes buffer-pool IO wait to the span.
-func (t spanTracer) AddIOWait(d time.Duration) { t.sp.Add(obs.StageIO, d) }
-
-// ioWaiter is the buffer pool's IO-wait attribution hook, re-declared
-// here so wrapping tracers can forward it down the chain.
-type ioWaiter interface {
-	AddIOWait(d time.Duration)
-}
-
-// analyzeTracer sits atop the span tracer during EXPLAIN ANALYZE: it
-// forwards every probe event unchanged, and additionally attributes
-// buffer-pool page hits/misses and IO waits to the operator currently
-// executing (Ctx.curOp, maintained by the Instrumented wrappers). It
-// reads curOp at emission time, so one tracer serves the whole tree.
+// analyzeTracer records during EXPLAIN ANALYZE: it forwards every
+// probe event to the session tracer (if any), and additionally
+// attributes buffer-pool page hits/misses and IO waits to the operator
+// currently executing (Ctx.curOp, maintained by the Instrumented
+// wrappers). It reads curOp at emission time, so one tracer serves the
+// whole tree.
 type analyzeTracer struct {
-	inner probe.Tracer
-	c     *Ctx
+	rec probe.Tracer // the session tracer; nil when untraced
+	sp  *obs.Span    // nil when unobserved
+	c   *Ctx
 }
 
 // Emit implements probe.Tracer.
 func (t analyzeTracer) Emit(id probe.ID) {
-	t.inner.Emit(id)
+	probe.Emit(t.rec, id)
 	switch id {
 	case probe.BufGetHit:
 		if op := t.c.curOp; op != nil {
@@ -55,53 +54,55 @@ func (t analyzeTracer) Emit(id probe.ID) {
 	}
 }
 
-// AddIOWait attributes IO wait to the current operator and forwards
-// it down the chain (so the span's IO stage still sees it).
+// AddIOWait attributes IO wait to the current operator and to the
+// span's IO stage.
 func (t analyzeTracer) AddIOWait(d time.Duration) {
 	if op := t.c.curOp; op != nil {
 		op.ioWait += d
 	}
-	if w, ok := t.inner.(ioWaiter); ok {
-		w.AddIOWait(d)
+	t.sp.Add(obs.StageIO, d)
+}
+
+// retrace decides, once per execution, what records its events (rec:
+// the session tracer, the analyze layer, or nil) and what is passed
+// down to the access methods (Tr: rec, wrapped to carry the span when
+// observed). Called whenever the span or analyze mode changes;
+// statements are single-threaded, so the swap is safe.
+func (c *Ctx) retrace() {
+	rec := probe.Resolve(c.base)
+	switch {
+	case c.analyzing:
+		a := analyzeTracer{rec: rec, sp: c.Span, c: c}
+		c.rec, c.Tr = a, a
+	case c.Span == nil:
+		c.rec, c.Tr = rec, rec
+	case rec == nil:
+		c.rec, c.Tr = nil, probe.Carrier{W: spanIO{c.Span}}
+	default:
+		c.rec, c.Tr = rec, tracedSpan{rec, spanIO{c.Span}}
 	}
 }
 
-// retrace rebuilds the context's tracer chain from the base session
-// tracer: span attribution first (closest to the kernel), then the
-// analyze layer on top. Called whenever the span or analyze mode
-// changes; statements are single-threaded, so the swap is safe.
-func (c *Ctx) retrace() {
-	tr := c.base
-	if c.Span != nil {
-		tr = spanTracer{inner: tr, sp: c.Span}
+// emit records one probe event, if the execution records any.
+func (c *Ctx) emit(id probe.ID) {
+	if c.rec != nil {
+		c.rec.Emit(id)
 	}
-	if c.analyzing {
-		tr = analyzeTracer{inner: tr, c: c}
-	}
-	c.Tr = tr
 }
 
 // SetSpan attaches (or, with nil, detaches) the observability span
-// for the next execution, wrapping the context's tracer so the buffer
-// pool can attribute IO waits (see spanTracer). Statements are
-// single-threaded, so swapping the tracer between executions is safe.
+// for the next execution, so the buffer pool can attribute IO waits to
+// it (see spanIO).
 func (c *Ctx) SetSpan(sp *obs.Span) {
-	if c.base == nil {
-		c.base = c.Tr
-	}
 	c.Span = sp
 	c.retrace()
 }
 
 // SetAnalyze switches EXPLAIN ANALYZE attribution on or off for the
-// next execution: when on, the tracer chain counts buffer-pool
-// traffic into the instrumented operators (see analyzeTracer and
-// instrument.go). Ordinary queries never call this, so they keep the
-// exact pre-existing tracer chain.
+// next execution: when on, the execution records through an
+// analyzeTracer that counts buffer-pool traffic into the instrumented
+// operators (see instrument.go). Ordinary queries never call this.
 func (c *Ctx) SetAnalyze(on bool) {
-	if c.base == nil {
-		c.base = c.Tr
-	}
 	c.analyzing = on
 	c.retrace()
 }

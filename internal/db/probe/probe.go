@@ -11,30 +11,63 @@
 // by the callee's entry probe; a probe whose path ends in a return
 // block must be followed by the caller's continuation probe. The
 // validating trace recorder enforces this in tests.
+//
+// A nil Tracer means untraced. Each kernel entry point resolves the
+// tracer it is handed once (Resolve) and nil-checks the result at every
+// emission site (Emit), so an untraced query makes no interface call
+// per event. NopTracer remains for callers that pass one; it resolves
+// to nil like a nil Tracer.
 package probe
+
+import "time"
 
 // ID names one instrumentation point.
 type ID int32
 
-// Tracer receives probe events. The zero-cost NopTracer is used when
-// queries run untraced.
+// Tracer receives probe events.
 type Tracer interface {
 	Emit(ID)
 }
 
-// NopTracer discards all events.
+// NopTracer discards all events. Kernel entry points resolve it to nil.
 type NopTracer struct{}
 
 // Emit implements Tracer.
 func (NopTracer) Emit(ID) {}
 
-// Or returns t, or a NopTracer if t is nil, so callees can emit
-// unconditionally.
-func Or(t Tracer) Tracer {
-	if t == nil {
-		return NopTracer{}
+// IOWaiter receives the time a query spends blocked on buffer-pool IO.
+type IOWaiter interface {
+	AddIOWait(d time.Duration)
+}
+
+// Carrier is the tracer an observed but untraced execution hands down
+// the kernel: it records no events — Resolve maps it to nil — and
+// carries the IOWaiter to which the buffer pool attributes its IO
+// waits. A tracer that records and carries a waiter implements
+// IOWaiter itself.
+type Carrier struct{ W IOWaiter }
+
+// Emit implements Tracer.
+func (Carrier) Emit(ID) {}
+
+// AddIOWait implements IOWaiter.
+func (c Carrier) AddIOWait(d time.Duration) { c.W.AddIOWait(d) }
+
+// Resolve returns the tracer that records t's events, or nil when t
+// records none: t is nil, a NopTracer or a Carrier.
+func Resolve(t Tracer) Tracer {
+	switch t.(type) {
+	case nil, NopTracer, Carrier:
+		return nil
 	}
 	return t
+}
+
+// Emit records id on a resolved tracer, if there is one.
+func Emit(rec Tracer, id ID) {
+	if rec != nil {
+		rec.Emit(id)
+	}
 }
 
 // Probe identifiers, grouped by the kernel function they instrument.

@@ -5,15 +5,20 @@ import (
 	"testing"
 )
 
-func TestOrNilYieldsNop(t *testing.T) {
-	tr := Or(nil)
-	if _, ok := tr.(NopTracer); !ok {
-		t.Fatalf("Or(nil) = %T, want NopTracer", tr)
+func TestResolveUntracedIsNil(t *testing.T) {
+	for _, tr := range []Tracer{nil, NopTracer{}, Carrier{}} {
+		if got := Resolve(tr); got != nil {
+			t.Fatalf("Resolve(%T) = %T, want nil", tr, got)
+		}
 	}
-	tr.Emit(BufGetEnter) // must not panic
+	Emit(nil, BufGetEnter) // must not panic
 	ct := NewCountingTracer()
-	if got := Or(ct); got != Tracer(ct) {
-		t.Fatalf("Or(non-nil) must return its argument")
+	if got := Resolve(ct); got != Tracer(ct) {
+		t.Fatalf("Resolve(recorder) must return its argument")
+	}
+	Emit(Resolve(ct), BufGetEnter)
+	if ct.Total() != 1 {
+		t.Fatalf("Emit through a resolved recorder counted %d, want 1", ct.Total())
 	}
 }
 
