@@ -474,6 +474,80 @@ func TestRecoveryWithPageSpills(t *testing.T) {
 	}
 }
 
+// TestCheckpointAndCloseWhileFramesViewTheMapping runs queries through
+// a 32-frame pool over a checkpointed database, so the frames view the
+// mapped generation, and then releases that generation under them:
+// a checkpoint (which unmaps the old generation), inserts (which write
+// pages the frames were viewing), and Close and reopen. Every result
+// must equal the in-memory database's; a frame still viewing a
+// released generation is a fault.
+func TestCheckpointAndCloseWhileFramesViewTheMapping(t *testing.T) {
+	opts := []dsdb.Option{dsdb.WithDataDir(filepath.Join(t.TempDir(), "db")), dsdb.WithBufferFrames(32)}
+	db := openTPCD(t, durableSF, opts...)
+	mem := openTPCD(t, durableSF)
+	defer mem.Close()
+	digests := func(db *dsdb.DB) string {
+		t.Helper()
+		var b strings.Builder
+		for _, qn := range []int{6, 14} {
+			q, _ := dsdb.TPCDQuery(qn)
+			res, err := db.Exec(context.Background(), q)
+			if err != nil {
+				t.Fatalf("Q%d: %v", qn, err)
+			}
+			fmt.Fprintf(&b, "Q%d %s\n", qn, benchDigest(res))
+		}
+		return b.String()
+	}
+	want := digests(mem)
+	check := func(when string) {
+		t.Helper()
+		if got := digests(db); got != want {
+			t.Fatalf("%s: durable results\n%s in-memory results\n%s", when, got, want)
+		}
+	}
+	check("after the load's checkpoint")
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check("after a checkpoint")
+
+	// Rows both queries see: Q6's 1994 window and discount band, Q14's
+	// September 1995.
+	date := func(s string) dsdb.Value {
+		d, err := dsdb.ParseDate(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dsdb.NewDate(d)
+	}
+	for i := 0; i < 200; i++ {
+		ship := date("1994-03-15")
+		if i%2 == 1 {
+			ship = date("1995-09-10")
+		}
+		row := []dsdb.Value{
+			dsdb.NewInt(int64(900000 + i)), dsdb.NewInt(int64(1 + i%50)), dsdb.NewInt(1),
+			dsdb.NewInt(1), dsdb.NewFloat(10), dsdb.NewFloat(1000 + float64(i)),
+			dsdb.NewFloat(0.06), dsdb.NewFloat(0.02), dsdb.NewStr("R"), dsdb.NewStr("F"),
+			ship, ship, ship, dsdb.NewStr("MAIL"), dsdb.NewStr("NONE"),
+		}
+		for _, target := range []*dsdb.DB{db, mem} {
+			if err := target.Insert("lineitem", row...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want = digests(mem)
+	check("after inserts")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = openTPCD(t, durableSF, opts...)
+	defer db.Close()
+	check("after Close and reopen")
+}
+
 // TestWarmStartRejectsMismatchedTPCDOptions pins the build stamp: a
 // data directory built at one scale factor refuses to warm-start under
 // options describing a different database.

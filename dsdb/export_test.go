@@ -1,6 +1,12 @@
 package dsdb
 
-// CloseStoreForTest closes the storage manager under the open
-// database: every later read of a checkpointed page fails, which is how
-// the external tests inject storage read errors under a running query.
-func (db *DB) CloseStoreForTest() error { return db.eng.Store.Close() }
+import "errors"
+
+// FailStoreReadsForTest makes every later read from the storage
+// manager fail, under the open database and its running queries, and
+// leaves the checkpoint's mappings in place — buffer frames view them,
+// so unmapping under a running query would be a fault, not an error.
+// It is how the external tests inject storage read errors.
+func (db *DB) FailStoreReadsForTest() {
+	db.eng.Store.InjectReadError(errors.New("dsdb: injected storage read error"))
+}

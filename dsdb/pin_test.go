@@ -88,11 +88,11 @@ func TestPinsReleasedHoweverAQueryEnds(t *testing.T) {
 // TestPinsReleasedAfterReadError injects storage read errors under a
 // running index join: a warm-started durable database with a pool far
 // smaller than its data reads its pages from the checkpoint's mapped
-// files, and closing the store mid-stream (its mappings go, so a base
-// read is an error) makes the next miss fail — with the join's cursors
-// and heap pin holding pages at that moment. (Truncating the page files
-// instead would not do: under a mapping that is a SIGBUS, not an
-// error.)
+// files, and failing every store read mid-stream makes the next miss
+// fail — with the join's cursors and heap pin holding pages at that
+// moment. The mappings stay: the pages the join holds are views of
+// them. (Unmapping or truncating the page files instead would not do:
+// under a mapping that is a fault, not an error.)
 func TestPinsReleasedAfterReadError(t *testing.T) {
 	dir := t.TempDir()
 	opts := []dsdb.Option{dsdb.WithSeed(42), dsdb.WithDataDir(dir), dsdb.WithBufferFrames(32)}
@@ -101,7 +101,7 @@ func TestPinsReleasedAfterReadError(t *testing.T) {
 		t.Fatal(err)
 	}
 	db = openTPCD(t, 0.002, opts...)
-	defer db.Close() // fails once the store is closed; the test is over by then
+	defer db.Close()
 
 	rows, err := db.Query(context.Background(),
 		"select l_orderkey, o_orderdate, l_extendedprice from orders, lineitem where l_orderkey = o_orderkey")
@@ -114,15 +114,13 @@ func TestPinsReleasedAfterReadError(t *testing.T) {
 			t.Fatalf("stream ended after %d rows: %v", i, rows.Err())
 		}
 	}
-	if err := db.CloseStoreForTest(); err != nil {
-		t.Fatal(err)
-	}
+	db.FailStoreReadsForTest()
 	n := 50
 	for rows.Next() {
 		n++
 	}
 	if rows.Err() == nil {
-		t.Fatalf("all %d rows streamed from a closed store through a 32-frame pool", n)
+		t.Fatalf("all %d rows streamed from a failing store through a 32-frame pool", n)
 	}
 	rows.Close()
 	assertNoPins(t, db, fmt.Sprintf("read error after %d rows (%v)", n, rows.Err()))

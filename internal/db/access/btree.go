@@ -154,7 +154,7 @@ func (t *BTree) meta() (root uint32, height int, err error) {
 }
 
 func (t *BTree) setMeta(root uint32, height int) error {
-	b, err := t.buf.Get(nil, t.file, 0)
+	b, err := t.buf.GetForWrite(t.file, 0)
 	if err != nil {
 		return err
 	}
@@ -246,7 +246,7 @@ func (t *BTree) Insert(key int64, tid storage.TID) error {
 }
 
 func (t *BTree) insertInto(page uint32, level int, key int64, tid storage.TID) (splitResult, error) {
-	b, err := t.buf.Get(nil, t.file, int(page))
+	b, err := t.buf.GetForWrite(t.file, int(page))
 	if err != nil {
 		return splitResult{}, err
 	}
@@ -262,7 +262,7 @@ func (t *BTree) insertInto(page uint32, level int, key int64, tid storage.TID) (
 		return splitResult{}, err
 	}
 	// Child split: insert separator into this node (re-pin).
-	b, err = t.buf.Get(nil, t.file, int(page))
+	b, err = t.buf.GetForWrite(t.file, int(page))
 	if err != nil {
 		return splitResult{}, err
 	}

@@ -119,7 +119,7 @@ func (h *HashIndex) bucketPage(k int64) int {
 func (h *HashIndex) Insert(key int64, tid storage.TID) error {
 	page := h.bucketPage(key)
 	for {
-		b, err := h.buf.Get(nil, h.file, page)
+		b, err := h.buf.GetForWrite(h.file, page)
 		if err != nil {
 			return err
 		}

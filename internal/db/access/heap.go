@@ -97,7 +97,7 @@ func (h *Heap) InsertTuple(data []byte) (storage.TID, error) {
 	}
 	n := h.buf.NumPages(h.file)
 	if n > 0 {
-		b, err := h.buf.Get(nil, h.file, n-1)
+		b, err := h.buf.GetForWrite(h.file, n-1)
 		if err != nil {
 			return storage.TID{}, err
 		}

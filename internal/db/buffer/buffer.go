@@ -41,6 +41,12 @@
 // Page contents themselves are not latched — concurrent readers of a
 // pinned page are safe, while writers are serialized above the pool
 // (the engine holds its write latch across inserts and index builds).
+//
+// A miss on a page of the store's checkpoint generation copies nothing:
+// the frame keeps the read-only view of the mapped generation that
+// storage.ReadView returns, and copies it into the frame's own buffer
+// only when a writer asks for the page (GetForWrite) or the generation
+// is about to be released (OwnAll).
 package buffer
 
 import (
@@ -94,10 +100,25 @@ type frame struct {
 	// either under the miss mutex or while holding a pin of their own.
 	key   key
 	valid bool
-	page  storage.Page
 
-	_ [48]byte
+	// page is the frame's contents: either own, the buffer New made for
+	// the frame, or a read-only view of the store's mapped generation,
+	// which the loader keeps instead of copying a checkpointed page. A
+	// view becomes own — copied, under the shard of the frame's key —
+	// when a writer asks for the page (GetForWrite) and in OwnAll, so a
+	// dirty frame's page is own, and a failed load leaves the frame on
+	// own. page is atomic because that switch happens while readers
+	// hold the frame; a reader keeps whichever bytes it loaded, and both
+	// stay valid while it holds its pin.
+	page atomic.Pointer[[storage.PageBytes]byte]
+	own  *[storage.PageBytes]byte
+
+	_ [56]byte
 }
+
+// viewing reports whether the frame's page is a view of the store's
+// generation rather than its own buffer.
+func (f *frame) viewing() bool { return f.page.Load() != f.own }
 
 // shard is one slice of the lookup table, padded to a cache line.
 type shard struct {
@@ -131,11 +152,14 @@ type flushWait struct {
 
 // Buf is a pinned page handle.
 type Buf struct {
-	// Page is the frame contents; valid while pinned.
+	// Page is the frame contents; valid while pinned. Write to it only
+	// through a Buf from GetForWrite or NewPage: any other may be a view
+	// of the store's read-only mapping.
 	Page storage.Page
 	// File and PageNo identify the page.
 	File, PageNo int
 	f            *frame
+	write        bool // obtained for writing: may be released dirty
 }
 
 // Manager is the buffer pool. All methods are safe for concurrent
@@ -177,7 +201,8 @@ func New(store *storage.Store, n int) *Manager {
 	}
 	for i := range m.frames {
 		f := &m.frames[i]
-		f.page = storage.NewPage()
+		f.own = (*[storage.PageBytes]byte)(storage.NewPage())
+		f.page.Store(f.own)
 		f.ready = make(chan struct{}, 1)
 		f.ready <- struct{}{}
 	}
@@ -202,12 +227,46 @@ func (m *Manager) shardOf(k key) *shard {
 // first claims the frame and performs the read, the loser finds the
 // in-flight claim in the lookup table, waits on that frame's latch,
 // and takes the hit path.
+//
+// The page is for reading: it may be a view of the store's read-only
+// mapping, so a Buf from Get must not be written or released dirty.
 func (m *Manager) Get(tr probe.Tracer, file, page int) (Buf, error) {
 	f, err := m.pin(tr, probe.Resolve(tr), keyOf(file, page))
 	if err != nil {
 		return Buf{}, err
 	}
-	return Buf{Page: f.page, File: file, PageNo: page, f: f}, nil
+	return Buf{Page: f.page.Load()[:], File: file, PageNo: page, f: f}, nil
+}
+
+// GetForWrite pins a page to modify it: an untraced Get that first
+// copies a frame viewing the store's mapping into the frame's own
+// buffer, so the caller writes the pool's copy and never the
+// generation. Only a Buf from GetForWrite or NewPage may be released
+// dirty. Readers that took the page before the copy keep reading the
+// view; writers are serialized with readers above the pool.
+func (m *Manager) GetForWrite(file, page int) (Buf, error) {
+	k := keyOf(file, page)
+	f, err := m.pin(nil, nil, k)
+	if err != nil {
+		return Buf{}, err
+	}
+	if f.viewing() {
+		sh := m.shardOf(k)
+		sh.mu.Lock()
+		f.ownPage()
+		sh.mu.Unlock()
+	}
+	return Buf{Page: f.own[:], File: file, PageNo: page, f: f, write: true}, nil
+}
+
+// ownPage copies a viewed page into the frame's own buffer and makes
+// that the page. The caller holds the shard of f's key, which is what
+// serializes two writers copying the same frame.
+func (f *frame) ownPage() {
+	if p := f.page.Load(); p != f.own {
+		*f.own = *p
+		f.page.Store(f.own)
+	}
 }
 
 // pin is Get without the handle: it returns k's frame with one more
@@ -353,7 +412,7 @@ func (m *Manager) miss(tr, rec probe.Tracer, sh *shard, gen uint64, k key) (*fra
 		if m.testEvictFlushHook != nil {
 			m.testEvictFlushHook()
 		}
-		err = m.store.WritePage(oldKey.file(), oldKey.page(), f.page)
+		err = m.store.WritePage(oldKey.file(), oldKey.page(), f.own[:]) // dirty: page is own
 		m.mu.Lock()
 		delete(m.flushing, oldKey)
 		if err != nil {
@@ -384,12 +443,16 @@ func (m *Manager) miss(tr, rec probe.Tracer, sh *shard, gen uint64, k key) (*fra
 		}
 	}
 	probe.Emit(rec, probe.BufGetRead)
-	if err := m.store.ReadPage(k.file(), k.page(), f.page); err != nil {
+	p, err := m.store.ReadView(k.file(), k.page(), f.own[:])
+	if err != nil {
 		m.mu.Lock()
 		m.failLoad(f, sh, err, nil)
 		m.mu.Unlock()
 		return nil, err
 	}
+	// A checkpointed page comes back as a view of the mapping and is
+	// kept as it is; anything else was copied into own.
+	f.page.Store((*[storage.PageBytes]byte)(p))
 	// Release the frame latch. No lock: the loader's pin keeps the
 	// frame its own, and a session that finds the claim reads loading
 	// after pinning — false means the bytes above are in place.
@@ -421,6 +484,7 @@ func (m *Manager) failLoad(f *frame, sh *shard, err error, restore *key) {
 	sh.mu.Unlock()
 	f.loadErr = err
 	f.valid = false
+	f.page.Store(f.own)
 	f.loading.Store(false)
 	if restore != nil {
 		f.key = *restore
@@ -436,21 +500,25 @@ func (m *Manager) failLoad(f *frame, sh *shard, err error, restore *key) {
 	f.ready <- struct{}{}
 }
 
-// NewPage allocates a fresh page in the file and returns it pinned.
+// NewPage allocates a fresh page in the file and returns it pinned
+// for writing.
 func (m *Manager) NewPage(file int) (Buf, error) {
 	pageNo, err := m.store.AllocPage(file)
 	if err != nil {
 		return Buf{}, err
 	}
-	return m.Get(nil, file, pageNo)
+	return m.GetForWrite(file, pageNo)
 }
 
-// Release unpins a buffer, marking it dirty if modified. It takes no
-// lock.
+// Release unpins a buffer, marking it dirty if modified — which only a
+// Buf obtained for writing may be. It takes no lock.
 func (m *Manager) Release(b Buf, dirty bool) {
 	f := b.f
 	if f == nil || f.pins.Load() <= 0 || f.key != keyOf(b.File, b.PageNo) {
 		panic(fmt.Sprintf("buffer: bad release of file %d page %d", b.File, b.PageNo))
+	}
+	if dirty && !b.write {
+		panic(fmt.Sprintf("buffer: dirty release of file %d page %d, which was not obtained for writing (GetForWrite)", b.File, b.PageNo))
 	}
 	if dirty {
 		f.dirty.Store(true)
@@ -531,11 +599,12 @@ func (m *Manager) FlushAll() error {
 	m.mu.Lock()
 	for i := range m.frames {
 		f := &m.frames[i]
-		// Only a filled frame is ever dirty, and no frame changes hands
-		// while the miss mutex is held. The bit is cleared before the
-		// write so a Release(dirty) that lands during it is kept.
+		// Only a filled frame is ever dirty, its page is own, and no
+		// frame changes hands while the miss mutex is held. The bit is
+		// cleared before the write so a Release(dirty) that lands during
+		// it is kept.
 		if f.dirty.Swap(false) {
-			if err := m.store.WritePage(f.key.file(), f.key.page(), f.page); err != nil {
+			if err := m.store.WritePage(f.key.file(), f.key.page(), f.own[:]); err != nil {
 				f.dirty.Store(true)
 				m.mu.Unlock()
 				return err
@@ -558,6 +627,30 @@ func (m *Manager) FlushAll() error {
 		}
 	}
 	return nil
+}
+
+// OwnAll copies every frame that views the store's mapped generation
+// into the frame's own buffer, so that no frame refers to the mapping
+// any more — call it before the generation is released
+// (storage.PromoteGeneration, Store.Close). It cannot reach a page
+// slice handed out earlier, and a miss after it views the mapping
+// again: the caller keeps requests out from before OwnAll until the
+// generation is gone.
+func (m *Manager) OwnAll() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := range m.frames {
+		f := &m.frames[i]
+		// A loading frame's page is its loader's until the load ends;
+		// no frame is claimed while the miss mutex is held.
+		if f.loading.Load() || !f.viewing() {
+			continue
+		}
+		sh := m.shardOf(f.key)
+		sh.mu.Lock()
+		f.ownPage()
+		sh.mu.Unlock()
+	}
 }
 
 // Stats returns hit and miss counts: every request is one or the

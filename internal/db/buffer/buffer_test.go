@@ -65,7 +65,7 @@ func TestPageContentsSurviveEviction(t *testing.T) {
 
 func TestDirtyPageFlushedOnEvict(t *testing.T) {
 	st, m := newEnv(t, 1, 3)
-	b, err := m.Get(nil, 0, 0)
+	b, err := m.GetForWrite(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +523,7 @@ func TestEvictFlushNotOvertakenByReread(t *testing.T) {
 	// flushed version has; frame 1 holds page 1 clean. The next miss's
 	// clock sweep clears both ref bits and takes frame 0 — the dirty
 	// one — as its victim.
-	b, err := m.Get(nil, 0, 0)
+	b, err := m.GetForWrite(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +583,7 @@ func TestFlushAllWaitsForInFlightEvictFlush(t *testing.T) {
 		close(inFlush)
 		<-releaseFlush
 	}
-	b, err := m.Get(nil, 0, 0)
+	b, err := m.GetForWrite(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

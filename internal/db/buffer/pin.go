@@ -42,7 +42,7 @@ func (m *Manager) Repin(tr probe.Tracer, p *Pin, file, page int) (storage.Page, 
 			probe.Emit(rec, probe.BufGetEnter)
 			probe.Emit(rec, probe.BufTableLookup)
 			probe.Emit(rec, probe.BufGetHit)
-			return f.page, nil
+			return f.page.Load()[:], nil
 		}
 		p.Release()
 	}
@@ -51,7 +51,7 @@ func (m *Manager) Repin(tr probe.Tracer, p *Pin, file, page int) (storage.Page, 
 		return nil, err
 	}
 	p.m, p.f = m, f
-	return f.page, nil
+	return f.page.Load()[:], nil
 }
 
 // Release unpins the held page, if any. It takes no lock.

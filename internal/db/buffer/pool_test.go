@@ -59,6 +59,19 @@ func newTaggedStore(t testing.TB, pages, failEvery int) (*storage.Store, *atomic
 
 var errInjectedWrite = errors.New("injected write failure")
 
+// promoteGeneration checkpoints st's pages as generation 1 and makes
+// it the store's mapped base, closing the store when the test ends.
+func promoteGeneration(t testing.TB, st *storage.Store) {
+	t.Helper()
+	if err := st.WriteGeneration(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PromoteGeneration(1); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+}
+
 func checkTag(p storage.Page, page int) error {
 	if got := binary.LittleEndian.Uint64(p); got != uint64(page) {
 		return fmt.Errorf("page %d holds the bytes of page %d: its frame was recycled under a pin", page, got)
@@ -67,16 +80,27 @@ func checkTag(p storage.Page, page int) error {
 }
 
 // TestPoolStress drives a pool an eighth the size of its file from
-// four goroutines mixing Get, Release (clean and dirty), retained pins
-// and FlushAll. While some storage writes fail it checks that nothing
-// a goroutine has pinned is ever recycled (every page carries its page
-// number) and that only the injected error surfaces; once the writes
-// work again and the pool is flushed it checks the accounting exactly:
-// every request is one hit or one miss, and every miss is one storage
-// read.
+// four goroutines mixing Get, GetForWrite, Release (clean, and dirty
+// after GetForWrite), retained pins and FlushAll. While some storage
+// writes fail it checks that nothing a goroutine has pinned is ever
+// recycled (every page carries its page number) and that only the
+// injected error surfaces; once the writes work again and the pool is
+// flushed it checks the accounting exactly: every request is one hit
+// or one miss, and every miss is one storage read. It runs over a
+// store whose pages are all in the overlay, so every miss copies, and
+// over a promoted generation, where a miss keeps a view of the mapping
+// until a writer asks for the page.
 func TestPoolStress(t *testing.T) {
+	t.Run("overlay", func(t *testing.T) { poolStress(t, false) })
+	t.Run("views", func(t *testing.T) { poolStress(t, true) })
+}
+
+func poolStress(t *testing.T, promote bool) {
 	const pages, frames, goroutines, iters = 256, 32, 4, 4000
 	st, failing := newTaggedStore(t, pages, 5)
+	if promote {
+		promoteGeneration(t, st)
+	}
 	m := New(st, frames)
 
 	// round runs the mix on every goroutine and returns how many
@@ -126,14 +150,24 @@ func TestPoolStress(t *testing.T) {
 						errs[g] = checkTag(p, page)
 					default:
 						page := rng.Intn(pages)
-						b, err := m.Get(nil, 0, page)
+						dirty := rng.Intn(3) == 0
+						var b Buf
+						var err error
+						if dirty {
+							b, err = m.GetForWrite(0, page)
+						} else {
+							b, err = m.Get(nil, 0, page)
+						}
 						if !count(err) {
 							continue
 						}
 						if err := checkTag(b.Page, page); err != nil {
 							errs[g] = err
 						}
-						m.Release(b, rng.Intn(3) == 0)
+						if dirty && &b.Page[0] != &b.f.own[0] {
+							errs[g] = fmt.Errorf("GetForWrite of page %d returned a view, not the frame's own buffer", page)
+						}
+						m.Release(b, dirty)
 					}
 					// Whatever the other goroutines evicted meanwhile, the
 					// retained page is still the retained page.
@@ -198,20 +232,14 @@ func TestPoolStress(t *testing.T) {
 
 // TestMissDoesNotAllocate cycles through four times more pages than
 // the pool has frames, over a checkpointed disk store, so that every
-// request is a miss that evicts a clean page and copies the new one out
-// of the mapped generation: none of that may allocate. (One miss in
+// request is a miss that evicts a clean page and views the new one in
+// the mapped generation: none of that may allocate. (One miss in
 // `frames` sweeps the whole clock and outgrows its event buffer; spread
 // over the run that is well under one allocation per miss.)
 func TestMissDoesNotAllocate(t *testing.T) {
 	const frames, pages = 16, 64
 	st, _ := newTaggedStore(t, pages, 1)
-	if err := st.WriteGeneration(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.PromoteGeneration(1); err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
+	promoteGeneration(t, st)
 	m := New(st, frames)
 	page := 0
 	perMiss := testing.AllocsPerRun(4*pages, func() {
@@ -233,6 +261,100 @@ func TestMissDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestMissViewsTheGeneration pins what a miss on a checkpointed page
+// costs: the frame shares memory with the store's view of the page —
+// nothing was copied — until a writer asks for the page. The writer
+// then gets a copy of the frame's own, its write lands there and is
+// what later readers see, and the generation is untouched until the
+// page is written back. Every miss is still one storage read.
+func TestMissViewsTheGeneration(t *testing.T) {
+	st, _ := newTaggedStore(t, 4, 1)
+	promoteGeneration(t, st)
+	m := New(st, 2)
+	ownReads := uint64(0) // the test's own reads of the store
+	view := func(page int) storage.Page {
+		t.Helper()
+		ownReads++
+		p, err := st.ReadView(0, page, storage.NewPage())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	if v := view(1); cap(v) != storage.PageBytes {
+		t.Fatalf("a view has capacity %d, want %d: appending to it would run into the next page", cap(v), storage.PageBytes)
+	}
+
+	b, err := m.Get(nil, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &b.Page[0] != &view(1)[0] {
+		t.Fatal("the miss copied the page: the frame does not share memory with the store's view")
+	}
+	m.Release(b, false)
+
+	w, err := m.GetForWrite(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &w.Page[0] == &view(1)[0] {
+		t.Fatal("GetForWrite handed out the store's read-only view")
+	}
+	if err := checkTag(w.Page, 1); err != nil {
+		t.Fatal(err)
+	}
+	w.Page[8] = 0xAB
+	m.Release(w, true)
+	if b, err = m.Get(nil, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if b.Page[8] != 0xAB || &b.Page[0] != &w.Page[0] {
+		t.Fatal("a reader after the write does not see the frame's copy")
+	}
+	m.Release(b, false)
+	if view(1)[8] != 0 {
+		t.Fatal("the write reached the store before the page was written back")
+	}
+	if err := m.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if view(1)[8] != 0xAB {
+		t.Fatal("FlushAll did not write the frame's copy back to the store")
+	}
+
+	// Misses on a page written since the checkpoint copy it out of the
+	// overlay; either way a miss is one read.
+	for _, page := range []int{2, 3, 1, 0} {
+		if b, err = m.Get(nil, 0, page); err != nil {
+			t.Fatal(err)
+		}
+		m.Release(b, false)
+	}
+	if _, misses := m.Stats(); st.Reads()-ownReads != misses {
+		t.Fatalf("%d storage reads for %d misses", st.Reads()-ownReads, misses)
+	}
+}
+
+// TestDirtyReleaseOfReadBufPanics: a Buf from Get may be a view of the
+// read-only mapping, so releasing it dirty is a bug in the caller, and
+// the pool says so as it does for a bad release.
+func TestDirtyReleaseOfReadBufPanics(t *testing.T) {
+	st, _ := newTaggedStore(t, 1, 1)
+	promoteGeneration(t, st)
+	m := New(st, 2)
+	b, err := m.Get(nil, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("dirty release of a Buf from Get must panic")
+		}
+	}()
+	m.Release(b, true)
+}
+
 // TestPoolFailedEvictFlushKeepsThePage walks the one miss path that
 // touches three frames' worth of state: an eviction whose flush fails
 // while another session is waiting on that flush to re-read the page.
@@ -251,7 +373,7 @@ func TestPoolFailedEvictFlushKeepsThePage(t *testing.T) {
 	}
 	// Frame 0: page 0, dirtied with a byte only the pool has. Frame 1:
 	// page 1, clean. The next miss evicts page 0.
-	b, err := m.Get(nil, 0, 0)
+	b, err := m.GetForWrite(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -372,6 +372,10 @@ func (db *DB) Checkpoint() error {
 	// on replay. Poison the engine instead: every further write fails
 	// until the process reopens the directory (recovery is safe — the
 	// checkpointed state is complete and durable).
+	//
+	// Promoting unmaps the old generation, which buffer frames may still
+	// view: copy them off it first (the latch keeps new views out).
+	db.Buf.OwnAll()
 	if err := db.Store.PromoteGeneration(newGen); err != nil {
 		db.poison(err)
 		return err
@@ -432,7 +436,7 @@ func (db *DB) Abandon() {
 	db.closed = true
 	db.logging.Store(false)
 	db.wal.Close() //lint:allow walcheck crash simulation discards the writer; a close error is part of the simulated crash
-	db.Store.Close()
+	db.closeStore()
 	if db.lock != nil {
 		db.lock.Close()
 	}
@@ -456,11 +460,22 @@ func (db *DB) Close() error {
 	if werr := db.wal.Close(); err == nil {
 		err = werr
 	}
-	if serr := db.Store.Close(); err == nil {
+	if serr := db.closeStore(); err == nil {
 		err = serr
 	}
 	if db.lock != nil {
 		db.lock.Close()
 	}
 	return err
+}
+
+// closeStore copies every buffer frame off the mapped generation and
+// closes the store, under the exclusive latch so that no query creates
+// a view between the two: a query on the closed engine reads pages it
+// still buffers and fails on a miss — an error, never a fault.
+func (db *DB) closeStore() error {
+	db.latch.lock()
+	defer db.latch.unlock()
+	db.Buf.OwnAll()
+	return db.Store.Close()
 }

@@ -10,7 +10,10 @@
 // never mutate heap pages or the access-method maps under a running
 // scan. The layers below (catalog, buffer pool, storage) carry their
 // own fine-grained latches, so even latch-free internal callers get
-// racy-but-memory-safe behavior rather than corruption.
+// racy-but-memory-safe behavior rather than corruption — except across
+// the release of a checkpoint generation (Checkpoint, Close, Abandon),
+// which buffer frames may view: that happens under the exclusive side,
+// after the frames are copied off it (buffer.OwnAll).
 package engine
 
 import (

@@ -18,13 +18,15 @@ import (
 // place, and are mapped read-only into the process when the generation
 // becomes current (OpenDiskStore, PromoteGeneration). Pages written or
 // allocated since the checkpoint live in an in-memory overlay keyed by
-// (file, page); reads consult the overlay first and fall back to a
-// copy out of the mapping. A checkpoint writes the merged state as a
-// brand-new generation (hard-linking files with no changes), fsyncs
-// it, and — after the caller has durably published a manifest naming
-// it — promotes it to base and deletes the old generation. A crash at
-// any point therefore leaves either the old complete generation or the
-// new complete generation, never a half-written mix.
+// (file, page); reads consult the overlay first (and copy its image
+// out) and otherwise return a view of the mapping — a read-only slice
+// of the generation's bytes, no copy (ReadView). A checkpoint writes
+// the merged state as a brand-new generation (hard-linking files with
+// no changes), fsyncs it, and — after the caller has durably published
+// a manifest naming it — promotes it to base and deletes the old
+// generation. A crash at any point therefore leaves either the old
+// complete generation or the new complete generation, never a
+// half-written mix.
 //
 // What reading through a mapping means: a base read makes no system
 // call, and a page the OS does not have cached is a page fault, which
@@ -34,7 +36,14 @@ import (
 // unlinked, which a mapping survives — but a file truncated from
 // outside regardless is a SIGBUS on the next read of a lost page, not
 // an error. Builds without mmap read each file into memory instead
-// (map_other.go); everything below sees a []byte either way.
+// (map_other.go); everything below sees a []byte either way, and a
+// view is a slice of the heap copy there.
+//
+// A view lives only as long as its generation's mapping. Whoever keeps
+// one — the buffer pool keeps them in its frames — copies it out before
+// PromoteGeneration or Close releases the generation, and copies it
+// before writing to the page (a store through a view faults). Close
+// empties the base, so a read after it is an error, never a fault.
 //
 // The overlay is also where the write-ahead log hooks in: a spill
 // callback (SetSpill) observes every page write between checkpoints,
@@ -186,20 +195,23 @@ func (s *Store) Generation() uint64 {
 	return s.disk.gen
 }
 
-func (d *diskStore) readPage(file, page int, dst Page) error {
+// view returns a page: a view of the mapped base for a page the
+// overlay does not hold, else the overlay image copied into buf (the
+// overlay is rewritten in place by the next write of the page).
+func (d *diskStore) view(file, page int, buf Page) (Page, error) {
 	if file < 0 || file >= len(d.pages) || page < 0 || page >= d.pages[file] {
-		return fmt.Errorf("storage: read beyond file %d page %d", file, page)
+		return nil, fmt.Errorf("storage: read beyond file %d page %d", file, page)
 	}
 	if p, ok := d.overlay[pageKeyOf(file, page)]; ok {
-		copy(dst, p)
-		return nil
+		copy(buf, p)
+		return buf, nil
 	}
 	b := &d.base[file]
 	if page >= b.pages() {
-		return fmt.Errorf("storage: file %d page %d missing from base and overlay", file, page)
+		return nil, fmt.Errorf("storage: file %d page %d missing from base and overlay", file, page)
 	}
-	copy(dst[:PageBytes], b.data[page*PageBytes:])
-	return nil
+	start, end := page*PageBytes, (page+1)*PageBytes
+	return b.data[start:end:end], nil
 }
 
 // overlayPage returns the overlay's image of a page, adding an empty
@@ -288,11 +300,12 @@ func (s *Store) WriteGeneration(gen uint64) error {
 			return err
 		}
 		for p := 0; p < n; p++ {
-			if err := d.readPage(id, p, buf); err != nil {
+			page, err := d.view(id, p, buf)
+			if err != nil {
 				f.Close()
 				return err
 			}
-			if _, err := f.Write(buf); err != nil {
+			if _, err := f.Write(page); err != nil {
 				f.Close()
 				return err
 			}
@@ -314,7 +327,8 @@ func (s *Store) WriteGeneration(gen uint64) error {
 // directory. The new generation's files are all mapped before any old
 // mapping is released: a failure mid-way releases the new ones and
 // leaves the store exactly as it was, still serving reads from the old
-// base.
+// base. A view of the old base dies with its mapping: copy views out
+// first.
 func (s *Store) PromoteGeneration(gen uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -368,8 +382,9 @@ func RemoveStaleGenerations(dir string, keep uint64) error {
 	return nil
 }
 
-// Close releases the disk store's mappings (no-op in memory mode);
-// reading a base page afterwards is an error.
+// Close releases the disk store's mappings (no-op in memory mode), and
+// every view of them with it; reading a base page afterwards is an
+// error.
 func (s *Store) Close() error {
 	if s.disk == nil {
 		return nil

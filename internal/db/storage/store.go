@@ -7,10 +7,12 @@ import (
 )
 
 // Store is the storage manager: a set of page files addressed by file
-// ID. Pages are copied in and out (as a disk would), so the only way
-// to mutate stored data is an explicit WritePage — the buffer manager
-// above is the sole client, mirroring the kernel structure in the
-// paper's Figure 1. All methods are safe for concurrent use: page and
+// ID. The only way to mutate stored data is an explicit WritePage,
+// which copies the page in — the buffer manager above is the sole
+// client, mirroring the kernel structure in the paper's Figure 1.
+// ReadPage copies a page out, as a disk would; ReadView hands out a
+// checkpointed page as a read-only view of the mapped generation
+// instead. All methods are safe for concurrent use: page and
 // file-table access is guarded by one reader/writer lock, matching a
 // disk controller serving requests from many backends.
 //
@@ -26,6 +28,9 @@ type Store struct {
 	files [][]Page
 	disk  *diskStore // non-nil in disk-backed mode
 	reads atomic.Uint64
+
+	// readErr, when set, fails every read (see InjectReadError).
+	readErr error
 }
 
 // NewStore returns a store with n pre-created empty files.
@@ -93,23 +98,53 @@ func (s *Store) AllocPage(file int) (int, error) {
 	return len(s.files[file]) - 1, nil
 }
 
-// ReadPage copies page contents into dst (len PageBytes).
-func (s *Store) ReadPage(file, page int, dst Page) error {
+// ReadView returns the contents of a page. A page of the current
+// checkpoint generation that has not been written since comes back as
+// a view of the mapped generation: read-only (a write through it is a
+// fault on unix), capacity-capped, and valid until the generation is
+// released by PromoteGeneration or Close — the caller must copy it out
+// before then. Any other page — one in the overlay, or any page of a
+// memory store, where WritePage rewrites pages in place — is copied
+// into buf (len PageBytes), and buf is returned.
+func (s *Store) ReadView(file, page int, buf Page) (Page, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if s.readErr != nil {
+		return nil, s.readErr
+	}
 	if s.disk != nil {
-		if err := s.disk.readPage(file, page, dst); err != nil {
-			return err
+		p, err := s.disk.view(file, page, buf)
+		if err != nil {
+			return nil, err
 		}
 		s.reads.Add(1)
-		return nil
+		return p, nil
 	}
 	if file < 0 || file >= len(s.files) || page < 0 || page >= len(s.files[file]) {
-		return fmt.Errorf("storage: read beyond file %d page %d", file, page)
+		return nil, fmt.Errorf("storage: read beyond file %d page %d", file, page)
 	}
-	copy(dst, s.files[file][page])
+	copy(buf, s.files[file][page])
 	s.reads.Add(1)
-	return nil
+	return buf, nil
+}
+
+// ReadPage copies page contents into dst (len PageBytes).
+func (s *Store) ReadPage(file, page int, dst Page) error {
+	p, err := s.ReadView(file, page, dst)
+	if err == nil && &p[0] != &dst[0] {
+		copy(dst, p)
+	}
+	return err
+}
+
+// InjectReadError makes every later read fail with err (nil restores
+// reads). The mappings stay in place, so a view handed out earlier
+// stays readable: it is how tests fail the reads under a running query
+// without pulling pages out from under it.
+func (s *Store) InjectReadError(err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.readErr = err
 }
 
 // WritePage copies src into the stored page.
