@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/dsdb"
@@ -133,19 +135,8 @@ func TestPinsReleasedAfterReadError(t *testing.T) {
 // bench/ pins for the default pool: retention must not change a row,
 // nor run a plan out of frames.
 func TestSmallPoolReturnsGoldenRows(t *testing.T) {
-	golden := map[string]string{}
-	f, err := os.Open(filepath.Join("..", "bench", "testdata", "results.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	for sc := bufio.NewScanner(f); sc.Scan(); {
-		name, digest, _ := strings.Cut(sc.Text(), " ")
-		golden[name] = digest
-	}
-	// The golden's configuration: bench/ generates its data at SF 0.01
-	// with data seed 42.
-	db := openTPCD(t, 0.01, dsdb.WithSeed(42), dsdb.WithBufferFrames(64))
+	golden := resultsGolden(t)
+	db := openSmallPool(t)
 	defer db.Close()
 	for _, qn := range dsdb.TPCDQueryNumbers() {
 		q, _ := dsdb.TPCDQuery(qn)
@@ -162,6 +153,76 @@ func TestSmallPoolReturnsGoldenRows(t *testing.T) {
 	if st := db.PoolStats(); st.Misses == 0 {
 		t.Fatal("no misses: the pool was not small")
 	}
+}
+
+// TestSmallPoolConcurrentSessions is TestSmallPoolReturnsGoldenRows
+// with two sessions at once: each runs three rounds of the twelve
+// queries, in its own seeded order, through the same 64 frames, so
+// that one session's misses evict the pages the other is hitting. No
+// row may change, and nothing may stay pinned.
+func TestSmallPoolConcurrentSessions(t *testing.T) {
+	const sessions, rounds = 2, 3
+	golden := resultsGolden(t)
+	db := openSmallPool(t)
+	defer db.Close()
+	var wg sync.WaitGroup
+	errs := make([]error, sessions)
+	for s := 0; s < sessions; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(s + 1)))
+			for r := 0; r < rounds; r++ {
+				qns := dsdb.TPCDQueryNumbers()
+				rng.Shuffle(len(qns), func(i, j int) { qns[i], qns[j] = qns[j], qns[i] })
+				for _, qn := range qns {
+					q, _ := dsdb.TPCDQuery(qn)
+					res, err := db.Exec(context.Background(), q)
+					if err != nil {
+						errs[s] = fmt.Errorf("session %d round %d Q%d: %w", s, r, qn, err)
+						return
+					}
+					name := fmt.Sprintf("Q%d", qn)
+					if got := benchDigest(res); got != golden[name] {
+						errs[s] = fmt.Errorf("session %d round %d %s: %s, results.golden has %s", s, r, name, got, golden[name])
+						return
+					}
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	assertNoPins(t, db, "after both sessions")
+	if st := db.PoolStats(); st.Misses == 0 {
+		t.Fatal("no misses: the pool was not small")
+	}
+}
+
+// resultsGolden reads bench/'s per-query result digests.
+func resultsGolden(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open(filepath.Join("..", "bench", "testdata", "results.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	golden := map[string]string{}
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		name, digest, _ := strings.Cut(sc.Text(), " ")
+		golden[name] = digest
+	}
+	return golden
+}
+
+// openSmallPool opens the golden's configuration — bench/ generates
+// its data at SF 0.01 with data seed 42 — through a 64-frame pool.
+func openSmallPool(t *testing.T) *dsdb.DB {
+	return openTPCD(t, 0.01, dsdb.WithSeed(42), dsdb.WithBufferFrames(64))
 }
 
 // benchDigest renders a result the way bench/run.go's digest does: row

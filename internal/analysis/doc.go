@@ -14,21 +14,21 @@
 //
 // lockorder enforces the latch acquisition order declared in
 // lockrank.Table: engine close guard before the engine latch, the
-// latch before the buffer pool's miss mutex, that before its lookup
-// shards (never two of those at once) and the storage leaf, and so on. It is interprocedural: every function
-// exports a fact summarizing the ranked locks it may acquire through
-// static calls, so an out-of-order acquisition buried in another
-// package is attributed to the call site that committed it. It also
-// flags exclusive reentry of the reader-preferring rwLatch — the PR 2
+// latch before the buffer pool's miss mutex, that before the storage
+// leaf, and so on. It is interprocedural: every function exports a
+// fact summarizing the ranked locks it may acquire through static
+// calls, so an out-of-order acquisition buried in another package is
+// attributed to the call site that committed it. It also flags
+// exclusive reentry of the reader-preferring rwLatch — the PR 2
 // deadlock — while accepting the documented shared-mode reentrancy.
 //
 // tracerlock forbids probe emission and calls through function values
 // or interfaces while a NoTracer-ranked mutex (the buffer pool's miss
-// mutex and lookup shards, the result cache) is held. A tracer is arbitrary user code; one that re-enters
-// the pool deadlocks on the mutex its caller holds. This pins the
-// PR 3 regression (tracer emission under the pool mutex) and the PR 4
-// one (the result cache running its epoch-validation callback inside
-// its mutex).
+// mutex, the result cache) is held. A tracer is arbitrary user code;
+// one that re-enters the pool deadlocks on the mutex its caller holds.
+// This pins the PR 3 regression (tracer emission under the pool mutex)
+// and the PR 4 one (the result cache running its epoch-validation
+// callback inside its mutex).
 //
 // walcheck enforces the durability ground rules from PR 5: every
 // wal.Writer Append/Sync/ResetTo/Close error must be consumed, and in

@@ -140,7 +140,7 @@ var Table = []Lock{
 		ReleaseExcl:   []string{"unlock"},
 		ReleaseShared: []string{"runlock"},
 		Before: []string{
-			"buffer.pool", "buffer.shard", "catalog.catalog", "storage.store",
+			"buffer.pool", "catalog.catalog", "storage.store",
 			"wal.writer", "qcache.cache", "probe.counters", "obs.tracer",
 		},
 		SharedReentrant: true,
@@ -163,26 +163,13 @@ var Table = []Lock{
 		Pkg:      "repro/internal/db/buffer",
 		Type:     "Manager",
 		Field:    "mu",
-		Before:   []string{"buffer.shard", "storage.store"},
+		Before:   []string{"storage.store"},
 		NoTracer: true,
-		Doc: "The buffer pool's miss mutex: clock hand, victim claim, miss " +
-			"count, flush registry — taken on the miss path only. No tracer " +
-			"emission while held (PR 3's reentrant-tracer deadlock); miss IO " +
-			"runs under the per-frame latch, not here.",
-	},
-	{
-		Name:     "buffer.shard",
-		Pkg:      "repro/internal/db/buffer",
-		Type:     "shard",
-		Field:    "mu",
-		Before:   nil,
-		NoTracer: true,
-		Doc: "One lookup shard of the buffer pool: its slice of the key -> " +
-			"frame table and its hit count. The hit path takes one shard and " +
-			"nothing else; the miss path takes shards one at a time under the " +
-			"miss mutex (pool -> shard, never two shards at once — a second " +
-			"shard is a self-nesting violation). A leaf, ranked between the " +
-			"pool and the store: no IO and no tracer emission while held.",
+		Doc: "The buffer pool's miss mutex: clock hand, victim claim, page-" +
+			"table writes, miss count, flush registry — taken on the miss " +
+			"path, and by a writer copying a viewed page; a hit takes no " +
+			"lock. No tracer emission while held (PR 3's reentrant-tracer " +
+			"deadlock); miss IO runs under the per-frame latch, not here.",
 	},
 	{
 		Name:   "storage.store",

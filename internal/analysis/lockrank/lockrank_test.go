@@ -42,11 +42,6 @@ func TestMayAcquire(t *testing.T) {
 		{"engine.latch", Shared, "engine.latch", Exclusive, false},    // read-to-write upgrade deadlocks
 		{"engine.latch", Exclusive, "engine.latch", Exclusive, false}, // exclusive reentry deadlocks
 		{"buffer.pool", Exclusive, "buffer.pool", Exclusive, false},
-		{"buffer.pool", Exclusive, "buffer.shard", Exclusive, true},   // the miss path unmaps and publishes under the miss mutex
-		{"buffer.shard", Exclusive, "buffer.pool", Exclusive, false},  // a hit never reaches for the miss mutex
-		{"buffer.shard", Exclusive, "buffer.shard", Exclusive, false}, // never two shards at once
-		{"buffer.shard", Exclusive, "storage.store", Exclusive, false},
-		{"engine.latch", Shared, "buffer.shard", Exclusive, true},
 		{"server.mu", Exclusive, "server.qmu", Exclusive, true},  // Shutdown cancels per-conn queries
 		{"server.qmu", Exclusive, "server.mu", Exclusive, false}, // reverse order deadlocks against Shutdown
 		{"server.mu", Exclusive, "engine.latch", Shared, false},  // serving mutexes never wrap engine calls

@@ -4,27 +4,36 @@
 // statistics — the module the paper identifies (with the access
 // methods) as a major source of instruction-cache misses.
 //
-// The pool is latched at three granularities, so that a page request
-// takes the cheapest one that can serve it:
+// The pool is latched at two granularities, and a hit takes neither:
 //
-//   - Lookup shards. The key → frame table is split over numShards
-//     maps, each under its own mutex with its own hit count. A hit
-//     locks one shard, pins the frame with an atomic add and unlocks;
-//     Release is an atomic decrement and takes no lock at all. pins,
-//     ref and dirty are per-frame atomics, and frames and shards are
-//     padded to their own cache lines, so two sessions hitting
-//     different pages write no common line. A frame goes from unpinned
-//     to pinned only under the shard of its key, which is what lets
-//     the eviction below trust a zero pin count it reads there.
+//   - The page table. The key → frame table is lock-free: per file, a
+//     directory of fixed chunks of chunkSize atomic frame pointers,
+//     published as an immutable snapshot. Chunks never move once made,
+//     and entries are written only under the miss mutex. A hit looks
+//     its key up, pins the frame with an atomic add, and then looks
+//     again: the frame is its page only if the entry still names it
+//     (validate after pin). A loading frame is waited for (below); any
+//     other is checked once more, because a failed load unpublishes its
+//     frame before it clears loading. Release is an atomic decrement.
+//     pins, ref, dirty and the frame's hit counts are per-frame atomics
+//     and frames are padded to their own cache lines, so the only
+//     shared line a hit writes is its frame's, and two sessions hitting
+//     different pages write no common line.
 //   - The miss mutex (Manager.mu). The clock hand, the victim claim,
-//     the miss count and the in-flight flush registry stay under one
-//     pool-wide mutex, taken on the miss path only. It nests outside
-//     the shards (pool → shard, never two shards at once): the sweep
-//     unmaps its victim under the victim's shard after re-checking
-//     there that nobody pinned it, then publishes the claim under the
-//     new key's shard. A clean miss takes four locks (shard lookup,
-//     miss mutex, victim's shard, new key's shard), three when it
-//     takes a free frame; finishing the load takes none.
+//     the table writes, the miss count and the in-flight flush registry
+//     stay under one pool-wide mutex, taken on the miss path (and by a
+//     writer copying a viewed page, see GetForWrite) only. The sweep
+//     claims its victim by swapping its pin count from 0 to the
+//     claimed sentinel, a large negative number — free frames too. A
+//     hit that pins a claimed frame sees a count that is not positive,
+//     takes its pin back and goes to the miss path, which re-checks the
+//     table under the mutex; the claimant unpublishes the victim, then
+//     adds 1 − claimed, which leaves its own pin plus any racing
+//     transient ones, and publishes the frame under the new key. A
+//     stale frame pointer — read from the table before the frame moved
+//     on — is therefore harmless: pinning it either fails or holds a
+//     frame whose entry the re-lookup no longer finds, and the pin is
+//     given back.
 //   - The frame latch. Miss IO — the evict-flush and the storage read —
 //     runs with only the claimed frame held: loading is set and the
 //     loader holds the frame's latch token while it lasts. Two sessions
@@ -51,6 +60,7 @@ package buffer
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,8 +70,7 @@ import (
 )
 
 // key names a page: the file number in the high half, the page number
-// in the low half. One word, so the lookup tables hash it with the
-// runtime's 64-bit fast path.
+// in the low half.
 type key uint64
 
 func keyOf(file, page int) key { return key(uint64(uint32(file))<<32 | uint64(uint32(page))) }
@@ -72,15 +81,16 @@ func (k key) page() int { return int(uint32(k)) }
 // frame is one page slot, padded to two cache lines so neighbouring
 // frames' pin counts do not share one.
 type frame struct {
-	// pins, ref and dirty are atomics: a hit pins under its shard only,
-	// Release and the clock's reference bit take no lock.
+	// pins, ref and dirty are atomics: a hit pins with no lock, Release
+	// and the clock's reference bit take none either. pins holds the
+	// claimed sentinel while the clock sweep takes the frame.
 	pins  atomic.Int32
 	ref   atomic.Bool
 	dirty atomic.Bool
 
 	// loading marks a claimed frame whose IO (evict-flush + storage
 	// read) is in flight under the frame-local latch: the key is
-	// published in the lookup table, pins is at least 1 (the loader's),
+	// published in the page table, pins is at least 1 (the loader's),
 	// but the contents are not yet valid. ready is the latch: a channel
 	// of capacity one made with the frame, holding one token whenever no
 	// load is in flight. The loader takes the token at the claim and
@@ -94,53 +104,79 @@ type frame struct {
 	ready   chan struct{}
 	loadErr error
 
+	// tableHits counts the requests the page table answered with this
+	// frame, pinHits those a Pin holding it answered itself (each Pin
+	// adds its count when it lets go). They live in the frame, whose
+	// line a hit writes anyway.
+	tableHits atomic.Uint64
+	pinHits   atomic.Uint64
+
 	// key and valid change only in the hands of the frame's claimant —
-	// under the miss mutex with the frame unmapped and unpinned, or by
+	// under the miss mutex with the frame claimed and unpublished, or by
 	// the loader while it holds its pin. Everyone else reads them
-	// either under the miss mutex or while holding a pin of their own.
+	// either under the miss mutex or while holding a pin it validated.
 	key   key
 	valid bool
 
 	// page is the frame's contents: either own, the buffer New made for
 	// the frame, or a read-only view of the store's mapped generation,
 	// which the loader keeps instead of copying a checkpointed page. A
-	// view becomes own — copied, under the shard of the frame's key —
-	// when a writer asks for the page (GetForWrite) and in OwnAll, so a
-	// dirty frame's page is own, and a failed load leaves the frame on
-	// own. page is atomic because that switch happens while readers
-	// hold the frame; a reader keeps whichever bytes it loaded, and both
-	// stay valid while it holds its pin.
+	// view becomes own — copied, under the miss mutex — when a writer
+	// asks for the page (GetForWrite) and in OwnAll, so a dirty frame's
+	// page is own, and a failed load leaves the frame on own. page is
+	// atomic because that switch happens while readers hold the frame;
+	// a reader keeps whichever bytes it loaded, and both stay valid
+	// while it holds its pin.
 	page atomic.Pointer[[storage.PageBytes]byte]
 	own  *[storage.PageBytes]byte
 
-	_ [56]byte
+	_ [40]byte
 }
+
+// claimed is the pin count the clock sweep swaps into an unpinned
+// frame to take it. It is far enough below zero that racing transient
+// pins, each a +1 taken back at once, never lift it to a positive
+// count.
+const claimed = math.MinInt32 / 2
+
+// tryPin adds a pin to f unless f is claimed, in which case the count
+// is left as it was found and tryPin reports false.
+func (f *frame) tryPin() bool {
+	if f.pins.Add(1) > 0 {
+		return true
+	}
+	f.pins.Add(-1)
+	return false
+}
+
+// claim takes an unpinned frame for the clock sweep, or reports false
+// if it is pinned. The caller holds the miss mutex.
+func (f *frame) claim() bool { return f.pins.CompareAndSwap(0, claimed) }
+
+// lift turns a claim into the claimant's pin: from the sentinel to 1,
+// plus any transient pins that raced the claim and have not yet been
+// taken back, so that taking them back leaves exactly the claimant's.
+func (f *frame) lift() { f.pins.Add(1 - claimed) }
 
 // viewing reports whether the frame's page is a view of the store's
 // generation rather than its own buffer.
 func (f *frame) viewing() bool { return f.page.Load() != f.own }
 
-// shard is one slice of the lookup table, padded to a cache line.
-type shard struct {
-	mu    sync.Mutex
-	table map[key]*frame
-	hits  uint64 // requests answered from this table
-
-	// gen counts inserts. A miss reads it under mu with its failed
-	// lookup and again under the miss mutex: unchanged means no claim
-	// for its key can have been published in between (inserts happen
-	// under the miss mutex only), so the lookup need not be repeated;
-	// changed, the miss starts over.
-	gen atomic.Uint64
-
-	_ [32]byte
-}
-
-// numShards is the number of lookup shards (a power of two).
+// chunkSize is the number of consecutive pages of one file whose table
+// entries share a chunk (a power of two).
 const (
-	shardBits = 6
-	numShards = 1 << shardBits
+	chunkBits = 9
+	chunkSize = 1 << chunkBits
 )
+
+// chunk holds the page-table entries of chunkSize consecutive pages.
+type chunk [chunkSize]atomic.Pointer[frame]
+
+// directory is a snapshot of the page table: directory[file][c] is the
+// chunk of the file's pages c·chunkSize onwards, nil until one of them
+// is first published. A snapshot is never modified; the miss path
+// publishes a grown copy that shares the existing chunks.
+type directory [][]*chunk
 
 // flushWait is one in-flight evict-flush: done closes when the write
 // finished, err (set before done closes) reports its failure to any
@@ -167,18 +203,17 @@ type Buf struct {
 type Manager struct {
 	store  *storage.Store
 	frames []frame
-	shards []shard
 
-	// pinHits counts requests answered by a Pin that already held the
-	// page; each Pin folds its own count in when it lets go.
-	pinHits atomic.Uint64
+	// table is the page table's current snapshot, replaced under the
+	// miss mutex when a miss needs a chunk it does not have yet.
+	table atomic.Pointer[directory]
 
-	mu     sync.Mutex // the miss mutex: guards hand, misses and flushing
+	mu     sync.Mutex // the miss mutex: guards hand, misses, flushing and table writes
 	hand   int
 	misses uint64
 
 	// flushing tracks pages whose evict-flush is in flight outside the
-	// miss mutex: the victim's lookup entry is gone (its frame was
+	// miss mutex: the victim's table entry is gone (its frame was
 	// reassigned) but its dirty bytes have not reached storage yet. A
 	// miss that wants to read such a page must wait for the flush —
 	// and fail if the flush failed — or it would install stale bytes.
@@ -196,9 +231,9 @@ func New(store *storage.Store, n int) *Manager {
 	m := &Manager{
 		store:    store,
 		frames:   make([]frame, n),
-		shards:   make([]shard, numShards),
 		flushing: make(map[key]*flushWait),
 	}
+	m.table.Store(&directory{})
 	for i := range m.frames {
 		f := &m.frames[i]
 		f.own = (*[storage.PageBytes]byte)(storage.NewPage())
@@ -206,16 +241,38 @@ func New(store *storage.Store, n int) *Manager {
 		f.ready = make(chan struct{}, 1)
 		f.ready <- struct{}{}
 	}
-	for i := range m.shards {
-		m.shards[i].table = make(map[key]*frame, n/numShards+1)
-	}
 	return m
 }
 
-// shardOf returns the lookup shard of k (Fibonacci hashing, so the
-// pages of one file spread over all shards).
-func (m *Manager) shardOf(k key) *shard {
-	return &m.shards[uint64(k)*0x9E3779B97F4A7C15>>(64-shardBits)]
+// lookup returns the frame the page table holds for k, or nil. It
+// takes no lock: the frame may be moving on to another page as it
+// returns, which is why a hit validates after it pins.
+func (m *Manager) lookup(k key) *frame {
+	dir := *m.table.Load()
+	file, c := k.file(), k.page()>>chunkBits
+	if file >= len(dir) || c >= len(dir[file]) || dir[file][c] == nil {
+		return nil
+	}
+	return dir[file][c][k.page()&(chunkSize-1)].Load()
+}
+
+// entry returns k's page-table entry, publishing a grown snapshot
+// first if k's chunk does not exist yet. The caller holds the miss
+// mutex; chunks never move, so the entry stays k's for good.
+func (m *Manager) entry(k key) *atomic.Pointer[frame] {
+	dir := *m.table.Load()
+	file, c := k.file(), k.page()>>chunkBits
+	if file >= len(dir) || c >= len(dir[file]) || dir[file][c] == nil {
+		grown := make(directory, max(len(dir), file+1))
+		copy(grown, dir)
+		chunks := make([]*chunk, max(len(grown[file]), c+1))
+		copy(chunks, grown[file])
+		chunks[c] = new(chunk)
+		grown[file] = chunks
+		m.table.Store(&grown)
+		dir = grown
+	}
+	return &dir[file][c][k.page()&(chunkSize-1)]
 }
 
 // Get pins the given page, reading it from storage on a miss. The
@@ -225,7 +282,7 @@ func (m *Manager) shardOf(k key) *shard {
 // waits on another session's in-flight read. Two sessions racing for
 // an unbuffered page still read it from storage exactly once: the
 // first claims the frame and performs the read, the loser finds the
-// in-flight claim in the lookup table, waits on that frame's latch,
+// in-flight claim in the page table, waits on that frame's latch,
 // and takes the hit path.
 //
 // The page is for reading: it may be a view of the store's read-only
@@ -245,22 +302,20 @@ func (m *Manager) Get(tr probe.Tracer, file, page int) (Buf, error) {
 // dirty. Readers that took the page before the copy keep reading the
 // view; writers are serialized with readers above the pool.
 func (m *Manager) GetForWrite(file, page int) (Buf, error) {
-	k := keyOf(file, page)
-	f, err := m.pin(nil, nil, k)
+	f, err := m.pin(nil, nil, keyOf(file, page))
 	if err != nil {
 		return Buf{}, err
 	}
 	if f.viewing() {
-		sh := m.shardOf(k)
-		sh.mu.Lock()
+		m.mu.Lock()
 		f.ownPage()
-		sh.mu.Unlock()
+		m.mu.Unlock()
 	}
 	return Buf{Page: f.own[:], File: file, PageNo: page, f: f, write: true}, nil
 }
 
 // ownPage copies a viewed page into the frame's own buffer and makes
-// that the page. The caller holds the shard of f's key, which is what
+// that the page. The caller holds the miss mutex, which is what
 // serializes two writers copying the same frame.
 func (f *frame) ownPage() {
 	if p := f.page.Load(); p != f.own {
@@ -279,27 +334,35 @@ func (f *frame) ownPage() {
 // PR 3 class — enforced statically by dsdblint's tracerlock). On a
 // miss the clock sweep's events are recorded under the miss mutex and
 // replayed once it drops.
+//
+// A hit takes no lock: look k up, pin the frame, and keep the pin only
+// if the table still maps k to that frame (see the package comment).
+// A frame the sweep has claimed refuses the pin, and the request goes
+// to the miss path, which waits out the claim on the miss mutex.
 func (m *Manager) pin(tr, rec probe.Tracer, k key) (*frame, error) {
-	sh := m.shardOf(k)
-	sh.mu.Lock()
-	f, ok := sh.table[k]
-	if !ok {
-		gen := sh.gen.Load()
-		sh.mu.Unlock()
-		return m.miss(tr, rec, sh, gen, k)
+	for {
+		f := m.lookup(k)
+		if f == nil || !f.tryPin() {
+			return m.miss(tr, rec, k)
+		}
+		if m.lookup(k) == f {
+			if f.loading.Load() {
+				return m.awaitLoad(tr, rec, f)
+			}
+			// Not loading: loaded, or its load failed, and a failed load
+			// unpublished the frame before it cleared loading.
+			if m.lookup(k) == f {
+				f.tableHits.Add(1)
+				f.touch()
+				probe.Emit(rec, probe.BufGetEnter)
+				probe.Emit(rec, probe.BufTableLookup)
+				probe.Emit(rec, probe.BufGetHit)
+				return f, nil
+			}
+		}
+		// The frame moved on between the lookup and the pin.
+		f.pins.Add(-1)
 	}
-	f.pins.Add(1)
-	if f.loading.Load() {
-		sh.mu.Unlock()
-		return m.awaitLoad(tr, rec, sh, f)
-	}
-	sh.hits++
-	sh.mu.Unlock()
-	f.touch()
-	probe.Emit(rec, probe.BufGetEnter)
-	probe.Emit(rec, probe.BufTableLookup)
-	probe.Emit(rec, probe.BufGetHit)
-	return f, nil
 }
 
 // touch sets the clock's reference bit. Loading it first keeps a
@@ -311,10 +374,11 @@ func (f *frame) touch() {
 }
 
 // awaitLoad completes a request that found another session's read of
-// its page in flight. The caller pinned f under the shard (so it
-// cannot be recycled under us) and saw it loading; wait on the frame's
-// latch, then complete as a hit — the read happened once.
-func (m *Manager) awaitLoad(tr, rec probe.Tracer, sh *shard, f *frame) (*frame, error) {
+// its page in flight. The caller pinned f (so it cannot be recycled
+// under us), found it still published under its key and saw it
+// loading; wait on the frame's latch, then complete as a hit — the
+// read happened once.
+func (m *Manager) awaitLoad(tr, rec probe.Tracer, f *frame) (*frame, error) {
 	probe.Emit(rec, probe.BufGetEnter)
 	probe.Emit(rec, probe.BufTableLookup)
 	// An IOWaiter tracer additionally receives the wait (see Get); only
@@ -333,27 +397,26 @@ func (m *Manager) awaitLoad(tr, rec probe.Tracer, sh *shard, f *frame) (*frame, 
 		f.pins.Add(-1)
 		return nil, err
 	}
-	sh.mu.Lock()
-	sh.hits++
-	sh.mu.Unlock()
+	f.tableHits.Add(1)
 	f.touch()
 	probe.Emit(rec, probe.BufGetHit)
 	return f, nil
 }
 
-// miss claims a frame for k and fills it. sh is k's shard and gen its
-// insert count when the caller's lookup failed.
+// miss claims a frame for k and fills it.
 //
-// The claim — clock sweep, unmapping the victim, publishing the frame
-// under the new key, registering the victim's flush — happens under
-// the miss mutex and does no IO. The evict-flush and the storage read
-// — the slow part — then run under only the claimed frame's latch, so
-// misses on different pages overlap their IO.
-func (m *Manager) miss(tr, rec probe.Tracer, sh *shard, gen uint64, k key) (*frame, error) {
+// The claim — clock sweep, unpublishing the victim, publishing the
+// frame under the new key, registering the victim's flush — happens
+// under the miss mutex and does no IO. The evict-flush and the storage
+// read — the slow part — then run under only the claimed frame's
+// latch, so misses on different pages overlap their IO.
+func (m *Manager) miss(tr, rec probe.Tracer, k key) (*frame, error) {
 	m.mu.Lock()
-	if sh.gen.Load() != gen {
-		// Something was published in this shard since the lookup — maybe
-		// a racing miss's claim for k. Look again.
+	slot := m.entry(k)
+	if slot.Load() != nil {
+		// Published since the caller looked — a racing miss's claim for
+		// k — or the frame the caller found was claimed and this is its
+		// successor. Take the hit path.
 		m.mu.Unlock()
 		return m.pin(tr, rec, k)
 	}
@@ -366,7 +429,7 @@ func (m *Manager) miss(tr, rec probe.Tracer, sh *shard, gen uint64, k key) (*fra
 		emitAll(rec, evs)
 		return nil, err
 	}
-	// The frame is unmapped and unpinned: nobody else can reach it
+	// The frame is claimed and unpublished: nobody else can pin it
 	// until the claim is published below.
 	oldKey, needFlush := f.key, f.valid && f.dirty.Load()
 	f.key = k
@@ -374,27 +437,24 @@ func (m *Manager) miss(tr, rec probe.Tracer, sh *shard, gen uint64, k key) (*fra
 	if needFlush {
 		f.dirty.Store(false)
 	}
-	f.pins.Store(1)
 	f.touch()
 	<-f.ready // the latch token; an unpinned frame always has it (see frame.ready)
 	f.loading.Store(true)
 	f.loadErr = nil
-	sh.mu.Lock()
-	sh.table[k] = f
-	sh.gen.Add(1)
-	sh.mu.Unlock()
+	f.lift()
+	slot.Store(f)
 	var flushOut *flushWait
 	if needFlush {
 		// Publish the in-flight flush before dropping the mutex: a
-		// racing miss on oldKey no longer finds it in the lookup table
+		// racing miss on oldKey no longer finds it in the page table
 		// and must not read it from storage until this write lands.
 		flushOut = &flushWait{done: make(chan struct{})}
 		m.flushing[oldKey] = flushOut
 	}
 	// A racing eviction may still be flushing the page we are about to
 	// read; its registration is visible here because its critical
-	// section (unmap + register) completed before ours found the page
-	// absent from the lookup table.
+	// section (unpublish + register) completed before ours found the
+	// page absent from the page table.
 	waitFlush := m.flushing[k]
 	m.mu.Unlock()
 	emitAll(rec, evs)
@@ -421,7 +481,7 @@ func (m *Manager) miss(tr, rec probe.Tracer, sh *shard, gen uint64, k key) (*fra
 			// and still dirty, so the data survives and a later eviction
 			// retries the write. Any waiters pinned on the claim see
 			// loadErr and drain before the clock can touch the frame.
-			m.failLoad(f, sh, err, &oldKey)
+			m.failLoad(f, err, &oldKey)
 			m.mu.Unlock()
 			flushOut.err = err
 			close(flushOut.done)
@@ -437,7 +497,7 @@ func (m *Manager) miss(tr, rec probe.Tracer, sh *shard, gen uint64, k key) (*fra
 			// live on in the restored frame); reading now would install
 			// stale data. Fail this load.
 			m.mu.Lock()
-			m.failLoad(f, sh, ferr, nil)
+			m.failLoad(f, ferr, nil)
 			m.mu.Unlock()
 			return nil, ferr
 		}
@@ -446,7 +506,7 @@ func (m *Manager) miss(tr, rec probe.Tracer, sh *shard, gen uint64, k key) (*fra
 	p, err := m.store.ReadView(k.file(), k.page(), f.own[:])
 	if err != nil {
 		m.mu.Lock()
-		m.failLoad(f, sh, err, nil)
+		m.failLoad(f, err, nil)
 		m.mu.Unlock()
 		return nil, err
 	}
@@ -465,23 +525,19 @@ func (m *Manager) miss(tr, rec probe.Tracer, sh *shard, gen uint64, k key) (*fra
 }
 
 // failLoad fails the in-flight load of f, which is published under
-// f.key in sh: unpublish the claim (the mapping can only still point
-// at this frame if no restored frame took the key over — no session
-// can re-claim a key that is present in the lookup table), hand the
-// error to the waiters — they still hold pins, so the frame outlives
-// them — and release the loader's pin and the latch token. restore,
-// when non-nil, is the identity the frame goes back to, valid and
-// dirty. The caller holds the miss mutex.
+// f.key: unpublish the claim (the entry can only still name this frame
+// if no restored frame took the key over — no session can re-claim a
+// key that is present in the page table), hand the error to the
+// waiters — they still hold pins, so the frame outlives them — and
+// release the loader's pin and the latch token. restore, when non-nil,
+// is the identity the frame goes back to, valid and dirty. The caller
+// holds the miss mutex.
 //
 // loading drops only after the claim is unpublished: a session that
-// found the claim saw loading set and reads loadErr, one that comes
-// later does not find it.
-func (m *Manager) failLoad(f *frame, sh *shard, err error, restore *key) {
-	sh.mu.Lock()
-	if sh.table[f.key] == f {
-		delete(sh.table, f.key)
-	}
-	sh.mu.Unlock()
+// saw loading set reads loadErr, one that sees it clear looks the key
+// up again and does not find this frame.
+func (m *Manager) failLoad(f *frame, err error, restore *key) {
+	m.entry(f.key).CompareAndSwap(f, nil)
 	f.loadErr = err
 	f.valid = false
 	f.page.Store(f.own)
@@ -490,11 +546,7 @@ func (m *Manager) failLoad(f *frame, sh *shard, err error, restore *key) {
 		f.key = *restore
 		f.valid = true
 		f.dirty.Store(true)
-		rsh := m.shardOf(f.key)
-		rsh.mu.Lock()
-		rsh.table[f.key] = f
-		rsh.gen.Add(1)
-		rsh.mu.Unlock()
+		m.entry(f.key).Store(f)
 	}
 	f.pins.Add(-1)
 	f.ready <- struct{}{}
@@ -527,13 +579,19 @@ func (m *Manager) Release(b Buf, dirty bool) {
 }
 
 // evict picks a victim frame with the clock algorithm
-// (StrategyGetBuffer) and unmaps it, without doing any IO: a dirty
+// (StrategyGetBuffer), claims it and unpublishes it, without doing any
+// IO: a dirty
 // victim's flush happens in miss under the frame latch, after the miss
 // mutex drops. The caller holds m.mu, so the sweep's probe events are
 // appended to evs and handed back for the caller to emit after
 // unlocking (handed back, not written through a pointer, which would
 // move the caller's event buffer to the heap on every miss). Loading
 // frames are pinned by their loader, so the pins check skips them.
+//
+// The victim is claimed by swapping its pin count from 0 to claimed, so
+// a hit that pinned it after the sweep looked makes the claim fail and
+// the sweep move on; once claimed, no pin sticks until the caller
+// lifts the count. The returned frame is claimed.
 func (m *Manager) evict(evs []probe.ID) (*frame, []probe.ID, error) {
 	evs = append(evs, probe.BufClockEnter)
 	n := len(m.frames)
@@ -546,36 +604,21 @@ func (m *Manager) evict(evs []probe.ID) (*frame, []probe.ID, error) {
 			evs = append(evs, probe.BufClockSkip)
 			continue
 		}
-		if !f.valid {
-			return f, append(evs, probe.BufClockTake), nil
-		}
-		if f.ref.Load() {
+		if f.valid && f.ref.Load() {
 			f.ref.Store(false)
 			evs = append(evs, probe.BufClockSkip)
 			continue
 		}
-		if !m.unmap(f) {
+		if !f.claim() {
 			evs = append(evs, probe.BufClockSkip)
 			continue
+		}
+		if f.valid {
+			m.entry(f.key).CompareAndSwap(f, nil)
 		}
 		return f, append(evs, probe.BufClockTake), nil
 	}
 	return nil, evs, fmt.Errorf("buffer: all %d frames pinned (an open scan retains its page, an index scan or join up to tree height + 2, until closed)", n)
-}
-
-// unmap removes an unpinned frame from the lookup table, or reports
-// false if a hit pinned it after the sweep looked: pins leaves zero
-// only under the shard of the frame's key, so the check made there
-// holds until the entry is gone. The caller holds m.mu.
-func (m *Manager) unmap(f *frame) bool {
-	sh := m.shardOf(f.key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if f.pins.Load() != 0 {
-		return false
-	}
-	delete(sh.table, f.key)
-	return true
 }
 
 // emitAll replays probe events recorded while a pool lock was held;
@@ -643,44 +686,42 @@ func (m *Manager) OwnAll() {
 		f := &m.frames[i]
 		// A loading frame's page is its loader's until the load ends;
 		// no frame is claimed while the miss mutex is held.
-		if f.loading.Load() || !f.viewing() {
-			continue
+		if !f.loading.Load() {
+			f.ownPage()
 		}
-		sh := m.shardOf(f.key)
-		sh.mu.Lock()
-		f.ownPage()
-		sh.mu.Unlock()
 	}
 }
 
 // Stats returns hit and miss counts: every request is one or the
-// other. Hits are counted where they are answered — in the lookup
-// shard, or in the Pin that already held the page, which adds its
-// count when it lets go — so reading them is not one atomic snapshot,
-// but each count is exact once the pool quiesces and no Pin is held.
+// other. Hits are counted in the frame that answered them — by the
+// page table, or by a Pin that already held the page, which adds its
+// count when it lets go — and summed over the frames here, so reading
+// them is not one atomic snapshot, but each count is exact once the
+// pool quiesces and no Pin is held.
 func (m *Manager) Stats() (hits, misses uint64) {
-	table, misses := m.tableCounts()
-	return table + m.pinHits.Load(), misses
+	table, pinned, misses := m.counts()
+	return table + pinned, misses
 }
 
-// Lookups returns how many requests went to the lookup table (hits
-// there plus misses): Stats less the requests a Pin answered itself.
+// Lookups returns how many requests went to the page table (hits there
+// plus misses): Stats less the requests a Pin answered itself.
 func (m *Manager) Lookups() uint64 {
-	table, misses := m.tableCounts()
+	table, _, misses := m.counts()
 	return table + misses
 }
 
-func (m *Manager) tableCounts() (hits, misses uint64) {
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		hits += sh.hits
-		sh.mu.Unlock()
+// counts sums the frames' table and Pin hit counts and reads the miss
+// count.
+func (m *Manager) counts() (table, pinned, misses uint64) {
+	for i := range m.frames {
+		f := &m.frames[i]
+		table += f.tableHits.Load()
+		pinned += f.pinHits.Load()
 	}
 	m.mu.Lock()
 	misses = m.misses
 	m.mu.Unlock()
-	return hits, misses
+	return table, pinned, misses
 }
 
 // NumPages returns the length of a storage file in pages (pass-through

@@ -463,11 +463,7 @@ func TestWaiterGetsLoadersRead(t *testing.T) {
 			// Every waiter found the claim and holds a pin on it; none may
 			// get past the latch — to a result or an error — before the
 			// read is over.
-			k := keyOf(0, tc.page)
-			sh := m.shardOf(k)
-			sh.mu.Lock()
-			f := sh.table[k]
-			sh.mu.Unlock()
+			f := m.lookup(keyOf(0, tc.page))
 			if f == nil || f.pins.Load() != waiters+1 {
 				t.Fatalf("claimed frame %p not pinned by the loader and all %d waiters", f, waiters)
 			}

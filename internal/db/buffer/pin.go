@@ -15,7 +15,7 @@ import (
 //
 // Such a request is still a request: it emits the ReadBuffer hit
 // events and counts as a hit in Stats (the count is kept in the Pin
-// and added to the pool's when the Pin lets go of the page), so
+// and added to the frame's when the Pin lets go of the page), so
 // traces, EXPLAIN ANALYZE buffer counts and the hit/miss totals are
 // what they were when every request went to the pool.
 //
@@ -26,7 +26,7 @@ import (
 type Pin struct {
 	m    *Manager
 	f    *frame
-	hits uint64 // requests answered from f, not yet in m.pinHits
+	hits uint64 // requests answered from f, not yet in f.pinHits
 }
 
 // Repin makes p hold the given page and returns its contents, valid
@@ -61,7 +61,7 @@ func (p *Pin) Release() {
 		return
 	}
 	if p.hits > 0 {
-		p.m.pinHits.Add(p.hits)
+		f.pinHits.Add(p.hits)
 		p.hits = 0
 	}
 	p.f = nil

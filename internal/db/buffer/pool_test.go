@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,13 +17,11 @@ import (
 )
 
 // TestPoolLayoutKeepsCacheLinesApart pins the padding: a frame's pin
-// count and a shard's mutex must not share a cache line with their
+// count and hit counts must not share a cache line with its
 // neighbour's.
 func TestPoolLayoutKeepsCacheLinesApart(t *testing.T) {
-	for _, typ := range []reflect.Type{reflect.TypeOf((*frame)(nil)).Elem(), reflect.TypeOf((*shard)(nil)).Elem()} {
-		if typ.Size()%64 != 0 {
-			t.Errorf("%s is %d bytes, not a whole number of 64-byte cache lines", typ.Name(), typ.Size())
-		}
+	if typ := reflect.TypeOf(frame{}); typ.Size()%64 != 0 {
+		t.Errorf("%s is %d bytes, not a whole number of 64-byte cache lines", typ.Name(), typ.Size())
 	}
 }
 
@@ -230,6 +229,145 @@ func poolStress(t *testing.T, promote bool) {
 	}
 }
 
+// TestClaimedFrameRefusesPin pins the claim protocol on one frame: the
+// clock sweep claims an unpinned frame by swapping its pin count to the
+// claimed sentinel, a pin tried on it then fails and leaves the count
+// as it was, and a racing pin whose +1 lands before the claimant lifts
+// the count and is taken back after does not eat the claimant's pin.
+func TestClaimedFrameRefusesPin(t *testing.T) {
+	_, m := newEnv(t, 1, 2)
+	b, err := m.Get(nil, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Release(b, false)
+
+	m.mu.Lock()
+	f, _, err := m.evict(nil)
+	m.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.lookup(keyOf(0, 0)); got != nil {
+		t.Fatal("the claimed victim is still published under its old page")
+	}
+	if f.tryPin() {
+		t.Fatal("a claimed frame took a pin")
+	}
+	if got := f.pins.Load(); got != claimed {
+		t.Fatalf("a refused pin left the count at %d, want the sentinel %d", got, int32(claimed))
+	}
+	if f.claim() {
+		t.Fatal("a claimed frame was claimed again")
+	}
+
+	f.pins.Add(1)  // a racing tryPin's add, not yet taken back
+	f.lift()       // the claimant lifts the count to its own pin
+	f.pins.Add(-1) // the racing pin saw a count ≤ 0 and backs off
+	if got := f.pins.Load(); got != 1 {
+		t.Fatalf("claimant's count is %d after a racing pin, want 1", got)
+	}
+	if !f.tryPin() {
+		t.Fatal("a pin on a frame the claimant lifted was refused")
+	}
+	if got := f.pins.Load(); got != 2 {
+		t.Fatalf("count is %d, want the claimant's pin and one more", got)
+	}
+}
+
+// TestLockFreeHitsAccountExactly races four goroutines over a pool of
+// four frames and sixteen tagged pages, mixing Get and Repin so that
+// hits, misses, evictions and stale table reads interleave: every page
+// handed out must carry its own page number, and once the goroutines
+// are done the counts must be exact — every request one hit or one
+// miss, every miss one storage read, and every request a Pin did not
+// answer itself one page-table lookup. A goroutine holds one page at a
+// time, so some frame is always unpinned, but with as many goroutines
+// as frames the clock can still give up — every frame pinned or
+// referenced again each time the hand passes — and that miss fails
+// without a read; such refusals are counted, not forgiven.
+func TestLockFreeHitsAccountExactly(t *testing.T) {
+	const pages, frames, goroutines, iters = 16, 4, 4, 5000
+	st, _ := newTaggedStore(t, pages, 1)
+	m := New(st, frames)
+	var requests, pinAnswered, refused atomic.Uint64
+	var wg sync.WaitGroup
+	errs := make([]error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			var pin Pin
+			defer pin.Release()
+			held := -1
+			// ok reports whether a request succeeded; a clock sweep that
+			// found no frame is counted and the run goes on.
+			ok := func(err error) bool {
+				if err != nil && strings.Contains(err.Error(), "frames pinned") {
+					refused.Add(1)
+					return false
+				}
+				if err != nil {
+					errs[g] = err
+				}
+				return err == nil
+			}
+			for i := 0; i < iters && errs[g] == nil; i++ {
+				page := rng.Intn(pages)
+				requests.Add(1)
+				if rng.Intn(2) == 0 {
+					pin.Release()
+					held = -1
+					b, err := m.Get(nil, 0, page)
+					if !ok(err) {
+						continue
+					}
+					errs[g] = checkTag(b.Page, page)
+					m.Release(b, false)
+					continue
+				}
+				if rng.Intn(2) == 0 && held >= 0 {
+					page = held
+				}
+				if page == held {
+					pinAnswered.Add(1)
+				}
+				p, err := m.Repin(nil, &pin, 0, page)
+				if !ok(err) {
+					held = -1
+					continue
+				}
+				held = page
+				errs[g] = checkTag(p, page)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := m.PinnedFrames(); n != 0 {
+		t.Fatalf("%d frames still pinned", n)
+	}
+	hits, misses := m.Stats()
+	t.Logf("%d requests: %d hits, %d misses, %d of them refused by the clock", requests.Load(), hits, misses, refused.Load())
+	if hits+misses != requests.Load() {
+		t.Fatalf("hits %d + misses %d = %d, want the %d requests made", hits, misses, hits+misses, requests.Load())
+	}
+	if reads := st.Reads(); reads != misses-refused.Load() {
+		t.Fatalf("%d storage reads for %d misses, %d of them refused by the clock", reads, misses, refused.Load())
+	}
+	if got, want := m.Lookups(), requests.Load()-pinAnswered.Load(); got != want {
+		t.Fatalf("%d table lookups, want %d (requests %d less %d answered by a Pin)", got, want, requests.Load(), pinAnswered.Load())
+	}
+	if misses < pages {
+		t.Fatalf("%d misses: implausibly few for %d frames over %d pages", misses, frames, pages)
+	}
+}
+
 // TestMissDoesNotAllocate cycles through four times more pages than
 // the pool has frames, over a checkpointed disk store, so that every
 // request is a miss that evicts a clean page and views the new one in
@@ -434,8 +572,8 @@ func TestPoolFailedEvictFlushKeepsThePage(t *testing.T) {
 }
 
 // reentrantGetTracer calls back into the pool for the very page being
-// requested on every emit: Get locks that page's shard, so an emit
-// issued while the shard is held deadlocks.
+// requested on every emit: an emit issued while any lock that request
+// needs is held deadlocks.
 type reentrantGetTracer struct {
 	m      *Manager
 	page   int
@@ -455,11 +593,11 @@ func (t *reentrantGetTracer) Emit(id probe.ID) {
 	}
 }
 
-// TestPoolHitEmitsOutsideShard is TestHitPathEmitsOutsideLatch for the
-// lock the hit path does take: a tracer that re-enters Get for the
-// same page — the same shard — on every event completes, from a plain
+// TestPoolHitReentersFromTracer is TestHitPathEmitsOutsideLatch for the
+// page itself: a tracer that re-enters Get for the same page — the
+// same table entry and frame — on every event completes, from a plain
 // Get and from a Pin.
-func TestPoolHitEmitsOutsideShard(t *testing.T) {
+func TestPoolHitReentersFromTracer(t *testing.T) {
 	_, m := newEnv(t, 4, 2)
 	b, err := m.Get(nil, 0, 1)
 	if err != nil {
@@ -487,7 +625,7 @@ func TestPoolHitEmitsOutsideShard(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("hit-path Get deadlocked: tracer emission runs under the lookup shard")
+		t.Fatal("hit-path Get deadlocked: tracer emission runs under a lock the request needs")
 	}
 	// Three requests, each three events, each event re-entering for
 	// three more.
@@ -501,7 +639,7 @@ func TestPoolHitEmitsOutsideShard(t *testing.T) {
 
 // TestPinAnswersRepeatRequestsItself pins the retained pin's contract:
 // a request for the page it holds emits the hit events and counts as a
-// hit but never reaches the lookup table; a request for another page
+// hit but never reaches the page table; a request for another page
 // lets the held one go; Release is idempotent and folds the count in.
 func TestPinAnswersRepeatRequestsItself(t *testing.T) {
 	_, m := newEnv(t, 4, 3)
@@ -596,8 +734,8 @@ func benchPool(b *testing.B, pages int) *Manager {
 // BenchmarkPoolGetParallel is the concurrent twin of bench/'s
 // buffer.get_hit_ns probe (Get + Release of a resident page, one
 // goroutine): the same pair from GOMAXPROCS goroutines, all on one
-// page — one shard, one frame's pin count — and each on pages of its
-// own.
+// page — one frame, whose pin count and hit count every goroutine
+// writes — and each on pages of its own, which share no line.
 func BenchmarkPoolGetParallel(b *testing.B) {
 	const pages = 256
 	var nop probe.NopTracer
