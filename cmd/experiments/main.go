@@ -1,7 +1,8 @@
-// Command experiments regenerates every table and figure of the paper
-// end to end: it builds the TPC-D databases, runs the training and
-// test workloads on the instrumented kernel, and prints the paper-style
-// tables.
+// Command experiments reproduces the paper's evaluation end to end: it
+// builds the TPC-D databases, runs the training and test workloads on
+// the instrumented kernel, and prints what stcpipe.Report renders —
+// Tables 1–4, Figure 2, the reuse statistics, the sequentiality of
+// each layout and the STC threshold ablation.
 package main
 
 import (
@@ -47,10 +48,15 @@ func main() {
 	}
 
 	fmt.Fprintf(os.Stderr, "building databases and traces (SF=%g)...\n", *sf)
-	r, err := stcpipe.NewReport(stcpipe.ReportParams{SF: *sf, Seed: *seed, Validate: *validate})
+	var opts []stcpipe.Option
+	if *validate {
+		opts = append(opts, stcpipe.Validate())
+	}
+	train, test, err := stcpipe.PaperTraces(*sf, *seed, opts...)
 	if err != nil {
 		log.Fatal(err)
 	}
+	r := stcpipe.ReportOf(train, test)
 	fmt.Fprintln(os.Stderr, r.TraceSummary())
 	for _, s := range sections {
 		if *only == "" || *only == s.name {

@@ -19,7 +19,11 @@ import (
 // benchReport records the paper's two traces once, through the
 // pipeline, and shares them across the table and layer benchmarks.
 var benchReport = sync.OnceValues(func() (*Report, error) {
-	return NewReport(ReportParams{SF: 0.001, Seed: 42})
+	train, test, err := PaperTraces(0.001, 42)
+	if err != nil {
+		return nil, err
+	}
+	return ReportOf(train, test), nil
 })
 
 func setup(b *testing.B) *Report {
@@ -82,47 +86,61 @@ func BenchmarkReuse(b *testing.B) {
 	b.ReportMetric(100*st.Prob[1], "%reuse<250")
 }
 
+// benchCells is the representative Table 3/4 row: each layout built
+// for benchCell on a direct-mapped cache, then orig and ops behind a
+// trace cache.
+func benchCells(r *Report) []Cell {
+	lays := r.layouts(benchCell)
+	fc := FetchConfig{CacheBytes: benchCell.CacheBytes}
+	var cells []Cell
+	for _, l := range lays {
+		cells = append(cells, Cell{r.test, l, fc})
+	}
+	fc.TraceCacheEntries = traceCacheEntries
+	return append(cells, Cell{r.test, lays[0], fc}, Cell{r.test, lays[4], fc})
+}
+
+// benchGrid simulates cells b.N times and returns the last results.
+func benchGrid(b *testing.B, cells []Cell) (res []Result) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res = must(SimulateGrid(cells))
+	}
+	return res
+}
+
 // BenchmarkTable3 regenerates one representative Table 3 cell per
 // layout and reports the miss rates.
 func BenchmarkTable3(b *testing.B) {
-	r := setup(b)
-	miss := map[string]float64{}
-	for i := 0; i < b.N; i++ {
-		for _, l := range r.layouts(benchCell) {
-			miss[l.Name()] = must(r.test.Simulate(l, FetchConfig{CacheBytes: benchCell.CacheBytes})).MissesPer100Instr()
-		}
-	}
-	for _, name := range []string{"orig", "P&H", "Torr", "auto", "ops"} {
-		b.ReportMetric(miss[name], name+"-miss/100")
+	cells := benchCells(setup(b))[:5]
+	for i, res := range benchGrid(b, cells) {
+		b.ReportMetric(res.MissesPer100Instr(), cells[i].Layout.Name()+"-miss/100")
 	}
 }
 
 // BenchmarkTable4 regenerates one representative Table 4 row — every
 // layout plus the trace-cache combinations — and reports the IPCs.
 func BenchmarkTable4(b *testing.B) {
-	r := setup(b)
-	var row paperRow
-	for i := 0; i < b.N; i++ {
-		row = r.simulateRow(benchCell, benchCell.CacheBytes)
-	}
-	b.ReportMetric(row.direct[0].IPC(), "orig-IPC")
-	b.ReportMetric(row.direct[4].IPC(), "ops-IPC")
-	b.ReportMetric(row.tc.IPC(), "TC-IPC")
-	b.ReportMetric(row.tcOps.IPC(), "TC+ops-IPC")
+	res := benchGrid(b, benchCells(setup(b)))
+	b.ReportMetric(res[0].IPC(), "orig-IPC")
+	b.ReportMetric(res[4].IPC(), "ops-IPC")
+	b.ReportMetric(res[5].IPC(), "TC-IPC")
+	b.ReportMetric(res[6].IPC(), "TC+ops-IPC")
 }
 
 // BenchmarkSequentiality reports the headline instructions-between-
 // taken-branches metric for orig and ops layouts.
 func BenchmarkSequentiality(b *testing.B) {
 	r := setup(b)
-	seq := map[string]float64{}
+	lays := r.layouts(headline)
+	seq := make([]float64, len(lays))
 	for i := 0; i < b.N; i++ {
-		for _, l := range r.layouts(headline) {
-			seq[l.Name()] = r.test.Sequentiality(l)
+		for j, l := range lays {
+			seq[j] = r.test.Sequentiality(l)
 		}
 	}
-	b.ReportMetric(seq["orig"], "orig-instr/taken")
-	b.ReportMetric(seq["ops"], "ops-instr/taken")
+	b.ReportMetric(seq[0], "orig-instr/taken")
+	b.ReportMetric(seq[4], "ops-instr/taken")
 }
 
 // BenchmarkAblationThresholds sweeps the STC thresholds (the paper's

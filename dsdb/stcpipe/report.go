@@ -2,7 +2,7 @@ package stcpipe
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -10,34 +10,35 @@ import (
 	"repro/internal/profile"
 )
 
-// ReportParams configures a full paper-evaluation run.
-type ReportParams struct {
-	SF       float64 // TPC-D scale factor (default 0.002)
-	Seed     int64   // generator seed (default 42)
-	Validate bool    // validate traces online against the static CFG
-}
-
-// Report regenerates every table and figure of the paper's evaluation
-// from one end-to-end run — the locality characterization of Section 4
-// (Table 1, Figure 2, the reuse-distance statistics, Table 2) and the
-// method evaluation of Section 7 (Table 3 miss rates, Table 4 fetch
-// bandwidth, the headline sequentiality numbers): both TPC-D databases
-// are built, the training and test workloads are traced, and each
-// accessor renders one artifact in the paper's layout. It is the batch
-// counterpart to composing Profile/Layout/Simulate by hand, and is
-// built from exactly those calls.
+// Report renders the paper's evaluation from one pair of traces:
+// Tables 1 and 2, Figure 2 and the reuse-distance statistics of
+// Section 4's locality characterization, and Tables 3 and 4 and the
+// sequentiality of Section 7's method evaluation, plus an STC
+// threshold ablation. Each accessor renders one artifact in the
+// paper's layout. The Section 7 artifacts are renderings of simulation
+// grids (SimulateGrid): layouts trained on one profile, replayed over
+// the other.
 type Report struct {
 	train, test *Profile
-	// sweep simulates the Ideal row and every paperConfigs row once,
-	// for Table 3 and Table 4 together.
-	sweep func() []paperRow
+	// shared holds orig and P&H, the layouts that read no Params.
+	shared []*Layout
+
+	mu sync.Mutex
+	// lays holds the five layouts built for each Params, in Algorithms
+	// order.
+	lays map[Params][]*Layout
+	// results holds every cell simulated so far: Tables 3 and 4 share
+	// their direct-mapped cells.
+	results map[Cell]Result
 }
 
-// paperTraces runs the paper's protocol up to the traces: build the
+// PaperTraces runs the paper's protocol up to the traces: build the
 // B-tree and the hash-indexed TPC-D database, trace the training set
 // (Q3,4,5,6,9) on the B-tree one and the test set
-// (Q2,3,4,6,11,12,13,14,15,17) on both, in one trace.
-func paperTraces(sf float64, seed int64, opts ...Option) (train, test *Profile, err error) {
+// (Q2,3,4,6,11,12,13,14,15,17) on both, in one trace. It is the
+// expensive part of a Report; ReportOf renders the tables from its two
+// profiles.
+func PaperTraces(sf float64, seed int64, opts ...Option) (train, test *Profile, err error) {
 	bt, err := dsdb.Open(dsdb.WithTPCD(sf), dsdb.WithSeed(seed))
 	if err != nil {
 		return nil, nil, fmt.Errorf("stcpipe: building btree database: %w", err)
@@ -58,41 +59,24 @@ func paperTraces(sf float64, seed int64, opts ...Option) (train, test *Profile, 
 	return train, test, test.Run(hs, Test())
 }
 
-// NewReport builds the databases and records the training and test
-// traces (the expensive part; the per-table accessors are cheap by
-// comparison).
-func NewReport(p ReportParams) (*Report, error) {
-	if p.SF == 0 {
-		p.SF = 0.002
-	}
-	if p.Seed == 0 {
-		p.Seed = 42
-	}
-	var opts []Option
-	if p.Validate {
-		opts = append(opts, Validate())
-	}
-	train, test, err := paperTraces(p.SF, p.Seed, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return ReportOf(train, test), nil
-}
-
 // ReportOf renders the paper's tables for any two profiles recorded by
 // one pipeline, whatever their sources: layouts are trained on train
 // and simulated against test. The Section 4 artifacts (Table 1,
 // Figure 2, Reuse, Table 2, HottestBlocks) read train alone.
 func ReportOf(train, test *Profile) *Report {
-	// Derived here, once: the sweep's goroutines only read it.
+	// Derived here, once: the accessors only read it.
 	train.profileData()
-	r := &Report{train: train, test: test}
-	r.sweep = sync.OnceValue(r.simulateRows)
-	return r
+	return &Report{
+		train:   train,
+		test:    test,
+		shared:  []*Layout{must(train.Layout(Original())), must(train.Layout(PettisHansen()))},
+		lays:    map[Params][]*Layout{},
+		results: map[Cell]Result{},
+	}
 }
 
-// must unwraps a Layout or Simulate result. The report only asks for
-// the paper's own configurations, which nothing but a bug can make
+// must unwraps a Layout or SimulateGrid result. The report only asks
+// for the paper's own configurations, which nothing but a bug can make
 // fail.
 func must[T any](v T, err error) T {
 	if err != nil {
@@ -199,72 +183,42 @@ var headline = Params{CacheBytes: 4096, CFABytes: 1024}
 // traceCacheEntries is the scaled trace-cache size (paper: 256).
 const traceCacheEntries = 64
 
-// layouts builds the paper's five layouts from the training profile,
-// in Algorithms order: orig, P&H, Torr, auto, ops.
+// layouts returns the paper's five layouts for p, in Algorithms order,
+// each built once per report.
 func (r *Report) layouts(p Params) []*Layout {
-	var out []*Layout
-	for _, alg := range Algorithms(p) {
-		out = append(out, must(r.train.Layout(alg)))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if ls, ok := r.lays[p]; ok {
+		return ls
+	}
+	ls := slices.Clone(r.shared)
+	for _, alg := range Algorithms(p)[len(ls):] {
+		ls = append(ls, must(r.train.Layout(alg)))
+	}
+	r.lays[p] = ls
+	return ls
+}
+
+// simulate runs cells as one grid and returns their results in cell
+// order. A cell this report has simulated before is not simulated
+// again.
+func (r *Report) simulate(cells []Cell) []Result {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var todo []Cell
+	for _, c := range cells {
+		if _, ok := r.results[c]; !ok {
+			todo = append(todo, c)
+		}
+	}
+	for i, res := range must(SimulateGrid(todo)) {
+		r.results[todo[i]] = res
+	}
+	out := make([]Result, len(cells))
+	for i, c := range cells {
+		out[i] = r.results[c]
 	}
 	return out
-}
-
-// paperRow is one row of Tables 3 and 4: the test trace simulated
-// under the layouts built for p.
-type paperRow struct {
-	p Params
-	// direct is one result per layout on a direct-mapped cache; Table 3
-	// reads its miss rate, Table 4 its IPC.
-	direct []Result
-	// The hardware alternatives on the original layout: a 2-way cache
-	// and a 16-line victim buffer (Table 3), a trace cache (Table 4);
-	// tcOps is the trace cache combined with the ops layout.
-	twoWay, victim, tc, tcOps Result
-}
-
-// simulateRow fills one row for a cache of cacheBytes; 0 is the
-// perfect cache of Table 4's Ideal row.
-func (r *Report) simulateRow(p Params, cacheBytes int) paperRow {
-	lays := r.layouts(p)
-	orig, ops := lays[0], lays[len(lays)-1]
-	sim := func(l *Layout, fc FetchConfig) Result {
-		fc.CacheBytes = cacheBytes
-		return must(r.test.Simulate(l, fc))
-	}
-	row := paperRow{
-		p:      p,
-		twoWay: sim(orig, FetchConfig{Ways: 2}),
-		victim: sim(orig, FetchConfig{VictimEntries: 16}),
-		tc:     sim(orig, FetchConfig{TraceCacheEntries: traceCacheEntries}),
-		tcOps:  sim(ops, FetchConfig{TraceCacheEntries: traceCacheEntries}),
-	}
-	for _, l := range lays {
-		row.direct = append(row.direct, sim(l, FetchConfig{}))
-	}
-	return row
-}
-
-// simulateRows is the sweep behind Tables 3 and 4, one goroutine per
-// row: the Ideal row first, then one row per paperConfigs entry. Each
-// Simulate also splits its trace across the cores, but whole rows in
-// parallel are cheaper still: no chunk boundary to resolve, and traces
-// too short to split keep both cores busy.
-func (r *Report) simulateRows() []paperRow {
-	rows := make([]paperRow, 1+len(paperConfigs))
-	var wg sync.WaitGroup
-	for i := range rows {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if i == 0 {
-				rows[0] = r.simulateRow(headline, 0)
-			} else {
-				rows[i] = r.simulateRow(paperConfigs[i-1], paperConfigs[i-1].CacheBytes)
-			}
-		}()
-	}
-	wg.Wait()
-	return rows
 }
 
 // tableHead starts Table 3 or 4: the title, then "cache/CFA" and one
@@ -287,36 +241,66 @@ func rowHead(b *strings.Builder, p Params) {
 // cache, plus the hardware alternatives (2-way, victim) on the
 // original layout.
 func (r *Report) Table3() string {
+	var cells []Cell
+	for _, p := range paperConfigs {
+		lays := r.layouts(p)
+		for _, l := range lays {
+			cells = append(cells, Cell{r.test, l, FetchConfig{CacheBytes: p.CacheBytes}})
+		}
+		cells = append(cells,
+			Cell{r.test, lays[0], FetchConfig{CacheBytes: p.CacheBytes, Ways: 2}},
+			Cell{r.test, lays[0], FetchConfig{CacheBytes: p.CacheBytes, VictimEntries: 16}})
+	}
+	res := r.simulate(cells)
+	cols := len(res) / len(paperConfigs)
 	var b strings.Builder
 	tableHead(&b, "Table 3: i-cache misses per 100 instructions (test set)\n", " %7s")
 	fmt.Fprintf(&b, " %7s %7s\n", "2-way", "victim")
-	for _, row := range r.sweep()[1:] {
-		rowHead(&b, row.p)
-		for _, res := range row.direct {
-			fmt.Fprintf(&b, " %7.3f", res.MissesPer100Instr())
+	for i, p := range paperConfigs {
+		rowHead(&b, p)
+		for _, x := range res[i*cols : (i+1)*cols] {
+			fmt.Fprintf(&b, " %7.3f", x.MissesPer100Instr())
 		}
-		fmt.Fprintf(&b, " %7.3f %7.3f\n", row.twoWay.MissesPer100Instr(), row.victim.MissesPer100Instr())
+		b.WriteString("\n")
 	}
 	return b.String()
 }
 
 // Table4 renders the fetch-bandwidth (IPC) table: each layout, plus
 // the trace cache alone and combined with the ops layout. The Ideal
-// row uses a perfect cache.
+// row lays out for the headline configuration and uses a perfect
+// cache; the others are Table 3's rows.
 func (r *Report) Table4() string {
+	rows := append([]Params{headline}, paperConfigs...)
+	var cells []Cell
+	for i, p := range rows {
+		fc := FetchConfig{CacheBytes: p.CacheBytes}
+		if i == 0 {
+			fc.CacheBytes = 0
+		}
+		lays := r.layouts(p)
+		for _, l := range lays {
+			cells = append(cells, Cell{r.test, l, fc})
+		}
+		fc.TraceCacheEntries = traceCacheEntries
+		cells = append(cells, Cell{r.test, lays[0], fc}, Cell{r.test, lays[len(lays)-1], fc})
+	}
+	res := r.simulate(cells)
+	cols := len(res) / len(rows)
 	var b strings.Builder
 	tableHead(&b, "Table 4: fetch bandwidth in instructions per cycle (test set, 5-cycle miss penalty)\n", " %6s")
 	fmt.Fprintf(&b, " %6s %7s\n", "TC", "TC+ops")
-	for i, row := range r.sweep() {
+	for i, p := range rows {
 		if i == 0 {
 			fmt.Fprintf(&b, "%-11s", "Ideal")
 		} else {
-			rowHead(&b, row.p)
+			rowHead(&b, p)
 		}
-		for _, res := range row.direct {
-			fmt.Fprintf(&b, " %6.2f", res.IPC())
+		row := res[i*cols : (i+1)*cols]
+		for _, x := range row[:cols-1] {
+			fmt.Fprintf(&b, " %6.2f", x.IPC())
 		}
-		fmt.Fprintf(&b, " %6.2f %7.2f\n", row.tc.IPC(), row.tcOps.IPC())
+		fmt.Fprintf(&b, " %7.2f\n", row[cols-1].IPC())
 	}
 	return b.String()
 }
@@ -325,8 +309,8 @@ func (r *Report) Table4() string {
 // executed between taken branches over the test trace — for every
 // layout.
 func (r *Report) Sequentiality() string {
-	lays := r.layouts(headline)
-	sort.Slice(lays, func(a, b int) bool { return lays[a].Name() < lays[b].Name() })
+	lays := slices.Clone(r.layouts(headline))
+	slices.SortFunc(lays, func(a, b *Layout) int { return strings.Compare(a.Name(), b.Name()) })
 	var b strings.Builder
 	fmt.Fprintf(&b, "Instructions between taken branches (paper: 8.9 orig -> 22.4 ops)\n")
 	for _, l := range lays {
@@ -338,18 +322,23 @@ func (r *Report) Sequentiality() string {
 // Ablation renders the STC threshold sweep (4KB cache, 1KB CFA) — the
 // paper's Section 8 future-work item: automating threshold selection.
 func (r *Report) Ablation() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation: STC thresholds (ops seeds, 4K cache / 1K CFA)\n")
-	fmt.Fprintf(&b, "%10s %8s %8s %10s\n", "execThresh", "brThresh", "IPC", "miss/100")
+	var ps []Params
+	var cells []Cell
 	for _, execDiv := range []uint64{200000, 20000, 2000} {
 		for _, branch := range []float64{0.1, 0.4, 0.7} {
 			p := headline
 			p.ExecThreshold = max(1, uint64(r.train.Events())/execDiv)
 			p.BranchThreshold = branch
-			res := must(r.test.Simulate(must(r.train.Layout(STCOps(p))), FetchConfig{CacheBytes: p.CacheBytes}))
-			fmt.Fprintf(&b, "%10d %8.1f %8.2f %10.3f\n",
-				p.ExecThreshold, p.BranchThreshold, res.IPC(), res.MissesPer100Instr())
+			ps = append(ps, p)
+			cells = append(cells, Cell{r.test, must(r.train.Layout(STCOps(p))), FetchConfig{CacheBytes: p.CacheBytes}})
 		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "Ablation: STC thresholds (ops seeds, 4K cache / 1K CFA)\n")
+	fmt.Fprintf(&b, "%10s %8s %8s %10s\n", "execThresh", "brThresh", "IPC", "miss/100")
+	for i, res := range must(SimulateGrid(cells)) {
+		fmt.Fprintf(&b, "%10d %8.1f %8.2f %10.3f\n",
+			ps[i].ExecThreshold, ps[i].BranchThreshold, res.IPC(), res.MissesPer100Instr())
 	}
 	return b.String()
 }

@@ -19,7 +19,11 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files under te
 // expensive part (databases + traces) runs once. The tiny SF and
 // fixed seed make every table deterministic.
 var goldenReport = sync.OnceValues(func() (*stcpipe.Report, error) {
-	return stcpipe.NewReport(stcpipe.ReportParams{SF: 0.0005, Seed: 42})
+	train, test, err := stcpipe.PaperTraces(0.0005, 42)
+	if err != nil {
+		return nil, err
+	}
+	return stcpipe.ReportOf(train, test), nil
 })
 
 // TestReportGolden pins the paper-table formatting: each Report
@@ -29,7 +33,7 @@ var goldenReport = sync.OnceValues(func() (*stcpipe.Report, error) {
 func TestReportGolden(t *testing.T) {
 	r, err := goldenReport()
 	if err != nil {
-		t.Fatalf("NewReport: %v", err)
+		t.Fatalf("PaperTraces: %v", err)
 	}
 	sections := []struct {
 		name   string
@@ -45,8 +49,30 @@ func TestReportGolden(t *testing.T) {
 		{"table4", r.Table4},
 		{"ablation", r.Ablation},
 	}
+	// The sections render concurrently: a Report's accessors share its
+	// layouts and simulation results.
 	for _, s := range sections {
-		t.Run(s.name, func(t *testing.T) { checkGolden(t, s.name, s.render()) })
+		t.Run(s.name, func(t *testing.T) {
+			t.Parallel()
+			checkGolden(t, s.name, s.render())
+		})
+	}
+}
+
+// TestPaperTracesKeepSeedZero: seed 0 is a generator seed like any
+// other, not a request for the default 42 (experiments -seed 0 once
+// printed seed 42's traces).
+func TestPaperTracesKeepSeedZero(t *testing.T) {
+	r42, err := goldenReport()
+	if err != nil {
+		t.Fatalf("PaperTraces: %v", err)
+	}
+	train, test, err := stcpipe.PaperTraces(0.0005, 0)
+	if err != nil {
+		t.Fatalf("PaperTraces(seed 0): %v", err)
+	}
+	if got := stcpipe.ReportOf(train, test).TraceSummary(); got == r42.TraceSummary() {
+		t.Fatalf("seed 0 recorded seed 42's traces: %s", got)
 	}
 }
 

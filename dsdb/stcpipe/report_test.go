@@ -36,7 +36,11 @@ func column(t testing.TB, table string, skip, col int) []float64 {
 // tinyReport is the smallest useful report, built once for the tests
 // here: its own seed, and traces validated online against the CFG.
 var tinyReport = sync.OnceValues(func() (*Report, error) {
-	return NewReport(ReportParams{SF: 0.0005, Seed: 7, Validate: true})
+	train, test, err := PaperTraces(0.0005, 7, Validate())
+	if err != nil {
+		return nil, err
+	}
+	return ReportOf(train, test), nil
 })
 
 // The tests below hold what the byte-exact goldens do not say about
@@ -162,10 +166,11 @@ func TestAblationRuns(t *testing.T) {
 }
 
 // TestSimulateSameAtAnyGOMAXPROCS: the fetch simulator and the
-// sequentiality count split a trace into one chunk per core. A paper
-// trace long enough to split gives identical Results under
-// GOMAXPROCS 1 (one chunk: the serial walk) and 8, for every layout
-// and every kind of cache.
+// sequentiality count split a trace into one chunk per core, and a
+// grid runs its cells concurrently. A paper trace long enough to split
+// gives, for every layout and every kind of cache, one Result through
+// the grid at GOMAXPROCS 1 (one chunk: the serial walk) and 8, and it
+// is the cell's own Simulate.
 func TestSimulateSameAtAnyGOMAXPROCS(t *testing.T) {
 	r := tiny(t)
 	// Two chunks of the fetch package's minimum length (64 K events).
@@ -180,27 +185,33 @@ func TestSimulateSameAtAnyGOMAXPROCS(t *testing.T) {
 		{CacheBytes: 2048, TraceCacheEntries: traceCacheEntries},
 	}
 	lays := r.layouts(headline)
+	var cells []Cell
+	for _, l := range lays {
+		for _, fc := range caches {
+			cells = append(cells, Cell{r.test, l, fc})
+		}
+	}
 	type result struct {
 		res []Result
 		seq []float64
 	}
 	at := func(procs int) (out result) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		out.res = must(SimulateGrid(cells))
 		for _, l := range lays {
-			for _, fc := range caches {
-				out.res = append(out.res, must(r.test.Simulate(l, fc)))
-			}
 			out.seq = append(out.seq, r.test.Sequentiality(l))
 		}
 		return out
 	}
 	serial, split := at(1), at(8)
-	for i, l := range lays {
-		for j, fc := range caches {
-			if k := i*len(caches) + j; serial.res[k] != split.res[k] {
-				t.Errorf("%s %+v: GOMAXPROCS 8 gives %+v, 1 gives %+v", l.Name(), fc, split.res[k], serial.res[k])
-			}
+	for k, c := range cells {
+		own := must(r.test.Simulate(c.Layout, c.Fetch))
+		if serial.res[k] != own || split.res[k] != own {
+			t.Errorf("%s %+v: the grid gives %+v at GOMAXPROCS 1 and %+v at 8, Simulate %+v",
+				c.Layout.Name(), c.Fetch, serial.res[k], split.res[k], own)
 		}
+	}
+	for i, l := range lays {
 		if serial.seq[i] != split.seq[i] {
 			t.Errorf("%s: sequentiality %v at GOMAXPROCS 8, %v at 1", l.Name(), split.seq[i], serial.seq[i])
 		}

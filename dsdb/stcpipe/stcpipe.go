@@ -12,11 +12,14 @@
 // paper); Layout applies a pluggable code-reordering algorithm — STC,
 // Pettis & Hansen, Torrellas et al., or the original layout — and
 // Simulate replays a trace through the SEQ.3 fetch unit with a
-// configurable i-cache and optional trace cache.
+// configurable i-cache and optional trace cache. An experiment over
+// many layouts and caches is one SimulateGrid call over a slice of
+// cells; Report renders the paper's tables from such grids.
 package stcpipe
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/dsdb"
 	"repro/internal/cache"
@@ -374,7 +377,7 @@ func (fc FetchConfig) check() (lineBytes int, err error) {
 		v    int
 	}{{"CacheBytes", fc.CacheBytes}, {"Ways", fc.Ways}, {"VictimEntries", fc.VictimEntries}, {"TraceCacheEntries", fc.TraceCacheEntries}} {
 		if f.v < 0 {
-			return 0, fmt.Errorf("stcpipe: FetchConfig.%s %d is negative", f.name, f.v)
+			return 0, fmt.Errorf("FetchConfig.%s %d is negative", f.name, f.v)
 		}
 	}
 	lineBytes = fc.LineBytes
@@ -382,17 +385,17 @@ func (fc FetchConfig) check() (lineBytes int, err error) {
 		lineBytes = cache.DefaultLineBytes
 	}
 	if !cache.IsPowerOfTwo(lineBytes) {
-		return 0, fmt.Errorf("stcpipe: FetchConfig.LineBytes %d is not a power of two", fc.LineBytes)
+		return 0, fmt.Errorf("FetchConfig.LineBytes %d is not a power of two", fc.LineBytes)
 	}
 	if fc.CacheBytes > 0 {
 		if err := cache.CheckGeometry(fc.CacheBytes, lineBytes, fc.ways()); err != nil {
-			return 0, fmt.Errorf("stcpipe: FetchConfig.CacheBytes %d with LineBytes %d, Ways %d: %w",
+			return 0, fmt.Errorf("FetchConfig.CacheBytes %d with LineBytes %d, Ways %d: %w",
 				fc.CacheBytes, lineBytes, fc.ways(), err)
 		}
 	}
 	if fc.TraceCacheEntries > 0 {
 		if err := cache.CheckTraceCache(fc.TraceCacheEntries, program.InstrBytes); err != nil {
-			return 0, fmt.Errorf("stcpipe: FetchConfig.TraceCacheEntries: %w", err)
+			return 0, fmt.Errorf("FetchConfig.TraceCacheEntries: %w", err)
 		}
 	}
 	return lineBytes, nil
@@ -407,15 +410,16 @@ func (fc FetchConfig) ways() int {
 	return fc.Ways
 }
 
-// Simulate replays this profile's trace under a layout through the
-// fetch unit. A FetchConfig no cache can be built from is an error.
-func (pr *Profile) Simulate(l *Layout, fc FetchConfig) (Result, error) {
+// fetchConfig builds the fetch unit that replays this profile's trace
+// under l with fc's caches. A layout built for another kernel image,
+// or a FetchConfig no cache can be built from, is an error.
+func (pr *Profile) fetchConfig(l *Layout, fc FetchConfig) (fetch.Config, error) {
 	if len(l.l.Addr) != pr.pipe.img.Prog.NumBlocks() {
-		return Result{}, fmt.Errorf("stcpipe: layout %q was built for a different kernel image", l.name)
+		return fetch.Config{}, fmt.Errorf("layout %q was built for a different kernel image", l.name)
 	}
 	lineBytes, err := fc.check()
 	if err != nil {
-		return Result{}, err
+		return fetch.Config{}, err
 	}
 	var ic cache.ICache
 	if fc.CacheBytes > 0 {
@@ -433,70 +437,60 @@ func (pr *Profile) Simulate(l *Layout, fc FetchConfig) (Result, error) {
 	if fc.TraceCacheEntries > 0 {
 		cfg.TC = cache.NewTraceCache(fc.TraceCacheEntries, 16, 3, program.InstrBytes)
 	}
+	return cfg, nil
+}
+
+// Simulate replays this profile's trace under a layout through the
+// fetch unit. A FetchConfig no cache can be built from is an error.
+func (pr *Profile) Simulate(l *Layout, fc FetchConfig) (Result, error) {
+	cfg, err := pr.fetchConfig(l, fc)
+	if err != nil {
+		return Result{}, fmt.Errorf("stcpipe: %w", err)
+	}
 	return fetch.Simulate(pr.tr, l.l, cfg), nil
+}
+
+// Cell is one simulation of a grid: Test's trace replayed under Layout
+// through the fetch unit that Fetch configures. A layout is built from
+// a training profile and an algorithm's Params, so the cell names
+// those too.
+type Cell struct {
+	Test   *Profile
+	Layout *Layout
+	Fetch  FetchConfig
+}
+
+// SimulateGrid simulates every cell, one goroutine per cell, and
+// returns the results in cell order: each is the cell's own
+// Test.Simulate(Layout, Fetch). Every cell is checked before any is
+// simulated; the first that cannot be is an error naming its index.
+// Each Simulate also splits its trace across the cores, but whole
+// cells in parallel are cheaper still: no chunk boundary to resolve,
+// and traces too short to split keep every core busy.
+func SimulateGrid(cells []Cell) ([]Result, error) {
+	cfgs := make([]fetch.Config, len(cells))
+	for i, c := range cells {
+		cfg, err := c.Test.fetchConfig(c.Layout, c.Fetch)
+		if err != nil {
+			return nil, fmt.Errorf("stcpipe: cell %d: %w", i, err)
+		}
+		cfgs[i] = cfg
+	}
+	out := make([]Result, len(cells))
+	var wg sync.WaitGroup
+	for i, c := range cells {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i] = fetch.Simulate(c.Test.tr, c.Layout.l, cfgs[i])
+		}()
+	}
+	wg.Wait()
+	return out, nil
 }
 
 // Sequentiality returns the paper's headline metric under a layout:
 // dynamic instructions executed between taken branches.
 func (pr *Profile) Sequentiality(l *Layout) float64 {
 	return fetch.Sequentiality(pr.tr, l.l).InstrPerTaken
-}
-
-// CompareResult is one algorithm's scorecard from Compare.
-type CompareResult struct {
-	Algorithm     string
-	MissPer100    float64
-	IPC           float64
-	InstrPerTaken float64
-}
-
-// CompareParams configures the one-call Compare pipeline.
-type CompareParams struct {
-	SF         float64 // TPC-D scale factor (default 0.001)
-	Seed       int64   // generator seed (default 42)
-	Layout     Params
-	Fetch      FetchConfig
-	Algorithms []Algorithm // default: the paper's five
-}
-
-// Compare runs the whole paper flow in one call: build the B-tree and
-// hash TPC-D databases, profile the training workload, record the
-// test trace over both databases, then lay out and simulate every
-// algorithm. It is the three-call pipeline bundled for convenience.
-func Compare(p CompareParams) ([]CompareResult, error) {
-	if p.SF == 0 {
-		p.SF = 0.001
-	}
-	if p.Seed == 0 {
-		p.Seed = 42
-	}
-	if p.Algorithms == nil {
-		p.Algorithms = Algorithms(p.Layout)
-	}
-	// Before the databases are built, not after.
-	if _, err := p.Fetch.check(); err != nil {
-		return nil, err
-	}
-	train, test, err := paperTraces(p.SF, p.Seed)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]CompareResult, 0, len(p.Algorithms))
-	for _, alg := range p.Algorithms {
-		lay, err := train.Layout(alg)
-		if err != nil {
-			return nil, fmt.Errorf("stcpipe: layout %s: %w", alg.Name(), err)
-		}
-		res, err := test.Simulate(lay, p.Fetch)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, CompareResult{
-			Algorithm:     alg.Name(),
-			MissPer100:    res.MissesPer100Instr(),
-			IPC:           res.IPC(),
-			InstrPerTaken: test.Sequentiality(lay),
-		})
-	}
-	return out, nil
 }

@@ -97,12 +97,10 @@ func TestTraceCacheSimulation(t *testing.T) {
 	}
 }
 
-// TestSimulateRejectsBadFetchConfig: a FetchConfig is flag input
-// (examples/layoutcompare -cache, examples/tracecache -entries), and
-// one the cache models cannot be built from used to panic with "cache:
-// bad geometry". It is an error naming the field, and every shape the
-// paper and the tree use still simulates.
-func TestSimulateRejectsBadFetchConfig(t *testing.T) {
+// q6Profile records Q6 on a tiny database and lays it out in the
+// original order: the smallest profile a simulation can run over.
+func q6Profile(t *testing.T) (*stcpipe.Profile, *stcpipe.Layout) {
+	t.Helper()
 	db, err := dsdb.Open(dsdb.WithTPCD(0.0005))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -119,6 +117,16 @@ func TestSimulateRejectsBadFetchConfig(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Layout: %v", err)
 	}
+	return pr, lay
+}
+
+// TestSimulateRejectsBadFetchConfig: a FetchConfig is flag input
+// (examples/layoutcompare -cache, examples/tracecache -entries), and
+// one the cache models cannot be built from used to panic with "cache:
+// bad geometry". It is an error naming the field, and every shape the
+// paper and the tree use still simulates.
+func TestSimulateRejectsBadFetchConfig(t *testing.T) {
+	pr, lay := q6Profile(t)
 	for _, tc := range []struct {
 		name  string
 		fc    stcpipe.FetchConfig
@@ -167,16 +175,17 @@ func TestSimulateRejectsBadFetchConfig(t *testing.T) {
 }
 
 // TestCompareRejectsBadCacheSize is examples/layoutcompare -cache 3:
-// 3 KB of 64-byte lines is 48 sets. The error comes back before any
-// database is built.
+// 3 KB of 64-byte lines is 48 sets. SimulateGrid checks every cell
+// before it simulates any, and its error names the cell and the
+// FetchConfig field.
 func TestCompareRejectsBadCacheSize(t *testing.T) {
-	_, err := stcpipe.Compare(stcpipe.CompareParams{
-		SF:     0.0005,
-		Layout: stcpipe.Params{CacheBytes: 3 * 1024, CFABytes: 512},
-		Fetch:  stcpipe.FetchConfig{CacheBytes: 3 * 1024},
+	pr, lay := q6Profile(t)
+	res, err := stcpipe.SimulateGrid([]stcpipe.Cell{
+		{Test: pr, Layout: lay, Fetch: stcpipe.FetchConfig{CacheBytes: 2 * 1024}},
+		{Test: pr, Layout: lay, Fetch: stcpipe.FetchConfig{CacheBytes: 3 * 1024}},
 	})
-	if err == nil || !strings.Contains(err.Error(), "FetchConfig.CacheBytes 3072") {
-		t.Fatalf("Compare with a 3KB cache: err = %v, want one naming FetchConfig.CacheBytes", err)
+	if err == nil || !strings.Contains(err.Error(), "cell 1: FetchConfig.CacheBytes 3072") || res != nil {
+		t.Fatalf("grid with a 3KB cache in cell 1: results %v, err = %v, want none and an error naming cell 1's FetchConfig.CacheBytes", res, err)
 	}
 }
 
