@@ -99,9 +99,10 @@
 // a tuple returned by an operator's Next is a slot — the one output
 // row the operator allocated at Open, valid until the operator is
 // called again, never written by its consumer (see
-// internal/db/executor/node.go). Operators that keep tuples (sort,
-// hash-join build, the result-cache fill) copy them into chunked
-// slabs; passing a row up the plan allocates nothing. What dsdb hands
-// out — Rows.Scan, Rows.Values, Exec, QueryRow — is always a copy and
-// safe to retain.
+// internal/db/executor/node.go). A decoded varchar is a view of the
+// pinned page, valid as long as the slot. Operators that keep tuples
+// (sort, hash-join build, the result-cache fill) copy them, string
+// bytes included, into chunked slabs; passing a row up the plan
+// allocates nothing. What dsdb hands out — Rows.Scan, Rows.Values,
+// Exec, QueryRow — is always a copy and safe to retain.
 package repro

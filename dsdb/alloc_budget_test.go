@@ -25,8 +25,10 @@ const allocBudgetStale = 0.90
 
 // TestQueryAllocBudget pins heap allocations per TPC-D query — the
 // executor's tuple path is meant to allocate per retained row (a slab
-// chunk per ~64) and per decoded string, never per row passed up the
-// plan, and unlike a latency that is a count CI can gate on. Each query runs single-session at SF 0.01 (the scale of
+// chunk per ~64, string bytes in doubling chunks) and per result row
+// handed out (Rows.Values), never per row passed up the plan nor per
+// decoded string (a view of the pinned page), and unlike a latency
+// that is a count CI can gate on. Each query runs single-session at SF 0.01 (the scale of
 // bench/'s tpcd_served workload), compiled, executed and materialized.
 // After an intentional change regenerate the budget with
 //

@@ -548,6 +548,96 @@ func TestCheckpointAndCloseWhileFramesViewTheMapping(t *testing.T) {
 	check("after Close and reopen")
 }
 
+// TestKeptValuesOutliveEvictionAndCheckpoint keeps varchar columns the
+// four ways a caller can — Rows.Values, Rows.Scan into *string and
+// *Value, a QueryRow's Row scanned only at the end, and Exec — from a
+// data-directory database whose 32 frames view the mapped checkpoint
+// generation. Executor strings view pool pages, so everything handed to
+// the caller must own its bytes: other queries then evict those pages,
+// inserts rewrite pages, and a checkpoint unmaps the generation the
+// values were read from. The kept values must still equal, byte for
+// byte, what a fresh query returns.
+func TestKeptValuesOutliveEvictionAndCheckpoint(t *testing.T) {
+	ctx := context.Background()
+	db := openTPCD(t, durableSF, dsdb.WithDataDir(filepath.Join(t.TempDir(), "db")), dsdb.WithBufferFrames(32))
+	defer db.Close()
+	queries := []string{
+		"select c_custkey, c_name, c_mktsegment from customer",
+		"select p_name, p_type from part",
+		"select n_name, r_name from nation, region where n_regionkey = r_regionkey and n_nationkey = 7",
+		"select s_name, s_suppkey from supplier",
+	}
+	kept := make([][][]dsdb.Value, len(queries))
+
+	rows, err := db.Query(ctx, queries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rows.Next() {
+		kept[0] = append(kept[0], rows.Values())
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	rows, err = db.Query(ctx, queries[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rows.Next() {
+		var name string
+		var typ dsdb.Value
+		if err := rows.Scan(&name, &typ); err != nil {
+			t.Fatal(err)
+		}
+		kept[1] = append(kept[1], []dsdb.Value{dsdb.NewStr(name), typ})
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	row := db.QueryRow(ctx, queries[2]) // scanned after the churn below
+
+	res, err := db.Exec(ctx, queries[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept[3] = res.Rows
+
+	// Churn: every TPC-D query through the 32 frames, inserts, a
+	// checkpoint that unmaps the generation, and the queries again.
+	renderAll(t, db)
+	for i := 0; i < 100; i++ {
+		err := db.Insert("lineitem",
+			dsdb.NewInt(int64(800000+i)), dsdb.NewInt(1), dsdb.NewInt(1), dsdb.NewInt(1),
+			dsdb.NewFloat(1), dsdb.NewFloat(1), dsdb.NewFloat(0), dsdb.NewFloat(0),
+			dsdb.NewStr("N"), dsdb.NewStr("O"), dsdb.NewDate(9000), dsdb.NewDate(9000), dsdb.NewDate(9000),
+			dsdb.NewStr("RAIL"), dsdb.NewStr(strings.Repeat("overwrite ", 2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	renderAll(t, db)
+
+	var nation, region string
+	if err := row.Scan(&nation, &region); err != nil {
+		t.Fatal(err)
+	}
+	kept[2] = [][]dsdb.Value{{dsdb.NewStr(nation), dsdb.NewStr(region)}}
+	for i, q := range queries {
+		fresh, err := db.Exec(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprintf("%q", kept[i]), fmt.Sprintf("%q", fresh.Rows); got != want || len(fresh.Rows) == 0 {
+			t.Errorf("%s: kept values changed (or none):\nkept  %.300s\nfresh %.300s", q, got, want)
+		}
+	}
+}
+
 // TestWarmStartRejectsMismatchedTPCDOptions pins the build stamp: a
 // data directory built at one scale factor refuses to warm-start under
 // options describing a different database.

@@ -277,3 +277,39 @@ func TestExplainBypassesResultCache(t *testing.T) {
 		t.Fatalf("ordinary caching broken around EXPLAIN: %+v", st)
 	}
 }
+
+// TestExplainQuotesStringLiterals: EXPLAIN renders a string constant,
+// LIKE pattern or IN-list member as valid SQL — an embedded quote is
+// doubled, as the query spelled it — so the filter it prints can be
+// pasted back into a query and selects the same rows.
+func TestExplainQuotesStringLiterals(t *testing.T) {
+	db := openPlanDB(t)
+	const where = "n_name = 'O''BRIEN' or n_name like '%''%' or n_name in ('A''B', 'CHINA')"
+	plan := strings.Join(runExplain(t, db, "explain select n_name from nation where "+where), "\n")
+	for _, want := range []string{"(n_name = 'O''BRIEN')", "(n_name LIKE '%''%')", "(n_name IN ('A''B', 'CHINA'))"} {
+		if !strings.Contains(plan, want) {
+			t.Errorf("plan lacks %s:\n%s", want, plan)
+		}
+	}
+	names := func(query string) []string {
+		t.Helper()
+		res, err := db.Exec(context.Background(), query)
+		if err != nil {
+			t.Fatalf("%s: %v", query, err)
+		}
+		var out []string
+		for _, row := range res.Rows {
+			out = append(out, row[0].S)
+		}
+		return out
+	}
+	_, filter, ok := strings.Cut(plan, "Filter: ")
+	if !ok {
+		t.Fatalf("no Filter line in the plan:\n%s", plan)
+	}
+	filter, _, _ = strings.Cut(filter, "\n")
+	want := names("select n_name from nation where " + where)
+	if got := names("select n_name from nation where " + filter); fmt.Sprint(got) != fmt.Sprint(want) || len(want) != 1 {
+		t.Fatalf("the printed filter %s selects %q, the query %q (want one row)", filter, got, want)
+	}
+}

@@ -376,45 +376,59 @@ func (r *Rows) Next() bool {
 	return true
 }
 
-// Values returns a copy of the current row, the caller's to keep (the
-// executor reuses the row itself on the next Next).
+// Values returns a copy of the current row, the caller's to keep: the
+// executor reuses the row itself on the next Next, and its strings view
+// buffer-pool pages, so their bytes are copied too (into one allocation
+// per row). A row served from the result cache already belongs to the
+// cache, which never changes it, so only the row itself is copied.
 func (r *Rows) Values() []Value {
-	return append([]Value(nil), r.cur...)
+	vals := append([]Value(nil), r.cur...)
+	if !r.hit {
+		value.CloneStrs(vals)
+	}
+	return vals
 }
 
 // BorrowValues returns the current row without copying it: a read-only
 // view that is valid only until the next call to Next or Close — the
-// executor refills the same row, and on a cache hit it is the cache's
-// own, shared with every other reader. For consumers that are done with
-// a row before they ask for the next one (the server encodes it onto
-// the wire); anyone who keeps a row calls Values.
+// executor refills the same row, its strings view buffer-pool pages the
+// next pull may release, and on a cache hit it is the cache's own,
+// shared with every other reader. For consumers that are done with a
+// row before they ask for the next one (the server encodes it onto the
+// wire); anyone who keeps a row calls Values.
 func (r *Rows) BorrowValues() []Value { return r.cur }
 
 // Scan copies the current row into dest, one pointer per column; the
-// copies stay valid after the next Next. Supported destinations:
-// *int64, *int, *float64, *string, *bool, *Value and *any.
+// copies, string bytes included, stay valid after the next Next.
+// Supported destinations: *int64, *int, *float64, *string, *bool,
+// *Value and *any.
 func (r *Rows) Scan(dest ...any) error {
 	if r.cur == nil {
 		return fmt.Errorf("dsdb: Scan called without a successful Next")
 	}
-	return scanRow(r.cur, r.cols, dest)
+	return scanRow(r.cur, r.cols, dest, !r.hit)
 }
 
 // ScanRow copies one materialized row into the destinations — the
 // conversion kernel behind Rows.Scan and Row.Scan, exported so remote
 // result sets (dsdb/client) scan with identical semantics.
 func ScanRow(vals []Value, cols []string, dest ...any) error {
-	return scanRow(vals, cols, dest)
+	return scanRow(vals, cols, dest, false)
 }
 
 // scanRow copies one row into the destinations (shared by Rows.Scan
-// and Row.Scan).
-func scanRow(vals []Value, cols []string, dest []any) error {
+// and Row.Scan). cloneStrs copies string bytes as well, for a row whose
+// strings view memory the next Next may reuse.
+func scanRow(vals []Value, cols []string, dest []any, cloneStrs bool) error {
 	if len(dest) != len(vals) {
 		return fmt.Errorf("dsdb: Scan got %d destinations, row has %d columns", len(dest), len(vals))
 	}
 	for i, d := range dest {
-		if err := scanValue(vals[i], d); err != nil {
+		v := vals[i]
+		if cloneStrs {
+			v = value.Clone(v)
+		}
+		if err := scanValue(v, d); err != nil {
 			return fmt.Errorf("dsdb: Scan column %d (%s): %w", i, cols[i], err)
 		}
 	}
@@ -675,7 +689,7 @@ func (r *Row) Scan(dest ...any) error {
 	if r.err != nil {
 		return r.err
 	}
-	return scanRow(r.vals, r.cols, dest)
+	return scanRow(r.vals, r.cols, dest, false)
 }
 
 // Err returns the deferred query error, if any.

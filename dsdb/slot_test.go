@@ -10,11 +10,12 @@ import (
 
 // TestSlotContractTPCD holds the compiled plans of the 12 TPC-D
 // queries, on the B-tree and the hash database, to the executor's
-// tuple-slot rule: with every edge of the plan poisoned (a tuple turns
-// to garbage as soon as its producer is called again), the streamed
-// rows, and the rows the result-cache fill kept of them, must equal the
-// plain plan's. An operator, or the fill, that keeps a tuple without
-// copying it fails here.
+// tuple-slot rule: with every edge of the plan poisoned (a tuple and
+// the bytes of its strings turn to garbage as soon as its producer is
+// called again), the streamed rows kept through Rows.Values, and the
+// rows the result-cache fill kept of them, must equal the plain plan's.
+// An operator, the fill or Values that keeps a tuple or a string
+// without copying it fails here.
 func TestSlotContractTPCD(t *testing.T) {
 	ctx := context.Background()
 	collect := func(rows *Rows, err error) [][]Value {

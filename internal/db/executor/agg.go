@@ -55,15 +55,17 @@ func (st *aggState) advance(v value.Value) {
 		st.sum += v.F
 		st.intOK = false
 	}
+	// min and max outlive v's slot: they keep a copy of its string.
 	if !st.any {
+		v = value.Clone(v)
 		st.min, st.max = v, v
 		st.any = true
 	} else {
 		if value.Compare(v, st.min) < 0 {
-			st.min = v
+			st.min = value.Clone(v)
 		}
 		if value.Compare(v, st.max) > 0 {
-			st.max = v
+			st.max = value.Clone(v)
 		}
 	}
 }
@@ -232,9 +234,11 @@ type GroupAgg struct {
 	// head stands in for the current group's first row: as wide as a
 	// child tuple, but only the group columns are filled in — the child
 	// reuses that row's storage while the rest of the group is read.
-	head   Tuple
-	states []aggState
-	row    Tuple // output slot
+	// Their string bytes are copied into headStrs, recycled per group.
+	head     Tuple
+	headStrs strArena
+	states   []aggState
+	row      Tuple // output slot
 	// pending is the child's current tuple, the first row of the next
 	// group; it stays valid because the child is not called again
 	// before that group starts.
@@ -297,8 +301,9 @@ func (g *GroupAgg) Next() (Tuple, bool, error) {
 	g.states = resetAggStates(g.states, g.Specs)
 	states, head := g.states, g.head
 	g.accumulate(states, g.pending)
+	g.headStrs.reset()
 	for _, col := range g.GroupBy {
-		head[col] = g.pending[col]
+		head[col] = g.headStrs.keep(g.pending[col])
 	}
 	drained := false
 	for {

@@ -17,11 +17,12 @@ var garbage = value.Value{T: value.Str, I: math.MinInt64 + 0x5a5a, F: math.NaN()
 
 // Poison wraps n and every operator below it — each child edge of the
 // tree, rewired in place — in a node that makes the slot contract bite:
-// it hands its parent a private copy of each tuple and overwrites that
-// copy with garbage on the next Next, Open or Close. A consumer that
-// kept the tuple instead of copying it then reads garbage, so a
-// poisoned plan returns what the plain plan returns exactly when every
-// retaining consumer copies.
+// it hands its parent a private copy of each tuple, the bytes of its
+// strings included, and overwrites that copy with garbage (and the
+// bytes with zeros) on the next Next, Open or Close. A consumer that
+// kept the tuple, or a string of it, instead of copying it then reads
+// garbage, so a poisoned plan returns what the plain plan returns
+// exactly when every retaining consumer copies.
 func Poison(n executor.Node) executor.Node {
 	executor.WrapChildren(n, Poison)
 	return &poison{Node: n}
@@ -29,14 +30,16 @@ func Poison(n executor.Node) executor.Node {
 
 type poison struct {
 	executor.Node
-	last executor.Tuple // the tuple handed out by the latest Next
+	last  executor.Tuple // the tuple handed out by the latest Next
+	bytes []byte         // the bytes of its strings
 }
 
 func (p *poison) scribble() {
 	for i := range p.last {
 		p.last[i] = garbage
 	}
-	p.last = nil
+	clear(p.bytes)
+	p.last, p.bytes = nil, nil
 }
 
 func (p *poison) Open() error {
@@ -50,10 +53,12 @@ func (p *poison) Next() (executor.Tuple, bool, error) {
 	if !ok || err != nil {
 		return tup, ok, err
 	}
-	// A fresh copy each time, never the producer's own tuple: Material,
-	// Sort and ValuesScan emit rows they replay or reorder later.
+	// A fresh copy each time, never the producer's own tuple or bytes:
+	// Material, Sort and ValuesScan emit rows they replay or reorder
+	// later.
 	p.last = make(executor.Tuple, len(tup))
 	copy(p.last, tup)
+	p.bytes = value.CloneStrs(p.last)
 	return p.last, true, nil
 }
 

@@ -115,10 +115,21 @@ func (k *Const) Type() value.Type { return k.V.T }
 
 // String implements Expr.
 func (k *Const) String() string {
-	if k.V.T == value.Str {
-		return "'" + k.V.S + "'"
+	return literal(k.V)
+}
+
+// literal renders a constant as SQL: a string in single quotes, each
+// embedded quote doubled.
+func literal(v value.Value) string {
+	if v.T == value.Str {
+		return quote(v.S)
 	}
-	return k.V.String()
+	return v.String()
+}
+
+// quote renders s as a SQL string literal.
+func quote(s string) string {
+	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
 }
 
 // Op enumerates binary operators.
@@ -406,7 +417,7 @@ func (l *LikeExpr) String() string {
 	if l.Negate {
 		op = "NOT LIKE"
 	}
-	return fmt.Sprintf("(%s %s '%s')", l.Arg, op, strings.Join(l.frags, "%"))
+	return fmt.Sprintf("(%s %s %s)", l.Arg, op, quote(strings.Join(l.frags, "%")))
 }
 
 // MatchLike implements SQL LIKE with % wildcards (no _ support, which
@@ -480,11 +491,7 @@ func (e *InExpr) Type() value.Type { return value.Bool }
 func (e *InExpr) String() string {
 	parts := make([]string, len(e.List))
 	for i, v := range e.List {
-		if v.T == value.Str {
-			parts[i] = "'" + v.S + "'"
-		} else {
-			parts[i] = v.String()
-		}
+		parts[i] = literal(v)
 	}
 	return fmt.Sprintf("(%s IN (%s))", e.Arg, strings.Join(parts, ", "))
 }

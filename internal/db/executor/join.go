@@ -425,7 +425,8 @@ type MergeJoin struct {
 	group        []value.Value // current inner duplicate group: copies of its tuples, back to back
 	nInner       int           // width of one of them
 	groupKey     value.Value
-	gpos         int // offset in group of the next tuple to pair
+	groupStrs    strArena // the string bytes of group and groupKey, recycled per group
+	gpos         int      // offset in group of the next tuple to pair
 	outerInGroup bool
 	row          Tuple // output slot
 }
@@ -532,7 +533,8 @@ func (m *MergeJoin) Next() (Tuple, bool, error) {
 			}
 		default:
 			// Buffer the inner duplicate group for this key.
-			m.groupKey = m.innerTup[m.InnerKey]
+			m.groupStrs.reset()
+			m.groupKey = m.groupStrs.keep(m.innerTup[m.InnerKey])
 			m.group = m.group[:0]
 			for m.innerOK {
 				c.emit(probe.MJCmpCall)
@@ -542,7 +544,9 @@ func (m *MergeJoin) Next() (Tuple, bool, error) {
 				if !same {
 					break
 				}
-				m.group = append(m.group, m.innerTup...)
+				for _, v := range m.innerTup {
+					m.group = append(m.group, m.groupStrs.keep(v))
+				}
 				if err := m.advanceInner(); err != nil {
 					return nil, false, err
 				}

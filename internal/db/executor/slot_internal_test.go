@@ -49,8 +49,12 @@ func SlotPlans(t *testing.T) map[string]func() Node {
 	seq := func() Node { return &SeqScan{C: c, Heap: db.heap, Out: db.sch} }
 	keys := func(n int) Node { return &ValuesScan{C: c, Out: keySch, Rows: keyRows(n)} }
 	byB := func() Node { return &Sort{C: c, Child: seq(), Keys: []SortKey{{Col: 1}}} }
+	byS := func(quals []Expr) Node {
+		return &Sort{C: c, Child: &SeqScan{C: c, Heap: db.heap, Out: db.sch, Quals: quals}, Keys: []SortKey{{Col: 2}}}
+	}
 	byA := func() Node { return &IndexScan{C: c, Heap: db.heap, Out: numSch, Cols: numCols, BTree: db.btree} }
-	sumA := []AggSpec{{Func: AggSum, Arg: intvar(0)}, {Func: AggCount}, {Func: AggMin, Arg: &Var{Idx: 2, T: value.Str}}}
+	sumA := []AggSpec{{Func: AggSum, Arg: intvar(0)}, {Func: AggCount},
+		{Func: AggMin, Arg: &Var{Idx: 2, T: value.Str}}, {Func: AggMax, Arg: &Var{Idx: 2, T: value.Str}}}
 	return map[string]func() Node{
 		"SeqScan": func() Node {
 			return &SeqScan{C: c, Heap: db.heap, Out: db.sch, Quals: bEquals(1, 6)}
@@ -81,6 +85,9 @@ func SlotPlans(t *testing.T) map[string]func() Node {
 		"GroupAgg": func() Node {
 			return &GroupAgg{C: c, Child: byB(), GroupBy: []int{1}, Specs: sumA}
 		},
+		"GroupAgg/varchar key": func() Node {
+			return &GroupAgg{C: c, Child: byS(nil), GroupBy: []int{2}, Specs: sumA}
+		},
 		"NestLoop": func() Node {
 			return &NestLoop{C: c, Outer: keys(5), Inner: seq(), Quals: bEquals(2, 6)}
 		},
@@ -101,6 +108,9 @@ func SlotPlans(t *testing.T) map[string]func() Node {
 		},
 		"MergeJoin/duplicates": func() Node {
 			return &MergeJoin{C: c, Outer: byB(), Inner: byB(), OuterKey: 1, InnerKey: 1, Quals: bEquals(0, 13)}
+		},
+		"MergeJoin/varchar key": func() Node {
+			return &MergeJoin{C: c, Outer: byS(bEquals(1, 6)), Inner: byS(nil), OuterKey: 2, InnerKey: 2, Quals: bEquals(3, 13)}
 		},
 		"MergeJoin/slot inputs": func() Node {
 			return &MergeJoin{C: c, Outer: byA(), Inner: byA(), OuterKey: 0, InnerKey: 0, Quals: bEquals(1, 6)}

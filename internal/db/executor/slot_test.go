@@ -10,11 +10,12 @@ import (
 )
 
 // TestSlotContract runs every operator plain and then poisoned — each
-// tuple crossing any edge of the plan is overwritten with garbage the
-// moment the slot rule (executor.Node) says it may be. The results
-// must be identical: a consumer that keeps a tuple without copying it
-// (Sort, Material, the hash-join build, the merge-join group, the
-// group head, engine.Run) returns garbage here.
+// tuple crossing any edge of the plan, and the bytes of its strings,
+// is overwritten with garbage the moment the slot rule (executor.Node)
+// says it may be. The results must be identical: a consumer that keeps
+// a tuple, or a string of one, without copying it (Sort, Material, the
+// hash-join build, the merge-join group and its key, the group head,
+// min/max, engine.Run) returns garbage here.
 func TestSlotContract(t *testing.T) {
 	for name, plan := range executor.SlotPlans(t) {
 		t.Run(name, func(t *testing.T) {

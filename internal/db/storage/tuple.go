@@ -49,10 +49,16 @@ var errTruncated = errors.New("storage: truncated tuple")
 // DecodeTuple appends the wanted columns of an encoded row to dst and
 // returns the extended slice. cols lists the wanted column ordinals in
 // ascending order; nil means every column. Unwanted columns are
-// stepped over without materialising them (no string is built for a
-// skipped Str), and decoding stops after the last wanted column — an
-// empty non-nil cols reads nothing. With a dst of sufficient capacity
-// and no wanted Str column the call does not allocate.
+// stepped over without materialising them, and decoding stops after
+// the last wanted column — an empty non-nil cols reads nothing. With a
+// dst of sufficient capacity the call does not allocate.
+//
+// A decoded Str is a view of its bytes in data (value.StrView), not a
+// copy: it is valid exactly as long as data's bytes are — for a tuple
+// read from a page, until the page is unpinned, which every producer
+// (HeapScan, Heap.Fetch through the caller's buffer.Pin) does no
+// earlier than its next call. Whoever keeps a value longer copies its
+// bytes (executor.Slab, value.Clone, value.CloneStrs).
 func DecodeTuple(data []byte, cols []int, dst []value.Value) ([]value.Value, error) {
 	if cols != nil && len(cols) == 0 {
 		return dst, nil
@@ -89,7 +95,7 @@ func DecodeTuple(data []byte, cols []int, dst []value.Value) ([]value.Value, err
 				return nil, errTruncated
 			}
 			if want {
-				dst = append(dst, value.NewStr(string(data[i:i+n])))
+				dst = append(dst, value.StrView(data[i:i+n:i+n]))
 			}
 			i += n
 		case value.Bool:

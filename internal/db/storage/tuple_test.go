@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -125,19 +126,38 @@ func TestDecodeTupleMissingColumn(t *testing.T) {
 	}
 }
 
-// With room in dst and only numeric columns wanted, decoding does not
-// allocate — skipped string columns are stepped over, not built.
+// With room in dst, decoding does not allocate, whichever columns are
+// wanted: skipped string columns are stepped over, and a wanted one is
+// a view of its bytes in the tuple, not a copy.
 func TestDecodeTupleNoAllocs(t *testing.T) {
-	data := EncodeTuple(sampleRow(), nil)
-	cols := []int{0, 1, 3, 4, 5} // everything but the string
-	dst := make([]value.Value, 0, len(cols))
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := DecodeTuple(data, cols, dst); err != nil {
+	for _, cols := range [][]int{
+		{0, 1, 3, 4, 5}, // everything but the string
+		{2},             // the string alone
+		nil,             // every column
+	} {
+		data := EncodeTuple(sampleRow(), nil)
+		dst := make([]value.Value, 0, len(sampleRow()))
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := DecodeTuple(data, cols, dst); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("cols %v: %v allocations per decode, want 0", cols, allocs)
+		}
+		got, err := DecodeTuple(data, cols, dst)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("%v allocations per decode, want 0", allocs)
+		// The string aliases the tuple: a change to the tuple's bytes
+		// shows through it.
+		at := bytes.Index(data, []byte("BRAZIL"))
+		data[at] = 'b'
+		for _, v := range got {
+			if v.T == value.Str && v.S != "bRAZIL" {
+				t.Fatalf("cols %v: decoded %q after the tuple changed to bRAZIL: a copy, not a view", cols, v.S)
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ package value
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Type enumerates the supported column types.
@@ -78,6 +79,40 @@ func NewBool(v bool) Value {
 
 // NewNull returns the NULL datum.
 func NewNull() Value { return Value{T: Null} }
+
+// Clone returns v with a copy of its string bytes of its own: unlike v,
+// the copy stays valid once the bytes v views (StrView) are reused.
+func Clone(v Value) Value {
+	if v.T == Str {
+		v.S = strings.Clone(v.S)
+	}
+	return v
+}
+
+// CloneStrs gives every string in vals a copy of its bytes, all of them
+// in one new allocation, which it returns (nil when vals hold no
+// non-empty string).
+func CloneStrs(vals []Value) []byte {
+	n := 0
+	for _, v := range vals {
+		if v.T == Str {
+			n += len(v.S)
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	buf := make([]byte, n)
+	off := 0
+	for i, v := range vals {
+		if v.T == Str && v.S != "" {
+			end := off + copy(buf[off:], v.S)
+			vals[i].S = StrView(buf[off:end:end]).S
+			off = end
+		}
+	}
+	return buf
+}
 
 // IsNull reports whether the value is NULL.
 func (v Value) IsNull() bool { return v.T == Null }
