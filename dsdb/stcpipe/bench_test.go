@@ -1,6 +1,8 @@
 package stcpipe
 
 import (
+	"context"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -8,6 +10,7 @@ import (
 	"repro/dsdb"
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/db/probe"
 	"repro/internal/fetch"
 	"repro/internal/kernel"
 	"repro/internal/layout"
@@ -203,24 +206,80 @@ func BenchmarkProfileFromTrace(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(test.Events()), "ns/event")
 }
 
-// BenchmarkRecordPath measures recording alone: the test trace's
-// events replayed one at a time into a fresh, non-validating recorder,
-// so what is timed is Recorder.Block and the growth of Trace.Blocks,
-// not the executor that normally emits the events. B/op against 4
-// bytes per event shows how often the recording is re-copied as it
-// grows.
+// probeLog is a probe.Tracer that keeps the probe IDs it is sent.
+type probeLog []probe.ID
+
+func (l *probeLog) Emit(id probe.ID) { *l = append(*l, id) }
+
+// testProbes captures, once, the probe-ID sequence the paper's test
+// trace is recorded from: the same databases and queries, in the same
+// order, as PaperTraces at setup's scale and seed (the training set
+// runs untraced first, because it warms the B-tree database's pool).
+var testProbes = sync.OnceValues(func() ([]probe.ID, error) {
+	var ids probeLog
+	run := func(db *dsdb.DB, w Workload, tr dsdb.Tracer) error {
+		for _, q := range w.Queries {
+			if err := drain(db.QueryTraced(context.Background(), tr, q)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, kind := range []dsdb.IndexKind{dsdb.BTree, dsdb.Hash} {
+		db, err := dsdb.Open(dsdb.WithTPCD(0.001), dsdb.WithSeed(42), dsdb.WithIndexKind(kind))
+		if err != nil {
+			return nil, err
+		}
+		if kind == dsdb.BTree {
+			err = run(db, Training(), nil)
+		}
+		if err == nil {
+			err = run(db, Test(), &ids)
+		}
+		db.Close()
+		if err != nil {
+			return nil, err
+		}
+	}
+	return ids, nil
+})
+
+// BenchmarkRecordPath measures recording alone: the probes the test
+// trace was recorded from, replayed into a fresh non-validating
+// kernel.Session, so what is timed is Session.Emit — one fixed-size
+// store per probe path — and the growth of Trace.Blocks, not the
+// executor that normally emits the probes. It checks first that the
+// replay records the test trace. B/event against 2 bytes per event
+// shows how often the recording is re-copied as it grows.
 func BenchmarkRecordPath(b *testing.B) {
 	test := setup(b).test
-	events := test.tr.Blocks
+	ids, err := testProbes()
+	if err != nil {
+		b.Fatal(err)
+	}
+	img := test.pipe.img
+	replay := func() *trace.Trace {
+		s := img.NewSession(false)
+		for _, id := range ids {
+			s.Emit(id)
+		}
+		return s.Trace()
+	}
+	if got := replay(); got.Instrs != test.Instrs() || !slices.Equal(got.Blocks, test.tr.Blocks) {
+		b.Fatalf("replayed %d probes: %d events / %d instrs, test trace %d / %d (or contents differ)",
+			len(ids), got.Len(), got.Instrs, test.Events(), test.Instrs())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := trace.NewRecorder(trace.New(test.pipe.img.Prog), false)
-		for _, e := range events {
-			r.Block(e)
-		}
+		replay()
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(events)), "ns/event")
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(ids)), "ns/probe")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/float64(test.Events()), "B/event")
 }
 
 // BenchmarkSTCLayout measures layout construction.

@@ -167,10 +167,10 @@ func TestAblationRuns(t *testing.T) {
 
 // TestSimulateSameAtAnyGOMAXPROCS: the fetch simulator and the
 // sequentiality count split a trace into one chunk per core, and a
-// grid runs its cells concurrently. A paper trace long enough to split
-// gives, for every layout and every kind of cache, one Result through
-// the grid at GOMAXPROCS 1 (one chunk: the serial walk) and 8, and it
-// is the cell's own Simulate.
+// grid runs its cells concurrently, each cell as one serial walk. A
+// paper trace long enough to split gives, for every layout and every
+// kind of cache, one Result through the grid and through the cell's
+// own Simulate, at GOMAXPROCS 1 (one chunk: the serial walk) and 8.
 func TestSimulateSameAtAnyGOMAXPROCS(t *testing.T) {
 	r := tiny(t)
 	// Two chunks of the fetch package's minimum length (64 K events).
@@ -192,12 +192,15 @@ func TestSimulateSameAtAnyGOMAXPROCS(t *testing.T) {
 		}
 	}
 	type result struct {
-		res []Result
-		seq []float64
+		grid, own []Result
+		seq       []float64
 	}
 	at := func(procs int) (out result) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		out.res = must(SimulateGrid(cells))
+		out.grid = must(SimulateGrid(cells))
+		for _, c := range cells {
+			out.own = append(out.own, must(r.test.Simulate(c.Layout, c.Fetch)))
+		}
 		for _, l := range lays {
 			out.seq = append(out.seq, r.test.Sequentiality(l))
 		}
@@ -205,10 +208,10 @@ func TestSimulateSameAtAnyGOMAXPROCS(t *testing.T) {
 	}
 	serial, split := at(1), at(8)
 	for k, c := range cells {
-		own := must(r.test.Simulate(c.Layout, c.Fetch))
-		if serial.res[k] != own || split.res[k] != own {
-			t.Errorf("%s %+v: the grid gives %+v at GOMAXPROCS 1 and %+v at 8, Simulate %+v",
-				c.Layout.Name(), c.Fetch, serial.res[k], split.res[k], own)
+		own := serial.own[k]
+		if serial.grid[k] != own || split.grid[k] != own || split.own[k] != own {
+			t.Errorf("%s %+v: the grid gives %+v at GOMAXPROCS 1 and %+v at 8, Simulate %+v at 1 and %+v at 8",
+				c.Layout.Name(), c.Fetch, serial.grid[k], split.grid[k], own, split.own[k])
 		}
 	}
 	for i, l := range lays {

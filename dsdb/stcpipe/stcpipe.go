@@ -464,9 +464,9 @@ type Cell struct {
 // returns the results in cell order: each is the cell's own
 // Test.Simulate(Layout, Fetch). Every cell is checked before any is
 // simulated; the first that cannot be is an error naming its index.
-// Each Simulate also splits its trace across the cores, but whole
-// cells in parallel are cheaper still: no chunk boundary to resolve,
-// and traces too short to split keep every core busy.
+// The cells already keep every core busy, so each walks its trace
+// serially (fetch.SimulateSerial) rather than splitting it across the
+// cores as Simulate does: no chunk boundary to resolve.
 func SimulateGrid(cells []Cell) ([]Result, error) {
 	cfgs := make([]fetch.Config, len(cells))
 	for i, c := range cells {
@@ -482,7 +482,7 @@ func SimulateGrid(cells []Cell) ([]Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out[i] = fetch.Simulate(c.Test.tr, c.Layout.l, cfgs[i])
+			out[i] = fetch.SimulateSerial(c.Test.tr, c.Layout.l, cfgs[i])
 		}()
 	}
 	wg.Wait()

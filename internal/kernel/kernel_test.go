@@ -32,10 +32,10 @@ func TestEveryProbeHasAPath(t *testing.T) {
 	}
 }
 
-// TestFastSessionRecordsTheSameTrace: a non-validating session appends
-// each probe's path in one copy with its precomputed instruction count;
-// the trace must be the one a validating session records block by
-// block.
+// TestFastSessionRecordsTheSameTrace: a non-validating session records
+// each probe's path with one fixed-size store and its precomputed
+// instruction count; the trace must be the one a validating session
+// records block by block.
 func TestFastSessionRecordsTheSameTrace(t *testing.T) {
 	img := New(Config{ColdProcs: 5, Seed: 1})
 	fast, checked := img.NewSession(false), img.NewSession(true)

@@ -3,6 +3,7 @@ package kernel
 import (
 	"repro/internal/db/probe"
 	"repro/internal/program"
+	"repro/internal/trace"
 )
 
 // buildPaths fills the probe → block-path table. Each entry lists the
@@ -14,8 +15,10 @@ func (img *Image) buildPaths() {
 	img.paths = make([][]program.BlockID, probe.NumProbes)
 	img.pathInstrs = make([]uint64, probe.NumProbes)
 	p := img.Prog
+	// Each path gets room for trace.PathWidth blocks, so that
+	// Session.Emit records it with one fixed-size store.
 	at := func(id probe.ID, names ...string) {
-		path := make([]program.BlockID, len(names))
+		path := make([]program.BlockID, len(names), max(len(names), trace.PathWidth))
 		for i, n := range names {
 			path[i] = p.MustBlock(n)
 			img.pathInstrs[id] += uint64(p.Block(path[i]).Size)

@@ -23,8 +23,8 @@ func (img *Image) NewSession(validate bool) *Session {
 	return &Session{img: img, rec: trace.NewRecorder(t, validate)}
 }
 
-// Emit implements probe.Tracer. Without validation it appends the
-// probe's path to the trace in one copy.
+// Emit implements probe.Tracer. Without validation it records the
+// probe's path with one fixed-size store (trace.Recorder.Path).
 func (s *Session) Emit(id probe.ID) {
 	s.rec.Path(s.img.paths[id], s.img.pathInstrs[id])
 }

@@ -47,9 +47,16 @@ func (b *Builder) NumProcs() int { return len(b.procs) }
 
 // Build resolves all references, validates the program and returns it.
 func (b *Builder) Build() (*Program, error) {
+	nblocks := 0
+	for _, pb := range b.procs {
+		nblocks += len(pb.blocks)
+	}
+	if nblocks > MaxBlocks {
+		return nil, fmt.Errorf("program: image has %d blocks, more than the %d a BlockID can name", nblocks, MaxBlocks)
+	}
 	p := &Program{
 		procByName:  make(map[string]ProcID, len(b.procs)),
-		blockByName: make(map[string]BlockID),
+		blockByName: make(map[string]BlockID, nblocks),
 	}
 	// First pass: assign IDs.
 	for _, pb := range b.procs {

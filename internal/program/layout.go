@@ -87,7 +87,7 @@ func (l *Layout) Validate(p *Program) error {
 	}
 	seen := make([]bool, p.NumBlocks())
 	for _, b := range l.Order {
-		if b < 0 || int(b) >= p.NumBlocks() {
+		if int(b) >= p.NumBlocks() {
 			return fmt.Errorf("layout %s: order contains invalid block %d", l.Name, b)
 		}
 		if seen[b] {

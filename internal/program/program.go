@@ -20,14 +20,25 @@ type ProcID int32
 
 // BlockID identifies a basic block within a Program. IDs are dense,
 // starting at 0, in declaration order (procedure by procedure).
-type BlockID int32
+//
+// A BlockID is 2 bytes, because it is the element of every dynamic
+// trace (package trace), and a trace is tens of millions of events
+// long. So an image holds at most MaxBlocks blocks, and Builder.Build
+// refuses a larger one rather than wrap. An image derived from real
+// control flow instead of the hand-written kernel (ROADMAP 2(d)) must
+// stay within that limit, or widen the type on purpose.
+type BlockID uint16
 
 // NoProc is the ProcID used when a callee is statically unknown
 // (indirect calls).
 const NoProc ProcID = -1
 
-// NoBlock is an invalid BlockID sentinel.
-const NoBlock BlockID = -1
+// NoBlock is an invalid BlockID sentinel, the largest BlockID.
+const NoBlock BlockID = 1<<16 - 1
+
+// MaxBlocks is the most blocks a Program may have: every BlockID below
+// NoBlock.
+const MaxBlocks = int(NoBlock)
 
 // BlockKind classifies a basic block by its terminator, following the
 // paper's taxonomy in Section 4.2.

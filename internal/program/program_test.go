@@ -1,6 +1,7 @@
 package program
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -282,5 +283,42 @@ func TestColdProcAndAutoLabels(t *testing.T) {
 	}
 	if _, ok := p.BlockByName("unused_error_path.b0"); !ok {
 		t.Fatal("auto label b0 missing")
+	}
+}
+
+// TestBlockIDIsTwoBytes pins the width of a trace event: widening
+// BlockID doubles every recorded trace, so it has to be a deliberate
+// change of this test.
+func TestBlockIDIsTwoBytes(t *testing.T) {
+	if got := reflect.TypeOf(BlockID(0)).Size(); got != 2 {
+		t.Fatalf("BlockID is %d bytes, want 2", got)
+	}
+	if int(NoBlock) != MaxBlocks {
+		t.Fatalf("NoBlock %d is not the first ID past MaxBlocks %d", NoBlock, MaxBlocks)
+	}
+}
+
+// TestBuildBlockLimit: an image of MaxBlocks blocks builds, with its
+// last block at the last valid ID; one more block is an error that
+// names the count, never a wrapped BlockID.
+func TestBuildBlockLimit(t *testing.T) {
+	build := func(n int) (*Program, error) {
+		b := NewBuilder()
+		pr := b.Proc("f", "m")
+		for i := 0; i < n-1; i++ {
+			pr.Fall("", 1)
+		}
+		pr.Ret("", 1)
+		return b.Build()
+	}
+	p, err := build(MaxBlocks)
+	if err != nil {
+		t.Fatalf("%d blocks: %v", MaxBlocks, err)
+	}
+	if last := p.Procs[0].Blocks[MaxBlocks-1]; last != NoBlock-1 || p.Block(last).Kind != KindReturn {
+		t.Fatalf("last block is %d (%s), want %d, the return", last, p.Block(last).Kind, NoBlock-1)
+	}
+	if _, err := build(MaxBlocks + 1); err == nil || !strings.Contains(err.Error(), "65536 blocks") {
+		t.Fatalf("%d blocks: want an error naming the count, got %v", MaxBlocks+1, err)
 	}
 }

@@ -12,10 +12,13 @@ import (
 	"repro/internal/program"
 )
 
-// Trace is an in-memory dynamic basic-block trace.
+// Trace is an in-memory dynamic basic-block trace. An event is one
+// program.BlockID, 2 bytes.
 type Trace struct {
 	prog *program.Program
-	// Blocks is the executed block sequence, in order.
+	// Blocks is the executed block sequence, in order. Its capacity
+	// past len may hold scratch a Recorder wrote ahead (see
+	// Recorder.Path); nothing reads it.
 	Blocks []program.BlockID
 	// Instrs is the total number of dynamic instructions.
 	Instrs uint64
@@ -65,7 +68,8 @@ func (t *Trace) Append(other *Trace) {
 // in execution order, or Path for a pre-declared sequence of them. A
 // validating recorder keeps the call stack: call blocks push their
 // continuation; return blocks pop it and require the next event to be
-// that continuation. A non-validating one only appends.
+// that continuation. A non-validating one only appends, 2 bytes per
+// event.
 type Recorder struct {
 	prog     *program.Program
 	t        *Trace
@@ -110,18 +114,36 @@ func (r *Recorder) Block(b program.BlockID) {
 	r.t.Instrs += uint64(blk.Size)
 }
 
+// PathWidth is the longest path Path records with one fixed-size
+// store, and the capacity a caller gives a path to get that store.
+const PathWidth = 8
+
 // Path records the execution of a pre-declared sequence of blocks, of
 // instrs instructions in all (a hot instrumentation site). A validating
-// recorder checks it block by block; otherwise the trace grows at most
-// once and takes the whole path in one copy.
+// recorder checks it block by block. Otherwise a path of at most
+// PathWidth blocks whose slice has a capacity of at least PathWidth is
+// recorded with one PathWidth-event store into the recording's tail,
+// after which only len(p) events count: the store reads p's backing
+// array up to PathWidth, and what it writes past the path lies beyond
+// len(Trace.Blocks), to be overwritten by the next event. Any other
+// path is appended in one copy.
 func (r *Recorder) Path(p []program.BlockID, instrs uint64) {
-	if r.validate {
+	switch {
+	case r.validate:
 		for _, b := range p {
 			r.Block(b)
 		}
 		return
+	case len(p) <= PathWidth && cap(p) >= PathWidth:
+		n := len(r.t.Blocks)
+		if n+PathWidth > cap(r.t.Blocks) {
+			r.t.Blocks = grow(r.t.Blocks, PathWidth)
+		}
+		*(*[PathWidth]program.BlockID)(r.t.Blocks[n : n+PathWidth]) = [PathWidth]program.BlockID(p[:PathWidth])
+		r.t.Blocks = r.t.Blocks[:n+len(p)]
+	default:
+		r.t.Blocks = appendEvents(r.t.Blocks, p...)
 	}
-	r.t.Blocks = appendEvents(r.t.Blocks, p...)
 	r.t.Instrs += instrs
 }
 
@@ -166,16 +188,22 @@ func (r *Recorder) check(b program.BlockID, blk *program.Block) {
 const minGrow = 64 << 10
 
 // appendEvents appends events to a recording, moving a recording that
-// has no room for them into one of twice the capacity. A trace is tens
-// of millions of events long, and append's growth policy for large
-// slices (1.25x) copies what is already recorded about five times over
-// on the way there and leaves as much garbage; doubling copies it at
-// most once in total.
+// has no room for them first (see grow).
 func appendEvents(blocks []program.BlockID, events ...program.BlockID) []program.BlockID {
 	if len(blocks)+len(events) > cap(blocks) {
-		grown := make([]program.BlockID, len(blocks), max(minGrow, 2*cap(blocks), len(blocks)+len(events)))
-		copy(grown, blocks)
-		blocks = grown
+		blocks = grow(blocks, len(events))
 	}
 	return append(blocks, events...)
+}
+
+// grow moves a recording into one of twice its capacity (at least
+// minGrow events), or of room for n more events if that is more. A trace is tens of millions of
+// events long, and append's growth policy for large slices (1.25x)
+// copies what is already recorded about five times over on the way
+// there and leaves as much garbage; doubling copies it at most once in
+// total.
+func grow(blocks []program.BlockID, n int) []program.BlockID {
+	grown := make([]program.BlockID, len(blocks), max(minGrow, 2*cap(blocks), len(blocks)+n))
+	copy(grown, blocks)
+	return grown
 }

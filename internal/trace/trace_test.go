@@ -223,23 +223,37 @@ func TestDynamicEdgesAreStaticEdges(t *testing.T) {
 
 // TestRecordingAcrossGrowthSteps: the recorder grows Trace.Blocks
 // itself (doubling from minGrow) rather than through append. A
-// recording that crosses several growth steps must be exactly the
-// events, marks and instruction count a naive append gives, must have
-// been moved into at most four slices on the way (64K, 128K, 256K,
-// 512K events — so less than its final size was ever copied), and
-// Append of such traces must be unchanged.
+// recording that crosses several growth steps, block by block through
+// a validating recorder or path by path through the fixed-size store
+// of a non-validating one, must be exactly the events, marks and
+// instruction count a naive append gives, must have been moved into at
+// most four slices on the way (64K, 128K, 256K, 512K events — so less
+// than its final size was ever copied), and Append of such traces must
+// be unchanged.
 func TestRecordingAcrossGrowthSteps(t *testing.T) {
 	p := testProgram(t)
 	const iters = 60_000 // 5 events each: > 256K events
-	record := func(markEvery int) (*Trace, *Trace, int) {
+	record := func(markEvery int, fixed bool) (*Trace, *Trace, int) {
 		got, want := New(p), New(p)
-		r := NewRecorder(got, true)
+		r := NewRecorder(got, !fixed)
 		grows, lastCap := 0, 0
-		emit := func(name string) {
-			b := p.MustBlock(name)
-			r.Block(b)
-			want.Blocks = append(want.Blocks, b)
-			want.Instrs += uint64(p.Block(b).Size)
+		emit := func(names ...string) {
+			path := make([]program.BlockID, 0, PathWidth)
+			var instrs uint64
+			for _, name := range names {
+				b := p.MustBlock(name)
+				path = append(path, b)
+				instrs += uint64(p.Block(b).Size)
+			}
+			if fixed {
+				r.Path(path, instrs)
+			} else {
+				for _, b := range path {
+					r.Block(b)
+				}
+			}
+			want.Blocks = append(want.Blocks, path...)
+			want.Instrs += instrs
 			if c := cap(got.Blocks); c != lastCap {
 				if c < minGrow || (lastCap != 0 && c != 2*lastCap) {
 					t.Fatalf("capacity went %d -> %d events", lastCap, c)
@@ -254,12 +268,9 @@ func TestRecordingAcrossGrowthSteps(t *testing.T) {
 				r.Mark(label)
 				want.Marks = append(want.Marks, Mark{Pos: len(want.Blocks), Label: label})
 			}
-			for _, name := range []string{"main.loop", "main.callh", "helper.entry", "helper.ret", "main.back"} {
-				emit(name)
-			}
+			emit("main.loop", "main.callh", "helper.entry", "helper.ret", "main.back")
 		}
-		emit("main.loop")
-		emit("main.exit")
+		emit("main.loop", "main.exit")
 		if err := r.Err(); err != nil {
 			t.Fatal(err)
 		}
@@ -273,21 +284,27 @@ func TestRecordingAcrossGrowthSteps(t *testing.T) {
 		}
 	}
 
-	got, want, grows := record(7_000)
-	if got.Len() <= 256<<10 {
-		t.Fatalf("recorded %d events, want more than 256K", got.Len())
-	}
-	if grows != 4 {
-		t.Fatalf("recording of %d events took %d slices, want 4 (64K, 128K, 256K, 512K)", got.Len(), grows)
-	}
-	equal("recording", got, want)
+	for _, fixed := range []bool{false, true} {
+		how := "block by block"
+		if fixed {
+			how = "fixed store"
+		}
+		got, want, grows := record(7_000, fixed)
+		if got.Len() <= 256<<10 {
+			t.Fatalf("%s: recorded %d events, want more than 256K", how, got.Len())
+		}
+		if grows != 4 {
+			t.Fatalf("%s: recording of %d events took %d slices, want 4 (64K, 128K, 256K, 512K)", how, got.Len(), grows)
+		}
+		equal(how+": recording", got, want)
 
-	got2, want2, _ := record(11_000)
-	got.Append(got2)
-	for _, m := range want2.Marks {
-		want.Marks = append(want.Marks, Mark{Pos: len(want.Blocks) + m.Pos, Label: m.Label})
+		got2, want2, _ := record(11_000, fixed)
+		got.Append(got2)
+		for _, m := range want2.Marks {
+			want.Marks = append(want.Marks, Mark{Pos: len(want.Blocks) + m.Pos, Label: m.Label})
+		}
+		want.Blocks = append(want.Blocks, want2.Blocks...)
+		want.Instrs += want2.Instrs
+		equal(how+": Append", got, want)
 	}
-	want.Blocks = append(want.Blocks, want2.Blocks...)
-	want.Instrs += want2.Instrs
-	equal("Append", got, want)
 }
