@@ -1,9 +1,12 @@
 // dsdblint statically enforces the engine's concurrency and
 // durability invariants: the lock-rank acquisition order, the
 // no-tracer-under-pool-mutex rule, WAL error handling and write-ahead
-// ordering, release-on-all-paths for the custom latch surface, and
-// context propagation in the request paths — plus a curated set of
-// vet passes (copylocks, atomic, unusedresult, lostcancel).
+// ordering, release-on-all-paths for the custom latch surface,
+// context propagation in the request paths, and the forbid table of
+// names, imports and packages deleted on purpose — plus a curated set
+// of vet passes (copylocks, atomic, unusedresult, lostcancel).
+// TestModuleIsClean runs the whole suite over the module, for the host
+// and for windows, so `go test ./...` enforces it too.
 //
 // Usage:
 //
@@ -41,13 +44,14 @@ import (
 	"golang.org/x/tools/go/analysis/unitchecker"
 
 	"repro/internal/analysis/ctxflow"
+	"repro/internal/analysis/forbid"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/tracerlock"
 	"repro/internal/analysis/unlockpath"
 	"repro/internal/analysis/walcheck"
 )
 
-// suite is the full analyzer set: the five invariant checkers plus
+// suite is the full analyzer set: the six invariant checkers plus
 // the vet passes worth running on a lock-heavy storage engine.
 var suite = []*analysis.Analyzer{
 	lockorder.Analyzer,
@@ -55,6 +59,7 @@ var suite = []*analysis.Analyzer{
 	walcheck.Analyzer,
 	unlockpath.Analyzer,
 	ctxflow.Analyzer,
+	forbid.Analyzer,
 	copylock.Analyzer,
 	atomic.Analyzer,
 	unusedresult.Analyzer,

@@ -32,31 +32,18 @@ import (
 // ErrClosed is returned by operations on a closed DB.
 var ErrClosed = errors.New("client: connection closed")
 
-// config collects Dial options.
-type config struct {
-	dialTimeout time.Duration
-	maxIdle     int
-}
-
-// Option configures Dial.
-type Option func(*config)
-
-// WithDialTimeout bounds each TCP connect (default 5s).
-func WithDialTimeout(d time.Duration) Option {
-	return func(c *config) { c.dialTimeout = d }
-}
-
-// WithMaxIdleConns bounds the pooled idle connections (default 4).
-// More concurrent queries than this still work — each extra query
-// dials its own connection and closes it when done.
-func WithMaxIdleConns(n int) Option {
-	return func(c *config) { c.maxIdle = n }
-}
+// dialTimeout bounds each TCP connect and its handshake. maxIdleConns
+// bounds the pooled idle connections: more concurrent queries than
+// this still work, each extra query dialing its own connection and
+// closing it when done.
+const (
+	dialTimeout  = 5 * time.Second
+	maxIdleConns = 4
+)
 
 // DB is a remote database handle, safe for concurrent use.
 type DB struct {
 	addr string
-	cfg  config
 
 	mu     sync.Mutex
 	idle   []*conn
@@ -66,12 +53,8 @@ type DB struct {
 // Dial connects to a dsdb server and performs the protocol handshake
 // on the first connection (so a bad address or incompatible server
 // fails here, not at the first query).
-func Dial(addr string, opts ...Option) (*DB, error) {
-	cfg := config{dialTimeout: 5 * time.Second, maxIdle: 4}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	db := &DB{addr: addr, cfg: cfg}
+func Dial(addr string) (*DB, error) {
+	db := &DB{addr: addr}
 	c, err := db.dial()
 	if err != nil {
 		return nil, err
@@ -84,11 +67,11 @@ func Dial(addr string, opts ...Option) (*DB, error) {
 // the whole exchange — a server that accepts but never answers Hello
 // cannot hang the caller.
 func (db *DB) dial() (*conn, error) {
-	nc, err := net.DialTimeout("tcp", db.addr, db.cfg.dialTimeout)
+	nc, err := net.DialTimeout("tcp", db.addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	nc.SetDeadline(time.Now().Add(db.cfg.dialTimeout))
+	nc.SetDeadline(time.Now().Add(dialTimeout))
 	defer nc.SetDeadline(time.Time{})
 	c := &conn{nc: nc, r: bufio.NewReader(nc), w: bufio.NewWriter(nc)}
 	if err := c.send(wire.KindHello, wire.EncodeHello(wire.Hello{Version: wire.ProtocolVersion})); err != nil {
@@ -147,7 +130,7 @@ func (db *DB) get() (c *conn, pooled bool, err error) {
 // pool is full or the DB closed).
 func (db *DB) put(c *conn) {
 	db.mu.Lock()
-	if !db.closed && len(db.idle) < db.cfg.maxIdle {
+	if !db.closed && len(db.idle) < maxIdleConns {
 		db.idle = append(db.idle, c)
 		db.mu.Unlock()
 		return

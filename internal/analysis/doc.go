@@ -4,11 +4,16 @@
 // back silently.
 //
 // The suite is driven by cmd/dsdblint (a go vet -vettool), which runs
-// the five custom analyzers below plus a curated set of vet passes
+// the six custom analyzers below plus a curated set of vet passes
 // (copylocks, atomic, unusedresult, lostcancel). Each invariant is
-// declared once — the lock hierarchy lives in the lockrank table —
-// and each analyzer ships an analyzer-test suite pinning both the
-// violations it must catch and the legal idioms it must accept.
+// declared once — the lock hierarchy lives in the lockrank table, the
+// deleted names in the forbid table — and each analyzer ships an
+// analyzer-test suite pinning both the violations it must catch and
+// the legal idioms it must accept. `go test ./...` runs the whole
+// suite over the module (cmd/dsdblint's TestModuleIsClean), so tier-1
+// and CI enforce the same rules. go vet sees only the files that build
+// for its target, so that test runs the suite for the host and again
+// with GOOS=windows, which checks the !unix side of every build tag.
 //
 // # Analyzers
 //
@@ -45,6 +50,15 @@
 // TODO() roots except at annotated session boundaries, and no ctx
 // parameter that arrives and is never used.
 //
+// forbid keeps deleted code deleted. Its table is where the guard for
+// a name, import or package removed on purpose is declared: one row
+// per guard, with the packages it covers, what they may not contain
+// (a declared name, a package-level function, an import under any
+// alias, a qualified object, a method selected through a field, or the
+// package itself), the reason and the PR that removed it. Entries resolve through the type
+// checker, so a comment naming a forbidden identifier passes and an
+// aliased import does not. A new guard is a new row, not a grep in CI.
+//
 // # Escape hatch
 //
 // A diagnostic is suppressed by a //lint:allow <analyzer> <reason>
@@ -52,4 +66,6 @@
 // comment of the enclosing function. The reason is mandatory: a bare
 // directive is itself reported, so every suppression in the tree
 // documents why it is safe.
+// forbid takes no such comment: its exceptions are except entries in
+// its table, next to the rule they relax.
 package analysis

@@ -1,0 +1,149 @@
+// Package forbid defines an analyzer that keeps deleted code deleted.
+//
+// When a change removes a name, an import or a package on purpose —
+// the buffer pool's lookup shards, a second recorder, a parallel scan
+// path — the guard that stops it coming back is one row of the table
+// below: the packages it applies to, what they may not contain, why,
+// and the PR that made it so. Every entry is resolved through the type
+// checker, so a comment that mentions a forbidden name never trips a
+// rule and an import alias never hides from one.
+package forbid
+
+import (
+	"go/ast"
+	"go/types"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
+
+	"golang.org/x/tools/go/analysis"
+)
+
+var Analyzer = &analysis.Analyzer{
+	Name: "forbid",
+	Doc:  "report names, imports and packages that were deleted on purpose",
+	Run:  run,
+}
+
+// A rule forbids each of its entries in the packages of its scope.
+// An entry is one of:
+//
+//	Name             declaring an object (type, func, var, field, method) so named
+//	func Name        declaring a package-level function so named
+//	"path"           importing the package, under any name
+//	pkg.Name         declaring or referring to pkg's object Name
+//	pkg.Type.F.M     selecting M on field F of a Type value, whatever it is called
+//	package          the package existing at all
+//
+// A scope entry is a package path or a tree, "path/..."; "..." is the
+// module. A file is exempt if its path (package path and file name)
+// starts or ends with an except entry.
+type rule struct {
+	scope  []string
+	forbid []string
+	except []string
+	reason string
+	pr     int // the PR that removed what the rule forbids
+}
+
+var table = []rule{
+	{scope: []string{"repro/internal/db/buffer"}, forbid: []string{"shard", "shardOf", "numShards"}, pr: 33,
+		reason: "a buffer hit takes no lock: it looks the page up in the atomic page table, which replaced the 64 mutex-guarded lookup shards"},
+	{scope: []string{"..."}, forbid: []string{`"unsafe"`}, except: []string{"_test.go", "repro/internal/db/value/alias.go"}, pr: 35,
+		reason: "decoded strings view page bytes through one helper, value.StrView; nothing else may use package unsafe"},
+	{scope: []string{"repro/internal/experiments"}, forbid: []string{"package"}, pr: 23,
+		reason: "the paper flow has one owner: every experiment is a stcpipe.SimulateGrid in stcpipe.Report"},
+	{scope: []string{"..."}, forbid: []string{"ProfileConcurrent", "ProfileServed", "ProfileCached", "ProfileReplayed"}, pr: 23,
+		reason: "Pipeline.Profile(db, source) is the only recorder"},
+	{scope: []string{"repro/dsdb/...", "repro/cmd/...", "repro/examples/..."}, pr: 34,
+		forbid: []string{"func Compare", "CompareParams", "CompareResult", "paperRow", "simulateRow", "simulateRows"},
+		reason: "every paper table is a stcpipe.SimulateGrid literal; no driver keeps a loop of its own over layouts and caches"},
+	{scope: []string{"..."}, except: []string{"repro/bench/"}, pr: 30,
+		forbid: []string{"ParallelScan", "BeginRangeScan", "WithParallelism", "WorkerProbeEvents", "WorkerTracer", "Parallelism"},
+		reason: "one query runs on one goroutine; only bench still calls the no-op DB.SetParallelism"},
+	{scope: []string{"repro/internal/db/..."}, forbid: []string{"repro/internal/db/executor.Ctx.Tr.Emit", "repro/internal/db/probe.Or"}, pr: 31,
+		reason: "an execution decides once whether it records: emit through Ctx.emit, or probe.Emit on what probe.Resolve returned"},
+}
+
+func run(pass *analysis.Pass) (any, error) {
+	pkg := strings.TrimSuffix(pass.Pkg.Path(), "_test")
+	for _, f := range pass.Files {
+		file := pkg + "/" + filepath.Base(pass.Fset.File(f.Pos()).Name())
+		var rules []rule
+		for _, r := range table {
+			if r.covers(pkg, file) {
+				rules = append(rules, r)
+			}
+		}
+		if len(rules) == 0 {
+			continue
+		}
+		report := func(n ast.Node, key string) {
+			for _, r := range rules {
+				if slices.Contains(r.forbid, key) {
+					pass.Reportf(n.Pos(), "%s is forbidden here: %s (since PR %d)", key, r.reason, r.pr)
+				}
+			}
+		}
+		report(f.Name, "package")
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.ImportSpec:
+				if p, err := strconv.Unquote(n.Path.Value); err == nil {
+					report(n, strconv.Quote(p))
+				}
+			case *ast.Ident:
+				if obj := pass.TypesInfo.Defs[n]; obj != nil {
+					report(n, obj.Name())
+					if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
+						report(n, obj.Pkg().Path()+"."+obj.Name())
+						if _, ok := obj.(*types.Func); ok {
+							report(n, "func "+obj.Name())
+						}
+					}
+				}
+			case *ast.SelectorExpr:
+				if key := selectorKey(pass.TypesInfo, n); key != "" {
+					report(n, key)
+				}
+			}
+			return true
+		})
+	}
+	return nil, nil
+}
+
+// selectorKey names what a selector reaches: "pkg.Name" for a
+// qualified identifier, "pkg.Type.F.M" for M selected on field F.
+func selectorKey(info *types.Info, s *ast.SelectorExpr) string {
+	switch x := s.X.(type) {
+	case *ast.Ident:
+		if pn, ok := info.Uses[x].(*types.PkgName); ok {
+			return pn.Imported().Path() + "." + s.Sel.Name
+		}
+	case *ast.SelectorExpr:
+		if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+			recv := sel.Recv()
+			if p, ok := recv.(*types.Pointer); ok {
+				recv = p.Elem()
+			}
+			return types.TypeString(recv, nil) + "." + x.Sel.Name + "." + s.Sel.Name
+		}
+	}
+	return ""
+}
+
+func (r *rule) covers(pkg, file string) bool {
+	for _, e := range r.except {
+		if strings.HasPrefix(file, e) || strings.HasSuffix(file, e) {
+			return false
+		}
+	}
+	for _, s := range r.scope {
+		if tree, ok := strings.CutSuffix(s, "..."); ok && strings.HasPrefix(pkg+"/", tree) || s == pkg {
+			return true
+		}
+	}
+	return false
+}

@@ -141,7 +141,7 @@ var Table = []Lock{
 		ReleaseShared: []string{"runlock"},
 		Before: []string{
 			"buffer.pool", "catalog.catalog", "storage.store",
-			"wal.writer", "qcache.cache", "probe.counters", "obs.tracer",
+			"wal.writer", "qcache.cache", "obs.tracer",
 		},
 		SharedReentrant: true,
 		Doc: "The engine latch: shared for query execution, exclusive for " +
@@ -196,14 +196,6 @@ var Table = []Lock{
 		Before: nil,
 		Doc: "WAL writer mutex serializing Append/Sync/ResetTo; a leaf — log " +
 			"IO never re-enters the engine.",
-	},
-	{
-		Name:   "probe.counters",
-		Pkg:    "repro/internal/db/probe",
-		Type:   "CounterSet",
-		Field:  "mu",
-		Before: nil,
-		Doc:    "Counter registry mutex (registration only; counts are atomic); a leaf.",
 	},
 	{
 		Name:     "qcache.cache",

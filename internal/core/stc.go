@@ -40,17 +40,6 @@ type Params struct {
 	CFABytes int
 }
 
-// DefaultParams returns the thresholds used for the paper-scale
-// experiments with a 32KB cache and 8KB CFA.
-func DefaultParams() Params {
-	return Params{
-		ExecThreshold:   16,
-		BranchThreshold: 0.4,
-		CacheBytes:      32 * 1024,
-		CFABytes:        8 * 1024,
-	}
-}
-
 // Sequence is one basic-block trace produced by the greedy builder.
 type Sequence struct {
 	Blocks []program.BlockID

@@ -322,13 +322,3 @@ func TestSequenceSizeBytes(t *testing.T) {
 		t.Fatalf("SizeBytes = %d, want 32", got)
 	}
 }
-
-func TestDefaultParamsSane(t *testing.T) {
-	p := DefaultParams()
-	if p.CFABytes >= p.CacheBytes || p.CFABytes <= 0 {
-		t.Fatal("default CFA must be a proper fraction of the cache")
-	}
-	if p.BranchThreshold <= 0 || p.BranchThreshold >= 1 {
-		t.Fatal("default branch threshold out of range")
-	}
-}

@@ -135,6 +135,3 @@ func (i *Instrumented) Close() error {
 
 // Schema implements Node.
 func (i *Instrumented) Schema() *catalog.Schema { return i.n.Schema() }
-
-// Unwrap returns the wrapped operator.
-func (i *Instrumented) Unwrap() Node { return i.n }

@@ -22,87 +22,6 @@ func TestResolveUntracedIsNil(t *testing.T) {
 	}
 }
 
-func TestCounterSetRegistration(t *testing.T) {
-	s := NewCounterSet()
-	a := s.Register("buf.hits")
-	b := s.Register("buf.hits")
-	if a != b {
-		t.Fatalf("Register must be idempotent: got two distinct counters for one name")
-	}
-	if s.Lookup("buf.hits") != a {
-		t.Fatalf("Lookup must return the registered counter")
-	}
-	if s.Lookup("nope") != nil {
-		t.Fatalf("Lookup of an unregistered name must return nil")
-	}
-	s.Register("buf.misses")
-	names := s.Names()
-	if len(names) != 2 || names[0] != "buf.hits" || names[1] != "buf.misses" {
-		t.Fatalf("Names = %v, want sorted [buf.hits buf.misses]", names)
-	}
-	if a.Name() != "buf.hits" {
-		t.Fatalf("Name = %q, want buf.hits", a.Name())
-	}
-}
-
-func TestCounterSetResetSemantics(t *testing.T) {
-	s := NewCounterSet()
-	c := s.Register("events")
-	c.Add(41)
-	c.Inc()
-	if got := c.Load(); got != 42 {
-		t.Fatalf("Load = %d, want 42", got)
-	}
-	snap := s.Snapshot()
-	if snap["events"] != 42 {
-		t.Fatalf("Snapshot = %v, want events:42", snap)
-	}
-	s.Reset()
-	if got := c.Load(); got != 0 {
-		t.Fatalf("after Reset, Load = %d, want 0", got)
-	}
-	// Registration survives the reset: the same pointer keeps counting.
-	if s.Register("events") != c {
-		t.Fatalf("Reset must not drop registrations")
-	}
-	c.Inc()
-	if got := s.Snapshot()["events"]; got != 1 {
-		t.Fatalf("post-reset count = %d, want 1", got)
-	}
-}
-
-// TestCounterConcurrentIncrements asserts no lost updates: G
-// goroutines × N increments on counters shared through one set must
-// total exactly G*N.
-func TestCounterConcurrentIncrements(t *testing.T) {
-	const goroutines, perG = 16, 10000
-	s := NewCounterSet()
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Every goroutine registers the same names itself,
-			// exercising concurrent registration too.
-			hits := s.Register("hits")
-			odd := s.Register("odd")
-			for i := 0; i < perG; i++ {
-				hits.Inc()
-				if i%2 == 1 {
-					odd.Inc()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := s.Lookup("hits").Load(); got != goroutines*perG {
-		t.Fatalf("hits = %d, want %d (lost updates)", got, goroutines*perG)
-	}
-	if got := s.Lookup("odd").Load(); got != goroutines*perG/2 {
-		t.Fatalf("odd = %d, want %d", got, goroutines*perG/2)
-	}
-}
-
 func TestCountingTracerCounts(t *testing.T) {
 	ct := NewCountingTracer()
 	ct.Emit(BufGetEnter)

@@ -184,10 +184,6 @@ func (s *Store) SetSpill(fn func(file, page int, data []byte) error) {
 	s.disk.spill = fn
 }
 
-// DiskBacked reports whether the store persists pages under a data
-// directory.
-func (s *Store) DiskBacked() bool { return s.disk != nil }
-
 // Generation returns the current checkpoint generation (disk mode).
 func (s *Store) Generation() uint64 {
 	s.mu.RLock()

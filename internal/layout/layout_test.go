@@ -159,42 +159,6 @@ func TestTorrellasCFAHoldsTopBlocks(t *testing.T) {
 	}
 }
 
-func TestGreedyConcatenatesSequences(t *testing.T) {
-	p := callerProgram(t)
-	pr := run(t, p, 50)
-	params := core.Params{ExecThreshold: 5, BranchThreshold: 0.3, CacheBytes: 1024, CFABytes: 256}
-	seeds := core.AutoSeeds(pr)
-	l := Greedy("greedy", pr, seeds, params)
-	if err := l.Validate(p); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	seqs, _ := core.BuildAllSequences(pr, seeds, params)
-	var addr uint64
-	for _, s := range seqs {
-		for _, b := range s.Blocks {
-			if l.AddrOf(b) != addr {
-				t.Fatalf("block %s at %d, want %d", p.Block(b).Name, l.AddrOf(b), addr)
-			}
-			addr += p.Block(b).SizeBytes()
-		}
-	}
-}
-
-func TestSortBlocksByWeightValid(t *testing.T) {
-	p := callerProgram(t)
-	pr := run(t, p, 10)
-	l := SortBlocksByWeight(pr)
-	if err := l.Validate(p); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	// Addresses in order position must have non-increasing weight.
-	for i := 1; i < len(l.Order); i++ {
-		if pr.Weight(l.Order[i]) > pr.Weight(l.Order[i-1]) {
-			t.Fatal("order not sorted by weight")
-		}
-	}
-}
-
 func TestAllLayoutsAreValidPermutations(t *testing.T) {
 	p := callerProgram(t)
 	pr := run(t, p, 30)
@@ -203,9 +167,7 @@ func TestAllLayoutsAreValidPermutations(t *testing.T) {
 		program.OriginalLayout(p),
 		PettisHansen(pr),
 		Torrellas(pr, params),
-		Greedy("greedy", pr, core.AutoSeeds(pr), params),
 		core.Build("stc", pr, core.AutoSeeds(pr), params),
-		SortBlocksByWeight(pr),
 	}
 	for _, l := range layouts {
 		if err := l.Validate(p); err != nil {

@@ -1,8 +1,6 @@
 package layout
 
 import (
-	"sort"
-
 	"repro/internal/core"
 	"repro/internal/profile"
 	"repro/internal/program"
@@ -91,44 +89,4 @@ func Torrellas(pr *profile.Profile, p core.Params) *program.Layout {
 		}
 	}
 	return program.NewLayoutFromAddrs("Torr", prog, addr)
-}
-
-// Greedy returns a geometry-oblivious layout that simply concatenates
-// the STC sequences in construction order followed by cold code: the
-// "sequences without CFA mapping" ablation used to separate the
-// contribution of sequence building from conflict-free mapping.
-func Greedy(name string, pr *profile.Profile, seeds []program.BlockID, p core.Params) *program.Layout {
-	prog := pr.Prog
-	seqs, _ := core.BuildAllSequences(pr, seeds, p)
-	var order []program.BlockID
-	inSeq := make([]bool, prog.NumBlocks())
-	for i := range seqs {
-		for _, b := range seqs[i].Blocks {
-			order = append(order, b)
-			inSeq[b] = true
-		}
-	}
-	for pi := range prog.Procs {
-		for _, b := range prog.Procs[pi].Blocks {
-			if !inSeq[b] {
-				order = append(order, b)
-			}
-		}
-	}
-	return program.NewLayoutFromOrder(name, prog, order)
-}
-
-// SortBlocksByWeight returns all blocks sorted by decreasing dynamic
-// count, cold blocks last in declaration order (a naive
-// popularity-packing baseline useful in tests and ablations).
-func SortBlocksByWeight(pr *profile.Profile) *program.Layout {
-	prog := pr.Prog
-	order := make([]program.BlockID, prog.NumBlocks())
-	for i := range order {
-		order[i] = program.BlockID(i)
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return pr.Weight(order[i]) > pr.Weight(order[j])
-	})
-	return program.NewLayoutFromOrder("popularity", prog, order)
 }

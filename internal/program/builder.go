@@ -36,12 +36,6 @@ func (b *Builder) ColdProc(name, module string) *ProcBuilder {
 	return p
 }
 
-// HasProc reports whether a procedure with the given name exists.
-func (b *Builder) HasProc(name string) bool {
-	_, ok := b.byName[name]
-	return ok
-}
-
 // NumProcs returns the number of procedures declared so far.
 func (b *Builder) NumProcs() int { return len(b.procs) }
 
