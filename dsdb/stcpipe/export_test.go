@@ -2,7 +2,9 @@ package stcpipe
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
+	"strings"
 )
 
 // BlockHash is an FNV-64a of the recorded block stream (little-endian
@@ -15,4 +17,25 @@ func (pr *Profile) BlockHash() uint64 {
 		h.Write(buf[:])
 	}
 	return h.Sum64()
+}
+
+// LayoutAddrs renders one line per (configuration, layout) — the
+// headline configuration, then every Table 3 row, five layouts each —
+// with an FNV-64a of the layout's block addresses (little-endian
+// 64-bit, in block-ID order) and the layout's end, for the external
+// test package.
+func (r *Report) LayoutAddrs() string {
+	var b strings.Builder
+	for _, p := range append([]Params{headline}, paperConfigs...) {
+		for _, l := range r.layouts(p) {
+			h := fnv.New64a()
+			var buf [8]byte
+			for _, a := range l.l.Addr {
+				binary.LittleEndian.PutUint64(buf[:], a)
+				h.Write(buf[:])
+			}
+			fmt.Fprintf(&b, "%4d/%-4d %-4s addrs=%016x end=%d\n", p.CacheBytes, p.CFABytes, l.Name(), h.Sum64(), l.l.End)
+		}
+	}
+	return b.String()
 }

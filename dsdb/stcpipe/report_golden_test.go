@@ -12,7 +12,7 @@ import (
 
 // Regenerate the golden files after an intentional formatting change:
 //
-//	go test ./dsdb/stcpipe -run TestReportGolden -update
+//	go test ./dsdb/stcpipe -run 'TestReportGolden|TestLayoutAddrsGolden' -update
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // goldenReport builds one shared Report for all golden checks — the
@@ -57,6 +57,18 @@ func TestReportGolden(t *testing.T) {
 			checkGolden(t, s.name, s.render())
 		})
 	}
+}
+
+// TestLayoutAddrsGolden pins where every layout puts every block, for
+// each configuration the report lays out: a refactor of a mapper must
+// leave this file unchanged, and a change of policy lists exactly the
+// layouts it moved.
+func TestLayoutAddrsGolden(t *testing.T) {
+	r, err := goldenReport()
+	if err != nil {
+		t.Fatalf("PaperTraces: %v", err)
+	}
+	checkGolden(t, "layout_addrs", r.LayoutAddrs())
 }
 
 // TestPaperTracesKeepSeedZero: seed 0 is a generator seed like any
