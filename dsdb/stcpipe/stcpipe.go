@@ -234,7 +234,9 @@ func (pr *Profile) Layout(alg Algorithm) (*Layout, error) {
 // Params configures the greedy sequence-building algorithms (STC and
 // the Torrellas baseline). Zero values select the paper defaults:
 // BranchThreshold 0.4, a 4KB cache with a 1KB conflict-free area, and
-// an execution threshold fitted from the profile.
+// an execution threshold fitted from the profile. Layout fails on
+// Params it cannot map: a negative size, a conflict-free area no
+// smaller than the cache, or a block too large for the area outside it.
 type Params struct {
 	ExecThreshold   uint64
 	BranchThreshold float64
@@ -242,33 +244,48 @@ type Params struct {
 	CFABytes        int
 }
 
-// coreParams resolves defaults against a profile.
-func (p Params) coreParams(pr *Profile) (core.Params, bool) {
-	cp := core.Params{
-		ExecThreshold:   p.ExecThreshold,
-		BranchThreshold: p.BranchThreshold,
-		CacheBytes:      p.CacheBytes,
-		CFABytes:        p.CFABytes,
-	}
-	if cp.BranchThreshold == 0 {
-		cp.BranchThreshold = 0.4
-	}
-	if cp.CacheBytes == 0 {
-		cp.CacheBytes = 4096
-	}
-	if cp.CFABytes == 0 {
-		cp.CFABytes = 1024
-	}
-	fitted := cp.ExecThreshold == 0
-	if fitted {
-		// The paper's "most popular blocks" notion, scaled to the
-		// trace length; BuildFitted refines it against the CFA budget.
-		cp.ExecThreshold = pr.profileData().DynBlocks / 20000
-		if cp.ExecThreshold < 4 {
-			cp.ExecThreshold = 4
+// check rejects a geometry no layout can be mapped into — a negative
+// size, or a conflict-free area that leaves no room for other code —
+// naming the field at fault. p has its defaults applied.
+func (p Params) check() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"CacheBytes", p.CacheBytes}, {"CFABytes", p.CFABytes}} {
+		if f.v < 0 {
+			return fmt.Errorf("Params.%s %d is negative", f.name, f.v)
 		}
 	}
-	return cp, fitted
+	if p.CFABytes >= p.CacheBytes {
+		return fmt.Errorf("Params.CFABytes %d leaves no room outside the CFA in CacheBytes %d", p.CFABytes, p.CacheBytes)
+	}
+	return nil
+}
+
+// coreParams resolves defaults against a profile and checks the
+// result.
+func (p Params) coreParams(pr *Profile) (cp core.Params, fitted bool, err error) {
+	if p.BranchThreshold == 0 {
+		p.BranchThreshold = 0.4
+	}
+	if p.CacheBytes == 0 {
+		p.CacheBytes = 4096
+	}
+	if p.CFABytes == 0 {
+		p.CFABytes = 1024
+	}
+	if err := p.check(); err != nil {
+		return core.Params{}, false, fmt.Errorf("stcpipe: %w", err)
+	}
+	cp = core.Params(p)
+	fitted = cp.ExecThreshold == 0
+	if fitted {
+		// The paper's "most popular blocks" notion, scaled to the
+		// trace length; STC refines it against the CFA budget
+		// (core.FitExecThreshold).
+		cp.ExecThreshold = max(pr.profileData().DynBlocks/20000, 4)
+	}
+	return cp, fitted, nil
 }
 
 // algorithm implements Algorithm via a closure.
@@ -279,10 +296,15 @@ type algorithm struct {
 
 func (a algorithm) Name() string { return a.name }
 
+// Build returns the layout only if it is one: every block at its own,
+// non-overlapping addresses.
 func (a algorithm) Build(pr *Profile) (*Layout, error) {
 	l, err := a.build(pr)
 	if err != nil {
 		return nil, err
+	}
+	if err := l.Validate(pr.pipe.img.Prog); err != nil {
+		return nil, fmt.Errorf("stcpipe: %w", err)
 	}
 	return &Layout{name: a.name, l: l}, nil
 }
@@ -305,7 +327,10 @@ func PettisHansen() Algorithm {
 // Torrellas returns the Torrellas et al. cache-mapping baseline.
 func Torrellas(p Params) Algorithm {
 	return algorithm{name: "Torr", build: func(pr *Profile) (*program.Layout, error) {
-		cp, _ := p.coreParams(pr)
+		cp, _, err := p.coreParams(pr)
+		if err != nil {
+			return nil, err
+		}
 		return layout.Torrellas(pr.profileData(), cp), nil
 	}}
 }
@@ -313,12 +338,15 @@ func Torrellas(p Params) Algorithm {
 // stc builds the Software Trace Cache layout from a seed set.
 func stc(name string, p Params, seeds func(pr *Profile) []program.BlockID) Algorithm {
 	return algorithm{name: name, build: func(pr *Profile) (*program.Layout, error) {
-		cp, fitted := p.coreParams(pr)
-		prof := pr.profileData()
-		if fitted {
-			return core.BuildFitted(name, prof, seeds(pr), cp), nil
+		cp, fitted, err := p.coreParams(pr)
+		if err != nil {
+			return nil, err
 		}
-		return core.Build(name, prof, seeds(pr), cp), nil
+		prof, s := pr.profileData(), seeds(pr)
+		if fitted {
+			cp.ExecThreshold = core.FitExecThreshold(prof, s, cp)
+		}
+		return core.Build(name, prof, s, cp), nil
 	}}
 }
 

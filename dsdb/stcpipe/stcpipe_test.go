@@ -189,6 +189,45 @@ func TestCompareRejectsBadCacheSize(t *testing.T) {
 	}
 }
 
+// TestLayoutRejectsUnmappableParams: Params is flag input too
+// (examples/layoutcompare -cache, -cfa), and a geometry the CFA
+// mappers cannot honour used to come back as a layout with two blocks
+// at one address and a nil error. It is an error naming the field, or,
+// for a block too large for the area outside the CFA, the overlap the
+// layout would have had.
+func TestLayoutRejectsUnmappableParams(t *testing.T) {
+	pr, _ := q6Profile(t)
+	for _, tc := range []struct {
+		name string
+		p    stcpipe.Params
+		want string // "" = must lay out
+	}{
+		{"negative CFA", stcpipe.Params{CacheBytes: 1024, CFABytes: -1}, "Params.CFABytes -1 is negative"},
+		{"negative cache", stcpipe.Params{CacheBytes: -4096}, "Params.CacheBytes -4096 is negative"},
+		{"CFA fills the cache", stcpipe.Params{CacheBytes: 2048, CFABytes: 2048}, "Params.CFABytes 2048"},
+		{"default CFA over a smaller cache", stcpipe.Params{CacheBytes: 512}, "Params.CFABytes 1024"},
+		{"blocks larger than the non-CFA area", stcpipe.Params{CacheBytes: 16, CFABytes: 8}, "overlap"},
+
+		{"zero value", stcpipe.Params{}, ""},
+		{"2KB, 512B CFA", stcpipe.Params{CacheBytes: 2048, CFABytes: 512}, ""},
+		{"1KB, 768B CFA", stcpipe.Params{CacheBytes: 1024, CFABytes: 768}, ""},
+	} {
+		for _, alg := range []stcpipe.Algorithm{stcpipe.Torrellas(tc.p), stcpipe.STCAuto(tc.p), stcpipe.STCOps(tc.p)} {
+			lay, err := pr.Layout(alg)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("%s, %s: %v", tc.name, alg.Name(), err)
+			case tc.want != "" && err == nil:
+				t.Errorf("%s, %s: no error", tc.name, alg.Name())
+			case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+				t.Errorf("%s, %s: error %q does not say %q", tc.name, alg.Name(), err, tc.want)
+			case tc.want != "" && lay != nil:
+				t.Errorf("%s, %s: a layout beside the error", tc.name, alg.Name())
+			}
+		}
+	}
+}
+
 // TestProfileRunExtends checks that Run extends an existing profile's
 // trace (the test-over-both-databases pattern).
 func TestProfileRunExtends(t *testing.T) {

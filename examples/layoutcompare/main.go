@@ -25,7 +25,10 @@ func main() {
 	}
 	var cells []stcpipe.Cell
 	for _, alg := range stcpipe.Algorithms(stcpipe.Params{CacheBytes: *cacheKB * 1024, CFABytes: int(*cfaKB * 1024)}) {
-		lay, _ := train.Layout(alg) // the paper's algorithms build from any profile
+		lay, err := train.Layout(alg) // a CFA the cache cannot hold (-cfa 2 -cache 2) fails here
+		if err != nil {
+			log.Fatal(err)
+		}
 		cells = append(cells, stcpipe.Cell{Test: test, Layout: lay, Fetch: stcpipe.FetchConfig{CacheBytes: *cacheKB * 1024}})
 	}
 	// A cache size the fetch unit cannot index (-cache 3) fails here.

@@ -147,14 +147,6 @@ func (c *DirectMapped) Access(addr uint64) bool {
 	return false
 }
 
-// Probe reports whether the line containing addr is resident, without
-// updating any state.
-func (c *DirectMapped) Probe(addr uint64) bool {
-	line := addr >> c.lineShift
-	set := line & c.setMask
-	return c.valid[set] && c.tags[set] == line
-}
-
 // Reset implements ICache. Tags are cleared with the valid bits, so
 // an invalid set always holds tag 0 and Equal can compare the slices.
 func (c *DirectMapped) Reset() {
@@ -483,33 +475,3 @@ func (c *Victim) LineBytes() int { return c.main.LineBytes() }
 
 // Name implements ICache.
 func (c *Victim) Name() string { return c.name }
-
-// Ideal is a cache that always hits (the paper's "Ideal" rows).
-type Ideal struct{ lineBytes int }
-
-// NewIdeal returns an always-hitting cache with the given line size.
-func NewIdeal(lineBytes int) *Ideal { return &Ideal{lineBytes: lineBytes} }
-
-// Access implements ICache.
-func (c *Ideal) Access(uint64) bool { return true }
-
-// Reset implements ICache.
-func (c *Ideal) Reset() {}
-
-// Clone implements ICache.
-func (c *Ideal) Clone() ICache { return NewIdeal(c.lineBytes) }
-
-// Copy implements ICache.
-func (c *Ideal) Copy() ICache { return NewIdeal(c.lineBytes) }
-
-// Equal implements ICache: an ideal cache has no state.
-func (c *Ideal) Equal(other ICache) bool {
-	o, ok := other.(*Ideal)
-	return ok && c.lineBytes == o.lineBytes
-}
-
-// LineBytes implements ICache.
-func (c *Ideal) LineBytes() int { return c.lineBytes }
-
-// Name implements ICache.
-func (c *Ideal) Name() string { return "ideal" }

@@ -14,11 +14,15 @@
 //     logical array of cache-sized chunks; the first sequences fill a
 //     Conflict Free Area (CFA) that later code never overlaps, the
 //     rest fill the remaining area chunk by chunk, and all leftover
-//     (cold) code is appended afterwards.
+//     (cold) code is appended afterwards. MapSequences is the one
+//     mapper of the tree: the Torrellas et al. baseline
+//     (internal/layout) differs only in what it hands it as first-pass
+//     sequences.
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/profile"
 	"repro/internal/program"
@@ -46,8 +50,6 @@ type Sequence struct {
 	// Secondary is true for traces grown from noted transitions rather
 	// than directly from a seed.
 	Secondary bool
-	// Seed is the seed block this sequence descends from.
-	Seed program.BlockID
 }
 
 // SizeBytes returns the total code size of the sequence.
@@ -63,28 +65,11 @@ func (s *Sequence) SizeBytes(p *program.Program) uint64 {
 // decreasing order of popularity (entry-block execution count), the
 // paper's "auto" seed selection.
 func AutoSeeds(pr *profile.Profile) []program.BlockID {
-	type cand struct {
-		entry program.BlockID
-		w     uint64
-	}
-	var cands []cand
+	entries := make([]program.BlockID, len(pr.Prog.Procs))
 	for i := range pr.Prog.Procs {
-		e := pr.Prog.Procs[i].Entry
-		if w := pr.Weight(e); w > 0 {
-			cands = append(cands, cand{e, w})
-		}
+		entries[i] = pr.Prog.Procs[i].Entry
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].w != cands[j].w {
-			return cands[i].w > cands[j].w
-		}
-		return cands[i].entry < cands[j].entry
-	})
-	out := make([]program.BlockID, len(cands))
-	for i, c := range cands {
-		out[i] = c.entry
-	}
-	return out
+	return hottestFirst(pr, entries)
 }
 
 // OpsSeeds returns the entry points of the named procedures (the
@@ -92,31 +77,23 @@ func AutoSeeds(pr *profile.Profile) []program.BlockID {
 // knowledge-based "ops" seed selection. Unknown or never-executed
 // procedures are skipped.
 func OpsSeeds(pr *profile.Profile, procNames []string) []program.BlockID {
-	type cand struct {
-		entry program.BlockID
-		w     uint64
-	}
-	var cands []cand
+	var entries []program.BlockID
 	for _, name := range procNames {
-		proc, ok := pr.Prog.ProcByName(name)
-		if !ok {
-			continue
-		}
-		if w := pr.Weight(proc.Entry); w > 0 {
-			cands = append(cands, cand{proc.Entry, w})
+		if proc, ok := pr.Prog.ProcByName(name); ok {
+			entries = append(entries, proc.Entry)
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].w != cands[j].w {
-			return cands[i].w > cands[j].w
-		}
-		return cands[i].entry < cands[j].entry
+	return hottestFirst(pr, entries)
+}
+
+// hottestFirst keeps the executed blocks of bs, in place, and orders
+// them by decreasing execution count, ties by ID.
+func hottestFirst(pr *profile.Profile, bs []program.BlockID) []program.BlockID {
+	bs = slices.DeleteFunc(bs, func(b program.BlockID) bool { return pr.Weight(b) == 0 })
+	slices.SortFunc(bs, func(a, b program.BlockID) int {
+		return cmp.Or(cmp.Compare(pr.Weight(b), pr.Weight(a)), cmp.Compare(a, b))
 	})
-	out := make([]program.BlockID, len(cands))
-	for i, c := range cands {
-		out[i] = c.entry
-	}
-	return out
+	return bs
 }
 
 // BuildSequences runs one pass of the greedy trace builder (Section
@@ -137,7 +114,7 @@ func BuildSequences(pr *profile.Profile, seeds []program.BlockID, p Params, visi
 				first = false
 				continue
 			}
-			seq := Sequence{Seed: seed, Secondary: !first}
+			seq := Sequence{Secondary: !first}
 			first = false
 			b := start
 			for b != program.NoBlock && !visited[b] && pr.Weight(b) >= p.ExecThreshold {
@@ -237,6 +214,10 @@ func max64(a, b uint64) uint64 {
 // they can never evict the CFA. Remaining blocks (cold code and any
 // unsequenced block) are appended after the last chunk, filling the
 // entire address space without geometry constraints.
+//
+// It serves both CFA layouts: STC passes its first-pass sequences,
+// layout.Torrellas one single-block sequence per hot block, so a
+// change to where non-CFA or cold code goes is made here alone.
 func MapSequences(prog *program.Program, seqs []Sequence, firstPass int, p Params) *program.Layout {
 	addr := make([]uint64, prog.NumBlocks())
 	placed := make([]bool, prog.NumBlocks())
@@ -368,11 +349,4 @@ func FitExecThreshold(pr *profile.Profile, seeds []program.BlockID, p Params) ui
 		}
 	}
 	return lo
-}
-
-// BuildFitted is Build with the first-pass ExecThreshold fitted to the
-// CFA size, the way the paper parameterizes its experiments.
-func BuildFitted(name string, pr *profile.Profile, seeds []program.BlockID, p Params) *program.Layout {
-	p.ExecThreshold = FitExecThreshold(pr, seeds, p)
-	return Build(name, pr, seeds, p)
 }

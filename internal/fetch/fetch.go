@@ -154,15 +154,6 @@ func (r Result) IPC() float64 {
 	return float64(r.Instrs) / float64(r.Cycles)
 }
 
-// IdealIPC is the bandwidth assuming every access hits (instructions
-// per fetch request).
-func (r Result) IdealIPC() float64 {
-	if r.Fetches == 0 {
-		return 0
-	}
-	return float64(r.Instrs) / float64(r.Fetches)
-}
-
 // MissesPer100Instr is the paper's Table 3 metric: i-cache misses per
 // instruction executed, in percent.
 func (r Result) MissesPer100Instr() float64 {

@@ -325,15 +325,6 @@ func TestSequentialityNoTaken(t *testing.T) {
 	}
 }
 
-func TestIdealIPCEqualsIPCWithoutCache(t *testing.T) {
-	p, tr := loopTrace(t, 20)
-	l := program.OriginalLayout(p)
-	res := Simulate(tr, l, DefaultConfig(nil))
-	if math.Abs(res.IPC()-res.IdealIPC()) > 1e-12 {
-		t.Fatal("with no cache, IPC must equal IdealIPC")
-	}
-}
-
 func TestStreamPeekAcrossBlocks(t *testing.T) {
 	p, tr := loopTrace(t, 2)
 	l := program.OriginalLayout(p)

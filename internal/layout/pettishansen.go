@@ -2,7 +2,9 @@
 // the paper compares the Software Trace Cache against (Section 7):
 // the Pettis & Hansen procedure/basic-block reordering and the
 // Torrellas et al. sequence layout with a per-block Conflict Free
-// Area. The original (link-order) baseline lives in package program.
+// Area. Torrellas only chooses what fills the CFA; its addresses come
+// from core.MapSequences, the mapper STC uses. The original
+// (link-order) baseline lives in package program.
 package layout
 
 import (

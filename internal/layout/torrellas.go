@@ -1,6 +1,8 @@
 package layout
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/profile"
 	"repro/internal/program"
@@ -13,80 +15,33 @@ import (
 // pulled out of their sequences. Jumping in and out of the CFA breaks
 // sequentiality, which is exactly the deficiency Table 4 exposes for
 // the larger CFA sizes.
+//
+// Only the choice of the CFA's contents is Torrellas's own: the
+// hottest blocks, in decreasing count, up to the first that does not
+// fit. Each goes to core.MapSequences as a one-block first-pass
+// sequence, followed by the STC sequences without them, so the non-CFA
+// area and the cold code are placed by the STC's mapper.
 func Torrellas(pr *profile.Profile, p core.Params) *program.Layout {
 	prog := pr.Prog
-	seeds := core.AutoSeeds(pr)
-	seqs, _ := core.BuildAllSequences(pr, seeds, p)
-
-	// CFA: the most popular individual blocks, packed until full.
-	blocks := pr.ExecutedBlocks() // sorted by decreasing count
 	inCFA := make([]bool, prog.NumBlocks())
-	addr := make([]uint64, prog.NumBlocks())
-	placed := make([]bool, prog.NumBlocks())
-	cacheB := uint64(p.CacheBytes)
-	cfaB := uint64(p.CFABytes)
-	var cfaCursor uint64
-	for _, b := range blocks {
-		sz := prog.Block(b).SizeBytes()
-		if cfaCursor+sz > cfaB {
+	var seqs []core.Sequence
+	var cfaBytes uint64
+	for _, b := range pr.ExecutedBlocks() { // sorted by decreasing count
+		cfaBytes += prog.Block(b).SizeBytes()
+		if cfaBytes > uint64(p.CFABytes) {
 			break
 		}
 		inCFA[b] = true
-		addr[b] = cfaCursor
-		placed[b] = true
-		cfaCursor += sz
+		seqs = append(seqs, core.Sequence{Blocks: []program.BlockID{b}})
 	}
+	firstPass := len(seqs)
 
-	// Sequences (minus the pulled blocks) fill the non-CFA area of
-	// successive logical caches; overlong sequences split at chunk
-	// boundaries so the per-block CFA stays conflict-free.
-	var maxUsed uint64 = cfaCursor
-	chunk := uint64(0)
-	cursor := cfaB
-	for i := range seqs {
-		var rest []program.BlockID
-		var sz uint64
-		for _, b := range seqs[i].Blocks {
-			if !inCFA[b] {
-				rest = append(rest, b)
-				sz += prog.Block(b).SizeBytes()
-			}
-		}
-		if len(rest) == 0 {
-			continue
-		}
-		if cursor+sz > cacheB && cursor > cfaB && sz <= cacheB-cfaB {
-			chunk++
-			cursor = cfaB
-		}
-		for _, b := range rest {
-			bsz := prog.Block(b).SizeBytes()
-			if cursor+bsz > cacheB {
-				chunk++
-				cursor = cfaB
-			}
-			addr[b] = chunk*cacheB + cursor
-			placed[b] = true
-			cursor += bsz
-			if a := chunk*cacheB + cursor; a > maxUsed {
-				maxUsed = a
-			}
-		}
+	all, _ := core.BuildAllSequences(pr, core.AutoSeeds(pr), p)
+	for _, s := range all {
+		s.Blocks = slices.DeleteFunc(s.Blocks, func(b program.BlockID) bool { return inCFA[b] })
+		seqs = append(seqs, s)
 	}
-
-	// Cold and unsequenced code afterwards, unconstrained.
-	var end uint64
-	if maxUsed > 0 {
-		end = (maxUsed + cacheB - 1) / cacheB * cacheB
-	}
-	for pi := range prog.Procs {
-		for _, b := range prog.Procs[pi].Blocks {
-			if !placed[b] {
-				addr[b] = end
-				placed[b] = true
-				end += prog.Block(b).SizeBytes()
-			}
-		}
-	}
-	return program.NewLayoutFromAddrs("Torr", prog, addr)
+	l := core.MapSequences(prog, seqs, firstPass, p)
+	l.Name = "Torr"
+	return l
 }

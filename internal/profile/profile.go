@@ -145,23 +145,6 @@ func (p *Profile) buildAdjacency() {
 	}
 }
 
-// BranchProb returns the probability that execution of block from
-// continues at block to, out of all recorded transitions from from.
-// Returns 0 if from never executed.
-func (p *Profile) BranchProb(from, to program.BlockID) float64 {
-	var total, hit uint64
-	for _, ew := range p.Succs(from) {
-		total += ew.Count
-		if ew.To == to {
-			hit = ew.Count
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(hit) / float64(total)
-}
-
 // ExecutedBlocks returns the IDs of all blocks with non-zero count,
 // sorted by decreasing count (ties by ID).
 func (p *Profile) ExecutedBlocks() []program.BlockID {

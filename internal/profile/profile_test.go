@@ -93,7 +93,7 @@ func TestBlockAndEdgeCounts(t *testing.T) {
 	}
 }
 
-func TestSuccsSortedAndBranchProb(t *testing.T) {
+func TestSuccsSorted(t *testing.T) {
 	p := loopProgram(t)
 	tr := record(t, p, 10, 5)
 	pr := FromTrace(tr)
@@ -105,11 +105,11 @@ func TestSuccsSortedAndBranchProb(t *testing.T) {
 	if succs[0].To != id("helper.ret") || succs[0].Count != 8 {
 		t.Fatalf("dominant successor = %+v, want helper.ret x8", succs[0])
 	}
-	if got := pr.BranchProb(id("helper.entry"), id("helper.ret")); math.Abs(got-0.8) > 1e-9 {
-		t.Fatalf("BranchProb = %v, want 0.8", got)
+	if succs[1].Count != 2 {
+		t.Fatalf("minor successor = %+v, want x2", succs[1])
 	}
-	if got := pr.BranchProb(id("elog.entry"), id("elog.ret")); got != 0 {
-		t.Fatalf("BranchProb of unexecuted block = %v, want 0", got)
+	if succs := pr.Succs(id("elog.entry")); len(succs) != 0 {
+		t.Fatalf("unexecuted block has successors %+v", succs)
 	}
 }
 
