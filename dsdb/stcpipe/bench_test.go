@@ -159,21 +159,28 @@ func BenchmarkAblationThresholds(b *testing.B) {
 
 // ---- microbenchmarks on the substrates ----
 
-// benchSimulate times fetch.Simulate over the test trace under the
-// original layout and reports ns per simulated instruction — the
-// go-test counterpart of the benchmark's fetch.simulate_ns_per_instr
-// (ideal), cache.dm_ns_per_instr (2 KB direct-mapped) and
-// cache.tracecache_ns_per_instr (2 KB + 64-entry trace cache).
+// benchSimulate times fetch.Simulate over the test trace under each of
+// the five layouts, one sub-benchmark per layout, and reports ns per
+// simulated instruction — the go-test counterpart of the benchmark's
+// fetch.simulate_ns_per_instr (ideal), cache.dm_ns_per_instr (2 KB
+// direct-mapped) and cache.tracecache_ns_per_instr (2 KB + 64-entry
+// trace cache).
 func benchSimulate(b *testing.B, cfg fetch.Config) {
-	test := setup(b).test
-	l := program.OriginalLayout(test.pipe.img.Prog)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fetch.Simulate(test.tr, l, cfg)
+	r := setup(b)
+	for _, alg := range Algorithms(Params{}) {
+		lay, err := r.train.Layout(alg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(alg.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fetch.Simulate(r.test.tr, lay.l, cfg)
+			}
+			b.SetBytes(int64(r.test.Instrs() * program.InstrBytes))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(r.test.Instrs()), "ns/instr")
+		})
 	}
-	b.SetBytes(int64(test.Instrs() * program.InstrBytes))
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(test.Instrs()), "ns/instr")
 }
 
 // BenchmarkFetchSimulator measures raw fetch-simulation throughput.

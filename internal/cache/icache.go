@@ -110,13 +110,44 @@ func mustGeometry(sizeBytes, lineBytes, ways int) geometry {
 func (g geometry) sets() int      { return int(g.setMask) + 1 }
 func (g geometry) lineBytes() int { return 1 << g.lineShift }
 
+// spare hands out the slices of a cache's copies. The fetch simulator
+// copies its caches every so many block events; taking the copies'
+// storage from blocks made for 1, 2, 4, … up to maxSpare copies at a
+// time makes n copies cost O(log n + n/maxSpare) allocations instead of
+// one per slice per copy. A cache shares its spares with its copies, so
+// like Access, Copy is for one goroutine at a time.
+type spare[T any] struct {
+	free   []T
+	copies int // the copies the last block was made for
+}
+
+const maxSpare = 16
+
+// take returns n zero or stale elements of T; the caller overwrites them.
+func (s *spare[T]) take(n int) []T {
+	if len(s.free) < n {
+		s.copies = min(max(2*s.copies, 1), maxSpare)
+		s.free = make([]T, n*s.copies)
+	}
+	t := s.free[:n:n]
+	s.free = s.free[n:]
+	return t
+}
+
 // DirectMapped is a direct-mapped instruction cache.
 type DirectMapped struct {
 	name string
 	geometry
-	tags  []uint64
-	valid []bool
-	first []uint64 // the line that first made each set valid (Partial)
+	tags   []uint64
+	valid  []bool
+	first  []uint64  // the line that first made each set valid (Partial)
+	spares *dmSpares // the storage of its copies, made on the first Copy
+}
+
+type dmSpares struct {
+	caches spare[DirectMapped]
+	words  spare[uint64]
+	valid  spare[bool]
 }
 
 // NewDirectMapped returns a direct-mapped cache of the given total
@@ -168,9 +199,17 @@ func (c *DirectMapped) empty() *DirectMapped {
 func (c *DirectMapped) Copy() ICache { return c.copy() }
 
 func (c *DirectMapped) copy() *DirectMapped {
-	d := *c
-	d.tags, d.valid, d.first = slices.Clone(c.tags), slices.Clone(c.valid), slices.Clone(c.first)
-	return &d
+	if c.spares == nil {
+		c.spares = new(dmSpares)
+	}
+	s, n := c.spares, len(c.tags)
+	d := &s.caches.take(1)[0]
+	*d = *c
+	d.tags, d.valid, d.first = s.words.take(n), s.valid.take(n), s.words.take(n)
+	copy(d.tags, c.tags)
+	copy(d.valid, c.valid)
+	copy(d.first, c.first)
+	return d
 }
 
 // Equal implements ICache.

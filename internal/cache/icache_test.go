@@ -2,8 +2,11 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/program"
 )
 
 func TestDirectMappedBasic(t *testing.T) {
@@ -146,25 +149,36 @@ func TestVictimLRUReplacement(t *testing.T) {
 	}
 }
 
+// storedTrace is a stored trace over the given blocks, instrs instructions
+// long, taking its last block to the end.
+func storedTrace(instrs int32, blocks ...program.BlockID) Trace {
+	return Trace{Blocks: blocks, Instrs: instrs}
+}
+
 func TestTraceCacheFillLookup(t *testing.T) {
 	tc := NewTraceCache(256, 16, 3, 4)
-	runs := []Run{{Addr: 100, N: 3}, {Addr: 200, N: 2}}
-	tc.Fill(100, runs)
-	got := tc.Lookup(100)
-	if len(got) != 2 || got[0] != runs[0] || got[1] != runs[1] {
-		t.Fatalf("lookup = %v, want %v", got, runs)
+	want := Trace{Blocks: []program.BlockID{7, 3}, Instrs: 5, End: 2}
+	tc.Fill(100, want)
+	got, ok := tc.Lookup(100)
+	if !ok || !slices.Equal(got.Blocks, want.Blocks) || got.Instrs != want.Instrs || got.End != want.End {
+		t.Fatalf("lookup = %+v, %v, want %+v", got, ok, want)
 	}
 	// The stored trace is a copy: the fill unit reuses its buffer.
-	runs[0].Addr = 999
-	if tc.Lookup(100)[0].Addr != 100 {
-		t.Fatal("fill must copy the runs")
+	want.Blocks[0] = 9
+	if got, _ := tc.Lookup(100); got.Blocks[0] != 7 {
+		t.Fatal("fill must copy the blocks")
+	}
+	// The blocks returned end with the line: appending to them does not
+	// write into the next entry.
+	if got, _ := tc.Lookup(100); cap(got.Blocks) != len(got.Blocks) {
+		t.Fatalf("lookup returns %d blocks with capacity %d", len(got.Blocks), cap(got.Blocks))
 	}
 	// Wrong fetch address: no trace.
-	if tc.Lookup(104) != nil {
+	if _, ok := tc.Lookup(104); ok {
 		t.Fatal("wrong tag must miss")
 	}
 	// Same entry, other tag: no trace either.
-	if tc.Lookup(100+256*4) != nil {
+	if _, ok := tc.Lookup(100 + 256*4); ok {
 		t.Fatal("aliasing address must miss")
 	}
 }
@@ -173,25 +187,25 @@ func TestTraceCacheConflict(t *testing.T) {
 	tc := NewTraceCache(256, 16, 3, 4)
 	// Addresses 4*i and 4*(i+256) index the same entry.
 	a, b := uint64(0), uint64(256*4)
-	tc.Fill(a, []Run{{Addr: a, N: 1}})
-	tc.Fill(b, []Run{{Addr: b, N: 1}})
-	if tc.Lookup(a) != nil {
+	tc.Fill(a, storedTrace(1, 1))
+	tc.Fill(b, storedTrace(1, 2))
+	if _, ok := tc.Lookup(a); ok {
 		t.Fatal("conflicting fill should have evicted entry a")
 	}
-	if got := tc.Lookup(b); len(got) != 1 || got[0].Addr != b {
+	if got, ok := tc.Lookup(b); !ok || !slices.Equal(got.Blocks, []program.BlockID{2}) {
 		t.Fatal("entry b should be resident")
 	}
 }
 
 func TestTraceCacheResetAndEmptyFill(t *testing.T) {
 	tc := NewTraceCache(16, 16, 3, 4)
-	tc.Fill(0, nil) // ignored
-	if tc.Lookup(0) != nil {
+	tc.Fill(0, Trace{}) // ignored
+	if _, ok := tc.Lookup(0); ok {
 		t.Fatal("empty fill must be ignored")
 	}
-	tc.Fill(0, []Run{{Addr: 0, N: 1}})
+	tc.Fill(0, storedTrace(1, 0))
 	tc.Reset()
-	if tc.Lookup(0) != nil {
+	if _, ok := tc.Lookup(0); ok {
 		t.Fatal("lookup after reset must miss")
 	}
 	if got := NewTraceCache(256, 16, 3, 4).Name(); got != "16KB trace cache" {
@@ -557,8 +571,8 @@ func TestEqualSeesLRUOrder(t *testing.T) {
 // order of fills that produced them, and Clone is empty.
 func TestTraceCacheEqualClone(t *testing.T) {
 	a, b := NewTraceCache(16, 4, 3, 4), NewTraceCache(16, 4, 3, 4)
-	long := []Run{{Addr: 0, N: 2}, {Addr: 40, N: 1}, {Addr: 80, N: 1}}
-	short := []Run{{Addr: 0, N: 3}}
+	long := storedTrace(4, 0, 10, 20)
+	short := storedTrace(3, 0)
 	a.Fill(0, short)
 	b.Fill(0, long)  // a longer trace first ...
 	b.Fill(0, short) // ... then the same short one
@@ -568,6 +582,12 @@ func TestTraceCacheEqualClone(t *testing.T) {
 	b.Fill(4, short)
 	if a.Equal(b) || !a.Clone().Equal(NewTraceCache(16, 4, 3, 4)) {
 		t.Error("Equal or Clone wrong")
+	}
+	// The same blocks ending elsewhere are another trace.
+	c := NewTraceCache(16, 4, 3, 4)
+	c.Fill(0, Trace{Blocks: short.Blocks, Instrs: 2, End: 2})
+	if c.Equal(a) {
+		t.Error("traces that end at different offsets are Equal")
 	}
 	b.Reset()
 	if !b.Equal(a.Clone()) {
@@ -580,19 +600,63 @@ func TestTraceCacheEqualClone(t *testing.T) {
 // allocate nothing.
 func TestTraceCacheFillLookupDoNotAllocate(t *testing.T) {
 	tc := NewTraceCache(64, 16, 3, 4)
-	runs := make([]Run, 16)
-	for i := range runs {
-		runs[i] = Run{Addr: uint64(i) * 64, N: 1}
+	blocks := make([]program.BlockID, 16)
+	for i := range blocks {
+		blocks[i] = program.BlockID(i)
 	}
 	var addr uint64
 	allocs := testing.AllocsPerRun(1000, func() {
 		addr += 4
-		tc.Fill(addr, runs[:1+addr%16])
-		if tc.Lookup(addr) == nil {
+		tc.Fill(addr, storedTrace(16, blocks[:1+addr%16]...))
+		if _, ok := tc.Lookup(addr); !ok {
 			t.Fatal("lookup after fill missed")
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("Fill+Lookup allocate %v times per call", allocs)
+	}
+}
+
+// TestCopiesAreIndependent: copies take their storage from blocks a
+// cache shares with its copies (see spare), yet each copy, copies of
+// copies included, holds a state of its own: changing some copies leaves
+// the others as they were. A walk copies its caches every so many block
+// events, so a copy costs well under one allocation.
+func TestCopiesAreIndependent(t *testing.T) {
+	step := func(dm *DirectMapped, tc *TraceCache, i int) {
+		dm.Access(uint64(i) * 48)
+		tc.Fill(uint64(i%8)*4, storedTrace(int32(1+i%4), program.BlockID(i), program.BlockID(i+1)))
+	}
+	fresh := func(i int) (*DirectMapped, *TraceCache) {
+		dm, tc := NewDirectMapped(256, 16), NewTraceCache(8, 4, 3, 4)
+		for j := 0; j <= i; j++ {
+			step(dm, tc, j)
+		}
+		return dm, tc
+	}
+	// Copy i is in the state after step i: a copy of the cache, or every
+	// third time a copy of copy i-1 taken one step on.
+	dm, tc := NewDirectMapped(256, 16), NewTraceCache(8, 4, 3, 4)
+	var dms []*DirectMapped
+	var tcs []*TraceCache
+	for i := 0; i < 3*maxSpare; i++ {
+		step(dm, tc, i)
+		cd, ct := dm.copy(), tc.Copy()
+		if i%3 == 2 {
+			cd, ct = dms[i-1].copy(), tcs[i-1].Copy()
+			step(cd, ct, i)
+		}
+		dms, tcs = append(dms, cd), append(tcs, ct)
+	}
+	for i := 0; i < len(dms); i += 2 {
+		step(dms[i], tcs[i], 1000+i)
+	}
+	for i := 1; i < len(dms); i += 2 {
+		if wd, wt := fresh(i); !dms[i].Equal(wd) || !tcs[i].Equal(wt) {
+			t.Fatalf("copy %d changed with the copies around it", i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { dm.copy(); tc.Copy() }); allocs >= 1 {
+		t.Errorf("copying a direct-mapped cache and a trace cache takes %v allocations", allocs)
 	}
 }

@@ -4,13 +4,19 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+
+	"repro/internal/program"
 )
 
-// Run is N consecutive instructions starting at byte address Addr: the
-// part of one basic block that a trace contains.
-type Run struct {
-	Addr uint64
-	N    int32
+// Trace is one stored trace as the fetch unit walks it: the basic
+// blocks it enters, in order, its instruction count, and where it ends
+// — the instruction offset in its last block that it stops before, or 0
+// when it takes that block to its end. Its first instruction is the one
+// at the fetch address it is stored under.
+type Trace struct {
+	Blocks []program.BlockID
+	Instrs int32
+	End    int32
 }
 
 // TraceCache models the basic trace cache of Rotenberg, Bennett and
@@ -18,31 +24,45 @@ type Run struct {
 // instruction sequences, each up to MaxInstrs instructions and
 // MaxBranches branches long, indexed by fetch address.
 //
-// A trace is stored as the runs of consecutive instruction addresses
-// it contains, one per basic block it enters, so at most MaxInstrs of
-// them. With the paper's perfect branch prediction a fetch hits when
-// the stored sequence is what the dynamic stream executes next, i.e.
-// the stored branch outcomes agree with the (perfectly predicted)
-// future path; the fetch unit, which owns the stream, makes that
-// comparison against what Lookup returns.
+// A line holds its trace as a Trace: the blocks the trace enters (at
+// most MaxInstrs of them), its instruction count and where it ends, so
+// a hit moves the fetch unit's cursor in one step. With the paper's
+// perfect branch prediction a fetch hits when the stored sequence is
+// what the dynamic stream executes next, i.e. the stored branch
+// outcomes agree with the (perfectly predicted) future path; the fetch
+// unit, which owns the stream, makes that comparison against what
+// Lookup returns. Rotenberg's line stores instruction addresses; under a
+// layout in which no two blocks share an address, an address names one
+// block and one offset in it, so a tag and the blocks entered fix a
+// trace's addresses and its addresses fix the blocks: comparing block
+// IDs is comparing addresses, and the model is the same one.
 type TraceCache struct {
 	maxInstrs  int
 	maxBranch  int
 	lines      []tcLine
-	runs       []Run    // line i's trace is runs[i*maxInstrs:][:lines[i].n]
-	first      []uint64 // the tag that first filled each line (see Hazard)
-	touches    []uint64 // Lookups and Fills of each line so far
+	blocks     []program.BlockID // line i's trace enters blocks[i*maxInstrs:][:lines[i].n]
+	first      []uint64          // the tag that first filled each line (see Hazard)
+	touches    []uint64          // Lookups and Fills of each line so far
 	sizeBytes  int
 	instrShift uint
 	indexMask  uint64
+	spares     *tcSpares // the storage of its copies (see spare), made on the first Copy
 }
 
-// tcLine is one entry; n == 0 means empty. An empty entry has tag 0,
-// and every run slot past a line's n is zero, so two caches in the same
-// state have equal slices.
+type tcSpares struct {
+	caches spare[TraceCache]
+	lines  spare[tcLine]
+	blocks spare[program.BlockID]
+	words  spare[uint64]
+}
+
+// tcLine is one entry; n == 0 means empty. An empty entry is all zero,
+// and every block slot past a line's n is zero, so two caches in the
+// same state have equal slices.
 type tcLine struct {
-	tag uint64 // fetch address
-	n   int32  // runs stored
+	tag         uint64 // fetch address
+	n           int32  // blocks entered
+	instrs, end int32
 }
 
 // CheckTraceCache reports whether a trace cache of that many entries
@@ -71,7 +91,7 @@ func NewTraceCache(entries, maxInstrs, maxBranches, instrBytes int) *TraceCache 
 		maxInstrs:  maxInstrs,
 		maxBranch:  maxBranches,
 		lines:      make([]tcLine, entries),
-		runs:       make([]Run, entries*max(maxInstrs, 0)),
+		blocks:     make([]program.BlockID, entries*max(maxInstrs, 0)),
 		first:      make([]uint64, entries),
 		touches:    make([]uint64, entries),
 		sizeBytes:  entries * maxInstrs * instrBytes,
@@ -96,45 +116,45 @@ func (tc *TraceCache) index(addr uint64) int {
 	return int((addr >> tc.instrShift) & tc.indexMask)
 }
 
-// Lookup returns the trace stored for fetch address addr, or nil when
-// the entry it maps to is empty or holds another address's trace. The
-// runs stay valid until the next Fill or Reset.
-func (tc *TraceCache) Lookup(addr uint64) []Run {
+// Lookup returns the trace stored for fetch address addr, and false
+// when the entry it maps to is empty or holds another address's trace.
+// The trace's blocks stay valid until the next Fill or Reset.
+func (tc *TraceCache) Lookup(addr uint64) (Trace, bool) {
 	i := tc.index(addr)
 	tc.touches[i]++
-	if l := tc.lines[i]; l.n == 0 || l.tag != addr {
-		return nil
+	if l := tc.lines[i]; l.n > 0 && l.tag == addr {
+		return Trace{Blocks: tc.trace(i), Instrs: l.instrs, End: l.end}, true
 	}
-	return slices.Clip(tc.trace(i))
+	return Trace{}, false
 }
 
-// Fill inserts a trace starting at addr with the given runs (already
-// truncated to the line limits by the fill unit, so at most MaxInstrs
-// of them), replacing whatever the entry held. The runs are copied.
-func (tc *TraceCache) Fill(addr uint64, runs []Run) {
-	if len(runs) == 0 {
+// Fill inserts t as the trace starting at addr (already truncated to
+// the line limits by the fill unit, so entering at most MaxInstrs
+// blocks), replacing whatever the entry held. The blocks are copied.
+func (tc *TraceCache) Fill(addr uint64, t Trace) {
+	if len(t.Blocks) == 0 {
 		return
 	}
-	if len(runs) > tc.maxInstrs {
-		panic(fmt.Sprintf("cache: %d runs in a %d-instruction trace line", len(runs), tc.maxInstrs))
+	if len(t.Blocks) > tc.maxInstrs {
+		panic(fmt.Sprintf("cache: %d blocks in a %d-instruction trace line", len(t.Blocks), tc.maxInstrs))
 	}
 	i := tc.index(addr)
 	tc.touches[i]++
 	if tc.lines[i].n == 0 {
 		tc.first[i] = addr
 	}
-	line := tc.runs[i*tc.maxInstrs:][:tc.maxInstrs]
-	copy(line, runs)
-	if old := int(tc.lines[i].n); old > len(runs) {
-		clear(line[len(runs):old])
+	line := tc.blocks[i*tc.maxInstrs:][:tc.maxInstrs]
+	copy(line, t.Blocks)
+	if old := int(tc.lines[i].n); old > len(t.Blocks) {
+		clear(line[len(t.Blocks):old])
 	}
-	tc.lines[i] = tcLine{tag: addr, n: int32(len(runs))}
+	tc.lines[i] = tcLine{tag: addr, n: int32(len(t.Blocks)), instrs: t.Instrs, end: t.End}
 }
 
 // Reset invalidates all lines.
 func (tc *TraceCache) Reset() {
 	clear(tc.lines)
-	clear(tc.runs)
+	clear(tc.blocks)
 	clear(tc.touches)
 }
 
@@ -142,27 +162,32 @@ func (tc *TraceCache) Reset() {
 // reads only what construction set, so it may run while another
 // goroutine looks up and fills tc.
 func (tc *TraceCache) Clone() *TraceCache {
-	c := *tc
-	n := len(tc.lines)
-	c.lines, c.runs = make([]tcLine, n), make([]Run, len(tc.runs))
-	c.first, c.touches = make([]uint64, n), make([]uint64, n)
-	return &c
+	return NewTraceCache(len(tc.lines), tc.maxInstrs, tc.maxBranch, 1<<tc.instrShift)
 }
 
 // Copy returns a trace cache of the same configuration holding the
-// same traces.
+// same traces. Like Lookup and Fill, it is for one goroutine at a time.
 func (tc *TraceCache) Copy() *TraceCache {
-	c := *tc
-	c.lines, c.runs = slices.Clone(tc.lines), slices.Clone(tc.runs)
-	c.first, c.touches = slices.Clone(tc.first), slices.Clone(tc.touches)
-	return &c
+	if tc.spares == nil {
+		tc.spares = new(tcSpares)
+	}
+	s, n := tc.spares, len(tc.lines)
+	c := &s.caches.take(1)[0]
+	*c = *tc
+	c.lines, c.blocks = s.lines.take(n), s.blocks.take(len(tc.blocks))
+	c.first, c.touches = s.words.take(n), s.words.take(n)
+	copy(c.lines, tc.lines)
+	copy(c.blocks, tc.blocks)
+	copy(c.first, tc.first)
+	copy(c.touches, tc.touches)
+	return c
 }
 
 // Equal reports whether other has the same configuration and holds the
 // same traces under the same tags.
 func (tc *TraceCache) Equal(other *TraceCache) bool {
 	return tc.maxInstrs == other.maxInstrs && tc.maxBranch == other.maxBranch &&
-		slices.Equal(tc.lines, other.lines) && slices.Equal(tc.runs, other.runs)
+		slices.Equal(tc.lines, other.lines) && slices.Equal(tc.blocks, other.blocks)
 }
 
 // The methods below let a trace cache started empty stand in for one
@@ -198,12 +223,13 @@ func (tc *TraceCache) Underlay(before, o *TraceCache) {
 	for i := range tc.lines {
 		if !tc.Touched(before, i) {
 			tc.lines[i] = o.lines[i]
-			copy(tc.runs[i*tc.maxInstrs:][:tc.maxInstrs], o.runs[i*o.maxInstrs:][:o.maxInstrs])
+			copy(tc.blocks[i*tc.maxInstrs:][:tc.maxInstrs], o.blocks[i*o.maxInstrs:][:o.maxInstrs])
 		}
 	}
 }
 
-// trace returns line i's stored runs.
-func (tc *TraceCache) trace(i int) []Run {
-	return tc.runs[i*tc.maxInstrs:][:tc.lines[i].n]
+// trace returns the blocks line i's trace enters.
+func (tc *TraceCache) trace(i int) []program.BlockID {
+	n := tc.lines[i].n
+	return tc.blocks[i*tc.maxInstrs:][:n:n]
 }

@@ -37,13 +37,20 @@
 // the true contents filling in the rest and the first accesses they
 // turn into hits counted back; a trace-cache line that differs and is
 // looked up again may change the path, so the join then stops at the
-// last phase-1 snapshot before that lookup and goes on from there. If
-// the states do not converge within a sixteenth of the chunk, the true
-// run walks the rest of the chunk itself: the result is still exact,
-// and only that chunk loses its speed-up. The direct-mapped cache is
-// a cache.Partial and joins within a few fetches; the set-associative
-// and victim caches join only when Equal, which one LRU set the chunk
-// rarely visits can put off past the budget.
+// last phase-1 snapshot before that lookup and goes on from there. A
+// phase-1 walk with a trace cache keeps 128 snapshots, one every 1/129
+// of its chunk: each line that differs costs the join a walk from the
+// snapshot before its next lookup to that lookup, so the spacing bounds
+// the join; a layout whose trace cache holds many rarely looked-up
+// lines needs the dense spacing. A line holds block IDs and the copies'
+// storage comes in blocks (cache.TraceCache.Copy), so a snapshot is a
+// few kilobytes and well under one allocation. If the states do not
+// converge within a sixteenth of the chunk after the last convergence,
+// the true run walks the rest of the chunk itself: the result is still
+// exact, and only that chunk loses its speed-up. The direct-mapped
+// cache is a cache.Partial and joins within a few fetches; the
+// set-associative and victim caches join only when Equal, which one LRU
+// set the chunk rarely visits can put off past the budget.
 //
 // The split serves one simulation at a time: without it a seed-42
 // stc_pipeline benchmark run loses about a third of its throughput. A
@@ -57,25 +64,39 @@
 //
 // # Runs
 //
+// No two blocks may start at one address (Simulate and Sequentiality
+// panic on a layout that puts two there, as Layout.Validate rejects
+// it), so the block laid out where a block ends, its follow, is a
+// table lookup, and a transition from b to c is not taken exactly when
+// c is b's follow. Blocks may overlap: the table looks each block's end
+// up among the starts.
+//
 // A fetch never crosses a taken transfer, so without a trace cache a
 // walk goes one sequential run at a time: the block events from one
-// taken transfer's target up to the next taken transfer. Under a layout
-// in which no two blocks start at one address (every valid layout),
-// each later block of a run is the one laid out where the previous one
-// ends, so a run is fixed by its key, its first block and its length in
-// blocks, and its SEQ.3 fetches are the same on every occurrence. The
-// first time a walker meets a key it fetches the run with seq3 and
-// keeps its counters and its line accesses, less every access to the
-// line the access just before it touched: that one hits and changes no
-// state (see cache.ICache), and LineAccesses still counts it. Every
-// later occurrence adds the counters and replays only the kept
-// accesses. A walk that starts or stops inside a run — a chunk start, a
-// join's stride or lockstep stop, an offset within a block — fetches
-// that run one fetch at a time. The trace cache steers the path by what
-// it holds, so a walk with one keeps the per-fetch loop throughout.
+// taken transfer's target up to the next taken transfer. Each later
+// block of a run is its predecessor's follow, so a run is fixed by its
+// key, its first block and its length in blocks, and its SEQ.3 fetches
+// are the same on every occurrence. The first time a walker meets a key
+// it fetches the run with seq3 and keeps its counters and its line
+// accesses, less every access to the line the access just before it
+// touched: that one hits and changes no state (see cache.ICache), and
+// LineAccesses still counts it. Every later occurrence is counted and
+// replays only the kept accesses, in order; a call of unit.run adds
+// each run's counters once, times its count. A walk that starts or
+// stops inside a run — a chunk start, a join's stride or lockstep stop,
+// an offset within a block — fetches that run one fetch at a time.
+//
+// The trace cache steers the path by what it holds, so a walk with one
+// goes a fetch at a time. A trace-cache line holds the block IDs its
+// trace enters, so a hit compares IDs and moves the cursor past the
+// trace in one step. On a miss the fill unit's line and the SEQ.3 fetch
+// read only the block events from the fetch position on, up to where
+// they stop, so the walker keeps each miss keyed by its position and
+// those events (missMemo) and replays the next one that matches.
 package fetch
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -166,9 +187,12 @@ func (r Result) MissesPer100Instr() float64 {
 // blockInfo is what the simulator needs of one basic block under one
 // layout, packed so that a block event costs one load.
 type blockInfo struct {
-	addr   uint64 // start address (layout)
-	size   int32  // instruction count, >= 1
-	branch bool   // ends in a branch (any kind but fall-through)
+	addr uint64 // start address (layout)
+	size int32  // instruction count, >= 1
+	// follow is the block laid out where this one ends, or NoBlock: a
+	// transition to block c is not taken exactly when c == follow.
+	follow program.BlockID
+	branch bool // ends in a branch (any kind but fall-through)
 }
 
 // end is the first address past the block.
@@ -176,24 +200,54 @@ func (b *blockInfo) end() uint64 { return b.addr + uint64(b.size)*program.InstrB
 
 // stream is a cursor over a dynamic trace under a given layout. A
 // block's instructions are contiguous, so everything that consumes the
-// stream — the SEQ.3 fetch, the trace-cache hit test and its fill unit
-// — moves over it a run of instructions at a time, never one by one.
+// stream — the SEQ.3 fetch and the trace-cache fill unit — moves over it
+// a run of instructions at a time, never one by one, and a trace-cache
+// hit moves it in one step.
 type stream struct {
 	blocks []program.BlockID
-	info   []blockInfo // indexed by BlockID
-	idx    int         // current block index within blocks
-	off    int32       // instruction offset within the current block
+	info   []blockInfo // indexed by BlockID: the layout and fall-through table
+	// overlap is set when some block's addresses reach into another's:
+	// then one address may name two blocks (see take).
+	overlap bool
+	idx     int   // current block index within blocks
+	off     int32 // instruction offset within the current block
 }
 
+// newStream returns a cursor at the start of t under l. It panics if l
+// puts two blocks at one address, which Layout.Validate rejects: the
+// fall-through table (blockInfo.follow) and the trace cache's block-ID
+// lines name a position by its block, and there two blocks would share
+// one.
 func newStream(t *trace.Trace, l *program.Layout) *stream {
 	p := t.Program()
-	s := &stream{blocks: t.Blocks, info: make([]blockInfo, p.NumBlocks())}
+	n := p.NumBlocks()
+	s := &stream{blocks: t.Blocks, info: make([]blockInfo, n)}
+	byAddr := make([]program.BlockID, n)
 	for i := range s.info {
 		b := p.Block(program.BlockID(i))
 		s.info[i] = blockInfo{
 			addr:   l.Addr[i],
 			size:   int32(b.Size),
 			branch: b.Kind != program.KindFallThrough,
+		}
+		byAddr[i] = program.BlockID(i)
+	}
+	addr := func(b program.BlockID, a uint64) int { return cmp.Compare(s.info[b].addr, a) }
+	slices.SortFunc(byAddr, func(a, b program.BlockID) int { return addr(a, s.info[b].addr) })
+	for j := 1; j < n; j++ {
+		a, b := &s.info[byAddr[j-1]], &s.info[byAddr[j]]
+		if a.addr == b.addr {
+			panic(fmt.Sprintf("fetch: layout %s puts blocks %s and %s at one address, %#x",
+				l.Name, p.Block(byAddr[j-1]).Name, p.Block(byAddr[j]).Name, a.addr))
+		}
+		s.overlap = s.overlap || a.end() > b.addr
+	}
+	// Each block's end is looked up among the starts, so a layout whose
+	// blocks overlap gets the same table as one whose blocks are apart.
+	for i := range s.info {
+		s.info[i].follow = program.NoBlock
+		if j, ok := slices.BinarySearchFunc(byAddr, s.info[i].end(), addr); ok {
+			s.info[i].follow = byAddr[j]
 		}
 	}
 	return s
@@ -210,8 +264,10 @@ func (s *stream) cur() uint64 {
 // Simulate runs the fetch engine over the whole trace under the given
 // layout and configuration. Width, MaxBranches and MaxLines take the
 // SEQ.3 defaults when not positive, as LineBytes does; the line size
-// must be a power of two. The trace is split into one chunk per core
-// (see the package comment); the result is the serial walk's, exactly.
+// must be a power of two, and no two blocks may start at one address
+// (Simulate panics otherwise). The trace is split into one chunk per
+// core (see the package comment); the result is the serial walk's,
+// exactly.
 func Simulate(t *trace.Trace, l *program.Layout, cfg Config) Result {
 	return simulate(t, l, cfg, chunkCount(t.Len()))
 }
@@ -274,8 +330,7 @@ func simulate(t *trace.Trace, l *program.Layout, cfg Config, chunks int) Result 
 		panic(fmt.Sprintf("fetch: line size %d is not a power of two", lineBytes))
 	}
 	s := newStream(t, l)
-	u := unit{cfg: &cfg, lineShift: uint(bits.TrailingZeros64(lineBytes)),
-		runs: cfg.TC == nil && startsDistinct(s.info)}
+	u := unit{cfg: &cfg, lineShift: uint(bits.TrailingZeros64(lineBytes))}
 	events := len(s.blocks)
 	chunks = max(1, min(chunks, events))
 	start := func(k int) pos { return pos{chunkStart(k, chunks, events), 0} }
@@ -304,29 +359,10 @@ func simulate(t *trace.Trace, l *program.Layout, cfg Config, chunks int) Result 
 }
 
 // unit is the fetch unit a simulation runs: its configuration, with
-// the defaults applied, the line size as a shift, and whether its walks
-// go a run at a time (see the package comment).
+// the defaults applied, and the line size as a shift.
 type unit struct {
 	cfg       *Config
 	lineShift uint
-	runs      bool
-}
-
-// startsDistinct reports whether no two blocks start at one address, as
-// under every valid layout: then the block a fall-through leads to is
-// the one laid out at the previous block's end.
-func startsDistinct(info []blockInfo) bool {
-	addrs := make([]uint64, len(info))
-	for i := range info {
-		addrs[i] = info[i].addr
-	}
-	slices.Sort(addrs)
-	for i := 1; i < len(addrs); i++ {
-		if addrs[i] == addrs[i-1] {
-			return false
-		}
-	}
-	return true
 }
 
 // pos is a position in the stream: a block event and an instruction
@@ -342,11 +378,12 @@ func (p pos) less(q pos) bool { return p.idx < q.idx || p.idx == q.idx && p.off 
 // stream, the caches it fills and the counters it has gathered.
 type walker struct {
 	stream
-	ic   cache.ICache
-	tc   *cache.TraceCache
-	r    Result
-	fill []cache.Run // trace-cache fill buffer
-	memo *runMemo    // the runs this walker has fetched, made on first use
+	ic     cache.ICache
+	tc     *cache.TraceCache
+	r      Result
+	fill   []program.BlockID // trace-cache fill buffer
+	memo   *runMemo          // the runs this walker has fetched, made on first use
+	misses *missMemo         // its trace-cache misses, made on first use
 }
 
 func (w *walker) at() pos { return pos{w.idx, w.off} }
@@ -377,44 +414,52 @@ func (u unit) cold(s *stream, p pos) walker {
 }
 
 // run fetches until the next fetch would start at or after stop, which
-// must not lie past the end of the stream: a run at a time if the unit
-// walks runs, else one fetch at a time.
+// must not lie past the end of the stream: a run at a time without a
+// trace cache, else one fetch at a time.
 func (u unit) run(w *walker, stop pos) {
-	if !u.runs {
+	if w.tc != nil {
 		u.fetches(w, stop)
 		return
+	}
+	s := &w.stream
+	if s.off != 0 {
+		// A walk that starts inside a block goes to the end of its run
+		// one fetch at a time: the last fetch of a run ends with it.
+		end := pos{s.runEnd(s.idx), 0}
+		if stop.less(end) {
+			end = stop
+		}
+		u.fetches(w, end)
+		if !(pos{s.idx, s.off}).less(stop) {
+			return
+		}
 	}
 	if w.memo == nil {
 		w.memo = newRunMemo(len(w.info))
 	}
-	s, m, ic := &w.stream, w.memo, w.ic
+	m, ic := w.memo, w.ic
 	dm, _ := ic.(*cache.DirectMapped)
-	// The replayed runs are summed apart: a run fetched one fetch at a
-	// time adds to w.r itself.
-	var instrs, fetches, accesses, misses uint64
-	for (pos{s.idx, s.off}).less(stop) {
-		end := pos{s.runEnd(s.idx), 0}
-		if stop.less(end) {
-			u.fetches(w, stop) // the walk ends inside this run
-			break
+	blocks, table := s.blocks, m.table
+	var misses uint64
+	i := s.idx
+	for i < stop.idx {
+		j := s.runEnd(i)
+		if j > stop.idx {
+			break // the walk ends inside this run
 		}
-		if s.off != 0 {
-			u.fetches(w, end)
-			continue
-		}
-		first, n := s.blocks[s.idx], end.idx-s.idx
 		k := int32(0)
-		if n <= runTable {
-			k = m.table[int(first)*runTable+n-1]
+		if n := j - i; n <= runTable {
+			k = table[int(blocks[i])*runTable+n-1]
 		}
 		if k == 0 {
-			k = m.add(u, s, end.idx, ic)
+			s.idx = i
+			k = m.add(u, s, j, ic)
 		}
 		f := &m.runs[k-1]
-		instrs += f.instrs
-		fetches += f.fetches
-		accesses += f.accesses
-		switch lines := m.lines[f.from:f.to]; {
+		if f.count++; f.count == 1 {
+			m.met = append(m.met, k-1)
+		}
+		switch lines := f.lines; {
 		case dm != nil:
 			for _, a := range lines {
 				if !dm.Access(a) {
@@ -428,27 +473,39 @@ func (u unit) run(w *walker, stop pos) {
 				}
 			}
 		}
-		s.idx = end.idx
+		i = j
 	}
+	s.idx = i
+	// The replayed runs' counters are added once per run met, times its
+	// count.
 	r := &w.r
-	r.Instrs += instrs
-	r.Fetches += fetches
-	r.Cycles += fetches + misses*u.cfg.MissPenalty
-	r.LineAccesses += accesses
+	for _, k := range m.met {
+		f := &m.runs[k]
+		r.Instrs += f.count * f.instrs
+		r.Fetches += f.count * f.fetches
+		r.Cycles += f.count * f.fetches
+		r.LineAccesses += f.count * f.accesses
+		f.count = 0
+	}
+	m.met = m.met[:0]
+	r.Cycles += misses * u.cfg.MissPenalty
 	r.LineMisses += misses
+	if (pos{s.idx, 0}).less(stop) {
+		u.fetches(w, stop) // the walk ends inside a run
+	}
 }
 
 // runEnd is the block event after the run that event i lies in: the
 // target of the next taken transfer, or the end of the stream.
 func (s *stream) runEnd(i int) int {
 	blocks, info := s.blocks, s.info
-	at := info[blocks[i]].end()
+	next := info[blocks[i]].follow
 	for i++; i < len(blocks); i++ {
-		bi := &info[blocks[i]]
-		if bi.addr != at {
+		b := blocks[i]
+		if b != next {
 			break
 		}
-		at = bi.end()
+		next = info[b].follow
 	}
 	return i
 }
@@ -466,6 +523,7 @@ type runMemo struct {
 	long  map[runKey]int32 // the same for runs longer than runTable
 	runs  []runFetches
 	lines []uint64 // the runs' kept line accesses, back to back
+	met   []int32  // indexes into runs of those the current unit.run call met
 }
 
 // runKey is a run's first block and its length in block events.
@@ -474,16 +532,18 @@ type runKey struct {
 	n     int
 }
 
-// runFetches is one run's SEQ.3 fetches: its counters, and the
-// addresses of the line accesses to replay, lines[from:to].
+// runFetches is one run's SEQ.3 fetches: its counters, the addresses of
+// the line accesses to replay, and how often the current call of
+// unit.run has met it.
 type runFetches struct {
 	instrs, fetches, accesses uint64
-	from, to                  int
+	lines                     []uint64 // a piece of runMemo.lines
+	count                     uint64
 }
 
 func newRunMemo(blocks int) *runMemo {
-	return &runMemo{table: make([]int32, blocks*runTable),
-		runs: make([]runFetches, 0, 32), lines: make([]uint64, 0, 128)}
+	return &runMemo{table: make([]int32, blocks*runTable), runs: make([]runFetches, 0, 64),
+		lines: make([]uint64, 0, 256), met: make([]int32, 0, 64)}
 }
 
 // add finds the run from the stream's current block event, at offset
@@ -513,16 +573,16 @@ func (m *runMemo) add(u unit, s *stream, end int, ic cache.ICache) int32 {
 // per-fetch loop would make, less each one to the cache line of the
 // access just before it. The i-cache is not touched.
 func (m *runMemo) fetch(u unit, s stream, end int, ic cache.ICache) runFetches {
-	f := runFetches{from: len(m.lines), to: len(m.lines)}
+	var f runFetches
+	from := len(m.lines)
 	var lineBytes uint64
 	if ic != nil {
 		lineBytes = uint64(max(1, ic.LineBytes()))
 	}
 	keep := func(a uint64) {
 		f.accesses++
-		if f.to == f.from || m.lines[f.to-1]/lineBytes != a/lineBytes {
+		if len(m.lines) == from || m.lines[len(m.lines)-1]/lineBytes != a/lineBytes {
 			m.lines = append(m.lines, a)
-			f.to++
 		}
 	}
 	for s.idx < end {
@@ -537,6 +597,9 @@ func (m *runMemo) fetch(u unit, s stream, end int, ic cache.ICache) runFetches {
 			}
 		}
 	}
+	// The slice keeps its lines when m.lines grows: appends never
+	// change what is already there.
+	f.lines = m.lines[from:len(m.lines):len(m.lines)]
 	return f
 }
 
@@ -546,27 +609,43 @@ func (u unit) fetches(w *walker, stop pos) {
 	cfg, lineShift := u.cfg, u.lineShift
 	s := &w.stream
 	ic, tc := w.ic, w.tc
-	r, tcFill := w.r, w.fill
+	if tc != nil && w.misses == nil {
+		w.misses = newMissMemo(len(s.info))
+	}
+	r, buf := w.r, w.fill
 	for (pos{s.idx, s.off}).less(stop) {
 		fetchAddr := s.cur()
-		// Trace cache first: a hit delivers the stored trace in one
-		// cycle, bypassing the i-cache.
-		if tc != nil {
-			if n, hit := s.takeTrace(tc.Lookup(fetchAddr)); hit {
-				r.Instrs += uint64(n)
-				r.TCInstrs += uint64(n)
+		var n int
+		var lastAddr uint64
+		var fill cache.Trace
+		if tc == nil {
+			n, lastAddr = s.seq3(cfg, fetchAddr, lineShift)
+		} else {
+			// Trace cache first: a hit delivers the stored trace in one
+			// cycle, bypassing the i-cache.
+			if t, ok := tc.Lookup(fetchAddr); ok && s.take(t, fetchAddr) {
+				r.Instrs += uint64(t.Instrs)
+				r.TCInstrs += uint64(t.Instrs)
 				r.TCHits++
 				r.Fetches++
 				r.Cycles++
 				continue
 			}
 			r.TCMisses++
-			// Fill the trace cache from the actual dynamic stream:
-			// up to MaxInstrs instructions / MaxBranches branches.
-			tcFill = s.traceFill(tc, tcFill[:0])
+			// Fill the trace cache from the actual dynamic stream (up to
+			// MaxInstrs instructions / MaxBranches branches) and fetch
+			// from the i-cache; what the walker met before, it replays.
+			if f := w.misses.find(s); f != nil {
+				fill, n, lastAddr = f.line, int(f.n), f.lastAddr
+				s.idx, s.off = s.idx+int(f.adv), f.end
+			} else {
+				at := pos{s.idx, s.off}
+				fill = s.traceLine(tc, buf[:0])
+				buf = fill.Blocks
+				n, lastAddr = s.seq3(cfg, fetchAddr, lineShift)
+				w.misses.add(s, at, fill, n, lastAddr)
+			}
 		}
-		// SEQ.3 i-cache fetch.
-		n, lastAddr := s.seq3(cfg, fetchAddr, lineShift)
 		r.Instrs += uint64(n)
 		r.Fetches++
 		r.Cycles++
@@ -586,17 +665,91 @@ func (u unit) fetches(w *walker, stop pos) {
 			r.Cycles += misses * cfg.MissPenalty
 		}
 		if tc != nil {
-			tc.Fill(fetchAddr, tcFill)
+			tc.Fill(fetchAddr, fill)
 		}
 	}
-	w.r, w.fill = r, tcFill
+	w.r, w.fill = r, buf
+}
+
+// missMemo is what one walker keeps of its trace-cache misses. On a miss
+// at a position the fill unit builds a line and the SEQ.3 unit fetches,
+// and both read nothing but the block events from that position on, up
+// to where they stop: the position and those events fix the line and
+// the fetch. So a miss is found by the position's block, its offset and
+// the events that follow, as a trace-cache line is, in a chain per
+// block, and replayed.
+type missMemo struct {
+	head []*missFetch      // indexed by BlockID
+	free []missFetch       // in chunks that never move: the chains point into them
+	keys []program.BlockID // the misses' keys, back to back
+}
+
+// missFetch is one miss: the block events key the line and the fetch
+// read, from the position's own on, the line, and the fetch's counters
+// and where it leaves the stream.
+type missFetch struct {
+	off      int32
+	key      []program.BlockID
+	line     cache.Trace // line.Blocks is a prefix of key: the events it enters
+	n        int32
+	lastAddr uint64
+	adv, end int32 // block events the fetch moves the stream past, and its offset after
+	next     *missFetch
+}
+
+// missChunk is how many misses a missMemo allocates room for at a time.
+const missChunk = 64
+
+func newMissMemo(blocks int) *missMemo {
+	return &missMemo{head: make([]*missFetch, blocks), free: make([]missFetch, 0, missChunk),
+		keys: make([]program.BlockID, 0, 16*missChunk)}
+}
+
+// find returns the miss at the stream's position, if the walker has met
+// it with the same block events ahead.
+func (m *missMemo) find(s *stream) *missFetch {
+	head := &m.head[s.blocks[s.idx]]
+	for p := head; *p != nil; p = &(*p).next {
+		if f := *p; f.off == s.off && s.idx+len(f.key) <= len(s.blocks) && slices.Equal(f.key[1:], s.blocks[s.idx+1:s.idx+len(f.key)]) {
+			if p != head { // to the front: the path taken last is the likeliest
+				*p, f.next, *head = f.next, *head, f
+			}
+			return f
+		}
+	}
+	return nil
+}
+
+// add keeps the miss at position at, after which the fill unit built
+// line and the SEQ.3 unit fetched n instructions, the last at lastAddr,
+// leaving s where it is now. A miss whose walks reached the end of the
+// stream is not kept: elsewhere the same events may go on.
+func (m *missMemo) add(s *stream, at pos, line cache.Trace, n int, lastAddr uint64) {
+	// The fetch read the events up to the one it stopped in or tested.
+	k := max(len(line.Blocks), s.idx-at.idx+1)
+	if at.idx+k >= len(s.blocks) {
+		return
+	}
+	if len(m.free) == cap(m.free) {
+		m.free = make([]missFetch, 0, missChunk)
+	}
+	if len(m.keys)+k > cap(m.keys) {
+		m.keys = make([]program.BlockID, 0, max(16*missChunk, k))
+	}
+	m.keys = append(m.keys, s.blocks[at.idx:at.idx+k]...)
+	key := m.keys[len(m.keys)-k : len(m.keys) : len(m.keys)]
+	line.Blocks = key[:len(line.Blocks):len(line.Blocks)]
+	b := key[0]
+	m.free = append(m.free, missFetch{off: at.off, key: key, line: line,
+		n: int32(n), lastAddr: lastAddr, adv: int32(s.idx - at.idx), end: s.off, next: m.head[b]})
+	m.head[b] = &m.free[len(m.free)-1]
 }
 
 // snapshots is how many copies of its state a phase-1 walk keeps, at
 // evenly spaced block events, when a trace cache is simulated: a join
 // whose true state may still steer the walk's path further ahead jumps
 // to the last one before that point (see converge).
-const snapshots = 32
+const snapshots = 128
 
 // speculate walks w to stop, which must not lie past the end of the
 // stream, and returns the copies of its state it kept on the way, in
@@ -638,7 +791,7 @@ const stride = 64
 // of the chunk itself.
 func (u unit) join(w, spec *walker, snaps []walker, s *stream, start, stop pos) {
 	c := u.cold(s, start)
-	c.memo = spec.memo // spec's walk is over: the runs it met are c's
+	c.memo, c.misses = spec.memo, spec.misses // spec's walk is over: what it met is c's
 
 	budget, from := (stop.idx-start.idx)/16, start.idx
 	check, gap := uint64(0), uint64(firstCheck)
@@ -717,9 +870,11 @@ func (u unit) converge(w, c, spec *walker, snaps *[]walker) bool {
 	r := w.r.plus(to.r).minus(c.r)
 	r.LineMisses -= hits
 	r.Cycles -= hits * u.cfg.MissPenalty
-	*w = walker{stream: to.stream, ic: to.ic, tc: to.tc, r: r, fill: w.fill, memo: w.memo}
+	*w = walker{stream: to.stream, ic: to.ic, tc: to.tc, r: r, fill: w.fill, memo: w.memo, misses: w.misses}
 	if to != spec {
+		memo, misses := c.memo, c.misses
 		*c = (*snaps)[next]
+		c.memo, c.misses = memo, misses
 		*snaps = (*snaps)[next+1:]
 	}
 	return true
@@ -781,7 +936,7 @@ func (s *stream) seq3(cfg *Config, fetchAddr uint64, lineShift uint) (int, uint6
 		if idx == len(blocks) {
 			break
 		}
-		if info[blocks[idx]].addr != lastAddr+program.InstrBytes {
+		if blocks[idx] != bi.follow {
 			break // fetch stops at the first taken control transfer
 		}
 		if branches >= cfg.MaxBranches {
@@ -792,57 +947,72 @@ func (s *stream) seq3(cfg *Config, fetchAddr uint64, lineShift uint) (int, uint6
 	return int(n), lastAddr
 }
 
-// takeTrace is the trace-cache hit test: if the stored runs are
-// exactly what the stream executes next it consumes them and returns
-// their instruction count; otherwise (stored branch outcomes diverge
-// from the actual path, the trace ends first, or there is no stored
-// trace) the stream is left where it was.
-func (s *stream) takeTrace(runs []cache.Run) (int, bool) {
-	if len(runs) == 0 {
-		return 0, false
+// take is the trace-cache hit test: if t, the trace stored under the
+// current fetch address fetchAddr, is exactly what the stream executes
+// next, it moves the stream past it and reports true; otherwise (stored
+// branch outcomes diverge from the actual path, or the trace runs past
+// the end of the stream) the stream stays where it is. The tag matched,
+// so the trace starts where the stream is if the blocks match, and the
+// blocks match if the next instruction addresses do — unless blocks
+// overlap, where one address may name two blocks: a layout with
+// overlapping blocks whose block IDs differ compares addresses.
+func (s *stream) take(t cache.Trace, fetchAddr uint64) bool {
+	k := len(t.Blocks)
+	if s.idx+k > len(s.blocks) || !slices.Equal(s.blocks[s.idx:s.idx+k], t.Blocks) {
+		return s.overlap && s.takeByAddr(t, fetchAddr)
 	}
-	idx, off := s.idx, s.off
-	n := int32(0)
-	for _, r := range runs {
-		a, need := r.Addr, r.N
-		for need > 0 {
-			if idx == len(s.blocks) {
-				return 0, false
-			}
-			bi := &s.info[s.blocks[idx]]
-			if bi.addr+uint64(off)*program.InstrBytes != a {
-				return 0, false
-			}
-			step := min(need, bi.size-off)
-			need -= step
-			a += uint64(step) * program.InstrBytes
-			if off += step; off == bi.size {
-				idx++
-				off = 0
-			}
-		}
-		n += r.N
+	s.idx, s.off = s.idx+k, 0
+	if t.End != 0 {
+		s.idx, s.off = s.idx-1, t.End
 	}
-	s.idx, s.off = idx, off
-	return int(n), true
+	return true
 }
 
-// traceFill collects the trace-cache line starting at the current
-// stream position: up to MaxInstrs instructions and MaxBranches branch
-// instructions, following the actual dynamic path (taken branches
-// included — that is the point of a trace cache), one run per block
-// entered.
-func (s *stream) traceFill(tc *cache.TraceCache, buf []cache.Run) []cache.Run {
+// takeByAddr is take's comparison of the next t.Instrs instruction
+// addresses with the stored trace's, a stretch of contiguous
+// instructions on both sides at a time.
+func (s *stream) takeByAddr(t cache.Trace, fetchAddr uint64) bool {
+	idx, off := s.idx, s.off
+	j, toff := 0, int32((fetchAddr-s.info[t.Blocks[0]].addr)/program.InstrBytes)
+	for need := t.Instrs; need > 0; {
+		if idx == len(s.blocks) {
+			return false
+		}
+		bi, ti := &s.info[s.blocks[idx]], &s.info[t.Blocks[j]]
+		if bi.addr+uint64(off)*program.InstrBytes != ti.addr+uint64(toff)*program.InstrBytes {
+			return false
+		}
+		step := min(need, bi.size-off, ti.size-toff)
+		need -= step
+		if off += step; off == bi.size {
+			idx, off = idx+1, 0
+		}
+		if toff += step; toff == ti.size {
+			j, toff = j+1, 0
+		}
+	}
+	s.idx, s.off = idx, off
+	return true
+}
+
+// traceLine is the trace-cache fill unit: the line for the trace that
+// starts at the current stream position, following the actual dynamic
+// path (taken branches included — that is the point of a trace cache)
+// up to MaxInstrs instructions and MaxBranches branch instructions,
+// one block ID per block entered, appended to buf.
+func (s *stream) traceLine(tc *cache.TraceCache, buf []program.BlockID) cache.Trace {
 	idx, off := s.idx, s.off
 	room := int32(tc.MaxInstrs())
-	branches := 0
+	branches, end := 0, int32(0)
 	for room > 0 && idx < len(s.blocks) {
-		bi := &s.info[s.blocks[idx]]
+		b := s.blocks[idx]
+		bi := &s.info[b]
 		rest := bi.size - off
 		step := min(rest, room)
-		buf = append(buf, cache.Run{Addr: bi.addr + uint64(off)*program.InstrBytes, N: step})
+		buf = append(buf, b)
 		room -= step
 		if step < rest {
+			end = off + step
 			break
 		}
 		if bi.branch {
@@ -853,7 +1023,7 @@ func (s *stream) traceFill(tc *cache.TraceCache, buf []cache.Run) []cache.Run {
 		idx++
 		off = 0
 	}
-	return buf
+	return cache.Trace{Blocks: buf, Instrs: int32(tc.MaxInstrs()) - room, End: end}
 }
 
 // SequentialityStats summarizes how sequential a layout renders the
@@ -869,7 +1039,8 @@ type SequentialityStats struct {
 }
 
 // Sequentiality computes SequentialityStats for a trace under a layout,
-// summing one chunk per core.
+// summing one chunk per core. Like Simulate it panics if two blocks
+// start at one address.
 func Sequentiality(t *trace.Trace, l *program.Layout) SequentialityStats {
 	return sequentiality(t, l, chunkCount(t.Len()))
 }
@@ -878,18 +1049,31 @@ func Sequentiality(t *trace.Trace, l *program.Layout) SequentialityStats {
 // chunk counts its blocks' instructions and the taken transitions out
 // of them, the one into the next chunk's first block included.
 func sequentiality(t *trace.Trace, l *program.Layout, chunks int) SequentialityStats {
-	info := newStream(t, l).info
-	blocks := t.Blocks
-	chunks = max(1, min(chunks, len(blocks)))
+	s := newStream(t, l)
+	info, blocks := s.info, s.blocks
+	n := len(blocks)
+	chunks = max(1, min(chunks, n))
 	parts := make([]SequentialityStats, chunks)
 	parallel(chunks, func(k int) {
+		if n == 0 {
+			return
+		}
+		// The chunk's events and the next chunk's first: the transition
+		// out of each but the last is tested, and the trace's last event
+		// is counted apart.
+		bl := blocks[chunkStart(k, chunks, n):min(chunkStart(k+1, chunks, n)+1, n)]
 		var instrs, taken uint64
-		for i, end := chunkStart(k, chunks, len(blocks)), chunkStart(k+1, chunks, len(blocks)); i < end; i++ {
-			bi := &info[blocks[i]]
+		prev := bl[0]
+		for _, b := range bl[1:] {
+			bi := &info[prev]
 			instrs += uint64(bi.size)
-			if i+1 < len(blocks) && info[blocks[i+1]].addr != bi.end() {
+			if b != bi.follow {
 				taken++
 			}
+			prev = b
+		}
+		if k == chunks-1 {
+			instrs += uint64(info[prev].size)
 		}
 		parts[k] = SequentialityStats{Instrs: instrs, Taken: taken}
 	})

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -359,30 +361,31 @@ func TestStreamPeekAcrossBlocks(t *testing.T) {
 	}
 }
 
-// TestTakeTrace: the trace-cache hit test consumes a stored trace only
-// when it is exactly what the stream executes next.
+// TestTakeTrace: the trace-cache hit test takes a stored trace only
+// when its blocks are exactly what the stream executes next, and then
+// moves the cursor past it in one step.
 func TestTakeTrace(t *testing.T) {
 	p, tr := loopTrace(t, 2)
 	l := program.OriginalLayout(p)
 	// head at 0 (4 instrs), body at 16 (6), exit at 40 (2); the trace
 	// is head body head body head body exit.
-	loop := []cache.Run{{Addr: 0, N: 4}, {Addr: 16, N: 6}, {Addr: 0, N: 4}}
+	head, body, exit := p.MustBlock("f.head"), p.MustBlock("f.body"), p.MustBlock("f.exit")
+	ids := func(b ...program.BlockID) []program.BlockID { return b }
 	for _, tc := range []struct {
 		name string
-		runs []cache.Run
+		t    cache.Trace
 		n    int
 	}{
-		{"exact path", loop, 14},
-		{"runs split and merged differently", []cache.Run{{Addr: 0, N: 2}, {Addr: 8, N: 8}, {Addr: 0, N: 1}}, 11},
-		{"no stored trace", nil, 0},
-		{"diverges in the third block", []cache.Run{{Addr: 0, N: 4}, {Addr: 16, N: 6}, {Addr: 40, N: 2}}, 0},
-		{"diverges inside a run", []cache.Run{{Addr: 0, N: 4}, {Addr: 16, N: 7}}, 0},
-		{"other start", []cache.Run{{Addr: 4, N: 3}}, 0},
+		{"exact path", cache.Trace{Blocks: ids(head, body, head), Instrs: 14}, 14},
+		{"ends inside its last block", cache.Trace{Blocks: ids(head, body, head), Instrs: 11, End: 1}, 11},
+		{"ends inside its only block", cache.Trace{Blocks: ids(head), Instrs: 3, End: 3}, 3},
+		{"diverges in the third block", cache.Trace{Blocks: ids(head, body, exit), Instrs: 12}, 0},
+		{"other first block", cache.Trace{Blocks: ids(body), Instrs: 6}, 0},
 	} {
 		s := newStream(tr, l)
-		n, hit := s.takeTrace(tc.runs)
-		if n != tc.n || hit != (tc.n > 0) {
-			t.Errorf("%s: takeTrace = (%d,%v), want %d", tc.name, n, hit, tc.n)
+		hit := s.take(tc.t, s.cur())
+		if hit != (tc.n > 0) {
+			t.Errorf("%s: take = %v, want %v", tc.name, hit, tc.n > 0)
 		}
 		rs := newRefStream(tr, l)
 		rs.advance(tc.n)
@@ -393,11 +396,11 @@ func TestTakeTrace(t *testing.T) {
 	// A stored trace longer than what is left of the stream misses.
 	s := newStream(tr, l)
 	s.idx = len(tr.Blocks) - 2 // body exit
-	if _, hit := s.takeTrace([]cache.Run{{Addr: 16, N: 6}, {Addr: 40, N: 2}, {Addr: 48, N: 1}}); hit {
+	if s.take(cache.Trace{Blocks: ids(body, exit, head), Instrs: 9}, s.cur()) {
 		t.Fatal("trace running past the end of the stream must miss")
 	}
-	if n, hit := s.takeTrace([]cache.Run{{Addr: 16, N: 6}, {Addr: 40, N: 2}}); !hit || n != 8 || !s.done() {
-		t.Fatalf("takeTrace to the end = (%d,%v), done=%v", n, hit, s.done())
+	if !s.take(cache.Trace{Blocks: ids(body, exit), Instrs: 8}, s.cur()) || !s.done() {
+		t.Fatalf("take to the end: done=%v", s.done())
 	}
 }
 
@@ -560,6 +563,8 @@ type refTraceCache struct {
 	entries, maxInstrs, maxBranch int
 	instrBytes                    uint64
 	lines                         []refTCLine
+	cover                         *tcCoverage       // if not nil, what the walk met
+	entered                       []program.BlockID // the blocks the fill being built enters
 }
 
 type refTCLine struct {
@@ -568,12 +573,22 @@ type refTCLine struct {
 	addrs []uint64
 }
 
-func newRefTraceCache(tc *cache.TraceCache) *refTraceCache {
+func newRefTraceCache(tc *cache.TraceCache, cover *tcCoverage) *refTraceCache {
 	return &refTraceCache{
 		entries: tc.Entries(), maxInstrs: tc.MaxInstrs(), maxBranch: tc.MaxBranches(),
 		instrBytes: program.InstrBytes,
 		lines:      make([]refTCLine, tc.Entries()),
+		cover:      cover,
 	}
+}
+
+// tcCoverage is what of the trace cache's edges a reference walk met: a
+// stored trace that enters MaxInstrs blocks, one instruction each (a
+// full line, as many blocks as a line holds); a tag hit whose stored
+// trace runs past the end of the stream; and a stored trace that enters
+// one block twice.
+type tcCoverage struct {
+	fullLine, pastEnd, reentered bool
 }
 
 func (tc *refTraceCache) index(addr uint64) int {
@@ -587,6 +602,9 @@ func (tc *refTraceCache) lookup(addr uint64, peek func(int) (uint64, bool)) (int
 	}
 	for i, want := range l.addrs {
 		got, ok := peek(i)
+		if !ok && tc.cover != nil {
+			tc.cover.pastEnd = true
+		}
 		if !ok || got != want {
 			// Stored branch outcomes diverge from the actual path.
 			return 0, false
@@ -608,8 +626,12 @@ func (tc *refTraceCache) fill(addr uint64, addrs []uint64) {
 func refBuildTCFill(s *refStream, tc *refTraceCache, buf []uint64) []uint64 {
 	idx, off := s.idx, s.off
 	branches := 0
+	tc.entered = tc.entered[:0]
 	for len(buf) < tc.maxInstrs && idx < len(s.blocks) {
 		b := s.blocks[idx]
+		if len(buf) == 0 || off == 0 {
+			tc.entered = append(tc.entered, b)
+		}
 		buf = append(buf, s.addr[b]+uint64(off)*program.InstrBytes)
 		if int32(off) == s.size[b]-1 {
 			if s.kind[b] != program.KindFallThrough {
@@ -624,7 +646,23 @@ func refBuildTCFill(s *refStream, tc *refTraceCache, buf []uint64) []uint64 {
 			off++
 		}
 	}
+	tc.noteFill()
 	return buf
+}
+
+// noteFill records in the coverage what the fill just built enters.
+func (tc *refTraceCache) noteFill() {
+	if tc.cover == nil {
+		return
+	}
+	if len(tc.entered) == tc.maxInstrs {
+		tc.cover.fullLine = true
+	}
+	for i, b := range tc.entered {
+		if slices.Contains(tc.entered[:i], b) {
+			tc.cover.reentered = true
+		}
+	}
 }
 
 // refSimulate is Simulate as it was, over the reference stream and
@@ -632,7 +670,7 @@ func refBuildTCFill(s *refStream, tc *refTraceCache, buf []uint64) []uint64 {
 // (it spins forever otherwise — the bug TestZeroConfigTakesDefaults
 // pins the fix of). The i-cache is cfg's own: the cache package checks
 // its models against their divide-and-modulo references itself.
-func refSimulate(t *trace.Trace, l *program.Layout, cfg Config) Result {
+func refSimulate(t *trace.Trace, l *program.Layout, cfg Config, cover *tcCoverage) Result {
 	var r Result
 	s := newRefStream(t, l)
 	lineBytes := cfg.lineBytes()
@@ -641,7 +679,7 @@ func refSimulate(t *trace.Trace, l *program.Layout, cfg Config) Result {
 	}
 	var tc *refTraceCache
 	if cfg.TC != nil {
-		tc = newRefTraceCache(cfg.TC)
+		tc = newRefTraceCache(cfg.TC, cover)
 	}
 	var tcFill []uint64
 	for !s.done() {
@@ -695,10 +733,13 @@ func refSimulate(t *trace.Trace, l *program.Layout, cfg Config) Result {
 // needs instruction-aligned addresses, so nothing in Simulate may).
 // The trace mixes sequential runs, repeated hot paths (trace-cache
 // hits), hot paths that diverge after a common prefix (trace-cache tag
-// hits that must miss), random jumps, and stretches along the layout
-// from one head block, so that it heads runs of several lengths, up to
-// twice as long as the run memo's flat table; it ends wherever it
-// ends, usually in the middle of a fetch.
+// hits that must miss), random jumps, stretches along the layout from
+// one head block, so that it heads runs of several lengths, up to twice
+// as long as the run memo's flat table, and one one-instruction block
+// over and over (trace-cache lines that enter as many blocks as they
+// hold instructions, and one block many times). It ends with a prefix
+// of a hot path, so that a stored trace may run past its end, usually
+// in the middle of a fetch.
 func randomCase(rng *rand.Rand) (*trace.Trace, *program.Layout) {
 	nb := 2 + rng.Intn(30)
 	b := program.NewBuilder()
@@ -767,11 +808,17 @@ func randomCase(rng *rand.Rand) (*trace.Trace, *program.Layout) {
 		}
 	}
 	paths[1] = append(append([]program.BlockID(nil), paths[0][:(len(paths[0])+1)/2]...), paths[1]...)
+	var ones []program.BlockID
+	for i := 0; i < nb; i++ {
+		if p.Block(program.BlockID(i)).Size == 1 {
+			ones = append(ones, program.BlockID(i))
+		}
+	}
 	tr := trace.New(p)
 	cur := program.BlockID(rng.Intn(nb))
 	head := rng.Intn(max(1, nb-runTable)) // position in l.Order
 	for n := rng.Intn(600); n > 0; n-- {
-		switch k := rng.Intn(9); {
+		switch k := rng.Intn(10); {
 		case k < 3:
 			tr.Blocks = append(tr.Blocks, paths[rng.Intn(len(paths))]...)
 			cur = tr.Blocks[len(tr.Blocks)-1]
@@ -781,11 +828,17 @@ func randomCase(rng *rand.Rand) (*trace.Trace, *program.Layout) {
 		case k < 8:
 			cur = program.BlockID(rng.Intn(nb))
 			tr.Blocks = append(tr.Blocks, cur)
-		default: // along the layout from the head
+		case k < 9: // along the layout from the head
 			tr.Blocks = append(tr.Blocks, l.Order[head:min(nb, head+1+rng.Intn(2*runTable))]...)
 			cur = tr.Blocks[len(tr.Blocks)-1]
+		case len(ones) > 0:
+			cur = ones[rng.Intn(len(ones))]
+			for m := 1 + rng.Intn(2*runTable); m > 0; m-- {
+				tr.Blocks = append(tr.Blocks, cur)
+			}
 		}
 	}
+	tr.Blocks = append(tr.Blocks, paths[0][:rng.Intn(len(paths[0])+1)]...)
 	return tr, l
 }
 
@@ -820,10 +873,11 @@ func (c configCase) build() Config {
 }
 
 // checkEqualsReference simulates one case both ways, the shipped
-// simulator split into each of chunkCounts chunks.
-func checkEqualsReference(t *testing.T, tr *trace.Trace, l *program.Layout, c configCase, chunkCounts ...int) {
+// simulator split into each of chunkCounts chunks, and adds what the
+// reference walk met to cover if it is not nil.
+func checkEqualsReference(t *testing.T, tr *trace.Trace, l *program.Layout, c configCase, cover *tcCoverage, chunkCounts ...int) {
 	t.Helper()
-	want := refSimulate(tr, l, c.build())
+	want := refSimulate(tr, l, c.build(), cover)
 	for _, chunks := range chunkCounts {
 		got := simulate(tr, l, c.build(), chunks)
 		if got == want {
@@ -854,6 +908,7 @@ func TestSimulateEqualsReference(t *testing.T) {
 		cases = 10
 	}
 	var cover runCoverage
+	var tcCover tcCoverage
 	for n := 0; n < cases; n++ {
 		tr, l := randomCase(rng)
 		cover.add(tr, l)
@@ -865,24 +920,28 @@ func TestSimulateEqualsReference(t *testing.T) {
 						lineBytes: lineBytes, icache: icache, tc: tc,
 						tcEntries: 1 << rng.Intn(7), tcInstrs: 1 + rng.Intn(24), tcBr: 1 + rng.Intn(4),
 						penalty: uint64(rng.Intn(8)),
-					}, chunkCounts(tr)...)
+					}, &tcCover, chunkCounts(tr)...)
 				}
 			}
 		}
 		// The paper's unit exactly.
 		checkEqualsReference(t, tr, l, configCase{width: 16, maxBranches: 3, maxLines: 2, lineBytes: 64,
-			icache: 1, tc: true, tcEntries: 64, tcInstrs: 16, tcBr: 3, penalty: 5}, chunkCounts(tr)...)
+			icache: 1, tc: true, tcEntries: 64, tcInstrs: 16, tcBr: 3, penalty: 5}, &tcCover, chunkCounts(tr)...)
 	}
 	if cover.longest <= runTable || !cover.sharedHead || !cover.splitLong {
 		t.Errorf("the cases miss part of the run path: longest run %d blocks (table %d), one head of several lengths %v, chunk boundary inside a longer run %v",
 			cover.longest, runTable, cover.sharedHead, cover.splitLong)
 	}
+	if !tcCover.fullLine || !tcCover.pastEnd || !tcCover.reentered {
+		t.Errorf("the cases miss part of the trace cache: a full line of one-instruction blocks %v, a tag hit running past the end of the stream %v, one block entered twice in a line %v",
+			tcCover.fullLine, tcCover.pastEnd, tcCover.reentered)
+	}
 }
 
 // TestSimulateTwoBlocksAtOneAddress: a layout that puts two blocks at
-// one address (Layout.Validate rejects it) does not fix a run by its
-// first block and length, so Simulate walks it one fetch at a time and
-// still equals the reference.
+// one address (Layout.Validate rejects it) has no fall-through table —
+// the block laid out after x is a and b both — so Simulate,
+// SimulateSerial and Sequentiality panic on it, naming both blocks.
 func TestSimulateTwoBlocksAtOneAddress(t *testing.T) {
 	b := program.NewBuilder()
 	f := b.Proc("f", "m")
@@ -898,8 +957,70 @@ func TestSimulateTwoBlocksAtOneAddress(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		tr.Blocks = append(tr.Blocks, x, a, x, y)
 	}
-	for icache := 0; icache < 4; icache++ {
-		checkEqualsReference(t, tr, l, configCase{width: 16, maxBranches: 3, maxLines: 2, lineBytes: 16, icache: icache, penalty: 5}, 1, 2)
+	for name, run := range map[string]func(){
+		"Simulate":       func() { Simulate(tr, l, DefaultConfig(nil)) },
+		"SimulateSerial": func() { SimulateSerial(tr, l, DefaultConfig(cache.NewDirectMapped(1024, 64))) },
+		"Sequentiality":  func() { Sequentiality(tr, l) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "f.a") || !strings.Contains(msg, "f.b") {
+					t.Errorf("%s: panic %q, want one naming f.a and f.b", name, msg)
+				}
+			}()
+			run()
+		}()
+	}
+}
+
+// TestSimulateOverlappingLayout: a layout whose blocks overlap but
+// start at distinct addresses (Layout.Validate rejects it too) is
+// simulated exactly. Its fall-through table comes from looking each
+// block's end up among the starts, and a trace-cache line that the
+// stream executes next through other blocks at the same addresses hits,
+// as in the reference: here x is laid out at 0 (4 instructions), y at
+// 4 (2) and z at 12, so x from its second instruction and y followed
+// by z are the same three addresses.
+func TestSimulateOverlappingLayout(t *testing.T) {
+	b := program.NewBuilder()
+	f := b.Proc("f", "m")
+	f.Fall("x", 4)
+	f.Fall("y", 2)
+	f.Ret("z", 3)
+	p := b.MustBuild()
+	x, y, z := p.MustBlock("f.x"), p.MustBlock("f.y"), p.MustBlock("f.z")
+	addr := make([]uint64, p.NumBlocks())
+	addr[x], addr[y], addr[z] = 0, 4, 12
+	l := program.NewLayoutFromAddrs("overlap", p, addr)
+	rng := rand.New(rand.NewSource(40))
+	tr := trace.New(p)
+	for i := 0; i < 200; i++ {
+		tr.Blocks = append(tr.Blocks, []program.BlockID{x, y, z}[rng.Intn(3)])
+	}
+	for _, width := range []int{1, 2, 16} {
+		for icache := 0; icache < 4; icache++ {
+			for _, tc := range []bool{false, true} {
+				checkEqualsReference(t, tr, l, configCase{width: width, maxBranches: 3, maxLines: 2, lineBytes: 16,
+					icache: icache, tc: tc, tcEntries: 16, tcInstrs: 3, tcBr: 3, penalty: 5}, nil, 1, 2, 7)
+			}
+		}
+	}
+	// Random programs, their blocks laid out in order, each starting
+	// from one byte to its whole size past the one before.
+	for n := 0; n < 20; n++ {
+		tr, l := randomCase(rng)
+		p := tr.Program()
+		addr := make([]uint64, p.NumBlocks())
+		var a uint64
+		for _, blk := range l.Order {
+			addr[blk] = a
+			a += 1 + uint64(rng.Int63n(int64(p.Block(blk).SizeBytes())))
+		}
+		l = program.NewLayoutFromAddrs("overlap", p, addr)
+		checkEqualsReference(t, tr, l, configCase{width: 1 + rng.Intn(16), maxBranches: 1 + rng.Intn(3), maxLines: 1 + rng.Intn(2),
+			lineBytes: 16 << rng.Intn(4), icache: rng.Intn(4), tc: true,
+			tcEntries: 1 << rng.Intn(7), tcInstrs: 1 + rng.Intn(24), tcBr: 1 + rng.Intn(4), penalty: 5}, nil, chunkCounts(tr)...)
 	}
 }
 
@@ -915,7 +1036,7 @@ func TestRunStopsLikeFetches(t *testing.T) {
 			lineBytes: 16 << rng.Intn(4), icache: rng.Intn(4), penalty: 5}
 		cfg := c.build()
 		s := newStream(tr, l)
-		u := unit{cfg: &cfg, lineShift: uint(bits.TrailingZeros(uint(c.lineBytes))), runs: true}
+		u := unit{cfg: &cfg, lineShift: uint(bits.TrailingZeros(uint(c.lineBytes)))}
 		byRun, byFetch := u.cold(s, pos{}), u.cold(s, pos{})
 		for !byRun.done() {
 			stop := pos{min(tr.Len(), byRun.idx+1+rng.Intn(3*runTable)), 0}
@@ -978,7 +1099,7 @@ func FuzzSimulate(f *testing.F) {
 			lineBytes: 16 << (line % 4), icache: int(icache % 4), tc: tc,
 			tcEntries: 1 << (tcEntries % 8), tcInstrs: 1 + int(tcInstrs%32), tcBr: 1 + int(tcBr%4),
 			penalty: uint64(seed & 7),
-		}, int(chunks))
+		}, nil, int(chunks))
 	})
 }
 
