@@ -4,9 +4,11 @@
 // ordering, release-on-all-paths for the custom latch surface,
 // context propagation in the request paths, and the forbid table of
 // names, imports and packages deleted on purpose — plus a curated set
-// of vet passes (copylocks, atomic, unusedresult, lostcancel).
-// TestModuleIsClean runs the whole suite over the module, for the host
-// and for windows, so `go test ./...` enforces it too.
+// of vet passes (copylocks, atomic, unusedresult, lostcancel). After
+// the vet pass it runs one whole-module check: no exported name under
+// internal/ that only tests use (testonly.go). TestModuleIsClean runs
+// all of it over the module, for the host and for windows, so
+// `go test ./...` enforces it too.
 //
 // Usage:
 //
@@ -98,21 +100,39 @@ func drive(args []string) int {
 		return 2
 	}
 
-	if !*fix {
-		cmd := exec.Command("go", "vet", "-vettool="+exe)
-		cmd.Args = append(cmd.Args, patterns...)
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
-		if err := cmd.Run(); err != nil {
-			if ee, ok := err.(*exec.ExitError); ok {
-				return ee.ExitCode()
-			}
-			fmt.Fprintln(os.Stderr, "dsdblint:", err)
-			return 2
-		}
-		return 0
+	var code int
+	if *fix {
+		code = driveFix(exe, patterns)
+	} else {
+		code = vet(exe, patterns)
 	}
-	return driveFix(exe, patterns)
+	findings, err := testOnly(".", os.Environ(), allowTable)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dsdblint:", err)
+		return 2
+	}
+	for _, f := range findings {
+		fmt.Fprintln(os.Stderr, f)
+	}
+	if code == 0 && len(findings) > 0 {
+		code = 1
+	}
+	return code
+}
+
+func vet(exe string, patterns []string) int {
+	cmd := exec.Command("go", "vet", "-vettool="+exe)
+	cmd.Args = append(cmd.Args, patterns...)
+	cmd.Stdout = os.Stdout
+	cmd.Stderr = os.Stderr
+	if err := cmd.Run(); err != nil {
+		if ee, ok := err.(*exec.ExitError); ok {
+			return ee.ExitCode()
+		}
+		fmt.Fprintln(os.Stderr, "dsdblint:", err)
+		return 2
+	}
+	return 0
 }
 
 // jsonDiagnostic mirrors analysisflags's JSON output shape, the wire

@@ -107,7 +107,7 @@ func TestResultCacheHitRunsNoKernelWork(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("Q6 returned %d rows, want 1", n)
 	}
-	if got := tr.Total(); got != 0 {
+	if got := probeEvents(tr); got != 0 {
 		t.Fatalf("cache hit emitted %d probe events, want 0", got)
 	}
 	h1, m1 := db.Engine().Buf.Stats()

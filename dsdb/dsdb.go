@@ -267,8 +267,7 @@ func Open(opts ...Option) (*DB, error) {
 		}
 	}
 	if cfg.loadTPCD && !recovered {
-		// BufferFrames is not set: the engine is already sized above;
-		// tpcd.Load fills an existing engine. A durable bulk load runs
+		// tpcd.Load fills the engine sized above. A durable bulk load runs
 		// unlogged — per-row WAL records for millions of generated rows
 		// would be pure overhead — and the checkpoint that follows
 		// captures the loaded state in page files and turns logging on.

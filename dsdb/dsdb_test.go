@@ -7,7 +7,10 @@ import (
 	"time"
 
 	"repro/dsdb"
+	"repro/internal/db/catalog"
+	"repro/internal/db/engine"
 	"repro/internal/db/executor"
+	"repro/internal/db/executor/exectest"
 	"repro/internal/db/sql"
 	"repro/internal/db/value"
 	"repro/internal/tpcd"
@@ -25,7 +28,7 @@ func openTPCD(t *testing.T, sf float64, opts ...dsdb.Option) *dsdb.DB {
 
 // TestStreamingMatchesSeedMaterialized is the acceptance check: a
 // Rows-streaming TPC-D Q6 at SF 0.002 must return exactly what the
-// seed's materialized engine.Run path returns.
+// seed's materialized path returns: the plan run to completion.
 func TestStreamingMatchesSeedMaterialized(t *testing.T) {
 	db := openTPCD(t, 0.002)
 	q6, ok := dsdb.TPCDQuery(6)
@@ -46,17 +49,18 @@ func TestStreamingMatchesSeedMaterialized(t *testing.T) {
 		t.Fatalf("Rows.Err: %v", err)
 	}
 
-	// The seed's materialized path: tpcd.Build + sql.Exec with
-	// identical configuration.
-	cfg := tpcd.DefaultConfig()
-	cfg.SF = 0.002
-	seedDB, err := tpcd.Build(cfg)
-	if err != nil {
-		t.Fatalf("tpcd.Build: %v", err)
+	// The seed's materialized path with identical configuration.
+	seedDB := engine.Open(2048)
+	if err := tpcd.Load(seedDB, tpcd.Config{SF: 0.002, Seed: 42, Indexes: catalog.BTree}); err != nil {
+		t.Fatalf("tpcd.Load: %v", err)
 	}
-	want, _, err := sql.Exec(seedDB, executor.NewCtx(nil), q6)
+	cq, err := sql.CompileQuery(seedDB, executor.NewCtx(nil), q6)
 	if err != nil {
-		t.Fatalf("sql.Exec: %v", err)
+		t.Fatalf("CompileQuery: %v", err)
+	}
+	want, err := exectest.Run(cq.Plan)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 
 	if len(streamed) != len(want) {

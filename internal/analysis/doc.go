@@ -36,7 +36,7 @@
 // callback inside its mutex).
 //
 // walcheck enforces the durability ground rules from PR 5: every
-// wal.Writer Append/Sync/ResetTo/Close error must be consumed, and in
+// wal.Writer Append/ResetTo/Close error must be consumed, and in
 // the engine package every heap or catalog mutation must be dominated
 // by a WAL log call or an explicit branch on the durability gate.
 //
@@ -58,6 +58,22 @@
 // package itself), the reason and the PR that removed it. Entries resolve through the type
 // checker, so a comment naming a forbidden identifier passes and an
 // aliased import does not. A new guard is a new row, not a grep in CI.
+//
+// # The module check
+//
+// One rule needs the whole module at once, which go/analysis, seeing
+// one package at a time, cannot give: no exported name or method under
+// internal/ may be used by tests alone. cmd/dsdblint runs it after the
+// vet pass. It type-checks the non-test files of every package that
+// `go list -deps -export -json ./...` reports and counts every use
+// outside a name's own declaration, from bench/, cmd/ and examples/
+// too. Methods that satisfy an interface are skipped, and so are
+// packages named *test that no non-test package imports. The
+// exceptions are the rows of allowTable in cmd/dsdblint/testonly.go,
+// one per cross-package test seam with no production equivalent, each
+// with its reason; a row whose name non-test code uses, or that names
+// nothing, is itself a finding. A name deleted because only tests used
+// it needs no forbid row: this check fails if it comes back unused.
 //
 // # Escape hatch
 //

@@ -1,6 +1,7 @@
 package lockrank
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -14,7 +15,7 @@ import (
 // declared Before edges form a DAG, so "acquired out of order" is
 // well-defined.
 func TestTableIsDAG(t *testing.T) {
-	order, err := Validate()
+	order, err := validate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,4 +216,66 @@ func ranked(pkgPath, typ, field string) bool {
 		}
 	}
 	return false
+}
+
+// validate checks the table's internal consistency: unique names,
+// resolvable Before edges, and acyclicity. It returns the locks in a
+// topological order (outermost first) so the test can print
+// the hierarchy, or an error naming the cycle.
+func validate() ([]string, error) {
+	seen := make(map[string]bool, len(Table))
+	for i := range Table {
+		l := &Table[i]
+		if l.Name == "" || l.Pkg == "" || l.Type == "" {
+			return nil, fmt.Errorf("lockrank: entry %d missing name/pkg/type", i)
+		}
+		if seen[l.Name] {
+			return nil, fmt.Errorf("lockrank: duplicate lock name %q", l.Name)
+		}
+		seen[l.Name] = true
+		if l.Field == "" && !l.Internal && len(l.AcquireExcl)+len(l.AcquireShared) == 0 {
+			return nil, fmt.Errorf("lockrank: %s has neither a mutex field nor latch methods", l.Name)
+		}
+	}
+	for i := range Table {
+		for _, b := range Table[i].Before {
+			if !seen[b] {
+				return nil, fmt.Errorf("lockrank: %s: unknown Before edge %q", Table[i].Name, b)
+			}
+		}
+	}
+	// Kahn's algorithm: the edges must form a DAG.
+	indeg := make(map[string]int, len(Table))
+	for i := range Table {
+		indeg[Table[i].Name] += 0
+		for _, b := range Table[i].Before {
+			indeg[b]++
+		}
+	}
+	var queue, order []string
+	for i := range Table { // table order keeps the result deterministic
+		if indeg[Table[i].Name] == 0 {
+			queue = append(queue, Table[i].Name)
+		}
+	}
+	for len(queue) > 0 {
+		n := queue[0]
+		queue = queue[1:]
+		order = append(order, n)
+		for _, b := range ByName(n).Before {
+			if indeg[b]--; indeg[b] == 0 {
+				queue = append(queue, b)
+			}
+		}
+	}
+	if len(order) != len(Table) {
+		var cyc []string
+		for n, d := range indeg {
+			if d > 0 {
+				cyc = append(cyc, n)
+			}
+		}
+		return nil, fmt.Errorf("lockrank: Before edges contain a cycle through %s", strings.Join(cyc, ", "))
+	}
+	return order, nil
 }

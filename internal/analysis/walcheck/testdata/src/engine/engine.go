@@ -22,7 +22,7 @@ func (db *DB) logRecord(rec []byte) error {
 // --- Part 1: WAL writer errors must be consumed. ---
 
 func (db *DB) badDiscard() {
-	db.w.Sync() // want "wal.Writer.Sync error is discarded"
+	db.w.ResetTo(1) // want "wal.Writer.ResetTo error is discarded"
 }
 
 func (db *DB) badBlank() {
@@ -30,7 +30,7 @@ func (db *DB) badBlank() {
 }
 
 func (db *DB) badGo() {
-	go db.w.Sync() // want "wal.Writer.Sync error is unreachable"
+	go db.w.ResetTo(1) // want "wal.Writer.ResetTo error is unreachable"
 }
 
 func (db *DB) badDefer() {
@@ -38,7 +38,7 @@ func (db *DB) badDefer() {
 }
 
 func (db *DB) legalChecked() error {
-	if err := db.w.Sync(); err != nil {
+	if err := db.w.ResetTo(1); err != nil {
 		return err
 	}
 	return db.w.Close()

@@ -16,8 +16,6 @@ func (w *Writer) Append(rec []byte) error {
 	return nil
 }
 
-func (w *Writer) Sync() error { return nil }
-
 func (w *Writer) ResetTo(seq uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

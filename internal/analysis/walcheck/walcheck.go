@@ -2,7 +2,7 @@
 // subsystem's two ground rules (PR 5).
 //
 // First, WAL writer errors are load-bearing: a dropped error from
-// Append, Sync, ResetTo or Close silently un-commits work the caller
+// Append, ResetTo or Close silently un-commits work the caller
 // believes durable. Every such call must consume its error — no bare
 // expression statements, no blank assignment, no `go`/`defer` that
 // discards the result.
@@ -61,7 +61,7 @@ func walWriterCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	switch fn.Name() {
-	case "Append", "Sync", "ResetTo", "Close":
+	case "Append", "ResetTo", "Close":
 	default:
 		return "", false
 	}

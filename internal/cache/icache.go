@@ -34,8 +34,6 @@ type ICache interface {
 	Reset()
 	// LineBytes returns the line size in bytes.
 	LineBytes() int
-	// Name describes the configuration, e.g. "32KB direct".
-	Name() string
 	// Clone returns an empty cache of the same configuration.
 	Clone() ICache
 	// Copy returns a cache of the same configuration in the same state.
@@ -136,7 +134,6 @@ func (s *spare[T]) take(n int) []T {
 
 // DirectMapped is a direct-mapped instruction cache.
 type DirectMapped struct {
-	name string
 	geometry
 	tags   []uint64
 	valid  []bool
@@ -155,7 +152,6 @@ type dmSpares struct {
 func NewDirectMapped(sizeBytes, lineBytes int) *DirectMapped {
 	g := mustGeometry(sizeBytes, lineBytes, 1)
 	return &DirectMapped{
-		name:     fmt.Sprintf("%dKB direct", sizeBytes/1024),
 		geometry: g,
 		tags:     make([]uint64, g.sets()),
 		valid:    make([]bool, g.sets()),
@@ -191,7 +187,7 @@ func (c *DirectMapped) Clone() ICache { return c.empty() }
 
 func (c *DirectMapped) empty() *DirectMapped {
 	n := len(c.tags)
-	return &DirectMapped{name: c.name, geometry: c.geometry,
+	return &DirectMapped{geometry: c.geometry,
 		tags: make([]uint64, n), valid: make([]bool, n), first: make([]uint64, n)}
 }
 
@@ -257,12 +253,8 @@ func (c *DirectMapped) Underlay(other ICache) {
 // LineBytes implements ICache.
 func (c *DirectMapped) LineBytes() int { return c.lineBytes() }
 
-// Name implements ICache.
-func (c *DirectMapped) Name() string { return c.name }
-
 // SetAssoc is a k-way set-associative cache with true LRU replacement.
 type SetAssoc struct {
-	name string
 	geometry
 	ways int
 	// tags[set*ways+way]; age[set*ways+way] is an LRU stamp.
@@ -278,7 +270,6 @@ func NewSetAssoc(sizeBytes, lineBytes, ways int) *SetAssoc {
 	g := mustGeometry(sizeBytes, lineBytes, ways)
 	n := g.sets() * ways
 	return &SetAssoc{
-		name:     fmt.Sprintf("%dKB %d-way", sizeBytes/1024, ways),
 		geometry: g,
 		ways:     ways,
 		tags:     make([]uint64, n),
@@ -322,7 +313,7 @@ func (c *SetAssoc) Reset() {
 // Clone implements ICache, reading only what construction set.
 func (c *SetAssoc) Clone() ICache {
 	n := len(c.tags)
-	return &SetAssoc{name: c.name, geometry: c.geometry, ways: c.ways,
+	return &SetAssoc{geometry: c.geometry, ways: c.ways,
 		tags: make([]uint64, n), valid: make([]bool, n), age: make([]uint64, n)}
 }
 
@@ -354,15 +345,11 @@ func (c *SetAssoc) Equal(other ICache) bool {
 // LineBytes implements ICache.
 func (c *SetAssoc) LineBytes() int { return c.lineBytes() }
 
-// Name implements ICache.
-func (c *SetAssoc) Name() string { return c.name }
-
 // Victim is a direct-mapped cache backed by a small fully-associative
 // victim cache (Jouppi). Lines evicted from the main cache move to the
 // victim buffer; a victim-buffer hit swaps the line back into the main
 // cache and counts as a hit.
 type Victim struct {
-	name    string
 	main    *DirectMapped
 	entries int
 	vtags   []uint64
@@ -379,7 +366,6 @@ func NewVictim(sizeBytes, lineBytes, entries int) *Victim {
 		panic(fmt.Sprintf("cache: %d victim entries", entries))
 	}
 	return &Victim{
-		name:    fmt.Sprintf("%dKB direct+%d-line victim", sizeBytes/1024, entries),
 		main:    NewDirectMapped(sizeBytes, lineBytes),
 		entries: entries,
 		vtags:   make([]uint64, entries),
@@ -448,7 +434,7 @@ func (c *Victim) Reset() {
 // Clone implements ICache, reading only what construction set.
 func (c *Victim) Clone() ICache {
 	n := c.entries
-	return &Victim{name: c.name, main: c.main.empty(), entries: n,
+	return &Victim{main: c.main.empty(), entries: n,
 		vtags: make([]uint64, n), vvalid: make([]bool, n), vage: make([]uint64, n)}
 }
 
@@ -511,6 +497,3 @@ func rank(valid []bool, age []uint64, a uint64) int {
 
 // LineBytes implements ICache.
 func (c *Victim) LineBytes() int { return c.main.LineBytes() }
-
-// Name implements ICache.
-func (c *Victim) Name() string { return c.name }

@@ -63,18 +63,6 @@ func TestSetAssocLRU(t *testing.T) {
 	}
 }
 
-func TestSetAssocNames(t *testing.T) {
-	if got := NewSetAssoc(16384, 64, 2).Name(); got != "16KB 2-way" {
-		t.Fatalf("name = %q", got)
-	}
-	if got := NewDirectMapped(32768, 64).Name(); got != "32KB direct" {
-		t.Fatalf("name = %q", got)
-	}
-	if got := NewVictim(8192, 64, 16).Name(); got != "8KB direct+16-line victim" {
-		t.Fatalf("name = %q", got)
-	}
-}
-
 // Property: a 1-way set-associative cache behaves exactly like a
 // direct-mapped cache of the same geometry.
 func TestOneWayEqualsDirectMapped(t *testing.T) {
@@ -207,12 +195,6 @@ func TestTraceCacheResetAndEmptyFill(t *testing.T) {
 	tc.Reset()
 	if _, ok := tc.Lookup(0); ok {
 		t.Fatal("lookup after reset must miss")
-	}
-	if got := NewTraceCache(256, 16, 3, 4).Name(); got != "16KB trace cache" {
-		t.Fatalf("name = %q", got)
-	}
-	if got := tc.Name(); got != "1KB trace cache" {
-		t.Fatalf("name = %q", got)
 	}
 }
 
@@ -477,7 +459,7 @@ func TestEqualIgnoresClocks(t *testing.T) {
 	} {
 		a, b := build(), build()
 		if !a.Equal(b) || !a.Clone().Equal(a) {
-			t.Fatalf("%s: empty caches differ", a.Name())
+			t.Fatalf("%T: empty caches differ", a)
 		}
 		// b replays a's history after a detour through other lines that
 		// the last accesses push out again, so its clock runs ahead.
@@ -486,14 +468,14 @@ func TestEqualIgnoresClocks(t *testing.T) {
 		accessAll(a, 1024, 0, 2048)
 		accessAll(b, 1024, 0, 2048)
 		if !a.Equal(b) || !b.Equal(a) {
-			t.Errorf("%s: same state reached with different clocks is not Equal", a.Name())
+			t.Errorf("%T: same state reached with different clocks is not Equal", a)
 		}
 		// Clone is empty and keeps the geometry.
-		if c := a.Clone(); c.Name() != a.Name() || c.LineBytes() != a.LineBytes() || !c.Equal(build()) {
-			t.Errorf("%s: Clone is not an empty cache of the same geometry", a.Name())
+		if c := a.Clone(); c.LineBytes() != a.LineBytes() || !c.Equal(build()) {
+			t.Errorf("%T: Clone is not an empty cache of the same geometry", a)
 		}
 		if a.Equal(build()) {
-			t.Errorf("%s: a filled cache equals an empty one", a.Name())
+			t.Errorf("%T: a filled cache equals an empty one", a)
 		}
 	}
 	// A reset cache is empty again, stale tags and all.
@@ -659,4 +641,11 @@ func TestCopiesAreIndependent(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { dm.copy(); tc.Copy() }); allocs >= 1 {
 		t.Errorf("copying a direct-mapped cache and a trace cache takes %v allocations", allocs)
 	}
+}
+
+// Equal reports whether other has the same configuration and holds the
+// same traces under the same tags.
+func (tc *TraceCache) Equal(other *TraceCache) bool {
+	return tc.maxInstrs == other.maxInstrs && tc.maxBranch == other.maxBranch &&
+		slices.Equal(tc.lines, other.lines) && slices.Equal(tc.blocks, other.blocks)
 }

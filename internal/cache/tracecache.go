@@ -43,7 +43,6 @@ type TraceCache struct {
 	blocks     []program.BlockID // line i's trace enters blocks[i*maxInstrs:][:lines[i].n]
 	first      []uint64          // the tag that first filled each line (see Hazard)
 	touches    []uint64          // Lookups and Fills of each line so far
-	sizeBytes  int
 	instrShift uint
 	indexMask  uint64
 	spares     *tcSpares // the storage of its copies (see spare), made on the first Copy
@@ -94,14 +93,10 @@ func NewTraceCache(entries, maxInstrs, maxBranches, instrBytes int) *TraceCache 
 		blocks:     make([]program.BlockID, entries*max(maxInstrs, 0)),
 		first:      make([]uint64, entries),
 		touches:    make([]uint64, entries),
-		sizeBytes:  entries * maxInstrs * instrBytes,
 		instrShift: uint(bits.TrailingZeros(uint(instrBytes))),
 		indexMask:  uint64(entries) - 1,
 	}
 }
-
-// Name describes the configuration.
-func (tc *TraceCache) Name() string { return fmt.Sprintf("%dKB trace cache", tc.sizeBytes/1024) }
 
 // Entries returns the number of trace lines.
 func (tc *TraceCache) Entries() int { return len(tc.lines) }
@@ -181,13 +176,6 @@ func (tc *TraceCache) Copy() *TraceCache {
 	copy(c.first, tc.first)
 	copy(c.touches, tc.touches)
 	return c
-}
-
-// Equal reports whether other has the same configuration and holds the
-// same traces under the same tags.
-func (tc *TraceCache) Equal(other *TraceCache) bool {
-	return tc.maxInstrs == other.maxInstrs && tc.maxBranch == other.maxBranch &&
-		slices.Equal(tc.lines, other.lines) && slices.Equal(tc.blocks, other.blocks)
 }
 
 // The methods below let a trace cache started empty stand in for one

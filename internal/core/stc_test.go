@@ -150,14 +150,14 @@ func TestAutoSeedsOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	pr := profile.New(p)
-	pr.BlockCount[p.EntryOf("f")] = 5
-	pr.BlockCount[p.EntryOf("g")] = 50
+	pr.BlockCount[p.MustBlock("f.entry")] = 5
+	pr.BlockCount[p.MustBlock("g.entry")] = 50
 	// h never executed.
 	seeds := AutoSeeds(pr)
 	if len(seeds) != 2 {
 		t.Fatalf("got %d seeds, want 2 (cold procs excluded)", len(seeds))
 	}
-	if seeds[0] != p.EntryOf("g") || seeds[1] != p.EntryOf("f") {
+	if seeds[0] != p.MustBlock("g.entry") || seeds[1] != p.MustBlock("f.entry") {
 		t.Fatal("seeds must be sorted by decreasing popularity")
 	}
 }
@@ -172,14 +172,14 @@ func TestOpsSeedsFiltersAndSorts(t *testing.T) {
 		t.Fatal(err)
 	}
 	pr := profile.New(p)
-	pr.BlockCount[p.EntryOf("ExecSeqScan")] = 10
-	pr.BlockCount[p.EntryOf("ExecHashJoin")] = 30
-	pr.BlockCount[p.EntryOf("helper")] = 99 // not an op: must not appear
+	pr.BlockCount[p.MustBlock("ExecSeqScan.entry")] = 10
+	pr.BlockCount[p.MustBlock("ExecHashJoin.entry")] = 30
+	pr.BlockCount[p.MustBlock("helper.entry")] = 99 // not an op: must not appear
 	seeds := OpsSeeds(pr, []string{"ExecSeqScan", "ExecHashJoin", "ExecSort", "NoSuchOp"})
 	if len(seeds) != 2 {
 		t.Fatalf("got %d seeds, want 2", len(seeds))
 	}
-	if seeds[0] != p.EntryOf("ExecHashJoin") || seeds[1] != p.EntryOf("ExecSeqScan") {
+	if seeds[0] != p.MustBlock("ExecHashJoin.entry") || seeds[1] != p.MustBlock("ExecSeqScan.entry") {
 		t.Fatalf("ops seeds wrong order")
 	}
 }
@@ -235,16 +235,16 @@ func TestMapSequencesCFAAndChunks(t *testing.T) {
 	// non-CFA start: 128+32 = 160.
 	want[5] = 160
 	for b, a := range want {
-		if l.AddrOf(b) != a {
-			t.Errorf("block %d at %d, want %d", b, l.AddrOf(b), a)
+		if l.Addr[b] != a {
+			t.Errorf("block %d at %d, want %d", b, l.Addr[b], a)
 		}
 	}
 	// Cold blocks 6..11 fill after the next chunk boundary (192...).
-	if l.AddrOf(6) != 192 {
-		t.Errorf("first cold block at %d, want 192", l.AddrOf(6))
+	if l.Addr[6] != 192 {
+		t.Errorf("first cold block at %d, want 192", l.Addr[6])
 	}
 	for i := program.BlockID(7); i < 12; i++ {
-		if l.AddrOf(i) != l.AddrOf(i-1)+16 {
+		if l.Addr[i] != l.Addr[i-1]+16 {
 			t.Errorf("cold blocks must be consecutive at %d", i)
 		}
 	}
@@ -270,13 +270,13 @@ func TestMapSequencesSpanningSequenceSplits(t *testing.T) {
 		3: 112, // next sequence continues in chunk 1
 	}
 	for b, a := range want {
-		if l.AddrOf(b) != a {
-			t.Errorf("block %d at %d, want %d", b, l.AddrOf(b), a)
+		if l.Addr[b] != a {
+			t.Errorf("block %d at %d, want %d", b, l.Addr[b], a)
 		}
 	}
 	// No sequence block may occupy a CFA offset of any chunk.
 	for b := program.BlockID(0); b < 4; b++ {
-		if off := l.AddrOf(b) % 64; off < 32 {
+		if off := l.Addr[b] % 64; off < 32 {
 			t.Errorf("block %d at CFA offset %d", b, off)
 		}
 	}
@@ -289,8 +289,8 @@ func TestMapSequencesEmptyProfileAllCold(t *testing.T) {
 	if err := l.Validate(p); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if l.AddrOf(0) != 0 {
-		t.Fatalf("cold code must start at 0 when no sequences exist, got %d", l.AddrOf(0))
+	if l.Addr[0] != 0 {
+		t.Fatalf("cold code must start at 0 when no sequences exist, got %d", l.Addr[0])
 	}
 }
 
@@ -309,7 +309,7 @@ func TestBuildProducesValidLayoutWithAllBlocks(t *testing.T) {
 	for i := 1; i < len(blocks); i++ {
 		prev := p.MustBlock(blocks[i-1])
 		cur := p.MustBlock(blocks[i])
-		if l.AddrOf(cur) != l.AddrOf(prev)+p.Block(prev).SizeBytes() {
+		if l.Addr[cur] != l.Addr[prev]+p.Block(prev).SizeBytes() {
 			t.Errorf("%s must immediately follow %s", blocks[i], blocks[i-1])
 		}
 	}

@@ -127,8 +127,8 @@ func TestBTreeInsertAndScanSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, err := bt.SeekFirst(nil)
-	if err != nil {
+	s := bt.Cursor()
+	if err := s.SeekFirst(nil); err != nil {
 		t.Fatal(err)
 	}
 	prev := int64(-1)
@@ -150,6 +150,7 @@ func TestBTreeInsertAndScanSorted(t *testing.T) {
 		prev = k
 		count++
 	}
+	s.Close()
 	if count != n {
 		t.Fatalf("scan saw %d keys, want %d", count, n)
 	}
@@ -239,8 +240,9 @@ func TestBTreeMatchesModel(t *testing.T) {
 		}
 		want := append([]int16(nil), keys...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		s, err := bt.SeekFirst(nil)
-		if err != nil {
+		s := bt.Cursor()
+		defer s.Close()
+		if err := s.SeekFirst(nil); err != nil {
 			return false
 		}
 		for _, wk := range want {

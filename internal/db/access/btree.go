@@ -76,9 +76,6 @@ func OpenBTree(buf *buffer.Manager, file int) *BTree {
 	return &BTree{buf: buf, file: file}
 }
 
-// File returns the index's storage file ID.
-func (t *BTree) File() int { return t.file }
-
 func initNode(p storage.Page, kind byte) {
 	for i := range p[:btHdr] {
 		p[i] = 0
@@ -378,8 +375,8 @@ const btCursorLevels = 4
 //
 // A cursor from Cursor retains its pins across Next and across
 // re-seeks — at most tree height + 1 pages — until Close, which its
-// owner must call. The scan that the value-returning BTree.SeekGE and
-// BTree.SeekFirst hand out is the same cursor with retention off:
+// owner must call. The scan that the value-returning BTree.SeekGE
+// hands out is the same cursor with retention off:
 // every call on it releases what it pinned before returning, so it
 // holds nothing between calls and needs no Close.
 type BTreeScan struct {
@@ -404,14 +401,6 @@ func (t *BTree) Cursor() BTreeScan {
 func (t *BTree) SeekGE(tr probe.Tracer, k int64) (BTreeScan, error) {
 	s := BTreeScan{tree: t}
 	err := s.SeekGE(tr, k)
-	return s, err
-}
-
-// SeekFirst returns a scan positioned at the smallest key. The scan
-// holds no pins; it need not be closed.
-func (t *BTree) SeekFirst(tr probe.Tracer) (BTreeScan, error) {
-	s := BTreeScan{tree: t}
-	err := s.SeekFirst(tr)
 	return s, err
 }
 

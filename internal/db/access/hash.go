@@ -78,9 +78,6 @@ func OpenHashIndex(buf *buffer.Manager, file int) (*HashIndex, error) {
 	return &HashIndex{buf: buf, file: file, nbuckets: n}, nil
 }
 
-// File returns the index's storage file ID.
-func (h *HashIndex) File() int { return h.file }
-
 func initHashPage(p storage.Page) {
 	binary.LittleEndian.PutUint16(p[hNOff:], 0)
 	binary.LittleEndian.PutUint32(p[hNextOff:], hNoNext)

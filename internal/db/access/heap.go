@@ -63,12 +63,6 @@ func NewHeap(buf *buffer.Manager, file int) *Heap {
 	return &Heap{buf: buf, file: file}
 }
 
-// File returns the underlying storage file ID.
-func (h *Heap) File() int { return h.file }
-
-// NumPages returns the current heap length in pages.
-func (h *Heap) NumPages() int { return h.buf.NumPages(h.file) }
-
 // MaxTupleBytes bounds one encoded tuple (a quarter page), so any
 // page can always hold several tuples.
 const MaxTupleBytes = storage.PageBytes / 4

@@ -27,8 +27,6 @@ import (
 	"repro/internal/db/access"
 	"repro/internal/db/buffer"
 	"repro/internal/db/catalog"
-	"repro/internal/db/executor"
-	"repro/internal/db/probe"
 	"repro/internal/db/storage"
 	"repro/internal/db/value"
 	"repro/internal/db/wal"
@@ -414,34 +412,3 @@ func (db *DB) Flush() error {
 	defer db.latch.runlock()
 	return db.Buf.FlushAll()
 }
-
-// Run executes a plan to completion and returns copies of the result
-// rows (the plan's own output tuple is a reused slot). The plan is
-// always closed — including when Open or Next fail partway — so
-// executor nodes never leak scans or buffered state; node Close
-// methods are idempotent, making the unconditional defer safe even
-// when Open failed after opening only some children.
-func Run(plan executor.Node) (out []executor.Tuple, err error) {
-	defer func() {
-		if cerr := plan.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	if err = plan.Open(); err != nil {
-		return nil, err
-	}
-	var slab executor.Slab
-	for {
-		tup, ok, nerr := plan.Next()
-		if nerr != nil {
-			return nil, nerr
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, slab.Copy(tup))
-	}
-}
-
-// NewCtx returns an executor context bound to the given tracer.
-func NewCtx(tr probe.Tracer) *executor.Ctx { return executor.NewCtx(tr) }

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/db/catalog"
-	"repro/internal/db/engine"
 	"repro/internal/db/executor"
+	"repro/internal/db/executor/exectest"
 )
 
 // probeNode is a stub executor node that counts lifecycle calls and
@@ -57,7 +57,7 @@ func (p *probeNode) Schema() *catalog.Schema { return catalog.NewSchema() }
 func TestRunClosesOnNextError(t *testing.T) {
 	leaf := &probeNode{failAfter: -1}
 	root := &probeNode{child: leaf, failAfter: 2}
-	_, err := engine.Run(root)
+	_, err := exectest.Run(root)
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("Run err = %v, want errBoom", err)
 	}
@@ -70,7 +70,7 @@ func TestRunClosesOnNextError(t *testing.T) {
 // plan, releasing children a partial Open may have acquired.
 func TestRunClosesOnOpenError(t *testing.T) {
 	root := &probeNode{failOpen: true, failAfter: -1}
-	_, err := engine.Run(root)
+	_, err := exectest.Run(root)
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("Run err = %v, want errBoom", err)
 	}
@@ -129,7 +129,7 @@ func TestInterruptStopsPipelineBreaker(t *testing.T) {
 		return nil
 	}
 	srt := &executor.Sort{C: c, Child: leaf, Keys: []executor.SortKey{{Col: 0}}}
-	_, err := engine.Run(srt)
+	_, err := exectest.Run(srt)
 	if !errors.Is(err, errStop) {
 		t.Fatalf("Run err = %v, want errStop", err)
 	}

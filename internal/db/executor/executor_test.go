@@ -2,6 +2,7 @@ package executor
 
 import (
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -466,8 +467,8 @@ func TestMatchLike(t *testing.T) {
 		{"abc", "", false},
 	}
 	for _, tc := range cases {
-		if got := MatchLike(tc.s, tc.p); got != tc.want {
-			t.Errorf("MatchLike(%q,%q) = %v", tc.s, tc.p, got)
+		if got := matchFrags(tc.s, strings.Split(tc.p, "%")); got != tc.want {
+			t.Errorf("LIKE %q on %q = %v", tc.p, tc.s, got)
 		}
 	}
 }

@@ -420,12 +420,6 @@ func (l *LikeExpr) String() string {
 	return fmt.Sprintf("(%s %s %s)", l.Arg, op, quote(strings.Join(l.frags, "%")))
 }
 
-// MatchLike implements SQL LIKE with % wildcards (no _ support, which
-// TPC-D does not use).
-func MatchLike(s, pattern string) bool {
-	return matchFrags(s, strings.Split(pattern, "%"))
-}
-
 // matchFrags matches s against a LIKE pattern already split at its %
 // wildcards (parts is never empty: a pattern without % is one part).
 func matchFrags(s string, parts []string) bool {

@@ -22,7 +22,6 @@ type OpStats struct {
 
 	bufHits   int64
 	bufMisses int64
-	ioWait    time.Duration
 }
 
 // BufHits returns buffer-pool page hits attributed to the operator.
@@ -31,10 +30,6 @@ func (s *OpStats) BufHits() int64 { return s.bufHits }
 // BufMisses returns buffer-pool page misses (disk reads) attributed
 // to the operator.
 func (s *OpStats) BufMisses() int64 { return s.bufMisses }
-
-// IOWait returns cumulative buffer-pool IO wait attributed to the
-// operator.
-func (s *OpStats) IOWait() time.Duration { return s.ioWait }
 
 // Instrumented wraps one plan operator with ANALYZE counters. It is
 // itself a Node, interposed between the operator and its parent by

@@ -18,7 +18,7 @@ import (
 // next call. A consumer reads the tuple, never writes into it, and may
 // hand it on upwards (Filter, Limit, Project); whoever keeps a value
 // past that point copies it, string bytes and all: Sort, Material, the
-// hash-join build, engine.Run and the result-cache fill into a Slab,
+// hash-join build and the result-cache fill into a Slab,
 // GroupAgg's group head and the merge-join duplicate group into a
 // strArena they recycle per group, min/max into a value.Clone. A join
 // holds its current outer tuple across calls on its *inner* child,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/db/engine"
 	"repro/internal/db/executor"
 	"repro/internal/db/executor/exectest"
 )
@@ -15,18 +14,18 @@ import (
 // says it may be. The results must be identical: a consumer that keeps
 // a tuple, or a string of one, without copying it (Sort, Material, the
 // hash-join build, the merge-join group and its key, the group head,
-// min/max, engine.Run) returns garbage here.
+// min/max, exectest.Run) returns garbage here.
 func TestSlotContract(t *testing.T) {
 	for name, plan := range executor.SlotPlans(t) {
 		t.Run(name, func(t *testing.T) {
-			want, err := engine.Run(plan())
+			want, err := exectest.Run(plan())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(want) == 0 {
 				t.Fatal("plan emitted nothing; the test needs rows")
 			}
-			got, err := engine.Run(exectest.Poison(plan()))
+			got, err := exectest.Run(exectest.Poison(plan()))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,7 +29,7 @@ func (t tracedSpan) Emit(id probe.ID) { t.rec.Emit(id) }
 
 // analyzeTracer records during EXPLAIN ANALYZE: it forwards every
 // probe event to the session tracer (if any), and additionally
-// attributes buffer-pool page hits/misses and IO waits to the operator
+// attributes buffer-pool page hits and misses to the operator
 // currently executing (Ctx.curOp, maintained by the Instrumented
 // wrappers). It reads curOp at emission time, so one tracer serves the
 // whole tree.
@@ -54,12 +54,8 @@ func (t analyzeTracer) Emit(id probe.ID) {
 	}
 }
 
-// AddIOWait attributes IO wait to the current operator and to the
-// span's IO stage.
+// AddIOWait attributes IO wait to the span's IO stage.
 func (t analyzeTracer) AddIOWait(d time.Duration) {
-	if op := t.c.curOp; op != nil {
-		op.ioWait += d
-	}
 	t.sp.Add(obs.StageIO, d)
 }
 

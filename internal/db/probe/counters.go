@@ -30,19 +30,3 @@ func (t *CountingTracer) Count(id ID) uint64 {
 	}
 	return t.counts[id].Load()
 }
-
-// Total returns the number of emissions across all probes.
-func (t *CountingTracer) Total() uint64 {
-	var n uint64
-	for i := range t.counts {
-		n += t.counts[i].Load()
-	}
-	return n
-}
-
-// Reset zeroes all per-probe counts.
-func (t *CountingTracer) Reset() {
-	for i := range t.counts {
-		t.counts[i].Store(0)
-	}
-}

@@ -82,9 +82,9 @@ func FuzzCompile(f *testing.F) {
 	db := fuzzDB()
 	f.Fuzz(func(t *testing.T, query string) {
 		c := executor.NewCtx(nil)
-		plan, err := Compile(db, c, query)
-		if err == nil && plan == nil {
-			t.Fatalf("Compile(%q) returned neither plan nor error", query)
+		cq, err := CompileQuery(db, c, query)
+		if err == nil && (cq == nil || cq.Plan == nil) {
+			t.Fatalf("CompileQuery(%q) returned neither plan nor error", query)
 		}
 	})
 }

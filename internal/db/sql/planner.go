@@ -794,25 +794,3 @@ func dedupFrom(from []string) []string {
 	}
 	return tables
 }
-
-// Compile is CompileQuery without the metadata.
-func Compile(db *engine.DB, c *executor.Ctx, query string) (executor.Node, error) {
-	cq, err := CompileQuery(db, c, query)
-	if err != nil {
-		return nil, err
-	}
-	return cq.Plan, nil
-}
-
-// Exec parses, plans and runs a query in one call.
-func Exec(db *engine.DB, c *executor.Ctx, query string) ([]executor.Tuple, *catalog.Schema, error) {
-	plan, err := Compile(db, c, query)
-	if err != nil {
-		return nil, nil, err
-	}
-	rows, err := engine.Run(plan)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rows, plan.Schema(), nil
-}

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/db/catalog"
-	"repro/internal/db/engine"
 	"repro/internal/db/executor"
+	"repro/internal/db/executor/exectest"
 	"repro/internal/db/value"
 )
 
@@ -145,10 +145,11 @@ func TestPlanPrunesScanColumns(t *testing.T) {
 	}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			plan, err := Compile(db, executor.NewCtx(nil), tc.query)
+			cq, err := CompileQuery(db, executor.NewCtx(nil), tc.query)
 			if err != nil {
 				t.Fatal(err)
 			}
+			plan := cq.Plan
 			names, ords := scannedColumns(t, plan)
 			if !reflect.DeepEqual(names, tc.names) {
 				t.Errorf("scanned columns %v, want %v", names, tc.names)
@@ -156,7 +157,7 @@ func TestPlanPrunesScanColumns(t *testing.T) {
 			if !reflect.DeepEqual(ords, tc.ords) {
 				t.Errorf("scanned ordinals %v, want %v", ords, tc.ords)
 			}
-			rows, err := engine.Run(plan)
+			rows, err := exectest.Run(plan)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/db/catalog"
 	"repro/internal/db/engine"
 	"repro/internal/db/executor"
+	"repro/internal/db/executor/exectest"
 	"repro/internal/db/value"
 )
 
@@ -116,7 +117,11 @@ func miniDB(t *testing.T, kind catalog.IndexKind) *engine.DB {
 
 func run(t *testing.T, db *engine.DB, q string) []executor.Tuple {
 	t.Helper()
-	rows, _, err := Exec(db, executor.NewCtx(nil), q)
+	cq, err := CompileQuery(db, executor.NewCtx(nil), q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	rows, err := exectest.Run(cq.Plan)
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
@@ -147,7 +152,7 @@ func TestExecIndexRangeUsed(t *testing.T) {
 	if _, ok := proj.Child.(*executor.IndexScan); !ok {
 		t.Fatalf("scan = %T, want IndexScan", proj.Child)
 	}
-	rows, err := engine.Run(plan)
+	rows, err := exectest.Run(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +174,7 @@ func TestExecHashEqualityUsed(t *testing.T) {
 	if !ok || is.HashIdx == nil {
 		t.Fatalf("want hash IndexScan, got %T", proj.Child)
 	}
-	rows, err := engine.Run(plan)
+	rows, err := exectest.Run(plan)
 	if err != nil || len(rows) != 1 || rows[0][0].I != 42 {
 		t.Fatalf("rows=%v err=%v", rows, err)
 	}
@@ -236,7 +241,7 @@ func TestExecSelfJoinViaTwoTables(t *testing.T) {
 
 func TestExecUnknownColumnFails(t *testing.T) {
 	db := miniDB(t, catalog.BTree)
-	if _, _, err := Exec(db, executor.NewCtx(nil), "select nosuch from t"); err == nil ||
+	if _, err := CompileQuery(db, executor.NewCtx(nil), "select nosuch from t"); err == nil ||
 		!strings.Contains(err.Error(), "unknown column") {
 		t.Fatalf("want unknown-column error, got %v", err)
 	}
@@ -244,7 +249,7 @@ func TestExecUnknownColumnFails(t *testing.T) {
 
 func TestExecUnknownTableFails(t *testing.T) {
 	db := miniDB(t, catalog.BTree)
-	if _, _, err := Exec(db, executor.NewCtx(nil), "select k from ghost"); err == nil {
+	if _, err := CompileQuery(db, executor.NewCtx(nil), "select k from ghost"); err == nil {
 		t.Fatal("want unknown-table error")
 	}
 }

@@ -184,13 +184,6 @@ func (s *Store) SetSpill(fn func(file, page int, data []byte) error) {
 	s.disk.spill = fn
 }
 
-// Generation returns the current checkpoint generation (disk mode).
-func (s *Store) Generation() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.disk.gen
-}
-
 // view returns a page: a view of the mapped base for a page the
 // overlay does not hold, else the overlay image copied into buf (the
 // overlay is rewritten in place by the next write of the page).

@@ -123,7 +123,7 @@ func TestDiskStoreCheckpointAndReopen(t *testing.T) {
 	if err := s.PromoteGeneration(1); err != nil {
 		t.Fatal(err)
 	}
-	if g := s.Generation(); g != 1 {
+	if g := s.disk.gen; g != 1 {
 		t.Fatalf("generation = %d, want 1", g)
 	}
 
@@ -152,7 +152,7 @@ func TestDiskStoreCheckpointAndReopen(t *testing.T) {
 	if err := s.PromoteGeneration(2); err == nil {
 		t.Fatal("promote of a generation with a missing file succeeded")
 	}
-	if g := s.Generation(); g != 1 {
+	if g := s.disk.gen; g != 1 {
 		t.Fatalf("generation = %d after a failed promote, want 1", g)
 	}
 	wantMappings(t, genDirName(dir, 2), 0, "after a failed promote")

@@ -140,7 +140,7 @@ func TestDecodeTupleErrors(t *testing.T) {
 
 func TestStoreReadWrite(t *testing.T) {
 	s := NewStore(2)
-	if s.NumFiles() != 2 || s.NumPages(0) != 0 {
+	if len(s.files) != 2 || s.NumPages(0) != 0 {
 		t.Fatal("bad initial store")
 	}
 	pn, err := s.AllocPage(0)

@@ -51,16 +51,6 @@ func (s *Store) EnsureFiles(n int) {
 	}
 }
 
-// NumFiles returns the number of files.
-func (s *Store) NumFiles() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.disk != nil {
-		return len(s.disk.pages)
-	}
-	return len(s.files)
-}
-
 // NumPages returns the length of a file in pages.
 func (s *Store) NumPages(file int) int {
 	s.mu.RLock()

@@ -99,12 +99,6 @@ type PageWrite struct {
 
 func (PageWrite) recType() uint8 { return TypePageWrite }
 
-// ErrCorrupt reports a record that is fully present in a segment but
-// does not decode: a CRC mismatch, an impossible length, or a malformed
-// payload followed by more log data. Unlike a torn tail, this is not a
-// crash artifact and recovery must not silently skip it.
-var ErrCorrupt = seglog.ErrCorrupt
-
 // format is the WAL's segment log. A length above MaxRecordBytes that
 // runs past end-of-file is read as a torn tail, not corruption: see
 // the oversize rule in seglog's package comment.
@@ -188,7 +182,7 @@ func str(d *seglog.Cursor) string { return d.Str(int(d.U16())) }
 func blob(d *seglog.Cursor) []byte { return append([]byte{}, d.Bytes(int(d.U32()))...) }
 
 // DecodeRecord parses one record payload. It never panics, rejects
-// trailing garbage, and wraps every failure in ErrCorrupt.
+// trailing garbage, and wraps every failure in seglog.ErrCorrupt.
 func DecodeRecord(p []byte) (Record, error) {
 	d := seglog.NewCursor(p)
 	var rec Record
@@ -224,9 +218,6 @@ func DecodeRecord(p []byte) (Record, error) {
 
 // ---- segments ----
 
-// SegmentName returns the file name of segment seq.
-func SegmentName(seq uint64) string { return format.SegmentName(seq) }
-
 // Segment names one on-disk log segment.
 type Segment = seglog.Segment
 
@@ -235,8 +226,9 @@ type Segment = seglog.Segment
 func Segments(dir string) ([]Segment, error) { return format.Segments(dir) }
 
 // decoding adapts a record callback to seglog's payload callback. A
-// payload that passes its CRC but does not decode is ErrCorrupt whether
-// or not anyone is listening, so a nil fn still decodes.
+// payload that passes its CRC but does not decode is
+// seglog.ErrCorrupt whether or not anyone is listening, so a nil fn
+// still decodes.
 func decoding(fn func(rec Record, end int64) error) func(payload []byte, end int64) error {
 	return func(payload []byte, end int64) error {
 		rec, err := DecodeRecord(payload)
@@ -251,8 +243,9 @@ func decoding(fn func(rec Record, end int64) error) func(payload []byte, end int
 // with the file offset just past it. It returns the offset of the end
 // of the last valid record (the committed prefix within this segment)
 // and whether the bytes beyond it are a torn tail. A full-length
-// record that fails its CRC or does not decode returns ErrCorrupt; a
-// partial record at EOF sets torn instead. fn errors abort the scan.
+// record that fails its CRC or does not decode returns
+// seglog.ErrCorrupt; a partial record at EOF sets torn instead. fn
+// errors abort the scan.
 func ScanSegment(path string, fn func(rec Record, end int64) error) (end int64, torn bool, err error) {
 	return format.ScanFile(path, decoding(fn))
 }
@@ -266,7 +259,7 @@ type Tail = seglog.Tail
 // Replay scans every segment with sequence >= fromSeq in order,
 // calling fn for each record, and returns the tail position. A torn
 // tail is tolerated only on the newest segment (the only place a crash
-// can leave one); anywhere else it reports ErrCorrupt. When no
+// can leave one); anywhere else it reports seglog.ErrCorrupt. When no
 // segments exist the tail is (fromSeq, 0).
 func Replay(dir string, fromSeq uint64, fn func(rec Record) error) (Tail, error) {
 	return format.Replay(dir, fromSeq, decoding(func(rec Record, _ int64) error { return fn(rec) }))
@@ -355,16 +348,6 @@ func (w *Writer) Append(rec Record) error {
 		return w.a.Sync()
 	}
 	return nil
-}
-
-// Sync fsyncs the current segment.
-func (w *Writer) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return nil
-	}
-	return w.a.Sync()
 }
 
 // NextSeq returns the sequence a ResetTo after a checkpoint should

@@ -45,7 +45,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	p, _ := EncodeRecord(Insert{Table: "t", Tuple: []byte{1}})
-	if _, err := DecodeRecord(append(p, 0)); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodeRecord(append(p, 0)); !errors.Is(err, seglog.ErrCorrupt) {
 		t.Fatalf("trailing byte: got %v, want ErrCorrupt", err)
 	}
 }
@@ -53,7 +53,7 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 func TestDecodeRejectsTruncation(t *testing.T) {
 	p, _ := EncodeRecord(CreateTable{Name: "t", Cols: []Column{{Name: "abc", Type: 1}}})
 	for i := 0; i < len(p); i++ {
-		if _, err := DecodeRecord(p[:i]); !errors.Is(err, ErrCorrupt) {
+		if _, err := DecodeRecord(p[:i]); !errors.Is(err, seglog.ErrCorrupt) {
 			t.Fatalf("prefix %d/%d decoded: %v", i, len(p), err)
 		}
 	}
@@ -216,7 +216,7 @@ func TestMidSegmentCRCCorruptionFailsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = Replay(dir, 1, func(Record) error { return nil })
-	if !errors.Is(err, ErrCorrupt) {
+	if !errors.Is(err, seglog.ErrCorrupt) {
 		t.Fatalf("mid-segment corruption: got %v, want ErrCorrupt", err)
 	}
 }
@@ -234,14 +234,14 @@ func TestTornRecordInsideNonFinalSegmentIsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := Replay(dir, 1, func(Record) error { return nil })
-	if !errors.Is(err, ErrCorrupt) {
+	if !errors.Is(err, seglog.ErrCorrupt) {
 		t.Fatalf("torn non-final segment: got %v, want ErrCorrupt", err)
 	}
 }
 
 func TestBadLengthDetection(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, SegmentName(1))
+	path := filepath.Join(dir, format.SegmentName(1))
 	// A frame header claiming an absurd length, with plenty of file
 	// behind it: corruption, not a torn tail.
 	frame := make([]byte, seglog.FrameHeader+MaxRecordBytes+64)
@@ -249,7 +249,7 @@ func TestBadLengthDetection(t *testing.T) {
 	if err := os.WriteFile(path, frame, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ScanSegment(path, nil); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := ScanSegment(path, nil); !errors.Is(err, seglog.ErrCorrupt) {
 		t.Fatalf("oversize length with data behind: got %v, want ErrCorrupt", err)
 	}
 	// The same header at EOF with the claimed extent unfulfilled: torn.

@@ -26,7 +26,7 @@ func TestImageBuilds(t *testing.T) {
 func TestEveryProbeHasAPath(t *testing.T) {
 	img := New(Config{ColdProcs: 5, Seed: 1})
 	for id := probe.ID(0); id < probe.NumProbes; id++ {
-		if len(img.Path(id)) == 0 && id != probe.BufTableLookup && id != probe.HeapDeform && id != probe.HashFunc {
+		if len(img.paths[id]) == 0 && id != probe.BufTableLookup && id != probe.HeapDeform && id != probe.HashFunc {
 			t.Errorf("probe %d has no path", id)
 		}
 	}
@@ -57,7 +57,7 @@ func TestFastSessionRecordsTheSameTrace(t *testing.T) {
 func TestProbePathsAreStaticChains(t *testing.T) {
 	img := New(Config{ColdProcs: 5, Seed: 1})
 	for id := probe.ID(0); id < probe.NumProbes; id++ {
-		path := img.Path(id)
+		path := img.paths[id]
 		for i := 1; i < len(path); i++ {
 			if !img.Prog.ValidEdge(path[i-1], path[i]) {
 				t.Errorf("probe %d: illegal edge %s -> %s", id,

@@ -1,11 +1,10 @@
-package trace_test
+package kernel
 
 import (
 	"slices"
 	"testing"
 
 	"repro/internal/db/probe"
-	"repro/internal/kernel"
 	"repro/internal/program"
 	"repro/internal/trace"
 )
@@ -18,7 +17,7 @@ import (
 // PathWidth blocks) and an empty one, each recorded after a fixed
 // store whose scratch lies where its events go.
 func TestFixedStoreEqualsAppend(t *testing.T) {
-	img := kernel.New(kernel.DefaultConfig())
+	img := New(DefaultConfig())
 	p := img.Prog
 	instrs := func(path []program.BlockID) (n uint64) {
 		for _, b := range path {
@@ -28,7 +27,7 @@ func TestFixedStoreEqualsAppend(t *testing.T) {
 	}
 	var paths [][]program.BlockID
 	for id := probe.ID(0); id < probe.NumProbes; id++ {
-		path := img.Path(id)
+		path := img.paths[id]
 		if len(path) > trace.PathWidth || cap(path) < trace.PathWidth {
 			t.Fatalf("probe %d: path of %d blocks has capacity %d, want at most and at least %d",
 				id, len(path), cap(path), trace.PathWidth)
@@ -50,7 +49,7 @@ func TestFixedStoreEqualsAppend(t *testing.T) {
 	for i, path := range paths {
 		before := slices.Clone(path[:cap(path)])
 		r.Path(path, instrs(path))
-		want = trace.AppendEvents(want, path...)
+		want = append(want, path...)
 		wantInstrs += instrs(path)
 		if !slices.Equal(got.Blocks, want) || got.Instrs != wantInstrs {
 			t.Fatalf("after path %d (%d blocks, capacity %d): %d events / %d instrs, want %d / %d (or contents differ)",

@@ -277,6 +277,3 @@ func (img *Image) buildPaths() {
 	at(probe.LimDrained, "ExecLimit.ldrain", "ExecLimit.leof")
 	at(probe.LimEOF, "ExecLimit.leof")
 }
-
-// Path returns the block path for a probe (exposed for tests).
-func (img *Image) Path(id probe.ID) []program.BlockID { return img.paths[id] }

@@ -73,7 +73,7 @@ func TestPettisHansenValidAndHotFirst(t *testing.T) {
 	// Every executed block must precede every never-executed block.
 	var maxHot, minCold uint64 = 0, ^uint64(0)
 	for b := 0; b < p.NumBlocks(); b++ {
-		a := l.AddrOf(program.BlockID(b))
+		a := l.Addr[program.BlockID(b)]
 		if pr.Weight(program.BlockID(b)) > 0 {
 			if a > maxHot {
 				maxHot = a
@@ -96,7 +96,7 @@ func TestPettisHansenChainsHotPath(t *testing.T) {
 	chain := []string{"main.entry", "main.callhot", "main.callrare", "main.loop"}
 	for i := 1; i < len(chain); i++ {
 		prev, cur := p.MustBlock(chain[i-1]), p.MustBlock(chain[i])
-		if l.AddrOf(cur) != l.AddrOf(prev)+p.Block(prev).SizeBytes() {
+		if l.Addr[cur] != l.Addr[prev]+p.Block(prev).SizeBytes() {
 			t.Errorf("%s should fall through to %s", chain[i-1], chain[i])
 		}
 	}
@@ -108,9 +108,9 @@ func TestPettisHansenPlacesCallersNearCallees(t *testing.T) {
 	l := PettisHansen(pr)
 	// "hot" is called 101 times, "rare" 101 times too (both called per
 	// iteration in this trace), "never" not at all: never must be last.
-	never := l.AddrOf(p.EntryOf("never"))
+	never := l.Addr[p.MustBlock("never.entry")]
 	for _, n := range []string{"main", "hot", "rare"} {
-		if l.AddrOf(p.EntryOf(n)) > never {
+		if l.Addr[p.MustBlock(n+".entry")] > never {
 			t.Errorf("executed proc %s placed after cold proc", n)
 		}
 	}
@@ -137,9 +137,9 @@ func TestTorrellasCFAHoldsTopBlocks(t *testing.T) {
 		if cfaBytes+sz > uint64(params.CFABytes) {
 			break
 		}
-		if l.AddrOf(b) != cfaBytes {
+		if l.Addr[b] != cfaBytes {
 			t.Errorf("popular block %s at %d, want %d (in CFA)",
-				p.Block(b).Name, l.AddrOf(b), cfaBytes)
+				p.Block(b).Name, l.Addr[b], cfaBytes)
 		}
 		cfaBytes += sz
 	}
@@ -148,7 +148,7 @@ func TestTorrellasCFAHoldsTopBlocks(t *testing.T) {
 	// executed blocks outside the CFA don't sit below CFABytes in
 	// chunk 0.
 	for _, b := range blocks {
-		a := l.AddrOf(b)
+		a := l.Addr[b]
 		if a < cfaBytes {
 			continue // CFA members
 		}

@@ -6,7 +6,10 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/db/catalog"
+	"repro/internal/db/engine"
 	"repro/internal/db/executor"
+	"repro/internal/db/executor/exectest"
 	"repro/internal/db/sql"
 	"repro/internal/kernel"
 	"repro/internal/profile"
@@ -20,10 +23,8 @@ import (
 // several continuations and blocks that never run.
 func kernelTrace(t *testing.T, queries ...int) *trace.Trace {
 	t.Helper()
-	cfg := tpcd.DefaultConfig()
-	cfg.SF = 0.0005
-	db, err := tpcd.Build(cfg)
-	if err != nil {
+	db := engine.Open(2048)
+	if err := tpcd.Load(db, tpcd.Config{SF: 0.0005, Seed: 42, Indexes: catalog.BTree}); err != nil {
 		t.Fatal(err)
 	}
 	img := kernel.New(kernel.Config{ColdProcs: 10, Seed: 1})
@@ -31,7 +32,11 @@ func kernelTrace(t *testing.T, queries ...int) *trace.Trace {
 	c := executor.NewCtx(ses)
 	for _, qn := range queries {
 		q, _ := tpcd.Query(qn)
-		if _, _, err := sql.Exec(db, c, q); err != nil {
+		cq, err := sql.CompileQuery(db, c, q)
+		if err == nil {
+			_, err = exectest.Run(cq.Plan)
+		}
+		if err != nil {
 			t.Fatalf("Q%d: %v", qn, err)
 		}
 	}

@@ -295,10 +295,12 @@ func TestProcWeight(t *testing.T) {
 	p := loopProgram(t)
 	tr := record(t, p, 4, 0)
 	pr := FromTrace(tr)
-	if got := pr.ProcWeight(p.MustProc("helper")); got != 4 {
+	helper, _ := p.ProcByName("helper")
+	elog, _ := p.ProcByName("elog")
+	if got := pr.ProcWeight(helper.ID); got != 4 {
 		t.Fatalf("helper proc weight = %d, want 4", got)
 	}
-	if got := pr.ProcWeight(p.MustProc("elog")); got != 0 {
+	if got := pr.ProcWeight(elog.ID); got != 0 {
 		t.Fatalf("cold proc weight = %d, want 0", got)
 	}
 }

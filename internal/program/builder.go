@@ -36,9 +36,6 @@ func (b *Builder) ColdProc(name, module string) *ProcBuilder {
 	return p
 }
 
-// NumProcs returns the number of procedures declared so far.
-func (b *Builder) NumProcs() int { return len(b.procs) }
-
 // Build resolves all references, validates the program and returns it.
 func (b *Builder) Build() (*Program, error) {
 	nblocks := 0
@@ -213,6 +210,3 @@ func (p *ProcBuilder) CallIndirect(label string, size int) *ProcBuilder {
 func (p *ProcBuilder) Ret(label string, size int) *ProcBuilder {
 	return p.add(label, size, KindReturn, "")
 }
-
-// Name returns the procedure name being built.
-func (p *ProcBuilder) Name() string { return p.pb.name }

@@ -20,9 +20,6 @@ type Layout struct {
 	End uint64
 }
 
-// AddrOf returns the byte address of the first instruction of b.
-func (l *Layout) AddrOf(b BlockID) uint64 { return l.Addr[b] }
-
 // NewLayoutFromOrder builds a Layout that places the given blocks
 // consecutively starting at address 0, in the order given. Every block
 // of the program must appear exactly once; Validate enforces this.

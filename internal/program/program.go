@@ -80,10 +80,6 @@ func (k BlockKind) String() string {
 	return fmt.Sprintf("BlockKind(%d)", uint8(k))
 }
 
-// IsBranch reports whether the terminator is a conditional or
-// unconditional branch (the paper's "Branch" class).
-func (k BlockKind) IsBranch() bool { return k == KindCondBranch || k == KindJump }
-
 // Block is one basic block of the program image.
 type Block struct {
 	ID    BlockID
@@ -99,34 +95,6 @@ type Block struct {
 
 // SizeBytes returns the block size in bytes.
 func (b *Block) SizeBytes() uint64 { return uint64(b.Size) * InstrBytes }
-
-// FallSucc returns the fall-through successor for fall-through,
-// conditional-branch and call blocks, or NoBlock if none exists.
-func (b *Block) FallSucc() BlockID {
-	switch b.Kind {
-	case KindFallThrough, KindCondBranch, KindCall:
-		if len(b.Succs) > 0 {
-			return b.Succs[0]
-		}
-	}
-	return NoBlock
-}
-
-// TakenSucc returns the taken target of a conditional branch, or the
-// target of an unconditional jump, or NoBlock otherwise.
-func (b *Block) TakenSucc() BlockID {
-	switch b.Kind {
-	case KindCondBranch:
-		if len(b.Succs) > 1 {
-			return b.Succs[1]
-		}
-	case KindJump:
-		if len(b.Succs) > 0 {
-			return b.Succs[0]
-		}
-	}
-	return NoBlock
-}
 
 // Proc is one procedure (function) of the program image.
 type Proc struct {
@@ -165,9 +133,6 @@ func (p *Program) NumBlocks() int { return len(p.Blocks) }
 // NumInstructions returns the total static instruction count.
 func (p *Program) NumInstructions() uint64 { return p.totalInstr }
 
-// Proc returns the procedure with the given ID.
-func (p *Program) Proc(id ProcID) *Proc { return &p.Procs[id] }
-
 // Block returns the block with the given ID.
 func (p *Program) Block(id BlockID) *Block { return &p.Blocks[id] }
 
@@ -180,25 +145,6 @@ func (p *Program) ProcByName(name string) (*Proc, bool) {
 	return &p.Procs[id], true
 }
 
-// MustProc returns the ProcID for name, panicking if absent. Intended
-// for wiring up statically-known kernel procedures at init time.
-func (p *Program) MustProc(name string) ProcID {
-	id, ok := p.procByName[name]
-	if !ok {
-		panic("program: no procedure named " + name)
-	}
-	return id
-}
-
-// BlockByName returns the block named "proc.label".
-func (p *Program) BlockByName(name string) (*Block, bool) {
-	id, ok := p.blockByName[name]
-	if !ok {
-		return nil, false
-	}
-	return &p.Blocks[id], true
-}
-
 // MustBlock returns the BlockID for "proc.label", panicking if absent.
 func (p *Program) MustBlock(name string) BlockID {
 	id, ok := p.blockByName[name]
@@ -206,11 +152,6 @@ func (p *Program) MustBlock(name string) BlockID {
 		panic("program: no block named " + name)
 	}
 	return id
-}
-
-// EntryOf returns the entry block of the named procedure.
-func (p *Program) EntryOf(name string) BlockID {
-	return p.Procs[p.MustProc(name)].Entry
 }
 
 // ValidEdge reports whether control can legally transfer from block

@@ -48,25 +48,22 @@ func TestBuildBasic(t *testing.T) {
 
 func TestBlockLookupAndKinds(t *testing.T) {
 	p := buildTestProgram(t)
-	loop, ok := p.BlockByName("main.loop")
-	if !ok {
-		t.Fatal("main.loop not found")
-	}
+	loop := p.Block(p.MustBlock("main.loop"))
 	if loop.Kind != KindCondBranch {
 		t.Fatalf("main.loop kind = %v, want condbranch", loop.Kind)
 	}
 	exit := p.MustBlock("main.exit")
-	if loop.TakenSucc() != exit {
-		t.Fatalf("taken successor of loop = %d, want exit %d", loop.TakenSucc(), exit)
+	if loop.Succs[1] != exit {
+		t.Fatalf("taken successor of loop = %d, want exit %d", loop.Succs[1], exit)
 	}
 	callh := p.Block(p.MustBlock("main.callh"))
 	if callh.Kind != KindCall {
 		t.Fatalf("callh kind = %v, want call", callh.Kind)
 	}
-	if callh.Callee != p.MustProc("helper") {
+	if callh.Callee != p.procByName["helper"] {
 		t.Fatalf("callh callee = %d, want helper", callh.Callee)
 	}
-	if callh.FallSucc() != p.MustBlock("main.back") {
+	if callh.Succs[0] != p.MustBlock("main.back") {
 		t.Fatal("call continuation should be main.back")
 	}
 	ret := p.Block(p.MustBlock("helper.ret"))
@@ -164,7 +161,7 @@ func TestOriginalLayout(t *testing.T) {
 	var want uint64
 	for i := range p.Procs {
 		for _, bid := range p.Procs[i].Blocks {
-			if got := l.AddrOf(bid); got != want {
+			if got := l.Addr[bid]; got != want {
 				t.Fatalf("block %s addr = %d, want %d", p.Block(bid).Name, got, want)
 			}
 			want += p.Block(bid).SizeBytes()
@@ -263,9 +260,6 @@ func TestBlockKindString(t *testing.T) {
 			t.Errorf("%v.String() = %q, want %q", uint8(k), got, want)
 		}
 	}
-	if !KindCondBranch.IsBranch() || !KindJump.IsBranch() || KindCall.IsBranch() {
-		t.Error("IsBranch misclassifies kinds")
-	}
 }
 
 func TestColdProcAndAutoLabels(t *testing.T) {
@@ -281,7 +275,7 @@ func TestColdProcAndAutoLabels(t *testing.T) {
 	if !pr.Cold {
 		t.Fatal("proc should be cold")
 	}
-	if _, ok := p.BlockByName("unused_error_path.b0"); !ok {
+	if _, ok := p.blockByName["unused_error_path.b0"]; !ok {
 		t.Fatal("auto label b0 missing")
 	}
 }

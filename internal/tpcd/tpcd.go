@@ -30,13 +30,6 @@ type Config struct {
 	// Indexes picks B-tree or hash indices (the paper builds one
 	// database of each kind).
 	Indexes IndexKind
-	// BufferFrames sizes the buffer pool.
-	BufferFrames int
-}
-
-// DefaultConfig returns a laptop-scale setup.
-func DefaultConfig() Config {
-	return Config{SF: 0.002, Seed: 42, Indexes: catalog.BTree, BufferFrames: 2048}
 }
 
 // Cardinality of each table at SF=1, per the TPC-D specification.
@@ -193,16 +186,6 @@ func Load(db *engine.DB, cfg Config) error {
 		}
 	}
 	return db.Flush()
-}
-
-// Build generates and loads a complete database into a fresh engine
-// instance sized by Config.BufferFrames.
-func Build(cfg Config) (*engine.DB, error) {
-	db := engine.Open(cfg.BufferFrames)
-	if err := Load(db, cfg); err != nil {
-		return nil, err
-	}
-	return db, nil
 }
 
 func load(db *engine.DB, cfg Config, rng *rand.Rand) error {

@@ -3,29 +3,48 @@ package tpcd
 import (
 	"testing"
 
+	"repro/internal/db/catalog"
+	"repro/internal/db/engine"
 	"repro/internal/db/executor"
+	"repro/internal/db/executor/exectest"
 	"repro/internal/db/sql"
 	"repro/internal/db/value"
 	"repro/internal/kernel"
 )
 
-func TestSmokeAllQueries(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SF = 0.001
-	db, err := Build(cfg)
-	if err != nil {
+// build loads the seed-42 B-tree database at sf into a fresh engine.
+func build(t *testing.T, sf float64) *engine.DB {
+	t.Helper()
+	db := engine.Open(2048)
+	if err := Load(db, Config{SF: sf, Seed: 42, Indexes: catalog.BTree}); err != nil {
 		t.Fatal(err)
 	}
+	return db
+}
+
+// run compiles q and runs it to completion.
+func run(t *testing.T, db *engine.DB, c *executor.Ctx, q string) []executor.Tuple {
+	t.Helper()
+	cq, err := sql.CompileQuery(db, c, q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	rows, err := exectest.Run(cq.Plan)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	return rows
+}
+
+func TestSmokeAllQueries(t *testing.T) {
+	db := build(t, 0.001)
 	img := kernel.New(kernel.Config{ColdProcs: 10, Seed: 1})
 	ses := img.NewSession(true)
 	db.Buf.FlushAll()
 	c := executor.NewCtx(ses)
 	for _, qn := range AllQueryNumbers() {
 		q, _ := Query(qn)
-		rows, _, err := sql.Exec(db, c, q)
-		if err != nil {
-			t.Fatalf("Q%d: %v", qn, err)
-		}
+		rows := run(t, db, c, q)
 		if err := ses.Err(); err != nil {
 			t.Fatalf("Q%d: trace validation: %v", qn, err)
 		}
@@ -46,16 +65,7 @@ func TestCardinalityScaling(t *testing.T) {
 }
 
 func TestBuildDeterministic(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SF = 0.0005
-	a, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := build(t, 0.0005), build(t, 0.0005)
 	for _, tbl := range []string{"customer", "orders", "lineitem"} {
 		if a.NumRows(tbl) != b.NumRows(tbl) {
 			t.Fatalf("%s cardinality differs across identical builds", tbl)
@@ -80,46 +90,23 @@ func TestQuerySetsAreImplemented(t *testing.T) {
 }
 
 func TestForeignKeysResolve(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SF = 0.0005
-	db, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := build(t, 0.0005)
 	c := executor.NewCtx(nil)
 	// Every order's customer must exist: an inner join loses no orders.
-	rows, _, err := sql.Exec(db, c, "select count(*) from orders")
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined, _, err := sql.Exec(db, c, "select count(*) from orders, customer where o_custkey = c_custkey")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := run(t, db, c, "select count(*) from orders")
+	joined := run(t, db, c, "select count(*) from orders, customer where o_custkey = c_custkey")
 	if rows[0][0].I != joined[0][0].I {
 		t.Fatalf("FK violation: %d orders, %d join matches", rows[0][0].I, joined[0][0].I)
 	}
 }
 
 func TestQ6AgainstNaiveEvaluation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SF = 0.0005
-	db, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := build(t, 0.0005)
 	c := executor.NewCtx(nil)
 	q, _ := tpcdQuery6()
-	rows, _, err := sql.Exec(db, c, q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := run(t, db, c, q)
 	// Naive recomputation over a raw scan.
-	raw, _, err := sql.Exec(db, c,
-		"select l_shipdate, l_discount, l_quantity, l_extendedprice from lineitem")
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := run(t, db, c, "select l_shipdate, l_discount, l_quantity, l_extendedprice from lineitem")
 	lo := value.MakeDate(1994, 1, 1)
 	hi := value.MakeDate(1995, 1, 1)
 	var want float64

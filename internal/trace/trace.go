@@ -43,23 +43,6 @@ func (t *Trace) Program() *program.Program { return t.prog }
 // Len returns the number of dynamic block events.
 func (t *Trace) Len() int { return len(t.Blocks) }
 
-// Replay invokes f for every block event in order.
-func (t *Trace) Replay(f func(program.BlockID)) {
-	for _, b := range t.Blocks {
-		f(b)
-	}
-}
-
-// Append concatenates another trace recorded over the same program.
-func (t *Trace) Append(other *Trace) {
-	base := len(t.Blocks)
-	t.Blocks = append(t.Blocks, other.Blocks...)
-	t.Instrs += other.Instrs
-	for _, m := range other.Marks {
-		t.Marks = append(t.Marks, Mark{Pos: base + m.Pos, Label: m.Label})
-	}
-}
-
 // Recorder emits block events into a Trace while (optionally)
 // validating that every dynamic transition corresponds to a legal
 // static control transfer and that calls and returns pair up.

@@ -115,20 +115,21 @@ func TestReturnAboveTraceStartIsTolerated(t *testing.T) {
 	}
 }
 
+// TestMarksAndAppend records two queries back to back into one trace,
+// as a session does: each query's mark sits where its events start.
 func TestMarksAndAppend(t *testing.T) {
 	p := testProgram(t)
 	t1 := New(p)
-	r1 := NewRecorder(t1, true)
-	r1.Mark("q1")
-	emitRun(t, p, r1, 1)
+	emitRun(t, p, NewRecorder(t1, true), 1)
 	t2 := New(p)
-	r2 := NewRecorder(t2, true)
-	r2.Mark("q2")
-	emitRun(t, p, r2, 2)
+	emitRun(t, p, NewRecorder(t2, true), 2)
 
 	total := New(p)
-	total.Append(t1)
-	total.Append(t2)
+	r := NewRecorder(total, false)
+	r.Mark("q1")
+	emitRun(t, p, r, 1)
+	r.Mark("q2")
+	emitRun(t, p, r, 2)
 	if total.Len() != t1.Len()+t2.Len() {
 		t.Fatalf("appended length = %d, want %d", total.Len(), t1.Len()+t2.Len())
 	}
@@ -143,23 +144,6 @@ func TestMarksAndAppend(t *testing.T) {
 	}
 	if total.Marks[1].Label != "q2" || total.Marks[1].Pos != t1.Len() {
 		t.Fatalf("mark 1 = %+v, want pos %d", total.Marks[1], t1.Len())
-	}
-}
-
-func TestReplayVisitsAllInOrder(t *testing.T) {
-	p := testProgram(t)
-	tr := New(p)
-	r := NewRecorder(tr, true)
-	emitRun(t, p, r, 2)
-	var got []program.BlockID
-	tr.Replay(func(b program.BlockID) { got = append(got, b) })
-	if len(got) != tr.Len() {
-		t.Fatalf("replay visited %d, want %d", len(got), tr.Len())
-	}
-	for i, b := range got {
-		if b != tr.Blocks[i] {
-			t.Fatalf("replay order differs at %d", i)
-		}
 	}
 }
 
@@ -228,8 +212,7 @@ func TestDynamicEdgesAreStaticEdges(t *testing.T) {
 // of a non-validating one, must be exactly the events, marks and
 // instruction count a naive append gives, must have been moved into at
 // most four slices on the way (64K, 128K, 256K, 512K events — so less
-// than its final size was ever copied), and Append of such traces must
-// be unchanged.
+// than its final size was ever copied).
 func TestRecordingAcrossGrowthSteps(t *testing.T) {
 	p := testProgram(t)
 	const iters = 60_000 // 5 events each: > 256K events
@@ -297,14 +280,5 @@ func TestRecordingAcrossGrowthSteps(t *testing.T) {
 			t.Fatalf("%s: recording of %d events took %d slices, want 4 (64K, 128K, 256K, 512K)", how, got.Len(), grows)
 		}
 		equal(how+": recording", got, want)
-
-		got2, want2, _ := record(11_000, fixed)
-		got.Append(got2)
-		for _, m := range want2.Marks {
-			want.Marks = append(want.Marks, Mark{Pos: len(want.Blocks) + m.Pos, Label: m.Label})
-		}
-		want.Blocks = append(want.Blocks, want2.Blocks...)
-		want.Instrs += want2.Instrs
-		equal(how+": Append", got, want)
 	}
 }
