@@ -64,8 +64,10 @@ func PaperTraces(sf float64, seed int64, opts ...Option) (train, test *Profile, 
 // and simulated against test. The Section 4 artifacts (Table 1,
 // Figure 2, Reuse, Table 2, HottestBlocks) read train alone.
 func ReportOf(train, test *Profile) *Report {
-	// Derived here, once: the accessors only read it.
+	// Derived here, once: the accessors only read them (Sequentiality
+	// reads test's).
 	train.profileData()
+	test.profileData()
 	return &Report{
 		train:   train,
 		test:    test,

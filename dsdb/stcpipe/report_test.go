@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fetch"
+	"repro/internal/profile"
 	"repro/internal/program"
 )
 
@@ -196,12 +198,13 @@ func TestAblationRuns(t *testing.T) {
 	}
 }
 
-// TestSimulateSameAtAnyGOMAXPROCS: the fetch simulator and the
-// sequentiality count split a trace into one chunk per core, and a
-// grid runs its cells concurrently, each cell as one serial walk. A
-// paper trace long enough to split gives, for every layout and every
-// kind of cache, one Result through the grid and through the cell's
-// own Simulate, at GOMAXPROCS 1 (one chunk: the serial walk) and 8.
+// TestSimulateSameAtAnyGOMAXPROCS: the fetch simulator and the profile
+// build split a trace into one chunk per core, and a grid runs its
+// cells concurrently, each cell as one serial walk. A paper trace long
+// enough to split gives, for every layout and every kind of cache, one
+// Result through the grid and through the cell's own Simulate, and one
+// sequentiality from a profile built from it, at GOMAXPROCS 1 (one
+// chunk: the serial walk) and 8.
 func TestSimulateSameAtAnyGOMAXPROCS(t *testing.T) {
 	r := tiny(t)
 	// Two chunks of the fetch package's minimum length (64 K events).
@@ -224,7 +227,7 @@ func TestSimulateSameAtAnyGOMAXPROCS(t *testing.T) {
 	}
 	type result struct {
 		grid, own []Result
-		seq       []float64
+		seq       []fetch.SequentialityStats
 	}
 	at := func(procs int) (out result) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -232,8 +235,9 @@ func TestSimulateSameAtAnyGOMAXPROCS(t *testing.T) {
 		for _, c := range cells {
 			out.own = append(out.own, must(r.test.Simulate(c.Layout, c.Fetch)))
 		}
+		prof := profile.FromTrace(r.test.tr)
 		for _, l := range lays {
-			out.seq = append(out.seq, r.test.Sequentiality(l))
+			out.seq = append(out.seq, fetch.Sequentiality(prof, l.l))
 		}
 		return out
 	}
@@ -247,7 +251,7 @@ func TestSimulateSameAtAnyGOMAXPROCS(t *testing.T) {
 	}
 	for i, l := range lays {
 		if serial.seq[i] != split.seq[i] {
-			t.Errorf("%s: sequentiality %v at GOMAXPROCS 8, %v at 1", l.Name(), split.seq[i], serial.seq[i])
+			t.Errorf("%s: sequentiality %+v at GOMAXPROCS 8, %+v at 1", l.Name(), split.seq[i], serial.seq[i])
 		}
 	}
 }

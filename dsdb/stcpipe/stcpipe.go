@@ -518,7 +518,9 @@ func SimulateGrid(cells []Cell) ([]Result, error) {
 }
 
 // Sequentiality returns the paper's headline metric under a layout:
-// dynamic instructions executed between taken branches.
+// dynamic instructions executed between taken branches. It reads the
+// edge counts of the weighted CFG, built on the first call that needs
+// it, so a further layout costs one look-up per distinct edge.
 func (pr *Profile) Sequentiality(l *Layout) float64 {
-	return fetch.Sequentiality(pr.tr, l.l).InstrPerTaken
+	return fetch.Sequentiality(pr.profileData(), l.l).InstrPerTaken
 }

@@ -61,6 +61,7 @@ package buffer
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -578,6 +579,12 @@ func (m *Manager) Release(b Buf, dirty bool) {
 	f.pins.Add(-1)
 }
 
+// pinnedPasses is how many full passes of pinned frames a sweep makes,
+// yielding the processor between them, before it fails. A pass is no
+// snapshot: sessions that release a page and pin another ahead of the
+// hand can make every frame it visits look pinned while one is free.
+const pinnedPasses = 3
+
 // evict picks a victim frame with the clock algorithm
 // (StrategyGetBuffer), claims it and unpublishes it, without doing any
 // IO: a dirty
@@ -592,25 +599,42 @@ func (m *Manager) Release(b Buf, dirty bool) {
 // a hit that pinned it after the sweep looked makes the claim fail and
 // the sweep move on; once claimed, no pin sticks until the caller
 // lifts the count. The returned frame is claimed.
+//
+// For its first 2n steps the sweep honours reference bits, as the clock
+// does. Hits keep setting them without a lock, so sessions as many as
+// the frames can keep every unpinned frame referenced each time the
+// hand passes; from then on the sweep takes the first frame it can
+// claim. It fails only when full passes, n steps in a row each, have
+// found every frame pinned pinnedPasses times in a row.
 func (m *Manager) evict(evs []probe.ID) (*frame, []probe.ID, error) {
 	evs = append(evs, probe.BufClockEnter)
 	n := len(m.frames)
-	for sweep := 0; sweep < 2*n; sweep++ {
+	for sweep, pinned, passes := 0, 0, 0; ; sweep++ {
+		if sweep >= 2*n && pinned >= n {
+			if passes++; passes == pinnedPasses {
+				break
+			}
+			pinned = 0
+			runtime.Gosched()
+		}
 		f := &m.frames[m.hand]
 		m.hand = (m.hand + 1) % n
 		if f.pins.Load() > 0 {
 			// Covers loading frames too (their loader holds a pin), and
 			// failed-load frames still pinned by draining waiters.
 			evs = append(evs, probe.BufClockSkip)
+			pinned++
 			continue
 		}
-		if f.valid && f.ref.Load() {
+		if sweep < 2*n && f.valid && f.ref.Load() {
 			f.ref.Store(false)
 			evs = append(evs, probe.BufClockSkip)
+			pinned = 0
 			continue
 		}
 		if !f.claim() {
 			evs = append(evs, probe.BufClockSkip)
+			pinned++
 			continue
 		}
 		if f.valid {

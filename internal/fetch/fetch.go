@@ -13,11 +13,13 @@
 //
 // # Parallel walks, exactly
 //
-// Simulate and Sequentiality split the trace into one chunk per core
-// (GOMAXPROCS), each at least minChunk block events; a shorter trace,
-// or GOMAXPROCS 1, is one chunk and the plain serial loop. Sequentiality
-// is a sum: each chunk counts its blocks and the taken transition out
-// of its last one.
+// Simulate splits the trace into one chunk per core (GOMAXPROCS), each
+// at least 64 K block events (trace.ChunkCount); a shorter trace, or
+// GOMAXPROCS 1, is one chunk and the plain serial loop. Sequentiality
+// walks no trace: whether a transition is taken depends only on its two
+// blocks, so it reads the edge counts of a profile, which
+// profile.AddTrace counts in one pass split the same way, and a layout
+// costs one fall-through look-up per distinct edge.
 //
 // Simulate is speculation, verified. The fetch unit is a deterministic
 // state machine over the stream position (block event and offset) and
@@ -100,12 +102,11 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/cache"
+	"repro/internal/profile"
 	"repro/internal/program"
 	"repro/internal/trace"
 )
@@ -213,44 +214,51 @@ type stream struct {
 	off     int32 // instruction offset within the current block
 }
 
-// newStream returns a cursor at the start of t under l. It panics if l
-// puts two blocks at one address, which Layout.Validate rejects: the
-// fall-through table (blockInfo.follow) and the trace cache's block-ID
-// lines name a position by its block, and there two blocks would share
-// one.
+// newStream returns a cursor at the start of t under l. Like blockTable
+// it panics if l puts two blocks at one address.
 func newStream(t *trace.Trace, l *program.Layout) *stream {
-	p := t.Program()
+	info, overlap := blockTable(t.Program(), l)
+	return &stream{blocks: t.Blocks, info: info, overlap: overlap}
+}
+
+// blockTable returns the layout and fall-through table of p's blocks
+// under l, indexed by BlockID, and whether some block's addresses reach
+// into another's. It panics if l puts two blocks at one address, which
+// Layout.Validate rejects: the fall-through table (blockInfo.follow)
+// and the trace cache's block-ID lines name a position by its block,
+// and there two blocks would share one.
+func blockTable(p *program.Program, l *program.Layout) (info []blockInfo, overlap bool) {
 	n := p.NumBlocks()
-	s := &stream{blocks: t.Blocks, info: make([]blockInfo, n)}
+	info = make([]blockInfo, n)
 	byAddr := make([]program.BlockID, n)
-	for i := range s.info {
+	for i := range info {
 		b := p.Block(program.BlockID(i))
-		s.info[i] = blockInfo{
+		info[i] = blockInfo{
 			addr:   l.Addr[i],
 			size:   int32(b.Size),
 			branch: b.Kind != program.KindFallThrough,
 		}
 		byAddr[i] = program.BlockID(i)
 	}
-	addr := func(b program.BlockID, a uint64) int { return cmp.Compare(s.info[b].addr, a) }
-	slices.SortFunc(byAddr, func(a, b program.BlockID) int { return addr(a, s.info[b].addr) })
+	addr := func(b program.BlockID, a uint64) int { return cmp.Compare(info[b].addr, a) }
+	slices.SortFunc(byAddr, func(a, b program.BlockID) int { return addr(a, info[b].addr) })
 	for j := 1; j < n; j++ {
-		a, b := &s.info[byAddr[j-1]], &s.info[byAddr[j]]
+		a, b := &info[byAddr[j-1]], &info[byAddr[j]]
 		if a.addr == b.addr {
 			panic(fmt.Sprintf("fetch: layout %s puts blocks %s and %s at one address, %#x",
 				l.Name, p.Block(byAddr[j-1]).Name, p.Block(byAddr[j]).Name, a.addr))
 		}
-		s.overlap = s.overlap || a.end() > b.addr
+		overlap = overlap || a.end() > b.addr
 	}
 	// Each block's end is looked up among the starts, so a layout whose
 	// blocks overlap gets the same table as one whose blocks are apart.
-	for i := range s.info {
-		s.info[i].follow = program.NoBlock
-		if j, ok := slices.BinarySearchFunc(byAddr, s.info[i].end(), addr); ok {
-			s.info[i].follow = byAddr[j]
+	for i := range info {
+		info[i].follow = program.NoBlock
+		if j, ok := slices.BinarySearchFunc(byAddr, info[i].end(), addr); ok {
+			info[i].follow = byAddr[j]
 		}
 	}
-	return s
+	return info, overlap
 }
 
 // done reports whether the stream is exhausted.
@@ -269,7 +277,7 @@ func (s *stream) cur() uint64 {
 // core (see the package comment); the result is the serial walk's,
 // exactly.
 func Simulate(t *trace.Trace, l *program.Layout, cfg Config) Result {
-	return simulate(t, l, cfg, chunkCount(t.Len()))
+	return simulate(t, l, cfg, trace.ChunkCount(t.Len()))
 }
 
 // SimulateSerial is Simulate as one walk on the calling goroutine: no
@@ -278,36 +286,6 @@ func Simulate(t *trace.Trace, l *program.Layout, cfg Config) Result {
 // package comment).
 func SimulateSerial(t *trace.Trace, l *program.Layout, cfg Config) Result {
 	return simulate(t, l, cfg, 1)
-}
-
-// minChunk is the fewest block events a chunk of a parallel walk
-// covers: a shorter chunk would not repay its goroutine and the fetches
-// its boundary takes to resolve.
-const minChunk = 1 << 16
-
-// chunkCount is the number of chunks a walk over that many block events
-// is split into: one per core the scheduler may use, each at least
-// minChunk long.
-func chunkCount(events int) int {
-	return max(1, min(runtime.GOMAXPROCS(0), events/minChunk))
-}
-
-// chunkStart is the first block event of chunk k of n over events.
-func chunkStart(k, n, events int) int { return k * events / n }
-
-// parallel calls f(0) through f(n-1) concurrently, f(0) on the calling
-// goroutine, and returns when all have.
-func parallel(n int, f func(k int)) {
-	var wg sync.WaitGroup
-	for k := 1; k < n; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f(k)
-		}()
-	}
-	f(0)
-	wg.Wait()
 }
 
 // simulate is Simulate over a given number of chunks (capped at one
@@ -333,7 +311,7 @@ func simulate(t *trace.Trace, l *program.Layout, cfg Config, chunks int) Result 
 	u := unit{cfg: &cfg, lineShift: uint(bits.TrailingZeros64(lineBytes))}
 	events := len(s.blocks)
 	chunks = max(1, min(chunks, events))
-	start := func(k int) pos { return pos{chunkStart(k, chunks, events), 0} }
+	start := func(k int) pos { return pos{trace.ChunkStart(k, chunks, events), 0} }
 	if cfg.ICache != nil {
 		cfg.ICache.Reset()
 	}
@@ -346,7 +324,7 @@ func simulate(t *trace.Trace, l *program.Layout, cfg Config, chunks int) Result 
 	// Each chunk's caches are made on the goroutine that walks them: the
 	// allocator serves each P from its own spans, so two walkers' small
 	// cache arrays do not share a cache line that both keep writing.
-	parallel(chunks, func(k int) {
+	trace.Parallel(chunks, func(k int) {
 		if k > 0 {
 			ws[k] = u.cold(s, start(k))
 		}
@@ -1038,52 +1016,19 @@ type SequentialityStats struct {
 	InstrPerTaken float64
 }
 
-// Sequentiality computes SequentialityStats for a trace under a layout,
-// summing one chunk per core. Like Simulate it panics if two blocks
-// start at one address.
-func Sequentiality(t *trace.Trace, l *program.Layout) SequentialityStats {
-	return sequentiality(t, l, chunkCount(t.Len()))
-}
-
-// sequentiality is Sequentiality over a given number of chunks. Each
-// chunk counts its blocks' instructions and the taken transitions out
-// of them, the one into the next chunk's first block included.
-func sequentiality(t *trace.Trace, l *program.Layout, chunks int) SequentialityStats {
-	s := newStream(t, l)
-	info, blocks := s.info, s.blocks
-	n := len(blocks)
-	chunks = max(1, min(chunks, n))
-	parts := make([]SequentialityStats, chunks)
-	parallel(chunks, func(k int) {
-		if n == 0 {
-			return
+// Sequentiality computes SequentialityStats for a profile under a
+// layout from its edge counts: a transition is taken unless its target
+// is laid out where its source ends, so each distinct edge is looked up
+// once in the fall-through table, however often it ran. Like Simulate
+// it panics if two blocks start at one address.
+func Sequentiality(p *profile.Profile, l *program.Layout) SequentialityStats {
+	info, _ := blockTable(p.Prog, l)
+	st := SequentialityStats{Instrs: p.DynInstrs}
+	for e, c := range p.EdgeCount {
+		st.Transitions += c
+		if e.To != info[e.From].follow {
+			st.Taken += c
 		}
-		// The chunk's events and the next chunk's first: the transition
-		// out of each but the last is tested, and the trace's last event
-		// is counted apart.
-		bl := blocks[chunkStart(k, chunks, n):min(chunkStart(k+1, chunks, n)+1, n)]
-		var instrs, taken uint64
-		prev := bl[0]
-		for _, b := range bl[1:] {
-			bi := &info[prev]
-			instrs += uint64(bi.size)
-			if b != bi.follow {
-				taken++
-			}
-			prev = b
-		}
-		if k == chunks-1 {
-			instrs += uint64(info[prev].size)
-		}
-		parts[k] = SequentialityStats{Instrs: instrs, Taken: taken}
-	})
-	var st SequentialityStats
-	for _, p := range parts {
-		st.Instrs += p.Instrs
-		st.Taken += p.Taken
-	}
-	if len(blocks) > 1 {
-		st.Transitions = uint64(len(blocks) - 1)
 	}
 	if st.Taken > 0 {
 		st.InstrPerTaken = float64(st.Instrs) / float64(st.Taken)

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/profile"
 	"repro/internal/program"
 	"repro/internal/trace"
 )
@@ -296,7 +296,7 @@ func TestTraceCacheHitsBypassICache(t *testing.T) {
 func TestSequentiality(t *testing.T) {
 	p, tr := loopTrace(t, 9) // 10 head+body pairs, 10 taken back edges... 9 back edges + exit
 	l := program.OriginalLayout(p)
-	st := Sequentiality(tr, l)
+	st := Sequentiality(profile.FromTrace(tr), l)
 	// Trace: (head body) x10 + exit. Transitions: 21-1 = 20.
 	// head->body adjacent (not taken) x10; body->head taken x9;
 	// body->exit adjacent (not taken) x1.
@@ -318,7 +318,7 @@ func TestSequentiality(t *testing.T) {
 func TestSequentialityNoTaken(t *testing.T) {
 	p, tr := straightProgram(t)
 	l := program.OriginalLayout(p)
-	st := Sequentiality(tr, l)
+	st := Sequentiality(profile.FromTrace(tr), l)
 	if st.Taken != 0 {
 		t.Fatalf("taken = %d, want 0", st.Taken)
 	}
@@ -960,7 +960,7 @@ func TestSimulateTwoBlocksAtOneAddress(t *testing.T) {
 	for name, run := range map[string]func(){
 		"Simulate":       func() { Simulate(tr, l, DefaultConfig(nil)) },
 		"SimulateSerial": func() { SimulateSerial(tr, l, DefaultConfig(cache.NewDirectMapped(1024, 64))) },
-		"Sequentiality":  func() { Sequentiality(tr, l) },
+		"Sequentiality":  func() { Sequentiality(profile.FromTrace(tr), l) },
 	} {
 		func() {
 			defer func() {
@@ -1076,7 +1076,7 @@ func (c *runCoverage) add(tr *trace.Trace, l *program.Layout) {
 		length[s.blocks[i]] = n
 		for _, chunks := range []int{2, 3, 7} {
 			for k := 1; k < chunks; k++ {
-				if b := chunkStart(k, chunks, events); n > runTable && i < b && b < j {
+				if b := trace.ChunkStart(k, chunks, events); n > runTable && i < b && b < j {
 					c.splitLong = true
 				}
 			}
@@ -1100,37 +1100,81 @@ func FuzzSimulate(f *testing.F) {
 			tcEntries: 1 << (tcEntries % 8), tcInstrs: 1 + int(tcInstrs%32), tcBr: 1 + int(tcBr%4),
 			penalty: uint64(seed & 7),
 		}, nil, int(chunks))
+		checkSequentiality(t, l, tr)
 	})
 }
 
-// TestSequentialityChunks: the per-chunk sums, each chunk counting the
-// transition into the next, add up to the serial walk's statistics.
-func TestSequentialityChunks(t *testing.T) {
-	rng := rand.New(rand.NewSource(28))
-	for n := 0; n < 40; n++ {
-		tr, l := randomCase(rng)
-		want := sequentiality(tr, l, 1)
-		for _, chunks := range chunkCounts(tr) {
-			if got := sequentiality(tr, l, chunks); got != want {
-				t.Fatalf("case %d, %d events, %d chunks: %+v, serial %+v", n, tr.Len(), chunks, got, want)
-			}
+// refSequentiality is Sequentiality as a walk over the trace's events:
+// every transition whose target does not start where its source ends
+// is taken.
+func refSequentiality(t *trace.Trace, l *program.Layout) SequentialityStats {
+	p := t.Program()
+	var st SequentialityStats
+	for i, b := range t.Blocks {
+		st.Instrs += uint64(p.Block(b).Size)
+		if i == 0 {
+			continue
 		}
+		prev := t.Blocks[i-1]
+		st.Transitions++
+		if l.Addr[b] != l.Addr[prev]+p.Block(prev).SizeBytes() {
+			st.Taken++
+		}
+	}
+	if st.Taken > 0 {
+		st.InstrPerTaken = float64(st.Instrs) / float64(st.Taken)
+	} else {
+		st.InstrPerTaken = float64(st.Instrs)
+	}
+	return st
+}
+
+// checkSequentiality compares Sequentiality over the profile of the
+// given traces, each added on its own, with the event walk over each:
+// the counts add up, and no transition joins two traces.
+func checkSequentiality(t *testing.T, l *program.Layout, trs ...*trace.Trace) {
+	t.Helper()
+	prof := profile.New(trs[0].Program())
+	var want SequentialityStats
+	for _, tr := range trs {
+		prof.AddTrace(tr)
+		st := refSequentiality(tr, l)
+		want.Instrs += st.Instrs
+		want.Taken += st.Taken
+		want.Transitions += st.Transitions
+	}
+	want.InstrPerTaken = float64(want.Instrs)
+	if want.Taken > 0 {
+		want.InstrPerTaken /= float64(want.Taken)
+	}
+	if got := Sequentiality(prof, l); got != want {
+		t.Fatalf("layout %s, %d traces, %d events in the first: Sequentiality %+v, the event walk %+v",
+			l.Name, len(trs), trs[0].Len(), got, want)
 	}
 }
 
-// TestChunkCount: the split comes from GOMAXPROCS and the trace length
-// alone, and a short trace is walked serially.
-func TestChunkCount(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	for _, c := range []struct{ events, want int }{
-		{0, 1}, {minChunk - 1, 1}, {2*minChunk - 1, 1}, {2 * minChunk, 2}, {100 * minChunk, 8},
-	} {
-		if got := chunkCount(c.events); got != c.want {
-			t.Errorf("chunkCount(%d) at GOMAXPROCS 8 = %d, want %d", c.events, got, c.want)
+// TestSequentialityEqualsReference: read from the profile's edge
+// counts, the statistics equal the event walk's in all four fields, for
+// random programs and traces under their original, permuted and gapped
+// layouts and under one whose blocks overlap, for one trace and for two
+// added to one profile.
+func TestSequentialityEqualsReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for n := 0; n < 60; n++ {
+		tr, l := randomCase(rng)
+		checkSequentiality(t, l, tr)
+		half := trace.New(tr.Program())
+		half.Blocks = tr.Blocks[rng.Intn(tr.Len()+1):]
+		checkSequentiality(t, l, tr, half)
+		// The blocks in layout order, each starting from one byte to its
+		// whole size past the one before.
+		p := tr.Program()
+		addr := make([]uint64, p.NumBlocks())
+		var a uint64
+		for _, blk := range l.Order {
+			addr[blk] = a
+			a += 1 + uint64(rng.Int63n(int64(p.Block(blk).SizeBytes())))
 		}
-	}
-	runtime.GOMAXPROCS(1)
-	if got := chunkCount(100 * minChunk); got != 1 {
-		t.Errorf("chunkCount at GOMAXPROCS 1 = %d, want 1", got)
+		checkSequentiality(t, program.NewLayoutFromAddrs("overlap", p, addr), tr)
 	}
 }

@@ -1,6 +1,7 @@
 package profile_test
 
 import (
+	"fmt"
 	"maps"
 	"slices"
 	"sort"
@@ -90,7 +91,9 @@ func (r *refProfile) succs(b program.BlockID) []profile.EdgeWeight {
 	return out
 }
 
-func requireEqualsReference(t *testing.T, what string, got *profile.Profile, want *refProfile) {
+// requireEqualsReference fails t unless got has want's counts, totals
+// and Succs order, and returns the most successors a block has.
+func requireEqualsReference(t *testing.T, what string, got *profile.Profile, want *refProfile) int {
 	t.Helper()
 	if got.DynBlocks != want.dynBlocks || got.DynInstrs != want.dynInstrs {
 		t.Fatalf("%s: %d blocks / %d instrs, reference %d / %d", what,
@@ -111,6 +114,13 @@ func requireEqualsReference(t *testing.T, what string, got *profile.Profile, wan
 		}
 		fanout = max(fanout, len(g))
 	}
+	return fanout
+}
+
+// requireLongChains fails t if the widest block has fewer than four
+// successors: then the trace does not exercise long successor chains.
+func requireLongChains(t *testing.T, what string, fanout int) {
+	t.Helper()
 	if fanout < 4 {
 		t.Fatalf("%s: widest block has %d successors; the trace does not exercise long successor chains", what, fanout)
 	}
@@ -125,7 +135,7 @@ func TestFromTraceEqualsMapPerEvent(t *testing.T) {
 	want := newRefProfile(t1.Program())
 	want.addTrace(t1)
 	got := profile.FromTrace(t1)
-	requireEqualsReference(t, "FromTrace", got, want)
+	requireLongChains(t, "FromTrace", requireEqualsReference(t, "FromTrace", got, want))
 
 	// A second trace over the same image lands on the first's counts;
 	// the successor chains are per call, EdgeCount is not.
@@ -133,5 +143,44 @@ func TestFromTraceEqualsMapPerEvent(t *testing.T) {
 	t2.Blocks = t1.Blocks[len(t1.Blocks)/3:]
 	got.AddTrace(t2)
 	want.addTrace(t2)
-	requireEqualsReference(t, "AddTrace", got, want)
+	requireLongChains(t, "AddTrace", requireEqualsReference(t, "AddTrace", got, want))
+}
+
+// TestAddTraceChunksEqualReference: split into one to seven chunks,
+// each counting from the event before it, AddTrace gives the reference
+// profile for an empty trace, a one-event trace, a trace shorter than
+// the chunk count, the kernel trace, and two traces added to one
+// profile, with no edge between them.
+func TestAddTraceChunksEqualReference(t *testing.T) {
+	kt := kernelTrace(t, tpcd.AllQueryNumbers()...)
+	prog := kt.Program()
+	part := func(blocks []program.BlockID) *trace.Trace {
+		tr := trace.New(prog)
+		tr.Blocks = blocks
+		return tr
+	}
+	cases := []struct {
+		name   string
+		traces []*trace.Trace
+		long   bool // the traces exercise long successor chains
+	}{
+		{"empty", []*trace.Trace{part(nil)}, false},
+		{"one event", []*trace.Trace{part(kt.Blocks[:1])}, false},
+		{"three events", []*trace.Trace{part(kt.Blocks[:3])}, false},
+		{"kernel", []*trace.Trace{kt}, true},
+		{"two traces", []*trace.Trace{kt, part(kt.Blocks[len(kt.Blocks)/3:])}, true},
+	}
+	for _, c := range cases {
+		for chunks := 1; chunks <= 7; chunks++ {
+			got, want := profile.New(prog), newRefProfile(prog)
+			for _, tr := range c.traces {
+				got.AddTraceChunks(tr, chunks)
+				want.addTrace(tr)
+			}
+			what := fmt.Sprintf("%s, %d chunks", c.name, chunks)
+			if fanout := requireEqualsReference(t, what, got, want); c.long {
+				requireLongChains(t, what, fanout)
+			}
+		}
+	}
 }

@@ -59,57 +59,101 @@ func FromTrace(t *trace.Trace) *Profile {
 
 // AddTrace accumulates a trace into the profile.
 //
-// A block has a handful of dynamic successors, so the trace's
-// transitions are counted in per-source successor chains — a few
-// compares per event, where a map increment hashes — and the public
-// EdgeCount map is filled once at the end, one update per distinct
-// edge. The chains live in one slice: head[b] starts block b's chain,
-// succ[i].next links it, in order of first occurrence; 0 ends a chain,
-// so slot 0 is a dummy. (The widest block of the kernel has eight
-// successors; moving the hot one to the front measured slower.)
-func (p *Profile) AddTrace(t *trace.Trace) {
-	type successor struct {
-		to    program.BlockID
-		next  int32
-		count uint64
-	}
-	n := p.Prog.NumBlocks()
-	sizes := make([]int32, n)
-	for i := range sizes {
-		sizes[i] = int32(p.Prog.Block(program.BlockID(i)).Size)
-	}
-	head := make([]int32, n)
-	succ := make([]successor, 1, 1024)
-	var instrs uint64
-	last := program.NoBlock
-	for _, b := range t.Blocks {
-		p.BlockCount[b]++
-		instrs += uint64(sizes[b])
-		if last != program.NoBlock {
-			prev, i := int32(0), head[last]
-			for i != 0 && succ[i].to != b {
-				prev, i = i, succ[i].next
-			}
-			if i == 0 {
-				succ = append(succ, successor{to: b})
-				if i = int32(len(succ) - 1); prev == 0 {
-					head[last] = i
-				} else {
-					succ[prev].next = i
-				}
-			}
-			succ[i].count++
-		}
-		last = b
-	}
-	for from, i := range head {
-		for ; i != 0; i = succ[i].next {
-			p.EdgeCount[Edge{program.BlockID(from), succ[i].to}] += succ[i].count
-		}
-	}
-	p.DynInstrs += instrs
-	p.DynBlocks += uint64(len(t.Blocks))
+// The trace is split into one chunk per core, each at least 64 K events
+// (trace.ChunkCount), and the chunks are counted concurrently. Each
+// counts the transitions into its events, so a chunk after the first
+// starts from the event before it. A block has a handful of dynamic
+// successors, so a chunk counts in per-source successor chains (see
+// chains): a few compares per event, where a map increment hashes. The
+// later chunks' chains are merged into the first's, and EdgeCount is
+// filled once at the end, one update per distinct edge. Every event but
+// the trace's first is the target of exactly one of its transitions, so
+// BlockCount and DynInstrs come from the merged in-edges and that first
+// event, not from a count per event.
+func (p *Profile) AddTrace(t *trace.Trace) { p.addTrace(t, trace.ChunkCount(t.Len())) }
+
+// addTrace is AddTrace over a given number of chunks (capped at one per
+// event).
+func (p *Profile) addTrace(t *trace.Trace, chunks int) {
 	p.succs = nil // invalidate adjacency cache
+	blocks := t.Blocks
+	n := len(blocks)
+	if n == 0 {
+		return
+	}
+	chunks = max(1, min(chunks, n))
+	cs := make([]chains, chunks)
+	trace.Parallel(chunks, func(k int) {
+		from := max(trace.ChunkStart(k, chunks, n)-1, 0)
+		cs[k] = newChains(p.Prog.NumBlocks())
+		cs[k].count(blocks[from:trace.ChunkStart(k+1, chunks, n)])
+	})
+	all := &cs[0]
+	for _, c := range cs[1:] {
+		for from, i := range c.head {
+			for ; i != 0; i = c.succ[i].next {
+				all.succ[all.slot(program.BlockID(from), c.succ[i].to)].count += c.succ[i].count
+			}
+		}
+	}
+	first := blocks[0]
+	p.BlockCount[first]++
+	p.DynInstrs += uint64(p.Prog.Block(first).Size)
+	for from, i := range all.head {
+		for ; i != 0; i = all.succ[i].next {
+			e := &all.succ[i]
+			p.EdgeCount[Edge{program.BlockID(from), e.to}] += e.count
+			p.BlockCount[e.to] += e.count
+			p.DynInstrs += e.count * uint64(p.Prog.Block(e.to).Size)
+		}
+	}
+	p.DynBlocks += uint64(n)
+}
+
+// chains counts transitions in per-source successor chains held in one
+// slice: head[b] starts block b's chain, succ[i].next links it, in order
+// of first occurrence; 0 ends a chain, so slot 0 is a dummy. (The widest
+// block of the kernel has eight successors; moving the hot one to the
+// front measured slower.)
+type chains struct {
+	head []int32
+	succ []successor
+}
+
+type successor struct {
+	to    program.BlockID
+	next  int32
+	count uint64
+}
+
+func newChains(blocks int) chains {
+	return chains{head: make([]int32, blocks), succ: make([]successor, 1, 1024)}
+}
+
+// count counts the transitions between consecutive events.
+func (c *chains) count(events []program.BlockID) {
+	for j := 1; j < len(events); j++ {
+		c.succ[c.slot(events[j-1], events[j])].count++
+	}
+}
+
+// slot returns the index of the transition from -> to in succ, adding
+// it to from's chain if it is not there yet.
+func (c *chains) slot(from, to program.BlockID) int32 {
+	prev, i := int32(0), c.head[from]
+	for i != 0 && c.succ[i].to != to {
+		prev, i = i, c.succ[i].next
+	}
+	if i != 0 {
+		return i
+	}
+	c.succ = append(c.succ, successor{to: to})
+	if i = int32(len(c.succ) - 1); prev == 0 {
+		c.head[from] = i
+	} else {
+		c.succ[prev].next = i
+	}
+	return i
 }
 
 // Weight returns the execution count of block b.

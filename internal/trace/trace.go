@@ -8,6 +8,8 @@ package trace
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/program"
 )
@@ -42,6 +44,37 @@ func (t *Trace) Program() *program.Program { return t.prog }
 
 // Len returns the number of dynamic block events.
 func (t *Trace) Len() int { return len(t.Blocks) }
+
+// minChunk is the fewest block events a chunk of a parallel walk over
+// a trace covers: a shorter chunk would not repay its goroutine and the
+// work its boundary takes to resolve.
+const minChunk = 1 << 16
+
+// ChunkCount is the number of chunks a parallel walk over that many
+// block events is split into: one per core the scheduler may use, each
+// at least minChunk long. The fetch simulator and the profile builder
+// split their traces by it.
+func ChunkCount(events int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), events/minChunk))
+}
+
+// ChunkStart is the first block event of chunk k of n over events.
+func ChunkStart(k, n, events int) int { return k * events / n }
+
+// Parallel calls f(0) through f(n-1) concurrently, f(0) on the calling
+// goroutine, and returns when all have.
+func Parallel(n int, f func(k int)) {
+	var wg sync.WaitGroup
+	for k := 1; k < n; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(k)
+		}()
+	}
+	f(0)
+	wg.Wait()
+}
 
 // Recorder emits block events into a Trace while (optionally)
 // validating that every dynamic transition corresponds to a legal

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -280,5 +281,22 @@ func TestRecordingAcrossGrowthSteps(t *testing.T) {
 			t.Fatalf("%s: recording of %d events took %d slices, want 4 (64K, 128K, 256K, 512K)", how, got.Len(), grows)
 		}
 		equal(how+": recording", got, want)
+	}
+}
+
+// TestChunkCount: the split comes from GOMAXPROCS and the trace length
+// alone, and a short trace is walked serially.
+func TestChunkCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for _, c := range []struct{ events, want int }{
+		{0, 1}, {minChunk - 1, 1}, {2*minChunk - 1, 1}, {2 * minChunk, 2}, {100 * minChunk, 8},
+	} {
+		if got := ChunkCount(c.events); got != c.want {
+			t.Errorf("ChunkCount(%d) at GOMAXPROCS 8 = %d, want %d", c.events, got, c.want)
+		}
+	}
+	runtime.GOMAXPROCS(1)
+	if got := ChunkCount(100 * minChunk); got != 1 {
+		t.Errorf("ChunkCount at GOMAXPROCS 1 = %d, want 1", got)
 	}
 }
