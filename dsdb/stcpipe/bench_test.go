@@ -15,8 +15,8 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/layout"
 	"repro/internal/profile"
+	"repro/internal/profile/profiletest"
 	"repro/internal/program"
-	"repro/internal/trace"
 )
 
 // benchReport records the paper's two traces once, through the
@@ -133,7 +133,7 @@ func BenchmarkTable4(b *testing.B) {
 
 // BenchmarkSequentiality reports the headline instructions-between-
 // taken-branches metric for orig and ops layouts. The first call on a
-// profile builds its weighted CFG (/first: a copy of the test profile
+// profile assembles its weighted CFG (/first: a copy of the test profile
 // without one, under orig); every later one reads the edge counts
 // (/layout: the five headline layouts, timed per layout).
 func BenchmarkSequentiality(b *testing.B) {
@@ -214,14 +214,17 @@ func BenchmarkFetchSimulatorTraceCache(b *testing.B) {
 	benchSimulate(b, cfg)
 }
 
-// BenchmarkProfileFromTrace measures building the weighted CFG from
-// the test trace (the benchmark's profile.build_ms).
-func BenchmarkProfileFromTrace(b *testing.B) {
+// BenchmarkProfileAssemble measures assembling the test profile's
+// weighted CFG from the probe-pair counts its session took while
+// recording (the benchmark's profile.build_ms). ns/event divides by the
+// test trace's events, which the assembly does not walk, to compare
+// with the trace walk it replaces.
+func BenchmarkProfileAssemble(b *testing.B) {
 	test := setup(b).test
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		profile.FromTrace(test.tr)
+		test.pipe.img.Profile(test.tr, test.counts...)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(test.Events()), "ns/event")
 }
@@ -266,10 +269,11 @@ var testProbes = sync.OnceValues(func() ([]probe.ID, error) {
 
 // BenchmarkRecordPath measures recording alone: the probes the test
 // trace was recorded from, replayed into a fresh non-validating
-// kernel.Session, so what is timed is Session.Emit — one fixed-size
-// store per probe path — and the growth of Trace.Blocks, not the
-// executor that normally emits the probes. It checks first that the
-// replay records the test trace. B/event against 2 bytes per event
+// kernel.Session, so what is timed is Session.Emit — a probe-pair count
+// and one fixed-size store per probe path — and the growth of
+// Trace.Blocks, not the executor that normally emits the probes. It
+// checks first that the replay records the test trace and that its
+// counts assemble the test profile. B/event against 2 bytes per event
 // shows how often the recording is re-copied as it grows.
 func BenchmarkRecordPath(b *testing.B) {
 	test := setup(b).test
@@ -278,16 +282,20 @@ func BenchmarkRecordPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	img := test.pipe.img
-	replay := func() *trace.Trace {
+	replay := func() *kernel.Session {
 		s := img.NewSession(false)
 		for _, id := range ids {
 			s.Emit(id)
 		}
-		return s.Trace()
+		return s
 	}
-	if got := replay(); got.Instrs != test.Instrs() || !slices.Equal(got.Blocks, test.tr.Blocks) {
+	s := replay()
+	if got := s.Trace(); got.Instrs != test.Instrs() || !slices.Equal(got.Blocks, test.tr.Blocks) {
 		b.Fatalf("replayed %d probes: %d events / %d instrs, test trace %d / %d (or contents differ)",
 			len(ids), got.Len(), got.Instrs, test.Events(), test.Instrs())
+	}
+	if d := profiletest.Diff(img.Profile(s.Trace(), s.Counts()), test.profileData()); d != "" {
+		b.Fatalf("the replayed session's counts assemble another profile than the test trace's: %s", d)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -8,13 +8,15 @@ import (
 
 	"repro/internal/db/probe"
 	"repro/internal/kernel"
+	"repro/internal/profile/profiletest"
 	"repro/internal/trace"
 )
 
 // TestInterleaveLongSessions: session traces long enough to have been
 // grown several times by the recorder (> 256K events each) interleave
 // into what a plain loop over the marked regions gives — blocks,
-// instruction count and rebased marks — ragged sessions included.
+// instruction count and rebased marks — ragged sessions included; and
+// the sessions' probe-pair counts assemble the merged trace's profile.
 func TestInterleaveLongSessions(t *testing.T) {
 	p := New()
 	rng := rand.New(rand.NewSource(20))
@@ -66,5 +68,12 @@ func TestInterleaveLongSessions(t *testing.T) {
 	}
 	if got.Instrs != total || len(got.Marks) != 3*queries-1 {
 		t.Fatalf("interleaved %d instrs / %d marks, sessions recorded %d / %d", got.Instrs, len(got.Marks), total, 3*queries-1)
+	}
+	var counts []*kernel.Counts
+	for _, s := range sess {
+		counts = append(counts, s.Counts())
+	}
+	if d := profiletest.Diff(p.img.Profile(got, counts...), profiletest.FromTrace(got)); d != "" {
+		t.Fatalf("the sessions' counts assemble another profile than the interleaved trace's: %s", d)
 	}
 }

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/fetch"
-	"repro/internal/profile"
 	"repro/internal/program"
 )
 
@@ -198,13 +196,12 @@ func TestAblationRuns(t *testing.T) {
 	}
 }
 
-// TestSimulateSameAtAnyGOMAXPROCS: the fetch simulator and the profile
-// build split a trace into one chunk per core, and a grid runs its
-// cells concurrently, each cell as one serial walk. A paper trace long
-// enough to split gives, for every layout and every kind of cache, one
-// Result through the grid and through the cell's own Simulate, and one
-// sequentiality from a profile built from it, at GOMAXPROCS 1 (one
-// chunk: the serial walk) and 8.
+// TestSimulateSameAtAnyGOMAXPROCS: the fetch simulator splits a trace
+// into one chunk per core, and a grid runs its cells concurrently, each
+// cell as one serial walk. A paper trace long enough to split gives,
+// for every layout and every kind of cache, one Result through the grid
+// and through the cell's own Simulate at GOMAXPROCS 1 (one chunk: the
+// serial walk) and 8.
 func TestSimulateSameAtAnyGOMAXPROCS(t *testing.T) {
 	r := tiny(t)
 	// Two chunks of the fetch package's minimum length (64 K events).
@@ -225,19 +222,12 @@ func TestSimulateSameAtAnyGOMAXPROCS(t *testing.T) {
 			cells = append(cells, Cell{r.test, l, fc})
 		}
 	}
-	type result struct {
-		grid, own []Result
-		seq       []fetch.SequentialityStats
-	}
+	type result struct{ grid, own []Result }
 	at := func(procs int) (out result) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		out.grid = must(SimulateGrid(cells))
 		for _, c := range cells {
 			out.own = append(out.own, must(r.test.Simulate(c.Layout, c.Fetch)))
-		}
-		prof := profile.FromTrace(r.test.tr)
-		for _, l := range lays {
-			out.seq = append(out.seq, fetch.Sequentiality(prof, l.l))
 		}
 		return out
 	}
@@ -247,11 +237,6 @@ func TestSimulateSameAtAnyGOMAXPROCS(t *testing.T) {
 		if serial.grid[k] != own || split.grid[k] != own || split.own[k] != own {
 			t.Errorf("%s %+v: the grid gives %+v at GOMAXPROCS 1 and %+v at 8, Simulate %+v at 1 and %+v at 8",
 				c.Layout.Name(), c.Fetch, serial.grid[k], split.grid[k], own, split.own[k])
-		}
-	}
-	for i, l := range lays {
-		if serial.seq[i] != split.seq[i] {
-			t.Errorf("%s: sequentiality %+v at GOMAXPROCS 8, %+v at 1", l.Name(), split.seq[i], serial.seq[i])
 		}
 	}
 }

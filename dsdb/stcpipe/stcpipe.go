@@ -111,15 +111,19 @@ func TPCD(name string, nums ...int) (Workload, error) { return tpcdWorkload(name
 
 // Profile is a recorded execution: the dynamic basic-block trace of
 // one or more traced workload runs, and the weighted CFG profile
-// derived from it. It is both the input to Layout (training role) and
-// the trace replayed by Simulate (test role).
+// assembled from the counts its sessions took while recording it. It
+// is both the input to Layout (training role) and the trace replayed
+// by Simulate (test role).
 type Profile struct {
 	pipe *Pipeline
 	// ses is the recorder Run extends. Only a Workload's profile has
 	// one; every other source's trace is immutable.
-	ses  *kernel.Session
-	tr   *trace.Trace
-	prof *profile.Profile // lazily derived from the trace
+	ses *kernel.Session
+	tr  *trace.Trace
+	// counts are the probe-pair counts of the sessions tr was recorded
+	// and merged from, which the weighted CFG is assembled from.
+	counts []*kernel.Counts
+	prof   *profile.Profile // lazily assembled from counts
 }
 
 // Profile records src on db — every traced query runs under a tracer
@@ -139,6 +143,9 @@ func (p *Pipeline) Profile(db *dsdb.DB, src Source) (*Profile, error) {
 		return nil, err
 	}
 	pr := &Profile{pipe: p, tr: interleave(p.img.Prog, sess)}
+	for _, s := range sess {
+		pr.counts = append(pr.counts, s.Counts())
+	}
 	if _, ok := src.(Workload); ok {
 		pr.ses = sess[0]
 	}
@@ -162,10 +169,11 @@ func (pr *Profile) Run(db *dsdb.DB, w Workload) error {
 	return record(db, pl, []*kernel.Session{pr.ses})
 }
 
-// profileData derives (and caches) the weighted CFG profile.
+// profileData assembles (and caches) the weighted CFG profile from the
+// counts the sessions took while recording; no trace is walked.
 func (pr *Profile) profileData() *profile.Profile {
 	if pr.prof == nil {
-		pr.prof = profile.FromTrace(pr.tr)
+		pr.prof = pr.pipe.img.Profile(pr.tr, pr.counts...)
 	}
 	return pr.prof
 }

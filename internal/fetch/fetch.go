@@ -14,12 +14,13 @@
 // # Parallel walks, exactly
 //
 // Simulate splits the trace into one chunk per core (GOMAXPROCS), each
-// at least 64 K block events (trace.ChunkCount); a shorter trace, or
+// at least 64 K block events (chunkCount); a shorter trace, or
 // GOMAXPROCS 1, is one chunk and the plain serial loop. Sequentiality
 // walks no trace: whether a transition is taken depends only on its two
-// blocks, so it reads the edge counts of a profile, which
-// profile.AddTrace counts in one pass split the same way, and a layout
-// costs one fall-through look-up per distinct edge.
+// blocks, so it reads the edge counts of a profile, which the kernel
+// assembles from the probe-pair counts taken while recording
+// (kernel.Image.Profile), and a layout costs one fall-through look-up
+// per distinct edge.
 //
 // Simulate is speculation, verified. The fetch unit is a deterministic
 // state machine over the stream position (block event and offset) and
@@ -102,8 +103,10 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/profile"
@@ -277,7 +280,7 @@ func (s *stream) cur() uint64 {
 // core (see the package comment); the result is the serial walk's,
 // exactly.
 func Simulate(t *trace.Trace, l *program.Layout, cfg Config) Result {
-	return simulate(t, l, cfg, trace.ChunkCount(t.Len()))
+	return simulate(t, l, cfg, chunkCount(t.Len()))
 }
 
 // SimulateSerial is Simulate as one walk on the calling goroutine: no
@@ -311,7 +314,7 @@ func simulate(t *trace.Trace, l *program.Layout, cfg Config, chunks int) Result 
 	u := unit{cfg: &cfg, lineShift: uint(bits.TrailingZeros64(lineBytes))}
 	events := len(s.blocks)
 	chunks = max(1, min(chunks, events))
-	start := func(k int) pos { return pos{trace.ChunkStart(k, chunks, events), 0} }
+	start := func(k int) pos { return pos{chunkStart(k, chunks, events), 0} }
 	if cfg.ICache != nil {
 		cfg.ICache.Reset()
 	}
@@ -324,7 +327,7 @@ func simulate(t *trace.Trace, l *program.Layout, cfg Config, chunks int) Result 
 	// Each chunk's caches are made on the goroutine that walks them: the
 	// allocator serves each P from its own spans, so two walkers' small
 	// cache arrays do not share a cache line that both keep writing.
-	trace.Parallel(chunks, func(k int) {
+	parallel(chunks, func(k int) {
 		if k > 0 {
 			ws[k] = u.cold(s, start(k))
 		}
@@ -334,6 +337,36 @@ func simulate(t *trace.Trace, l *program.Layout, cfg Config, chunks int) Result 
 		u.join(&ws[0], &ws[k], snaps[k], s, start(k), start(k+1))
 	}
 	return ws[0].r
+}
+
+// minChunk is the fewest block events a chunk of a parallel walk over
+// a trace covers: a shorter chunk would not repay its goroutine and the
+// work its boundary takes to resolve.
+const minChunk = 1 << 16
+
+// chunkCount is the number of chunks Simulate splits a walk over that
+// many block events into: one per core the scheduler may use, each at
+// least minChunk long.
+func chunkCount(events int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), events/minChunk))
+}
+
+// chunkStart is the first block event of chunk k of n over events.
+func chunkStart(k, n, events int) int { return k * events / n }
+
+// parallel calls f(0) through f(n-1) concurrently, f(0) on the calling
+// goroutine, and returns when all have.
+func parallel(n int, f func(k int)) {
+	var wg sync.WaitGroup
+	for k := 1; k < n; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(k)
+		}()
+	}
+	f(0)
+	wg.Wait()
 }
 
 // unit is the fetch unit a simulation runs: its configuration, with

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -12,7 +13,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/profile"
+	"repro/internal/profile/profiletest"
 	"repro/internal/program"
 	"repro/internal/trace"
 )
@@ -296,7 +297,7 @@ func TestTraceCacheHitsBypassICache(t *testing.T) {
 func TestSequentiality(t *testing.T) {
 	p, tr := loopTrace(t, 9) // 10 head+body pairs, 10 taken back edges... 9 back edges + exit
 	l := program.OriginalLayout(p)
-	st := Sequentiality(profile.FromTrace(tr), l)
+	st := Sequentiality(profiletest.FromTrace(tr), l)
 	// Trace: (head body) x10 + exit. Transitions: 21-1 = 20.
 	// head->body adjacent (not taken) x10; body->head taken x9;
 	// body->exit adjacent (not taken) x1.
@@ -318,7 +319,7 @@ func TestSequentiality(t *testing.T) {
 func TestSequentialityNoTaken(t *testing.T) {
 	p, tr := straightProgram(t)
 	l := program.OriginalLayout(p)
-	st := Sequentiality(profile.FromTrace(tr), l)
+	st := Sequentiality(profiletest.FromTrace(tr), l)
 	if st.Taken != 0 {
 		t.Fatalf("taken = %d, want 0", st.Taken)
 	}
@@ -960,7 +961,7 @@ func TestSimulateTwoBlocksAtOneAddress(t *testing.T) {
 	for name, run := range map[string]func(){
 		"Simulate":       func() { Simulate(tr, l, DefaultConfig(nil)) },
 		"SimulateSerial": func() { SimulateSerial(tr, l, DefaultConfig(cache.NewDirectMapped(1024, 64))) },
-		"Sequentiality":  func() { Sequentiality(profile.FromTrace(tr), l) },
+		"Sequentiality":  func() { Sequentiality(profiletest.FromTrace(tr), l) },
 	} {
 		func() {
 			defer func() {
@@ -1076,7 +1077,7 @@ func (c *runCoverage) add(tr *trace.Trace, l *program.Layout) {
 		length[s.blocks[i]] = n
 		for _, chunks := range []int{2, 3, 7} {
 			for k := 1; k < chunks; k++ {
-				if b := trace.ChunkStart(k, chunks, events); n > runTable && i < b && b < j {
+				if b := chunkStart(k, chunks, events); n > runTable && i < b && b < j {
 					c.splitLong = true
 				}
 			}
@@ -1134,10 +1135,8 @@ func refSequentiality(t *trace.Trace, l *program.Layout) SequentialityStats {
 // the counts add up, and no transition joins two traces.
 func checkSequentiality(t *testing.T, l *program.Layout, trs ...*trace.Trace) {
 	t.Helper()
-	prof := profile.New(trs[0].Program())
 	var want SequentialityStats
 	for _, tr := range trs {
-		prof.AddTrace(tr)
 		st := refSequentiality(tr, l)
 		want.Instrs += st.Instrs
 		want.Taken += st.Taken
@@ -1147,7 +1146,7 @@ func checkSequentiality(t *testing.T, l *program.Layout, trs ...*trace.Trace) {
 	if want.Taken > 0 {
 		want.InstrPerTaken /= float64(want.Taken)
 	}
-	if got := Sequentiality(prof, l); got != want {
+	if got := Sequentiality(profiletest.FromTrace(trs...), l); got != want {
 		t.Fatalf("layout %s, %d traces, %d events in the first: Sequentiality %+v, the event walk %+v",
 			l.Name, len(trs), trs[0].Len(), got, want)
 	}
@@ -1176,5 +1175,22 @@ func TestSequentialityEqualsReference(t *testing.T) {
 			a += 1 + uint64(rng.Int63n(int64(p.Block(blk).SizeBytes())))
 		}
 		checkSequentiality(t, program.NewLayoutFromAddrs("overlap", p, addr), tr)
+	}
+}
+
+// TestChunkCount: the split comes from GOMAXPROCS and the trace length
+// alone, and a short trace is walked serially.
+func TestChunkCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for _, c := range []struct{ events, want int }{
+		{0, 1}, {minChunk - 1, 1}, {2*minChunk - 1, 1}, {2 * minChunk, 2}, {100 * minChunk, 8},
+	} {
+		if got := chunkCount(c.events); got != c.want {
+			t.Errorf("chunkCount(%d) at GOMAXPROCS 8 = %d, want %d", c.events, got, c.want)
+		}
+	}
+	runtime.GOMAXPROCS(1)
+	if got := chunkCount(100 * minChunk); got != 1 {
+		t.Errorf("chunkCount at GOMAXPROCS 1 = %d, want 1", got)
 	}
 }

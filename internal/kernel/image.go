@@ -11,12 +11,15 @@
 // instrumented engine (packages db/...) emits probes, a Session
 // translates them into dynamic basic-block traces, and the traces
 // validate against the static CFG (calls/returns pair, every
-// transition is a static edge).
+// transition is a static edge). A session also counts consecutive
+// probe pairs, from which Image.Profile assembles the weighted CFG
+// without walking the trace.
 package kernel
 
 import (
 	"math/rand"
 
+	"repro/internal/db/probe"
 	"repro/internal/program"
 )
 
@@ -25,8 +28,8 @@ type Image struct {
 	Prog *program.Program
 	// paths[probe.ID] is the block path emitted for that probe, and
 	// pathInstrs[probe.ID] its instruction count.
-	paths      [][]program.BlockID
-	pathInstrs []uint64
+	paths      [probe.NumProbes][]program.BlockID
+	pathInstrs [probe.NumProbes]uint64
 }
 
 // OpsSeedNames lists the Executor operation entry points used by the

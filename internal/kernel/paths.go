@@ -12,8 +12,6 @@ import (
 // emissions always form legal static control flow (validated by
 // TestAllQueryShapesValidate and the trace recorder).
 func (img *Image) buildPaths() {
-	img.paths = make([][]program.BlockID, probe.NumProbes)
-	img.pathInstrs = make([]uint64, probe.NumProbes)
 	p := img.Prog
 	// Each path gets room for trace.PathWidth blocks, so that
 	// Session.Emit records it with one fixed-size store.

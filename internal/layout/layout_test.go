@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/profile"
+	"repro/internal/profile/profiletest"
 	"repro/internal/program"
 	"repro/internal/trace"
 )
@@ -60,7 +61,7 @@ func run(t *testing.T, p *program.Program, n int) *profile.Profile {
 	if err := rec.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return profile.FromTrace(tr)
+	return profiletest.FromTrace(tr)
 }
 
 func TestPettisHansenValidAndHotFirst(t *testing.T) {

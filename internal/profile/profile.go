@@ -1,16 +1,20 @@
-// Package profile aggregates dynamic basic-block traces into the
-// weighted control-flow graph used by the layout algorithms, and
+// Package profile holds the weighted control-flow graph of one or more
+// dynamic basic-block traces, the input of the layout algorithms, and
 // computes the locality characterizations of Section 4 of the paper:
 // static-vs-executed footprint (Table 1), cumulative reference
 // concentration (Figure 2), temporal reuse distance (Section 4.1) and
 // block-type/predictability classification (Table 2).
+//
+// The package walks no trace to count the graph: the kernel image
+// assembles it from the probe-pair counts its sessions take while they
+// record (kernel.Image.Profile), and the serial walk over the events
+// lives on only as the tests' reference (package profiletest).
 package profile
 
 import (
 	"sort"
 
 	"repro/internal/program"
-	"repro/internal/trace"
 )
 
 // Edge is a dynamic transition between two basic blocks.
@@ -18,7 +22,7 @@ type Edge struct {
 	From, To program.BlockID
 }
 
-// Profile is the weighted CFG obtained from one or more traces.
+// Profile is the weighted CFG of one or more traces.
 type Profile struct {
 	Prog *program.Program
 	// BlockCount[b] is the number of times block b executed.
@@ -48,112 +52,6 @@ func New(p *program.Program) *Profile {
 		BlockCount: make([]uint64, p.NumBlocks()),
 		EdgeCount:  make(map[Edge]uint64),
 	}
-}
-
-// FromTrace builds a profile from a single trace.
-func FromTrace(t *trace.Trace) *Profile {
-	p := New(t.Program())
-	p.AddTrace(t)
-	return p
-}
-
-// AddTrace accumulates a trace into the profile.
-//
-// The trace is split into one chunk per core, each at least 64 K events
-// (trace.ChunkCount), and the chunks are counted concurrently. Each
-// counts the transitions into its events, so a chunk after the first
-// starts from the event before it. A block has a handful of dynamic
-// successors, so a chunk counts in per-source successor chains (see
-// chains): a few compares per event, where a map increment hashes. The
-// later chunks' chains are merged into the first's, and EdgeCount is
-// filled once at the end, one update per distinct edge. Every event but
-// the trace's first is the target of exactly one of its transitions, so
-// BlockCount and DynInstrs come from the merged in-edges and that first
-// event, not from a count per event.
-func (p *Profile) AddTrace(t *trace.Trace) { p.addTrace(t, trace.ChunkCount(t.Len())) }
-
-// addTrace is AddTrace over a given number of chunks (capped at one per
-// event).
-func (p *Profile) addTrace(t *trace.Trace, chunks int) {
-	p.succs = nil // invalidate adjacency cache
-	blocks := t.Blocks
-	n := len(blocks)
-	if n == 0 {
-		return
-	}
-	chunks = max(1, min(chunks, n))
-	cs := make([]chains, chunks)
-	trace.Parallel(chunks, func(k int) {
-		from := max(trace.ChunkStart(k, chunks, n)-1, 0)
-		cs[k] = newChains(p.Prog.NumBlocks())
-		cs[k].count(blocks[from:trace.ChunkStart(k+1, chunks, n)])
-	})
-	all := &cs[0]
-	for _, c := range cs[1:] {
-		for from, i := range c.head {
-			for ; i != 0; i = c.succ[i].next {
-				all.succ[all.slot(program.BlockID(from), c.succ[i].to)].count += c.succ[i].count
-			}
-		}
-	}
-	first := blocks[0]
-	p.BlockCount[first]++
-	p.DynInstrs += uint64(p.Prog.Block(first).Size)
-	for from, i := range all.head {
-		for ; i != 0; i = all.succ[i].next {
-			e := &all.succ[i]
-			p.EdgeCount[Edge{program.BlockID(from), e.to}] += e.count
-			p.BlockCount[e.to] += e.count
-			p.DynInstrs += e.count * uint64(p.Prog.Block(e.to).Size)
-		}
-	}
-	p.DynBlocks += uint64(n)
-}
-
-// chains counts transitions in per-source successor chains held in one
-// slice: head[b] starts block b's chain, succ[i].next links it, in order
-// of first occurrence; 0 ends a chain, so slot 0 is a dummy. (The widest
-// block of the kernel has eight successors; moving the hot one to the
-// front measured slower.)
-type chains struct {
-	head []int32
-	succ []successor
-}
-
-type successor struct {
-	to    program.BlockID
-	next  int32
-	count uint64
-}
-
-func newChains(blocks int) chains {
-	return chains{head: make([]int32, blocks), succ: make([]successor, 1, 1024)}
-}
-
-// count counts the transitions between consecutive events.
-func (c *chains) count(events []program.BlockID) {
-	for j := 1; j < len(events); j++ {
-		c.succ[c.slot(events[j-1], events[j])].count++
-	}
-}
-
-// slot returns the index of the transition from -> to in succ, adding
-// it to from's chain if it is not there yet.
-func (c *chains) slot(from, to program.BlockID) int32 {
-	prev, i := int32(0), c.head[from]
-	for i != 0 && c.succ[i].to != to {
-		prev, i = i, c.succ[i].next
-	}
-	if i != 0 {
-		return i
-	}
-	c.succ = append(c.succ, successor{to: to})
-	if i = int32(len(c.succ) - 1); prev == 0 {
-		c.head[from] = i
-	} else {
-		c.succ[prev].next = i
-	}
-	return i
 }
 
 // Weight returns the execution count of block b.

@@ -1,9 +1,11 @@
-package profile
+package profile_test
 
 import (
 	"math"
 	"testing"
 
+	"repro/internal/profile"
+	"repro/internal/profile/profiletest"
 	"repro/internal/program"
 	"repro/internal/trace"
 )
@@ -65,7 +67,7 @@ func record(t *testing.T, p *program.Program, iters, slowEvery int) *trace.Trace
 func TestBlockAndEdgeCounts(t *testing.T) {
 	p := loopProgram(t)
 	tr := record(t, p, 10, 5)
-	pr := FromTrace(tr)
+	pr := profiletest.FromTrace(tr)
 	id := p.MustBlock
 	if got := pr.Weight(id("main.loop")); got != 11 {
 		t.Fatalf("main.loop weight = %d, want 11", got)
@@ -79,10 +81,10 @@ func TestBlockAndEdgeCounts(t *testing.T) {
 	if got := pr.Weight(id("elog.entry")); got != 0 {
 		t.Fatalf("cold block executed %d times", got)
 	}
-	if got := pr.EdgeCount[Edge{id("main.loop"), id("main.exit")}]; got != 1 {
+	if got := pr.EdgeCount[profile.Edge{id("main.loop"), id("main.exit")}]; got != 1 {
 		t.Fatalf("loop->exit edge = %d, want 1", got)
 	}
-	if got := pr.EdgeCount[Edge{id("main.callh"), id("helper.entry")}]; got != 10 {
+	if got := pr.EdgeCount[profile.Edge{id("main.callh"), id("helper.entry")}]; got != 10 {
 		t.Fatalf("call edge = %d, want 10", got)
 	}
 	if pr.DynBlocks != uint64(tr.Len()) {
@@ -96,7 +98,7 @@ func TestBlockAndEdgeCounts(t *testing.T) {
 func TestSuccsSorted(t *testing.T) {
 	p := loopProgram(t)
 	tr := record(t, p, 10, 5)
-	pr := FromTrace(tr)
+	pr := profiletest.FromTrace(tr)
 	id := p.MustBlock
 	succs := pr.Succs(id("helper.entry"))
 	if len(succs) != 2 {
@@ -116,7 +118,7 @@ func TestSuccsSorted(t *testing.T) {
 func TestFootprint(t *testing.T) {
 	p := loopProgram(t)
 	tr := record(t, p, 10, 5)
-	pr := FromTrace(tr)
+	pr := profiletest.FromTrace(tr)
 	fs := pr.Footprint()
 	if fs.TotalProcs != 3 || fs.ExecProcs != 2 {
 		t.Fatalf("procs = %d/%d, want 2/3", fs.ExecProcs, fs.TotalProcs)
@@ -139,7 +141,7 @@ func TestFootprint(t *testing.T) {
 func TestCumulativeRefsMonotoneAndComplete(t *testing.T) {
 	p := loopProgram(t)
 	tr := record(t, p, 50, 3)
-	pr := FromTrace(tr)
+	pr := profiletest.FromTrace(tr)
 	cum := pr.CumulativeRefs()
 	if len(cum) != 9 {
 		t.Fatalf("cum length = %d, want 9 executed blocks", len(cum))
@@ -163,7 +165,7 @@ func TestCumulativeRefsMonotoneAndComplete(t *testing.T) {
 func TestPopularSetCoversRequestedFraction(t *testing.T) {
 	p := loopProgram(t)
 	tr := record(t, p, 50, 3)
-	pr := FromTrace(tr)
+	pr := profiletest.FromTrace(tr)
 	set := pr.PopularSet(0.75)
 	var covered uint64
 	for b := range set {
@@ -192,7 +194,7 @@ func TestReuseDistance(t *testing.T) {
 	tr := record(t, p, 20, 0) // never slow: loop body is 11 instrs/iter
 	id := p.MustBlock
 	track := map[program.BlockID]bool{id("main.loop"): true}
-	st := Reuse(tr, track, []uint64{5, 100})
+	st := profile.Reuse(tr, track, []uint64{5, 100})
 	if st.Reexecutions != 20 {
 		t.Fatalf("reexecutions = %d, want 20", st.Reexecutions)
 	}
@@ -210,7 +212,7 @@ func TestReuseThresholdsSorted(t *testing.T) {
 	p := loopProgram(t)
 	tr := record(t, p, 5, 0)
 	id := p.MustBlock
-	st := Reuse(tr, map[program.BlockID]bool{id("main.loop"): true}, []uint64{250, 100})
+	st := profile.Reuse(tr, map[program.BlockID]bool{id("main.loop"): true}, []uint64{250, 100})
 	if st.Thresholds[0] != 100 || st.Thresholds[1] != 250 {
 		t.Fatalf("thresholds not sorted: %v", st.Thresholds)
 	}
@@ -222,21 +224,21 @@ func TestReuseThresholdsSorted(t *testing.T) {
 func TestTypeBreakdown(t *testing.T) {
 	p := loopProgram(t)
 	tr := record(t, p, 10, 2) // helper branch 50/50 -> unpredictable
-	pr := FromTrace(tr)
+	pr := profiletest.FromTrace(tr)
 	st := pr.TypeBreakdown()
 
 	// Static classes among the 9 executed blocks: fallthrough 1
 	// (main.entry), branch 4 (main.loop, main.back, helper.entry,
 	// helper.slow), call 1, return 3.
-	if got := st.Rows[ClassFallThrough].StaticPct; math.Abs(got-100.0/9) > 1e-9 {
+	if got := st.Rows[profile.ClassFallThrough].StaticPct; math.Abs(got-100.0/9) > 1e-9 {
 		t.Fatalf("fallthrough static pct = %v", got)
 	}
-	if got := st.Rows[ClassBranch].StaticPct; math.Abs(got-400.0/9) > 1e-9 {
+	if got := st.Rows[profile.ClassBranch].StaticPct; math.Abs(got-400.0/9) > 1e-9 {
 		t.Fatalf("branch static pct = %v", got)
 	}
 	// Fall-through, call, return rows are 100% predictable by
 	// construction (fixed target / return-address stack).
-	for _, cl := range []TypeClass{ClassFallThrough, ClassCall, ClassReturn} {
+	for _, cl := range []profile.TypeClass{profile.ClassFallThrough, profile.ClassCall, profile.ClassReturn} {
 		if got := st.Rows[cl].PredictablePct; math.Abs(got-100) > 1e-9 {
 			t.Fatalf("%v predictable pct = %v, want 100", cl, got)
 		}
@@ -244,7 +246,7 @@ func TestTypeBreakdown(t *testing.T) {
 	// helper.entry alternates 50/50 so its executions are unpredictable;
 	// main.loop is 11/12 taken-to-callh (below 0.95), also unpredictable;
 	// main.back and helper.slow are unconditional (predictable).
-	br := st.Rows[ClassBranch]
+	br := st.Rows[profile.ClassBranch]
 	if br.PredictablePct >= 100 {
 		t.Fatalf("branch predictability should be <100, got %v", br.PredictablePct)
 	}
@@ -262,11 +264,11 @@ func TestTypeBreakdown(t *testing.T) {
 }
 
 func TestTypeClassString(t *testing.T) {
-	want := map[TypeClass]string{
-		ClassFallThrough: "Fall-through",
-		ClassBranch:      "Branch",
-		ClassCall:        "Subroutine call",
-		ClassReturn:      "Subroutine return",
+	want := map[profile.TypeClass]string{
+		profile.ClassFallThrough: "Fall-through",
+		profile.ClassBranch:      "Branch",
+		profile.ClassCall:        "Subroutine call",
+		profile.ClassReturn:      "Subroutine return",
 	}
 	for cl, s := range want {
 		if cl.String() != s {
@@ -275,17 +277,21 @@ func TestTypeClassString(t *testing.T) {
 	}
 }
 
+// TestAddTraceAccumulates: the reference profile of two traces adds
+// their counts, with no transition from the first trace's last event
+// to the second's first.
 func TestAddTraceAccumulates(t *testing.T) {
 	p := loopProgram(t)
 	t1 := record(t, p, 5, 0)
 	t2 := record(t, p, 7, 0)
-	pr := New(p)
-	pr.AddTrace(t1)
-	pr.AddTrace(t2)
+	pr := profiletest.FromTrace(t1, t2)
 	if pr.DynBlocks != uint64(t1.Len()+t2.Len()) {
-		t.Fatal("AddTrace did not accumulate block counts")
+		t.Fatal("the traces' block counts did not accumulate")
 	}
 	id := p.MustBlock
+	if got := pr.EdgeCount[profile.Edge{From: id("main.exit"), To: id("main.entry")}]; got != 0 {
+		t.Fatalf("main.exit -> main.entry counted %d times, want 0: no transition joins two traces", got)
+	}
 	if got := pr.Weight(id("main.entry")); got != 2 {
 		t.Fatalf("main.entry weight = %d, want 2", got)
 	}
@@ -294,7 +300,7 @@ func TestAddTraceAccumulates(t *testing.T) {
 func TestProcWeight(t *testing.T) {
 	p := loopProgram(t)
 	tr := record(t, p, 4, 0)
-	pr := FromTrace(tr)
+	pr := profiletest.FromTrace(tr)
 	helper, _ := p.ProcByName("helper")
 	elog, _ := p.ProcByName("elog")
 	if got := pr.ProcWeight(helper.ID); got != 4 {

@@ -1,15 +1,15 @@
 // Package trace records dynamic basic-block traces of an instrumented
 // program image (package program). The instrumented database kernel
 // emits one event per executed basic block; the resulting trace drives
-// profiling (package profile) and the fetch/cache simulators (packages
-// fetch and cache), exactly as the paper's ATOM-instrumented PostgreSQL
-// binary feeds its simulators.
+// the reuse-distance measure (package profile) and the fetch/cache
+// simulators (packages fetch and cache), exactly as the paper's
+// ATOM-instrumented PostgreSQL binary feeds its simulators. The
+// weighted CFG is not counted from it: the kernel counts it while
+// recording (kernel.Image.Profile).
 package trace
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/program"
 )
@@ -20,7 +20,7 @@ type Trace struct {
 	prog *program.Program
 	// Blocks is the executed block sequence, in order. Its capacity
 	// past len may hold scratch a Recorder wrote ahead (see
-	// Recorder.Path); nothing reads it.
+	// Recorder.TryPath); nothing reads it.
 	Blocks []program.BlockID
 	// Instrs is the total number of dynamic instructions.
 	Instrs uint64
@@ -44,37 +44,6 @@ func (t *Trace) Program() *program.Program { return t.prog }
 
 // Len returns the number of dynamic block events.
 func (t *Trace) Len() int { return len(t.Blocks) }
-
-// minChunk is the fewest block events a chunk of a parallel walk over
-// a trace covers: a shorter chunk would not repay its goroutine and the
-// work its boundary takes to resolve.
-const minChunk = 1 << 16
-
-// ChunkCount is the number of chunks a parallel walk over that many
-// block events is split into: one per core the scheduler may use, each
-// at least minChunk long. The fetch simulator and the profile builder
-// split their traces by it.
-func ChunkCount(events int) int {
-	return max(1, min(runtime.GOMAXPROCS(0), events/minChunk))
-}
-
-// ChunkStart is the first block event of chunk k of n over events.
-func ChunkStart(k, n, events int) int { return k * events / n }
-
-// Parallel calls f(0) through f(n-1) concurrently, f(0) on the calling
-// goroutine, and returns when all have.
-func Parallel(n int, f func(k int)) {
-	var wg sync.WaitGroup
-	for k := 1; k < n; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f(k)
-		}()
-	}
-	f(0)
-	wg.Wait()
-}
 
 // Recorder emits block events into a Trace while (optionally)
 // validating that every dynamic transition corresponds to a legal
@@ -138,10 +107,8 @@ const PathWidth = 8
 // instrs instructions in all (a hot instrumentation site). A validating
 // recorder checks it block by block. Otherwise a path of at most
 // PathWidth blocks whose slice has a capacity of at least PathWidth is
-// recorded with one PathWidth-event store into the recording's tail,
-// after which only len(p) events count: the store reads p's backing
-// array up to PathWidth, and what it writes past the path lies beyond
-// len(Trace.Blocks), to be overwritten by the next event. Any other
+// recorded with one PathWidth-event store into the recording's tail
+// (TryPath), the recording grown first if it has no room. Any other
 // path is appended in one copy.
 func (r *Recorder) Path(p []program.BlockID, instrs uint64) {
 	switch {
@@ -149,18 +116,36 @@ func (r *Recorder) Path(p []program.BlockID, instrs uint64) {
 		for _, b := range p {
 			r.Block(b)
 		}
-		return
 	case len(p) <= PathWidth && cap(p) >= PathWidth:
-		n := len(r.t.Blocks)
-		if n+PathWidth > cap(r.t.Blocks) {
+		if len(r.t.Blocks)+PathWidth > cap(r.t.Blocks) {
 			r.t.Blocks = grow(r.t.Blocks, PathWidth)
 		}
-		*(*[PathWidth]program.BlockID)(r.t.Blocks[n : n+PathWidth]) = [PathWidth]program.BlockID(p[:PathWidth])
-		r.t.Blocks = r.t.Blocks[:n+len(p)]
+		r.TryPath(p, instrs)
 	default:
 		r.t.Blocks = appendEvents(r.t.Blocks, p...)
+		r.t.Instrs += instrs
 	}
-	r.t.Instrs += instrs
+}
+
+// TryPath is Path's one-store case. When the recorder does not
+// validate, p has at most PathWidth blocks and a capacity of at least
+// PathWidth, and the recording has room for PathWidth more events, it
+// stores PathWidth events into the recording's tail, counts only
+// len(p) of them and reports true: the store reads p's backing array up
+// to PathWidth, and what it writes past the path lies beyond
+// len(Trace.Blocks), to be overwritten by the next event. Otherwise it
+// records nothing and reports false. It calls nothing, so the compiler
+// inlines it into a hot caller, which falls back on Path.
+func (r *Recorder) TryPath(p []program.BlockID, instrs uint64) bool {
+	t := r.t
+	n := len(t.Blocks)
+	if r.validate || len(p) > PathWidth || cap(p) < PathWidth || n+PathWidth > cap(t.Blocks) {
+		return false
+	}
+	*(*[PathWidth]program.BlockID)(t.Blocks[n : n+PathWidth]) = [PathWidth]program.BlockID(p[:PathWidth])
+	t.Blocks = t.Blocks[:n+len(p)]
+	t.Instrs += instrs
+	return true
 }
 
 // check validates the transition into b, whose static block is blk,

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -148,6 +147,44 @@ func TestMarksAndAppend(t *testing.T) {
 	}
 }
 
+// TestTryPathLeavesTheRestToPath: TryPath records nothing and reports
+// false for everything Path must do some other way — a validating
+// recorder, a path wider than PathWidth, a path whose capacity is short
+// of it, a recording with no room — and takes a fitting path whole.
+func TestTryPathLeavesTheRestToPath(t *testing.T) {
+	p := testProgram(t)
+	id := p.MustBlock
+	path := append(make([]program.BlockID, 0, PathWidth), id("main.loop"), id("main.exit"))
+	wide := make([]program.BlockID, PathWidth+1)
+	for i := range wide {
+		wide[i] = id("main.entry")
+	}
+	roomy := func() *Trace {
+		tr := New(p)
+		tr.Blocks = make([]program.BlockID, 0, PathWidth)
+		return tr
+	}
+	for _, c := range []struct {
+		name     string
+		tr       *Trace
+		validate bool
+		path     []program.BlockID
+	}{
+		{"validating", roomy(), true, path},
+		{"wider than PathWidth", roomy(), false, wide},
+		{"capacity short of PathWidth", roomy(), false, slices.Clip(path)},
+		{"no room", New(p), false, path},
+	} {
+		if NewRecorder(c.tr, c.validate).TryPath(c.path, 7) || c.tr.Len() != 0 || c.tr.Instrs != 0 {
+			t.Errorf("%s: TryPath took the path (%d events / %d instrs recorded)", c.name, c.tr.Len(), c.tr.Instrs)
+		}
+	}
+	tr := roomy()
+	if !NewRecorder(tr, false).TryPath(path, 7) || !slices.Equal(tr.Blocks, path) || tr.Instrs != 7 {
+		t.Fatalf("a fitting path: %v / %d instrs recorded, want %v / 7", tr.Blocks, tr.Instrs, path)
+	}
+}
+
 // TestPathEmitsEachBlock: a path is recorded as its blocks, one event
 // each, by a validating recorder block by block and by a non-validating
 // one in one copy, across growth steps too.
@@ -281,22 +318,5 @@ func TestRecordingAcrossGrowthSteps(t *testing.T) {
 			t.Fatalf("%s: recording of %d events took %d slices, want 4 (64K, 128K, 256K, 512K)", how, got.Len(), grows)
 		}
 		equal(how+": recording", got, want)
-	}
-}
-
-// TestChunkCount: the split comes from GOMAXPROCS and the trace length
-// alone, and a short trace is walked serially.
-func TestChunkCount(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	for _, c := range []struct{ events, want int }{
-		{0, 1}, {minChunk - 1, 1}, {2*minChunk - 1, 1}, {2 * minChunk, 2}, {100 * minChunk, 8},
-	} {
-		if got := ChunkCount(c.events); got != c.want {
-			t.Errorf("ChunkCount(%d) at GOMAXPROCS 8 = %d, want %d", c.events, got, c.want)
-		}
-	}
-	runtime.GOMAXPROCS(1)
-	if got := ChunkCount(100 * minChunk); got != 1 {
-		t.Errorf("ChunkCount at GOMAXPROCS 1 = %d, want 1", got)
 	}
 }
