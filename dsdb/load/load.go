@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -41,6 +42,7 @@ import (
 	"repro/dsdb"
 	"repro/dsdb/client"
 	"repro/dsdb/wire"
+	"repro/internal/tpcd"
 )
 
 // Mix is a named TPC-D query mix.
@@ -49,11 +51,11 @@ type Mix struct {
 	Numbers []int
 }
 
-// TrainMix is the paper's training set (Q3,4,5,6,9).
-func TrainMix() Mix { return Mix{Name: "train", Numbers: []int{3, 4, 5, 6, 9}} }
+// TrainMix is the paper's training set (tpcd.TrainingQueries).
+func TrainMix() Mix { return Mix{Name: "train", Numbers: slices.Clone(tpcd.TrainingQueries)} }
 
-// TestMix is the paper's test set (Q2,3,4,6,11,12,13,14,15,17).
-func TestMix() Mix { return Mix{Name: "test", Numbers: []int{2, 3, 4, 6, 11, 12, 13, 14, 15, 17}} }
+// TestMix is the paper's test set (tpcd.TestQueries).
+func TestMix() Mix { return Mix{Name: "test", Numbers: slices.Clone(tpcd.TestQueries)} }
 
 // AllMix is every implemented TPC-D query.
 func AllMix() Mix { return Mix{Name: "all", Numbers: dsdb.TPCDQueryNumbers()} }

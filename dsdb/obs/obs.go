@@ -344,12 +344,11 @@ type Config struct {
 	Disabled bool
 	// RingSize bounds the recent-query ring (default 256).
 	RingSize int
-	// SlowRingSize bounds the slow-query ring (default 64).
-	SlowRingSize int
-	// SlowThreshold classifies queries at least this slow as slow
-	// (0 = slow classification off; settable later).
-	SlowThreshold time.Duration
 }
+
+// slowRingSize bounds the slow-query ring. A tracer classifies no query
+// as slow until SetSlowThreshold is called.
+const slowRingSize = 64
 
 // Tracer issues query ids and spans, and retains what ended spans
 // report: a ring of recent Records, a ring of slow Records, per-stage
@@ -392,16 +391,12 @@ func New(cfg Config) *Tracer {
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = 256
 	}
-	if cfg.SlowRingSize <= 0 {
-		cfg.SlowRingSize = 64
-	}
 	t := &Tracer{
 		now:      time.Now,
 		since:    time.Since,
 		ringSize: cfg.RingSize,
-		slow:     make([]Record, cfg.SlowRingSize),
+		slow:     make([]Record, slowRingSize),
 	}
-	t.slowNS.Store(int64(cfg.SlowThreshold))
 	t.pool.New = func() any { return new(Span) }
 	return t
 }

@@ -125,7 +125,8 @@ func TestRingEvictionNewestFirst(t *testing.T) {
 }
 
 func TestSlowRingAndLogger(t *testing.T) {
-	tr, clk := newFakeTracer(Config{SlowThreshold: 10 * time.Millisecond})
+	tr, clk := newFakeTracer(Config{})
+	tr.SetSlowThreshold(10 * time.Millisecond)
 	var buf bytes.Buffer
 	tr.SetSlowLogger(log.New(&buf, "", 0))
 
@@ -205,7 +206,8 @@ func TestSQLTruncation(t *testing.T) {
 }
 
 func TestConcurrentSpans(t *testing.T) {
-	tr := New(Config{RingSize: 64, SlowThreshold: 1})
+	tr := New(Config{RingSize: 64})
+	tr.SetSlowThreshold(1)
 	tr.SetSlowLogger(log.New(&syncBuffer{}, "", 0))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -271,10 +271,14 @@ var testProbes = sync.OnceValues(func() ([]probe.ID, error) {
 // trace was recorded from, replayed into a fresh non-validating
 // kernel.Session, so what is timed is Session.Emit — a probe-pair count
 // and one fixed-size store per probe path — and the growth of
-// Trace.Blocks, not the executor that normally emits the probes. It
-// checks first that the replay records the test trace and that its
-// counts assemble the test profile. B/event against 2 bytes per event
-// shows how often the recording is re-copied as it grows.
+// Trace.Blocks, not the executor that normally emits the probes. The
+// replay emits as the engine does, through the probe.Tracer that
+// probe.Resolve returns, so ns/probe includes the interface call the
+// engine pays and does not depend on whether Session.Emit inlines into
+// a loop over the concrete type. It checks first that the replay
+// records the test trace and that its counts assemble the test
+// profile. B/event against 2 bytes per event shows how often the
+// recording is re-copied as it grows.
 func BenchmarkRecordPath(b *testing.B) {
 	test := setup(b).test
 	ids, err := testProbes()
@@ -284,8 +288,9 @@ func BenchmarkRecordPath(b *testing.B) {
 	img := test.pipe.img
 	replay := func() *kernel.Session {
 		s := img.NewSession(false)
+		rec := probe.Resolve(s)
 		for _, id := range ids {
-			s.Emit(id)
+			probe.Emit(rec, id)
 		}
 		return s
 	}
@@ -318,7 +323,9 @@ func BenchmarkSTCLayout(b *testing.B) {
 	seeds := core.OpsSeeds(prof, kernel.OpsSeedNames)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.Build("bench", prof, seeds, params)
+		if _, err := core.Build("bench", prof, seeds, params); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -327,7 +334,9 @@ func BenchmarkPettisHansen(b *testing.B) {
 	prof := setup(b).train.profileData()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		layout.PettisHansen(prof)
+		if _, err := layout.PettisHansen(prof); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

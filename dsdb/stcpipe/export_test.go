@@ -22,8 +22,8 @@ func (pr *Profile) BlockHash() uint64 {
 // LayoutAddrs renders one line per (configuration, layout) — the
 // headline configuration, then every Table 3 row, five layouts each —
 // with an FNV-64a of the layout's block addresses (little-endian
-// 64-bit, in block-ID order) and the layout's end, for the external
-// test package.
+// 64-bit, in block-ID order) and the layout's end (the end of its last
+// block in address order), for the external test package.
 func (r *Report) LayoutAddrs() string {
 	var b strings.Builder
 	for _, p := range append([]Params{headline}, paperConfigs...) {
@@ -34,7 +34,9 @@ func (r *Report) LayoutAddrs() string {
 				binary.LittleEndian.PutUint64(buf[:], a)
 				h.Write(buf[:])
 			}
-			fmt.Fprintf(&b, "%4d/%-4d %-4s addrs=%016x end=%d\n", p.CacheBytes, p.CFABytes, l.Name(), h.Sum64(), l.l.End)
+			last := l.l.Order[len(l.l.Order)-1]
+			end := l.l.Addr[last] + r.train.pipe.img.Prog.Block(last).SizeBytes()
+			fmt.Fprintf(&b, "%4d/%-4d %-4s addrs=%016x end=%d\n", p.CacheBytes, p.CFABytes, l.Name(), h.Sum64(), end)
 		}
 	}
 	return b.String()

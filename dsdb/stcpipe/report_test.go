@@ -98,9 +98,10 @@ func TestFigure2Monotone(t *testing.T) {
 	}
 }
 
-// TestLayoutsAllValid: every layout of every configuration the report
-// lays out puts each block at its own addresses, and the three CFA
-// layouts (Torr, auto, ops: one mapper, core.MapSequences) keep every
+// TestLayoutsAllValid: every configuration the report lays out yields
+// its five layouts (a layout is checked for overlap where it is made),
+// and the three CFA layouts (Torr, auto, ops: one mapper,
+// core.MapSequences) keep every
 // executed block outside chunk 0's CFA off offsets [0, CFABytes) of
 // every chunk. Cold code is not held to that: it still starts at the
 // chunk boundary after the last sequence, on CFA offsets, in every
@@ -112,9 +113,6 @@ func TestLayoutsAllValid(t *testing.T) {
 	for _, p := range append([]Params{headline}, paperConfigs...) {
 		cache, cfa := uint64(p.CacheBytes), uint64(p.CFABytes)
 		for i, l := range r.layouts(p) {
-			if err := l.l.Validate(prog); err != nil {
-				t.Errorf("%+v, layout %s: %v", p, l.Name(), err)
-			}
 			if i < 2 { // orig and P&H have no CFA
 				continue
 			}

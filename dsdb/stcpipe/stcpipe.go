@@ -52,7 +52,7 @@ func Validate() Option {
 
 // New creates a pipeline over a fresh kernel image.
 func New(opts ...Option) *Pipeline {
-	p := &Pipeline{img: kernel.New(kernel.DefaultConfig())}
+	p := &Pipeline{img: kernel.New()}
 	for _, o := range opts {
 		o(p)
 	}
@@ -213,12 +213,11 @@ func (pr *Profile) HottestBlocks(n int) []BlockStat {
 // Layout is a code layout: an address for every basic block of the
 // kernel image, as produced by one of the reordering algorithms.
 type Layout struct {
-	name string
-	l    *program.Layout
+	l *program.Layout
 }
 
 // Name returns the layout's algorithm name.
-func (l *Layout) Name() string { return l.name }
+func (l *Layout) Name() string { return l.l.Name }
 
 // Addresses returns a copy of the per-block start addresses (indexed
 // by block ID) — useful for comparing what different algorithms did.
@@ -226,17 +225,26 @@ func (l *Layout) Addresses() []uint64 {
 	return append([]uint64(nil), l.l.Addr...)
 }
 
-// Algorithm is a pluggable code-layout strategy.
-type Algorithm interface {
-	// Name identifies the algorithm in reports.
-	Name() string
-	// Build produces a layout from a training profile.
-	Build(pr *Profile) (*Layout, error)
+// Algorithm is a code-layout strategy: one of the paper's five,
+// returned by Original, PettisHansen, Torrellas, STCAuto and STCOps.
+// The zero Algorithm is none of them: Layout panics on it.
+type Algorithm struct {
+	name  string
+	build func(pr *Profile) (*program.Layout, error)
 }
 
-// Layout applies an algorithm to this (training) profile.
+// Name identifies the algorithm in reports.
+func (a Algorithm) Name() string { return a.name }
+
+// Layout applies an algorithm to this (training) profile. A layout is
+// checked where it is made (program.NewLayoutFromAddrs and
+// NewLayoutFromOrder): every block once, no two overlapping.
 func (pr *Profile) Layout(alg Algorithm) (*Layout, error) {
-	return alg.Build(pr)
+	l, err := alg.build(pr)
+	if err != nil {
+		return nil, fmt.Errorf("stcpipe: %w", err)
+	}
+	return &Layout{l: l}, nil
 }
 
 // Params configures the greedy sequence-building algorithms (STC and
@@ -283,7 +291,7 @@ func (p Params) coreParams(pr *Profile) (cp core.Params, fitted bool, err error)
 		p.CFABytes = 1024
 	}
 	if err := p.check(); err != nil {
-		return core.Params{}, false, fmt.Errorf("stcpipe: %w", err)
+		return core.Params{}, false, err
 	}
 	cp = core.Params(p)
 	fitted = cp.ExecThreshold == 0
@@ -296,30 +304,9 @@ func (p Params) coreParams(pr *Profile) (cp core.Params, fitted bool, err error)
 	return cp, fitted, nil
 }
 
-// algorithm implements Algorithm via a closure.
-type algorithm struct {
-	name  string
-	build func(pr *Profile) (*program.Layout, error)
-}
-
-func (a algorithm) Name() string { return a.name }
-
-// Build returns the layout only if it is one: every block at its own,
-// non-overlapping addresses.
-func (a algorithm) Build(pr *Profile) (*Layout, error) {
-	l, err := a.build(pr)
-	if err != nil {
-		return nil, err
-	}
-	if err := l.Validate(pr.pipe.img.Prog); err != nil {
-		return nil, fmt.Errorf("stcpipe: %w", err)
-	}
-	return &Layout{name: a.name, l: l}, nil
-}
-
 // Original returns the identity layout (the compiler's block order).
 func Original() Algorithm {
-	return algorithm{name: "orig", build: func(pr *Profile) (*program.Layout, error) {
+	return Algorithm{name: "orig", build: func(pr *Profile) (*program.Layout, error) {
 		return program.OriginalLayout(pr.pipe.img.Prog), nil
 	}}
 }
@@ -327,25 +314,25 @@ func Original() Algorithm {
 // PettisHansen returns the Pettis & Hansen basic-block chaining and
 // procedure-ordering baseline.
 func PettisHansen() Algorithm {
-	return algorithm{name: "P&H", build: func(pr *Profile) (*program.Layout, error) {
-		return layout.PettisHansen(pr.profileData()), nil
+	return Algorithm{name: "P&H", build: func(pr *Profile) (*program.Layout, error) {
+		return layout.PettisHansen(pr.profileData())
 	}}
 }
 
 // Torrellas returns the Torrellas et al. cache-mapping baseline.
 func Torrellas(p Params) Algorithm {
-	return algorithm{name: "Torr", build: func(pr *Profile) (*program.Layout, error) {
+	return Algorithm{name: "Torr", build: func(pr *Profile) (*program.Layout, error) {
 		cp, _, err := p.coreParams(pr)
 		if err != nil {
 			return nil, err
 		}
-		return layout.Torrellas(pr.profileData(), cp), nil
+		return layout.Torrellas(pr.profileData(), cp)
 	}}
 }
 
 // stc builds the Software Trace Cache layout from a seed set.
 func stc(name string, p Params, seeds func(pr *Profile) []program.BlockID) Algorithm {
-	return algorithm{name: name, build: func(pr *Profile) (*program.Layout, error) {
+	return Algorithm{name: name, build: func(pr *Profile) (*program.Layout, error) {
 		cp, fitted, err := p.coreParams(pr)
 		if err != nil {
 			return nil, err
@@ -354,7 +341,7 @@ func stc(name string, p Params, seeds func(pr *Profile) []program.BlockID) Algor
 		if fitted {
 			cp.ExecThreshold = core.FitExecThreshold(prof, s, cp)
 		}
-		return core.Build(name, prof, s, cp), nil
+		return core.Build(name, prof, s, cp)
 	}}
 }
 
@@ -446,13 +433,11 @@ func (fc FetchConfig) ways() int {
 	return fc.Ways
 }
 
-// fetchConfig builds the fetch unit that replays this profile's trace
-// under l with fc's caches. A layout built for another kernel image,
-// or a FetchConfig no cache can be built from, is an error.
-func (pr *Profile) fetchConfig(l *Layout, fc FetchConfig) (fetch.Config, error) {
-	if len(l.l.Addr) != pr.pipe.img.Prog.NumBlocks() {
-		return fetch.Config{}, fmt.Errorf("layout %q was built for a different kernel image", l.name)
-	}
+// build returns the fetch unit with fc's caches. A FetchConfig no cache
+// can be built from is an error. Every pipeline builds the same kernel
+// image (kernel.New), so the unit replays any profile under a layout
+// from any pipeline.
+func (fc FetchConfig) build() (fetch.Config, error) {
 	lineBytes, err := fc.check()
 	if err != nil {
 		return fetch.Config{}, err
@@ -479,7 +464,7 @@ func (pr *Profile) fetchConfig(l *Layout, fc FetchConfig) (fetch.Config, error) 
 // Simulate replays this profile's trace under a layout through the
 // fetch unit. A FetchConfig no cache can be built from is an error.
 func (pr *Profile) Simulate(l *Layout, fc FetchConfig) (Result, error) {
-	cfg, err := pr.fetchConfig(l, fc)
+	cfg, err := fc.build()
 	if err != nil {
 		return Result{}, fmt.Errorf("stcpipe: %w", err)
 	}
@@ -506,7 +491,7 @@ type Cell struct {
 func SimulateGrid(cells []Cell) ([]Result, error) {
 	cfgs := make([]fetch.Config, len(cells))
 	for i, c := range cells {
-		cfg, err := c.Test.fetchConfig(c.Layout, c.Fetch)
+		cfg, err := c.Fetch.build()
 		if err != nil {
 			return nil, fmt.Errorf("stcpipe: cell %d: %w", i, err)
 		}

@@ -33,6 +33,7 @@ var Analyzer = &analysis.Analyzer{
 //	func Name        declaring a package-level function so named
 //	"path"           importing the package, under any name
 //	pkg.Name         declaring or referring to pkg's object Name
+//	pkg.Type.M       declaring or selecting method M of pkg's named Type
 //	pkg.Type.F.M     selecting M on field F of a Type value, whatever it is called
 //	package          the package existing at all
 //
@@ -64,6 +65,8 @@ var table = []rule{
 		reason: "one query runs on one goroutine; only bench still calls the no-op DB.SetParallelism"},
 	{scope: []string{"repro/internal/db/..."}, forbid: []string{"repro/internal/db/executor.Ctx.Tr.Emit", "repro/internal/db/probe.Or"}, pr: 31,
 		reason: "an execution decides once whether it records: emit through Ctx.emit, or probe.Emit on what probe.Resolve returned"},
+	{scope: []string{"..."}, forbid: []string{"takeByAddr", "repro/internal/program.Layout.Validate"}, pr: 44,
+		reason: "a layout is checked where it is made (program.NewLayoutFromOrder, NewLayoutFromAddrs): nothing re-checks one, and fetch keeps no path for overlapping blocks"},
 }
 
 func run(pass *analysis.Pass) (any, error) {
@@ -96,6 +99,9 @@ func run(pass *analysis.Pass) (any, error) {
 			case *ast.Ident:
 				if obj := pass.TypesInfo.Defs[n]; obj != nil {
 					report(n, obj.Name())
+					if key := methodKey(obj); key != "" {
+						report(n, key)
+					}
 					if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
 						report(n, obj.Pkg().Path()+"."+obj.Name())
 						if _, ok := obj.(*types.Func); ok {
@@ -106,6 +112,11 @@ func run(pass *analysis.Pass) (any, error) {
 			case *ast.SelectorExpr:
 				if key := selectorKey(pass.TypesInfo, n); key != "" {
 					report(n, key)
+				}
+				if sel := pass.TypesInfo.Selections[n]; sel != nil {
+					if key := methodKey(sel.Obj()); key != "" {
+						report(n, key)
+					}
 				}
 			}
 			return true
@@ -132,6 +143,24 @@ func selectorKey(info *types.Info, s *ast.SelectorExpr) string {
 		}
 	}
 	return ""
+}
+
+// methodKey names a method of a named type "pkg.Type.M", and is ""
+// for any other object.
+func methodKey(obj types.Object) string {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Signature().Recv() == nil {
+		return ""
+	}
+	recv := fn.Signature().Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return ""
+	}
+	return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + fn.Name()
 }
 
 func (r *rule) covers(pkg, file string) bool {

@@ -31,11 +31,12 @@ type Trace struct {
 // what the dynamic stream executes next, i.e. the stored branch
 // outcomes agree with the (perfectly predicted) future path; the fetch
 // unit, which owns the stream, makes that comparison against what
-// Lookup returns. Rotenberg's line stores instruction addresses; under a
-// layout in which no two blocks share an address, an address names one
-// block and one offset in it, so a tag and the blocks entered fix a
-// trace's addresses and its addresses fix the blocks: comparing block
-// IDs is comparing addresses, and the model is the same one.
+// Lookup returns. Rotenberg's line stores instruction addresses. No two
+// blocks of a layout overlap (program's layout constructors refuse such
+// a layout), so an address names one block and one offset in it, a tag
+// and the blocks entered fix a trace's addresses and its addresses fix
+// the blocks: comparing block IDs is comparing addresses, and the model
+// is the same one.
 type TraceCache struct {
 	maxInstrs  int
 	maxBranch  int

@@ -217,8 +217,10 @@ func max64(a, b uint64) uint64 {
 //
 // It serves both CFA layouts: STC passes its first-pass sequences,
 // layout.Torrellas one single-block sequence per hot block, so a
-// change to where non-CFA or cold code goes is made here alone.
-func MapSequences(prog *program.Program, seqs []Sequence, firstPass int, p Params) *program.Layout {
+// change to where non-CFA or cold code goes is made here alone. It
+// fails where the geometry makes two blocks overlap, as a block larger
+// than the area outside the CFA does (program.NewLayoutFromAddrs).
+func MapSequences(name string, prog *program.Program, seqs []Sequence, firstPass int, p Params) (*program.Layout, error) {
 	addr := make([]uint64, prog.NumBlocks())
 	placed := make([]bool, prog.NumBlocks())
 	cacheB := uint64(p.CacheBytes)
@@ -303,16 +305,14 @@ func MapSequences(prog *program.Program, seqs []Sequence, firstPass int, p Param
 			}
 		}
 	}
-	return program.NewLayoutFromAddrs("stc", prog, addr)
+	return program.NewLayoutFromAddrs(name, prog, addr)
 }
 
 // Build computes the full STC layout for a profile: sequences from the
 // given seeds, mapped with the given parameters.
-func Build(name string, pr *profile.Profile, seeds []program.BlockID, p Params) *program.Layout {
+func Build(name string, pr *profile.Profile, seeds []program.BlockID, p Params) (*program.Layout, error) {
 	seqs, firstPass := BuildAllSequences(pr, seeds, p)
-	l := MapSequences(pr.Prog, seqs, firstPass, p)
-	l.Name = name
-	return l
+	return MapSequences(name, pr.Prog, seqs, firstPass, p)
 }
 
 // FitExecThreshold finds the smallest ExecThreshold whose first-pass

@@ -218,9 +218,9 @@ func TestMapSequencesCFAAndChunks(t *testing.T) {
 		seqOf(3, 4),
 		seqOf(5),
 	}
-	l := MapSequences(p, seqs, 2, params)
-	if err := l.Validate(p); err != nil {
-		t.Fatalf("Validate: %v", err)
+	l, err := MapSequences("stc", p, seqs, 2, params)
+	if err != nil {
+		t.Fatal(err)
 	}
 	want := map[program.BlockID]uint64{
 		0: 0,  // CFA
@@ -259,9 +259,9 @@ func TestMapSequencesSpanningSequenceSplits(t *testing.T) {
 		seqOf(0, 1, 2), // 48B > 32B non-CFA: splits into chunk 1
 		seqOf(3),
 	}
-	l := MapSequences(p, seqs, 0, params) // no CFA sequences
-	if err := l.Validate(p); err != nil {
-		t.Fatalf("Validate: %v", err)
+	l, err := MapSequences("stc", p, seqs, 0, params) // no CFA sequences
+	if err != nil {
+		t.Fatal(err)
 	}
 	want := map[program.BlockID]uint64{
 		0: 32,  // chunk 0 non-CFA
@@ -285,9 +285,9 @@ func TestMapSequencesSpanningSequenceSplits(t *testing.T) {
 func TestMapSequencesEmptyProfileAllCold(t *testing.T) {
 	p := mapProgram(t, 4)
 	params := Params{CacheBytes: 64, CFABytes: 32}
-	l := MapSequences(p, nil, 0, params)
-	if err := l.Validate(p); err != nil {
-		t.Fatalf("Validate: %v", err)
+	l, err := MapSequences("stc", p, nil, 0, params)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if l.Addr[0] != 0 {
 		t.Fatalf("cold code must start at 0 when no sequences exist, got %d", l.Addr[0])
@@ -297,9 +297,9 @@ func TestMapSequencesEmptyProfileAllCold(t *testing.T) {
 func TestBuildProducesValidLayoutWithAllBlocks(t *testing.T) {
 	p, pr := figure3(t)
 	params := fig3Params()
-	l := Build("stc-auto", pr, AutoSeeds(pr), params)
-	if err := l.Validate(p); err != nil {
-		t.Fatalf("Validate: %v", err)
+	l, err := Build("stc-auto", pr, AutoSeeds(pr), params)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if l.Name != "stc-auto" {
 		t.Fatalf("name = %q", l.Name)

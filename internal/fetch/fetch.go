@@ -67,12 +67,12 @@
 //
 // # Runs
 //
-// No two blocks may start at one address (Simulate and Sequentiality
-// panic on a layout that puts two there, as Layout.Validate rejects
-// it), so the block laid out where a block ends, its follow, is a
-// table lookup, and a transition from b to c is not taken exactly when
-// c is b's follow. Blocks may overlap: the table looks each block's end
-// up among the starts.
+// A layout places every block once and no two blocks overlap;
+// program's layout constructors refuse any other. So a block's follow,
+// the block laid out where it ends, can only be the next block in the
+// layout's address order (Layout.Order), and the follow table is one
+// pass over that order. A transition from b to c is not taken exactly
+// when c is b's follow.
 //
 // A fetch never crosses a taken transfer, so without a trace cache a
 // walk goes one sequential run at a time: the block events from one
@@ -99,7 +99,6 @@
 package fetch
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -210,58 +209,35 @@ func (b *blockInfo) end() uint64 { return b.addr + uint64(b.size)*program.InstrB
 type stream struct {
 	blocks []program.BlockID
 	info   []blockInfo // indexed by BlockID: the layout and fall-through table
-	// overlap is set when some block's addresses reach into another's:
-	// then one address may name two blocks (see take).
-	overlap bool
-	idx     int   // current block index within blocks
-	off     int32 // instruction offset within the current block
+	idx    int         // current block index within blocks
+	off    int32       // instruction offset within the current block
 }
 
-// newStream returns a cursor at the start of t under l. Like blockTable
-// it panics if l puts two blocks at one address.
+// newStream returns a cursor at the start of t under l.
 func newStream(t *trace.Trace, l *program.Layout) *stream {
-	info, overlap := blockTable(t.Program(), l)
-	return &stream{blocks: t.Blocks, info: info, overlap: overlap}
+	return &stream{blocks: t.Blocks, info: blockTable(t.Program(), l)}
 }
 
 // blockTable returns the layout and fall-through table of p's blocks
-// under l, indexed by BlockID, and whether some block's addresses reach
-// into another's. It panics if l puts two blocks at one address, which
-// Layout.Validate rejects: the fall-through table (blockInfo.follow)
-// and the trace cache's block-ID lines name a position by its block,
-// and there two blocks would share one.
-func blockTable(p *program.Program, l *program.Layout) (info []blockInfo, overlap bool) {
-	n := p.NumBlocks()
-	info = make([]blockInfo, n)
-	byAddr := make([]program.BlockID, n)
+// under l, indexed by BlockID. l.Order is in address order and no two
+// blocks overlap, so a block's follow can only be the next block in it.
+func blockTable(p *program.Program, l *program.Layout) []blockInfo {
+	info := make([]blockInfo, p.NumBlocks())
 	for i := range info {
 		b := p.Block(program.BlockID(i))
 		info[i] = blockInfo{
 			addr:   l.Addr[i],
 			size:   int32(b.Size),
+			follow: program.NoBlock,
 			branch: b.Kind != program.KindFallThrough,
 		}
-		byAddr[i] = program.BlockID(i)
 	}
-	addr := func(b program.BlockID, a uint64) int { return cmp.Compare(info[b].addr, a) }
-	slices.SortFunc(byAddr, func(a, b program.BlockID) int { return addr(a, info[b].addr) })
-	for j := 1; j < n; j++ {
-		a, b := &info[byAddr[j-1]], &info[byAddr[j]]
-		if a.addr == b.addr {
-			panic(fmt.Sprintf("fetch: layout %s puts blocks %s and %s at one address, %#x",
-				l.Name, p.Block(byAddr[j-1]).Name, p.Block(byAddr[j]).Name, a.addr))
-		}
-		overlap = overlap || a.end() > b.addr
-	}
-	// Each block's end is looked up among the starts, so a layout whose
-	// blocks overlap gets the same table as one whose blocks are apart.
-	for i := range info {
-		info[i].follow = program.NoBlock
-		if j, ok := slices.BinarySearchFunc(byAddr, info[i].end(), addr); ok {
-			info[i].follow = byAddr[j]
+	for j := 1; j < len(l.Order); j++ {
+		if prev, next := l.Order[j-1], l.Order[j]; info[prev].end() == info[next].addr {
+			info[prev].follow = next
 		}
 	}
-	return info, overlap
+	return info
 }
 
 // done reports whether the stream is exhausted.
@@ -275,10 +251,9 @@ func (s *stream) cur() uint64 {
 // Simulate runs the fetch engine over the whole trace under the given
 // layout and configuration. Width, MaxBranches and MaxLines take the
 // SEQ.3 defaults when not positive, as LineBytes does; the line size
-// must be a power of two, and no two blocks may start at one address
-// (Simulate panics otherwise). The trace is split into one chunk per
-// core (see the package comment); the result is the serial walk's,
-// exactly.
+// must be a power of two (Simulate panics otherwise). The trace is
+// split into one chunk per core (see the package comment); the result
+// is the serial walk's, exactly.
 func Simulate(t *trace.Trace, l *program.Layout, cfg Config) Result {
 	return simulate(t, l, cfg, chunkCount(t.Len()))
 }
@@ -634,7 +609,7 @@ func (u unit) fetches(w *walker, stop pos) {
 		} else {
 			// Trace cache first: a hit delivers the stored trace in one
 			// cycle, bypassing the i-cache.
-			if t, ok := tc.Lookup(fetchAddr); ok && s.take(t, fetchAddr) {
+			if t, ok := tc.Lookup(fetchAddr); ok && s.take(t) {
 				r.Instrs += uint64(t.Instrs)
 				r.TCInstrs += uint64(t.Instrs)
 				r.TCHits++
@@ -959,50 +934,22 @@ func (s *stream) seq3(cfg *Config, fetchAddr uint64, lineShift uint) (int, uint6
 }
 
 // take is the trace-cache hit test: if t, the trace stored under the
-// current fetch address fetchAddr, is exactly what the stream executes
-// next, it moves the stream past it and reports true; otherwise (stored
-// branch outcomes diverge from the actual path, or the trace runs past
-// the end of the stream) the stream stays where it is. The tag matched,
-// so the trace starts where the stream is if the blocks match, and the
-// blocks match if the next instruction addresses do — unless blocks
-// overlap, where one address may name two blocks: a layout with
-// overlapping blocks whose block IDs differ compares addresses.
-func (s *stream) take(t cache.Trace, fetchAddr uint64) bool {
+// current fetch address, is exactly what the stream executes next, it
+// moves the stream past it and reports true; otherwise (stored branch
+// outcomes diverge from the actual path, or the trace runs past the end
+// of the stream) the stream stays where it is. The tag matched, and no
+// two blocks of a layout overlap, so the trace starts where the stream
+// is, and it is what the stream executes next exactly when the next
+// block IDs are its blocks.
+func (s *stream) take(t cache.Trace) bool {
 	k := len(t.Blocks)
 	if s.idx+k > len(s.blocks) || !slices.Equal(s.blocks[s.idx:s.idx+k], t.Blocks) {
-		return s.overlap && s.takeByAddr(t, fetchAddr)
+		return false
 	}
 	s.idx, s.off = s.idx+k, 0
 	if t.End != 0 {
 		s.idx, s.off = s.idx-1, t.End
 	}
-	return true
-}
-
-// takeByAddr is take's comparison of the next t.Instrs instruction
-// addresses with the stored trace's, a stretch of contiguous
-// instructions on both sides at a time.
-func (s *stream) takeByAddr(t cache.Trace, fetchAddr uint64) bool {
-	idx, off := s.idx, s.off
-	j, toff := 0, int32((fetchAddr-s.info[t.Blocks[0]].addr)/program.InstrBytes)
-	for need := t.Instrs; need > 0; {
-		if idx == len(s.blocks) {
-			return false
-		}
-		bi, ti := &s.info[s.blocks[idx]], &s.info[t.Blocks[j]]
-		if bi.addr+uint64(off)*program.InstrBytes != ti.addr+uint64(toff)*program.InstrBytes {
-			return false
-		}
-		step := min(need, bi.size-off, ti.size-toff)
-		need -= step
-		if off += step; off == bi.size {
-			idx, off = idx+1, 0
-		}
-		if toff += step; toff == ti.size {
-			j, toff = j+1, 0
-		}
-	}
-	s.idx, s.off = idx, off
 	return true
 }
 
@@ -1052,10 +999,9 @@ type SequentialityStats struct {
 // Sequentiality computes SequentialityStats for a profile under a
 // layout from its edge counts: a transition is taken unless its target
 // is laid out where its source ends, so each distinct edge is looked up
-// once in the fall-through table, however often it ran. Like Simulate
-// it panics if two blocks start at one address.
+// once in the fall-through table, however often it ran.
 func Sequentiality(p *profile.Profile, l *program.Layout) SequentialityStats {
-	info, _ := blockTable(p.Prog, l)
+	info := blockTable(p.Prog, l)
 	st := SequentialityStats{Instrs: p.DynInstrs}
 	for e, c := range p.EdgeCount {
 		st.Transitions += c

@@ -102,7 +102,7 @@ func TestSeq3MergesAdjacentBlocks(t *testing.T) {
 		p.MustBlock("f.c"),
 		p.MustBlock("f.b"),
 	}
-	l := program.NewLayoutFromOrder("opt", p, order)
+	l := must(program.NewLayoutFromOrder("opt", p, order))
 	res := Simulate(tr, l, DefaultConfig(nil))
 	if res.Fetches != 1 {
 		t.Fatalf("fetches = %d, want 1", res.Fetches)
@@ -384,7 +384,7 @@ func TestTakeTrace(t *testing.T) {
 		{"other first block", cache.Trace{Blocks: ids(body), Instrs: 6}, 0},
 	} {
 		s := newStream(tr, l)
-		hit := s.take(tc.t, s.cur())
+		hit := s.take(tc.t)
 		if hit != (tc.n > 0) {
 			t.Errorf("%s: take = %v, want %v", tc.name, hit, tc.n > 0)
 		}
@@ -397,10 +397,10 @@ func TestTakeTrace(t *testing.T) {
 	// A stored trace longer than what is left of the stream misses.
 	s := newStream(tr, l)
 	s.idx = len(tr.Blocks) - 2 // body exit
-	if s.take(cache.Trace{Blocks: ids(body, exit, head), Instrs: 9}, s.cur()) {
+	if s.take(cache.Trace{Blocks: ids(body, exit, head), Instrs: 9}) {
 		t.Fatal("trace running past the end of the stream must miss")
 	}
-	if !s.take(cache.Trace{Blocks: ids(body, exit), Instrs: 8}, s.cur()) || !s.done() {
+	if !s.take(cache.Trace{Blocks: ids(body, exit), Instrs: 8}) || !s.done() {
 		t.Fatalf("take to the end: done=%v", s.done())
 	}
 }
@@ -724,6 +724,15 @@ func refSimulate(t *trace.Trace, l *program.Layout, cfg Config, cover *tcCoverag
 	return r
 }
 
+// must returns a layout a test builds, panicking on the error that only
+// a layout with a missing, repeated or overlapping block has.
+func must(l *program.Layout, err error) *program.Layout {
+	if err != nil {
+		panic(err)
+	}
+	return l
+}
+
 // randomCase draws a program, a layout and a trace from rng. Blocks
 // are 1 instruction, a few, or more than any fetch width; kinds are
 // mixed so fall-through blocks (no branch counted) and branches both
@@ -782,7 +791,7 @@ func randomCase(rng *rand.Rand) (*trace.Trace, *program.Layout) {
 		l = program.OriginalLayout(p)
 	case 1:
 		rng.Shuffle(nb, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		l = program.NewLayoutFromOrder("perm", p, order)
+		l = must(program.NewLayoutFromOrder("perm", p, order))
 	default:
 		rng.Shuffle(nb, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		addr := make([]uint64, nb)
@@ -798,7 +807,7 @@ func randomCase(rng *rand.Rand) (*trace.Trace, *program.Layout) {
 			addr[blk] = a
 			a += p.Block(blk).SizeBytes()
 		}
-		l = program.NewLayoutFromAddrs("gaps", p, addr)
+		l = must(program.NewLayoutFromAddrs("gaps", p, addr))
 	}
 
 	// Hot paths; path 1 shares path 0's first blocks and then diverges.
@@ -940,9 +949,9 @@ func TestSimulateEqualsReference(t *testing.T) {
 }
 
 // TestSimulateTwoBlocksAtOneAddress: a layout that puts two blocks at
-// one address (Layout.Validate rejects it) has no fall-through table —
-// the block laid out after x is a and b both — so Simulate,
-// SimulateSerial and Sequentiality panic on it, naming both blocks.
+// one address has no fall-through table — the block laid out after x
+// would be a and b both — so NewLayoutFromAddrs refuses it, naming both
+// blocks, and Simulate, SimulateSerial and Sequentiality never see one.
 func TestSimulateTwoBlocksAtOneAddress(t *testing.T) {
 	b := program.NewBuilder()
 	f := b.Proc("f", "m")
@@ -950,78 +959,12 @@ func TestSimulateTwoBlocksAtOneAddress(t *testing.T) {
 	f.Ret("a", 3)
 	f.Ret("b", 5)
 	p := b.MustBuild()
-	x, a, y := p.MustBlock("f.x"), p.MustBlock("f.a"), p.MustBlock("f.b")
+	a, y := p.MustBlock("f.a"), p.MustBlock("f.b")
 	addr := make([]uint64, p.NumBlocks())
 	addr[a], addr[y] = 2*program.InstrBytes, 2*program.InstrBytes
-	l := program.NewLayoutFromAddrs("overlap", p, addr)
-	tr := trace.New(p)
-	for i := 0; i < 20; i++ {
-		tr.Blocks = append(tr.Blocks, x, a, x, y)
-	}
-	for name, run := range map[string]func(){
-		"Simulate":       func() { Simulate(tr, l, DefaultConfig(nil)) },
-		"SimulateSerial": func() { SimulateSerial(tr, l, DefaultConfig(cache.NewDirectMapped(1024, 64))) },
-		"Sequentiality":  func() { Sequentiality(profiletest.FromTrace(tr), l) },
-	} {
-		func() {
-			defer func() {
-				msg, _ := recover().(string)
-				if !strings.Contains(msg, "f.a") || !strings.Contains(msg, "f.b") {
-					t.Errorf("%s: panic %q, want one naming f.a and f.b", name, msg)
-				}
-			}()
-			run()
-		}()
-	}
-}
-
-// TestSimulateOverlappingLayout: a layout whose blocks overlap but
-// start at distinct addresses (Layout.Validate rejects it too) is
-// simulated exactly. Its fall-through table comes from looking each
-// block's end up among the starts, and a trace-cache line that the
-// stream executes next through other blocks at the same addresses hits,
-// as in the reference: here x is laid out at 0 (4 instructions), y at
-// 4 (2) and z at 12, so x from its second instruction and y followed
-// by z are the same three addresses.
-func TestSimulateOverlappingLayout(t *testing.T) {
-	b := program.NewBuilder()
-	f := b.Proc("f", "m")
-	f.Fall("x", 4)
-	f.Fall("y", 2)
-	f.Ret("z", 3)
-	p := b.MustBuild()
-	x, y, z := p.MustBlock("f.x"), p.MustBlock("f.y"), p.MustBlock("f.z")
-	addr := make([]uint64, p.NumBlocks())
-	addr[x], addr[y], addr[z] = 0, 4, 12
-	l := program.NewLayoutFromAddrs("overlap", p, addr)
-	rng := rand.New(rand.NewSource(40))
-	tr := trace.New(p)
-	for i := 0; i < 200; i++ {
-		tr.Blocks = append(tr.Blocks, []program.BlockID{x, y, z}[rng.Intn(3)])
-	}
-	for _, width := range []int{1, 2, 16} {
-		for icache := 0; icache < 4; icache++ {
-			for _, tc := range []bool{false, true} {
-				checkEqualsReference(t, tr, l, configCase{width: width, maxBranches: 3, maxLines: 2, lineBytes: 16,
-					icache: icache, tc: tc, tcEntries: 16, tcInstrs: 3, tcBr: 3, penalty: 5}, nil, 1, 2, 7)
-			}
-		}
-	}
-	// Random programs, their blocks laid out in order, each starting
-	// from one byte to its whole size past the one before.
-	for n := 0; n < 20; n++ {
-		tr, l := randomCase(rng)
-		p := tr.Program()
-		addr := make([]uint64, p.NumBlocks())
-		var a uint64
-		for _, blk := range l.Order {
-			addr[blk] = a
-			a += 1 + uint64(rng.Int63n(int64(p.Block(blk).SizeBytes())))
-		}
-		l = program.NewLayoutFromAddrs("overlap", p, addr)
-		checkEqualsReference(t, tr, l, configCase{width: 1 + rng.Intn(16), maxBranches: 1 + rng.Intn(3), maxLines: 1 + rng.Intn(2),
-			lineBytes: 16 << rng.Intn(4), icache: rng.Intn(4), tc: true,
-			tcEntries: 1 << rng.Intn(7), tcInstrs: 1 + rng.Intn(24), tcBr: 1 + rng.Intn(4), penalty: 5}, nil, chunkCounts(tr)...)
+	l, err := program.NewLayoutFromAddrs("overlap", p, addr)
+	if l != nil || err == nil || !strings.Contains(err.Error(), "f.a") || !strings.Contains(err.Error(), "f.b") {
+		t.Fatalf("got %v, %v; want no layout and an error naming f.a and f.b", l, err)
 	}
 }
 
@@ -1155,8 +1098,7 @@ func checkSequentiality(t *testing.T, l *program.Layout, trs ...*trace.Trace) {
 // TestSequentialityEqualsReference: read from the profile's edge
 // counts, the statistics equal the event walk's in all four fields, for
 // random programs and traces under their original, permuted and gapped
-// layouts and under one whose blocks overlap, for one trace and for two
-// added to one profile.
+// layouts, for one trace and for two added to one profile.
 func TestSequentialityEqualsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for n := 0; n < 60; n++ {
@@ -1165,16 +1107,6 @@ func TestSequentialityEqualsReference(t *testing.T) {
 		half := trace.New(tr.Program())
 		half.Blocks = tr.Blocks[rng.Intn(tr.Len()+1):]
 		checkSequentiality(t, l, tr, half)
-		// The blocks in layout order, each starting from one byte to its
-		// whole size past the one before.
-		p := tr.Program()
-		addr := make([]uint64, p.NumBlocks())
-		var a uint64
-		for _, blk := range l.Order {
-			addr[blk] = a
-			a += 1 + uint64(rng.Int63n(int64(p.Block(blk).SizeBytes())))
-		}
-		checkSequentiality(t, program.NewLayoutFromAddrs("overlap", p, addr), tr)
 	}
 }
 

@@ -40,26 +40,21 @@ var OpsSeedNames = []string{
 	"ExecMaterial", "ExecLimit", "ExecResult", "ExecProcNode",
 }
 
-// Config sizes the generated cold code.
-type Config struct {
-	// ColdProcs is the number of never-executed procedures to generate.
-	ColdProcs int
-	// Seed drives the deterministic cold-code generator.
-	Seed int64
-}
-
-// DefaultConfig yields a static image whose executed fraction under
-// the training workload lands near the paper's Table 1 ratios
-// (roughly 20% of procedures, 12% of blocks, 13% of instructions).
-func DefaultConfig() Config {
-	return Config{ColdProcs: 110, Seed: 19991} // ICPP 1999
-}
+// The generated cold code: coldProcs never-executed procedures, drawn
+// by a generator seeded with coldSeed, give a static image whose
+// executed fraction under the training workload lands near the paper's
+// Table 1 ratios (roughly 20% of procedures, 12% of blocks, 13% of
+// instructions).
+const (
+	coldProcs = 110
+	coldSeed  = 19991 // ICPP 1999
+)
 
 // New builds the kernel image.
-func New(cfg Config) *Image {
+func New() *Image {
 	b := program.NewBuilder()
 	defineHotProcs(b)
-	defineColdProcs(b, cfg)
+	defineColdProcs(b)
 	img := &Image{Prog: b.MustBuild()}
 	img.buildPaths()
 	return img
@@ -398,10 +393,10 @@ var coldModules = []struct {
 	{"tcop", 2},
 }
 
-// defineColdProcs appends cfg.ColdProcs never-executed procedures with
-// plausible CFG shapes. The generator is deterministic in cfg.Seed.
-func defineColdProcs(b *program.Builder, cfg Config) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+// defineColdProcs appends coldProcs never-executed procedures with
+// plausible CFG shapes. The generator is deterministic in coldSeed.
+func defineColdProcs(b *program.Builder) {
+	rng := rand.New(rand.NewSource(coldSeed))
 	var weighted []string
 	for _, m := range coldModules {
 		for i := 0; i < m.weight; i++ {
@@ -409,7 +404,7 @@ func defineColdProcs(b *program.Builder, cfg Config) {
 		}
 	}
 	names := map[string]int{}
-	for i := 0; i < cfg.ColdProcs; i++ {
+	for i := 0; i < coldProcs; i++ {
 		module := weighted[rng.Intn(len(weighted))]
 		names[module]++
 		p := b.ColdProc(coldProcName(module, names[module]), module)

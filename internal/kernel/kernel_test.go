@@ -15,7 +15,7 @@ import (
 )
 
 func TestImageBuilds(t *testing.T) {
-	img := New(DefaultConfig())
+	img := New()
 	if err := img.Prog.Validate(); err != nil {
 		t.Fatalf("program invalid: %v", err)
 	}
@@ -24,7 +24,7 @@ func TestImageBuilds(t *testing.T) {
 }
 
 func TestEveryProbeHasAPath(t *testing.T) {
-	img := New(Config{ColdProcs: 5, Seed: 1})
+	img := New()
 	for id := probe.ID(0); id < probe.NumProbes; id++ {
 		if len(img.paths[id]) == 0 && id != probe.BufTableLookup && id != probe.HeapDeform && id != probe.HashFunc {
 			t.Errorf("probe %d has no path", id)
@@ -37,7 +37,7 @@ func TestEveryProbeHasAPath(t *testing.T) {
 // instruction count; the trace must be the one a validating session
 // records block by block.
 func TestFastSessionRecordsTheSameTrace(t *testing.T) {
-	img := New(Config{ColdProcs: 5, Seed: 1})
+	img := New()
 	fast, checked := img.NewSession(false), img.NewSession(true)
 	for id := probe.ID(0); id < probe.NumProbes; id++ {
 		fast.Emit(id)
@@ -55,7 +55,7 @@ func TestFastSessionRecordsTheSameTrace(t *testing.T) {
 // to callee entries, which single paths never do, so within a path all
 // transitions are fall-through/branch edges).
 func TestProbePathsAreStaticChains(t *testing.T) {
-	img := New(Config{ColdProcs: 5, Seed: 1})
+	img := New()
 	for id := probe.ID(0); id < probe.NumProbes; id++ {
 		path := img.paths[id]
 		for i := 1; i < len(path); i++ {
@@ -68,7 +68,7 @@ func TestProbePathsAreStaticChains(t *testing.T) {
 }
 
 func TestOpsSeedNamesExist(t *testing.T) {
-	img := New(Config{ColdProcs: 5, Seed: 1})
+	img := New()
 	for _, name := range OpsSeedNames {
 		if _, ok := img.Prog.ProcByName(name); !ok {
 			t.Errorf("ops seed %q not in image", name)
@@ -77,21 +77,21 @@ func TestOpsSeedNamesExist(t *testing.T) {
 }
 
 func TestColdCodeIsCold(t *testing.T) {
-	img := New(DefaultConfig())
+	img := New()
 	cold := 0
 	for i := range img.Prog.Procs {
 		if img.Prog.Procs[i].Cold {
 			cold++
 		}
 	}
-	if cold != DefaultConfig().ColdProcs {
-		t.Fatalf("cold procs = %d, want %d", cold, DefaultConfig().ColdProcs)
+	if cold != coldProcs {
+		t.Fatalf("cold procs = %d, want %d", cold, coldProcs)
 	}
 }
 
 func TestColdCodeDeterministic(t *testing.T) {
-	a := New(Config{ColdProcs: 50, Seed: 7})
-	b := New(Config{ColdProcs: 50, Seed: 7})
+	a := New()
+	b := New()
 	if a.Prog.NumBlocks() != b.Prog.NumBlocks() ||
 		a.Prog.NumInstructions() != b.Prog.NumInstructions() {
 		t.Fatal("cold generation not deterministic")
@@ -118,7 +118,7 @@ type env struct {
 
 func newEnv(t *testing.T, rows int) *env {
 	t.Helper()
-	img := New(Config{ColdProcs: 10, Seed: 3})
+	img := New()
 	ses := img.NewSession(true)
 	st := storage.NewStore(3)
 	m := buffer.New(st, 64)

@@ -17,7 +17,7 @@ import (
 // PathWidth blocks) and an empty one, each recorded after a fixed
 // store whose scratch lies where its events go.
 func TestFixedStoreEqualsAppend(t *testing.T) {
-	img := New(DefaultConfig())
+	img := New()
 	p := img.Prog
 	instrs := func(path []program.BlockID) (n uint64) {
 		for _, b := range path {

@@ -60,7 +60,7 @@ func merge(img *Image, sess []*Session) *trace.Trace {
 // is the profile of several sessions' traces merged at their marks,
 // empty segments included, assembled from all their counts.
 func TestProfileFromCountsEqualsReference(t *testing.T) {
-	img := New(Config{ColdProcs: 5, Seed: 1})
+	img := New()
 	enter, hit, miss := probe.BufGetEnter, probe.BufGetHit, probe.BufGetMiss
 	lookup, deform, hash := probe.BufTableLookup, probe.HeapDeform, probe.HashFunc
 	for _, id := range []probe.ID{lookup, deform, hash} {
@@ -125,7 +125,7 @@ func TestProfileFromCountsEqualsReference(t *testing.T) {
 // out the probes a session emitted before its first mark — panic,
 // naming both block-event totals.
 func TestProfileRefusesAnotherTrace(t *testing.T) {
-	img := New(Config{ColdProcs: 5, Seed: 1})
+	img := New()
 	s := play(img, false, []probe.ID{probe.BufGetEnter, probe.BufGetHit, mark, probe.BufGetEnter, probe.BufGetHit})
 	merged := merge(img, []*Session{s})
 	counted := len(img.paths[probe.BufGetEnter]) + len(img.paths[probe.BufGetHit])

@@ -67,9 +67,9 @@ func run(t *testing.T, p *program.Program, n int) *profile.Profile {
 func TestPettisHansenValidAndHotFirst(t *testing.T) {
 	p := callerProgram(t)
 	pr := run(t, p, 100)
-	l := PettisHansen(pr)
-	if err := l.Validate(p); err != nil {
-		t.Fatalf("Validate: %v", err)
+	l, err := PettisHansen(pr)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Every executed block must precede every never-executed block.
 	var maxHot, minCold uint64 = 0, ^uint64(0)
@@ -91,7 +91,10 @@ func TestPettisHansenValidAndHotFirst(t *testing.T) {
 func TestPettisHansenChainsHotPath(t *testing.T) {
 	p := callerProgram(t)
 	pr := run(t, p, 100)
-	l := PettisHansen(pr)
+	l, err := PettisHansen(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Within main, the hot chain entry->callhot->callrare->loop must be
 	// consecutive (each chained along the heaviest edges).
 	chain := []string{"main.entry", "main.callhot", "main.callrare", "main.loop"}
@@ -106,7 +109,10 @@ func TestPettisHansenChainsHotPath(t *testing.T) {
 func TestPettisHansenPlacesCallersNearCallees(t *testing.T) {
 	p := callerProgram(t)
 	pr := run(t, p, 100)
-	l := PettisHansen(pr)
+	l, err := PettisHansen(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// "hot" is called 101 times, "rare" 101 times too (both called per
 	// iteration in this trace), "never" not at all: never must be last.
 	never := l.Addr[p.MustBlock("never.entry")]
@@ -126,9 +132,9 @@ func TestTorrellasCFAHoldsTopBlocks(t *testing.T) {
 		CacheBytes:      128,
 		CFABytes:        32,
 	}
-	l := Torrellas(pr, params)
-	if err := l.Validate(p); err != nil {
-		t.Fatalf("Validate: %v", err)
+	l, err := Torrellas(pr, params)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// The most popular blocks (by count) must occupy [0, CFABytes).
 	blocks := pr.ExecutedBlocks()
@@ -164,15 +170,15 @@ func TestAllLayoutsAreValidPermutations(t *testing.T) {
 	p := callerProgram(t)
 	pr := run(t, p, 30)
 	params := core.Params{ExecThreshold: 5, BranchThreshold: 0.3, CacheBytes: 256, CFABytes: 64}
-	layouts := []*program.Layout{
-		program.OriginalLayout(p),
-		PettisHansen(pr),
-		Torrellas(pr, params),
-		core.Build("stc", pr, core.AutoSeeds(pr), params),
-	}
-	for _, l := range layouts {
-		if err := l.Validate(p); err != nil {
-			t.Errorf("layout %s invalid: %v", l.Name, err)
+	for name, build := range map[string]func() (*program.Layout, error){
+		"P&H":  func() (*program.Layout, error) { return PettisHansen(pr) },
+		"Torr": func() (*program.Layout, error) { return Torrellas(pr, params) },
+		"stc":  func() (*program.Layout, error) { return core.Build("stc", pr, core.AutoSeeds(pr), params) },
+	} {
+		if l, err := build(); err != nil {
+			t.Errorf("layout %s: %v", name, err)
+		} else if l.Name != name {
+			t.Errorf("layout %s is named %q", name, l.Name)
 		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 // blocks are split off ("fluff"), and whole procedures are ordered by
 // a closest-is-best greedy merge of the weighted call graph. The
 // algorithm is cache-geometry oblivious, as the paper notes.
-func PettisHansen(pr *profile.Profile) *program.Layout {
+func PettisHansen(pr *profile.Profile) (*program.Layout, error) {
 	prog := pr.Prog
 	procOrder := orderProcedures(pr)
 	var hot, cold []program.BlockID

@@ -20,8 +20,9 @@ import (
 // hottest blocks, in decreasing count, up to the first that does not
 // fit. Each goes to core.MapSequences as a one-block first-pass
 // sequence, followed by the STC sequences without them, so the non-CFA
-// area and the cold code are placed by the STC's mapper.
-func Torrellas(pr *profile.Profile, p core.Params) *program.Layout {
+// area and the cold code are placed by the STC's mapper, and it fails
+// where that mapper does.
+func Torrellas(pr *profile.Profile, p core.Params) (*program.Layout, error) {
 	prog := pr.Prog
 	inCFA := make([]bool, prog.NumBlocks())
 	var seqs []core.Sequence
@@ -41,7 +42,5 @@ func Torrellas(pr *profile.Profile, p core.Params) *program.Layout {
 		s.Blocks = slices.DeleteFunc(s.Blocks, func(b program.BlockID) bool { return inCFA[b] })
 		seqs = append(seqs, s)
 	}
-	l := core.MapSequences(prog, seqs, firstPass, p)
-	l.Name = "Torr"
-	return l
+	return core.MapSequences("Torr", prog, seqs, firstPass, p)
 }

@@ -2,6 +2,7 @@ package program
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -154,9 +155,6 @@ func TestBuilderPanicsOnDuplicates(t *testing.T) {
 func TestOriginalLayout(t *testing.T) {
 	p := buildTestProgram(t)
 	l := OriginalLayout(p)
-	if err := l.Validate(p); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
 	// Blocks must be consecutive in declaration order starting at 0.
 	var want uint64
 	for i := range p.Procs {
@@ -167,35 +165,68 @@ func TestOriginalLayout(t *testing.T) {
 			want += p.Block(bid).SizeBytes()
 		}
 	}
-	if l.End != want {
-		t.Fatalf("End = %d, want %d", l.End, want)
-	}
-	if l.End != p.NumInstructions()*InstrBytes {
-		t.Fatalf("End = %d, want %d bytes", l.End, p.NumInstructions()*InstrBytes)
+	if end := layoutEnd(p, l); end != p.NumInstructions()*InstrBytes {
+		t.Fatalf("end = %d, want %d bytes", end, p.NumInstructions()*InstrBytes)
 	}
 }
 
+// layoutEnd is the first byte address past the last block of l.
+func layoutEnd(p *Program, l *Layout) uint64 {
+	last := l.Order[len(l.Order)-1]
+	return l.Addr[last] + p.Block(last).SizeBytes()
+}
+
+// TestLayoutValidateCatchesOverlap: a layout is checked where it is
+// made. NewLayoutFromAddrs refuses blocks that overlap, a shared start
+// included, naming both, and an address map of the wrong length.
 func TestLayoutValidateCatchesOverlap(t *testing.T) {
 	p := buildTestProgram(t)
-	l := OriginalLayout(p)
-	// Force an overlap.
-	l.Addr[l.Order[1]] = l.Addr[l.Order[0]]
-	if err := l.Validate(p); err == nil {
-		t.Fatal("Validate should reject overlapping blocks")
+	orig := OriginalLayout(p) // main.entry at 0, 3 instructions
+	for _, c := range []struct {
+		name, block string
+		at          uint64
+		other       string
+	}{
+		{"shared start", "main.loop", 0, "main.entry"},
+		{"partial overlap", "main.loop", 2 * InstrBytes, "main.entry"},
+		{"inside another", "main.exit", InstrBytes, "main.entry"},
+	} {
+		addr := slices.Clone(orig.Addr)
+		addr[p.MustBlock(c.block)] = c.at
+		l, err := NewLayoutFromAddrs("bad", p, addr)
+		if l != nil || err == nil || !strings.Contains(err.Error(), "overlap") ||
+			!strings.Contains(err.Error(), c.block) || !strings.Contains(err.Error(), c.other) {
+			t.Errorf("%s: got %v, %v; want no layout and an overlap error naming %s and %s", c.name, l, err, c.block, c.other)
+		}
+	}
+	if _, err := NewLayoutFromAddrs("short", p, orig.Addr[1:]); err == nil {
+		t.Error("NewLayoutFromAddrs took one address too few")
 	}
 }
 
+// TestLayoutValidateCatchesDuplicateOrder: NewLayoutFromOrder refuses
+// a block that appears twice, is missing or does not exist.
 func TestLayoutValidateCatchesDuplicateOrder(t *testing.T) {
 	p := buildTestProgram(t)
-	l := OriginalLayout(p)
-	l.Order[1] = l.Order[0]
-	if err := l.Validate(p); err == nil {
-		t.Fatal("Validate should reject duplicated order entries")
+	orig := OriginalLayout(p)
+	for _, c := range []struct {
+		name  string
+		order []BlockID
+		want  string
+	}{
+		{"duplicate", append([]BlockID{orig.Order[0]}, orig.Order[:len(orig.Order)-1]...), "main.entry appears twice"},
+		{"missing", orig.Order[:len(orig.Order)-1], "helper.ret is missing"},
+		{"unknown", append(slices.Clone(orig.Order), BlockID(p.NumBlocks())), "no block 7"},
+	} {
+		l, err := NewLayoutFromOrder("bad", p, c.order)
+		if l != nil || err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, %v; want no layout and an error containing %q", c.name, l, err, c.want)
+		}
 	}
 }
 
-// Property: NewLayoutFromOrder over any permutation yields a valid
-// layout whose End equals the total code size.
+// Property: NewLayoutFromOrder over any permutation yields a layout
+// that ends at the total code size.
 func TestLayoutPermutationProperty(t *testing.T) {
 	p := buildTestProgram(t)
 	n := p.NumBlocks()
@@ -217,8 +248,8 @@ func TestLayoutPermutationProperty(t *testing.T) {
 			}
 			order[i], order[j] = order[j], order[i]
 		}
-		l := NewLayoutFromOrder("perm", p, order)
-		return l.Validate(p) == nil && l.End == p.NumInstructions()*InstrBytes
+		l, err := NewLayoutFromOrder("perm", p, order)
+		return err == nil && layoutEnd(p, l) == p.NumInstructions()*InstrBytes
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -234,16 +265,16 @@ func TestNewLayoutFromAddrsSortsAndComputesEnd(t *testing.T) {
 		addr[BlockID(i)] = a
 		a += p.Block(BlockID(i)).SizeBytes() + 64
 	}
-	l := NewLayoutFromAddrs("gappy", p, addr)
-	if err := l.Validate(p); err != nil {
-		t.Fatalf("Validate: %v", err)
+	l, err := NewLayoutFromAddrs("gappy", p, addr)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if l.Order[0] != BlockID(p.NumBlocks()-1) {
 		t.Fatalf("first block in order = %d, want %d", l.Order[0], p.NumBlocks()-1)
 	}
 	wantEnd := addr[0] + p.Block(0).SizeBytes()
-	if l.End != wantEnd {
-		t.Fatalf("End = %d, want %d", l.End, wantEnd)
+	if end := layoutEnd(p, l); end != wantEnd {
+		t.Fatalf("end = %d, want %d", end, wantEnd)
 	}
 }
 

@@ -38,7 +38,7 @@ func run(t *testing.T, db *engine.DB, c *executor.Ctx, q string) []executor.Tupl
 
 func TestSmokeAllQueries(t *testing.T) {
 	db := build(t, 0.001)
-	img := kernel.New(kernel.Config{ColdProcs: 10, Seed: 1})
+	img := kernel.New()
 	ses := img.NewSession(true)
 	db.Buf.FlushAll()
 	c := executor.NewCtx(ses)
