@@ -198,19 +198,19 @@ func benchSimulate(b *testing.B, cfg fetch.Config) {
 
 // BenchmarkFetchSimulator measures raw fetch-simulation throughput.
 func BenchmarkFetchSimulator(b *testing.B) {
-	benchSimulate(b, fetch.DefaultConfig(cache.NewDirectMapped(2048, cache.DefaultLineBytes)))
+	benchSimulate(b, fetch.Config{ICache: cache.NewDirectMapped(2048, cache.DefaultLineBytes)})
 }
 
 // BenchmarkFetchSimulatorIdeal is the fetch unit alone: no i-cache.
 func BenchmarkFetchSimulatorIdeal(b *testing.B) {
-	benchSimulate(b, fetch.DefaultConfig(nil))
+	benchSimulate(b, fetch.Config{})
 }
 
 // BenchmarkFetchSimulatorTraceCache adds the trace cache's hit test
 // and fill unit in front of the 2 KB cache.
 func BenchmarkFetchSimulatorTraceCache(b *testing.B) {
-	cfg := fetch.DefaultConfig(cache.NewDirectMapped(2048, cache.DefaultLineBytes))
-	cfg.TC = cache.NewTraceCache(traceCacheEntries, 16, 3, program.InstrBytes)
+	cfg := fetch.Config{ICache: cache.NewDirectMapped(2048, cache.DefaultLineBytes)}
+	cfg.TC = cache.NewTraceCache(traceCacheEntries)
 	benchSimulate(b, cfg)
 }
 

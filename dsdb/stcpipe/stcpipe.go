@@ -367,18 +367,18 @@ func Algorithms(p Params) []Algorithm {
 	return []Algorithm{Original(), PettisHansen(), Torrellas(p), STCAuto(p), STCOps(p)}
 }
 
-// FetchConfig parameterizes the SEQ.3 fetch-unit simulation. The zero
-// value is an ideal (always-hit) i-cache with 64-byte lines; no field
-// may be negative.
+// FetchConfig selects the caches of the SEQ.3 fetch-unit simulation,
+// whose lines are 64 bytes (cache.DefaultLineBytes). The zero value is
+// an ideal (always-hit) i-cache. No field may be negative, and a field
+// the caches would not use is an error.
 type FetchConfig struct {
 	// CacheBytes sizes the i-cache; 0 simulates a perfect cache.
 	CacheBytes int
-	// LineBytes is the cache line size (default 64).
-	LineBytes int
-	// Ways selects set associativity; 0 or 1 is direct-mapped.
+	// Ways selects set associativity; 0 or 1 is direct-mapped. More
+	// ways need CacheBytes and no victim buffer.
 	Ways int
 	// VictimEntries adds a fully associative victim cache of that many
-	// lines behind a direct-mapped main cache.
+	// lines behind a direct-mapped main cache of CacheBytes.
 	VictimEntries int
 	// TraceCacheEntries adds a hardware trace cache in front of the
 	// i-cache (paper Section 7.3); 0 disables it.
@@ -391,72 +391,60 @@ type Result = fetch.Result
 
 // check rejects a configuration the cache models cannot be built from
 // — a negative size or count, or a shape they cannot index by shift
-// and mask: line size, set count and trace-cache entries must be
-// powers of two — naming the field at fault, and returns the line size
-// with its default applied.
-func (fc FetchConfig) check() (lineBytes int, err error) {
+// and mask: set count and trace-cache entries must be powers of two —
+// and one with a field build would drop: Ways or VictimEntries without
+// an i-cache, or Ways beside a victim buffer, which backs a
+// direct-mapped cache. The error names the field at fault.
+func (fc FetchConfig) check() error {
 	for _, f := range []struct {
 		name string
 		v    int
 	}{{"CacheBytes", fc.CacheBytes}, {"Ways", fc.Ways}, {"VictimEntries", fc.VictimEntries}, {"TraceCacheEntries", fc.TraceCacheEntries}} {
 		if f.v < 0 {
-			return 0, fmt.Errorf("FetchConfig.%s %d is negative", f.name, f.v)
+			return fmt.Errorf("FetchConfig.%s %d is negative", f.name, f.v)
 		}
 	}
-	lineBytes = fc.LineBytes
-	if lineBytes == 0 {
-		lineBytes = cache.DefaultLineBytes
-	}
-	if !cache.IsPowerOfTwo(lineBytes) {
-		return 0, fmt.Errorf("FetchConfig.LineBytes %d is not a power of two", fc.LineBytes)
+	switch {
+	case fc.Ways > 1 && fc.VictimEntries > 0:
+		return fmt.Errorf("FetchConfig.Ways %d with VictimEntries %d: a victim buffer backs a direct-mapped cache", fc.Ways, fc.VictimEntries)
+	case fc.Ways > 1 && fc.CacheBytes == 0:
+		return fmt.Errorf("FetchConfig.Ways %d without CacheBytes: the ideal cache has no sets", fc.Ways)
+	case fc.VictimEntries > 0 && fc.CacheBytes == 0:
+		return fmt.Errorf("FetchConfig.VictimEntries %d without CacheBytes: the ideal cache evicts nothing", fc.VictimEntries)
 	}
 	if fc.CacheBytes > 0 {
-		if err := cache.CheckGeometry(fc.CacheBytes, lineBytes, fc.ways()); err != nil {
-			return 0, fmt.Errorf("FetchConfig.CacheBytes %d with LineBytes %d, Ways %d: %w",
-				fc.CacheBytes, lineBytes, fc.ways(), err)
+		if err := cache.CheckGeometry(fc.CacheBytes, cache.DefaultLineBytes, max(fc.Ways, 1)); err != nil {
+			return fmt.Errorf("FetchConfig.CacheBytes %d: %w", fc.CacheBytes, err)
 		}
 	}
 	if fc.TraceCacheEntries > 0 {
-		if err := cache.CheckTraceCache(fc.TraceCacheEntries, program.InstrBytes); err != nil {
-			return 0, fmt.Errorf("FetchConfig.TraceCacheEntries: %w", err)
+		if err := cache.CheckTraceCache(fc.TraceCacheEntries); err != nil {
+			return fmt.Errorf("FetchConfig.TraceCacheEntries: %w", err)
 		}
 	}
-	return lineBytes, nil
+	return nil
 }
 
-// ways is the associativity the i-cache is built with: a victim buffer
-// sits behind a direct-mapped cache whatever Ways says.
-func (fc FetchConfig) ways() int {
-	if fc.VictimEntries > 0 || fc.Ways == 0 {
-		return 1
-	}
-	return fc.Ways
-}
-
-// build returns the fetch unit with fc's caches. A FetchConfig no cache
-// can be built from is an error. Every pipeline builds the same kernel
-// image (kernel.New), so the unit replays any profile under a layout
-// from any pipeline.
+// build returns the fetch unit with fc's caches. A FetchConfig check
+// rejects is an error. Every pipeline builds the same kernel image
+// (kernel.New), so the unit replays any profile under a layout from
+// any pipeline.
 func (fc FetchConfig) build() (fetch.Config, error) {
-	lineBytes, err := fc.check()
-	if err != nil {
+	if err := fc.check(); err != nil {
 		return fetch.Config{}, err
 	}
-	var ic cache.ICache
-	if fc.CacheBytes > 0 {
-		switch ways := fc.ways(); {
-		case fc.VictimEntries > 0:
-			ic = cache.NewVictim(fc.CacheBytes, lineBytes, fc.VictimEntries)
-		case ways > 1:
-			ic = cache.NewSetAssoc(fc.CacheBytes, lineBytes, ways)
-		default:
-			ic = cache.NewDirectMapped(fc.CacheBytes, lineBytes)
-		}
+	var cfg fetch.Config
+	switch line := cache.DefaultLineBytes; {
+	case fc.CacheBytes == 0:
+	case fc.VictimEntries > 0:
+		cfg.ICache = cache.NewVictim(fc.CacheBytes, line, fc.VictimEntries)
+	case fc.Ways > 1:
+		cfg.ICache = cache.NewSetAssoc(fc.CacheBytes, line, fc.Ways)
+	default:
+		cfg.ICache = cache.NewDirectMapped(fc.CacheBytes, line)
 	}
-	cfg := fetch.DefaultConfig(ic)
-	cfg.LineBytes = lineBytes
 	if fc.TraceCacheEntries > 0 {
-		cfg.TC = cache.NewTraceCache(fc.TraceCacheEntries, 16, 3, program.InstrBytes)
+		cfg.TC = cache.NewTraceCache(fc.TraceCacheEntries)
 	}
 	return cfg, nil
 }
@@ -472,9 +460,7 @@ func (pr *Profile) Simulate(l *Layout, fc FetchConfig) (Result, error) {
 }
 
 // Cell is one simulation of a grid: Test's trace replayed under Layout
-// through the fetch unit that Fetch configures. A layout is built from
-// a training profile and an algorithm's Params, so the cell names
-// those too.
+// through the fetch unit that Fetch configures.
 type Cell struct {
 	Test   *Profile
 	Layout *Layout

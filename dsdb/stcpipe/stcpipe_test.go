@@ -137,10 +137,6 @@ func TestSimulateRejectsBadFetchConfig(t *testing.T) {
 		{"48 sets (-cache 3)", stcpipe.FetchConfig{CacheBytes: 3 * 1024}, "CacheBytes"},
 		{"48 sets behind a victim buffer", stcpipe.FetchConfig{CacheBytes: 3 * 1024, VictimEntries: 16}, "CacheBytes"},
 		{"3 sets of 2 ways", stcpipe.FetchConfig{CacheBytes: 3 * 2 * 64, Ways: 2}, "CacheBytes"},
-		{"negative line", stcpipe.FetchConfig{CacheBytes: 2048, LineBytes: -64}, "LineBytes"},
-		{"negative line, ideal cache", stcpipe.FetchConfig{LineBytes: -64}, "LineBytes"},
-		{"48-byte line", stcpipe.FetchConfig{CacheBytes: 48 * 32, LineBytes: 48}, "LineBytes"},
-		{"48-byte line, ideal cache", stcpipe.FetchConfig{LineBytes: 48}, "LineBytes"},
 		{"100 trace-cache entries", stcpipe.FetchConfig{CacheBytes: 2048, TraceCacheEntries: 100}, "TraceCacheEntries"},
 		// Negative sizes used to pass and mean "no such structure": a
 		// perfect cache, no trace cache, no victim buffer, direct-mapped.
@@ -150,6 +146,10 @@ func TestSimulateRejectsBadFetchConfig(t *testing.T) {
 		{"negative victim buffer", stcpipe.FetchConfig{CacheBytes: 2048, VictimEntries: -16}, "VictimEntries"},
 		{"negative Ways", stcpipe.FetchConfig{CacheBytes: 2048, Ways: -2}, "Ways"},
 		{"negative Ways, ideal cache", stcpipe.FetchConfig{Ways: -1}, "Ways"},
+		// Fields the caches would not use: they used to be dropped.
+		{"Ways beside a victim buffer", stcpipe.FetchConfig{CacheBytes: 2048, VictimEntries: 16, Ways: 3}, "Ways"},
+		{"Ways, ideal cache", stcpipe.FetchConfig{Ways: 2}, "Ways"},
+		{"victim buffer, ideal cache", stcpipe.FetchConfig{VictimEntries: 16}, "VictimEntries"},
 
 		{"zero value", stcpipe.FetchConfig{}, ""},
 		{"2KB direct", stcpipe.FetchConfig{CacheBytes: 2048}, ""},
@@ -157,8 +157,8 @@ func TestSimulateRejectsBadFetchConfig(t *testing.T) {
 		{"2-way", stcpipe.FetchConfig{CacheBytes: 4096, Ways: 2}, ""},
 		{"3 ways of 16 sets", stcpipe.FetchConfig{CacheBytes: 3 * 1024, Ways: 3}, ""},
 		{"victim", stcpipe.FetchConfig{CacheBytes: 2048, VictimEntries: 16}, ""},
-		{"victim ignores Ways", stcpipe.FetchConfig{CacheBytes: 2048, VictimEntries: 16, Ways: 3}, ""},
-		{"128-byte lines", stcpipe.FetchConfig{CacheBytes: 2048, LineBytes: 128}, ""},
+		{"victim behind one way", stcpipe.FetchConfig{CacheBytes: 2048, VictimEntries: 16, Ways: 1}, ""},
+		{"1 way, ideal cache", stcpipe.FetchConfig{Ways: 1}, ""},
 	} {
 		res, err := pr.Simulate(lay, tc.fc)
 		switch {

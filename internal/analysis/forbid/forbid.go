@@ -67,6 +67,20 @@ var table = []rule{
 		reason: "an execution decides once whether it records: emit through Ctx.emit, or probe.Emit on what probe.Resolve returned"},
 	{scope: []string{"..."}, forbid: []string{"takeByAddr", "repro/internal/program.Layout.Validate"}, pr: 44,
 		reason: "a layout is checked where it is made (program.NewLayoutFromOrder, NewLayoutFromAddrs): nothing re-checks one, and fetch keeps no path for overlapping blocks"},
+	{scope: []string{"..."}, pr: 45,
+		forbid: []string{"repro/internal/cache.Partial", "repro/internal/cache.ICache.Clone", "repro/internal/cache.ICache.Copy", "repro/internal/cache.ICache.Equal",
+			"repro/internal/cache.SetAssoc.Clone", "repro/internal/cache.SetAssoc.Copy", "repro/internal/cache.SetAssoc.Equal",
+			"repro/internal/cache.Victim.Clone", "repro/internal/cache.Victim.Copy", "repro/internal/cache.Victim.Equal",
+			"repro/internal/cache.DirectMapped.Equal"},
+		reason: "fetch splits a walk only over an ideal or direct-mapped i-cache and joins it through DirectMapped's own methods; an ICache is Access, Reset and LineBytes"},
+	{scope: []string{"repro/internal/cache"}, except: []string{"_test.go"}, forbid: []string{"sameLRU", "rank"}, pr: 45,
+		reason: "no production code compares LRU states; the comparison is a test helper in icache_test.go"},
+	{scope: []string{"..."}, pr: 45,
+		forbid: []string{"repro/internal/fetch.DefaultConfig", "repro/internal/cache.TraceCache.MaxInstrs", "repro/internal/cache.TraceCache.MaxBranches",
+			"repro/dsdb/stcpipe.FetchConfig.ways"},
+		reason: "the fetch unit is SEQ.3 and a trace-cache line is 16 instructions and 3 branches, each one constant; a FetchConfig field the caches would not use is an error, not dropped"},
+	{scope: []string{"repro/internal/fetch", "repro/dsdb/stcpipe"}, forbid: []string{"Width", "MaxBranches", "MaxLines", "MissPenalty", "LineBytes"}, pr: 45,
+		reason: "fetch.Config is the caches alone: the SEQ.3 shape is fetch's constants, and the line size is the i-cache's own"},
 }
 
 func run(pass *analysis.Pass) (any, error) {

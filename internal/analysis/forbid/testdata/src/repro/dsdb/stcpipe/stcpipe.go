@@ -30,3 +30,10 @@ type DB struct{}
 
 // SetParallelism is the legal no-op bench still calls.
 func (db *DB) SetParallelism(int) {}
+
+type FetchConfig struct {
+	CacheBytes, Ways, VictimEntries int
+	LineBytes                       int // want "LineBytes is forbidden here: fetch.Config is the caches alone"
+}
+
+func (fc FetchConfig) ways() int { return fc.Ways } // want "repro/dsdb/stcpipe.FetchConfig.ways is forbidden here: the fetch unit is SEQ.3"

@@ -6,13 +6,17 @@
 // with in Table 4.
 //
 // All instruction caches are simulated at line granularity: the fetch
-// engine translates fetch requests into line accesses.
+// engine translates fetch requests into line accesses. An ICache is
+// what a serial walk needs of a model: Access, Reset and LineBytes. A
+// DirectMapped cache can also stand in for one in an unknown state
+// (Covers, FirstHits, Underlay), as a TraceCache can, so the fetch
+// simulator splits a walk into parallel chunks only over those two; a
+// walk over any other model is one serial chunk.
 package cache
 
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 )
 
 // DefaultLineBytes is the cache line size used throughout the paper's
@@ -25,8 +29,8 @@ type ICache interface {
 	// true on a hit. State is updated (fills, LRU, victim movement).
 	//
 	// An access to the line accessed immediately before must hit and
-	// leave the cache Equal to what it was. The fetch simulator relies
-	// on it: it drops such accesses from the runs it replays and only
+	// leave the cache's state unchanged. The fetch simulator relies on
+	// it: it drops such accesses from the runs it replays and only
 	// counts them. A model that adds state to a hit (a prefetcher
 	// filling on hits, say) must keep this for the repeated line.
 	Access(addr uint64) bool
@@ -34,34 +38,6 @@ type ICache interface {
 	Reset()
 	// LineBytes returns the line size in bytes.
 	LineBytes() int
-	// Clone returns an empty cache of the same configuration.
-	Clone() ICache
-	// Copy returns a cache of the same configuration in the same state.
-	Copy() ICache
-	// Equal reports whether other is in the same state: the same kind
-	// and geometry, the same resident lines and, where replacement is
-	// LRU, the same relative recency order. Two equal caches answer
-	// every future access sequence identically, whatever the histories
-	// (and the clocks) that led to them.
-	Equal(other ICache) bool
-}
-
-// Partial is implemented by caches that can stand in for a cache in an
-// unknown state. Started empty, such a cache holds only what its own
-// accesses put there, so its invalid entries mean "whatever the unknown
-// state held" and its first access to each one is the only outcome that
-// state could change. The fetch simulator joins a chunk simulated from
-// a cold start onto the true state this way before the two are Equal.
-type Partial interface {
-	ICache
-	// Covers reports whether every entry valid in c holds the same in o.
-	Covers(o ICache) bool
-	// FirstHits counts the entries valid in c but not in before, a state
-	// the same run passed through, whose first line o holds: misses the
-	// run took after before that o's state would have made hits.
-	FirstHits(before, o ICache) int
-	// Underlay gives every entry invalid in c o's content.
-	Underlay(o ICache)
 }
 
 // IsPowerOfTwo reports whether n is a positive power of two. Every
@@ -133,11 +109,19 @@ func (s *spare[T]) take(n int) []T {
 }
 
 // DirectMapped is a direct-mapped instruction cache.
+//
+// Started empty, a direct-mapped cache can stand in for one in an
+// unknown state: it holds only what its own accesses put there, so its
+// invalid sets mean "whatever the unknown state held", and its first
+// access to each set is the only outcome that state could change. The
+// fetch simulator joins a chunk walked from a cold start onto the true
+// state this way (Covers, FirstHits, Underlay), and so splits a walk
+// only over a direct-mapped cache or none.
 type DirectMapped struct {
 	geometry
 	tags   []uint64
 	valid  []bool
-	first  []uint64  // the line that first made each set valid (Partial)
+	first  []uint64  // the line that first made each set valid (FirstHits)
 	spares *dmSpares // the storage of its copies, made on the first Copy
 }
 
@@ -174,27 +158,20 @@ func (c *DirectMapped) Access(addr uint64) bool {
 	return false
 }
 
-// Reset implements ICache. Tags are cleared with the valid bits, so
-// an invalid set always holds tag 0 and Equal can compare the slices.
-func (c *DirectMapped) Reset() {
-	clear(c.valid)
-	clear(c.tags)
-}
+// Reset implements ICache.
+func (c *DirectMapped) Reset() { clear(c.valid) }
 
-// Clone implements ICache. It reads only what construction set, so it
-// may run while another goroutine accesses c.
-func (c *DirectMapped) Clone() ICache { return c.empty() }
-
-func (c *DirectMapped) empty() *DirectMapped {
+// Clone returns an empty cache of c's geometry. It reads only what
+// construction set, so it may run while another goroutine accesses c.
+func (c *DirectMapped) Clone() *DirectMapped {
 	n := len(c.tags)
 	return &DirectMapped{geometry: c.geometry,
 		tags: make([]uint64, n), valid: make([]bool, n), first: make([]uint64, n)}
 }
 
-// Copy implements ICache.
-func (c *DirectMapped) Copy() ICache { return c.copy() }
-
-func (c *DirectMapped) copy() *DirectMapped {
+// Copy returns a cache of c's geometry in c's state. Like Access, it is
+// for one goroutine at a time.
+func (c *DirectMapped) Copy() *DirectMapped {
 	if c.spares == nil {
 		c.spares = new(dmSpares)
 	}
@@ -208,18 +185,9 @@ func (c *DirectMapped) copy() *DirectMapped {
 	return d
 }
 
-// Equal implements ICache.
-func (c *DirectMapped) Equal(other ICache) bool {
-	o, ok := other.(*DirectMapped)
-	return ok && c.geometry == o.geometry && slices.Equal(c.valid, o.valid) && slices.Equal(c.tags, o.tags)
-}
-
-// Covers implements Partial.
-func (c *DirectMapped) Covers(other ICache) bool {
-	o, ok := other.(*DirectMapped)
-	if !ok || c.geometry != o.geometry {
-		return false
-	}
+// Covers reports whether every set valid in c holds the same line in
+// o, a cache of c's geometry.
+func (c *DirectMapped) Covers(o *DirectMapped) bool {
 	for i, v := range c.valid {
 		if v && !(o.valid[i] && o.tags[i] == c.tags[i]) {
 			return false
@@ -228,21 +196,21 @@ func (c *DirectMapped) Covers(other ICache) bool {
 	return true
 }
 
-// FirstHits implements Partial.
-func (c *DirectMapped) FirstHits(before, other ICache) int {
-	b, o := before.(*DirectMapped), other.(*DirectMapped)
+// FirstHits counts the sets valid in c but not in before, a state the
+// same run passed through, whose first line o holds: misses the run
+// took after before that o's state would have made hits.
+func (c *DirectMapped) FirstHits(before, o *DirectMapped) int {
 	n := 0
 	for i, v := range c.valid {
-		if v && !b.valid[i] && o.valid[i] && o.tags[i] == c.first[i] {
+		if v && !before.valid[i] && o.valid[i] && o.tags[i] == c.first[i] {
 			n++
 		}
 	}
 	return n
 }
 
-// Underlay implements Partial.
-func (c *DirectMapped) Underlay(other ICache) {
-	o := other.(*DirectMapped)
+// Underlay gives every set invalid in c o's content.
+func (c *DirectMapped) Underlay(o *DirectMapped) {
 	for i, v := range c.valid {
 		if !v {
 			c.valid[i], c.tags[i] = o.valid[i], o.tags[i]
@@ -308,38 +276,6 @@ func (c *SetAssoc) Reset() {
 	clear(c.valid)
 	clear(c.age)
 	c.clock = 0
-}
-
-// Clone implements ICache, reading only what construction set.
-func (c *SetAssoc) Clone() ICache {
-	n := len(c.tags)
-	return &SetAssoc{geometry: c.geometry, ways: c.ways,
-		tags: make([]uint64, n), valid: make([]bool, n), age: make([]uint64, n)}
-}
-
-// Copy implements ICache.
-func (c *SetAssoc) Copy() ICache { return c.copy() }
-
-func (c *SetAssoc) copy() *SetAssoc {
-	d := *c
-	d.tags, d.valid, d.age = slices.Clone(c.tags), slices.Clone(c.valid), slices.Clone(c.age)
-	return &d
-}
-
-// Equal implements ICache. Within each set the two caches must hold
-// the same lines, in any ways, each with the same recency rank.
-func (c *SetAssoc) Equal(other ICache) bool {
-	o, ok := other.(*SetAssoc)
-	if !ok || c.geometry != o.geometry || c.ways != o.ways {
-		return false
-	}
-	for base := 0; base < len(c.valid); base += c.ways {
-		if !sameLRU(c.tags[base:base+c.ways], c.valid[base:base+c.ways], c.age[base:base+c.ways],
-			o.tags[base:base+o.ways], o.valid[base:base+o.ways], o.age[base:base+o.ways]) {
-			return false
-		}
-	}
-	return true
 }
 
 // LineBytes implements ICache.
@@ -429,70 +365,6 @@ func (c *Victim) Reset() {
 	clear(c.vvalid)
 	clear(c.vage)
 	c.clock = 0
-}
-
-// Clone implements ICache, reading only what construction set.
-func (c *Victim) Clone() ICache {
-	n := c.entries
-	return &Victim{main: c.main.empty(), entries: n,
-		vtags: make([]uint64, n), vvalid: make([]bool, n), vage: make([]uint64, n)}
-}
-
-// Copy implements ICache.
-func (c *Victim) Copy() ICache { return c.copy() }
-
-func (c *Victim) copy() *Victim {
-	d := *c
-	d.main = c.main.copy()
-	d.vtags, d.vvalid, d.vage = slices.Clone(c.vtags), slices.Clone(c.vvalid), slices.Clone(c.vage)
-	return &d
-}
-
-// Equal implements ICache: equal main caches, and victim buffers
-// holding the same lines in the same recency order.
-func (c *Victim) Equal(other ICache) bool {
-	o, ok := other.(*Victim)
-	return ok && c.entries == o.entries && c.main.Equal(o.main) &&
-		sameLRU(c.vtags, c.vvalid, c.vage, o.vtags, o.vvalid, o.vage)
-}
-
-// sameLRU reports whether two LRU-managed groups of lines (a set of a
-// SetAssoc, a victim buffer) hold the same valid lines with the same
-// recency ranks. Ages are compared only within one group: the rank of
-// a line is the number of valid lines in its group stamped before it.
-// Stamps within a group are distinct, so the ranks are too.
-func sameLRU(atags []uint64, avalid []bool, aage []uint64, btags []uint64, bvalid []bool, bage []uint64) bool {
-	n := 0
-	for i, v := range avalid {
-		if !v {
-			continue
-		}
-		n++
-		j := 0
-		for j < len(bvalid) && !(bvalid[j] && btags[j] == atags[i]) {
-			j++
-		}
-		if j == len(bvalid) || rank(avalid, aage, aage[i]) != rank(bvalid, bage, bage[j]) {
-			return false
-		}
-	}
-	for _, v := range bvalid {
-		if v {
-			n--
-		}
-	}
-	return n == 0
-}
-
-// rank is the number of valid lines stamped before age.
-func rank(valid []bool, age []uint64, a uint64) int {
-	r := 0
-	for i, v := range valid {
-		if v && age[i] < a {
-			r++
-		}
-	}
-	return r
 }
 
 // LineBytes implements ICache.

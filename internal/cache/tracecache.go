@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"repro/internal/program"
@@ -19,13 +18,23 @@ type Trace struct {
 	End    int32
 }
 
+// The shape of a trace-cache line, the paper's (Section 7.3): a trace
+// holds up to TraceInstrs instructions and TraceBranches branches. The
+// cache stores a line in room for TraceInstrs blocks; the fetch unit's
+// fill unit builds lines to both limits.
+const (
+	TraceInstrs   = 16
+	TraceBranches = 3
+)
+
 // TraceCache models the basic trace cache of Rotenberg, Bennett and
 // Smith used in Section 7.3: a direct-mapped buffer of dynamic
-// instruction sequences, each up to MaxInstrs instructions and
-// MaxBranches branches long, indexed by fetch address.
+// instruction sequences, each up to TraceInstrs instructions and
+// TraceBranches branches long, indexed by fetch address (instructions
+// are program.InstrBytes long).
 //
 // A line holds its trace as a Trace: the blocks the trace enters (at
-// most MaxInstrs of them), its instruction count and where it ends, so
+// most TraceInstrs of them), its instruction count and where it ends, so
 // a hit moves the fetch unit's cursor in one step. With the paper's
 // perfect branch prediction a fetch hits when the stored sequence is
 // what the dynamic stream executes next, i.e. the stored branch
@@ -38,15 +47,12 @@ type Trace struct {
 // the blocks: comparing block IDs is comparing addresses, and the model
 // is the same one.
 type TraceCache struct {
-	maxInstrs  int
-	maxBranch  int
-	lines      []tcLine
-	blocks     []program.BlockID // line i's trace enters blocks[i*maxInstrs:][:lines[i].n]
-	first      []uint64          // the tag that first filled each line (see Hazard)
-	touches    []uint64          // Lookups and Fills of each line so far
-	instrShift uint
-	indexMask  uint64
-	spares     *tcSpares // the storage of its copies (see spare), made on the first Copy
+	lines     []tcLine
+	blocks    []program.BlockID // line i's trace enters blocks[i*TraceInstrs:][:lines[i].n]
+	first     []uint64          // the tag that first filled each line (see Hazard)
+	touches   []uint64          // Lookups and Fills of each line so far
+	indexMask uint64
+	spares    *tcSpares // the storage of its copies (see spare), made on the first Copy
 }
 
 type tcSpares struct {
@@ -66,50 +72,38 @@ type tcLine struct {
 }
 
 // CheckTraceCache reports whether a trace cache of that many entries
-// over instrBytes-sized instructions can be built: it is indexed by
-// shift and mask, so both must be powers of two. NewTraceCache panics
-// on what it rejects.
-func CheckTraceCache(entries, instrBytes int) error {
-	switch {
-	case !IsPowerOfTwo(entries):
+// can be built: it is indexed by shift and mask, so the count must be a
+// power of two. NewTraceCache panics on what it rejects.
+func CheckTraceCache(entries int) error {
+	if !IsPowerOfTwo(entries) {
 		return fmt.Errorf("cache: %d trace-cache entries is not a power of two", entries)
-	case !IsPowerOfTwo(instrBytes):
-		return fmt.Errorf("cache: instruction size %d is not a power of two", instrBytes)
 	}
 	return nil
 }
 
 // NewTraceCache returns a direct-mapped trace cache with the given
-// number of entries, each holding up to maxInstrs instructions and
-// maxBranches branches. The paper's configuration is 256 entries of 16
-// instructions (16 KB).
-func NewTraceCache(entries, maxInstrs, maxBranches, instrBytes int) *TraceCache {
-	if err := CheckTraceCache(entries, instrBytes); err != nil {
+// number of entries. The paper's configuration is 256 entries (16 KB).
+func NewTraceCache(entries int) *TraceCache {
+	if err := CheckTraceCache(entries); err != nil {
 		panic(err.Error())
 	}
 	return &TraceCache{
-		maxInstrs:  maxInstrs,
-		maxBranch:  maxBranches,
-		lines:      make([]tcLine, entries),
-		blocks:     make([]program.BlockID, entries*max(maxInstrs, 0)),
-		first:      make([]uint64, entries),
-		touches:    make([]uint64, entries),
-		instrShift: uint(bits.TrailingZeros(uint(instrBytes))),
-		indexMask:  uint64(entries) - 1,
+		lines:     make([]tcLine, entries),
+		blocks:    make([]program.BlockID, entries*TraceInstrs),
+		first:     make([]uint64, entries),
+		touches:   make([]uint64, entries),
+		indexMask: uint64(entries) - 1,
 	}
 }
 
 // Entries returns the number of trace lines.
 func (tc *TraceCache) Entries() int { return len(tc.lines) }
 
-// MaxInstrs returns the per-line instruction capacity.
-func (tc *TraceCache) MaxInstrs() int { return tc.maxInstrs }
-
-// MaxBranches returns the per-line branch limit.
-func (tc *TraceCache) MaxBranches() int { return tc.maxBranch }
-
+// index is the entry of fetch address addr: its instruction number
+// modulo the entry count (program.InstrBytes is a power of two, so the
+// division is a shift).
 func (tc *TraceCache) index(addr uint64) int {
-	return int((addr >> tc.instrShift) & tc.indexMask)
+	return int((addr / program.InstrBytes) & tc.indexMask)
 }
 
 // Lookup returns the trace stored for fetch address addr, and false
@@ -125,21 +119,21 @@ func (tc *TraceCache) Lookup(addr uint64) (Trace, bool) {
 }
 
 // Fill inserts t as the trace starting at addr (already truncated to
-// the line limits by the fill unit, so entering at most MaxInstrs
+// the line limits by the fill unit, so entering at most TraceInstrs
 // blocks), replacing whatever the entry held. The blocks are copied.
 func (tc *TraceCache) Fill(addr uint64, t Trace) {
 	if len(t.Blocks) == 0 {
 		return
 	}
-	if len(t.Blocks) > tc.maxInstrs {
-		panic(fmt.Sprintf("cache: %d blocks in a %d-instruction trace line", len(t.Blocks), tc.maxInstrs))
+	if len(t.Blocks) > TraceInstrs {
+		panic(fmt.Sprintf("cache: %d blocks in a %d-instruction trace line", len(t.Blocks), TraceInstrs))
 	}
 	i := tc.index(addr)
 	tc.touches[i]++
 	if tc.lines[i].n == 0 {
 		tc.first[i] = addr
 	}
-	line := tc.blocks[i*tc.maxInstrs:][:tc.maxInstrs]
+	line := tc.blocks[i*TraceInstrs:][:TraceInstrs]
 	copy(line, t.Blocks)
 	if old := int(tc.lines[i].n); old > len(t.Blocks) {
 		clear(line[len(t.Blocks):old])
@@ -157,9 +151,7 @@ func (tc *TraceCache) Reset() {
 // Clone returns an empty trace cache of the same configuration. It
 // reads only what construction set, so it may run while another
 // goroutine looks up and fills tc.
-func (tc *TraceCache) Clone() *TraceCache {
-	return NewTraceCache(len(tc.lines), tc.maxInstrs, tc.maxBranch, 1<<tc.instrShift)
-}
+func (tc *TraceCache) Clone() *TraceCache { return NewTraceCache(len(tc.lines)) }
 
 // Copy returns a trace cache of the same configuration holding the
 // same traces. Like Lookup and Fill, it is for one goroutine at a time.
@@ -180,9 +172,9 @@ func (tc *TraceCache) Copy() *TraceCache {
 }
 
 // The methods below let a trace cache started empty stand in for one
-// in an unknown state, the way cache.Partial does for an i-cache: the
-// fetch simulator joins a chunk walked from a cold start onto the true
-// state with them. Lines are named by entry index.
+// in an unknown state, the way a cold DirectMapped does for an i-cache:
+// the fetch simulator joins a chunk walked from a cold start onto the
+// true state with them. Lines are named by entry index.
 
 // Hazard reports whether before and o differ in line i in a way that
 // may matter: whether the line's next lookup, in the run tc's state
@@ -212,7 +204,7 @@ func (tc *TraceCache) Underlay(before, o *TraceCache) {
 	for i := range tc.lines {
 		if !tc.Touched(before, i) {
 			tc.lines[i] = o.lines[i]
-			copy(tc.blocks[i*tc.maxInstrs:][:tc.maxInstrs], o.blocks[i*o.maxInstrs:][:o.maxInstrs])
+			copy(tc.blocks[i*TraceInstrs:][:TraceInstrs], o.blocks[i*TraceInstrs:][:TraceInstrs])
 		}
 	}
 }
@@ -220,5 +212,5 @@ func (tc *TraceCache) Underlay(before, o *TraceCache) {
 // trace returns the blocks line i's trace enters.
 func (tc *TraceCache) trace(i int) []program.BlockID {
 	n := tc.lines[i].n
-	return tc.blocks[i*tc.maxInstrs:][:n:n]
+	return tc.blocks[i*TraceInstrs:][:n:n]
 }

@@ -14,9 +14,10 @@
 // # Parallel walks, exactly
 //
 // Simulate splits the trace into one chunk per core (GOMAXPROCS), each
-// at least 64 K block events (chunkCount); a shorter trace, or
-// GOMAXPROCS 1, is one chunk and the plain serial loop. Sequentiality
-// walks no trace: whether a transition is taken depends only on its two
+// at least 64 K block events (chunkCount), when the i-cache is ideal or
+// direct-mapped (split); a shorter trace, GOMAXPROCS 1, or any other
+// i-cache is one chunk and the plain serial loop. Sequentiality walks
+// no trace: whether a transition is taken depends only on its two
 // blocks, so it reads the edge counts of a profile, which the kernel
 // assembles from the probe-pair counts taken while recording
 // (kernel.Image.Profile), and a layout costs one fall-through look-up
@@ -35,12 +36,13 @@
 // which the phase-1 walk's path is provably the true one. The true run
 // then takes the phase-1 end state and its counters are the true prefix
 // plus the phase-1 total less the re-run's prefix. Provably the same
-// path means equal i-caches (cache.ICache.Equal), or a cold cache that
-// agrees with the true one wherever it holds anything (cache.Partial),
-// the true contents filling in the rest and the first accesses they
-// turn into hits counted back; a trace-cache line that differs and is
-// looked up again may change the path, so the join then stops at the
-// last phase-1 snapshot before that lookup and goes on from there. A
+// path means an ideal i-cache, or a cold direct-mapped one that agrees
+// with the true one wherever it holds anything (cache.DirectMapped's
+// Covers), the true contents filling in the rest (Underlay) and the
+// first accesses they turn into hits counted back (FirstHits); a
+// trace-cache line that differs and is looked up again may change the
+// path, so the join then stops at the last phase-1 snapshot before
+// that lookup and goes on from there. A
 // phase-1 walk with a trace cache keeps 128 snapshots, one every 1/129
 // of its chunk: each line that differs costs the join a walk from the
 // snapshot before its next lookup to that lookup, so the spacing bounds
@@ -51,9 +53,11 @@
 // converge within a sixteenth of the chunk after the last convergence,
 // the true run walks the rest of the chunk itself: the result is still
 // exact, and only that chunk loses its speed-up. The direct-mapped
-// cache is a cache.Partial and joins within a few fetches; the
-// set-associative and victim caches join only when Equal, which one LRU
-// set the chunk rarely visits can put off past the budget.
+// cache joins within a few fetches. A set-associative or victim cache
+// could join only once its state equalled the true one, which one LRU
+// set the chunk rarely visits can put off past the budget; on the paper
+// trace such walks fell through at about serial speed, so they are not
+// split at all.
 //
 // The split serves one simulation at a time: without it a seed-42
 // stc_pipeline benchmark run loses about a third of its throughput. A
@@ -99,8 +103,6 @@
 package fetch
 
 import (
-	"fmt"
-	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -113,49 +115,27 @@ import (
 	"repro/internal/trace"
 )
 
-// Config parameterizes one simulation. Width, MaxBranches and MaxLines
-// mean their SEQ.3 value (in parentheses) when not positive.
+// The SEQ.3 fetch unit, the one the paper evaluates: a fetch delivers
+// up to width instructions and maxBranches branches (all kinds count:
+// conditional, unconditional, calls and returns) from at most maxLines
+// consecutive cache lines, and each missing line costs missPenalty
+// extra cycles.
+const (
+	width       = 16
+	maxBranches = 3
+	maxLines    = 2
+	missPenalty = 5
+)
+
+// Config is the caches one simulation runs the SEQ.3 unit over.
 type Config struct {
-	// Width is the maximum instructions delivered per fetch (16).
-	Width int
-	// MaxBranches is the per-fetch branch limit (3). All branch kinds
-	// count: conditional, unconditional, calls and returns.
-	MaxBranches int
-	// MaxLines is the number of consecutive cache lines a fetch may
-	// span (2).
-	MaxLines int
-	// MissPenalty is the extra cycles charged per missing line (5).
-	MissPenalty uint64
 	// ICache is the instruction cache; nil simulates a perfect cache
-	// (the paper's "Ideal" rows).
+	// (the paper's "Ideal" rows) with cache.DefaultLineBytes lines.
 	ICache cache.ICache
 	// TC is an optional trace cache consulted before the i-cache; a
 	// trace-cache hit delivers its whole trace in one cycle with no
 	// miss penalty.
 	TC *cache.TraceCache
-	// LineBytes is the cache line size; defaulted from ICache, or 64.
-	LineBytes int
-}
-
-// DefaultConfig returns the paper's SEQ.3 setup over the given cache.
-func DefaultConfig(ic cache.ICache) Config {
-	return Config{
-		Width:       16,
-		MaxBranches: 3,
-		MaxLines:    2,
-		MissPenalty: 5,
-		ICache:      ic,
-	}
-}
-
-func (c *Config) lineBytes() uint64 {
-	if c.LineBytes > 0 {
-		return uint64(c.LineBytes)
-	}
-	if c.ICache != nil {
-		return uint64(c.ICache.LineBytes())
-	}
-	return cache.DefaultLineBytes
 }
 
 // Result aggregates one simulation run.
@@ -249,11 +229,9 @@ func (s *stream) cur() uint64 {
 }
 
 // Simulate runs the fetch engine over the whole trace under the given
-// layout and configuration. Width, MaxBranches and MaxLines take the
-// SEQ.3 defaults when not positive, as LineBytes does; the line size
-// must be a power of two (Simulate panics otherwise). The trace is
-// split into one chunk per core (see the package comment); the result
-// is the serial walk's, exactly.
+// layout and caches. With an ideal or direct-mapped i-cache the trace
+// is split into one chunk per core (see the package comment); the
+// result is the serial walk's, exactly.
 func Simulate(t *trace.Trace, l *program.Layout, cfg Config) Result {
 	return simulate(t, l, cfg, chunkCount(t.Len()))
 }
@@ -267,28 +245,19 @@ func SimulateSerial(t *trace.Trace, l *program.Layout, cfg Config) Result {
 }
 
 // simulate is Simulate over a given number of chunks (capped at one
-// per block event). Phase 1 walks every chunk concurrently, the first
-// from cfg's reset caches, every later one from empty clones. Phase 2
-// joins the chunks in order onto the first one's true run.
+// per block event, and at one unless split allows more). Phase 1 walks
+// every chunk concurrently, the first from cfg's reset caches, every
+// later one from empty clones. Phase 2 joins the chunks in order onto
+// the first one's true run.
 func simulate(t *trace.Trace, l *program.Layout, cfg Config, chunks int) Result {
-	def := DefaultConfig(nil)
-	if cfg.Width <= 0 {
-		cfg.Width = def.Width
-	}
-	if cfg.MaxBranches <= 0 {
-		cfg.MaxBranches = def.MaxBranches
-	}
-	if cfg.MaxLines <= 0 {
-		cfg.MaxLines = def.MaxLines
-	}
-	lineBytes := cfg.lineBytes()
-	if lineBytes&(lineBytes-1) != 0 {
-		panic(fmt.Sprintf("fetch: line size %d is not a power of two", lineBytes))
+	lineBytes := cache.DefaultLineBytes
+	if cfg.ICache != nil {
+		lineBytes = cfg.ICache.LineBytes()
 	}
 	s := newStream(t, l)
-	u := unit{cfg: &cfg, lineShift: uint(bits.TrailingZeros64(lineBytes))}
+	u := unit{cfg: &cfg, lineShift: uint(bits.TrailingZeros(uint(lineBytes)))}
 	events := len(s.blocks)
-	chunks = max(1, min(chunks, events))
+	chunks = max(1, min(split(cfg.ICache, chunks), events))
 	start := func(k int) pos { return pos{chunkStart(k, chunks, events), 0} }
 	if cfg.ICache != nil {
 		cfg.ICache.Reset()
@@ -326,6 +295,17 @@ func chunkCount(events int) int {
 	return max(1, min(runtime.GOMAXPROCS(0), events/minChunk))
 }
 
+// split is the number of chunks a walk over i-cache ic may be split
+// into, of the chunks asked for: as many with an ideal or direct-mapped
+// cache, whose cold copies join (see the package comment), one with any
+// other.
+func split(ic cache.ICache, chunks int) int {
+	if _, ok := ic.(*cache.DirectMapped); ic != nil && !ok {
+		return 1
+	}
+	return chunks
+}
+
 // chunkStart is the first block event of chunk k of n over events.
 func chunkStart(k, n, events int) int { return k * events / n }
 
@@ -344,8 +324,8 @@ func parallel(n int, f func(k int)) {
 	wg.Wait()
 }
 
-// unit is the fetch unit a simulation runs: its configuration, with
-// the defaults applied, and the line size as a shift.
+// unit is the fetch unit a simulation runs: its caches, and the line
+// size as a shift.
 type unit struct {
 	cfg       *Config
 	lineShift uint
@@ -374,11 +354,19 @@ type walker struct {
 
 func (w *walker) at() pos { return pos{w.idx, w.off} }
 
-// copy returns w with caches of its own in the same state.
+// dm is the walker's i-cache as the direct-mapped cache a chunked walk
+// has, or nil for the ideal cache.
+func (w *walker) dm() *cache.DirectMapped {
+	dm, _ := w.ic.(*cache.DirectMapped)
+	return dm
+}
+
+// copy returns w, a walker of a chunked walk, with caches of its own in
+// the same state.
 func (w *walker) copy() walker {
 	c := walker{stream: w.stream, r: w.r}
-	if w.ic != nil {
-		c.ic = w.ic.Copy()
+	if dm := w.dm(); dm != nil {
+		c.ic = dm.Copy()
 	}
 	if w.tc != nil {
 		c.tc = w.tc.Copy()
@@ -386,12 +374,13 @@ func (w *walker) copy() walker {
 	return c
 }
 
-// cold returns a walker at p with empty caches of the unit's geometry.
+// cold returns a walker of a chunked walk at p, with empty caches of
+// the unit's geometry.
 func (u unit) cold(s *stream, p pos) walker {
 	w := walker{stream: *s}
 	w.idx, w.off = p.idx, p.off
-	if u.cfg.ICache != nil {
-		w.ic = u.cfg.ICache.Clone()
+	if dm, _ := u.cfg.ICache.(*cache.DirectMapped); dm != nil {
+		w.ic = dm.Clone()
 	}
 	if u.cfg.TC != nil {
 		w.tc = u.cfg.TC.Clone()
@@ -439,7 +428,7 @@ func (u unit) run(w *walker, stop pos) {
 		}
 		if k == 0 {
 			s.idx = i
-			k = m.add(u, s, j, ic)
+			k = m.add(u, s, j, ic != nil)
 		}
 		f := &m.runs[k-1]
 		if f.count++; f.count == 1 {
@@ -474,7 +463,7 @@ func (u unit) run(w *walker, stop pos) {
 		f.count = 0
 	}
 	m.met = m.met[:0]
-	r.Cycles += misses * u.cfg.MissPenalty
+	r.Cycles += misses * missPenalty
 	r.LineMisses += misses
 	if (pos{s.idx, 0}).less(stop) {
 		u.fetches(w, stop) // the walk ends inside a run
@@ -534,9 +523,10 @@ func newRunMemo(blocks int) *runMemo {
 
 // add finds the run from the stream's current block event, at offset
 // 0, to event end when the table does not hold it: in the overflow map,
-// or, the first time the walker meets it, by fetching it. It returns 1
-// + the run's index in runs. The stream does not move.
-func (m *runMemo) add(u unit, s *stream, end int, ic cache.ICache) int32 {
+// or, the first time the walker meets it, by fetching it (keeping its
+// line accesses if ic, the walker has an i-cache). It returns 1 + the
+// run's index in runs. The stream does not move.
+func (m *runMemo) add(u unit, s *stream, end int, ic bool) int32 {
 	key := runKey{s.blocks[s.idx], end - s.idx}
 	if k, ok := m.long[key]; ok {
 		return k
@@ -556,27 +546,23 @@ func (m *runMemo) add(u unit, s *stream, end int, ic cache.ICache) int32 {
 
 // fetch walks s, a copy of the walker's cursor, through the run that
 // ends at block event end with seq3, and keeps the line accesses the
-// per-fetch loop would make, less each one to the cache line of the
-// access just before it. The i-cache is not touched.
-func (m *runMemo) fetch(u unit, s stream, end int, ic cache.ICache) runFetches {
+// per-fetch loop would make if ic, less each one to the cache line of
+// the access just before it. The i-cache is not touched.
+func (m *runMemo) fetch(u unit, s stream, end int, ic bool) runFetches {
 	var f runFetches
 	from := len(m.lines)
-	var lineBytes uint64
-	if ic != nil {
-		lineBytes = uint64(max(1, ic.LineBytes()))
-	}
 	keep := func(a uint64) {
 		f.accesses++
-		if len(m.lines) == from || m.lines[len(m.lines)-1]/lineBytes != a/lineBytes {
+		if len(m.lines) == from || m.lines[len(m.lines)-1]>>u.lineShift != a>>u.lineShift {
 			m.lines = append(m.lines, a)
 		}
 	}
 	for s.idx < end {
 		fetchAddr := s.cur()
-		n, lastAddr := s.seq3(u.cfg, fetchAddr, u.lineShift)
+		n, lastAddr := s.seq3(fetchAddr, u.lineShift)
 		f.instrs += uint64(n)
 		f.fetches++
-		if ic != nil {
+		if ic {
 			keep(fetchAddr)
 			if lastAddr>>u.lineShift != fetchAddr>>u.lineShift {
 				keep(lastAddr)
@@ -592,7 +578,7 @@ func (m *runMemo) fetch(u unit, s stream, end int, ic cache.ICache) runFetches {
 // fetches is run one fetch at a time, the trace cache first if there is
 // one.
 func (u unit) fetches(w *walker, stop pos) {
-	cfg, lineShift := u.cfg, u.lineShift
+	lineShift := u.lineShift
 	s := &w.stream
 	ic, tc := w.ic, w.tc
 	if tc != nil && w.misses == nil {
@@ -605,7 +591,7 @@ func (u unit) fetches(w *walker, stop pos) {
 		var lastAddr uint64
 		var fill cache.Trace
 		if tc == nil {
-			n, lastAddr = s.seq3(cfg, fetchAddr, lineShift)
+			n, lastAddr = s.seq3(fetchAddr, lineShift)
 		} else {
 			// Trace cache first: a hit delivers the stored trace in one
 			// cycle, bypassing the i-cache.
@@ -619,16 +605,16 @@ func (u unit) fetches(w *walker, stop pos) {
 			}
 			r.TCMisses++
 			// Fill the trace cache from the actual dynamic stream (up to
-			// MaxInstrs instructions / MaxBranches branches) and fetch
-			// from the i-cache; what the walker met before, it replays.
+			// a line's instructions and branches) and fetch from the
+			// i-cache; what the walker met before, it replays.
 			if f := w.misses.find(s); f != nil {
 				fill, n, lastAddr = f.line, int(f.n), f.lastAddr
 				s.idx, s.off = s.idx+int(f.adv), f.end
 			} else {
 				at := pos{s.idx, s.off}
-				fill = s.traceLine(tc, buf[:0])
+				fill = s.traceLine(buf[:0])
 				buf = fill.Blocks
-				n, lastAddr = s.seq3(cfg, fetchAddr, lineShift)
+				n, lastAddr = s.seq3(fetchAddr, lineShift)
 				w.misses.add(s, at, fill, n, lastAddr)
 			}
 		}
@@ -648,7 +634,7 @@ func (u unit) fetches(w *walker, stop pos) {
 				}
 			}
 			r.LineMisses += misses
-			r.Cycles += misses * cfg.MissPenalty
+			r.Cycles += misses * missPenalty
 		}
 		if tc != nil {
 			tc.Fill(fetchAddr, fill)
@@ -806,19 +792,20 @@ func (u unit) join(w, spec *walker, snaps []walker, s *stream, start, stop pos) 
 // gathered from here on (spec's total less c's), and converge reports
 // true.
 //
-// For the i-cache that holds when the caches are Equal, and for a
-// cache.Partial also when c's Covers w's: c differs from w only in the
-// entries c has not touched yet, and spec touches each of them for the
-// first time after this point. A first access that w's state turns
-// into a hit changes a counter, not the path, and is counted here
-// (FirstHits); the entries spec never touched keep w's content.
+// For the i-cache, ideal or direct-mapped, that holds when c's Covers
+// w's: c differs from w only in the sets c has not touched yet, and
+// spec touches each of them for the first time after this point. A
+// first access that w's state turns into a hit changes a counter, not
+// the path, and is counted here (FirstHits); the sets spec never
+// touched keep w's content.
 //
 // A trace-cache line in which c and w differ may steer the path at its
 // next lookup (Hazard). While one of them is looked up ahead, w moves
 // only to the last snapshot before that lookup, and c goes on from
 // that snapshot. The lines not touched on the way keep w's traces.
 func (u unit) converge(w, c, spec *walker, snaps *[]walker) bool {
-	if p, ok := c.ic.(cache.Partial); ok && !p.Covers(w.ic) || !ok && w.ic != nil && !c.ic.Equal(w.ic) {
+	cd, wd := c.dm(), w.dm()
+	if cd != nil && !cd.Covers(wd) {
 		return false
 	}
 	to, next := spec, len(*snaps)
@@ -846,16 +833,16 @@ func (u unit) converge(w, c, spec *walker, snaps *[]walker) bool {
 		}
 	}
 	hits := uint64(0)
-	if p, ok := to.ic.(cache.Partial); ok {
-		hits = uint64(p.FirstHits(c.ic, w.ic))
-		p.Underlay(w.ic)
+	if td := to.dm(); td != nil {
+		hits = uint64(td.FirstHits(cd, wd))
+		td.Underlay(wd)
 	}
 	if w.tc != nil {
 		to.tc.Underlay(c.tc, w.tc)
 	}
 	r := w.r.plus(to.r).minus(c.r)
 	r.LineMisses -= hits
-	r.Cycles -= hits * u.cfg.MissPenalty
+	r.Cycles -= hits * missPenalty
 	*w = walker{stream: to.stream, ic: to.ic, tc: to.tc, r: r, fill: w.fill, memo: w.memo, misses: w.misses}
 	if to != spec {
 		memo, misses := c.memo, c.misses
@@ -886,10 +873,9 @@ func (r Result) minus(o Result) Result {
 // number of instructions delivered and the address of the last one.
 // Each step takes what is left of the current block, of the fetch
 // width, or of the lines the fetch may span, whichever is least.
-func (s *stream) seq3(cfg *Config, fetchAddr uint64, lineShift uint) (int, uint64) {
+func (s *stream) seq3(fetchAddr uint64, lineShift uint) (int, uint64) {
 	// limit is the first address past the lines the fetch may span.
-	limit := (fetchAddr>>lineShift + uint64(cfg.MaxLines)) << lineShift
-	width := int32(min(cfg.Width, math.MaxInt32))
+	limit := (fetchAddr>>lineShift + maxLines) << lineShift
 	blocks, info := s.blocks, s.info
 	idx, off := s.idx, s.off
 	n := int32(0)
@@ -925,7 +911,7 @@ func (s *stream) seq3(cfg *Config, fetchAddr uint64, lineShift uint) (int, uint6
 		if blocks[idx] != bi.follow {
 			break // fetch stops at the first taken control transfer
 		}
-		if branches >= cfg.MaxBranches {
+		if branches >= maxBranches {
 			break
 		}
 	}
@@ -956,11 +942,11 @@ func (s *stream) take(t cache.Trace) bool {
 // traceLine is the trace-cache fill unit: the line for the trace that
 // starts at the current stream position, following the actual dynamic
 // path (taken branches included — that is the point of a trace cache)
-// up to MaxInstrs instructions and MaxBranches branch instructions,
-// one block ID per block entered, appended to buf.
-func (s *stream) traceLine(tc *cache.TraceCache, buf []program.BlockID) cache.Trace {
+// up to cache.TraceInstrs instructions and cache.TraceBranches branch
+// instructions, one block ID per block entered, appended to buf.
+func (s *stream) traceLine(buf []program.BlockID) cache.Trace {
 	idx, off := s.idx, s.off
-	room := int32(tc.MaxInstrs())
+	room := int32(cache.TraceInstrs)
 	branches, end := 0, int32(0)
 	for room > 0 && idx < len(s.blocks) {
 		b := s.blocks[idx]
@@ -974,14 +960,14 @@ func (s *stream) traceLine(tc *cache.TraceCache, buf []program.BlockID) cache.Tr
 			break
 		}
 		if bi.branch {
-			if branches++; branches >= tc.MaxBranches() {
+			if branches++; branches >= cache.TraceBranches {
 				break
 			}
 		}
 		idx++
 		off = 0
 	}
-	return cache.Trace{Blocks: buf, Instrs: int32(tc.MaxInstrs()) - room, End: end}
+	return cache.Trace{Blocks: buf, Instrs: cache.TraceInstrs - room, End: end}
 }
 
 // SequentialityStats summarizes how sequential a layout renders the

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/profile/profiletest"
@@ -40,7 +39,7 @@ func straightProgram(t *testing.T) (*program.Program, *trace.Trace) {
 func TestSeq3WidthLimit(t *testing.T) {
 	p, tr := straightProgram(t)
 	l := program.OriginalLayout(p)
-	res := Simulate(tr, l, DefaultConfig(nil))
+	res := Simulate(tr, l, Config{})
 	// 40 instructions, 16-wide: 16+16+8 = 3 fetches.
 	if res.Instrs != 40 {
 		t.Fatalf("instrs = %d, want 40", res.Instrs)
@@ -82,7 +81,7 @@ func takenProgram(t *testing.T) (*program.Program, *trace.Trace) {
 func TestSeq3StopsAtTakenBranch(t *testing.T) {
 	p, tr := takenProgram(t)
 	l := program.OriginalLayout(p)
-	res := Simulate(tr, l, DefaultConfig(nil))
+	res := Simulate(tr, l, Config{})
 	// Fetch 1: block a (4 instrs), stops at the taken branch.
 	// Fetch 2: block c (4 instrs).
 	if res.Fetches != 2 {
@@ -103,7 +102,7 @@ func TestSeq3MergesAdjacentBlocks(t *testing.T) {
 		p.MustBlock("f.b"),
 	}
 	l := must(program.NewLayoutFromOrder("opt", p, order))
-	res := Simulate(tr, l, DefaultConfig(nil))
+	res := Simulate(tr, l, Config{})
 	if res.Fetches != 1 {
 		t.Fatalf("fetches = %d, want 1", res.Fetches)
 	}
@@ -141,7 +140,7 @@ func branchChain(t *testing.T) (*program.Program, *trace.Trace) {
 func TestSeq3BranchLimit(t *testing.T) {
 	p, tr := branchChain(t)
 	l := program.OriginalLayout(p)
-	res := Simulate(tr, l, DefaultConfig(nil))
+	res := Simulate(tr, l, Config{})
 	// All blocks are adjacent (no taken branches), but each cond block
 	// ends in a branch: fetch 1 delivers b0,b1,b2 (3 branches = limit,
 	// 6 instrs); fetch 2 delivers b3 and the return's first... the
@@ -156,28 +155,29 @@ func TestSeq3BranchLimit(t *testing.T) {
 }
 
 func TestSeq3TwoLineLimit(t *testing.T) {
-	// One 40-instruction block starting at line 0: a fetch from address
-	// 0 may span lines 0 and 1 only (instructions 0..31), but width 16
-	// binds first. Use width 32 to exercise the line limit.
+	// One 40-instruction block starting at line 0. At 64-byte lines two
+	// lines hold 32 instructions and width 16 binds first; at 16-byte
+	// lines a fetch from address 0 may span lines 0 and 1 only
+	// (instructions 0..7), and the line limit binds.
 	p, tr := straightProgram(t)
 	l := program.OriginalLayout(p)
-	cfg := DefaultConfig(nil)
-	cfg.Width = 32
-	res := Simulate(tr, l, cfg)
-	// Fetch 1: instructions 0..31 (two lines). Fetch 2: 32..39.
-	if res.Fetches != 2 {
-		t.Fatalf("fetches = %d, want 2", res.Fetches)
+	res := Simulate(tr, l, Config{ICache: cache.NewDirectMapped(1024, 16)})
+	// Five fetches of 8 instructions, each touching two lines.
+	if res.Fetches != 5 {
+		t.Fatalf("fetches = %d, want 5", res.Fetches)
 	}
 	if res.Instrs != 40 {
 		t.Fatalf("instrs = %d, want 40", res.Instrs)
+	}
+	if res.LineAccesses != 10 {
+		t.Fatalf("line accesses = %d, want 10", res.LineAccesses)
 	}
 }
 
 func TestMissPenaltyAccounting(t *testing.T) {
 	p, tr := straightProgram(t)
 	l := program.OriginalLayout(p)
-	ic := cache.NewDirectMapped(1024, 64)
-	cfg := DefaultConfig(ic)
+	cfg := Config{ICache: cache.NewDirectMapped(1024, 64)}
 	res := Simulate(tr, l, cfg)
 	// 3 fetches; fetch 1 touches lines 0 (instr 0..15): miss.
 	// fetch 2 touches line 1: miss. fetch 3 touches line 2: miss.
@@ -210,8 +210,7 @@ func TestFetchSpanningTwoLinesAccessesBoth(t *testing.T) {
 	r.Block(p.MustBlock("f.pad"))
 	r.Block(p.MustBlock("f.body"))
 	l := program.OriginalLayout(p)
-	ic := cache.NewDirectMapped(1024, 64)
-	res := Simulate(tr, l, DefaultConfig(ic))
+	res := Simulate(tr, l, Config{ICache: cache.NewDirectMapped(1024, 64)})
 	// Fetch 1 at addr 0: pad(8) + body[0..7] = 16 instrs, line 0 only.
 	// Fetch 2 at instr 16 (addr 64): 12 instrs in line 1 only.
 	// All three... two lines accessed, both miss.
@@ -260,11 +259,9 @@ func loopTrace(t *testing.T, n int) (*program.Program, *trace.Trace) {
 func TestTraceCacheCapturesLoop(t *testing.T) {
 	p, tr := loopTrace(t, 50)
 	l := program.OriginalLayout(p)
-	plain := Simulate(tr, l, DefaultConfig(nil))
+	plain := Simulate(tr, l, Config{})
 
-	cfg := DefaultConfig(nil)
-	cfg.TC = cache.NewTraceCache(256, 16, 3, 4)
-	withTC := Simulate(tr, l, cfg)
+	withTC := Simulate(tr, l, Config{TC: cache.NewTraceCache(256)})
 	if withTC.TCHits == 0 {
 		t.Fatal("trace cache never hit on a hot loop")
 	}
@@ -280,9 +277,7 @@ func TestTraceCacheCapturesLoop(t *testing.T) {
 func TestTraceCacheHitsBypassICache(t *testing.T) {
 	p, tr := loopTrace(t, 50)
 	l := program.OriginalLayout(p)
-	ic := cache.NewDirectMapped(8192, 64)
-	cfg := DefaultConfig(ic)
-	cfg.TC = cache.NewTraceCache(256, 16, 3, 4)
+	cfg := Config{ICache: cache.NewDirectMapped(8192, 64), TC: cache.NewTraceCache(256)}
 	res := Simulate(tr, l, cfg)
 	// Line accesses only happen on TC misses.
 	if res.LineAccesses >= res.Fetches {
@@ -405,44 +400,6 @@ func TestTakeTrace(t *testing.T) {
 	}
 }
 
-// TestZeroConfigTakesDefaults: a zero Config used to make seq3 deliver
-// no instructions and Simulate spin forever. Non-positive Width,
-// MaxBranches and MaxLines now mean the SEQ.3 defaults.
-func TestZeroConfigTakesDefaults(t *testing.T) {
-	p, tr := loopTrace(t, 50)
-	l := program.OriginalLayout(p)
-	want := Simulate(tr, l, DefaultConfig(nil))
-	for _, cfg := range []Config{{}, {Width: -1, MaxBranches: -3, MaxLines: -2}} {
-		done := make(chan Result, 1)
-		go func() { done <- Simulate(tr, l, cfg) }()
-		select {
-		case got := <-done:
-			if got != want {
-				t.Errorf("Simulate(%+v) = %+v, want DefaultConfig(nil)'s %+v", cfg, got, want)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("Simulate(%+v) did not finish", cfg)
-		}
-	}
-	// MissPenalty is not defaulted: zero is a legal penalty.
-	ic := cache.NewDirectMapped(1024, 64)
-	if got := Simulate(tr, l, Config{ICache: ic}); got.Cycles != got.Fetches || got.LineMisses == 0 {
-		t.Errorf("zero MissPenalty: cycles %d, fetches %d, misses %d", got.Cycles, got.Fetches, got.LineMisses)
-	}
-}
-
-func TestNonPowerOfTwoLinePanics(t *testing.T) {
-	p, tr := straightProgram(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	cfg := DefaultConfig(nil)
-	cfg.LineBytes = 48
-	Simulate(tr, program.OriginalLayout(p), cfg)
-}
-
 // ---- the per-instruction simulator, kept as the reference ----
 //
 // This is the fetch engine as it was before it moved to block
@@ -518,13 +475,13 @@ func (s *refStream) advance(n int) {
 	}
 }
 
-func (s *refStream) seq3(cfg Config, lineBytes uint64) (int, uint64) {
+func (s *refStream) seq3(lineBytes uint64) (int, uint64) {
 	fetchAddr := s.cur()
-	limit := (fetchAddr/lineBytes + uint64(cfg.MaxLines)) * lineBytes
+	limit := (fetchAddr/lineBytes + maxLines) * lineBytes
 	n := 0
 	branches := 0
 	lastAddr := fetchAddr
-	for !s.done() && n < cfg.Width {
+	for !s.done() && n < width {
 		b := s.blocks[s.idx]
 		a := s.addr[b] + uint64(s.off)*program.InstrBytes
 		if a >= limit {
@@ -548,7 +505,7 @@ func (s *refStream) seq3(cfg Config, lineBytes uint64) (int, uint64) {
 			if taken {
 				break // fetch stops at the first taken control transfer
 			}
-			if branches >= cfg.MaxBranches {
+			if branches >= maxBranches {
 				break
 			}
 		} else {
@@ -576,7 +533,7 @@ type refTCLine struct {
 
 func newRefTraceCache(tc *cache.TraceCache, cover *tcCoverage) *refTraceCache {
 	return &refTraceCache{
-		entries: tc.Entries(), maxInstrs: tc.MaxInstrs(), maxBranch: tc.MaxBranches(),
+		entries: tc.Entries(), maxInstrs: cache.TraceInstrs, maxBranch: cache.TraceBranches,
 		instrBytes: program.InstrBytes,
 		lines:      make([]refTCLine, tc.Entries()),
 		cover:      cover,
@@ -584,7 +541,7 @@ func newRefTraceCache(tc *cache.TraceCache, cover *tcCoverage) *refTraceCache {
 }
 
 // tcCoverage is what of the trace cache's edges a reference walk met: a
-// stored trace that enters MaxInstrs blocks, one instruction each (a
+// stored trace that enters TraceInstrs blocks, one instruction each (a
 // full line, as many blocks as a line holds); a tag hit whose stored
 // trace runs past the end of the stream; and a stored trace that enters
 // one block twice.
@@ -667,15 +624,14 @@ func (tc *refTraceCache) noteFill() {
 }
 
 // refSimulate is Simulate as it was, over the reference stream and
-// trace cache. cfg must have positive Width, MaxBranches and MaxLines
-// (it spins forever otherwise — the bug TestZeroConfigTakesDefaults
-// pins the fix of). The i-cache is cfg's own: the cache package checks
-// its models against their divide-and-modulo references itself.
+// trace cache. The i-cache is cfg's own: the cache package checks its
+// models against their divide-and-modulo references itself.
 func refSimulate(t *trace.Trace, l *program.Layout, cfg Config, cover *tcCoverage) Result {
 	var r Result
 	s := newRefStream(t, l)
-	lineBytes := cfg.lineBytes()
+	lineBytes := uint64(cache.DefaultLineBytes)
 	if cfg.ICache != nil {
+		lineBytes = uint64(cfg.ICache.LineBytes())
 		cfg.ICache.Reset()
 	}
 	var tc *refTraceCache
@@ -698,7 +654,7 @@ func refSimulate(t *trace.Trace, l *program.Layout, cfg Config, cover *tcCoverag
 			r.TCMisses++
 			tcFill = refBuildTCFill(s, tc, tcFill[:0])
 		}
-		n, lastAddr := s.seq3(cfg, lineBytes)
+		n, lastAddr := s.seq3(lineBytes)
 		r.Instrs += uint64(n)
 		r.Fetches++
 		r.Cycles++
@@ -715,7 +671,7 @@ func refSimulate(t *trace.Trace, l *program.Layout, cfg Config, cover *tcCoverag
 				}
 			}
 			r.LineMisses += misses
-			r.Cycles += misses * cfg.MissPenalty
+			r.Cycles += misses * missPenalty
 		}
 		if tc != nil {
 			tc.fill(fetchAddr, tcFill)
@@ -852,23 +808,19 @@ func randomCase(rng *rand.Rand) (*trace.Trace, *program.Layout) {
 	return tr, l
 }
 
-// configCase is one fetch-unit configuration of the comparison.
+// configCase is one cache configuration of the comparison.
 type configCase struct {
-	width, maxBranches, maxLines int
-	lineBytes                    int // 16, 32, 64 or 128
-	icache                       int // 0 ideal, 1 direct-mapped, 2 two-way, 3 victim
-	tc                           bool
-	tcEntries, tcInstrs, tcBr    int
-	penalty                      uint64
+	lineBytes int // 16, 32, 64 or 128; the ideal cache's is 64
+	icache    int // 0 ideal, 1 direct-mapped, 2 two-way, 3 victim
+	tc        bool
+	tcEntries int
 }
 
 func (c configCase) build() Config {
-	cfg := Config{Width: c.width, MaxBranches: c.maxBranches, MaxLines: c.maxLines, MissPenalty: c.penalty}
+	var cfg Config
 	// Small caches, so that a few dozen blocks conflict.
 	size := 8 * c.lineBytes
 	switch c.icache {
-	case 0:
-		cfg.LineBytes = c.lineBytes
 	case 1:
 		cfg.ICache = cache.NewDirectMapped(size, c.lineBytes)
 	case 2:
@@ -877,7 +829,7 @@ func (c configCase) build() Config {
 		cfg.ICache = cache.NewVictim(size, c.lineBytes, 2)
 	}
 	if c.tc {
-		cfg.TC = cache.NewTraceCache(c.tcEntries, c.tcInstrs, c.tcBr, program.InstrBytes)
+		cfg.TC = cache.NewTraceCache(c.tcEntries)
 	}
 	return cfg
 }
@@ -910,7 +862,7 @@ func chunkCounts(tr *trace.Trace) []int { return []int{1, 2, 3, 7, tr.Len() + 5}
 
 // TestSimulateEqualsReference is the seeded property test: random
 // programs, layouts and traces under every cache kind, with and
-// without a trace cache, over the line sizes and fetch limits.
+// without a trace cache, over the line sizes.
 func TestSimulateEqualsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	cases := 60
@@ -924,19 +876,15 @@ func TestSimulateEqualsReference(t *testing.T) {
 		cover.add(tr, l)
 		for _, lineBytes := range []int{16, 32, 64, 128} {
 			for icache := 0; icache < 4; icache++ {
+				if icache == 0 && lineBytes != cache.DefaultLineBytes {
+					continue
+				}
 				for _, tc := range []bool{false, true} {
-					checkEqualsReference(t, tr, l, configCase{
-						width: 1 + rng.Intn(16), maxBranches: 1 + rng.Intn(3), maxLines: 1 + rng.Intn(2),
-						lineBytes: lineBytes, icache: icache, tc: tc,
-						tcEntries: 1 << rng.Intn(7), tcInstrs: 1 + rng.Intn(24), tcBr: 1 + rng.Intn(4),
-						penalty: uint64(rng.Intn(8)),
-					}, &tcCover, chunkCounts(tr)...)
+					checkEqualsReference(t, tr, l, configCase{lineBytes: lineBytes, icache: icache, tc: tc,
+						tcEntries: 1 << rng.Intn(7)}, &tcCover, chunkCounts(tr)...)
 				}
 			}
 		}
-		// The paper's unit exactly.
-		checkEqualsReference(t, tr, l, configCase{width: 16, maxBranches: 3, maxLines: 2, lineBytes: 64,
-			icache: 1, tc: true, tcEntries: 64, tcInstrs: 16, tcBr: 3, penalty: 5}, &tcCover, chunkCounts(tr)...)
 	}
 	if cover.longest <= runTable || !cover.sharedHead || !cover.splitLong {
 		t.Errorf("the cases miss part of the run path: longest run %d blocks (table %d), one head of several lengths %v, chunk boundary inside a longer run %v",
@@ -971,17 +919,27 @@ func TestSimulateTwoBlocksAtOneAddress(t *testing.T) {
 // TestRunStopsLikeFetches: a walk a run at a time stops where the walk
 // one fetch at a time does — at the first fetch start at or after the
 // stop, which may lie inside a run or a block — with the same counters
-// and cache state, stop after stop.
+// and cache state, stop after stop, for every kind of i-cache.
 func TestRunStopsLikeFetches(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for n := 0; n < 40; n++ {
 		tr, l := randomCase(rng)
-		c := configCase{width: 1 + rng.Intn(16), maxBranches: 1 + rng.Intn(3), maxLines: 1 + rng.Intn(2),
-			lineBytes: 16 << rng.Intn(4), icache: rng.Intn(4), penalty: 5}
-		cfg := c.build()
+		c := configCase{lineBytes: 16 << rng.Intn(4), icache: rng.Intn(4)}
+		if c.icache == 0 {
+			c.lineBytes = cache.DefaultLineBytes
+		}
 		s := newStream(tr, l)
-		u := unit{cfg: &cfg, lineShift: uint(bits.TrailingZeros(uint(c.lineBytes)))}
-		byRun, byFetch := u.cold(s, pos{}), u.cold(s, pos{})
+		u := unit{lineShift: uint(bits.TrailingZeros(uint(c.lineBytes)))}
+		// Each walk has a cache of its own; a 2-way or victim cache
+		// records the lines accessed through it.
+		walk := func() walker {
+			w := walker{stream: *s, ic: c.build().ICache}
+			if c.icache > 1 {
+				w.ic = &recorder{ICache: w.ic}
+			}
+			return w
+		}
+		byRun, byFetch := walk(), walk()
 		for !byRun.done() {
 			stop := pos{min(tr.Len(), byRun.idx+1+rng.Intn(3*runTable)), 0}
 			if stop.idx < tr.Len() && rng.Intn(2) == 0 {
@@ -989,12 +947,43 @@ func TestRunStopsLikeFetches(t *testing.T) {
 			}
 			u.run(&byRun, stop)
 			u.fetches(&byFetch, stop)
-			if byRun.at() != byFetch.at() || byRun.r != byFetch.r || c.icache > 0 && !byRun.ic.Equal(byFetch.ic) {
+			if byRun.at() != byFetch.at() || byRun.r != byFetch.r || !sameCache(byRun.ic, byFetch.ic) {
 				t.Fatalf("case %d, config %+v, stop %v: a run at a time at %v with %+v, a fetch at a time at %v with %+v",
 					n, c, stop, byRun.at(), byRun.r, byFetch.at(), byFetch.r)
 			}
 		}
 	}
+}
+
+// recorder is an i-cache that keeps the lines accessed through it, less
+// immediate repeats, which hit and change no state (cache.ICache): two
+// walks that leave the same sequence behind leave the caches under the
+// recorders in the same state, whatever their kind.
+type recorder struct {
+	cache.ICache
+	lines []uint64
+}
+
+func (r *recorder) Access(addr uint64) bool {
+	line := addr / uint64(r.LineBytes())
+	if n := len(r.lines); n == 0 || r.lines[n-1] != line {
+		r.lines = append(r.lines, line)
+	}
+	return r.ICache.Access(addr)
+}
+
+// sameCache reports whether two walks' i-caches are in the same state:
+// both ideal, direct-mapped caches that cover each other, or recorders
+// that saw the same line sequence.
+func sameCache(a, b cache.ICache) bool {
+	switch a := a.(type) {
+	case *cache.DirectMapped:
+		b := b.(*cache.DirectMapped)
+		return a.Covers(b) && b.Covers(a)
+	case *recorder:
+		return slices.Equal(a.lines, b.(*recorder).lines)
+	}
+	return a == nil && b == nil
 }
 
 // runCoverage is what of the run path (see the package comment) a set
@@ -1030,20 +1019,19 @@ func (c *runCoverage) add(tr *trace.Trace, l *program.Layout) {
 }
 
 // FuzzSimulate lets the fuzzer pick the seed the case is drawn from,
-// the fetch-unit configuration and the number of chunks.
+// the caches and the number of chunks.
 func FuzzSimulate(f *testing.F) {
-	f.Add(int64(1), uint8(16), uint8(3), uint8(2), uint8(2), uint8(1), true, uint8(6), uint8(16), uint8(3), uint8(1))
-	f.Add(int64(42), uint8(1), uint8(1), uint8(1), uint8(0), uint8(0), true, uint8(0), uint8(1), uint8(1), uint8(2))
-	f.Add(int64(7), uint8(5), uint8(2), uint8(2), uint8(3), uint8(3), false, uint8(3), uint8(24), uint8(4), uint8(7))
-	f.Add(int64(-9), uint8(12), uint8(3), uint8(1), uint8(1), uint8(2), true, uint8(2), uint8(7), uint8(2), uint8(255))
-	f.Fuzz(func(t *testing.T, seed int64, width, maxBranches, maxLines, line, icache uint8, tc bool, tcEntries, tcInstrs, tcBr, chunks uint8) {
+	f.Add(int64(1), uint8(2), uint8(1), true, uint8(6), uint8(1))
+	f.Add(int64(42), uint8(0), uint8(0), true, uint8(0), uint8(2))
+	f.Add(int64(7), uint8(3), uint8(3), false, uint8(3), uint8(7))
+	f.Add(int64(-9), uint8(1), uint8(2), true, uint8(2), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, line, icache uint8, tc bool, tcEntries, chunks uint8) {
 		tr, l := randomCase(rand.New(rand.NewSource(seed)))
-		checkEqualsReference(t, tr, l, configCase{
-			width: 1 + int(width%16), maxBranches: 1 + int(maxBranches%3), maxLines: 1 + int(maxLines%2),
-			lineBytes: 16 << (line % 4), icache: int(icache % 4), tc: tc,
-			tcEntries: 1 << (tcEntries % 8), tcInstrs: 1 + int(tcInstrs%32), tcBr: 1 + int(tcBr%4),
-			penalty: uint64(seed & 7),
-		}, nil, int(chunks))
+		c := configCase{lineBytes: 16 << (line % 4), icache: int(icache % 4), tc: tc, tcEntries: 1 << (tcEntries % 8)}
+		if c.icache == 0 {
+			c.lineBytes = cache.DefaultLineBytes
+		}
+		checkEqualsReference(t, tr, l, c, nil, int(chunks))
 		checkSequentiality(t, l, tr)
 	})
 }
@@ -1124,5 +1112,27 @@ func TestChunkCount(t *testing.T) {
 	runtime.GOMAXPROCS(1)
 	if got := chunkCount(100 * minChunk); got != 1 {
 		t.Errorf("chunkCount at GOMAXPROCS 1 = %d, want 1", got)
+	}
+}
+
+// TestChunksOnlyOverJoinableCaches: however many cores and block
+// events there are, a walk splits only over a cache whose cold copies
+// join, the ideal or a direct-mapped one; a 2-way or victim cache walks
+// one chunk.
+func TestChunksOnlyOverJoinableCaches(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for _, c := range []struct {
+		name string
+		ic   cache.ICache
+		want int
+	}{
+		{"ideal", nil, 2},
+		{"direct-mapped", cache.NewDirectMapped(2048, 64), 2},
+		{"2-way", cache.NewSetAssoc(4096, 64, 2), 1},
+		{"victim", cache.NewVictim(2048, 64, 16), 1},
+	} {
+		if got := split(c.ic, chunkCount(2*minChunk)); got != c.want {
+			t.Errorf("%s cache, %d events at GOMAXPROCS 8: %d chunks, want %d", c.name, 2*minChunk, got, c.want)
+		}
 	}
 }
