@@ -424,6 +424,10 @@ func (db *DB) PoolStats() PoolStats {
 	}
 }
 
+// PoolResident reports whether every page of the database is in the
+// buffer pool, so that no query misses until the database grows.
+func (db *DB) PoolResident() bool { return db.eng.Buf.Resident() }
+
 // Section declares the pool's counters: SHOW pool, the pool_* stat
 // pairs and the dsdb_buffer_pool_* series.
 func (p PoolStats) Section() obs.Section {

@@ -17,6 +17,7 @@ import (
 	"repro/internal/profile"
 	"repro/internal/profile/profiletest"
 	"repro/internal/program"
+	"repro/internal/trace"
 )
 
 // benchReport records the paper's two traces once, through the
@@ -286,20 +287,21 @@ func BenchmarkRecordPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	img := test.pipe.img
-	replay := func() *kernel.Session {
-		s := img.NewSession(false)
+	replay := func() (*kernel.Session, *trace.Trace) {
+		t := trace.New(img.Prog)
+		s := img.NewSession(trace.NewRecorder(t, false))
 		rec := probe.Resolve(s)
 		for _, id := range ids {
 			probe.Emit(rec, id)
 		}
-		return s
+		return s, t
 	}
-	s := replay()
-	if got := s.Trace(); got.Instrs != test.Instrs() || !slices.Equal(got.Blocks, test.tr.Blocks) {
+	s, got := replay()
+	if got.Instrs != test.Instrs() || !slices.Equal(got.Blocks, test.tr.Blocks) {
 		b.Fatalf("replayed %d probes: %d events / %d instrs, test trace %d / %d (or contents differ)",
 			len(ids), got.Len(), got.Instrs, test.Events(), test.Instrs())
 	}
-	if d := profiletest.Diff(img.Profile(s.Trace(), s.Counts()), test.profileData()); d != "" {
+	if d := profiletest.Diff(img.Profile(got, s.Counts()), test.profileData()); d != "" {
 		b.Fatalf("the replayed session's counts assemble another profile than the test trace's: %s", d)
 	}
 	var before, after runtime.MemStats

@@ -5,7 +5,31 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strings"
+
+	"repro/dsdb"
 )
+
+// profileSplit records w on db as Profile and Run do — after base's
+// trace when base is not nil — but on n sessions sharing its steps
+// whatever the database: n = 1 is the serial run, and n > 1 forces the
+// split Profile makes only on a resident database without a result
+// cache.
+func (p *Pipeline) profileSplit(db *dsdb.DB, w Workload, base *Profile, n int) (*Profile, error) {
+	steps, err := w.steps("")
+	if err != nil {
+		return nil, err
+	}
+	pr := &Profile{pipe: p, extends: true}
+	if base != nil {
+		pr.tr, pr.counts = base.tr, base.counts
+	}
+	tr, counts, err := p.record(db, plan{lanes: [][]step{steps}, split: n}, pr.tr)
+	if err != nil {
+		return nil, err
+	}
+	pr.tr, pr.counts = tr, append(pr.counts[:len(pr.counts):len(pr.counts)], counts...)
+	return pr, nil
+}
 
 // BlockHash is an FNV-64a of the recorded block stream (little-endian
 // 32-bit block IDs in trace order), for the external test package.

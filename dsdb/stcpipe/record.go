@@ -5,14 +5,17 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/dsdb"
 	"repro/dsdb/client"
 	"repro/dsdb/server"
 	"repro/dsdb/wcap"
+	"repro/internal/db/probe"
 	"repro/internal/db/sql"
 	"repro/internal/kernel"
 	"repro/internal/program"
@@ -32,9 +35,15 @@ type step struct{ label, sql string }
 
 // plan is what a Source reduces to.
 type plan struct {
-	// sessions are recorded one kernel trace each, concurrently, each
-	// running its steps in order; the traces are then interleaved.
-	sessions [][]step
+	// lanes are the step sequences recorded, each lane's steps in order
+	// on a session of its own. The trace takes the lanes' segments
+	// round-robin: lane 1's first step, lane 2's first step, ..., lane
+	// 1's second step.
+	lanes [][]step
+	// split, when above 1, is how many sessions share the one lane of
+	// a Workload (see sessionsFor), each taking the next step when it
+	// finishes one; the trace still takes the steps in order.
+	split int
 	// warm starts with one serial untraced run of every distinct query,
 	// so every page the plan touches is buffer-resident before tracing
 	// begins. With a pool that holds the working set (true at the
@@ -64,11 +73,11 @@ func (w Workload) steps(prefix string) ([]step, error) {
 	return out, nil
 }
 
-// plan makes a Workload a Source: one session runs it once. It is the
-// only source whose profile Run can extend.
-func (w Workload) plan(*dsdb.DB) (plan, error) {
+// plan makes a Workload a Source: it runs once, its trace the steps in
+// order. It is the only source whose profile Run can extend.
+func (w Workload) plan(db *dsdb.DB) (plan, error) {
 	steps, err := w.steps("")
-	return plan{sessions: [][]step{steps}}, err
+	return plan{lanes: [][]step{steps}, split: sessionsFor(db, len(steps))}, err
 }
 
 type sessions struct {
@@ -121,7 +130,7 @@ func (s sessions) plan(*dsdb.DB) (plan, error) {
 		if err != nil {
 			return plan{}, err
 		}
-		pl.sessions = append(pl.sessions, steps)
+		pl.lanes = append(pl.lanes, steps)
 	}
 	return pl, nil
 }
@@ -165,7 +174,7 @@ func (c cached) plan(db *dsdb.DB) (plan, error) {
 		}
 		all = append(all, steps...)
 	}
-	return plan{sessions: [][]step{all}}, nil
+	return plan{lanes: [][]step{all}}, nil
 }
 
 type replayed []wcap.Record
@@ -205,9 +214,9 @@ func (recs replayed) plan(*dsdb.DB) (plan, error) {
 	pl := plan{warm: true}
 	for i, r := range keep {
 		if i == 0 || r.Session != keep[i-1].Session {
-			pl.sessions = append(pl.sessions, nil)
+			pl.lanes = append(pl.lanes, nil)
 		}
-		steps := &pl.sessions[len(pl.sessions)-1]
+		steps := &pl.lanes[len(pl.lanes)-1]
 		label := r.Label
 		if label == "" {
 			label = fmt.Sprintf("q%d", len(*steps)+1)
@@ -217,27 +226,67 @@ func (recs replayed) plan(*dsdb.DB) (plan, error) {
 	return pl, nil
 }
 
-// record runs a plan, session i recording into sess[i]: the warm-up
-// pass, then one goroutine per session marking, running and checking
-// each step in order, and counting the marks at the end — a step that
-// ran outside its session's trace (a wire client that had to redial,
-// say) must not pass for a recorded one. It returns the first failed
-// session's error.
-func record(db *dsdb.DB, pl plan, sess []*kernel.Session) error {
+// sessionsFor returns how many sessions record a Workload of n steps
+// on db. It is one per core, and no more than there are steps, when no
+// step can change what another step's trace reads: every page of db is
+// in its buffer pool, so no step misses or evicts, and db has no result
+// cache to answer a step from another's result. Otherwise it is one,
+// which runs the steps in order as the paper's serial run does.
+func sessionsFor(db *dsdb.DB, n int) int {
+	if db.ResultCache() != nil || !db.PoolResident() {
+		return 1
+	}
+	return min(runtime.GOMAXPROCS(0), n)
+}
+
+// at is where a step was recorded: the session and the session's mark.
+type at struct{ ses, mark int }
+
+// record runs a plan and returns its trace — base's events, if base is
+// not nil, then the plan's segments in order (see merge) — and the
+// counts of the sessions that recorded it. The warm-up pass runs
+// first; then each session runs on a goroutine of its own, taking the
+// next step of its lane, marking, running and checking it, until the
+// lane is done or a session failed. A step that ran outside its
+// session's trace (a wire client that had to redial, say) must not pass
+// for a recorded one, so each session's marks are counted at the end.
+// A lane split among several sessions is an error if any of them
+// missed in the buffer pool: its trace could depend on what the others
+// read. It returns the first failed session's error. The sessions
+// record into chunks of the pipeline's storage, which takes them back
+// once they are merged; a failed recording's are dropped, since a
+// server that failed to drain may still write to them.
+func (p *Pipeline) record(db *dsdb.DB, pl plan, base *trace.Trace) (*trace.Trace, []*kernel.Counts, error) {
 	ctx := context.Background()
 	if pl.warm {
 		seen := make(map[string]bool)
-		for _, steps := range pl.sessions {
+		for _, steps := range pl.lanes {
 			for _, st := range steps {
 				if seen[st.sql] {
 					continue
 				}
 				seen[st.sql] = true
 				if err := drain(db.QueryTraced(ctx, nil, st.sql)); err != nil {
-					return fmt.Errorf("stcpipe: warmup %s: %w", st.label, err)
+					return nil, nil, fmt.Errorf("stcpipe: warmup %s: %w", st.label, err)
 				}
 			}
 		}
+	}
+
+	// lane[i] is the lane session i takes its steps from.
+	var lane []int
+	if pl.split > 1 {
+		lane = make([]int, pl.split)
+	} else {
+		for l := range pl.lanes {
+			lane = append(lane, l)
+		}
+	}
+	recs := make([]*trace.Recorder, len(lane))
+	sess := make([]*kernel.Session, len(lane))
+	for i := range sess {
+		recs[i] = p.store.Recorder(p.img.Prog, p.validate)
+		sess[i] = p.img.NewSession(recs[i])
 	}
 
 	// The tracer is bound per call, so concurrent sessions each record
@@ -251,7 +300,7 @@ func record(db *dsdb.DB, pl plan, sess []*kernel.Session) error {
 	if pl.wire {
 		clients, stopServer, err := serve(db, sess)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		stop = stopServer
 		run = func(i int, st step) error {
@@ -259,36 +308,84 @@ func record(db *dsdb.DB, pl plan, sess []*kernel.Session) error {
 		}
 	}
 
+	where := make([][]at, len(pl.lanes))
+	for l, steps := range pl.lanes {
+		where[l] = make([]at, len(steps))
+	}
+	next := make([]atomic.Int64, len(pl.lanes))
+	marks := make([]int, len(sess))
 	errs := make([]error, len(sess))
+	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for i, steps := range pl.sessions {
+	for i, l := range lane {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			before := len(sess[i].Trace().Marks)
-			for _, st := range steps {
+			for !failed.Load() {
+				j := int(next[l].Add(1) - 1)
+				if j >= len(pl.lanes[l]) {
+					return
+				}
+				st := pl.lanes[l][j]
 				err := run(i, st)
 				if err == nil && sess[i].Err() != nil {
 					err = fmt.Errorf("trace: %w", sess[i].Err())
 				}
 				if err != nil {
 					errs[i] = fmt.Errorf("stcpipe: %s: %w", st.label, err)
+					failed.Store(true)
 					return
 				}
-			}
-			if got := len(sess[i].Trace().Marks) - before; got != len(steps) {
-				errs[i] = fmt.Errorf("stcpipe: session %d recorded %d query marks, expected %d", i+1, got, len(steps))
+				where[l][j] = at{i, marks[i]}
+				marks[i]++
 			}
 		}()
 	}
 	wg.Wait()
 	errs = append(errs, stop())
-	for _, err := range errs {
-		if err != nil {
-			return err
+	for i, r := range recs {
+		if got := len(r.Marks()); errs[i] == nil && got != marks[i] {
+			errs[i] = fmt.Errorf("stcpipe: session %d recorded %d query marks, expected %d", i+1, got, marks[i])
 		}
 	}
-	return nil
+	if err := cmp.Or(errs...); err != nil {
+		return nil, nil, err
+	}
+	if pl.split > 1 {
+		if n := misses(sess); n > 0 {
+			return nil, nil, fmt.Errorf("stcpipe: %d buffer misses while %d sessions recorded one workload: a step's trace may depend on the others'", n, len(sess))
+		}
+	}
+	var order []at
+	for q, more := 0, true; more; q++ {
+		more = false
+		for l := range where {
+			if q < len(where[l]) {
+				order, more = append(order, where[l][q]), true
+			}
+		}
+	}
+	counts := make([]*kernel.Counts, len(sess))
+	for i, s := range sess {
+		counts[i] = s.Counts()
+	}
+	tr := merge(p.img.Prog, base, recs, order)
+	for _, r := range recs {
+		r.Release()
+	}
+	return tr, counts, nil
+}
+
+// misses returns how many buffer misses the sessions recorded.
+func misses(sess []*kernel.Session) uint64 {
+	var n uint64
+	for _, s := range sess {
+		c := s.Counts()
+		for from := range c {
+			n += uint64(c[from][probe.BufGetMiss])
+		}
+	}
+	return n
 }
 
 // rowStream is what dsdb.Rows and client.Rows have in common.
@@ -365,28 +462,36 @@ func segment(t *trace.Trace, q int) []program.BlockID {
 	return t.Blocks[t.Marks[q].Pos:hi]
 }
 
-// interleave merges per-session traces round-robin at query (mark)
-// boundaries into one trace over the shared program image; a session
-// past its last mark is skipped. One session is its own merge.
-func interleave(prog *program.Program, sess []*kernel.Session) *trace.Trace {
-	if len(sess) == 1 {
-		return sess[0].Trace()
+// merge builds a trace at its exact length: base's events and marks,
+// if base is not nil, then the segments at order, one copy each. Every
+// event a recorder holds must lie in one of the segments, as record's
+// do: each session marks before it runs a step. merge panics
+// otherwise, because the instruction count it adds up would be wrong.
+func merge(prog *program.Program, base *trace.Trace, recs []*trace.Recorder, order []at) *trace.Trace {
+	if base == nil {
+		base = trace.New(prog)
+	}
+	n, instrs := base.Len(), base.Instrs
+	for _, r := range recs {
+		n += r.Len()
+		instrs += r.Instrs()
 	}
 	out := trace.New(prog)
-	for q, more := 0, true; more; q++ {
-		more = false
-		for _, s := range sess {
-			t := s.Trace()
-			if q >= len(t.Marks) {
-				continue
-			}
-			more = true
-			out.Marks = append(out.Marks, trace.Mark{Pos: len(out.Blocks), Label: t.Marks[q].Label})
-			out.Blocks = append(out.Blocks, segment(t, q)...)
-			for _, b := range segment(t, q) {
-				out.Instrs += uint64(prog.Block(b).Size)
-			}
+	out.Blocks = append(make([]program.BlockID, 0, n), base.Blocks...)
+	out.Marks = append(make([]trace.Mark, 0, len(base.Marks)+len(order)), base.Marks...)
+	out.Instrs = instrs
+	for _, a := range order {
+		r := recs[a.ses]
+		marks := r.Marks()
+		hi := r.Len()
+		if a.mark+1 < len(marks) {
+			hi = marks[a.mark+1].Pos
 		}
+		out.Marks = append(out.Marks, trace.Mark{Pos: len(out.Blocks), Label: marks[a.mark].Label})
+		out.Blocks = r.AppendEvents(out.Blocks, marks[a.mark].Pos, hi)
+	}
+	if len(out.Blocks) != n {
+		panic(fmt.Sprintf("stcpipe: the segments hold %d events, the sessions recorded %d", len(out.Blocks)-base.Len(), n-base.Len()))
 	}
 	return out
 }

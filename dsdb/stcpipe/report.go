@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/dsdb"
+	"repro/internal/fetch"
 	"repro/internal/profile"
 )
 
@@ -290,7 +291,7 @@ func (r *Report) Table4() string {
 	res := r.simulate(cells)
 	cols := len(res) / len(rows)
 	var b strings.Builder
-	tableHead(&b, "Table 4: fetch bandwidth in instructions per cycle (test set, 5-cycle miss penalty)\n", " %6s")
+	tableHead(&b, fmt.Sprintf("Table 4: fetch bandwidth in instructions per cycle (test set, %d-cycle miss penalty)\n", fetch.MissCycles), " %6s")
 	fmt.Fprintf(&b, " %6s %7s\n", "TC", "TC+ops")
 	for i, p := range rows {
 		if i == 0 {

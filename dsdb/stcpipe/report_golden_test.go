@@ -2,12 +2,15 @@ package stcpipe_test
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/dsdb/stcpipe"
+	"repro/internal/fetch"
 )
 
 // Regenerate the golden files after an intentional formatting change:
@@ -56,6 +59,20 @@ func TestReportGolden(t *testing.T) {
 			t.Parallel()
 			checkGolden(t, s.name, s.render())
 		})
+	}
+}
+
+// TestTable4NamesTheMissPenalty: Table 4's header states the miss
+// penalty the simulations charge, fetch.MissCycles, not a figure of its
+// own.
+func TestTable4NamesTheMissPenalty(t *testing.T) {
+	r, err := goldenReport()
+	if err != nil {
+		t.Fatalf("PaperTraces: %v", err)
+	}
+	head, _, _ := strings.Cut(r.Table4(), "\n")
+	if want := fmt.Sprintf("(test set, %d-cycle miss penalty)", fetch.MissCycles); !strings.HasSuffix(head, want) {
+		t.Fatalf("Table 4 header %q does not end in %q", head, want)
 	}
 }
 

@@ -39,6 +39,9 @@ import (
 type Pipeline struct {
 	img      *kernel.Image
 	validate bool
+	// store holds the chunks sessions record into, kept across
+	// profiles; a profile's trace is its own copy at its exact length.
+	store trace.Storage
 }
 
 // Option configures New.
@@ -116,10 +119,10 @@ func TPCD(name string, nums ...int) (Workload, error) { return tpcdWorkload(name
 // by Simulate (test role).
 type Profile struct {
 	pipe *Pipeline
-	// ses is the recorder Run extends. Only a Workload's profile has
-	// one; every other source's trace is immutable.
-	ses *kernel.Session
-	tr  *trace.Trace
+	// extends is set on a Workload's profile, the one Run can extend;
+	// every other source's trace is immutable.
+	extends bool
+	tr      *trace.Trace
 	// counts are the probe-pair counts of the sessions tr was recorded
 	// and merged from, which the weighted CFG is assembled from.
 	counts []*kernel.Counts
@@ -129,44 +132,42 @@ type Profile struct {
 // Profile records src on db — every traced query runs under a tracer
 // bound to that call, so the database's own tracer is never touched —
 // and returns the recorded profile. A Workload is the paper's serial
-// run; see Concurrent, Served, Cached and Replayed for the rest.
+// run; see Concurrent, Served, Cached and Replayed for the rest. A
+// Workload's queries are recorded on one session per core when no
+// query can change what another's trace reads (every page of db in its
+// buffer pool, no result cache), otherwise on one; the trace is the
+// serial run's either way.
 func (p *Pipeline) Profile(db *dsdb.DB, src Source) (*Profile, error) {
 	pl, err := src.plan(db)
 	if err != nil {
 		return nil, err
 	}
-	sess := make([]*kernel.Session, len(pl.sessions))
-	for i := range sess {
-		sess[i] = p.img.NewSession(p.validate)
-	}
-	if err := record(db, pl, sess); err != nil {
+	tr, counts, err := p.record(db, pl, nil)
+	if err != nil {
 		return nil, err
 	}
-	pr := &Profile{pipe: p, tr: interleave(p.img.Prog, sess)}
-	for _, s := range sess {
-		pr.counts = append(pr.counts, s.Counts())
-	}
-	if _, ok := src.(Workload); ok {
-		pr.ses = sess[0]
-	}
-	return pr, nil
+	_, extends := src.(Workload)
+	return &Profile{pipe: p, extends: extends, tr: tr, counts: counts}, nil
 }
 
 // Run traces another workload into the same profile — the paper's
 // test set, for example, runs over both the B-tree and the
-// hash-indexed database within one trace.
+// hash-indexed database within one trace. A run that fails leaves the
+// profile as it was.
 func (pr *Profile) Run(db *dsdb.DB, w Workload) error {
-	if pr.ses == nil {
+	if !pr.extends {
 		return fmt.Errorf("stcpipe: only a profile recorded from a Workload can be extended; this one is immutable")
 	}
 	pl, err := w.plan(db)
 	if err != nil {
 		return err
 	}
-	// Invalidate the cached derived profile up front: even a run that
-	// fails partway has grown the trace.
-	pr.prof = nil
-	return record(db, pl, []*kernel.Session{pr.ses})
+	tr, counts, err := pr.pipe.record(db, pl, pr.tr)
+	if err != nil {
+		return err
+	}
+	pr.tr, pr.counts, pr.prof = tr, append(pr.counts, counts...), nil
+	return nil
 }
 
 // profileData assembles (and caches) the weighted CFG profile from the

@@ -748,6 +748,23 @@ func (m *Manager) counts() (table, pinned, misses uint64) {
 	return table, pinned, misses
 }
 
+// Resident reports whether every page of the store is in the pool:
+// then no request misses until a page is added to the store. It holds
+// the miss mutex, so no frame changes hands while it counts; a frame
+// still loading does not count.
+func (m *Manager) Resident() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := 0
+	for i := range m.frames {
+		// loading clears after valid is set (see miss).
+		if f := &m.frames[i]; !f.loading.Load() && f.valid {
+			n++
+		}
+	}
+	return n == m.store.Pages()
+}
+
 // NumPages returns the length of a storage file in pages (pass-through
 // to the storage manager so access methods need only the pool).
 func (m *Manager) NumPages(file int) int { return m.store.NumPages(file) }

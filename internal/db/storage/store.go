@@ -67,6 +67,23 @@ func (s *Store) NumPages(file int) int {
 	return len(s.files[file])
 }
 
+// Pages returns the number of pages in all files.
+func (s *Store) Pages() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	if s.disk != nil {
+		for _, p := range s.disk.pages {
+			n += p
+		}
+		return n
+	}
+	for _, f := range s.files {
+		n += len(f)
+	}
+	return n
+}
+
 // AllocPage appends an empty page to the file and returns its number.
 func (s *Store) AllocPage(file int) (int, error) {
 	s.mu.Lock()

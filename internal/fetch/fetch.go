@@ -118,14 +118,18 @@ import (
 // The SEQ.3 fetch unit, the one the paper evaluates: a fetch delivers
 // up to width instructions and maxBranches branches (all kinds count:
 // conditional, unconditional, calls and returns) from at most maxLines
-// consecutive cache lines, and each missing line costs missPenalty
+// consecutive cache lines, and each missing line costs MissCycles
 // extra cycles.
 const (
 	width       = 16
 	maxBranches = 3
 	maxLines    = 2
-	missPenalty = 5
 )
+
+// MissCycles is the extra cycles a fetch pays for each i-cache line it
+// misses: the miss penalty every simulation charges and the paper's
+// Table 4 names.
+const MissCycles = 5
 
 // Config is the caches one simulation runs the SEQ.3 unit over.
 type Config struct {
@@ -463,7 +467,7 @@ func (u unit) run(w *walker, stop pos) {
 		f.count = 0
 	}
 	m.met = m.met[:0]
-	r.Cycles += misses * missPenalty
+	r.Cycles += misses * MissCycles
 	r.LineMisses += misses
 	if (pos{s.idx, 0}).less(stop) {
 		u.fetches(w, stop) // the walk ends inside a run
@@ -634,7 +638,7 @@ func (u unit) fetches(w *walker, stop pos) {
 				}
 			}
 			r.LineMisses += misses
-			r.Cycles += misses * missPenalty
+			r.Cycles += misses * MissCycles
 		}
 		if tc != nil {
 			tc.Fill(fetchAddr, fill)
@@ -842,7 +846,7 @@ func (u unit) converge(w, c, spec *walker, snaps *[]walker) bool {
 	}
 	r := w.r.plus(to.r).minus(c.r)
 	r.LineMisses -= hits
-	r.Cycles -= hits * missPenalty
+	r.Cycles -= hits * MissCycles
 	*w = walker{stream: to.stream, ic: to.ic, tc: to.tc, r: r, fill: w.fill, memo: w.memo, misses: w.misses}
 	if to != spec {
 		memo, misses := c.memo, c.misses

@@ -671,7 +671,7 @@ func refSimulate(t *trace.Trace, l *program.Layout, cfg Config, cover *tcCoverag
 				}
 			}
 			r.LineMisses += misses
-			r.Cycles += misses * missPenalty
+			r.Cycles += misses * MissCycles
 		}
 		if tc != nil {
 			tc.fill(fetchAddr, tcFill)

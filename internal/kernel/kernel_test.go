@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -32,13 +33,22 @@ func TestEveryProbeHasAPath(t *testing.T) {
 	}
 }
 
+// TestSessionFillsACacheLine: a Session is one 64-byte cache line, so
+// two sessions allocated one after the other and recording on two cores
+// do not both write one line (Emit writes prev on every probe).
+func TestSessionFillsACacheLine(t *testing.T) {
+	if size := reflect.TypeOf(Session{}).Size(); size != 64 {
+		t.Fatalf("a Session is %d bytes, want one 64-byte cache line", size)
+	}
+}
+
 // TestFastSessionRecordsTheSameTrace: a non-validating session records
 // each probe's path with one fixed-size store and its precomputed
 // instruction count; the trace must be the one a validating session
 // records block by block.
 func TestFastSessionRecordsTheSameTrace(t *testing.T) {
 	img := New()
-	fast, checked := img.NewSession(false), img.NewSession(true)
+	fast, checked := newTraced(img, false), newTraced(img, true)
 	for id := probe.ID(0); id < probe.NumProbes; id++ {
 		fast.Emit(id)
 		checked.Emit(id)
@@ -108,7 +118,7 @@ func TestColdCodeDeterministic(t *testing.T) {
 // image session; used to drive every operator shape under validation.
 type env struct {
 	img   *Image
-	ses   *Session
+	ses   traced
 	ctx   *executor.Ctx
 	heap  *access.Heap
 	btree *access.BTree
@@ -119,7 +129,7 @@ type env struct {
 func newEnv(t *testing.T, rows int) *env {
 	t.Helper()
 	img := New()
-	ses := img.NewSession(true)
+	ses := newTraced(img, true)
 	st := storage.NewStore(3)
 	m := buffer.New(st, 64)
 	heap := access.NewHeap(m, 0)

@@ -12,7 +12,7 @@ import (
 // took while recording it, without walking t's events. t must be the
 // trace of the one session counts come from, or the merge of several
 // sessions' traces at their marks, each segment running whole from a
-// mark to the session's next mark or its end (stcpipe's interleave):
+// mark to the session's next mark or its end (stcpipe's merge):
 // every transition of t is then either one a session counted or the
 // one into a mark's position.
 //

@@ -10,13 +10,28 @@ import (
 	"repro/internal/trace"
 )
 
+// traced is a session and the plain trace it records into.
+type traced struct {
+	*Session
+	tr *trace.Trace
+}
+
+// Trace returns the session's trace.
+func (s traced) Trace() *trace.Trace { return s.tr }
+
+// newTraced starts a session recording into a new plain trace.
+func newTraced(img *Image, validate bool) traced {
+	t := trace.New(img.Prog)
+	return traced{img.NewSession(trace.NewRecorder(t, validate)), t}
+}
+
 // mark in a script marks the session instead of emitting a probe.
 const mark = probe.ID(-1)
 
 // play runs a script through a new session: every probe emitted, every
 // mark a query boundary.
-func play(img *Image, validate bool, script []probe.ID) *Session {
-	s := img.NewSession(validate)
+func play(img *Image, validate bool, script []probe.ID) traced {
+	s := newTraced(img, validate)
 	for i, id := range script {
 		if id == mark {
 			s.Mark(fmt.Sprintf("m%d", i))
@@ -31,7 +46,7 @@ func play(img *Image, validate bool, script []probe.ID) *Session {
 // each segment whole from a mark to the session's next mark or its
 // end, as stcpipe does; events before a session's first mark are left
 // out.
-func merge(img *Image, sess []*Session) *trace.Trace {
+func merge(img *Image, sess []traced) *trace.Trace {
 	out := trace.New(img.Prog)
 	for q, more := 0, true; more; q++ {
 		more = false
@@ -108,7 +123,7 @@ func TestProfileFromCountsEqualsReference(t *testing.T) {
 		{mark, mark, enter, hit, mark, enter, hit, enter, mark},
 		{mark, lookup, mark, deform},
 	}
-	var sess []*Session
+	var sess []traced
 	var counts []*Counts
 	for _, sc := range scripts {
 		s := play(img, false, sc)
@@ -127,7 +142,7 @@ func TestProfileFromCountsEqualsReference(t *testing.T) {
 func TestProfileRefusesAnotherTrace(t *testing.T) {
 	img := New()
 	s := play(img, false, []probe.ID{probe.BufGetEnter, probe.BufGetHit, mark, probe.BufGetEnter, probe.BufGetHit})
-	merged := merge(img, []*Session{s})
+	merged := merge(img, []traced{s})
 	counted := len(img.paths[probe.BufGetEnter]) + len(img.paths[probe.BufGetHit])
 	defer func() {
 		msg := fmt.Sprint(recover())

@@ -23,6 +23,10 @@ type Session struct {
 	// prev is the last probe with a non-empty path, or startRow at the
 	// start and after a mark: the row of Counts the next probe counts in.
 	prev probe.ID
+	// Emit writes prev for every probe, so a Session fills a cache line
+	// of its own: two sessions made one after the other and recording
+	// on two cores must not write one line.
+	_ [64 - 28]byte
 }
 
 // Counts holds a session's probe-pair counts: Counts[a][b] is how
@@ -40,12 +44,13 @@ const startRow = probe.NumProbes
 
 var _ probe.Tracer = (*Session)(nil)
 
-// NewSession starts a trace over the image. With validate set, every
-// dynamic transition is checked against the static CFG (used by tests;
-// cheap enough for the experiments too).
-func (img *Image) NewSession(validate bool) *Session {
-	t := trace.New(img.Prog)
-	return &Session{img: img, rec: trace.NewRecorder(t, validate), counts: new(Counts), prev: startRow}
+// NewSession starts a session recording through rec, a fresh recorder
+// over the image's program: trace.NewRecorder into a trace, or a
+// trace.Storage's recorder into its chunks. A validating recorder
+// checks every dynamic transition against the static CFG (used by
+// tests; cheap enough for the experiments too).
+func (img *Image) NewSession(rec *trace.Recorder) *Session {
+	return &Session{img: img, rec: rec, counts: new(Counts), prev: startRow}
 }
 
 // Emit implements probe.Tracer. It counts the probe after the previous
@@ -72,9 +77,6 @@ func (s *Session) Mark(label string) {
 	s.rec.Mark(label)
 	s.prev = startRow
 }
-
-// Trace returns the recorded trace.
-func (s *Session) Trace() *trace.Trace { return s.rec.Trace() }
 
 // Counts returns the session's probe-pair counts, which go on growing
 // as it records.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/db/sql"
 	"repro/internal/db/value"
 	"repro/internal/kernel"
+	"repro/internal/trace"
 )
 
 // build loads the seed-42 B-tree database at sf into a fresh engine.
@@ -39,7 +40,8 @@ func run(t *testing.T, db *engine.DB, c *executor.Ctx, q string) []executor.Tupl
 func TestSmokeAllQueries(t *testing.T) {
 	db := build(t, 0.001)
 	img := kernel.New()
-	ses := img.NewSession(true)
+	tr := trace.New(img.Prog)
+	ses := img.NewSession(trace.NewRecorder(tr, true))
 	db.Buf.FlushAll()
 	c := executor.NewCtx(ses)
 	for _, qn := range AllQueryNumbers() {
@@ -48,7 +50,7 @@ func TestSmokeAllQueries(t *testing.T) {
 		if err := ses.Err(); err != nil {
 			t.Fatalf("Q%d: trace validation: %v", qn, err)
 		}
-		t.Logf("Q%d: %d rows, trace now %d events", qn, len(rows), ses.Trace().Len())
+		t.Logf("Q%d: %d rows, trace now %d events", qn, len(rows), tr.Len())
 	}
 }
 

@@ -10,6 +10,7 @@ package trace
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/program"
 )
@@ -39,6 +40,42 @@ func New(p *program.Program) *Trace {
 	return &Trace{prog: p}
 }
 
+// Storage is recording storage kept across recordings: fixed-size
+// chunks of events. A recorder it makes (Storage.Recorder) fills one
+// chunk after another instead of growing and copying one array, and
+// Release hands the chunks back for the next recording, so a pipeline
+// that keeps one Storage across its profiles allocates chunks for as
+// many events as it ever records at once, and then no more. It is safe
+// for concurrent use.
+type Storage struct {
+	mu   sync.Mutex
+	free [][]program.BlockID
+}
+
+// chunkEvents is the capacity of a Storage chunk, in events.
+const chunkEvents = 64 << 10
+
+// Recorder returns a recorder over p (see NewRecorder) that records
+// into chunks of s.
+func (s *Storage) Recorder(p *program.Program, validate bool) *Recorder {
+	r := NewRecorder(New(p), validate)
+	r.store = s
+	r.t.Blocks = s.chunk()
+	return r
+}
+
+// chunk returns an empty chunk, one s keeps if it has one.
+func (s *Storage) chunk() []program.BlockID {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.free); n > 0 {
+		c := s.free[n-1]
+		s.free = s.free[:n-1]
+		return c[:0]
+	}
+	return make([]program.BlockID, 0, chunkEvents)
+}
+
 // Program returns the program image this trace was recorded over.
 func (t *Trace) Program() *program.Program { return t.prog }
 
@@ -60,6 +97,13 @@ type Recorder struct {
 	t        *Trace
 	validate bool
 
+	// A Storage's recorder records into t.Blocks one chunk at a time:
+	// full holds the chunks filled before it, base their events, and
+	// t.Marks count positions from the start of the recording.
+	store *Storage
+	full  [][]program.BlockID
+	base  int
+
 	// The validation state, kept only when validating.
 	last    program.BlockID // last emitted block, or program.NoBlock
 	stack   []program.BlockID
@@ -78,15 +122,50 @@ func NewRecorder(t *Trace, validate bool) *Recorder {
 	return &Recorder{prog: t.prog, t: t, validate: validate, last: program.NoBlock}
 }
 
-// Trace returns the underlying trace.
-func (r *Recorder) Trace() *Trace { return r.t }
+// Len returns the number of events recorded.
+func (r *Recorder) Len() int { return r.base + len(r.t.Blocks) }
+
+// Instrs returns the number of instructions recorded.
+func (r *Recorder) Instrs() uint64 { return r.t.Instrs }
+
+// Marks returns the marks recorded, at positions counted from the
+// start of the recording.
+func (r *Recorder) Marks() []Mark { return r.t.Marks }
+
+// AppendEvents appends the events recorded at positions lo to hi to
+// dst and returns the result.
+func (r *Recorder) AppendEvents(dst []program.BlockID, lo, hi int) []program.BlockID {
+	for i := 0; i <= len(r.full) && lo < hi; i++ {
+		c := r.t.Blocks
+		if i < len(r.full) {
+			c = r.full[i]
+		}
+		if lo < len(c) {
+			dst = append(dst, c[lo:min(hi, len(c))]...)
+		}
+		lo, hi = max(lo-len(c), 0), hi-len(c)
+	}
+	return dst
+}
+
+// Release hands a Storage recorder's chunks back to its storage. The
+// recorder must not be used again.
+func (r *Recorder) Release() {
+	if r.store == nil {
+		return
+	}
+	r.store.mu.Lock()
+	r.store.free = append(append(r.store.free, r.full...), r.t.Blocks)
+	r.store.mu.Unlock()
+	r.full, r.t = nil, nil
+}
 
 // Err returns the first validation error encountered, or nil.
 func (r *Recorder) Err() error { return r.err }
 
 // Mark records a labelled position (e.g. the start of a query).
 func (r *Recorder) Mark(label string) {
-	r.t.Marks = append(r.t.Marks, Mark{Pos: len(r.t.Blocks), Label: label})
+	r.t.Marks = append(r.t.Marks, Mark{Pos: r.Len(), Label: label})
 }
 
 // Block records the execution of basic block b.
@@ -95,7 +174,8 @@ func (r *Recorder) Block(b program.BlockID) {
 	if r.validate {
 		r.check(b, blk)
 	}
-	r.t.Blocks = appendEvents(r.t.Blocks, b)
+	r.room(1)
+	r.t.Blocks = append(r.t.Blocks, b)
 	r.t.Instrs += uint64(blk.Size)
 }
 
@@ -108,8 +188,8 @@ const PathWidth = 8
 // recorder checks it block by block. Otherwise a path of at most
 // PathWidth blocks whose slice has a capacity of at least PathWidth is
 // recorded with one PathWidth-event store into the recording's tail
-// (TryPath), the recording grown first if it has no room. Any other
-// path is appended in one copy.
+// (TryPath), after room is made for it (see room). Any other path is
+// appended in one copy.
 func (r *Recorder) Path(p []program.BlockID, instrs uint64) {
 	switch {
 	case r.validate:
@@ -117,12 +197,11 @@ func (r *Recorder) Path(p []program.BlockID, instrs uint64) {
 			r.Block(b)
 		}
 	case len(p) <= PathWidth && cap(p) >= PathWidth:
-		if len(r.t.Blocks)+PathWidth > cap(r.t.Blocks) {
-			r.t.Blocks = grow(r.t.Blocks, PathWidth)
-		}
+		r.room(PathWidth)
 		r.TryPath(p, instrs)
 	default:
-		r.t.Blocks = appendEvents(r.t.Blocks, p...)
+		r.room(len(p))
+		r.t.Blocks = append(r.t.Blocks, p...)
 		r.t.Instrs += instrs
 	}
 }
@@ -188,13 +267,20 @@ func (r *Recorder) check(b program.BlockID, blk *program.Block) {
 // minGrow is the smallest capacity, in events, a recording grows to.
 const minGrow = 64 << 10
 
-// appendEvents appends events to a recording, moving a recording that
-// has no room for them first (see grow).
-func appendEvents(blocks []program.BlockID, events ...program.BlockID) []program.BlockID {
-	if len(blocks)+len(events) > cap(blocks) {
-		blocks = grow(blocks, len(events))
+// room makes room for n more events in t.Blocks: a Storage's recorder
+// files the chunk it fills away and takes a new one, any other grows
+// the trace's array.
+func (r *Recorder) room(n int) {
+	b := r.t.Blocks
+	switch {
+	case len(b)+n <= cap(b):
+	case r.store != nil:
+		r.full = append(r.full, b)
+		r.base += len(b)
+		r.t.Blocks = r.store.chunk()
+	default:
+		r.t.Blocks = grow(b, n)
 	}
-	return append(blocks, events...)
 }
 
 // grow moves a recording into one of twice its capacity (at least

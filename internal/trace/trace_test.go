@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -318,5 +319,56 @@ func TestRecordingAcrossGrowthSteps(t *testing.T) {
 			t.Fatalf("%s: recording of %d events took %d slices, want 4 (64K, 128K, 256K, 512K)", how, got.Len(), grows)
 		}
 		equal(how+": recording", got, want)
+	}
+}
+
+// TestStorageRecorderEqualsPlain: a Storage's recorder, validating or
+// storing paths, records across many chunks exactly what a plain
+// recorder records — events, marks at positions counted from the start,
+// instruction count — and reads any range of it back; a recorder after
+// Release records into the chunks it handed back.
+func TestStorageRecorderEqualsPlain(t *testing.T) {
+	p := testProgram(t)
+	iter := []program.BlockID{p.MustBlock("main.loop"), p.MustBlock("main.callh"), p.MustBlock("helper.entry"), p.MustBlock("helper.ret"), p.MustBlock("main.back")}
+	path := append(make([]program.BlockID, 0, PathWidth), iter...)
+	var instrs uint64
+	for _, b := range iter {
+		instrs += uint64(p.Block(b).Size)
+	}
+	var s Storage
+	for _, validate := range []bool{true, false} {
+		want := New(p)
+		plain, r := NewRecorder(want, validate), s.Recorder(p, validate)
+		for _, rec := range []*Recorder{plain, r} {
+			rec.Block(p.MustBlock("main.entry"))
+			for i := 0; i < 4*chunkEvents/len(iter); i++ {
+				if i%10_000 == 0 {
+					rec.Mark(fmt.Sprint("q", i))
+				}
+				rec.Path(path, instrs)
+			}
+		}
+		if r.Err() != nil || len(r.full) < 3 {
+			t.Fatalf("validate=%v: %v after %d full chunks", validate, r.Err(), len(r.full))
+		}
+		got := r.AppendEvents(nil, 0, r.Len())
+		if r.Len() != want.Len() || r.Instrs() != want.Instrs || !slices.Equal(r.Marks(), want.Marks) || !slices.Equal(got, want.Blocks) {
+			t.Fatalf("validate=%v: %d events / %d instrs / %d marks, plain %d / %d / %d (or contents differ)",
+				validate, r.Len(), r.Instrs(), len(r.Marks()), want.Len(), want.Instrs, len(want.Marks))
+		}
+		for _, rg := range [][2]int{{0, 0}, {5, 9}, {chunkEvents - 3, chunkEvents + 4}, {chunkEvents, 2*chunkEvents + 1}, {r.Len() - 2, r.Len()}} {
+			if got := r.AppendEvents([]program.BlockID{0}, rg[0], rg[1]); !slices.Equal(got[1:], want.Blocks[rg[0]:rg[1]]) {
+				t.Fatalf("validate=%v: events %d to %d read back wrong", validate, rg[0], rg[1])
+			}
+		}
+		kept := len(r.full) + 1
+		r.Release()
+		if len(s.free) != kept {
+			t.Fatalf("validate=%v: storage keeps %d chunks, the recorder filled %d", validate, len(s.free), kept)
+		}
+	}
+	n := len(s.free)
+	if s.Recorder(p, false); len(s.free) != n-1 {
+		t.Fatalf("a new recorder left %d of the %d kept chunks", len(s.free), n)
 	}
 }
