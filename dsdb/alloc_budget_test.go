@@ -5,32 +5,37 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/dsdb"
 )
 
-// allocBudgetSlack is how far a query's allocation count may exceed
-// its golden before the test fails. The counts repeat to within a few
+// allocBudgetSlack is how far a query's allocation count or bytes may
+// exceed its golden before the test fails. Both repeat to within a few
 // objects (pooled spans, map growth), so 5% is room for noise on the
 // small queries and far below any real per-row regression.
 const allocBudgetSlack = 1.05
 
 // allocBudgetStale is how far below its golden a query may come in: a
-// change that removes more than a tenth of a query's allocations has
-// to regenerate the budget, or the win it made is slack the next
-// regression can hide in.
+// change that removes more than a tenth of a query's allocations or
+// bytes has to regenerate the budget, or the win it made is slack the
+// next regression can hide in.
 const allocBudgetStale = 0.90
 
-// TestQueryAllocBudget pins heap allocations per TPC-D query — the
-// executor's tuple path is meant to allocate per retained row (a slab
-// chunk per ~64, string bytes in doubling chunks) and per result row
-// handed out (Rows.Values), never per row passed up the plan nor per
-// decoded string (a view of the pinned page), and unlike a latency
-// that is a count CI can gate on. Each query runs single-session at SF 0.01 (the scale of
-// bench/'s tpcd_served workload), compiled, executed and materialized.
-// After an intentional change regenerate the budget with
+// TestQueryAllocBudget pins heap allocations and allocated bytes per
+// TPC-D query — the executor's tuple path is meant to allocate per
+// retained row (a slab chunk per ~64, string bytes in doubling chunks,
+// one exact-size row index per sort) and per result row handed out
+// (Rows.Values), never per row passed up the plan nor per decoded
+// string (a view of the pinned page); a sort keeps only the columns
+// the plan above it reads, which is what the bytes hold to. Unlike a
+// latency, both are figures CI can gate on. Each query runs
+// single-session at SF 0.01 (the scale of bench/'s tpcd_served
+// workload), compiled, executed and materialized. The golden has one
+// line per query: name, allocations, bytes. After an intentional
+// change regenerate the budget with
 //
 //	go test ./dsdb -run TestQueryAllocBudget -update
 func TestQueryAllocBudget(t *testing.T) {
@@ -40,7 +45,8 @@ func TestQueryAllocBudget(t *testing.T) {
 	}
 	defer db.Close()
 	path := filepath.Join("testdata", "alloc_budget.golden")
-	budget := map[string]float64{}
+	type cost struct{ allocs, bytes float64 }
+	budget := map[string]cost{}
 	if !*update {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -48,24 +54,23 @@ func TestQueryAllocBudget(t *testing.T) {
 		}
 		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
 			var name string
-			var n float64
-			if _, err := fmt.Sscanf(line, "%s %f", &name, &n); err != nil {
-				t.Fatalf("bad golden line %q: %v", line, err)
+			var c cost
+			if _, err := fmt.Sscanf(line, "%s %f %f", &name, &c.allocs, &c.bytes); err != nil {
+				t.Fatalf("bad golden line %q (want: name allocs bytes): %v", line, err)
 			}
-			budget[name] = n
+			budget[name] = c
 		}
 	}
 	var golden strings.Builder
 	for _, qn := range dsdb.TPCDQueryNumbers() {
 		q, _ := dsdb.TPCDQuery(qn)
 		name := fmt.Sprintf("Q%d", qn)
-		// AllocsPerRun's warm-up run also warms the buffer pool.
-		allocs := testing.AllocsPerRun(1, func() {
+		allocs, bytes := allocsPerRun(func() {
 			if _, err := db.Exec(context.Background(), q); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 		})
-		fmt.Fprintf(&golden, "%s %.0f\n", name, allocs)
+		fmt.Fprintf(&golden, "%s %d %d\n", name, allocs, bytes)
 		if *update {
 			continue
 		}
@@ -74,13 +79,18 @@ func TestQueryAllocBudget(t *testing.T) {
 			t.Errorf("%s: no budget in %s (regenerate with -update)", name, path)
 			continue
 		}
-		if allocs > want*allocBudgetSlack {
-			t.Errorf("%s: %.0f allocations, budget %.0f (+%.0f%% slack): the tuple path allocates more than it did",
-				name, allocs, want, 100*(allocBudgetSlack-1))
-		}
-		if allocs < want*allocBudgetStale {
-			t.Errorf("%s: %.0f allocations, budget %.0f: stale budget, rerun with -update to lock the win in",
-				name, allocs, want)
+		for _, m := range []struct {
+			what      string
+			got, want float64
+		}{{"allocations", float64(allocs), want.allocs}, {"bytes", float64(bytes), want.bytes}} {
+			if m.got > m.want*allocBudgetSlack {
+				t.Errorf("%s: %.0f %s, budget %.0f (+%.0f%% slack): the tuple path allocates more than it did",
+					name, m.got, m.what, m.want, 100*(allocBudgetSlack-1))
+			}
+			if m.got < m.want*allocBudgetStale {
+				t.Errorf("%s: %.0f %s, budget %.0f: stale budget, rerun with -update to lock the win in",
+					name, m.got, m.what, m.want)
+			}
 		}
 	}
 	if *update {
@@ -88,4 +98,17 @@ func TestQueryAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// allocsPerRun is testing.AllocsPerRun(1, f) that also reports the
+// bytes allocated: one warm-up call (which also warms the buffer pool),
+// then the heap counters around a second call on one P.
+func allocsPerRun(f func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }

@@ -2,6 +2,7 @@ package executor
 
 import (
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -332,23 +333,62 @@ func TestMergeJoinMatchesNaive(t *testing.T) {
 	}
 }
 
+// A sort keeps every column of its child's rows, or with Cols only
+// those, and its keys and schema index the row it keeps.
 func TestSortOperator(t *testing.T) {
 	db := newTestDB(t, 97)
-	scan := &SeqScan{C: NewCtx(nil), Heap: db.heap, Out: db.sch}
-	srt := &Sort{C: NewCtx(nil), Child: scan,
-		Keys: []SortKey{{Col: 1}, {Col: 0, Desc: true}}}
-	rows := drain(t, srt)
-	if len(rows) != 97 {
-		t.Fatalf("got %d rows", len(rows))
+	for _, narrow := range []bool{false, true} {
+		scan := &SeqScan{C: NewCtx(nil), Heap: db.heap, Out: db.sch}
+		srt := &Sort{C: NewCtx(nil), Child: scan,
+			Keys: []SortKey{{Col: 1}, {Col: 0, Desc: true}}}
+		if narrow {
+			srt.Out, srt.Cols = numSch, numCols // (a, b) of (a, b, s)
+		}
+		rows := drain(t, srt)
+		if len(rows) != 97 {
+			t.Fatalf("narrow=%v: got %d rows", narrow, len(rows))
+		}
+		for i, r := range rows {
+			if len(r) != srt.Schema().Len() {
+				t.Fatalf("narrow=%v: row %d = %v, schema %d columns", narrow, i, r, srt.Schema().Len())
+			}
+		}
+		for i := 1; i < len(rows); i++ {
+			a, b := rows[i-1], rows[i]
+			if a[1].I > b[1].I {
+				t.Fatal("primary key not ascending")
+			}
+			if a[1].I == b[1].I && a[0].I < b[0].I {
+				t.Fatal("secondary key not descending")
+			}
+		}
 	}
-	for i := 1; i < len(rows); i++ {
-		a, b := rows[i-1], rows[i]
-		if a[1].I > b[1].I {
-			t.Fatal("primary key not ascending")
+}
+
+// Rows hands back every copied row in copy order, across chunks, in
+// one exactly-sized index.
+func TestSlabRows(t *testing.T) {
+	for _, n := range []int{0, 1, 4, 5, 64, 1000} {
+		var s Slab
+		for i := 0; i < n; i++ {
+			s.CopyCols(Tuple{value.NewInt(int64(i)), value.NewInt(-1), value.NewStr(strconv.Itoa(i))}, []int{0, 2})
 		}
-		if a[1].I == b[1].I && a[0].I < b[0].I {
-			t.Fatal("secondary key not descending")
+		rows := s.Rows()
+		if len(rows) != n || cap(rows) != n {
+			t.Fatalf("n=%d: len %d cap %d", n, len(rows), cap(rows))
 		}
+		for i, r := range rows {
+			if len(r) != 2 || cap(r) != 2 || r[0].I != int64(i) || r[1].S != strconv.Itoa(i) {
+				t.Fatalf("n=%d: row %d = %v (cap %d)", n, i, r, cap(r))
+			}
+		}
+	}
+	var zero Slab
+	for i := 0; i < 3; i++ {
+		zero.Copy(Tuple{})
+	}
+	if rows := zero.Rows(); len(rows) != 3 || len(rows[2]) != 0 {
+		t.Fatalf("zero-width rows = %v", rows)
 	}
 }
 

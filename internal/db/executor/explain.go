@@ -148,7 +148,7 @@ func nodeLabel(n Node) string {
 		return fmt.Sprintf("Group Aggregate (%s; %s)",
 			strings.Join(cols, ", "), specList(t.Specs))
 	case *Sort:
-		return "Sort (" + keyList(t.Child, t.Keys) + ")"
+		return "Sort (" + keyList(t) + ")"
 	case *Material:
 		return "Materialize"
 	case *Limit:
@@ -278,11 +278,12 @@ func specList(specs []AggSpec) string {
 	return strings.Join(parts, ", ")
 }
 
-// keyList renders sort keys against the child's output schema.
-func keyList(child Node, keys []SortKey) string {
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = colName(child, k.Col)
+// keyList renders a sort's keys against its own output schema, which
+// names the same columns as its child's however many it keeps.
+func keyList(s *Sort) string {
+	parts := make([]string, len(s.Keys))
+	for i, k := range s.Keys {
+		parts[i] = colName(s, k.Col)
 		if k.Desc {
 			parts[i] += " desc"
 		}

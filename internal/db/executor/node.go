@@ -20,7 +20,11 @@ import (
 // past that point copies it, string bytes and all: Sort, Material, the
 // hash-join build and the result-cache fill into a Slab,
 // GroupAgg's group head and the merge-join duplicate group into a
-// strArena they recycle per group, min/max into a value.Clone. A join
+// strArena they recycle per group, min/max into a value.Clone. A
+// copier keeps no more than the plan above it reads: a Sort with Cols
+// copies only those columns (a GROUP BY sort: the group columns and
+// aggregate arguments), and Sort and Material index what they kept
+// with one exact-size Slab.Rows once their child is drained. A join
 // holds its current outer tuple across calls on its *inner* child,
 // which the rule allows.
 type Node interface {
@@ -52,28 +56,82 @@ const slabRows = 64
 // Slab is ready to use; a chunk lives as long as any row copied into
 // it.
 type Slab struct {
+	cur  []value.Value // the current chunk; cur[len(cur)-len(free):] is free
 	free []value.Value
-	rows int // rows copied so far; sizes the next chunk
+	full [][]value.Value // the filled part of every earlier chunk, in copy order
+	rows int             // rows copied so far; sizes the next chunk
+	wide int             // the width of the latest row
 	strs strArena
 }
 
 // Copy returns a copy of t, string bytes included, that stays valid for
 // as long as the caller keeps it.
 func (s *Slab) Copy(t Tuple) Tuple {
-	n := len(t)
+	out := s.carve(len(t))
+	copy(out, t)
+	s.keepStrs(out)
+	return out
+}
+
+// CopyCols is Copy narrowed to t's columns cols, in that order.
+func (s *Slab) CopyCols(t Tuple, cols []int) Tuple {
+	out := s.carve(len(cols))
+	for i, col := range cols {
+		out[i] = t[col]
+	}
+	s.keepStrs(out)
+	return out
+}
+
+// carve returns room for one row of n values.
+func (s *Slab) carve(n int) Tuple {
 	if n > len(s.free) {
-		s.free = make([]value.Value, n*min(max(s.rows, 4), slabRows))
+		if used := len(s.cur) - len(s.free); used > 0 {
+			s.full = append(s.full, s.cur[:used])
+		}
+		s.cur = make([]value.Value, n*min(max(s.rows, 4), slabRows))
+		s.free = s.cur
 	}
 	out := s.free[:n:n]
 	s.free = s.free[n:]
 	s.rows++
-	copy(out, t)
+	s.wide = n
+	return out
+}
+
+// keepStrs copies the string bytes of a carved row into the arena.
+func (s *Slab) keepStrs(out Tuple) {
 	for i := range out {
 		if out[i].T == value.Str {
 			out[i] = s.strs.keep(out[i])
 		}
 	}
-	return out
+}
+
+// Rows returns every row copied so far, in copy order, in one slice of
+// exactly that many headers — the row index of a consumer that replays
+// what it kept (Sort, Material), built once the input is drained
+// instead of grown by doubling. Every row must have the same width.
+func (s *Slab) Rows() []Tuple {
+	rows := make([]Tuple, s.rows)
+	if s.wide == 0 {
+		return rows // zero-width rows: nothing was carved
+	}
+	i := 0
+	fill := func(chunk []value.Value) {
+		for ; len(chunk) > 0; chunk = chunk[s.wide:] {
+			rows[i] = chunk[:s.wide:s.wide]
+			i++
+		}
+	}
+	for _, chunk := range s.full {
+		fill(chunk)
+	}
+	fill(s.cur[:len(s.cur)-len(s.free)])
+	if i != len(rows) {
+		panic("executor: Slab.Rows over rows of different widths")
+	}
+	return rows
 }
 
 // Bounds of the byte chunks a strArena carves string copies from.

@@ -88,6 +88,15 @@ func SlotPlans(t *testing.T) map[string]func() Node {
 		"GroupAgg/varchar key": func() Node {
 			return &GroupAgg{C: c, Child: byS(nil), GroupBy: []int{2}, Specs: sumA}
 		},
+		// The planner's GROUP BY shape: the sort keeps (a, s) of the
+		// scan's (a, b, s), and the group key and aggregates index that.
+		"GroupAgg/narrowed sort, varchar key": func() Node {
+			narrow := &Sort{C: c, Child: seq(), Out: catalog.NewSchema(db.sch.Columns[0], db.sch.Columns[2]),
+				Cols: []int{0, 2}, Keys: []SortKey{{Col: 1}}}
+			return &GroupAgg{C: c, Child: narrow, GroupBy: []int{1}, Specs: []AggSpec{
+				{Func: AggSum, Arg: intvar(0)}, {Func: AggCount},
+				{Func: AggMin, Arg: &Var{Idx: 1, T: value.Str}}, {Func: AggMax, Arg: &Var{Idx: 1, T: value.Str}}}}
+		},
 		"NestLoop": func() Node {
 			return &NestLoop{C: c, Outer: keys(5), Inner: seq(), Quals: bEquals(2, 6)}
 		},

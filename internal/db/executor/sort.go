@@ -18,7 +18,14 @@ type SortKey struct {
 type Sort struct {
 	C     *Ctx
 	Child Node
-	Keys  []SortKey
+	// Out describes the kept columns and Cols lists their ordinals in
+	// the child's output, ascending; both nil keep every column (an
+	// ORDER BY sort, whose rows are the result). A sort under a GROUP
+	// BY keeps only what the aggregate above it reads. Keys index the
+	// kept row.
+	Out  *catalog.Schema
+	Cols []int
+	Keys []SortKey
 
 	rows   []Tuple // copies, owned by slab
 	slab   Slab
@@ -45,8 +52,13 @@ func (s *Sort) load() error {
 			break
 		}
 		c.emit(probe.SortLoadOK)
-		s.rows = append(s.rows, s.slab.Copy(tup))
+		if s.Cols != nil {
+			s.slab.CopyCols(tup, s.Cols)
+		} else {
+			s.slab.Copy(tup)
+		}
 	}
+	s.rows = s.slab.Rows()
 	c.emit(probe.SortSortCall)
 	c.emit(probe.QsortEnter)
 	sort.SliceStable(s.rows, func(i, j int) bool {
@@ -88,7 +100,12 @@ func (s *Sort) Close() error {
 }
 
 // Schema implements Node.
-func (s *Sort) Schema() *catalog.Schema { return s.Child.Schema() }
+func (s *Sort) Schema() *catalog.Schema {
+	if s.Out != nil {
+		return s.Out
+	}
+	return s.Child.Schema()
+}
 
 // Material buffers its child's output on first demand and replays it
 // on rescans (ExecMaterial) — what the paper notes Aggregate/Sort-type
@@ -127,8 +144,9 @@ func (m *Material) Next() (Tuple, bool, error) {
 				break
 			}
 			c.emit(probe.MatLoadOK)
-			m.rows = append(m.rows, m.slab.Copy(tup))
+			m.slab.Copy(tup)
 		}
+		m.rows = m.slab.Rows()
 		c.emit(probe.MatLoadDone)
 		m.loaded = true
 	}

@@ -164,19 +164,24 @@ func (pl *Planner) finish(st *SelectStmt, plan executor.Node) (executor.Node, er
 	switch {
 	case len(st.GroupBy) > 0:
 		// Sort by group columns, aggregate per group, project to the
-		// select-list order.
+		// select-list order. The sort keeps only the group columns and
+		// the aggregates' arguments, and everything above it resolves
+		// names against that narrowed schema.
+		for _, g := range st.GroupBy {
+			if sch.ColIndex(g) < 0 {
+				return nil, fmt.Errorf("sql: unknown GROUP BY column %q", g)
+			}
+		}
+		out, cols := prune(sch, groupedColumns(st))
 		var keys []executor.SortKey
 		var groupCols []int
 		for _, g := range st.GroupBy {
-			idx := sch.ColIndex(g)
-			if idx < 0 {
-				return nil, fmt.Errorf("sql: unknown GROUP BY column %q", g)
-			}
+			idx := out.ColIndex(g)
 			keys = append(keys, executor.SortKey{Col: idx})
 			groupCols = append(groupCols, idx)
 		}
-		srt := &executor.Sort{C: pl.C, Child: plan, Keys: keys}
-		specs, err := pl.aggSpecs(st, sch)
+		srt := &executor.Sort{C: pl.C, Child: plan, Out: out, Cols: cols, Keys: keys}
+		specs, err := pl.aggSpecs(st, out)
 		if err != nil {
 			return nil, err
 		}
@@ -470,14 +475,30 @@ func walkCols(n node, fn func(name string)) {
 // and GROUP BY. ORDER BY names resolve against the projected output,
 // whose inputs are select items already.
 func usedColumns(st *SelectStmt) map[string]bool {
-	used := make(map[string]bool)
+	used := groupedColumns(st)
 	add := func(name string) { used[name] = true }
 	for _, it := range st.Items {
-		walkCols(it.Expr, add)
+		if it.Agg == "" {
+			walkCols(it.Expr, add)
+		}
 	}
 	walkCols(st.Where, add)
+	return used
+}
+
+// groupedColumns collects the column names a grouped statement reads
+// above its sort: the GROUP BY columns and every aggregate argument.
+// Other select items must be group columns (postAggProject checks).
+func groupedColumns(st *SelectStmt) map[string]bool {
+	used := make(map[string]bool)
+	add := func(name string) { used[name] = true }
 	for _, g := range st.GroupBy {
 		add(g)
+	}
+	for _, it := range st.Items {
+		if it.Agg != "" {
+			walkCols(it.Expr, add)
+		}
 	}
 	return used
 }

@@ -6,9 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/db/catalog"
+	"repro/internal/db/engine"
 	"repro/internal/db/executor"
 	"repro/internal/db/executor/exectest"
 	"repro/internal/db/value"
+	"repro/internal/tpcd"
 )
 
 // scannedColumns walks a plan and returns, per base table, the names
@@ -18,15 +20,10 @@ func scannedColumns(t *testing.T, n executor.Node) (names map[string]string, ord
 	t.Helper()
 	names, ords = map[string]string{}, map[string][]int{}
 	record := func(table string, sch *catalog.Schema, cols []int) {
-		var ns []string
-		for _, c := range sch.Columns {
-			ns = append(ns, c.Name)
-		}
-		names[table] = strings.Join(ns, ",")
+		names[table] = colNames(sch)
 		ords[table] = cols
 	}
-	var walk func(executor.Node)
-	walk = func(n executor.Node) {
+	walkPlan(t, n, nil, func(n, _ executor.Node) {
 		switch x := n.(type) {
 		case *executor.SeqScan:
 			record(x.Table, x.Out, x.Cols)
@@ -34,34 +31,110 @@ func scannedColumns(t *testing.T, n executor.Node) (names map[string]string, ord
 			record(x.Table, x.Out, x.Cols)
 		case *executor.IndexLoopJoin:
 			record(x.Table, x.InnerSch, x.InnerCols)
-			walk(x.Outer)
-		case *executor.HashJoin:
-			walk(x.Outer)
-			walk(x.Inner)
-		case *executor.MergeJoin:
-			walk(x.Outer)
-			walk(x.Inner)
-		case *executor.NestLoop:
-			walk(x.Outer)
-			walk(x.Inner)
-		case *executor.ProjectNode:
-			walk(x.Child)
-		case *executor.Filter:
-			walk(x.Child)
-		case *executor.Sort:
-			walk(x.Child)
-		case *executor.Agg:
-			walk(x.Child)
-		case *executor.GroupAgg:
-			walk(x.Child)
-		case *executor.Limit:
-			walk(x.Child)
-		default:
-			t.Fatalf("scannedColumns: unhandled node %T", n)
+		}
+	})
+	return names, ords
+}
+
+// walkPlan calls fn with every node of a plan and its parent (nil at
+// the root), parents first, and fails the test on a node type it does
+// not know how to descend into.
+func walkPlan(t *testing.T, n, parent executor.Node, fn func(n, parent executor.Node)) {
+	t.Helper()
+	fn(n, parent)
+	var kids []executor.Node
+	switch x := n.(type) {
+	case *executor.SeqScan, *executor.IndexScan:
+	case *executor.IndexLoopJoin:
+		kids = []executor.Node{x.Outer}
+	case *executor.HashJoin:
+		kids = []executor.Node{x.Outer, x.Inner}
+	case *executor.MergeJoin:
+		kids = []executor.Node{x.Outer, x.Inner}
+	case *executor.NestLoop:
+		kids = []executor.Node{x.Outer, x.Inner}
+	case *executor.ProjectNode:
+		kids = []executor.Node{x.Child}
+	case *executor.Filter:
+		kids = []executor.Node{x.Child}
+	case *executor.Sort:
+		kids = []executor.Node{x.Child}
+	case *executor.Agg:
+		kids = []executor.Node{x.Child}
+	case *executor.GroupAgg:
+		kids = []executor.Node{x.Child}
+	case *executor.Limit:
+		kids = []executor.Node{x.Child}
+	default:
+		t.Fatalf("walkPlan: unhandled node %T", n)
+	}
+	for _, k := range kids {
+		walkPlan(t, k, n, fn)
+	}
+}
+
+// colNames joins a schema's column names with commas.
+func colNames(sch *catalog.Schema) string {
+	ns := make([]string, len(sch.Columns))
+	for i, c := range sch.Columns {
+		ns[i] = c.Name
+	}
+	return strings.Join(ns, ",")
+}
+
+// A GROUP BY sort keeps the group columns and the aggregates'
+// arguments and nothing else; an ORDER BY sort keeps every column,
+// because its rows are the result. Pinned for every TPC-D query on
+// both index kinds (the join shapes below the sorts differ).
+func TestPlanNarrowsGroupBySorts(t *testing.T) {
+	want := map[int]string{
+		3:  "o_orderdate,o_shippriority,l_orderkey,l_extendedprice,l_discount",
+		4:  "o_orderpriority",
+		5:  "n_name,l_extendedprice,l_discount",
+		9:  "n_name,l_quantity,l_extendedprice,l_discount,ps_supplycost",
+		11: "ps_partkey,ps_availqty,ps_supplycost",
+		12: "l_shipmode",
+		13: "c_custkey",
+		15: "l_suppkey,l_extendedprice,l_discount",
+	}
+	for _, kind := range []catalog.IndexKind{catalog.BTree, catalog.Hash} {
+		db := engine.Open(2048)
+		if err := tpcd.Load(db, tpcd.Config{SF: 0.001, Seed: 42, Indexes: kind}); err != nil {
+			t.Fatal(err)
+		}
+		for _, qn := range tpcd.AllQueryNumbers() {
+			q, _ := tpcd.Query(qn)
+			cq, err := CompileQuery(db, executor.NewCtx(nil), q)
+			if err != nil {
+				t.Fatalf("Q%d: %v", qn, err)
+			}
+			scannedColumns(t, cq.Plan)
+			grouped := ""
+			walkPlan(t, cq.Plan, nil, func(n, parent executor.Node) {
+				srt, ok := n.(*executor.Sort)
+				if !ok {
+					return
+				}
+				if _, ok := parent.(*executor.GroupAgg); ok {
+					grouped = colNames(srt.Schema())
+					kept := srt.Child.Schema()
+					for i, col := range srt.Cols {
+						if kept.Columns[col] != srt.Out.Columns[i] {
+							t.Errorf("Q%d %v: Cols[%d] = %d names %v, Out has %v", qn, kind, i, col, kept.Columns[col], srt.Out.Columns[i])
+						}
+					}
+					return
+				}
+				if srt.Cols != nil || srt.Schema() != srt.Child.Schema() {
+					t.Errorf("Q%d %v: a sort not under a GROUP BY keeps %s of %s", qn, kind,
+						colNames(srt.Schema()), colNames(srt.Child.Schema()))
+				}
+			})
+			if grouped != want[qn] {
+				t.Errorf("Q%d %v: the GROUP BY sort keeps %q, want %q", qn, kind, grouped, want[qn])
+			}
 		}
 	}
-	walk(n)
-	return names, ords
 }
 
 // Scans deform only the columns the statement references, ordinals
