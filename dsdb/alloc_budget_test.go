@@ -3,6 +3,7 @@ package dsdb_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -25,17 +26,20 @@ const allocBudgetSlack = 1.05
 const allocBudgetStale = 0.90
 
 // TestQueryAllocBudget pins heap allocations and allocated bytes per
-// TPC-D query — the executor's tuple path is meant to allocate per
-// retained row (a slab chunk per ~64, string bytes in doubling chunks,
-// one exact-size row index per sort) and per result row handed out
-// (Rows.Values), never per row passed up the plan nor per decoded
-// string (a view of the pinned page); a sort keeps only the columns
-// the plan above it reads, which is what the bytes hold to. Unlike a
-// latency, both are figures CI can gate on. Each query runs
-// single-session at SF 0.01 (the scale of bench/'s tpcd_served
-// workload), compiled, executed and materialized. The golden has one
-// line per query: name, allocations, bytes. After an intentional
-// change regenerate the budget with
+// TPC-D query, for compiling it and for running it, each gated on its
+// own. A fresh compile (Prepare) parses and plans the text; a reused
+// execution (Exec of a text the one-shot plan pool already holds) runs
+// that plan again, which is what a repeated query costs. The executor's
+// tuple path is meant to allocate per retained row (a slab chunk per
+// ~64, string bytes in doubling chunks, one exact-size row index per
+// sort) and per result row handed out (Rows.Values), never per row
+// passed up the plan nor per decoded string (a view of the pinned
+// page); a sort keeps only the columns the plan above it reads, which
+// is what the bytes hold to. Unlike a latency, both are figures CI can
+// gate on. Each query runs single-session at SF 0.01 (the scale of
+// bench/'s tpcd_served workload). The golden has one line per query:
+// name, then "compile" allocations and bytes, then "exec" allocations
+// and bytes. After an intentional change regenerate the budget with
 //
 //	go test ./dsdb -run TestQueryAllocBudget -update
 func TestQueryAllocBudget(t *testing.T) {
@@ -46,7 +50,8 @@ func TestQueryAllocBudget(t *testing.T) {
 	defer db.Close()
 	path := filepath.Join("testdata", "alloc_budget.golden")
 	type cost struct{ allocs, bytes float64 }
-	budget := map[string]cost{}
+	type costs struct{ compile, exec cost }
+	budget := map[string]costs{}
 	if !*update {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -54,9 +59,10 @@ func TestQueryAllocBudget(t *testing.T) {
 		}
 		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
 			var name string
-			var c cost
-			if _, err := fmt.Sscanf(line, "%s %f %f", &name, &c.allocs, &c.bytes); err != nil {
-				t.Fatalf("bad golden line %q (want: name allocs bytes): %v", line, err)
+			var c costs
+			if _, err := fmt.Sscanf(line, "%s compile %f %f exec %f %f", &name,
+				&c.compile.allocs, &c.compile.bytes, &c.exec.allocs, &c.exec.bytes); err != nil {
+				t.Fatalf("bad golden line %q (want: name compile allocs bytes exec allocs bytes): %v", line, err)
 			}
 			budget[name] = c
 		}
@@ -65,12 +71,26 @@ func TestQueryAllocBudget(t *testing.T) {
 	for _, qn := range dsdb.TPCDQueryNumbers() {
 		q, _ := dsdb.TPCDQuery(qn)
 		name := fmt.Sprintf("Q%d", qn)
-		allocs, bytes := allocsPerRun(func() {
+		compileAllocs, compileBytes := allocsPerRun(func() {
+			stmt, err := db.Prepare(q)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			stmt.Close()
+		})
+		before := db.PlanStats()
+		execAllocs, execBytes := allocsPerRun(func() {
 			if _, err := db.Exec(context.Background(), q); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 		})
-		fmt.Fprintf(&golden, "%s %d %d\n", name, allocs, bytes)
+		// The warm-up run compiled the text into the pool; the measured
+		// ones must have run that plan again.
+		if after := db.PlanStats(); after.Compiled-before.Compiled != 1 || after.Reused-before.Reused != allocRuns {
+			t.Fatalf("%s: %d compiles and %d reuses over %d Execs, want 1 and %d",
+				name, after.Compiled-before.Compiled, after.Reused-before.Reused, 1+allocRuns, allocRuns)
+		}
+		fmt.Fprintf(&golden, "%s compile %d %d exec %d %d\n", name, compileAllocs, compileBytes, execAllocs, execBytes)
 		if *update {
 			continue
 		}
@@ -82,9 +102,14 @@ func TestQueryAllocBudget(t *testing.T) {
 		for _, m := range []struct {
 			what      string
 			got, want float64
-		}{{"allocations", float64(allocs), want.allocs}, {"bytes", float64(bytes), want.bytes}} {
+		}{
+			{"compile allocations", float64(compileAllocs), want.compile.allocs},
+			{"compile bytes", float64(compileBytes), want.compile.bytes},
+			{"exec allocations", float64(execAllocs), want.exec.allocs},
+			{"exec bytes", float64(execBytes), want.exec.bytes},
+		} {
 			if m.got > m.want*allocBudgetSlack {
-				t.Errorf("%s: %.0f %s, budget %.0f (+%.0f%% slack): the tuple path allocates more than it did",
+				t.Errorf("%s: %.0f %s, budget %.0f (+%.0f%% slack): it allocates more than it did",
 					name, m.got, m.what, m.want, 100*(allocBudgetSlack-1))
 			}
 			if m.got < m.want*allocBudgetStale {
@@ -100,15 +125,27 @@ func TestQueryAllocBudget(t *testing.T) {
 	}
 }
 
-// allocsPerRun is testing.AllocsPerRun(1, f) that also reports the
-// bytes allocated: one warm-up call (which also warms the buffer pool),
-// then the heap counters around a second call on one P.
+// allocRuns is how many calls allocsPerRun measures after its warm-up.
+const allocRuns = 4
+
+// allocsPerRun reports the allocations and bytes of one call of f: one
+// warm-up call (which also warms the buffer pool), then the least of
+// each over allocRuns calls on one P, timed by the heap counters. The
+// least, because a pooled object (an observability span) is allocated
+// again whenever the pool lost it — after a GC, or at random under the
+// race detector, which drops a quarter of sync.Pool puts — and no
+// other call allocates less than the steady state.
 func allocsPerRun(f func()) (allocs, bytes uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	allocs, bytes = math.MaxUint64, math.MaxUint64
+	for range allocRuns {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	return allocs, bytes
 }

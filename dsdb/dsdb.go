@@ -223,6 +223,9 @@ type DB struct {
 	// recovered reports that Open found existing durable state in the
 	// data directory and replayed it instead of loading fresh data.
 	recovered bool
+
+	// plans keeps idle one-shot statements for reuse (plans.go).
+	plans planPool
 }
 
 // Open creates a database configured by the given options.

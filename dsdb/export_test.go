@@ -10,3 +10,9 @@ import "errors"
 func (db *DB) FailStoreReadsForTest() {
 	db.eng.Store.InjectReadError(errors.New("dsdb: injected storage read error"))
 }
+
+// HealStoreReadsForTest undoes FailStoreReadsForTest.
+func (db *DB) HealStoreReadsForTest() { db.eng.Store.InjectReadError(nil) }
+
+// MaxIdlePlans is the bound on the plan pool's idle statements.
+const MaxIdlePlans = maxIdlePlans

@@ -250,7 +250,9 @@ func project(t *testing.T, res *dsdb.Result, names []string) *dsdb.Result {
 // the query does not read, which widens the twin's sort and shifts
 // where every kept column sits in it. The columns the two share must
 // agree byte for byte (bench/'s result digest), on the B-tree and the
-// hash database, and no query may leave a frame pinned.
+// hash database, and no query may leave a frame pinned. A second pair
+// runs each query again as a one-shot query, which reuses its pooled
+// plan, against a statement compiled afresh: both must agree too.
 func TestGroupByTwinAgrees(t *testing.T) {
 	const queries = 80
 	for _, kind := range []dsdb.IndexKind{dsdb.BTree, dsdb.Hash} {
@@ -278,6 +280,31 @@ func TestGroupByTwinAgrees(t *testing.T) {
 				if digests[0] != digests[1] {
 					t.Errorf("shared columns differ:\n  %s\n    %s\n  %s\n    %s",
 						base.sql(), digests[0], twin.sql(), digests[1])
+				}
+				// Reused vs fresh plan: the base ran as a one-shot query,
+				// so running it again reuses that plan; a statement
+				// compiled now must return what the reused plan does.
+				before := db.PlanStats()
+				reused, err := db.Exec(context.Background(), base.sql())
+				if err != nil {
+					t.Fatalf("%s: %v", base.sql(), err)
+				}
+				if db.PlanStats().Reused != before.Reused+1 {
+					t.Fatalf("%s: its second run compiled again instead of reusing the plan", base.sql())
+				}
+				stmt, err := db.Prepare(base.sql())
+				if err != nil {
+					t.Fatalf("%s: %v", base.sql(), err)
+				}
+				fresh, err := materialize(stmt.Query(context.Background()))
+				if err != nil {
+					t.Fatalf("%s: %v", base.sql(), err)
+				}
+				if n := db.PoolStats().Pinned; n != 0 {
+					t.Fatalf("%s: %d frames left pinned", base.sql(), n)
+				}
+				if r, f := benchDigest(reused), benchDigest(fresh); r != f {
+					t.Errorf("reused and fresh plans differ:\n  %s\n    reused %s\n    fresh  %s", base.sql(), r, f)
 				}
 			}
 			if nonEmpty < queries/2 {

@@ -43,6 +43,16 @@ type Stmt struct {
 	// recorded) when the DB has no result cache.
 	cacheKey string
 	tables   []string
+	// epochs are the write epochs of tables when the plan was compiled:
+	// a pooled statement runs again only while they hold.
+	epochs []uint64
+
+	// pool is the one-shot plan pool the statement returns to when an
+	// execution ends (nil for a Prepare statement); prev/next and
+	// older/newer link it there while it is idle (plans.go).
+	pool         *planPool
+	prev, next   *Stmt
+	older, newer *Stmt
 }
 
 // Prepare parses and plans a query for repeated execution, untraced.
@@ -63,6 +73,12 @@ func (db *DB) PrepareTraced(tr Tracer, query string) (*Stmt, error) {
 		// run it through Query instead.
 		return nil, fmt.Errorf("dsdb: EXPLAIN cannot be prepared; run it with Query")
 	}
+	return db.compile(tr, query)
+}
+
+// compile parses and plans query, recording the epochs of the tables
+// it reads under the same latch.
+func (db *DB) compile(tr Tracer, query string) (*Stmt, error) {
 	release := db.eng.BeginRead()
 	defer release()
 	c := executor.NewCtx(tr)
@@ -75,8 +91,12 @@ func (db *DB) PrepareTraced(tr Tracer, query string) (*Stmt, error) {
 	for i, col := range sch.Columns {
 		cols[i] = col.Name
 	}
+	epochs := make([]uint64, len(cq.Tables))
+	for i, t := range cq.Tables {
+		epochs[i] = db.eng.TableEpoch(t)
+	}
 	return &Stmt{db: db, query: query, c: c, plan: cq.Plan, cols: cols,
-		cacheKey: cq.Key, tables: cq.Tables}, nil
+		cacheKey: cq.Key, tables: cq.Tables, epochs: epochs}, nil
 }
 
 // Columns returns the output column names.
@@ -248,7 +268,8 @@ func (f *cacheFill) commit(cols []string) {
 }
 
 // release detaches the statement from a finished execution and drops
-// the engine latch.
+// the engine latch. A one-shot statement then goes back to its pool,
+// holding no tracer.
 func (s *Stmt) release() {
 	s.c.Interrupt = nil
 	s.c.SetSpan(nil)
@@ -257,6 +278,10 @@ func (s *Stmt) release() {
 		s.unlatch = nil
 	}
 	s.busy.Store(false)
+	if s.pool != nil {
+		s.c.SetTracer(nil)
+		s.pool.put(s)
+	}
 }
 
 // Close releases the statement. It fails if a Rows is still open.
@@ -515,7 +540,10 @@ func (r *Rows) close() {
 		}
 		r.fill = nil
 	}
+	// The statement may go back to the plan pool here, so this Rows
+	// lets go of it.
 	r.stmt.release()
+	r.stmt = nil
 	// End after release: the record is published with no engine latch
 	// held by this close.
 	r.endSpan()
@@ -564,10 +592,12 @@ func (r *Rows) Close() error {
 	return r.closeErr
 }
 
-// Query compiles and executes a query, returning a streaming Rows.
-// With a result cache attached, a repeated query short-circuits
-// before planning: parse, canonicalize, validate epochs, serve — the
-// hot path repeated DSS traffic takes on every hit.
+// Query compiles and executes a query, returning a streaming Rows. A
+// text that ran before runs its idle compiled plan again, unless a
+// table it reads was written since (see planPool). With a result cache
+// attached, a repeated query short-circuits before planning: parse,
+// canonicalize, validate epochs, serve — the hot path repeated DSS
+// traffic takes on every hit.
 func (db *DB) Query(ctx context.Context, query string) (*Rows, error) {
 	return db.QueryObserved(ctx, nil, "", query)
 }
@@ -596,7 +626,7 @@ func (db *DB) QueryObserved(ctx context.Context, tr Tracer, label, query string)
 	if sp != nil {
 		planStart = time.Now()
 	}
-	stmt, err := db.PrepareTraced(tr, query)
+	stmt, err := db.oneShot(tr, query)
 	if sp != nil {
 		sp.Add(obs.StagePlan, time.Since(planStart))
 	}

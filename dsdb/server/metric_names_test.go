@@ -97,7 +97,7 @@ func TestMetricNamesGolden(t *testing.T) {
 		for _, p := range st.Pairs {
 			b.WriteString(p.Name + "\n")
 		}
-		for _, target := range []string{"stats", "pool", "cache", "wal", "capture"} {
+		for _, target := range []string{"stats", "pool", "plans", "cache", "wal", "capture"} {
 			b.WriteString("== " + kind + ": show " + target + "\n")
 			res, err := c.Exec(context.Background(), "show "+target)
 			if err != nil {

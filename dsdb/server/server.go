@@ -39,14 +39,15 @@
 // snapshot (connections accepted/refused/slow-killed/idle-killed,
 // queries, rows, bytes, a log-spaced latency histogram plus per-stage
 // histograms from the DB's observability tracer). Its counters and
-// those of the buffer pool, result cache, WAL and capture are declared
-// once each, as obs.Sections (Server.Sections), and every rendering is
-// a loop over that list: the wire Stats frame (client.DB.ServerStats),
-// the SHOW virtual tables — "show stats", "show pool", "show cache",
-// "show wal", "show capture", beside "show conns", "show tables",
-// "show queries", "show slow" — streamed over the normal query
-// protocol, and NewMetricsMux's Prometheus text endpoint, served
-// alongside net/http/pprof. WithSlowQueryThreshold routes slow
+// those of the buffer pool, plan pool, result cache, WAL and capture
+// are declared once each, as obs.Sections (Server.Sections), and every
+// rendering is a loop over that list: the wire Stats frame
+// (client.DB.ServerStats), the SHOW virtual tables — "show stats",
+// "show pool", "show plans", "show cache", "show wal", "show capture",
+// beside "show conns", "show tables", "show queries", "show slow" —
+// streamed over the normal query protocol, and NewMetricsMux's
+// Prometheus text endpoint, served alongside net/http/pprof.
+// WithSlowQueryThreshold routes slow
 // executions into the tracer's slow ring and structured slow-query log.
 package server
 

@@ -156,9 +156,9 @@ func (st Stats) Section() obs.Section {
 
 // Sections snapshots every counter section the server exports, in the
 // order each rendering lists them: the server's own counters from st,
-// then the buffer pool, the result cache, the WAL and st.Capture. The
-// wire Stats frame, SHOW, /metrics and dsdbd's shutdown summary are
-// loops over this list.
+// then the buffer pool, the plan pool, the result cache, the WAL and
+// st.Capture. The wire Stats frame, SHOW, /metrics and dsdbd's
+// shutdown summary are loops over this list.
 func (s *Server) Sections(st Stats) []obs.Section {
 	return append([]obs.Section{st.Section()}, s.subsystems(st.Capture)...)
 }
@@ -169,6 +169,7 @@ func (s *Server) subsystems(capture *wcap.Stats) []obs.Section {
 	cache, enabled := s.db.ResultCacheStats()
 	return []obs.Section{
 		s.db.PoolStats().Section(),
+		s.db.PlanStats().Section(),
 		cache.Section(enabled),
 		s.db.WALStats().Section(),
 		capture.Section(),
@@ -224,9 +225,9 @@ type connStats struct {
 // SHOW TABLES  — catalog: name, rows, write epoch, index count
 // SHOW QUERIES — recent query spans, newest first (qid, stages, ...)
 // SHOW SLOW    — recent slow-query spans, newest first (same shape)
-// SHOW POOL, SHOW CACHE, SHOW WAL, SHOW CAPTURE — one subsystem
-//                section (stat, value); cache and capture lead with
-//                enabled and read all zero when off
+// SHOW POOL, SHOW PLANS, SHOW CACHE, SHOW WAL, SHOW CAPTURE — one
+//                subsystem section (stat, value); cache and capture
+//                lead with enabled and read all zero when off
 
 // kv builds one (stat, value) row.
 func kv(name string, v int64) []dsdb.Value {

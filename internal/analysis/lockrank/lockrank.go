@@ -137,7 +137,7 @@ var Table = []Lock{
 		ReleaseShared: []string{"runlock"},
 		Before: []string{
 			"buffer.pool", "catalog.catalog", "storage.store",
-			"wal.writer", "qcache.cache", "obs.tracer",
+			"wal.writer", "qcache.cache", "obs.tracer", "dsdb.plans",
 		},
 		SharedReentrant: true,
 		Doc: "The engine latch: shared for query execution, exclusive for " +
@@ -203,6 +203,19 @@ var Table = []Lock{
 		Doc: "Result cache mutex. A leaf, and no caller-supplied callback may " +
 			"run under it (PR 4's epoch-validation callback: validation now " +
 			"happens outside the critical section).",
+	},
+	{
+		Name:     "dsdb.plans",
+		Pkg:      "repro/dsdb",
+		Type:     "planPool",
+		Field:    "mu",
+		Before:   nil,
+		NoTracer: true,
+		Doc: "One-shot plan pool mutex (idle statements by text, return " +
+			"order). A leaf: taking or returning a statement only relinks " +
+			"lists. A one-shot query takes it with no latch held, but a " +
+			"query nested in an open result set holds the engine latch " +
+			"shared, so it ranks after engine.latch.",
 	},
 	{
 		Name:     "obs.tracer",

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/db/access"
 	"repro/internal/db/buffer"
 	"repro/internal/db/catalog"
+	"repro/internal/db/probe"
 	"repro/internal/db/storage"
 	"repro/internal/db/value"
 )
@@ -434,15 +436,74 @@ func TestGroupAgg(t *testing.T) {
 	}
 }
 
+// openCounter counts the Opens of the node it wraps.
+type openCounter struct {
+	Node
+	opens int
+}
+
+func (o *openCounter) Open() error { o.opens++; return o.Node.Open() }
+
+// TestMaterialRescans checks that a nested loop's rescans replay the
+// Material's store without running its child again, while each new
+// execution of the plan runs the child once.
 func TestMaterialRescans(t *testing.T) {
 	c := NewCtx(nil)
 	sch := catalog.NewSchema(catalog.Column{Name: "k", Type: value.Int})
 	rows := []Tuple{{value.NewInt(1)}, {value.NewInt(2)}}
-	mat := &Material{C: c, Child: &ValuesScan{C: c, Out: sch, Rows: rows}}
-	got1 := drain(t, mat)
-	got2 := drain(t, mat) // rescan replays without re-running the child
-	if len(got1) != 2 || len(got2) != 2 {
-		t.Fatalf("material rescan broken: %d then %d", len(got1), len(got2))
+	child := &openCounter{Node: &ValuesScan{C: c, Out: sch, Rows: rows}}
+	outer := &ValuesScan{C: c, Out: sch, Rows: []Tuple{{value.NewInt(7)}, {value.NewInt(8)}, {value.NewInt(9)}}}
+	plan := &NestLoop{C: c, Outer: outer, Inner: &Material{C: c, Child: child}}
+	for run := 1; run <= 2; run++ {
+		if got := drain(t, plan); len(got) != 6 {
+			t.Fatalf("run %d: %d rows, want 3 outer x 2 inner", run, len(got))
+		}
+		if child.opens != run {
+			t.Fatalf("run %d: child opened %d times, want once per execution", run, child.opens)
+		}
+	}
+}
+
+// TestMaterialReloadsOnReexecution re-opens a plan holding a Material
+// after the Material's child data changed, as a reused or prepared plan
+// is: the rows and the probe sequence must be those of a fresh plan
+// over the new data, not a replay of the previous execution's store.
+func TestMaterialReloadsOnReexecution(t *testing.T) {
+	var events []probe.ID
+	c := NewCtx(funcTracer(func(id probe.ID) { events = append(events, id) }))
+	sch := catalog.NewSchema(catalog.Column{Name: "k", Type: value.Int})
+	ints := func(vs ...int64) []Tuple {
+		var out []Tuple
+		for _, v := range vs {
+			out = append(out, Tuple{value.NewInt(v)})
+		}
+		return out
+	}
+	build := func(data []Tuple) (Node, *ValuesScan) {
+		child := &ValuesScan{C: c, Out: sch, Rows: data}
+		outer := &ValuesScan{C: c, Out: sch, Rows: ints(10, 20)}
+		return &NestLoop{C: c, Outer: outer, Inner: &Material{C: c, Child: child}}, child
+	}
+	plan, child := build(ints(1, 2))
+	drain(t, plan)
+	child.Rows = ints(3, 4, 5)
+	events = nil
+	got := drain(t, plan)
+	gotEvents := events
+
+	fresh, _ := build(ints(3, 4, 5))
+	events = nil
+	want := drain(t, fresh)
+	if len(got) != len(want) {
+		t.Fatalf("re-executed plan returned %d rows, a fresh plan %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i][0].I != want[i][0].I || got[i][1].I != want[i][1].I {
+			t.Fatalf("row %d: re-executed %v, fresh %v", i, got[i], want[i])
+		}
+	}
+	if !slices.Equal(gotEvents, events) {
+		t.Fatalf("re-executed plan emitted %d probes, a fresh plan %d: the probe sequences differ", len(gotEvents), len(events))
 	}
 }
 

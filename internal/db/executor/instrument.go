@@ -109,6 +109,16 @@ func (i *Instrumented) Open() error {
 	return err
 }
 
+// rewind implements rewinder: a nested loop's rescan of the wrapped
+// operator counts as a loop, whether it rewinds or re-opens.
+func (i *Instrumented) rewind() error {
+	prev, start := i.enter()
+	err := rescan(i.n)
+	i.exit(prev, start)
+	i.Stats.Loops++
+	return err
+}
+
 // Next implements Node.
 func (i *Instrumented) Next() (Tuple, bool, error) {
 	prev, start := i.enter()

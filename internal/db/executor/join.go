@@ -68,10 +68,7 @@ func (n *NestLoop) Next() (Tuple, bool, error) {
 			// Inner exhausted: rescan it for the next outer tuple.
 			c.emit(probe.NLRescan)
 			n.haveCur = false
-			if err := n.Inner.Close(); err != nil {
-				return nil, false, err
-			}
-			if err := n.Inner.Open(); err != nil {
+			if err := rescan(n.Inner); err != nil {
 				return nil, false, err
 			}
 			continue

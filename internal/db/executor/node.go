@@ -36,6 +36,24 @@ type Node interface {
 	Schema() *catalog.Schema
 }
 
+// rewinder is a node that replays what it kept when a nested loop
+// restarts it for the next outer tuple (Material), instead of running
+// its child again.
+type rewinder interface{ rewind() error }
+
+// rescan restarts a nested loop's inner plan for the next outer tuple:
+// a rewinder rewinds, any other node is closed and re-opened. Open
+// itself always starts a new execution, which reads the data afresh.
+func rescan(n Node) error {
+	if r, ok := n.(rewinder); ok {
+		return r.rewind()
+	}
+	if err := n.Close(); err != nil {
+		return err
+	}
+	return n.Open()
+}
+
 // newSlot allocates an operator's output row — empty, with room for
 // width values — unless an earlier Open already did: a rescanned inner
 // plan is re-opened once per outer tuple.

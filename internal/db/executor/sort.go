@@ -110,6 +110,8 @@ func (s *Sort) Schema() *catalog.Schema {
 // Material buffers its child's output on first demand and replays it
 // on rescans (ExecMaterial) — what the paper notes Aggregate/Sort-type
 // operations do with temporary results outside the access methods.
+// The store lives for one execution: a nested loop's rescan rewinds it,
+// while Open, which starts an execution, loads it from the child again.
 type Material struct {
 	C     *Ctx
 	Child Node
@@ -120,14 +122,21 @@ type Material struct {
 	loaded bool
 }
 
-// Open implements Node. Re-opening rewinds the materialized store
-// without re-running the child.
+// Open implements Node. It drops any store a previous execution left,
+// so the child runs again: a re-executed plan reads the data as it is
+// now.
 func (m *Material) Open() error {
+	m.rows, m.slab = nil, Slab{}
 	m.pos = 0
-	if m.loaded {
-		return nil
-	}
+	m.loaded = false
 	return m.Child.Open()
+}
+
+// rewind implements rewinder: the next Next replays the store from its
+// first row without re-running the child.
+func (m *Material) rewind() error {
+	m.pos = 0
+	return nil
 }
 
 // Next implements Node.
@@ -160,10 +169,10 @@ func (m *Material) Next() (Tuple, bool, error) {
 	return row, true, nil
 }
 
-// Close implements Node. The store is kept: a nested loop closes and
-// re-opens its inner plan once per outer tuple, and Open rewinds the
-// store instead of re-running the child. It lives as long as the plan.
+// Close implements Node. It drops the store, like Sort's.
 func (m *Material) Close() error {
+	m.rows, m.slab = nil, Slab{}
+	m.loaded = false
 	return m.Child.Close()
 }
 

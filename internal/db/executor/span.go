@@ -94,6 +94,15 @@ func (c *Ctx) SetSpan(sp *obs.Span) {
 	c.retrace()
 }
 
+// SetTracer rebinds the session tracer (nil: untraced) for the next
+// execution, so one compiled plan can run for one caller after another
+// (a pooled one-shot statement). Planning emits nothing, so a rebound
+// plan records exactly what a plan compiled with tr would.
+func (c *Ctx) SetTracer(tr probe.Tracer) {
+	c.base = tr
+	c.retrace()
+}
+
 // SetAnalyze switches EXPLAIN ANALYZE attribution on or off for the
 // next execution: when on, the execution records through an
 // analyzeTracer that counts buffer-pool traffic into the instrumented
