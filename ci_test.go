@@ -1,10 +1,12 @@
 package repro
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -177,4 +179,113 @@ func testFuncs(t *testing.T, args []string) []string {
 		}
 	}
 	return funcs
+}
+
+// readmeMaxLines is README.md's line budget. A per-change measurement
+// narrative belongs in CHANGES.md; the README says what the design is.
+const readmeMaxLines = 600
+
+// readmeCitation matches a citation of a README section: README or
+// README's, then the section's name in double quotes.
+var readmeCitation = regexp.MustCompile(`README(?:'s)?\s+"([^"]+)"`)
+
+// TestREADMEBudgetAndAnchors fails when README.md outgrows its line
+// budget, or when a citation of a README section in a Go comment (outside
+// vendor/ and bench/), ROADMAP.md or the verify skill names no heading
+// and no bold lead-in of the README.
+func TestREADMEBudgetAndAnchors(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := map[string]string{}
+	for _, name := range []string{"ROADMAP.md", ".claude/skills/verify/SKILL.md"} {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[name] = string(b)
+	}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "vendor" || path == "bench" || d.Name() == "testdata" || path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		var text strings.Builder
+		for _, cg := range f.Comments {
+			text.WriteString(cg.Text())
+		}
+		docs[path] = text.String()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range readmeFindings(string(readme), docs) {
+		t.Error(msg)
+	}
+}
+
+// TestREADMECheckCatches pins what the README check reports: a README
+// one line over budget, and a citation whose heading was renamed.
+func TestREADMECheckCatches(t *testing.T) {
+	readme := "# Title\n\n## Durability\n\n- **Column pruning at plan time.** Scans read less.\n"
+	cites := map[string]string{"a.go": `see README "Durability" and README's "Column pruning` + "\n" + `at plan time"`}
+	if msgs := readmeFindings(readme, cites); msgs != nil {
+		t.Errorf("clean README: got %q", msgs)
+	}
+	long := readme + strings.Repeat("x\n", readmeMaxLines+1-strings.Count(readme, "\n"))
+	if msgs := readmeFindings(long, cites); len(msgs) != 1 || !strings.Contains(msgs[0], "601 lines") {
+		t.Errorf("README of %d lines: got %q", readmeMaxLines+1, msgs)
+	}
+	renamed := strings.Replace(readme, "## Durability", "## Crash recovery", 1)
+	if msgs := readmeFindings(renamed, cites); len(msgs) != 1 || !strings.Contains(msgs[0], `a.go cites README "Durability"`) {
+		t.Errorf("renamed heading: got %q", msgs)
+	}
+}
+
+// readmeFindings returns a message if readme has more than
+// readmeMaxLines lines, and one for each citation in docs (keyed by
+// file name) that names no heading and no bold lead-in of readme. A
+// heading is a line's text after its leading #s; a bold lead-in is the
+// bold text a line or list item starts with, less a trailing period or
+// colon. A citation's whitespace, line breaks included, reads as one
+// space.
+func readmeFindings(readme string, docs map[string]string) []string {
+	var msgs []string
+	if n := strings.Count(readme, "\n"); n > readmeMaxLines {
+		msgs = append(msgs, fmt.Sprintf("README.md has %d lines, over its budget of %d: a measurement narrative goes to CHANGES.md", n, readmeMaxLines))
+	}
+	anchors := map[string]bool{}
+	for _, line := range strings.Split(readme, "\n") {
+		if h := strings.TrimLeft(line, "#"); h != line && strings.HasPrefix(h, " ") {
+			anchors[strings.TrimSpace(h)] = true
+		}
+		lead := strings.TrimPrefix(strings.TrimSpace(line), "- ")
+		if rest, ok := strings.CutPrefix(lead, "**"); ok {
+			if bold, _, ok := strings.Cut(rest, "**"); ok {
+				anchors[strings.TrimRight(bold, ".:")] = true
+			}
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(docs)) {
+		for _, m := range readmeCitation.FindAllStringSubmatch(docs[name], -1) {
+			if cited := strings.Join(strings.Fields(m[1]), " "); !anchors[cited] {
+				msgs = append(msgs, fmt.Sprintf("%s cites README %q, which is no heading or bold lead-in of README.md", name, cited))
+			}
+		}
+	}
+	return msgs
 }

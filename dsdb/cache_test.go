@@ -89,7 +89,7 @@ func TestResultCacheHitRunsNoKernelWork(t *testing.T) {
 	}
 	h0, m0 := db.Engine().Buf.Stats()
 	tr := probe.NewCountingTracer()
-	rows, err := db.QueryTraced(ctx, tr, q)
+	rows, err := db.QueryObserved(ctx, tr, "", q)
 	if err != nil {
 		t.Fatal(err)
 	}

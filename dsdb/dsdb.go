@@ -14,7 +14,7 @@
 // (one line per operator); "explain analyze" executes it under
 // per-operator instrumentation and annotates each operator with its
 // actual row count, loop count, wall/self time and buffer-pool
-// traffic. See the README's Observability section for a worked
+// traffic. See README's "EXPLAIN and EXPLAIN ANALYZE" for a worked
 // example.
 //
 // This package and dsdb/stcpipe are the only sanctioned entry points;

@@ -39,7 +39,7 @@ type tracedRun struct {
 func runOneShot(t *testing.T, db *dsdb.DB, q string) tracedRun {
 	t.Helper()
 	var r tracedRun
-	res, err := materialize(db.QueryTraced(context.Background(), &r.probes, q))
+	res, err := materialize(db.QueryObserved(context.Background(), &r.probes, "", q))
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
@@ -129,7 +129,7 @@ func TestPlanReusedAfterDisruptedRun(t *testing.T) {
 
 				ctx, cancel := context.WithCancel(context.Background())
 				before := db.PlanStats()
-				_, err := materialize(db.QueryTraced(ctx, &cancelAfter{n: len(fresh.probes) / 2, cancel: cancel}, q))
+				_, err := materialize(db.QueryObserved(ctx, &cancelAfter{n: len(fresh.probes) / 2, cancel: cancel}, "", q))
 				cancel()
 				if err == nil {
 					t.Fatalf("Q%d: cancelled halfway, yet it ran to the end", qn)

@@ -35,7 +35,7 @@ func TestQueryProbeEvents(t *testing.T) {
 		for _, qn := range dsdb.TPCDQueryNumbers() {
 			q, _ := dsdb.TPCDQuery(qn)
 			tr := probe.NewCountingTracer()
-			rows, err := db.QueryTraced(context.Background(), tr, q)
+			rows, err := db.QueryObserved(context.Background(), tr, "", q)
 			if err != nil {
 				t.Fatalf("%s Q%d: %v", kind.name, qn, err)
 			}

@@ -129,7 +129,7 @@ func (s *Stmt) QueryLabeled(ctx context.Context, label string) (*Rows, error) {
 
 // execQuery runs one execution. consultCache selects whether the result
 // cache is probed here: prepared statements probe on every execution,
-// while the one-shot Query/QueryTraced path already missed in its
+// while the one-shot Query/QueryObserved path already missed in its
 // pre-plan lookup and must not probe again — a second Get would
 // double-count the miss (skewing the reported hit ratio) for nothing.
 // The span (nil when unobserved) is handed to the returned Rows on
@@ -602,18 +602,14 @@ func (db *DB) Query(ctx context.Context, query string) (*Rows, error) {
 	return db.QueryObserved(ctx, nil, "", query)
 }
 
-// QueryTraced is Query with an explicit per-call tracer (see
-// PrepareTraced): the way a concurrent session records its own
-// instruction trace. Cache hits take the same pre-plan fast path as
-// Query — a hit emits no trace either way.
-func (db *DB) QueryTraced(ctx context.Context, tr Tracer, query string) (*Rows, error) {
-	return db.QueryObserved(ctx, tr, "", query)
-}
-
-// QueryObserved is QueryTraced with a client-supplied label recorded
-// on the query's observability span — the entry point the server uses
-// so SHOW queries and the slow-query log carry the label the client
-// sent over the wire (dsload's "Q9", stcpipe's phase markers).
+// QueryObserved is Query with an explicit per-call tracer (see
+// PrepareTraced), the way a concurrent session records its own
+// instruction trace, and a client-supplied label recorded on the
+// query's observability span — the entry point the server uses so SHOW
+// queries and the slow-query log carry the label the client sent over
+// the wire (dsload's "Q9", stcpipe's phase markers). Cache hits take
+// the same pre-plan fast path as Query — a hit emits no trace either
+// way.
 func (db *DB) QueryObserved(ctx context.Context, tr Tracer, label, query string) (*Rows, error) {
 	sp := db.obs.Begin(label, query)
 	if mode, rest := sql.SplitExplain(query); mode != sql.ExplainNone {

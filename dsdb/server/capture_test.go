@@ -262,3 +262,59 @@ func TestCaptureRecordsErrorsAndShow(t *testing.T) {
 		t.Fatalf("capture missing records: err=%v show=%v ok=%v (%v)", sawErr, sawShow, sawOK, recs)
 	}
 }
+
+// TestCaptureRecordsPreparedStatements pins that an execution of a
+// statement prepared over the wire is recorded with the statement's SQL
+// text and the label its execution carried, like a one-shot query.
+func TestCaptureRecordsPreparedStatements(t *testing.T) {
+	dir := t.TempDir()
+	w, err := wcap.Open(dir, wcap.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, addr := testServer(t, server.WithCapture(w))
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const q = "select count(*) from nation"
+	st, err := c.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := st.QueryLabeled(context.Background(), "prepared-nation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rows.Next() {
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for w.Stats().Records != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("capture never saw the execution: %+v", w.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := wcap.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 {
+		t.Fatalf("loaded %d records, want 1", len(recs))
+	}
+	if r := recs[0]; r.SQL != q || r.Label != "prepared-nation" || r.Rows != 1 || r.Err != wcap.OK {
+		t.Fatalf("prepared execution recorded as %+v", r)
+	}
+}

@@ -68,10 +68,15 @@ type conn struct {
 	// SHOW CONNS.
 	stats connStats
 
-	stmts      map[uint32]*dsdb.Stmt
-	stmtCols   map[uint32][]string
-	stmtSQL    map[uint32]string
+	stmts      map[uint32]prepared
 	nextStmtID uint32
+}
+
+// prepared is a statement compiled by a wire Prepare, with the text a
+// capture records for each of its executions.
+type prepared struct {
+	stmt *dsdb.Stmt
+	sql  string
 }
 
 // capture records one finished query to the server's workload capture
@@ -358,8 +363,6 @@ func (c *conn) serve() {
 			var cl wire.CloseStmt
 			if cl, err = wire.DecodeCloseStmt(fr.Payload); err == nil {
 				delete(c.stmts, cl.StmtID)
-				delete(c.stmtCols, cl.StmtID)
-				delete(c.stmtSQL, cl.StmtID)
 			}
 		case wire.KindStats:
 			err = c.send(wire.KindStatsResult, wire.EncodeStats(wire.Stats{Pairs: c.srv.statPairs()}))
@@ -566,24 +569,20 @@ func (c *conn) handlePrepare(p wire.Prepare) error {
 		return c.sendError(wire.CodeQuery, err.Error())
 	}
 	if c.stmts == nil {
-		c.stmts = make(map[uint32]*dsdb.Stmt)
-		c.stmtCols = make(map[uint32][]string)
-		c.stmtSQL = make(map[uint32]string)
+		c.stmts = make(map[uint32]prepared)
 	}
 	c.nextStmtID++
 	id := c.nextStmtID
-	c.stmts[id] = stmt
-	c.stmtCols[id] = stmt.Columns()
-	c.stmtSQL[id] = p.SQL
+	c.stmts[id] = prepared{stmt, p.SQL}
 	return c.send(wire.KindPrepareOK, wire.EncodePrepareOK(wire.PrepareOK{
 		StmtID:  id,
-		Columns: c.stmtCols[id],
+		Columns: stmt.Columns(),
 	}))
 }
 
 // handleQueryStmt executes a prepared statement.
 func (c *conn) handleQueryStmt(q wire.QueryStmt) error {
-	stmt, ok := c.stmts[q.StmtID]
+	ps, ok := c.stmts[q.StmtID]
 	if !ok {
 		// readLoop counted this frame in qseen; consume its sequence
 		// number (and any cancel aimed at it) even though nothing runs.
@@ -604,12 +603,12 @@ func (c *conn) handleQueryStmt(q wire.QueryStmt) error {
 	if c.hooks.OnQuery != nil {
 		c.hooks.OnQuery(q.Label)
 	}
-	rows, err := stmt.QueryLabeled(ctx, q.Label)
+	rows, err := ps.stmt.QueryLabeled(ctx, q.Label)
 	if err != nil {
-		c.capture(q.Label, c.stmtSQL[q.StmtID], start, nil, 0, 0, false, captureClass(err))
+		c.capture(q.Label, ps.sql, start, nil, 0, 0, false, captureClass(err))
 		return c.reportQueryError(err)
 	}
-	return c.streamRows(rows, q.Label, c.stmtSQL[q.StmtID], start)
+	return c.streamRows(rows, q.Label, ps.sql, start)
 }
 
 // resultWriter lays one result stream — RowHeader, RowBatch*, then Done

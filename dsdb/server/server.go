@@ -70,7 +70,7 @@ import (
 type SessionHooks struct {
 	// Tracer, when non-nil, records this session's kernel
 	// instrumentation events: every query on the connection runs via
-	// QueryTraced/PrepareTraced. The tracer is only ever used from the
+	// QueryObserved/PrepareTraced. The tracer is only ever used from the
 	// connection's handler goroutine, so a single-threaded tracer
 	// (kernel session recorders included) is safe.
 	Tracer dsdb.Tracer

@@ -243,7 +243,7 @@ var testProbes = sync.OnceValues(func() ([]probe.ID, error) {
 	var ids probeLog
 	run := func(db *dsdb.DB, w Workload, tr dsdb.Tracer) error {
 		for _, q := range w.Queries {
-			if err := drain(db.QueryTraced(context.Background(), tr, q)); err != nil {
+			if err := drain(db.QueryObserved(context.Background(), tr, "", q)); err != nil {
 				return err
 			}
 		}

@@ -266,7 +266,7 @@ func (p *Pipeline) record(db *dsdb.DB, pl plan, base *trace.Trace) (*trace.Trace
 					continue
 				}
 				seen[st.sql] = true
-				if err := drain(db.QueryTraced(ctx, nil, st.sql)); err != nil {
+				if err := drain(db.QueryObserved(ctx, nil, "", st.sql)); err != nil {
 					return nil, nil, fmt.Errorf("stcpipe: warmup %s: %w", st.label, err)
 				}
 			}
@@ -294,7 +294,7 @@ func (p *Pipeline) record(db *dsdb.DB, pl plan, base *trace.Trace) (*trace.Trace
 	// server's session hook marks and traces it.
 	run := func(i int, st step) error {
 		sess[i].Mark(st.label)
-		return drain(db.QueryTraced(ctx, sess[i], st.sql))
+		return drain(db.QueryObserved(ctx, sess[i], "", st.sql))
 	}
 	stop := func() error { return nil }
 	if pl.wire {

@@ -125,7 +125,7 @@ func serialReference(t *testing.T, p *Pipeline, db *dsdb.DB, w Workload) *Profil
 	s := p.img.NewSession(trace.NewRecorder(tr, p.validate))
 	for i, q := range w.Queries {
 		s.Mark(w.Labels[i])
-		if err := drain(db.QueryTraced(context.Background(), s, q)); err != nil {
+		if err := drain(db.QueryObserved(context.Background(), s, "", q)); err != nil {
 			t.Fatal(err)
 		}
 	}
