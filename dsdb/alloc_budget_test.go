@@ -28,16 +28,18 @@ const allocBudgetStale = 0.90
 // TestQueryAllocBudget pins heap allocations and allocated bytes per
 // TPC-D query, for compiling it and for running it, each gated on its
 // own. A fresh compile (Prepare) parses and plans the text; a reused
-// execution (Exec of a text the one-shot plan pool already holds) runs
-// that plan again, which is what a repeated query costs. The executor's
-// tuple path is meant to allocate per retained row (a slab chunk per
-// ~64, string bytes in doubling chunks, one exact-size row index per
-// sort) and per result row handed out (Rows.Values), never per row
-// passed up the plan nor per decoded string (a view of the pinned
-// page); a sort keeps only the columns the plan above it reads, which
-// is what the bytes hold to. Unlike a latency, both are figures CI can
-// gate on. Each query runs single-session at SF 0.01 (the scale of
-// bench/'s tpcd_served workload). The golden has one line per query:
+// execution (Exec of a text the one-shot plan pool already holds)
+// runs that plan again, which is what a repeated query costs. The
+// executor's tuple path is meant to allocate per retained row — a
+// sort keeps 9 bytes per value (payload and tag) in chunks of up to
+// 256 rows, string bytes in doubling chunks, and a 4-byte permutation
+// entry per row — and per result row handed out (Rows.Values), never
+// per row passed up the plan nor per decoded string (a view of the
+// pinned page or of the sort's store); a sort keeps only the columns
+// the plan above it reads, which is what the bytes hold to. Unlike a
+// latency, both are figures CI can gate on. Each query runs
+// single-session at SF 0.01 (the scale of bench/'s tpcd_served
+// workload). The golden has one line per query:
 // name, then "compile" allocations and bytes, then "exec" allocations
 // and bytes. After an intentional change regenerate the budget with
 //

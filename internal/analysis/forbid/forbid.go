@@ -81,6 +81,8 @@ var table = []rule{
 		reason: "the fetch unit is SEQ.3 and a trace-cache line is 16 instructions and 3 branches, each one constant; a FetchConfig field the caches would not use is an error, not dropped"},
 	{scope: []string{"repro/internal/fetch", "repro/dsdb/stcpipe"}, forbid: []string{"Width", "MaxBranches", "MaxLines", "MissPenalty", "LineBytes"}, pr: 45,
 		reason: "fetch.Config is the caches alone: the SEQ.3 shape is fetch's constants, and the line size is the i-cache's own"},
+	{scope: []string{"..."}, forbid: []string{"repro/internal/db/executor.Slab.CopyCols", "repro/internal/db/executor.Slab.Rows"},
+		reason: "Sort, Material and the hash-join build keep rows in the executor's rowStore, as typed payloads; a Slab copies whole rows as Values for the result-cache fill only"},
 }
 
 func run(pass *analysis.Pass) (any, error) {

@@ -24,3 +24,19 @@ func next(x *Ctx, s *scan, id probe.ID) {
 	c.Tr.Emit(id)           // want "Ctx.Tr.Emit is forbidden here"
 	_ = probe.Or(x.Tr, nil) // want "repro/internal/db/probe.Or is forbidden here"
 }
+
+// Slab brings back the row index and the narrowed copy that kept rows
+// as Values.
+type Slab struct{ rows []Tuple }
+
+type Tuple []int
+
+func (s *Slab) Copy(t Tuple) Tuple                 { return t }
+func (s *Slab) CopyCols(t Tuple, cols []int) Tuple { return t }      // want "repro/internal/db/executor.Slab.CopyCols is forbidden here"
+func (s *Slab) Rows() []Tuple                      { return s.rows } // want "repro/internal/db/executor.Slab.Rows is forbidden here: Sort, Material and the hash-join build keep rows"
+
+func keep(s *Slab, t Tuple) []Tuple {
+	s.Copy(t)
+	s.CopyCols(t, nil) // want "Slab.CopyCols is forbidden here"
+	return s.Rows()    // want "Slab.Rows is forbidden here"
+}

@@ -3,7 +3,6 @@ package executor
 import (
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -364,33 +363,6 @@ func TestSortOperator(t *testing.T) {
 				t.Fatal("secondary key not descending")
 			}
 		}
-	}
-}
-
-// Rows hands back every copied row in copy order, across chunks, in
-// one exactly-sized index.
-func TestSlabRows(t *testing.T) {
-	for _, n := range []int{0, 1, 4, 5, 64, 1000} {
-		var s Slab
-		for i := 0; i < n; i++ {
-			s.CopyCols(Tuple{value.NewInt(int64(i)), value.NewInt(-1), value.NewStr(strconv.Itoa(i))}, []int{0, 2})
-		}
-		rows := s.Rows()
-		if len(rows) != n || cap(rows) != n {
-			t.Fatalf("n=%d: len %d cap %d", n, len(rows), cap(rows))
-		}
-		for i, r := range rows {
-			if len(r) != 2 || cap(r) != 2 || r[0].I != int64(i) || r[1].S != strconv.Itoa(i) {
-				t.Fatalf("n=%d: row %d = %v (cap %d)", n, i, r, cap(r))
-			}
-		}
-	}
-	var zero Slab
-	for i := 0; i < 3; i++ {
-		zero.Copy(Tuple{})
-	}
-	if rows := zero.Rows(); len(rows) != 3 || len(rows[2]) != 0 {
-		t.Fatalf("zero-width rows = %v", rows)
 	}
 }
 

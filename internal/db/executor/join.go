@@ -271,12 +271,12 @@ type HashJoin struct {
 	Quals    []Expr
 
 	out    *catalog.Schema
-	table  map[uint64][]Tuple
-	slab   Slab // owns the build side's tuples
+	table  map[uint64][]int32 // the build rows' numbers in store, by the hash of their key
+	store  rowStore
 	built  bool
 	row    Tuple // output slot; the current outer tuple sits in front
 	nOuter int   // width of that outer tuple
-	bucket []Tuple
+	bucket []int32
 	bpos   int
 }
 
@@ -284,7 +284,7 @@ type HashJoin struct {
 func (h *HashJoin) Open() error {
 	newSlot(&h.row, h.Schema().Len())
 	h.table = nil
-	h.slab = Slab{}
+	h.store.reset()
 	h.built = false
 	h.bucket = nil
 	h.bpos = 0
@@ -297,7 +297,7 @@ func (h *HashJoin) Open() error {
 func (h *HashJoin) build() error {
 	c := h.C
 	c.emit(probe.HJBuildStart)
-	h.table = make(map[uint64][]Tuple)
+	h.table = make(map[uint64][]int32)
 	for {
 		tup, ok, err := c.child(probe.HJBuildCall, probe.HJBuildCont, h.Inner)
 		if err != nil {
@@ -309,7 +309,10 @@ func (h *HashJoin) build() error {
 		c.emit(probe.HJBuildInsert)
 		c.emit(probe.HashFunc)
 		k := value.Hash(tup[h.InnerKey])
-		h.table[k] = append(h.table[k], h.slab.Copy(tup))
+		if err := h.store.add(tup, nil); err != nil {
+			return err
+		}
+		h.table[k] = append(h.table[k], int32(h.store.n-1))
 		c.emit(probe.HJBuildInsCont)
 	}
 	c.emit(probe.HJBuildDone)
@@ -334,17 +337,17 @@ func (h *HashJoin) Next() (Tuple, bool, error) {
 		if !fresh {
 			// Drain the current bucket.
 			for h.bpos < len(h.bucket) {
-				cand := h.bucket[h.bpos]
+				cand := int(h.bucket[h.bpos])
 				h.bpos++
 				c.emit(probe.HJCandCall)
 				c.emit(cmpProbeFor(h.row[h.OuterKey]))
-				eq := value.Equal(h.row[h.OuterKey], cand[h.InnerKey])
+				eq := value.Equal(h.row[h.OuterKey], h.store.value(cand, h.InnerKey))
 				c.emit(probe.HJCandCont)
 				if !eq {
 					c.emit(probe.HJCandMiss)
 					continue
 				}
-				row := append(h.row[:h.nOuter], cand...)
+				row := h.store.row(h.row[:h.nOuter], cand)
 				if len(h.Quals) > 0 {
 					c.emit(probe.HJQualCall)
 					pass := ExecQual(c, h.Quals, row)
@@ -385,7 +388,7 @@ func (h *HashJoin) Next() (Tuple, bool, error) {
 // the first close fails; the first error wins. Close is idempotent.
 func (h *HashJoin) Close() error {
 	h.table = nil
-	h.slab = Slab{}
+	h.store.reset()
 	h.built = false
 	err := h.Outer.Close()
 	if ierr := h.Inner.Close(); err == nil {

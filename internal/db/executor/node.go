@@ -17,16 +17,18 @@ import (
 // pinned page (storage.DecodeTuple), which the scan may unpin on its
 // next call. A consumer reads the tuple, never writes into it, and may
 // hand it on upwards (Filter, Limit, Project); whoever keeps a value
-// past that point copies it, string bytes and all: Sort, Material, the
-// hash-join build and the result-cache fill into a Slab,
-// GroupAgg's group head and the merge-join duplicate group into a
-// strArena they recycle per group, min/max into a value.Clone. A
-// copier keeps no more than the plan above it reads: a Sort with Cols
-// copies only those columns (a GROUP BY sort: the group columns and
-// aggregate arguments), and Sort and Material index what they kept
-// with one exact-size Slab.Rows once their child is drained. A join
-// holds its current outer tuple across calls on its *inner* child,
-// which the rule allows.
+// past that point copies it, string bytes and all. Sort, Material and
+// the hash-join build keep rows in a rowStore (store.go) — an 8-byte
+// payload and a 1-byte tag per value, string bytes in the store's
+// chunks, no Value and no per-row header — and emit through a slot
+// they refill from it (HashJoin: the joined row's tail), its strings
+// views of the store. A Sort with Cols keeps only those columns (a
+// GROUP BY sort: the group columns and aggregate arguments), and sorts
+// a permutation of row numbers. GroupAgg's group head and the
+// merge-join duplicate group copy into a strArena they recycle per
+// group, min/max into a value.Clone, the result-cache fill into a
+// Slab. A join holds its current outer tuple across calls on its
+// *inner* child, which the rule allows.
 type Node interface {
 	Open() error
 	Next() (Tuple, bool, error)
@@ -66,90 +68,38 @@ func newSlot(row *Tuple, width int) {
 // slabRows caps how many rows' worth of values one Slab chunk holds.
 const slabRows = 64
 
-// Slab is the arena retaining consumers copy slot tuples into: values
-// are carved from chunks, so keeping n rows costs about n/slabRows
-// allocations instead of n, and their string bytes from the byte
-// chunks of a strArena. Both kinds of chunk start small and double,
-// which keeps a one-row result from pinning a 64-row chunk. The zero
-// Slab is ready to use; a chunk lives as long as any row copied into
-// it.
+// Slab is the arena the result-cache fill copies result rows into:
+// values are carved from chunks, so keeping n rows costs about
+// n/slabRows allocations instead of n, and their string bytes from the
+// byte chunks of a strArena. Both kinds of chunk start small and
+// double, which keeps a one-row result from pinning a 64-row chunk.
+// The zero Slab is ready to use; a chunk lives as long as any row
+// copied into it.
 type Slab struct {
 	cur  []value.Value // the current chunk; cur[len(cur)-len(free):] is free
 	free []value.Value
-	full [][]value.Value // the filled part of every earlier chunk, in copy order
-	rows int             // rows copied so far; sizes the next chunk
-	wide int             // the width of the latest row
+	rows int // rows copied so far; sizes the next chunk
 	strs strArena
 }
 
 // Copy returns a copy of t, string bytes included, that stays valid for
 // as long as the caller keeps it.
 func (s *Slab) Copy(t Tuple) Tuple {
-	out := s.carve(len(t))
-	copy(out, t)
-	s.keepStrs(out)
-	return out
-}
-
-// CopyCols is Copy narrowed to t's columns cols, in that order.
-func (s *Slab) CopyCols(t Tuple, cols []int) Tuple {
-	out := s.carve(len(cols))
-	for i, col := range cols {
-		out[i] = t[col]
-	}
-	s.keepStrs(out)
-	return out
-}
-
-// carve returns room for one row of n values.
-func (s *Slab) carve(n int) Tuple {
+	n := len(t)
 	if n > len(s.free) {
-		if used := len(s.cur) - len(s.free); used > 0 {
-			s.full = append(s.full, s.cur[:used])
-		}
 		s.cur = make([]value.Value, n*min(max(s.rows, 4), slabRows))
 		s.free = s.cur
 	}
 	out := s.free[:n:n]
 	s.free = s.free[n:]
 	s.rows++
-	s.wide = n
-	return out
-}
-
-// keepStrs copies the string bytes of a carved row into the arena.
-func (s *Slab) keepStrs(out Tuple) {
+	copy(out, t)
 	for i := range out {
 		if out[i].T == value.Str {
 			out[i] = s.strs.keep(out[i])
 		}
 	}
-}
-
-// Rows returns every row copied so far, in copy order, in one slice of
-// exactly that many headers — the row index of a consumer that replays
-// what it kept (Sort, Material), built once the input is drained
-// instead of grown by doubling. Every row must have the same width.
-func (s *Slab) Rows() []Tuple {
-	rows := make([]Tuple, s.rows)
-	if s.wide == 0 {
-		return rows // zero-width rows: nothing was carved
-	}
-	i := 0
-	fill := func(chunk []value.Value) {
-		for ; len(chunk) > 0; chunk = chunk[s.wide:] {
-			rows[i] = chunk[:s.wide:s.wide]
-			i++
-		}
-	}
-	for _, chunk := range s.full {
-		fill(chunk)
-	}
-	fill(s.cur[:len(s.cur)-len(s.free)])
-	if i != len(rows) {
-		panic("executor: Slab.Rows over rows of different widths")
-	}
-	return rows
+	return out
 }
 
 // Bounds of the byte chunks a strArena carves string copies from.
@@ -172,15 +122,22 @@ func (a *strArena) keep(v value.Value) value.Value {
 	if v.T != value.Str || n == 0 {
 		return v
 	}
+	b := a.carve(n)
+	copy(b, v.S)
+	v.S = value.StrView(b).S
+	return v
+}
+
+// carve returns room for n > 0 bytes, from a new chunk when the
+// current one has less.
+func (a *strArena) carve(n int) []byte {
 	if n > len(a.chunk)-a.used {
 		a.chunk = make([]byte, max(n, min(2*len(a.chunk), strChunkMax), strChunkMin))
 		a.used = 0
 	}
 	b := a.chunk[a.used : a.used+n : a.used+n]
 	a.used += n
-	copy(b, v.S)
-	v.S = value.StrView(b).S
-	return v
+	return b
 }
 
 // reset lets keep overwrite the current chunk: the caller is done with

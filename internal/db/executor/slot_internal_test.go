@@ -130,7 +130,8 @@ func SlotPlans(t *testing.T) map[string]func() Node {
 // With only numeric columns wanted, a Next allocates nothing once the
 // plan is running: every operator refills the row it allocated at Open,
 // whether its qualifiers reject a candidate (six per emitted row below)
-// or accept it.
+// or accept it, and whether it reads the row from its child or from
+// the rows it keeps (Sort, Material).
 func TestRowAllocations(t *testing.T) {
 	const runs = 50
 	db := newTestDB(t, 7*(runs+2))
@@ -157,7 +158,13 @@ func TestRowAllocations(t *testing.T) {
 		"HashJoin/probe": &HashJoin{C: c, Outer: scan(), Inner: keys(), OuterKey: 0, InnerKey: 0},
 		"MergeJoin": &MergeJoin{C: c, Outer: sorted(), Inner: sorted(), OuterKey: 1, InnerKey: 1,
 			Quals: bEquals(0, 13)},
-		"Filter": &Filter{C: c, Child: scan(), Quals: bEquals(1, 6)},
+		// The load and the sort happen in the warm-up call; then the
+		// kept rows are decoded into one slot.
+		"Sort/emit": sorted(),
+		// The inner Material loads in the warm-up call and is rewound,
+		// not re-run, for each outer row.
+		"Material/rescan": &NestLoop{C: c, Outer: keys(), Inner: &Material{C: c, Child: scan()}},
+		"Filter":          &Filter{C: c, Child: scan(), Quals: bEquals(1, 6)},
 		"Project": &ProjectNode{C: c, Child: scan(),
 			Exprs: []Expr{&BinOp{Op: OpAdd, L: intvar(0), R: intvar(1)}}},
 	}

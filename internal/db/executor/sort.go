@@ -27,15 +27,22 @@ type Sort struct {
 	Cols []int
 	Keys []SortKey
 
-	rows   []Tuple // copies, owned by slab
-	slab   Slab
+	store rowStore // the kept rows
+	perm  []int32  // their numbers, in key order once loaded
+	// slots holds the output slot, then the two rows less compares
+	// (only their key columns are filled in), each as wide as the
+	// schema's row.
+	slots  Tuple
 	pos    int
 	loaded bool
 }
 
 // Open implements Node.
 func (s *Sort) Open() error {
-	s.rows, s.slab = nil, Slab{}
+	if s.slots == nil {
+		s.slots = make(Tuple, 3*s.Schema().Len())
+	}
+	s.store.reset()
 	s.pos = 0
 	s.loaded = false
 	return s.Child.Open()
@@ -52,23 +59,28 @@ func (s *Sort) load() error {
 			break
 		}
 		c.emit(probe.SortLoadOK)
-		if s.Cols != nil {
-			s.slab.CopyCols(tup, s.Cols)
-		} else {
-			s.slab.Copy(tup)
+		if err := s.store.add(tup, s.Cols); err != nil {
+			return err
 		}
 	}
-	s.rows = s.slab.Rows()
+	st, w := &s.store, len(s.slots)/3
+	perm, a, b := make([]int32, st.n), s.slots[w:2*w], s.slots[2*w:]
+	for i := range perm {
+		perm[i] = int32(i)
+	}
 	c.emit(probe.SortSortCall)
 	c.emit(probe.QsortEnter)
-	sort.SliceStable(s.rows, func(i, j int) bool {
+	sort.SliceStable(perm, func(i, j int) bool {
 		c.emit(probe.QsortCmpCall)
-		r := tupleCompare(c, s.rows[i], s.rows[j], s.Keys)
+		st.keys(a, int(perm[i]), s.Keys)
+		st.keys(b, int(perm[j]), s.Keys)
+		r := tupleCompare(c, a, b, s.Keys)
 		c.emit(probe.QsortCmpCont)
 		return r < 0
 	})
 	c.emit(probe.QsortRet)
 	c.emit(probe.SortSortCont)
+	s.perm = perm
 	s.loaded = true
 	return nil
 }
@@ -82,11 +94,11 @@ func (s *Sort) Next() (Tuple, bool, error) {
 			return nil, false, err
 		}
 	}
-	if s.pos >= len(s.rows) {
+	if s.pos >= len(s.perm) {
 		c.emit(probe.SortEOF)
 		return nil, false, nil
 	}
-	row := s.rows[s.pos]
+	row := s.store.row(s.slots[:0:len(s.slots)/3], int(s.perm[s.pos]))
 	s.pos++
 	c.emit(probe.SortEmit)
 	return row, true, nil
@@ -94,7 +106,8 @@ func (s *Sort) Next() (Tuple, bool, error) {
 
 // Close implements Node.
 func (s *Sort) Close() error {
-	s.rows, s.slab = nil, Slab{}
+	s.store.reset()
+	s.perm = nil
 	s.loaded = false
 	return s.Child.Close()
 }
@@ -116,8 +129,8 @@ type Material struct {
 	C     *Ctx
 	Child Node
 
-	rows   []Tuple // copies, owned by slab
-	slab   Slab
+	store  rowStore // the child's rows, kept for one execution
+	row    Tuple    // output slot
 	pos    int
 	loaded bool
 }
@@ -126,7 +139,8 @@ type Material struct {
 // so the child runs again: a re-executed plan reads the data as it is
 // now.
 func (m *Material) Open() error {
-	m.rows, m.slab = nil, Slab{}
+	newSlot(&m.row, m.Schema().Len())
+	m.store.reset()
 	m.pos = 0
 	m.loaded = false
 	return m.Child.Open()
@@ -153,25 +167,26 @@ func (m *Material) Next() (Tuple, bool, error) {
 				break
 			}
 			c.emit(probe.MatLoadOK)
-			m.slab.Copy(tup)
+			if err := m.store.add(tup, nil); err != nil {
+				return nil, false, err
+			}
 		}
-		m.rows = m.slab.Rows()
 		c.emit(probe.MatLoadDone)
 		m.loaded = true
 	}
-	if m.pos >= len(m.rows) {
+	if m.pos >= m.store.n {
 		c.emit(probe.MatEOF)
 		return nil, false, nil
 	}
-	row := m.rows[m.pos]
+	m.row = m.store.row(m.row[:0], m.pos)
 	m.pos++
 	c.emit(probe.MatEmit)
-	return row, true, nil
+	return m.row, true, nil
 }
 
 // Close implements Node. It drops the store, like Sort's.
 func (m *Material) Close() error {
-	m.rows, m.slab = nil, Slab{}
+	m.store.reset()
 	m.loaded = false
 	return m.Child.Close()
 }
