@@ -333,8 +333,8 @@ func (f *frame) ownPage() {
 // per-session state (sessions are single-threaded) and user code, and
 // user code under a pool lock can re-enter the pool and deadlock (the
 // PR 3 class — enforced statically by dsdblint's tracerlock). On a
-// miss the clock sweep's events are recorded under the miss mutex and
-// replayed once it drops.
+// miss the clock sweep counts the frames it passes under the miss
+// mutex, and its events are replayed from that count once it drops.
 //
 // A hit takes no lock: look k up, pin the frame, and keep the pin only
 // if the table still maps k to that frame (see the package comment).
@@ -422,22 +422,17 @@ func (m *Manager) miss(tr, rec probe.Tracer, k key) (*frame, error) {
 		return m.pin(tr, rec, k)
 	}
 	m.misses++
-	var evbuf [8]probe.ID
-	evs := append(evbuf[:0], probe.BufGetEnter, probe.BufTableLookup, probe.BufGetMiss)
-	f, evs, err := m.evict(evs)
+	f, skips, err := m.evict()
 	if err != nil {
 		m.mu.Unlock()
-		emitAll(rec, evs)
+		emitSweep(rec, skips, false)
 		return nil, err
 	}
 	// The frame is claimed and unpublished: nobody else can pin it
 	// until the claim is published below.
-	oldKey, needFlush := f.key, f.valid && f.dirty.Load()
+	oldKey, needFlush := f.key, f.valid && f.dirty.Swap(false)
 	f.key = k
 	f.valid = false
-	if needFlush {
-		f.dirty.Store(false)
-	}
 	f.touch()
 	<-f.ready // the latch token; an unpinned frame always has it (see frame.ready)
 	f.loading.Store(true)
@@ -458,7 +453,7 @@ func (m *Manager) miss(tr, rec probe.Tracer, k key) (*frame, error) {
 	// page absent from the page table.
 	waitFlush := m.flushing[k]
 	m.mu.Unlock()
-	emitAll(rec, evs)
+	emitSweep(rec, skips, true)
 	if w, observed := tr.(probe.IOWaiter); observed {
 		// Everything from here to any return is miss IO: the victim
 		// flush, waiting out a racing flush of this page, and the read.
@@ -587,13 +582,11 @@ const pinnedPasses = 3
 
 // evict picks a victim frame with the clock algorithm
 // (StrategyGetBuffer), claims it and unpublishes it, without doing any
-// IO: a dirty
-// victim's flush happens in miss under the frame latch, after the miss
-// mutex drops. The caller holds m.mu, so the sweep's probe events are
-// appended to evs and handed back for the caller to emit after
-// unlocking (handed back, not written through a pointer, which would
-// move the caller's event buffer to the heap on every miss). Loading
-// frames are pinned by their loader, so the pins check skips them.
+// IO: a dirty victim's flush happens in miss under the frame latch,
+// after the miss mutex drops. The caller holds m.mu, so the sweep emits
+// nothing: it counts the frames it passes, and the caller replays the
+// sweep's events after unlocking (emitSweep). Loading frames are pinned
+// by their loader, so the pins check skips them.
 //
 // The victim is claimed by swapping its pin count from 0 to claimed, so
 // a hit that pinned it after the sweep looked makes the claim fail and
@@ -605,12 +598,12 @@ const pinnedPasses = 3
 // the frames can keep every unpinned frame referenced each time the
 // hand passes; from then on the sweep takes the first frame it can
 // claim. It fails only when full passes, n steps in a row each, have
-// found every frame pinned pinnedPasses times in a row.
-func (m *Manager) evict(evs []probe.ID) (*frame, []probe.ID, error) {
-	evs = append(evs, probe.BufClockEnter)
+// found every frame pinned pinnedPasses times in a row. Every step
+// but a take passes its frame by, so skips is the steps before it.
+func (m *Manager) evict() (victim *frame, skips int, err error) {
 	n := len(m.frames)
-	for sweep, pinned, passes := 0, 0, 0; ; sweep++ {
-		if sweep >= 2*n && pinned >= n {
+	for pinned, passes := 0, 0; ; skips++ {
+		if skips >= 2*n && pinned >= n {
 			if passes++; passes == pinnedPasses {
 				break
 			}
@@ -622,37 +615,41 @@ func (m *Manager) evict(evs []probe.ID) (*frame, []probe.ID, error) {
 		if f.pins.Load() > 0 {
 			// Covers loading frames too (their loader holds a pin), and
 			// failed-load frames still pinned by draining waiters.
-			evs = append(evs, probe.BufClockSkip)
 			pinned++
 			continue
 		}
-		if sweep < 2*n && f.valid && f.ref.Load() {
+		if skips < 2*n && f.valid && f.ref.Load() {
 			f.ref.Store(false)
-			evs = append(evs, probe.BufClockSkip)
 			pinned = 0
 			continue
 		}
 		if !f.claim() {
-			evs = append(evs, probe.BufClockSkip)
 			pinned++
 			continue
 		}
 		if f.valid {
 			m.entry(f.key).CompareAndSwap(f, nil)
 		}
-		return f, append(evs, probe.BufClockTake), nil
+		return f, skips, nil
 	}
-	return nil, evs, fmt.Errorf("buffer: all %d frames pinned (an open scan retains its page, an index scan or join up to tree height + 2, until closed)", n)
+	return nil, skips, fmt.Errorf("buffer: all %d frames pinned (an open scan retains its page, an index scan or join up to tree height + 2, until closed)", n)
 }
 
-// emitAll replays probe events recorded while a pool lock was held;
-// callers invoke it only after releasing it.
-func emitAll(rec probe.Tracer, evs []probe.ID) {
+// emitSweep emits the events of a miss up to its victim: the lookup
+// that missed, the clock sweep past skips frames, and — if took — the
+// take. Callers invoke it only after releasing the miss mutex.
+func emitSweep(rec probe.Tracer, skips int, took bool) {
 	if rec == nil {
 		return
 	}
-	for _, e := range evs {
-		rec.Emit(e)
+	for _, id := range [...]probe.ID{probe.BufGetEnter, probe.BufTableLookup, probe.BufGetMiss, probe.BufClockEnter} {
+		rec.Emit(id)
+	}
+	for ; skips > 0; skips-- {
+		rec.Emit(probe.BufClockSkip)
+	}
+	if took {
+		rec.Emit(probe.BufClockTake)
 	}
 }
 

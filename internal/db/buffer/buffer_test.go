@@ -326,24 +326,72 @@ type eventTracer struct{ events []probe.ID }
 
 func (t *eventTracer) Emit(id probe.ID) { t.events = append(t.events, id) }
 
-// TestMissPathEventSequenceUnchanged pins the miss-path trace shape:
-// reordering the hit emits must not have perturbed the cold path the
-// CFG validation depends on.
+// missEvents is the probe stream of one miss whose clock sweep passes
+// skips frames: the lookup, the sweep, and — when it took a victim —
+// the read that fills it. An all-pinned failure ends after the skips.
+func missEvents(skips int, took bool) []probe.ID {
+	evs := []probe.ID{probe.BufGetEnter, probe.BufTableLookup, probe.BufGetMiss, probe.BufClockEnter}
+	for i := 0; i < skips; i++ {
+		evs = append(evs, probe.BufClockSkip)
+	}
+	if took {
+		evs = append(evs, probe.BufClockTake, probe.BufGetRead, probe.SmgrRead, probe.BufGetFill)
+	}
+	return evs
+}
+
+// TestMissPathEventSequenceUnchanged pins the miss-path trace shape
+// exactly — the CFG validation and every trace golden depend on it —
+// for a sweep that takes the first frame it visits, one that passes
+// more referenced and pinned frames than a small event buffer holds,
+// and one that finds every frame pinned and fails.
 func TestMissPathEventSequenceUnchanged(t *testing.T) {
-	_, m := newEnv(t, 4, 2)
-	tr := &eventTracer{}
-	b, err := m.Get(tr, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Release(b, false)
-	want := []probe.ID{
-		probe.BufGetEnter, probe.BufTableLookup, probe.BufGetMiss,
-		probe.BufClockEnter, probe.BufClockTake,
-		probe.BufGetRead, probe.SmgrRead, probe.BufGetFill,
-	}
-	if fmt.Sprint(tr.events) != fmt.Sprint(want) {
-		t.Fatalf("miss path emitted %v, want %v", tr.events, want)
+	for _, tc := range []struct {
+		name           string
+		frames, pages  int
+		pinned, filled int // pages 0..pinned-1 stay pinned; pages 0..filled-1 are loaded first
+		skips          int
+		took           bool
+	}{
+		// A free frame: the hand takes it at once.
+		{name: "no_skip", frames: 4, pages: 2, skips: 0, took: true},
+		// Six frames hold pages 0–5, all referenced, 0–2 pinned. The
+		// sweep passes 0–2 (pinned), 3–5 (clearing their bits), 0–2
+		// again and takes frame 3.
+		{name: "referenced_and_pinned", frames: 6, pages: 7, pinned: 3, filled: 6, skips: 9, took: true},
+		// Two frames, both pinned: the sweep passes 2n frames, then two
+		// full passes of pinned frames, and fails after the third.
+		{name: "all_pinned", frames: 2, pages: 3, pinned: 2, filled: 2, skips: 8, took: false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, m := newEnv(t, tc.frames, tc.pages)
+			var held []Buf
+			for p := 0; p < tc.filled; p++ {
+				b, err := m.Get(nil, 0, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p < tc.pinned {
+					held = append(held, b)
+				} else {
+					m.Release(b, false)
+				}
+			}
+			tr := &eventTracer{}
+			b, err := m.Get(tr, 0, tc.pages-1)
+			if tc.took != (err == nil) {
+				t.Fatalf("miss returned %v, want a victim: %v", err, tc.took)
+			}
+			if err == nil {
+				m.Release(b, false)
+			}
+			for _, b := range held {
+				m.Release(b, false)
+			}
+			if want := missEvents(tc.skips, tc.took); fmt.Sprint(tr.events) != fmt.Sprint(want) {
+				t.Fatalf("miss path emitted %v, want %v", tr.events, want)
+			}
+		})
 	}
 }
 

@@ -242,7 +242,7 @@ func TestClaimedFrameRefusesPin(t *testing.T) {
 	m.Release(b, false)
 
 	m.mu.Lock()
-	f, _, err := m.evict(nil)
+	f, _, err := m.evict()
 	m.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -355,20 +355,32 @@ func TestLockFreeHitsAccountExactly(t *testing.T) {
 	}
 }
 
+// skipCounter counts the misses and clock skips it is sent, without
+// allocating.
+type skipCounter struct{ misses, skips int }
+
+func (c *skipCounter) Emit(id probe.ID) {
+	switch id {
+	case probe.BufGetMiss:
+		c.misses++
+	case probe.BufClockSkip:
+		c.skips++
+	}
+}
+
 // TestMissDoesNotAllocate cycles through four times more pages than
 // the pool has frames, over a checkpointed disk store, so that every
-// request is a miss that evicts a clean page and views the new one in
-// the mapped generation: none of that may allocate. (One miss in
-// `frames` sweeps the whole clock and outgrows its event buffer; spread
-// over the run that is well under one allocation per miss.)
+// new page is a miss that evicts a clean page and views the new one in
+// the mapped generation. Between misses it hits every resident page,
+// so each sweep passes every frame, referenced, before it takes one:
+// however many frames the sweep passes, a miss may not allocate.
 func TestMissDoesNotAllocate(t *testing.T) {
-	const frames, pages = 16, 64
+	const frames, pages, runs = 16, 64, 4 * 64
 	st, _ := newTaggedStore(t, pages, 1)
 	promoteGeneration(t, st)
 	m := New(st, frames)
-	page := 0
-	perMiss := testing.AllocsPerRun(4*pages, func() {
-		b, err := m.Get(nil, 0, page)
+	get := func(tr probe.Tracer, page int) {
+		b, err := m.Get(tr, 0, page)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,13 +388,30 @@ func TestMissDoesNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Release(b, false)
-		page = (page + 1) % pages
+	}
+	for page := 0; page < frames; page++ {
+		get(nil, page) // fill the pool
+	}
+	tr := &skipCounter{}
+	next := frames
+	perMiss := testing.AllocsPerRun(runs, func() {
+		get(tr, next)
+		// The resident pages are the last `frames` ones asked for.
+		for p := next - frames + 1; p <= next; p++ {
+			get(tr, (p+pages)%pages)
+		}
+		next = (next + 1) % pages
 	})
-	if hits, misses := m.Stats(); hits != 0 || misses != 4*pages+1 {
-		t.Fatalf("hits/misses = %d/%d, want 0/%d: the cycle was meant to miss every time", hits, misses, 4*pages+1)
+	// AllocsPerRun runs the function once more to warm up.
+	cycles := uint64(runs + 1)
+	if hits, misses := m.Stats(); hits != frames*cycles || misses != frames+cycles {
+		t.Fatalf("hits/misses = %d/%d, want %d/%d: each cycle was meant to miss once and hit %d pages", hits, misses, frames*cycles, frames+cycles, frames)
+	}
+	if tr.misses == 0 || tr.skips <= 4*tr.misses {
+		t.Fatalf("%d clock skips over %d misses: the sweep was meant to pass more than four frames a miss", tr.skips, tr.misses)
 	}
 	if perMiss != 0 {
-		t.Fatalf("%v allocations per buffer miss, want 0", perMiss)
+		t.Fatalf("%v allocations per buffer miss (%d skips over %d misses), want 0", perMiss, tr.skips, tr.misses)
 	}
 }
 

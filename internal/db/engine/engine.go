@@ -120,6 +120,10 @@ type DB struct {
 	lock    *os.File
 	closeMu sync.Mutex
 	closed  bool
+	// enc is the logged insert's encoding buffer, used under the
+	// exclusive latch: the WAL copies the bytes into its frame and the
+	// heap into its page, so neither keeps them.
+	enc []byte
 
 	// failed poisons the engine after a checkpoint failure past the
 	// point of no return (manifest published, promote or log truncation
@@ -306,7 +310,8 @@ func (db *DB) InsertSpanned(table string, row []value.Value, sp *obs.Span) error
 		// Log-then-apply, encoding exactly once: the journaled bytes
 		// are the bytes the heap stores. Unlogged paths (memory mode,
 		// bulk loads, replay) let the heap encode for itself.
-		data := storage.EncodeTuple(row, nil)
+		data := storage.EncodeTuple(row, db.enc)
+		db.enc = data
 		if err := access.CheckTupleSize(data); err != nil {
 			return err
 		}

@@ -271,23 +271,27 @@ type HashJoin struct {
 	Quals    []Expr
 
 	out    *catalog.Schema
-	table  map[uint64][]int32 // the build rows' numbers in store, by the hash of their key
+	table  map[uint64]chain // the build rows in store with each key hash
+	next   []int32          // next[i]: the build row after i in its chain, or -1
 	store  rowStore
 	built  bool
 	row    Tuple // output slot; the current outer tuple sits in front
 	nOuter int   // width of that outer tuple
-	bucket []int32
-	bpos   int
+	cand   int32 // the outer tuple's next candidate build row, or -1
 }
+
+// chain is the first and last of the build rows whose keys share a
+// hash; next links them in the order they were built, which is the
+// order a probe visits them.
+type chain struct{ first, last int32 }
 
 // Open implements Node.
 func (h *HashJoin) Open() error {
 	newSlot(&h.row, h.Schema().Len())
-	h.table = nil
+	h.table, h.next = nil, nil
 	h.store.reset()
 	h.built = false
-	h.bucket = nil
-	h.bpos = 0
+	h.cand = -1
 	if err := h.Outer.Open(); err != nil {
 		return err
 	}
@@ -297,7 +301,7 @@ func (h *HashJoin) Open() error {
 func (h *HashJoin) build() error {
 	c := h.C
 	c.emit(probe.HJBuildStart)
-	h.table = make(map[uint64][]int32)
+	h.table = make(map[uint64]chain)
 	for {
 		tup, ok, err := c.child(probe.HJBuildCall, probe.HJBuildCont, h.Inner)
 		if err != nil {
@@ -312,7 +316,14 @@ func (h *HashJoin) build() error {
 		if err := h.store.add(tup, nil); err != nil {
 			return err
 		}
-		h.table[k] = append(h.table[k], int32(h.store.n-1))
+		i := int32(h.store.n - 1)
+		if ch, ok := h.table[k]; ok {
+			h.next[ch.last] = i
+			h.table[k] = chain{ch.first, i}
+		} else {
+			h.table[k] = chain{i, i}
+		}
+		h.next = append(h.next, -1)
 		c.emit(probe.HJBuildInsCont)
 	}
 	c.emit(probe.HJBuildDone)
@@ -335,10 +346,10 @@ func (h *HashJoin) Next() (Tuple, bool, error) {
 	}
 	for {
 		if !fresh {
-			// Drain the current bucket.
-			for h.bpos < len(h.bucket) {
-				cand := int(h.bucket[h.bpos])
-				h.bpos++
+			// Walk the current chain.
+			for h.cand >= 0 {
+				cand := int(h.cand)
+				h.cand = h.next[cand]
 				c.emit(probe.HJCandCall)
 				c.emit(cmpProbeFor(h.row[h.OuterKey]))
 				eq := value.Equal(h.row[h.OuterKey], h.store.value(cand, h.InnerKey))
@@ -378,8 +389,10 @@ func (h *HashJoin) Next() (Tuple, bool, error) {
 		c.emit(probe.HJProbeCall)
 		c.emit(probe.HashFunc)
 		k := value.Hash(tup[h.OuterKey])
-		h.bucket = h.table[k]
-		h.bpos = 0
+		h.cand = -1
+		if ch, ok := h.table[k]; ok {
+			h.cand = ch.first
+		}
 		c.emit(probe.HJProbeCont)
 	}
 }
@@ -387,7 +400,7 @@ func (h *HashJoin) Next() (Tuple, bool, error) {
 // Close implements Node. Both children are always closed, even when
 // the first close fails; the first error wins. Close is idempotent.
 func (h *HashJoin) Close() error {
-	h.table = nil
+	h.table, h.next = nil, nil
 	h.store.reset()
 	h.built = false
 	err := h.Outer.Close()

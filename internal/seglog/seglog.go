@@ -84,10 +84,13 @@ import (
 const DefaultSegmentBytes = 8 << 20
 
 // maxRetainedFrame bounds the frame buffer an Appender keeps between
-// appends. Both logs' steady state is records of a few hundred bytes
-// (row inserts, captured queries), which reuse the buffer; a frame that
-// a page image or a megabyte of SQL grew past this is written from its
-// own allocation and let go rather than held for the life of the log.
+// appends. Row inserts and captured queries are records of a few
+// hundred bytes, which reuse the buffer; a frame that a page image or
+// a megabyte of SQL grew past this is written from its own allocation
+// and let go rather than held for the life of the log. A durable
+// database whose pool is smaller than its data journals a page image
+// on every dirty eviction, so there each of those appends allocates a
+// frame of a page and more.
 const maxRetainedFrame = 4 << 10
 
 // FrameHeader is the size of a frame's header: payload length (u32)
