@@ -470,15 +470,14 @@ func TestResultCacheTTLExpiry(t *testing.T) {
 	}
 }
 
-// TestResultCacheRawTextAlias pins what the raw-text fast path may not
-// change. After its first hit a query text is answered by one alias
-// lookup, without being parsed — and every counter, every invalidation
-// and every row must be what the canonical lookup would have produced:
-// one hit or one miss per execution; an Insert on a referenced table
-// turns the next raw-text lookup into a miss and an invalidation whose
-// re-execution byte-compares with an uncached database; the alias's
-// bytes leave with the invalidated entry; and spellings beyond the
-// per-entry alias cap still share the one entry and still hit.
+// TestResultCacheRawTextAlias: every raw spelling of a query is another
+// name for one entry, reached through the plan compiled for that exact
+// text. Each execution probes the cache once (one hit or one miss); a
+// hit charges no bytes; an Insert on a referenced table turns the next
+// execution into a miss and an invalidation whose re-execution
+// byte-compares with an uncached database, and the next hit runs the
+// refill's pooled plan instead of compiling; and every spelling hits
+// the one entry, compiling once on its first hit.
 func TestResultCacheRawTextAlias(t *testing.T) {
 	ctx := context.Background()
 	plain := openTPCD(t, 0.0005)
@@ -510,29 +509,27 @@ func TestResultCacheRawTextAlias(t *testing.T) {
 		}
 		return res, rows.CacheHit()
 	}
-	stats := func() (st struct{ hits, misses, inval uint64 }, used int64) {
+	check := func(what string, hits, misses, inval uint64, used int64) {
+		t.Helper()
 		s, _ := db.ResultCacheStats()
-		st.hits, st.misses, st.inval = s.Hits, s.Misses, s.Invalidations
-		return st, s.UsedBytes
+		if s.Hits != hits || s.Misses != misses || s.Invalidations != inval || s.Entries != 1 || s.UsedBytes != used {
+			t.Fatalf("%s: %+v, want %d hits, %d misses, %d invalidations, one entry of %d bytes",
+				what, s, hits, misses, inval, used)
+		}
 	}
 
 	if _, hit := run(db, q); hit {
 		t.Fatal("fill was a hit")
 	}
-	_, filled := stats()
-	const hits = 5 // the first by canonical key, the rest by raw text
+	st, _ := db.ResultCacheStats()
+	filled := st.UsedBytes
+	const hits = 5
 	for i := 0; i < hits; i++ {
 		if _, hit := run(db, q); !hit {
 			t.Fatalf("repeat %d missed", i)
 		}
 	}
-	st, aliased := stats()
-	if st.hits != hits || st.misses != 1 || st.inval != 0 {
-		t.Fatalf("after 1 fill and %d repeats: %+v, want %d hits and 1 miss", hits, st, hits)
-	}
-	if aliased <= filled {
-		t.Fatalf("UsedBytes %d after the alias, %d before: the alias is not charged", aliased, filled)
-	}
+	check("after 1 fill and 5 repeats", hits, 1, 0, filled)
 
 	for _, d := range []*dsdb.DB{plain, db} {
 		if err := d.Insert("audit", dsdb.NewInt(35)); err != nil {
@@ -542,18 +539,20 @@ func TestResultCacheRawTextAlias(t *testing.T) {
 	want, _ := run(plain, q)
 	got, hit := run(db, q)
 	if hit {
-		t.Fatal("raw-text lookup served a result from before the Insert")
+		t.Fatal("served a result from before the Insert")
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("re-execution after the Insert = %v, uncached database says %v", got, want)
 	}
-	st, refilled := stats()
-	if st.hits != hits || st.misses != 2 || st.inval != 1 {
-		t.Fatalf("after the Insert: %+v, want one more miss and one invalidation", st)
+	check("after the Insert", hits, 2, 1, filled)
+	before := db.PlanStats()
+	if _, hit := run(db, q); !hit {
+		t.Fatal("the refill did not serve")
 	}
-	if refilled != filled {
-		t.Fatalf("UsedBytes %d after invalidation and refill, want the pre-alias %d", refilled, filled)
+	if after := db.PlanStats(); after.Reused != before.Reused+1 || after.Compiled != before.Compiled {
+		t.Fatalf("hit after the refill: plans %+v -> %+v, want the refill's idle plan reused", before, after)
 	}
+	check("after the refill's hit", hits+1, 2, 1, filled)
 
 	spellings := []string{
 		"SELECT count(*), sum(a_id) FROM audit",
@@ -564,15 +563,19 @@ func TestResultCacheRawTextAlias(t *testing.T) {
 		"Select Count(*), Sum(a_id) From audit",
 		"select count(*),sum(a_id) from audit",
 	}
-	for pass := 0; pass < 2; pass++ {
+	n := uint64(len(spellings))
+	for pass := uint64(0); pass < 2; pass++ {
+		before := db.PlanStats()
 		for _, s := range spellings {
 			got, hit := run(db, s)
 			if !hit || !reflect.DeepEqual(got.Rows, want.Rows) {
 				t.Fatalf("pass %d, spelling %q: hit=%v rows=%v, want a hit with %v", pass, s, hit, got.Rows, want.Rows)
 			}
 		}
-	}
-	if s, _ := db.ResultCacheStats(); s.Entries != 1 || s.Hits != hits+uint64(2*len(spellings)) || s.Misses != 2 {
-		t.Fatalf("after %d spellings twice: %+v, want one entry, every spelling a hit", len(spellings), s)
+		after := db.PlanStats()
+		if compiled := after.Compiled - before.Compiled; compiled != n*(1-pass) {
+			t.Fatalf("pass %d compiled %d plans for %d spellings", pass, compiled, n)
+		}
+		check(fmt.Sprintf("after spelling pass %d", pass), hits+1+n*(pass+1), 2, 1, filled)
 	}
 }

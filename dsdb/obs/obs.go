@@ -31,7 +31,8 @@ import (
 type Stage int
 
 const (
-	// StagePlan is parse + plan/compile time.
+	// StagePlan is the time to get a compiled plan: parse + plan for a
+	// new text, the plan pool's take for a repeated one.
 	StagePlan Stage = iota
 	// StageCache is result-cache lookup time (hits and misses).
 	StageCache

@@ -25,6 +25,9 @@ const maxIdlePlans = 256
 // them, and the planner reads nothing else that changes (the catalog,
 // and NumRows for join order), so a reused plan is the plan a fresh
 // compile would build. Explicit Prepare statements never enter it.
+// It is also the only map from a raw text to the result cache: a
+// statement carries its canonical cache key, so a repeated text reaches
+// its cached result without being parsed.
 type planPool struct {
 	mu sync.Mutex
 	// idle maps a text to its most recently returned idle statement;
@@ -145,10 +148,11 @@ type PlanStats struct {
 	// Idle is the number of statements waiting in the pool.
 	Idle int
 	// Compiled counts one-shot statements compiled because no current
-	// idle one was there; Reused counts executions that ran an idle
-	// one; Evicted counts idle statements dropped to keep the pool
-	// bounded (a stale statement is dropped uncounted and shows as a
-	// compile).
+	// idle one was there; Reused counts one-shot queries that took an
+	// idle one, result-cache hits included (a hit takes the statement
+	// for its cache key and returns it at once); Evicted counts idle
+	// statements dropped to keep the pool bounded (a stale statement is
+	// dropped uncounted and shows as a compile).
 	Compiled, Reused, Evicted uint64
 }
 

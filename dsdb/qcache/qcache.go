@@ -25,21 +25,6 @@
 // dsdb.Open(dsdb.WithResultCache(n)) owns the only instance most
 // programs need; both the in-process and the served query paths share
 // it.
-//
-// Aliases: the key is the canonical text, which a caller only has after
-// lexing the query — on a hit that is most of the work left. So an entry
-// also remembers up to maxAliases raw query texts that resolved to it
-// (AddAlias, called by dsdb after a hit on the canonical key), and
-// GetRaw answers a query by its raw text with one map lookup and no
-// lexer. An alias is a second name for the entry, nothing more: GetRaw
-// runs the same TTL and epoch validation as Get and counts the same
-// single hit (or miss, invalidation, expiration); its bytes are charged
-// to the entry under the same MaxBytes; it goes when the entry goes
-// (evicted, invalidated, expired, replaced by a Put). A raw text that is
-// no alias counts nothing — the caller canonicalises and calls Get, as
-// it would have without aliases — so case and whitespace variants still
-// share one entry, and variants beyond the per-entry cap still hit, the
-// slow way.
 package qcache
 
 import (
@@ -114,20 +99,13 @@ func (s Stats) Section(enabled bool) obs.Section {
 
 // entry is one cached result set plus its LRU hook and accounting.
 type entry struct {
-	key     string
-	fp      Footprint
-	res     *Result
-	size    int64     // EntryBytes plus the entry's aliases
-	stored  time.Time // fill time, for TTL expiry
-	elem    *list.Element
-	aliases []string // raw query texts in Cache.aliases that name this entry
+	key    string
+	fp     Footprint
+	res    *Result
+	size   int64     // EntryBytes
+	stored time.Time // fill time, for TTL expiry
+	elem   *list.Element
 }
-
-// maxAliases bounds the raw texts remembered per entry. Clients send a
-// query as a handful of literal strings (a driver's, a dashboard's); the
-// cap only keeps a client that formats every request differently from
-// filling the budget with names for one result.
-const maxAliases = 4
 
 // Config selects the cache's budget and policies.
 type Config struct {
@@ -155,7 +133,6 @@ type Cache struct {
 	used    int64
 	lru     *list.List // front = most recently used; values are *entry
 	entries map[string]*entry
-	aliases map[string]*entry // raw query text -> the entry it resolved to
 	now     func() time.Time
 
 	hits, misses, evictions, invalidations uint64
@@ -170,7 +147,7 @@ func New(maxBytes int64) *Cache {
 
 // NewWith returns a cache with explicit policies.
 func NewWith(cfg Config) *Cache {
-	return &Cache{cfg: cfg, lru: list.New(), entries: make(map[string]*entry), aliases: make(map[string]*entry), now: time.Now}
+	return &Cache{cfg: cfg, lru: list.New(), entries: make(map[string]*entry), now: time.Now}
 }
 
 // SetNowFunc replaces the cache's clock — the injectable time source
@@ -191,24 +168,6 @@ func (c *Cache) MaxBytes() int64 { return c.cfg.MaxBytes }
 // (counted as an invalidation or expiration) and reported as a miss.
 // The returned Result is shared — do not mutate it.
 func (c *Cache) Get(key string, cur func(table string) uint64) (*Result, bool) {
-	res, _, hit := c.get(key, false, cur)
-	return res, hit
-}
-
-// GetRaw is Get by a query's raw text. known reports whether raw is an
-// alias of some entry: if so the probe has been validated and counted
-// exactly as a Get of that entry's key (res is nil when that was a
-// miss) and the caller must not probe again; if not, nothing was
-// counted and the caller falls back to canonicalising and Get.
-func (c *Cache) GetRaw(raw string, cur func(table string) uint64) (res *Result, known bool) {
-	res, known, _ = c.get(raw, true, cur)
-	return res, known
-}
-
-// get is the one lookup behind Get and GetRaw: name is an alias or a
-// key. found reports whether it named an entry — when it did not, a key
-// counts a miss and an alias counts nothing.
-func (c *Cache) get(name string, alias bool, cur func(table string) uint64) (res *Result, found, hit bool) {
 	// cur and c.now are caller-supplied callbacks; running either under
 	// c.mu invites deadlock if the callback re-enters the cache (the
 	// PR 4 bug class, now enforced statically by dsdblint's tracerlock).
@@ -220,24 +179,18 @@ func (c *Cache) get(name string, alias bool, cur func(table string) uint64) (res
 		start = c.now()
 	}
 	c.mu.Lock()
-	index := c.entries
-	if alias {
-		index = c.aliases
-	}
-	e, ok := index[name]
+	e, ok := c.entries[key]
 	if !ok {
-		if !alias {
-			c.misses++
-		}
+		c.misses++
 		c.mu.Unlock()
-		return nil, false, false
+		return nil, false
 	}
 	if c.cfg.TTL > 0 && start.Sub(e.stored) >= c.cfg.TTL {
 		c.expirations++
 		c.remove(e)
 		c.misses++
 		c.mu.Unlock()
-		return nil, true, false
+		return nil, false
 	}
 	fp, res := e.fp, e.res
 	c.mu.Unlock()
@@ -258,50 +211,13 @@ func (c *Cache) get(name string, alias bool, cur func(table string) uint64) (res
 			c.remove(e)
 		}
 		c.misses++
-		return nil, true, false
+		return nil, false
 	}
 	c.hits++
 	if c.entries[e.key] == e {
 		c.lru.MoveToFront(e.elem)
 	}
-	return res, true, true
-}
-
-// AddAlias records raw as another name for key's entry, so the next
-// GetRaw(raw) finds it without canonicalising. It is a no-op when key
-// has no entry, raw already names one, the entry holds maxAliases
-// already, or the alias would not fit the budget even after evicting
-// every other entry. The alias's bytes are charged to the entry.
-func (c *Cache) AddAlias(key, raw string) {
-	size := aliasOverhead + int64(len(raw))
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok || len(e.aliases) >= maxAliases || c.aliases[raw] != nil {
-		return
-	}
-	if !c.makeRoom(size, e) {
-		return
-	}
-	e.aliases = append(e.aliases, raw)
-	c.aliases[raw] = e
-	e.size += size
-	c.used += size
-}
-
-// makeRoom evicts least-recently-used entries, never keep, until size
-// more bytes fit the budget; false if they cannot. The caller holds
-// c.mu.
-func (c *Cache) makeRoom(size int64, keep *entry) bool {
-	for c.used+size > c.cfg.MaxBytes {
-		back := c.lru.Back()
-		if back == nil || back.Value.(*entry) == keep {
-			return false
-		}
-		c.evictions++
-		c.remove(back.Value.(*entry))
-	}
-	return true
+	return res, true
 }
 
 // Put inserts (or replaces) the result for key, evicting
@@ -330,7 +246,12 @@ func (c *Cache) Put(key string, fp Footprint, res *Result, cost time.Duration) b
 	if old, ok := c.entries[key]; ok {
 		c.remove(old)
 	}
-	c.makeRoom(size, nil)
+	// size fits the budget, so the list empties no later than used
+	// reaches zero.
+	for c.used+size > c.cfg.MaxBytes {
+		c.evictions++
+		c.remove(c.lru.Back().Value.(*entry))
+	}
 	e := &entry{key: key, fp: fp, res: res, size: size, stored: now}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
@@ -364,7 +285,6 @@ func (c *Cache) Clear() {
 	defer c.mu.Unlock()
 	c.lru.Init()
 	c.entries = make(map[string]*entry)
-	c.aliases = make(map[string]*entry)
 	c.used = 0
 }
 
@@ -392,13 +312,10 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// remove unlinks an entry and its aliases; the caller holds c.mu.
+// remove unlinks an entry; the caller holds c.mu.
 func (c *Cache) remove(e *entry) {
 	c.lru.Remove(e.elem)
 	delete(c.entries, e.key)
-	for _, raw := range e.aliases {
-		delete(c.aliases, raw)
-	}
 	c.used -= e.size
 }
 
@@ -413,7 +330,6 @@ const (
 	valueOverhead = 48
 	sliceOverhead = 24
 	entryOverhead = 160
-	aliasOverhead = 48 // the alias map's slot and the entry's list element
 )
 
 // ValueBytes returns the accounted size of one datum.

@@ -116,7 +116,7 @@ func (s *Stmt) Columns() []string { return append([]string(nil), s.cols...) }
 // set is then published for the next repeat. Partially consumed,
 // cancelled or failed executions publish nothing.
 func (s *Stmt) Query(ctx context.Context) (*Rows, error) {
-	return s.execQuery(ctx, true, s.db.obs.Begin("", s.query))
+	return s.execQuery(ctx, s.db.obs.Begin("", s.query))
 }
 
 // QueryLabeled is Query with a client-chosen label recorded on the
@@ -124,17 +124,14 @@ func (s *Stmt) Query(ctx context.Context) (*Rows, error) {
 // statements carry their wire label into SHOW queries and the
 // slow-query log).
 func (s *Stmt) QueryLabeled(ctx context.Context, label string) (*Rows, error) {
-	return s.execQuery(ctx, true, s.db.obs.Begin(label, s.query))
+	return s.execQuery(ctx, s.db.obs.Begin(label, s.query))
 }
 
-// execQuery runs one execution. consultCache selects whether the result
-// cache is probed here: prepared statements probe on every execution,
-// while the one-shot Query/QueryObserved path already missed in its
-// pre-plan lookup and must not probe again — a second Get would
-// double-count the miss (skewing the reported hit ratio) for nothing.
-// The span (nil when unobserved) is handed to the returned Rows on
-// success and ended here on failure.
-func (s *Stmt) execQuery(ctx context.Context, consultCache bool, sp *obs.Span) (*Rows, error) {
+// execQuery runs one execution, probing the result cache once with the
+// statement's key; a hit releases the statement at once. The span (nil
+// when unobserved) is handed to the returned Rows on success and ended
+// here on failure.
+func (s *Stmt) execQuery(ctx context.Context, sp *obs.Span) (*Rows, error) {
 	if !s.busy.CompareAndSwap(false, true) {
 		sp.SetErr(ErrStmtBusy)
 		sp.End()
@@ -151,20 +148,18 @@ func (s *Stmt) execQuery(ctx context.Context, consultCache bool, sp *obs.Span) (
 		// Epoch reads below run under the just-taken shared latch, so
 		// a hit is consistent with the database as of this call, and a
 		// fill's snapshot cannot be perturbed mid-execution.
-		if consultCache {
-			var lookupStart time.Time
-			if sp != nil {
-				lookupStart = time.Now()
-			}
-			res, ok := c.Get(s.cacheKey, s.db.eng.TableEpoch)
-			if sp != nil {
-				sp.Add(obs.StageCache, time.Since(lookupStart))
-			}
-			if ok {
-				s.release()
-				sp.SetCacheHit()
-				return &Rows{ctx: ctx, cols: res.Columns, cres: res, hit: true, span: sp}, nil
-			}
+		var lookupStart time.Time
+		if sp != nil {
+			lookupStart = time.Now()
+		}
+		res, ok := c.Get(s.cacheKey, s.db.eng.TableEpoch)
+		if sp != nil {
+			sp.Add(obs.StageCache, time.Since(lookupStart))
+		}
+		if ok {
+			s.release()
+			sp.SetCacheHit()
+			return &Rows{ctx: ctx, cols: res.Columns, cres: res, hit: true, span: sp}, nil
 		}
 		fp := qcache.Footprint{Tables: s.tables, Epochs: make([]uint64, len(s.tables))}
 		for i, t := range s.tables {
@@ -595,9 +590,9 @@ func (r *Rows) Close() error {
 // Query compiles and executes a query, returning a streaming Rows. A
 // text that ran before runs its idle compiled plan again, unless a
 // table it reads was written since (see planPool). With a result cache
-// attached, a repeated query short-circuits before planning: parse,
-// canonicalize, validate epochs, serve — the hot path repeated DSS
-// traffic takes on every hit.
+// attached, the execution probes it first with the plan's canonical key,
+// exactly as a prepared statement does: a repeated text is neither
+// parsed nor planned, and a hit runs no executor either.
 func (db *DB) Query(ctx context.Context, query string) (*Rows, error) {
 	return db.QueryObserved(ctx, nil, "", query)
 }
@@ -607,92 +602,26 @@ func (db *DB) Query(ctx context.Context, query string) (*Rows, error) {
 // instruction trace, and a client-supplied label recorded on the
 // query's observability span — the entry point the server uses so SHOW
 // queries and the slow-query log carry the label the client sent over
-// the wire (dsload's "Q9", stcpipe's phase markers). Cache hits take
-// the same pre-plan fast path as Query — a hit emits no trace either
-// way.
+// the wire (dsload's "Q9", stcpipe's phase markers). It splits off
+// EXPLAIN, takes a pooled statement for the text or compiles one
+// (oneShot), and executes it; a cache hit emits no trace.
 func (db *DB) QueryObserved(ctx context.Context, tr Tracer, label, query string) (*Rows, error) {
 	sp := db.obs.Begin(label, query)
 	if mode, rest := sql.SplitExplain(query); mode != sql.ExplainNone {
 		return db.explainQuery(ctx, tr, sp, mode, rest)
 	}
-	if r, ok := db.cachedQuery(ctx, query, sp); ok {
-		return r, nil
-	}
-	var planStart time.Time
-	if sp != nil {
-		planStart = time.Now()
-	}
 	stmt, err := db.oneShot(tr, query)
 	if sp != nil {
-		sp.Add(obs.StagePlan, time.Since(planStart))
+		// The plan stage is the query's first, so it starts at Begin's
+		// clock reading.
+		sp.Add(obs.StagePlan, time.Since(sp.StartTime()))
 	}
 	if err != nil {
 		sp.SetErr(err)
 		sp.End()
 		return nil, err
 	}
-	return stmt.execQuery(ctx, false, sp)
-}
-
-// cachedQuery attempts the one-shot result-cache fast path, under the
-// shared engine latch: first by the query's raw text (an alias of an
-// entry this text hit before — one map lookup, no lexer), and only when
-// the text is not known by parse (no planning) and canonical key. Any
-// parse failure falls through to the full compile path, which owns
-// error reporting. A key can only be cached if the query once
-// compiled and ran — and tables are never dropped — so skipping
-// plan-time validation on a hit cannot hide a real error.
-// Exactly one probe is counted per call: a known raw text is validated
-// and counted by GetRaw (a stale entry is the miss, and the compile
-// path that follows does not probe again); an unknown one counts
-// nothing until Get.
-// The span is carried, not ended: a miss continues into the compile
-// path with its parse time already attributed.
-func (db *DB) cachedQuery(ctx context.Context, query string, sp *obs.Span) (*Rows, bool) {
-	if db.cache == nil {
-		return nil, false
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	release := db.eng.BeginRead()
-	res, known := db.cache.GetRaw(query, db.eng.TableEpoch)
-	release()
-	// Stage boundaries share one clock reading each: Begin's reading
-	// starts the first stage, the reading that ends it starts the next
-	// — and every boundary is a monotonic-only read (time.Since) off
-	// the span's start. The cached-hit path is the latency-sensitive
-	// one, and clock reads are its dominant tracing cost.
-	var d0 time.Duration
-	if sp != nil {
-		d0 = time.Since(sp.StartTime())
-		sp.Add(obs.StageCache, d0)
-	}
-	if !known {
-		key, _, err := sql.Analyze(query)
-		var d1 time.Duration
-		if sp != nil {
-			d1 = time.Since(sp.StartTime())
-			sp.Add(obs.StagePlan, d1-d0) // parsing is plan-stage work
-		}
-		if err != nil {
-			return nil, false
-		}
-		release := db.eng.BeginRead()
-		res, _ = db.cache.Get(key, db.eng.TableEpoch)
-		release()
-		if res != nil {
-			db.cache.AddAlias(key, query)
-		}
-		if sp != nil {
-			sp.Add(obs.StageCache, time.Since(sp.StartTime())-d1)
-		}
-	}
-	if res == nil {
-		return nil, false
-	}
-	sp.SetCacheHit()
-	return &Rows{ctx: ctx, cols: res.Columns, cres: res, hit: true, span: sp}, true
+	return stmt.execQuery(ctx, sp)
 }
 
 // Row is the result of QueryRow: a single-row wrapper whose Scan

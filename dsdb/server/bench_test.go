@@ -73,7 +73,7 @@ func BenchmarkQueryServed(b *testing.B) {
 
 // BenchmarkQueryServedHit is one result-cache hit over the wire: TPC-D
 // Q3's ten rows, served from the cache on every iteration (the warm-up
-// fills the entry and records the text's alias). Its twin is
+// fills the entry and leaves the text's plan in the pool). Its twin is
 // BenchmarkQueryCached in package dsdb, the same hit without the
 // network; the gap between the two is what serving a hit costs.
 func BenchmarkQueryServedHit(b *testing.B) {

@@ -98,9 +98,9 @@ func TestServedCacheHitAttribution(t *testing.T) {
 		t.Fatalf("post-insert repeat: hit=%v identical=%v; want true/true", hit, reflect.DeepEqual(fourth, fifth))
 	}
 
-	// One probe counted per execution, whichever way the text was looked
-	// up (the third and fourth went by raw-text alias): three hits, the
-	// fill and the post-insert miss, one invalidation.
+	// One probe counted per execution, each through the text's pooled
+	// plan: three hits, the fill and the post-insert miss, one
+	// invalidation.
 	if st, _ := db.ResultCacheStats(); st.Hits != 3 || st.Misses != 2 || st.Invalidations != 1 {
 		t.Fatalf("cache counters after 5 served executions: %+v, want 3 hits, 2 misses, 1 invalidation", st)
 	}

@@ -154,12 +154,12 @@ const longQuery = "select l_orderkey, l_linenumber from lineitem order by l_orde
 
 // TestWireBytesIdentical pins every byte the server sends for the 12
 // TPC-D results — streamed from the executor (miss), served from the
-// result cache by canonical key (hit) and by raw text (hit again; Q13
-// spans two batches) — a SHOW table and a compile error. The golden was
-// written by the commit before results were written through the
-// buffered resultWriter (one frame, one flush); how frames are grouped
-// into socket writes must not change a byte of the stream. Regenerate
-// only for a deliberate protocol change:
+// result cache (hit, and hit again; Q13 spans two batches) — a SHOW
+// table and a compile error. The golden was written by the commit
+// before results were written through the buffered resultWriter (one
+// frame, one flush); how frames are grouped into socket writes must
+// not change a byte of the stream. Regenerate only for a deliberate
+// protocol change:
 //
 //	go test ./dsdb/server -run TestWireBytesIdentical -update
 func TestWireBytesIdentical(t *testing.T) {
@@ -423,8 +423,8 @@ func TestServedHitAllocBudget(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
-		// Fill, hit by canonical key (which records the alias), hit by
-		// raw text: from here every run is the steady state.
+		// Fill, then hit twice through the pooled plan: from here every
+		// run is the steady state.
 		for i := 0; i < 3; i++ {
 			hit()
 		}

@@ -83,6 +83,12 @@ var table = []rule{
 		reason: "fetch.Config is the caches alone: the SEQ.3 shape is fetch's constants, and the line size is the i-cache's own"},
 	{scope: []string{"..."}, forbid: []string{"repro/internal/db/executor.Slab.CopyCols", "repro/internal/db/executor.Slab.Rows"},
 		reason: "Sort, Material and the hash-join build keep rows in the executor's rowStore, as typed payloads; a Slab copies whole rows as Values for the result-cache fill only"},
+	{scope: []string{"..."}, forbid: []string{"repro/dsdb/qcache.Cache.GetRaw", "repro/dsdb/qcache.Cache.AddAlias"},
+		reason: "the result cache has one key space, the canonical key of a compiled statement; a repeated text reaches it through its pooled plan"},
+	{scope: []string{"repro/dsdb/qcache"}, forbid: []string{"maxAliases", "aliasOverhead"},
+		reason: "a cache entry has no second names, so nothing is capped or charged for them"},
+	{scope: []string{"repro/dsdb"}, forbid: []string{"cachedQuery"},
+		reason: "a one-shot query is a pooled statement: QueryObserved takes one and executes it, and execQuery alone probes the result cache"},
 }
 
 func run(pass *analysis.Pass) (any, error) {

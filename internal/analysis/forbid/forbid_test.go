@@ -14,5 +14,6 @@ func TestForbid(t *testing.T) {
 		"repro/internal/db/buffer", "repro/internal/db/storage", "repro/internal/db/value",
 		"repro/cmd/tool", "repro/internal/experiments", "repro/internal/layout",
 		"repro/dsdb/stcpipe", "repro/bench", "repro/internal/db/probe", "repro/internal/db/executor",
-		"repro/internal/program", "repro/internal/fetch", "repro/internal/cache")
+		"repro/internal/program", "repro/internal/fetch", "repro/internal/cache",
+		"repro/dsdb/qcache", "repro/dsdb")
 }

@@ -44,11 +44,15 @@ type rwLatch struct {
 	cond    sync.Cond
 	readers int
 	writer  bool
+	// release is runlock, bound once so BeginRead hands out the same
+	// func value every time instead of allocating a method value.
+	release func()
 }
 
 func newRWLatch() *rwLatch {
 	l := &rwLatch{}
 	l.cond.L = &l.mu
+	l.release = l.runlock
 	return l
 }
 
@@ -160,7 +164,7 @@ func Open(frames int) *DB {
 //lint:allow unlockpath the latch deliberately escapes as the returned release closure
 func (db *DB) BeginRead() func() {
 	db.latch.rlock()
-	return db.latch.runlock
+	return db.latch.release
 }
 
 // CreateTable registers a table and its heap file. In durable mode
