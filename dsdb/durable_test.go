@@ -16,27 +16,22 @@ import (
 
 const durableSF = 0.0005
 
-// renderAll runs every TPC-D query and renders all result rows to
-// strings — the byte-identity fingerprint the crash-recovery invariant
-// is stated in.
-func renderAll(t *testing.T, db *dsdb.DB) string {
+// renderAll runs the given TPC-D queries, or all of them, and renders
+// each result's columns and benchDigest — the byte-identity
+// fingerprint the crash-recovery invariant is stated in.
+func renderAll(t *testing.T, db *dsdb.DB, queries ...int) string {
 	t.Helper()
+	if len(queries) == 0 {
+		queries = dsdb.TPCDQueryNumbers()
+	}
 	var b strings.Builder
-	ctx := context.Background()
-	for _, n := range dsdb.TPCDQueryNumbers() {
+	for _, n := range queries {
 		q, _ := dsdb.TPCDQuery(n)
-		res, err := db.Exec(ctx, q)
+		res, err := db.Exec(context.Background(), q)
 		if err != nil {
 			t.Fatalf("Q%d: %v", n, err)
 		}
-		fmt.Fprintf(&b, "Q%d %v\n", n, res.Columns)
-		for _, row := range res.Rows {
-			for _, v := range row {
-				b.WriteString(v.String())
-				b.WriteByte('|')
-			}
-			b.WriteByte('\n')
-		}
+		fmt.Fprintf(&b, "Q%d %v %s\n", n, res.Columns, benchDigest(res))
 	}
 	return b.String()
 }
@@ -486,23 +481,10 @@ func TestCheckpointAndCloseWhileFramesViewTheMapping(t *testing.T) {
 	db := openTPCD(t, durableSF, opts...)
 	mem := openTPCD(t, durableSF)
 	defer mem.Close()
-	digests := func(db *dsdb.DB) string {
-		t.Helper()
-		var b strings.Builder
-		for _, qn := range []int{6, 14} {
-			q, _ := dsdb.TPCDQuery(qn)
-			res, err := db.Exec(context.Background(), q)
-			if err != nil {
-				t.Fatalf("Q%d: %v", qn, err)
-			}
-			fmt.Fprintf(&b, "Q%d %s\n", qn, benchDigest(res))
-		}
-		return b.String()
-	}
-	want := digests(mem)
+	want := renderAll(t, mem, 6, 14)
 	check := func(when string) {
 		t.Helper()
-		if got := digests(db); got != want {
+		if got := renderAll(t, db, 6, 14); got != want {
 			t.Fatalf("%s: durable results\n%s in-memory results\n%s", when, got, want)
 		}
 	}
@@ -538,7 +520,7 @@ func TestCheckpointAndCloseWhileFramesViewTheMapping(t *testing.T) {
 			}
 		}
 	}
-	want = digests(mem)
+	want = renderAll(t, mem, 6, 14)
 	check("after inserts")
 	if err := db.Close(); err != nil {
 		t.Fatal(err)

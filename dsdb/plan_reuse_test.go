@@ -29,9 +29,9 @@ func (c *cancelAfter) Emit(probe.ID) {
 	}
 }
 
-// tracedRun is one traced execution: its result digest and its probes.
+// tracedRun is one traced execution: its result and its probes.
 type tracedRun struct {
-	digest string
+	res    *dsdb.Result
 	probes probeLog
 }
 
@@ -39,12 +39,11 @@ type tracedRun struct {
 func runOneShot(t *testing.T, db *dsdb.DB, q string) tracedRun {
 	t.Helper()
 	var r tracedRun
-	res, err := materialize(db.QueryObserved(context.Background(), &r.probes, "", q))
-	if err != nil {
+	var err error
+	if r.res, err = materialize(db.QueryObserved(context.Background(), &r.probes, "", q)); err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
 	assertNoPins(t, db, q)
-	r.digest = benchDigest(res)
 	return r
 }
 
@@ -57,20 +56,18 @@ func runFresh(t *testing.T, db *dsdb.DB, q string) tracedRun {
 		t.Fatalf("%s: %v", q, err)
 	}
 	defer stmt.Close()
-	res, err := materialize(stmt.Query(context.Background()))
-	if err != nil {
+	if r.res, err = materialize(stmt.Query(context.Background())); err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
 	assertNoPins(t, db, q)
-	r.digest = benchDigest(res)
 	return r
 }
 
 // sameRun fails unless got returned and recorded what a fresh plan did.
 func sameRun(t *testing.T, what string, got, fresh tracedRun) {
 	t.Helper()
-	if got.digest != fresh.digest {
-		t.Errorf("%s: result %s, a fresh plan's %s", what, got.digest, fresh.digest)
+	if g, f := benchDigest(got.res), benchDigest(fresh.res); g != f {
+		t.Errorf("%s: result %s, a fresh plan's %s", what, g, f)
 	}
 	if !slices.Equal(got.probes, fresh.probes) {
 		at := 0
@@ -92,31 +89,10 @@ func expectPlans(t *testing.T, db *dsdb.DB, what string, before dsdb.PlanStats, 
 	}
 }
 
-// TestReusedPlanEqualsFresh runs each TPC-D query through a fresh
-// statement, then as a one-shot query twice — compiled into the pool,
-// then reused — on both index kinds: every run must return the same
-// rows and record the same probe sequence.
-func TestReusedPlanEqualsFresh(t *testing.T) {
-	for _, kind := range []dsdb.IndexKind{dsdb.BTree, dsdb.Hash} {
-		t.Run(kind.String(), func(t *testing.T) {
-			db := openTPCD(t, 0.002, dsdb.WithSeed(42), dsdb.WithIndexKind(kind))
-			defer db.Close()
-			for _, qn := range dsdb.TPCDQueryNumbers() {
-				q, _ := dsdb.TPCDQuery(qn)
-				fresh := runFresh(t, db, q)
-				before := db.PlanStats()
-				sameRun(t, fmt.Sprintf("Q%d compiled", qn), runOneShot(t, db, q), fresh)
-				expectPlans(t, db, fmt.Sprintf("Q%d first run", qn), before, 1, 0)
-				sameRun(t, fmt.Sprintf("Q%d reused", qn), runOneShot(t, db, q), fresh)
-				expectPlans(t, db, fmt.Sprintf("Q%d second run", qn), before, 1, 1)
-			}
-		})
-	}
-}
-
-// TestPlanReusedAfterDisruptedRun ends a pooled statement's execution
-// early — cancelled halfway through its probe events, or closed after
-// one row — and checks that its next run equals a fresh plan's.
+// TestPlanReusedAfterDisruptedRun cancels a pooled statement's
+// execution halfway through its probe events and checks that its next
+// run equals a fresh plan's. (TestOracle does the same after a run
+// closed after one row.)
 func TestPlanReusedAfterDisruptedRun(t *testing.T) {
 	for _, kind := range []dsdb.IndexKind{dsdb.BTree, dsdb.Hash} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -136,16 +112,7 @@ func TestPlanReusedAfterDisruptedRun(t *testing.T) {
 				}
 				assertNoPins(t, db, fmt.Sprintf("Q%d cancelled", qn))
 				sameRun(t, fmt.Sprintf("Q%d after a cancelled run", qn), runOneShot(t, db, q), fresh)
-
-				rows, err := db.Query(context.Background(), q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rows.Next()
-				rows.Close()
-				assertNoPins(t, db, fmt.Sprintf("Q%d closed after one row", qn))
-				sameRun(t, fmt.Sprintf("Q%d after a partly consumed run", qn), runOneShot(t, db, q), fresh)
-				expectPlans(t, db, fmt.Sprintf("Q%d", qn), before, 0, 4)
+				expectPlans(t, db, fmt.Sprintf("Q%d", qn), before, 0, 2)
 			}
 		})
 	}
@@ -257,7 +224,7 @@ func TestPlanPoolConcurrentSessions(t *testing.T) {
 			want := map[int]string{}
 			for _, qn := range qns {
 				q, _ := dsdb.TPCDQuery(qn)
-				want[qn] = runFresh(t, db, q).digest
+				want[qn] = benchDigest(runFresh(t, db, q).res)
 			}
 			const sessions, rounds = 2, 3
 			before := db.PlanStats()

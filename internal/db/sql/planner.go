@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/db/catalog"
@@ -358,6 +359,9 @@ func (pl *Planner) scan(table string, preds []node, used map[string]bool) (execu
 				HashIdx: pl.DB.HashFor(ix), EqKey: lit, Quals: quals}, nil
 		}
 		if ix.Kind == catalog.BTree {
+			if op == ">" && lit == math.MaxInt64 {
+				continue // no key is greater; stepping the bound would wrap it to every key
+			}
 			is := &executor.IndexScan{C: pl.C, Heap: heap, Out: sch, Cols: cols,
 				Table: table, KeyCol: col,
 				BTree: pl.DB.BTreeFor(ix), Quals: quals}

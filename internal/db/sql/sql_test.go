@@ -9,6 +9,7 @@ import (
 	"repro/internal/db/executor"
 	"repro/internal/db/executor/exectest"
 	"repro/internal/db/value"
+	"repro/internal/tpcd"
 )
 
 func TestParseBasicSelect(t *testing.T) {
@@ -200,6 +201,22 @@ func TestExecExpressionsAndDates(t *testing.T) {
 	}
 	if rows[0][0].I == 0 {
 		t.Fatal("date/like filter found nothing")
+	}
+}
+
+// TestExecStrictBoundAtInt64Limit: no key is greater than the int64
+// limit, so a strict bound there selects nothing — the B-tree range
+// must not step past the limit and wrap around to every key.
+func TestExecStrictBoundAtInt64Limit(t *testing.T) {
+	db := engine.Open(2048)
+	if err := tpcd.Load(db, tpcd.Config{SF: 0.002, Seed: 42, Indexes: catalog.BTree}); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"select count(*) from orders where o_orderkey > 9223372036854775807",
+		"select count(*) from orders where 9223372036854775807 < o_orderkey"} {
+		if n := run(t, db, q)[0][0].I; n != 0 {
+			t.Errorf("%s: %d rows, want 0", q, n)
+		}
 	}
 }
 
