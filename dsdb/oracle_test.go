@@ -61,41 +61,40 @@ func (q oquery) sql() string {
 }
 
 // An oracleRow answers q both ways and returns the results in pairs
-// (a, b, a, b, ...); ref is q's result on the B-tree database.
+// (a, b, a, b, ...); ref is q's result on db, the B-tree database
+// unless the row runs per index kind (perKind).
 type oracleRow struct {
 	name  string
 	loose bool // the sides may feed an aggregate in different orders
-	run   func(t *testing.T, o *oracle, q oquery, ref *dsdb.Result) []*dsdb.Result
+	run   func(t *testing.T, o *oracle, db *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result
 }
 
 var oracleRows = []oracleRow{
-	{"hash vs B-tree", true, func(t *testing.T, o *oracle, q oquery, ref *dsdb.Result) []*dsdb.Result {
+	{"hash vs B-tree", true, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
 		return []*dsdb.Result{run(t, o.hash, q.sql()), ref}
 	}},
-	{"cached vs uncached", false, func(t *testing.T, o *oracle, q oquery, ref *dsdb.Result) []*dsdb.Result {
+	{"cached vs uncached", false, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
 		return []*dsdb.Result{o.runCached(t, q.sql()), ref, o.runCached(t, q.sql()), ref}
 	}},
-	{"reused vs fresh plan", false, func(t *testing.T, o *oracle, q oquery, _ *dsdb.Result) []*dsdb.Result {
+	{"reused vs fresh plan", false, func(t *testing.T, o *oracle, db *dsdb.DB, q oquery, _ *dsdb.Result) []*dsdb.Result {
 		// A spelling the ref run did not pool (so, in its first run in
 		// this process, a compile) runs as a one-shot query, then once
 		// more closed after its first row, then to the end: each run must
 		// return and record what a plan compiled afresh does.
-		for _, db := range []*dsdb.DB{o.btree, o.hash} {
-			text := q.sql() + " "
-			fresh := runFresh(t, db, text)
-			sameRun(t, "compiled vs fresh plan: "+text, runOneShot(t, db, text), fresh)
-			before := db.PlanStats()
-			if rows, err := db.Query(context.Background(), text); err == nil {
-				rows.Next()
-				rows.Close()
-			}
-			assertNoPins(t, db, "closed after one row: "+text)
-			sameRun(t, "reused vs fresh plan: "+text, runOneShot(t, db, text), fresh)
-			expectPlans(t, db, "reused vs fresh plan: "+text, before, 0, 2)
+		text := q.sql() + " "
+		fresh := runFresh(t, db, text)
+		sameRun(t, "compiled vs fresh plan: "+text, runOneShot(t, db, text), fresh)
+		before := db.PlanStats()
+		if rows, err := db.Query(context.Background(), text); err == nil {
+			rows.Next()
+			rows.Close()
 		}
+		assertNoPins(t, db, "closed after one row: "+text)
+		sameRun(t, "reused vs fresh plan: "+text, runOneShot(t, db, text), fresh)
+		expectPlans(t, db, "reused vs fresh plan: "+text, before, 0, 2)
 		return nil
 	}},
-	{"local vs served", false, func(t *testing.T, o *oracle, q oquery, ref *dsdb.Result) []*dsdb.Result {
+	{"local vs served", false, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
 		res, err := o.client.Exec(context.Background(), q.sql())
 		if err != nil {
 			t.Fatalf("served %s: %v", q.sql(), err)
@@ -103,10 +102,10 @@ var oracleRows = []oracleRow{
 		assertNoPins(t, o.btree, "served "+q.sql())
 		return []*dsdb.Result{ref, res}
 	}},
-	{"fresh vs WAL-recovered", false, func(t *testing.T, o *oracle, q oquery, _ *dsdb.Result) []*dsdb.Result {
+	{"fresh vs WAL-recovered", false, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, _ *dsdb.Result) []*dsdb.Result {
 		return []*dsdb.Result{run(t, o.fresh, q.sql()), run(t, o.recovered, q.sql())}
 	}},
-	{"pruned vs full-width", false, func(t *testing.T, o *oracle, q oquery, ref *dsdb.Result) []*dsdb.Result {
+	{"pruned vs full-width", false, func(t *testing.T, o *oracle, db *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
 		// The twin also reads columns q does not, which widens its scans
 		// and its GROUP BY sort and moves every column both keep.
 		rng, twin := rand.New(rand.NewSource(q.seed)), q
@@ -118,18 +117,22 @@ var oracleRows = []oracleRow{
 			}
 			twin.items = append(slices.Clone(twin.items), item)
 		}
-		res := run(t, o.btree, twin.sql())
+		res := run(t, db, twin.sql())
 		for i := range res.Rows {
 			res.Rows[i] = res.Rows[i][:len(q.items)]
 		}
 		return []*dsdb.Result{ref, {Columns: res.Columns[:len(q.items)], Rows: res.Rows}}
 	}},
-	{"64-frame vs 2048-frame pool", false, func(t *testing.T, o *oracle, q oquery, ref *dsdb.Result) []*dsdb.Result {
+	{"64-frame vs 2048-frame pool", false, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
 		return []*dsdb.Result{run(t, o.small, q.sql()), ref}
 	}},
-	{"streamed vs raw executor", false, func(t *testing.T, o *oracle, q oquery, ref *dsdb.Result) []*dsdb.Result {
-		// The raw side compiles q on an engine that tpcd.Load filled and
-		// runs the plan to completion, as the kernel did before dsdb.
+	{"streamed vs materialized", false, func(t *testing.T, o *oracle, db *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
+		return []*dsdb.Result{stream(t, db, q.sql()), ref}
+	}},
+	{"streamed vs raw executor", false, func(t *testing.T, o *oracle, db *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
+		// The raw side compiles q on an engine that tpcd.Load filled
+		// (B-tree indexes) and runs the plan to completion, as the kernel
+		// did before dsdb.
 		cq, err := sql.CompileQuery(o.raw, executor.NewCtx(nil), q.sql())
 		if err != nil {
 			t.Fatalf("raw %s: %v", q.sql(), err)
@@ -142,12 +145,12 @@ var oracleRows = []oracleRow{
 		for _, tup := range tuples {
 			res.Rows = append(res.Rows, tup)
 		}
-		return []*dsdb.Result{ref, res}
+		return []*dsdb.Result{stream(t, db, q.sql()), res}
 	}},
-	{"index range vs sequential scan", true, func(t *testing.T, o *oracle, q oquery, ref *dsdb.Result) []*dsdb.Result {
+	{"index range vs sequential scan", true, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
 		return []*dsdb.Result{ref, run(t, o.btree, unindexable(q.sql()))}
 	}},
-	{"query vs respelling", true, func(t *testing.T, o *oracle, q oquery, ref *dsdb.Result) []*dsdb.Result {
+	{"query vs respelling", true, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
 		rng, re := rand.New(rand.NewSource(q.seed)), q
 		re.from, re.where = shuffled(rng, q.from), shuffled(rng, q.where)
 		for i, c := range re.where {
@@ -157,7 +160,7 @@ var oracleRows = []oracleRow{
 		}
 		return []*dsdb.Result{ref, run(t, o.btree, re.sql())}
 	}},
-	{"LIMIT n is a prefix", false, func(t *testing.T, o *oracle, q oquery, ref *dsdb.Result) []*dsdb.Result {
+	{"LIMIT n is a prefix", false, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
 		limited := q
 		limited.limit = -1
 		all := run(t, o.btree, limited.sql())
@@ -165,7 +168,7 @@ var oracleRows = []oracleRow{
 		prefix := &dsdb.Result{Columns: all.Columns, Rows: all.Rows[:min(limited.limit, len(all.Rows))]}
 		return []*dsdb.Result{run(t, o.btree, limited.sql()), prefix}
 	}},
-	{"count(*) of p plus count(*) of not p", false, func(t *testing.T, o *oracle, q oquery, _ *dsdb.Result) []*dsdb.Result {
+	{"count(*) of p plus count(*) of not p", false, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, _ *dsdb.Result) []*dsdb.Result {
 		// The join predicates stay and the filters p partition what they
 		// join: TPC-D data holds no NULLs.
 		joins := slices.DeleteFunc(slices.Clone(q.where), func(c string) bool { return !joinPred.MatchString(c) })
@@ -179,12 +182,12 @@ var oracleRows = []oracleRow{
 	}},
 }
 
-// check runs every oracle row on q, reports each disagreement and
-// returns whether q returned rows.
-func (o *oracle) check(t *testing.T, q oquery) bool {
-	ref := run(t, o.btree, q.sql())
-	for _, r := range oracleRows {
-		sides := r.run(t, o, q, ref)
+// check runs rows on q, with q's result on db as the reference,
+// reports each disagreement and returns whether q returned rows.
+func (o *oracle) check(t *testing.T, db *dsdb.DB, q oquery, rows []oracleRow) bool {
+	ref := run(t, db, q.sql())
+	for _, r := range rows {
+		sides := r.run(t, o, db, q, ref)
 		for i := 0; i < len(sides); i += 2 {
 			if d := differ(sides[i], sides[i+1], r.loose); d != "" {
 				t.Errorf("%s: %s\n  %s", r.name, q.sql(), d)
@@ -213,16 +216,50 @@ func differ(a, b *dsdb.Result, loose bool) string {
 	return ""
 }
 
-// TestOracle runs every oracle row over the TPC-D texts and generated
-// queries.
+// A row that took over a pair test of its own runs under that test's
+// name, on both index kinds where the pair ran on both (the first
+// two); TestOracle runs the other rows.
+var (
+	namedRows = []string{"pruned vs full-width", "reused vs fresh plan", "streamed vs materialized", "cached vs uncached", "streamed vs raw executor"}
+	perKind   = namedRows[:2]
+)
+
+func TestGroupByTwinAgrees(t *testing.T)     { checkPerKind(t, "pruned vs full-width") }
+func TestReusedPlanEqualsFresh(t *testing.T) { checkPerKind(t, "reused vs fresh plan") }
+func TestExecMatchesQuery(t *testing.T)      { checkRows(t, dsdb.BTree, "streamed vs materialized") }
+func TestResultCacheServesRepeatsByteIdentical(t *testing.T) {
+	checkRows(t, dsdb.BTree, "cached vs uncached")
+}
+func TestStreamingMatchesSeedMaterialized(t *testing.T) {
+	checkRows(t, dsdb.BTree, "streamed vs raw executor")
+}
 func TestOracle(t *testing.T) {
+	var rest []string
+	for _, r := range oracleRows {
+		if !slices.Contains(namedRows, r.name) {
+			rest = append(rest, r.name)
+		}
+	}
+	checkRows(t, dsdb.BTree, rest...)
+}
+
+func checkPerKind(t *testing.T, row string) {
+	for _, kind := range []dsdb.IndexKind{dsdb.BTree, dsdb.Hash} {
+		t.Run(kind.String(), func(t *testing.T) { checkRows(t, kind, row) })
+	}
+}
+
+// checkRows runs the named rows, with the database of the given index
+// kind as the reference, over the TPC-D texts and generated queries.
+func checkRows(t *testing.T, kind dsdb.IndexKind, names ...string) {
 	o := openOracle()
+	db, rows := map[dsdb.IndexKind]*dsdb.DB{dsdb.BTree: o.btree, dsdb.Hash: o.hash}[kind], rowsNamed(names...)
 	for _, q := range tpcdQueries(t) {
-		o.check(t, q)
+		o.check(t, db, q, rows)
 	}
 	g, nonEmpty := gen{o, rand.New(rand.NewSource(7))}, 0
 	for range oracleQueries {
-		if o.check(t, g.query()) {
+		if o.check(t, db, g.query(), rows) {
 			nonEmpty++
 		}
 	}
@@ -231,11 +268,18 @@ func TestOracle(t *testing.T) {
 	}
 }
 
-// FuzzOracle runs every oracle row on the query a seed generates.
+func rowsNamed(names ...string) []oracleRow {
+	return slices.DeleteFunc(slices.Clone(oracleRows), func(r oracleRow) bool { return !slices.Contains(names, r.name) })
+}
+
+// FuzzOracle runs every oracle row on the query a seed generates, and
+// the per-kind rows also on the hash database.
 func FuzzOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		o := openOracle()
-		o.check(t, gen{o, rand.New(rand.NewSource(seed))}.query())
+		q := gen{o, rand.New(rand.NewSource(seed))}.query()
+		o.check(t, o.btree, q, oracleRows)
+		o.check(t, o.hash, q, rowsNamed(perKind...))
 	})
 }
 
@@ -328,6 +372,17 @@ func run(t *testing.T, db *dsdb.DB, text string) *dsdb.Result {
 		t.Fatalf("%s: %v", text, err)
 	}
 	assertNoPins(t, db, text)
+	return res
+}
+
+// stream reads text's rows one at a time through Query and checks
+// that it leaves no frame pinned.
+func stream(t *testing.T, db *dsdb.DB, text string) *dsdb.Result {
+	res, err := materialize(db.Query(context.Background(), text))
+	if err != nil {
+		t.Fatalf("streamed %s: %v", text, err)
+	}
+	assertNoPins(t, db, "streamed "+text)
 	return res
 }
 
