@@ -14,6 +14,18 @@ import (
 
 const cacheBudget = 64 << 20
 
+// cacheHit streams text from db to the end and returns its rows and
+// whether the result cache served them.
+func cacheHit(t *testing.T, db *dsdb.DB, text string) (*dsdb.Result, bool) {
+	t.Helper()
+	rows, err := db.Query(context.Background(), text)
+	res, err := materialize(rows, err)
+	if err != nil {
+		t.Fatalf("%s: %v", text, err)
+	}
+	return res, rows.CacheHit()
+}
+
 // TestResultCacheHitRunsNoKernelWork proves the instruction-stream
 // collapse at the probe level: a traced cache hit emits zero kernel
 // instrumentation events and takes zero buffer pool traffic.
@@ -64,27 +76,10 @@ func TestResultCacheCanonicalKey(t *testing.T) {
 	if _, err := db.Exec(ctx, "select count(*) from orders where o_orderkey < 100"); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.Query(ctx, "SELECT   COUNT(*)\nFROM orders\n WHERE o_orderkey < 100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hit := func(r *dsdb.Rows, err error) bool {
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r.Next() {
-		}
-		if err := r.Err(); err != nil {
-			t.Fatal(err)
-		}
-		h := r.CacheHit()
-		r.Close()
-		return h
-	}
-	if !hit(rows, nil) {
+	if _, hit := cacheHit(t, db, "SELECT   COUNT(*)\nFROM orders\n WHERE o_orderkey < 100"); !hit {
 		t.Fatal("respelled query missed the cache")
 	}
-	if hit(db.Query(ctx, "select count(*) from orders where o_orderkey < 101")) {
+	if _, hit := cacheHit(t, db, "select count(*) from orders where o_orderkey < 101"); hit {
 		t.Fatal("different literal must not share a cache entry")
 	}
 }
@@ -101,21 +96,8 @@ func TestResultCacheInvalidationOnInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := func() (int64, bool) {
-		rows, err := db.Query(ctx, "select count(*) from audit")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rows.Close()
-		var n int64
-		for rows.Next() {
-			if err := rows.Scan(&n); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := rows.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return n, rows.CacheHit()
+		res, hit := cacheHit(t, db, "select count(*) from audit")
+		return res.Rows[0][0].I, hit
 	}
 	if n, hit := count(); n != 0 || hit {
 		t.Fatalf("first run: n=%d hit=%v, want 0/false", n, hit)
@@ -140,16 +122,9 @@ func TestResultCacheInvalidationOnInsert(t *testing.T) {
 	if err := db.Insert("audit", dsdb.NewInt(2)); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.Query(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rows.Next() {
-	}
-	if !rows.CacheHit() {
+	if _, hit := cacheHit(t, db, q); !hit {
 		t.Fatal("unrelated table's write invalidated Q6's entry")
 	}
-	rows.Close()
 }
 
 // TestResultCacheConcurrentWriters is the -race suite of the
@@ -300,21 +275,12 @@ func TestResultCachePartialConsumptionDoesNotFill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows2, err := db.Query(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for rows2.Next() {
-		n++
-	}
-	hit := rows2.CacheHit()
-	rows2.Close()
+	served, hit := cacheHit(t, db, q)
 	if !hit {
 		t.Fatal("fully drained Exec should have filled the cache")
 	}
-	if n != len(full.Rows) {
-		t.Fatalf("cache served %d rows, executor produced %d (truncated fill?)", n, len(full.Rows))
+	if len(served.Rows) != len(full.Rows) {
+		t.Fatalf("cache served %d rows, executor produced %d (truncated fill?)", len(served.Rows), len(full.Rows))
 	}
 }
 
@@ -346,13 +312,7 @@ func TestResultCacheAdmissionThreshold(t *testing.T) {
 	if _, err := open.Exec(ctx, q); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := open.Query(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hit := rows.CacheHit()
-	rows.Close()
-	if !hit {
+	if _, hit := cacheHit(t, open, q); !hit {
 		t.Fatal("no-threshold cache did not serve the repeat")
 	}
 }
@@ -375,15 +335,8 @@ func TestResultCacheTTLExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	hitNow := func() bool {
-		t.Helper()
-		rows, err := db.Query(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rows.Close()
-		for rows.Next() {
-		}
-		return rows.CacheHit()
+		_, hit := cacheHit(t, db, q)
+		return hit
 	}
 	now = base.Add(30 * time.Second)
 	if !hitNow() {
@@ -417,7 +370,6 @@ func TestResultCacheTTLExpiry(t *testing.T) {
 // refill's pooled plan instead of compiling; and every spelling hits
 // the one entry, compiling once on its first hit.
 func TestResultCacheRawTextAlias(t *testing.T) {
-	ctx := context.Background()
 	plain := openTPCD(t, 0.0005)
 	defer plain.Close()
 	db := openTPCD(t, 0.0005, dsdb.WithResultCache(cacheBudget))
@@ -431,22 +383,6 @@ func TestResultCacheRawTextAlias(t *testing.T) {
 		}
 	}
 	const q = "select count(*), sum(a_id) from audit"
-	run := func(d *dsdb.DB, text string) (*dsdb.Result, bool) {
-		t.Helper()
-		rows, err := d.Query(ctx, text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rows.Close()
-		res := &dsdb.Result{Columns: rows.Columns()}
-		for rows.Next() {
-			res.Rows = append(res.Rows, rows.Values())
-		}
-		if err := rows.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return res, rows.CacheHit()
-	}
 	check := func(what string, hits, misses, inval uint64, used int64) {
 		t.Helper()
 		s, _ := db.ResultCacheStats()
@@ -456,14 +392,14 @@ func TestResultCacheRawTextAlias(t *testing.T) {
 		}
 	}
 
-	if _, hit := run(db, q); hit {
+	if _, hit := cacheHit(t, db, q); hit {
 		t.Fatal("fill was a hit")
 	}
 	st, _ := db.ResultCacheStats()
 	filled := st.UsedBytes
 	const hits = 5
 	for i := 0; i < hits; i++ {
-		if _, hit := run(db, q); !hit {
+		if _, hit := cacheHit(t, db, q); !hit {
 			t.Fatalf("repeat %d missed", i)
 		}
 	}
@@ -474,8 +410,8 @@ func TestResultCacheRawTextAlias(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, _ := run(plain, q)
-	got, hit := run(db, q)
+	want, _ := cacheHit(t, plain, q)
+	got, hit := cacheHit(t, db, q)
 	if hit {
 		t.Fatal("served a result from before the Insert")
 	}
@@ -484,7 +420,7 @@ func TestResultCacheRawTextAlias(t *testing.T) {
 	}
 	check("after the Insert", hits, 2, 1, filled)
 	before := db.PlanStats()
-	if _, hit := run(db, q); !hit {
+	if _, hit := cacheHit(t, db, q); !hit {
 		t.Fatal("the refill did not serve")
 	}
 	if after := db.PlanStats(); after.Reused != before.Reused+1 || after.Compiled != before.Compiled {
@@ -505,7 +441,7 @@ func TestResultCacheRawTextAlias(t *testing.T) {
 	for pass := uint64(0); pass < 2; pass++ {
 		before := db.PlanStats()
 		for _, s := range spellings {
-			got, hit := run(db, s)
+			got, hit := cacheHit(t, db, s)
 			if !hit || !reflect.DeepEqual(got.Rows, want.Rows) {
 				t.Fatalf("pass %d, spelling %q: hit=%v rows=%v, want a hit with %v", pass, s, hit, got.Rows, want.Rows)
 			}

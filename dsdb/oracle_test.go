@@ -36,7 +36,7 @@ import (
 
 const (
 	oracleSF      = 0.002
-	oracleQueries = 60 // generated queries per TestOracle run
+	oracleQueries = 80 // generated queries per test and index kind
 	relTol        = 1e-9
 )
 
@@ -61,40 +61,50 @@ func (q oquery) sql() string {
 }
 
 // An oracleRow answers q both ways and returns the results in pairs
-// (a, b, a, b, ...); ref is q's result on db, the B-tree database
-// unless the row runs per index kind (perKind).
+// (a, b, a, b, ...); ref is q's result on db. The row runs in the test
+// its test field names, with the B-tree database as db, and once more
+// with the hash database if it runs per kind.
 type oracleRow struct {
-	name  string
-	loose bool // the sides may feed an aggregate in different orders
-	run   func(t *testing.T, o *oracle, db *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result
+	name, test     string
+	loose, perKind bool // loose: the sides may feed an aggregate in different orders
+	run            func(t *testing.T, o *oracle, db *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result
 }
 
 var oracleRows = []oracleRow{
-	{"hash vs B-tree", true, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
+	{"hash vs B-tree", "TestOracle", true, false, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
 		return []*dsdb.Result{run(t, o.hash, q.sql()), ref}
 	}},
-	{"cached vs uncached", false, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
-		return []*dsdb.Result{o.runCached(t, q.sql()), ref, o.runCached(t, q.sql()), ref}
+	{"cached vs uncached", "TestResultCacheServesRepeatsByteIdentical", false, false, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
+		o.cached.ResultCache().Clear() // whatever ran before, the fill misses
+		return []*dsdb.Result{o.runCached(t, q.sql(), false), ref, o.runCached(t, q.sql(), true), ref}
 	}},
-	{"reused vs fresh plan", false, func(t *testing.T, o *oracle, db *dsdb.DB, q oquery, _ *dsdb.Result) []*dsdb.Result {
-		// A spelling the ref run did not pool (so, in its first run in
-		// this process, a compile) runs as a one-shot query, then once
-		// more closed after its first row, then to the end: each run must
-		// return and record what a plan compiled afresh does.
+	{"reused vs fresh plan", "TestReusedPlanEqualsFresh", false, true, func(t *testing.T, o *oracle, db *dsdb.DB, q oquery, _ *dsdb.Result) []*dsdb.Result {
+		// A spelling the ref run did not pool runs as a one-shot query:
+		// a compile, the first time this process runs it on db, then a
+		// reuse after a run to the end, a run closed after its first row,
+		// and a reuse after that. Each run to the end must return and
+		// record what a plan compiled afresh does.
 		text := q.sql() + " "
-		fresh := runFresh(t, db, text)
-		sameRun(t, "compiled vs fresh plan: "+text, runOneShot(t, db, text), fresh)
-		before := db.PlanStats()
-		if rows, err := db.Query(context.Background(), text); err == nil {
-			rows.Next()
-			rows.Close()
+		fresh, before := runFresh(t, db, text), db.PlanStats()
+		sameRun(t, "first one-shot run vs fresh plan: "+text, runOneShot(t, db, text), fresh)
+		if key := fmt.Sprintf("%p %s", db, text); !o.ran[key] {
+			o.ran[key] = true
+			expectPlans(t, db, "first one-shot run: "+text, before, 1, 0)
 		}
+		before = db.PlanStats()
+		sameRun(t, "reused after a full run vs fresh plan: "+text, runOneShot(t, db, text), fresh)
+		rows, err := db.Query(context.Background(), text)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		rows.Next()
+		rows.Close()
 		assertNoPins(t, db, "closed after one row: "+text)
-		sameRun(t, "reused vs fresh plan: "+text, runOneShot(t, db, text), fresh)
-		expectPlans(t, db, "reused vs fresh plan: "+text, before, 0, 2)
+		sameRun(t, "reused after a partial run vs fresh plan: "+text, runOneShot(t, db, text), fresh)
+		expectPlans(t, db, "reused vs fresh plan: "+text, before, 0, 3)
 		return nil
 	}},
-	{"local vs served", false, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
+	{"local vs served", "TestOracle", false, false, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
 		res, err := o.client.Exec(context.Background(), q.sql())
 		if err != nil {
 			t.Fatalf("served %s: %v", q.sql(), err)
@@ -102,34 +112,60 @@ var oracleRows = []oracleRow{
 		assertNoPins(t, o.btree, "served "+q.sql())
 		return []*dsdb.Result{ref, res}
 	}},
-	{"fresh vs WAL-recovered", false, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, _ *dsdb.Result) []*dsdb.Result {
+	{"fresh vs WAL-recovered", "TestOracle", false, false, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, _ *dsdb.Result) []*dsdb.Result {
 		return []*dsdb.Result{run(t, o.fresh, q.sql()), run(t, o.recovered, q.sql())}
 	}},
-	{"pruned vs full-width", false, func(t *testing.T, o *oracle, db *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
-		// The twin also reads columns q does not, which widens its scans
-		// and its GROUP BY sort and moves every column both keep.
-		rng, twin := rand.New(rand.NewSource(q.seed)), q
-		unread := slices.DeleteFunc(o.columns(q.from), func(c dsdb.Column) bool { return strings.Contains(q.sql(), c.Name) })
-		for i, c := range shuffled(rng, unread)[:min(len(unread), 2)] {
-			item := c.Name
-			if slices.ContainsFunc(q.items, aggItem.MatchString) {
-				item = fmt.Sprintf("%s as x%d", gen{o, rng}.aggregate(c), i)
+	{"pruned vs full-width", "TestGroupByTwinAgrees", false, true, func(t *testing.T, o *oracle, db *dsdb.DB, q oquery, _ *dsdb.Result) []*dsdb.Result {
+		// The base groups q's rows by q's group columns (or one or two it
+		// draws) under q's aggregates (or one or two it draws). Its twin
+		// inserts among the items aggregates over columns the base does
+		// not read, which widens its scans and its GROUP BY sort and
+		// moves every column both keep. A twin with nothing to widen is
+		// not run.
+		g, cols := gen{o, rand.New(rand.NewSource(q.seed))}, o.columns(q.from)
+		base := oquery{from: q.from, where: q.where, group: q.group, limit: -1}
+		if strings.Join(q.group, "") == "" {
+			base.group = nil
+			for _, c := range shuffled(g.rng, cols)[:1+g.rng.Intn(2)] {
+				base.group = append(base.group, c.Name)
 			}
-			twin.items = append(slices.Clone(twin.items), item)
 		}
-		res := run(t, db, twin.sql())
-		for i := range res.Rows {
-			res.Rows[i] = res.Rows[i][:len(q.items)]
+		base.items = slices.DeleteFunc(slices.Clone(q.items), func(it string) bool { return !aggItem.MatchString(it) })
+		if len(base.items) == 0 {
+			for k := range 1 + g.rng.Intn(2) {
+				base.items = append(base.items, fmt.Sprintf("%s as a%d", g.aggregate(cols[g.rng.Intn(len(cols))]), k))
+			}
 		}
-		return []*dsdb.Result{ref, {Columns: res.Columns[:len(q.items)], Rows: res.Rows}}
+		base.items, base.order = append(slices.Clone(base.group), base.items...), base.group
+		twin, unread := base, slices.DeleteFunc(slices.Clone(cols), func(c dsdb.Column) bool { return strings.Contains(base.sql(), c.Name) })
+		if len(unread) == 0 {
+			return nil
+		}
+		for i, c := range shuffled(g.rng, unread)[:min(len(unread), 1+g.rng.Intn(2))] {
+			agg := g.aggregate(c)
+			for agg == "count(*)" { // reads no column
+				agg = g.aggregate(c)
+			}
+			twin.items = slices.Insert(twin.items, g.rng.Intn(len(twin.items)+1), fmt.Sprintf("%s as x%d", agg, i))
+		}
+		base.items = shuffled(g.rng, base.items)
+		a, b := run(t, db, base.sql()), run(t, db, twin.sql())
+		kept := &dsdb.Result{Columns: a.Columns}
+		for _, row := range b.Rows {
+			kept.Rows = append(kept.Rows, make([]dsdb.Value, len(a.Columns)))
+			for i, c := range a.Columns {
+				kept.Rows[len(kept.Rows)-1][i] = row[slices.Index(b.Columns, c)]
+			}
+		}
+		return []*dsdb.Result{a, kept}
 	}},
-	{"64-frame vs 2048-frame pool", false, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
+	{"64-frame vs 2048-frame pool", "TestOracle", false, false, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
 		return []*dsdb.Result{run(t, o.small, q.sql()), ref}
 	}},
-	{"streamed vs materialized", false, func(t *testing.T, o *oracle, db *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
+	{"streamed vs materialized", "TestExecMatchesQuery", false, false, func(t *testing.T, o *oracle, db *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
 		return []*dsdb.Result{stream(t, db, q.sql()), ref}
 	}},
-	{"streamed vs raw executor", false, func(t *testing.T, o *oracle, db *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
+	{"streamed vs raw executor", "TestStreamingMatchesSeedMaterialized", false, false, func(t *testing.T, o *oracle, db *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
 		// The raw side compiles q on an engine that tpcd.Load filled
 		// (B-tree indexes) and runs the plan to completion, as the kernel
 		// did before dsdb.
@@ -147,10 +183,10 @@ var oracleRows = []oracleRow{
 		}
 		return []*dsdb.Result{stream(t, db, q.sql()), res}
 	}},
-	{"index range vs sequential scan", true, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
+	{"index range vs sequential scan", "TestOracle", true, false, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
 		return []*dsdb.Result{ref, run(t, o.btree, unindexable(q.sql()))}
 	}},
-	{"query vs respelling", true, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
+	{"query vs respelling", "TestOracle", true, false, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
 		rng, re := rand.New(rand.NewSource(q.seed)), q
 		re.from, re.where = shuffled(rng, q.from), shuffled(rng, q.where)
 		for i, c := range re.where {
@@ -160,7 +196,7 @@ var oracleRows = []oracleRow{
 		}
 		return []*dsdb.Result{ref, run(t, o.btree, re.sql())}
 	}},
-	{"LIMIT n is a prefix", false, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
+	{"LIMIT n is a prefix", "TestOracle", false, false, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, ref *dsdb.Result) []*dsdb.Result {
 		limited := q
 		limited.limit = -1
 		all := run(t, o.btree, limited.sql())
@@ -168,7 +204,7 @@ var oracleRows = []oracleRow{
 		prefix := &dsdb.Result{Columns: all.Columns, Rows: all.Rows[:min(limited.limit, len(all.Rows))]}
 		return []*dsdb.Result{run(t, o.btree, limited.sql()), prefix}
 	}},
-	{"count(*) of p plus count(*) of not p", false, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, _ *dsdb.Result) []*dsdb.Result {
+	{"count(*) of p plus count(*) of not p", "TestOracle", false, false, func(t *testing.T, o *oracle, _ *dsdb.DB, q oquery, _ *dsdb.Result) []*dsdb.Result {
 		// The join predicates stay and the filters p partition what they
 		// join: TPC-D data holds no NULLs.
 		joins := slices.DeleteFunc(slices.Clone(q.where), func(c string) bool { return !joinPred.MatchString(c) })
@@ -216,44 +252,34 @@ func differ(a, b *dsdb.Result, loose bool) string {
 	return ""
 }
 
-// A row that took over a pair test of its own runs under that test's
-// name, on both index kinds where the pair ran on both (the first
-// two); TestOracle runs the other rows.
-var (
-	namedRows = []string{"pruned vs full-width", "reused vs fresh plan", "streamed vs materialized", "cached vs uncached", "streamed vs raw executor"}
-	perKind   = namedRows[:2]
-)
+// Each test runs the rows that name it; the five named for a test of
+// their own took over that pair test's checks and kept its name.
+func TestOracle(t *testing.T)                                { checkRows(t) }
+func TestGroupByTwinAgrees(t *testing.T)                     { checkRows(t) }
+func TestReusedPlanEqualsFresh(t *testing.T)                 { checkRows(t) }
+func TestExecMatchesQuery(t *testing.T)                      { checkRows(t) }
+func TestResultCacheServesRepeatsByteIdentical(t *testing.T) { checkRows(t) }
+func TestStreamingMatchesSeedMaterialized(t *testing.T)      { checkRows(t) }
 
-func TestGroupByTwinAgrees(t *testing.T)     { checkPerKind(t, "pruned vs full-width") }
-func TestReusedPlanEqualsFresh(t *testing.T) { checkPerKind(t, "reused vs fresh plan") }
-func TestExecMatchesQuery(t *testing.T)      { checkRows(t, dsdb.BTree, "streamed vs materialized") }
-func TestResultCacheServesRepeatsByteIdentical(t *testing.T) {
-	checkRows(t, dsdb.BTree, "cached vs uncached")
-}
-func TestStreamingMatchesSeedMaterialized(t *testing.T) {
-	checkRows(t, dsdb.BTree, "streamed vs raw executor")
-}
-func TestOracle(t *testing.T) {
-	var rest []string
-	for _, r := range oracleRows {
-		if !slices.Contains(namedRows, r.name) {
-			rest = append(rest, r.name)
-		}
+// checkRows runs the rows that name t over the TPC-D texts and
+// generated queries, on both index kinds if they run per kind.
+func checkRows(t *testing.T) {
+	rows := slices.DeleteFunc(slices.Clone(oracleRows), func(r oracleRow) bool { return r.test != t.Name() })
+	if len(rows) == 0 {
+		t.Fatalf("no oracle row names %s", t.Name())
 	}
-	checkRows(t, dsdb.BTree, rest...)
-}
-
-func checkPerKind(t *testing.T, row string) {
-	for _, kind := range []dsdb.IndexKind{dsdb.BTree, dsdb.Hash} {
-		t.Run(kind.String(), func(t *testing.T) { checkRows(t, kind, row) })
-	}
-}
-
-// checkRows runs the named rows, with the database of the given index
-// kind as the reference, over the TPC-D texts and generated queries.
-func checkRows(t *testing.T, kind dsdb.IndexKind, names ...string) {
 	o := openOracle()
-	db, rows := map[dsdb.IndexKind]*dsdb.DB{dsdb.BTree: o.btree, dsdb.Hash: o.hash}[kind], rowsNamed(names...)
+	if !rows[0].perKind {
+		o.checkAll(t, o.btree, rows)
+		return
+	}
+	t.Run("btree", func(t *testing.T) { o.checkAll(t, o.btree, rows) })
+	t.Run("hash", func(t *testing.T) { o.checkAll(t, o.hash, rows) })
+}
+
+// checkAll runs rows with db as the reference over the TPC-D texts and
+// generated queries.
+func (o *oracle) checkAll(t *testing.T, db *dsdb.DB, rows []oracleRow) {
 	for _, q := range tpcdQueries(t) {
 		o.check(t, db, q, rows)
 	}
@@ -268,10 +294,6 @@ func checkRows(t *testing.T, kind dsdb.IndexKind, names ...string) {
 	}
 }
 
-func rowsNamed(names ...string) []oracleRow {
-	return slices.DeleteFunc(slices.Clone(oracleRows), func(r oracleRow) bool { return !slices.Contains(names, r.name) })
-}
-
 // FuzzOracle runs every oracle row on the query a seed generates, and
 // the per-kind rows also on the hash database.
 func FuzzOracle(f *testing.F) {
@@ -279,7 +301,7 @@ func FuzzOracle(f *testing.F) {
 		o := openOracle()
 		q := gen{o, rand.New(rand.NewSource(seed))}.query()
 		o.check(t, o.btree, q, oracleRows)
-		o.check(t, o.hash, q, rowsNamed(perKind...))
+		o.check(t, o.hash, q, slices.DeleteFunc(slices.Clone(oracleRows), func(r oracleRow) bool { return !r.perKind }))
 	})
 }
 
@@ -292,8 +314,8 @@ type oracle struct {
 	raw                                          *engine.DB     // loaded by tpcd.Load
 	srv                                          *server.Server // serves btree
 	client                                       *client.DB
-	dir                                          string // recovered's data directory
-	filled                                       map[string]bool
+	dir                                          string          // recovered's data directory
+	ran                                          map[string]bool // db and text of each one-shot run of the reuse row
 	tables                                       []string
 	cols                                         map[string][]dsdb.Column // per table
 	bounds                                       map[string][2]dsdb.Value // min and max per column
@@ -308,7 +330,7 @@ func openOracle() *oracle {
 	oracleOnce.Do(func() {
 		dir, err := os.MkdirTemp("", "dsdb-oracle-")
 		must(err)
-		o := &oracle{dir: dir, filled: map[string]bool{}, cols: map[string][]dsdb.Column{}, bounds: map[string][2]dsdb.Value{}, raw: engine.Open(2048)}
+		o := &oracle{dir: dir, ran: map[string]bool{}, cols: map[string][]dsdb.Column{}, bounds: map[string][2]dsdb.Value{}, raw: engine.Open(2048)}
 		var durable *dsdb.DB
 		// One option per database; B-tree and seed 42 are the defaults.
 		opts := []dsdb.Option{dsdb.WithIndexKind(dsdb.BTree), dsdb.WithIndexKind(dsdb.Hash),
@@ -386,26 +408,23 @@ func stream(t *testing.T, db *dsdb.DB, text string) *dsdb.Result {
 	return res
 }
 
-// runCached streams text from the cached database. Its first run in
-// this process must miss and fill the cache, counting one miss; every
-// later run must be a hit, counting one hit, that takes the plan the
-// fill left in the pool.
-func (o *oracle) runCached(t *testing.T, text string) *dsdb.Result {
+// runCached streams text from the cached database: a fill must miss,
+// counting one miss, and a hit must count one hit and take the plan
+// the fill left in the pool.
+func (o *oracle) runCached(t *testing.T, text string, hit bool) *dsdb.Result {
 	st, _ := o.cached.ResultCacheStats()
 	reused := o.cached.PlanStats().Reused
-	rows, err := o.cached.Query(context.Background(), text)
-	res, err := materialize(rows, err)
-	if err != nil {
-		t.Fatalf("cached %s: %v", text, err)
-	}
+	res, served := cacheHit(t, o.cached, text)
 	assertNoPins(t, o.cached, "cached "+text)
 	now, _ := o.cached.ResultCacheStats()
 	_, uncached := o.btree.ResultCacheStats()
-	got := fmt.Sprint(rows.CacheHit(), now.Hits-st.Hits, now.Misses-st.Misses, o.cached.PlanStats().Reused-reused, uncached)
-	if want := map[bool]string{false: "false 0 1 0 false", true: "true 1 0 1 false"}[o.filled[text]]; got != want {
-		t.Errorf("cached %s: hit, hits, misses, reused plans and a cache on the uncached database %q, want %q", text, got, want)
+	got := fmt.Sprint(served, now.Hits-st.Hits, now.Misses-st.Misses, uncached)
+	if want := map[bool]string{false: "false 0 1 false", true: "true 1 0 false"}[hit]; got != want {
+		t.Errorf("cached %s: hit, hits, misses and a cache on the uncached database %q, want %q", text, got, want)
 	}
-	o.filled[text] = true
+	if n := o.cached.PlanStats().Reused - reused; hit && n != 1 {
+		t.Errorf("cached %s: the hit reused %d plans, want the fill's", text, n)
+	}
 	return res
 }
 
